@@ -3,8 +3,9 @@ inequalities on positive definite matrices.
 
 Public surface:
 
-* :mod:`hlawka.linalg` -- Hermitian matrices, Kronecker powers, Loewner
-  certificates, seeded positive definite sampling, matrix files.
+* :mod:`hlawka.linalg` -- Hermitian matrices and their stacks, Kronecker
+  powers, Loewner certificates, seeded positive definite sampling, matrix
+  files.
 * :mod:`hlawka.sums` -- the inequality difference builders.
 * :mod:`hlawka.symgroup` / :mod:`hlawka.matfunc` -- permutation groups,
   characters, determinants/permanents/immanants and their corollaries.
@@ -18,7 +19,9 @@ from .linalg import (
     DEFAULT_LOEWNER_TOL,
     DEFAULT_MAX_TENSOR_DIM,
     HermitianMatrix,
+    HermitianStack,
     LoewnerCertificate,
+    PdBatchConfig,
     PdSampleConfig,
     SpectrumKind,
     Verdict,

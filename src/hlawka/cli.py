@@ -35,7 +35,9 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tol", type=float, default=None, help="relative tolerance override")
     parser.add_argument("--max-dim", type=int, default=DEFAULT_MAX_TENSOR_DIM,
                         help="tensor dimension budget (refuse, never truncate)")
-    parser.add_argument("--jobs", type=int, default=1, help="concurrent trial workers")
+    parser.add_argument("--jobs", type=int, default=1,
+                        help="must be >= 1; kept for compatibility and changes nothing: "
+                             "trials run in memory-bounded chunks stacked on one thread")
     parser.add_argument("--out", default=None, help="report file path")
     parser.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
 

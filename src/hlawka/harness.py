@@ -6,16 +6,20 @@ assembles a :class:`~hlawka.report.TrialReport` plus a process exit code:
 is established, 2 for usage errors, 3 for budget refusals (the latter two
 are raised as exceptions and mapped by the CLI).
 
-Per-trial seeds derive from (master seed, trial index), so trials may run
-concurrently without changing any reported number; reports are assembled
-in trial order.
+Per-trial seeds derive from (master seed, trial index), so how trials are
+grouped cannot change any reported number.  The two operator suites run
+their trials in chunks stacked on a leading axis: one sampling call, one
+build and one certification (or one scalar check) per chunk, each bit for
+bit the per-trial result.  A chunk holds as many trials as fit
+``CHUNK_BYTES`` in its largest stacked array, and at least one.  Reports
+are assembled in trial order.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,8 +28,8 @@ from .errors import InputError
 from .linalg import (
     DEFAULT_LOEWNER_TOL,
     DEFAULT_MAX_TENSOR_DIM,
-    HermitianMatrix,
-    PdSampleConfig,
+    HermitianStack,
+    PdBatchConfig,
     Verdict,
     min_eigenvalue,
     psd_certificate,
@@ -60,9 +64,18 @@ from .sums import (
     TensorSumParams,
     build_difference,
 )
+from .symgroup import MAX_SYMMETRIC_DEGREE
 from .util import derive_seed
 
 DEFAULT_SCALAR_MATRIX_TOL = 1e-10
+
+#: Byte budget of the largest array stacked over one chunk of trials.  Big
+#: enough to amortize per-call overhead on small tuples; a trial over budget
+#: runs alone, allocating what a single-trial run allocates.
+CHUNK_BYTES = 128 * 1024
+
+#: Bytes per complex128 entry.
+_ENTRY_BYTES = 16
 
 #: Scalar suites whose inequality is established (violations exit 1).
 PROVEN_SCALAR_SUITES = frozenset({"norm-hlawka", "radu", "jensen", "popoviciu", "vasc", "pcz"})
@@ -102,74 +115,78 @@ class RunConfig:
     flags_extra: list[str] = field(default_factory=list)
 
 
-def _run_trials(fn, trials: int, jobs: int) -> list:
+def _check_loop(trials: int, jobs: int) -> None:
     if trials < 0:
         raise InputError("trials must be nonnegative")
     if jobs < 1:
         raise InputError("jobs must be >= 1")
-    if jobs == 1 or trials <= 1:
-        return [fn(t) for t in range(trials)]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, range(trials)))
 
 
-def _tuple_digest(mats) -> str:
+def _tuple_digest(parts: list[HermitianStack], t: int) -> str:
     h = hashlib.sha256()
-    for m in mats:
-        h.update(bytes.fromhex(m.digest))
+    for part in parts:
+        h.update(bytes.fromhex(part.digests[t]))
     return h.hexdigest()
 
 
-def _parse_operator_family(name: str) -> OperatorFamily:
-    for fam in OperatorFamily:
-        if fam.value == name:
-            return fam
-    raise InputError(f"unknown operator family {name!r}")
+def _operator_family(cfg: RunConfig) -> tuple[OperatorFamily, int]:
+    """The family and its tuple size; the three-matrix families take no other n."""
+    try:
+        family = OperatorFamily(cfg.family)
+    except ValueError:
+        raise InputError(f"unknown operator family {cfg.family!r}") from None
+    if family in (OperatorFamily.HLAWKA3, OperatorFamily.SUPERMOD):
+        if cfg.n != 3:
+            raise InputError(f"{cfg.family} takes exactly three matrices (got --n {cfg.n})")
+        return family, 3
+    return family, cfg.n
 
 
-def _sample_tuple(seed: int, count: int, dim: int, condition_target: float) -> list[HermitianMatrix]:
-    return [
-        random_pd(PdSampleConfig(dim=dim, seed=derive_seed(seed, i), condition_target=condition_target))
-        for i in range(count)
-    ]
+def _sampled_chunks(cfg: RunConfig, n: int, trial_bytes: int):
+    """Yield ``(trial seeds, all inputs, inputs by position)`` per chunk.
+
+    Input ``i`` of trial ``t`` is sampled from ``derive_seed(seed_t, i)``;
+    position ``i`` of every trial of the chunk forms one stack.
+    """
+    _check_loop(cfg.trials, cfg.jobs)
+    size = max(1, CHUNK_BYTES // max(1, trial_bytes))
+    for lo in range(0, cfg.trials, size):
+        seeds = [derive_seed(cfg.seed, t) for t in range(lo, min(cfg.trials, lo + size))]
+        count = len(seeds)
+        inputs = random_pd(PdBatchConfig(
+            dim=cfg.dim,
+            seeds=tuple(derive_seed(s, i) for i in range(n) for s in seeds),
+            condition_target=cfg.condition_target,
+        ))
+        yield seeds, inputs, [inputs[i * count:(i + 1) * count] for i in range(n)]
 
 
 def run_verify(cfg: RunConfig) -> tuple[TrialReport, int]:
     """Sample PD tuples, build the family difference, certify each trial."""
-    family = _parse_operator_family(cfg.family)
-    n = 3 if family in (OperatorFamily.HLAWKA3, OperatorFamily.SUPERMOD) else cfg.n
-    if cfg.family in ("hlawka3", "supermod") and cfg.n != 3:
-        raise InputError(f"{cfg.family} takes exactly three matrices (got --n {cfg.n})")
+    family, n = _operator_family(cfg)
     params = TensorSumParams(n=n, p=cfg.p, k=cfg.k, ell=cfg.ell, m=cfg.m)
     tol = DEFAULT_LOEWNER_TOL if cfg.tol is None else cfg.tol
     pd_tol = 1e-12
 
     start = time.perf_counter()
     psd_only_seen = False
-
-    def one_trial(t: int):
-        trial_seed = derive_seed(cfg.seed, t)
-        mats = _sample_tuple(trial_seed, n, cfg.dim, cfg.condition_target)
-        strictly_pd = all(min_eigenvalue(m) > pd_tol for m in mats)
-        diff = build_difference(family, mats, params, cfg.max_tensor_dim)
-        cert = psd_certificate(diff, tol)
-        return t, trial_seed, _tuple_digest(mats), cert, strictly_pd
-
-    results = _run_trials(one_trial, cfg.trials, cfg.jobs)
-
     violations = []
     margins = []
     equality = 0
-    for t, trial_seed, digest, cert, strictly_pd in results:
-        margins.append(cert.min_eigenvalue)
-        if cert.verdict is Verdict.EQUALITY:
-            equality += 1
-        if not strictly_pd:
-            psd_only_seen = True
-        if cert.verdict is Verdict.FAILS:
-            violations.append(
-                {"inputsDigest": digest, "minEigenvalue": cert.min_eigenvalue, "seed": trial_seed}
-            )
+    side = max(1, cfg.dim) ** max(1, cfg.p)
+    trial_bytes = _ENTRY_BYTES * max(side * side, n * cfg.dim * cfg.dim)
+    for seeds, inputs, parts in _sampled_chunks(cfg, n, trial_bytes):
+        # Not bound to a name: the chunk's differences are freed before the
+        # next chunk builds its own.
+        certs = psd_certificate(build_difference(family, parts, params, cfg.max_tensor_dim), tol)
+        psd_only_seen |= not (min_eigenvalue(inputs) > pd_tol).all()
+        for t, (trial_seed, cert) in enumerate(zip(seeds, certs)):
+            margins.append(cert.min_eigenvalue)
+            if cert.verdict is Verdict.EQUALITY:
+                equality += 1
+            if cert.verdict is Verdict.FAILS:
+                violations.append({"inputsDigest": _tuple_digest(parts, t),
+                                   "minEigenvalue": cert.min_eigenvalue, "seed": trial_seed})
 
     flags = list(cfg.flags_extra)
     if family in EMPIRICAL_FAMILIES:
@@ -243,31 +260,29 @@ def run_scalar_verify(cfg: RunConfig) -> tuple[TrialReport, int]:
 
 
 def _run_matrix_function_suite(cfg: RunConfig) -> tuple[TrialReport, int]:
-    family = _parse_operator_family(cfg.family)
-    n = 3 if family in (OperatorFamily.HLAWKA3, OperatorFamily.SUPERMOD) else cfg.n
+    family, n = _operator_family(cfg)
     params = TensorSumParams(n=n, p=cfg.p, k=cfg.k, ell=cfg.ell, m=cfg.m)
     group, chi = parse_character_selector(cfg.char, cfg.dim)
     tol = DEFAULT_SCALAR_MATRIX_TOL if cfg.tol is None else cfg.tol
 
     start = time.perf_counter()
-
-    def one_trial(t: int):
-        trial_seed = derive_seed(cfg.seed, t)
-        mats = _sample_tuple(trial_seed, n, cfg.dim, cfg.condition_target)
-        res = scalar_inequality_check(family, mats, params, group, chi, tol)
-        return t, trial_seed, _tuple_digest(mats), res
-
-    results = _run_trials(one_trial, cfg.trials, cfg.jobs)
-
     violations = []
     margins = []
     equality = 0
-    for t, trial_seed, digest, res in results:
-        margins.append(res.margin)
-        if abs(res.margin) <= tol * res.scale:
-            equality += 1
-        if not res.holds:
-            violations.append({"inputsDigest": digest, "margin": res.margin, "seed": trial_seed})
+    # The largest stacked array is the (group order, degree) gather of one
+    # generalized matrix function per trial; orders beyond the guard are
+    # refused when it runs.
+    order = math.factorial(min(group.degree, MAX_SYMMETRIC_DEGREE + 1))
+    trial_bytes = _ENTRY_BYTES * max(order * group.degree, n * cfg.dim * cfg.dim)
+    for seeds, _, parts in _sampled_chunks(cfg, n, trial_bytes):
+        results = scalar_inequality_check(family, parts, params, group, chi, tol)
+        for t, (trial_seed, res) in enumerate(zip(seeds, results)):
+            margins.append(res.margin)
+            if abs(res.margin) <= tol * res.scale:
+                equality += 1
+            if not res.holds:
+                violations.append({"inputsDigest": _tuple_digest(parts, t),
+                                   "margin": res.margin, "seed": trial_seed})
 
     flags = list(cfg.flags_extra)
     if family in EMPIRICAL_FAMILIES:
@@ -355,7 +370,8 @@ def _run_scalar_suite(cfg: RunConfig) -> tuple[TrialReport, int]:
             outcomes.append((fn.kind if fn else None, res))
         return t, trial_seed, data, outcomes
 
-    results = _run_trials(one_trial, trials, cfg.jobs)
+    _check_loop(trials, cfg.jobs)
+    results = [one_trial(t) for t in range(trials)]
 
     # At most one violation entry per trial (the worst margin across the
     # evaluated functions), keeping violations.length <= trials.

@@ -1,14 +1,17 @@
 """Dense complex Hermitian matrix algebra.
 
 Provides the carrier type for all operator computations
-(:class:`HermitianMatrix`), Kronecker products and tensor powers,
+(:class:`HermitianMatrix`), its stacked form for batches of trials
+(:class:`HermitianStack`), Kronecker products and tensor powers,
 eigenvalue-based positive-semidefiniteness certificates for the Loewner
 partial order, reproducible positive definite sampling, and the on-disk
 matrix format used by the CLI.
 
 All values are immutable and all operations are pure functions, so they
 may be shared freely between threads.  Arithmetic is fixed double
-precision (complex128).
+precision (complex128).  A stacked call gives, matrix by matrix, the bits
+the single-matrix call gives: LAPACK and the elementwise kernels run once
+per matrix on a stack.
 """
 
 from __future__ import annotations
@@ -140,6 +143,59 @@ class HermitianMatrix:
         return f"HermitianMatrix(dim={self.dim})"
 
 
+class HermitianStack:
+    """Immutable stack of same-size Hermitian matrices on a leading axis.
+
+    The batched counterpart of :class:`HermitianMatrix`: ``dim`` is the
+    size of one matrix, ``array`` the read-only ``(count, dim, dim)``
+    entries, ``stack[i]`` one matrix and ``stack[i:j]`` a sub-stack.
+    """
+
+    __slots__ = ("_arr", "_digests")
+
+    @classmethod
+    def _wrap_exact(cls, arr: np.ndarray) -> "HermitianStack":
+        # Same contract as HermitianMatrix._wrap_exact, per matrix.
+        obj = cls.__new__(cls)
+        a = np.ascontiguousarray(arr, dtype=np.complex128)
+        a.flags.writeable = False
+        obj._arr = a
+        obj._digests = None
+        return obj
+
+    @property
+    def dim(self) -> int:
+        return self._arr.shape[1]
+
+    @property
+    def array(self) -> np.ndarray:
+        """The stored entries as a read-only (count, dim, dim) complex array."""
+        return self._arr
+
+    @property
+    def digests(self) -> tuple[str, ...]:
+        """Per-matrix content hashes, equal to each ``HermitianMatrix.digest``."""
+        if self._digests is None:
+            self._digests = tuple(array_digest(a) for a in self._arr)
+        return self._digests
+
+    def __len__(self) -> int:
+        return self._arr.shape[0]
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return HermitianStack._wrap_exact(self._arr[key])
+        return HermitianMatrix._wrap_exact(self._arr[key])
+
+    def __add__(self, other: "HermitianStack") -> "HermitianStack":
+        if not isinstance(other, HermitianStack):
+            return NotImplemented
+        return HermitianStack._wrap_exact(self._arr + other._arr)
+
+    def __repr__(self) -> str:
+        return f"HermitianStack(count={len(self)}, dim={self.dim})"
+
+
 @dataclass(frozen=True)
 class LoewnerCertificate:
     """Numerical verdict of a Loewner-order comparison.
@@ -164,6 +220,15 @@ class LoewnerCertificate:
         return self.verdict is not Verdict.FAILS
 
 
+def _check_sample_config(dim: int, seeds, condition_target: float) -> None:
+    if dim < 1:
+        raise InputError("dim must be a positive integer")
+    if not all(0 <= seed < 2**64 for seed in seeds):
+        raise InputError("seed must be a 64-bit unsigned integer")
+    if not (math.isfinite(condition_target) and condition_target >= 1.0):
+        raise InputError("condition_target must be finite and >= 1")
+
+
 @dataclass(frozen=True)
 class PdSampleConfig:
     """Parameters of one reproducible positive definite sample."""
@@ -174,12 +239,23 @@ class PdSampleConfig:
     spectrum_kind: SpectrumKind = SpectrumKind.LOGUNIFORM
 
     def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise InputError("dim must be a positive integer")
-        if not 0 <= self.seed < 2**64:
-            raise InputError("seed must be a 64-bit unsigned integer")
-        if not (math.isfinite(self.condition_target) and self.condition_target >= 1.0):
-            raise InputError("condition_target must be finite and >= 1")
+        _check_sample_config(self.dim, (self.seed,), self.condition_target)
+
+
+@dataclass(frozen=True)
+class PdBatchConfig:
+    """Parameters of a stack of samples: one per seed, otherwise shared.
+
+    Matrix ``i`` of the stack equals the single log-uniform sample with
+    ``seeds[i]``.
+    """
+
+    dim: int
+    seeds: tuple[int, ...]
+    condition_target: float = 10.0
+
+    def __post_init__(self) -> None:
+        _check_sample_config(self.dim, self.seeds, self.condition_target)
 
 
 def _as_array(mat) -> np.ndarray:
@@ -220,7 +296,23 @@ def kron(a, b, max_dim: int = DEFAULT_MAX_TENSOR_DIM) -> np.ndarray:
             f"Kronecker product dimension {aa.shape[0]}*{bb.shape[0]} = {out_dim} "
             f"exceeds budget {max_dim}"
         )
-    return np.kron(aa, bb)
+    return _kron(aa, bb)
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # np.kron's products, over any leading stack axis and without its
+    # per-call shape bookkeeping.  (einsum rounds differently.)
+    n, m = a.shape[-1], b.shape[-1]
+    prod = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return prod.reshape(*a.shape[:-2], n * m, n * m)
+
+
+def _kron_power(arr: np.ndarray, power: int) -> np.ndarray:
+    # Left-associated: ((arr ⊗ arr) ⊗ arr) ...
+    acc = arr
+    for _ in range(power - 1):
+        acc = _kron(acc, arr)
+    return acc
 
 
 def tensor_power(mat: HermitianMatrix, power: int, max_dim: int = DEFAULT_MAX_TENSOR_DIM) -> HermitianMatrix:
@@ -228,35 +320,46 @@ def tensor_power(mat: HermitianMatrix, power: int, max_dim: int = DEFAULT_MAX_TE
     if not isinstance(mat, HermitianMatrix):
         mat = HermitianMatrix(mat)
     check_tensor_budget(mat.dim, power, max_dim)
-    acc = mat.array
-    for _ in range(power - 1):
-        acc = np.kron(acc, mat.array)
-    return HermitianMatrix._wrap_exact(acc)
+    return HermitianMatrix._wrap_exact(_kron_power(mat.array, power))
 
 
-def hermitian_eigenvalues(mat: HermitianMatrix) -> np.ndarray:
-    """All eigenvalues, ascending.  Deterministic for identical input."""
-    if not isinstance(mat, HermitianMatrix):
-        mat = HermitianMatrix(mat)
-    return np.linalg.eigvalsh(mat.array)
+def _hermitian(mat):
+    if isinstance(mat, (HermitianMatrix, HermitianStack)):
+        return mat
+    return HermitianMatrix(mat)
 
 
-def min_eigenvalue(mat: HermitianMatrix) -> float:
-    """Smallest eigenvalue of a Hermitian matrix."""
-    return float(hermitian_eigenvalues(mat)[0])
+def hermitian_eigenvalues(mat: HermitianMatrix | HermitianStack) -> np.ndarray:
+    """All eigenvalues, ascending (one row per matrix of a stack).
+    Deterministic for identical input."""
+    return np.linalg.eigvalsh(_hermitian(mat).array)
 
 
-def psd_certificate(mat: HermitianMatrix, tol: float = DEFAULT_LOEWNER_TOL) -> LoewnerCertificate:
-    """Certify ``mat >= 0`` in the Loewner order.
+def min_eigenvalue(mat: HermitianMatrix | HermitianStack):
+    """Smallest eigenvalue of a Hermitian matrix; an array of them for a stack."""
+    eigs = hermitian_eigenvalues(mat)
+    if eigs.ndim == 2:
+        return eigs[:, 0]
+    return float(eigs[0])
+
+
+def psd_certificate(mat: HermitianMatrix | HermitianStack, tol: float = DEFAULT_LOEWNER_TOL):
+    """Certify ``mat >= 0`` in the Loewner order; a list of certificates,
+    one per matrix, for a stack.
 
     The tolerance is applied relative to ``max(1, scale)`` with scale the
     infinity norm of ``mat``; tensor powers inflate magnitudes, so an
     absolute tolerance would be meaningless.
     """
-    if not isinstance(mat, HermitianMatrix):
-        mat = HermitianMatrix(mat)
+    mat = _hermitian(mat)
     eigs = np.linalg.eigvalsh(mat.array)
-    scale = float(np.linalg.norm(mat.array, np.inf))
+    scales = np.linalg.norm(mat.array, np.inf, axis=(-2, -1))
+    if eigs.ndim == 1:
+        return _certificate(eigs, float(scales), tol)
+    return [_certificate(e, float(s), tol) for e, s in zip(eigs, scales)]
+
+
+def _certificate(eigs: np.ndarray, scale: float, tol: float) -> LoewnerCertificate:
     band = tol * max(1.0, scale)
     lo = float(eigs[0])
     if float(np.max(np.abs(eigs))) <= band:
@@ -279,8 +382,9 @@ def loewner_geq(a: HermitianMatrix, b: HermitianMatrix, tol: float = DEFAULT_LOE
     return psd_certificate(a - b, tol)
 
 
-def random_pd(cfg: PdSampleConfig) -> HermitianMatrix:
-    """Seeded Hermitian positive definite sample.
+def random_pd(cfg: PdSampleConfig | PdBatchConfig):
+    """Seeded Hermitian positive definite sample; a :class:`HermitianStack`
+    of one log-uniform sample per seed for a :class:`PdBatchConfig`.
 
     Built as ``Q diag(lam) Q*`` where Q comes from the QR factorization of
     a seeded complex Gaussian matrix (columns rephased so R has a positive
@@ -288,19 +392,29 @@ def random_pd(cfg: PdSampleConfig) -> HermitianMatrix:
     grid on ``[1, condition_target]``.  Identical configs give
     bit-identical output on the same platform.
     """
-    rng = np.random.default_rng(cfg.seed)
+    stacked = isinstance(cfg, PdBatchConfig)
+    seeds = cfg.seeds if stacked else (cfg.seed,)
     d = cfg.dim
-    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    re = np.empty((len(seeds), d, d))
+    im = np.empty((len(seeds), d, d))
+    for k, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        rng.standard_normal(out=re[k])
+        rng.standard_normal(out=im[k])
+    z = re + 1j * im
     q, r = np.linalg.qr(z)
-    diag = np.diagonal(r).copy()
+    diag = np.diagonal(r, axis1=-2, axis2=-1).copy()
     diag[diag == 0] = 1.0
-    q = q * (diag / np.abs(diag)).conj()
-    if cfg.spectrum_kind is SpectrumKind.UNIFORM:
+    q = q * (diag / np.abs(diag)).conj()[:, None, :]
+    if not stacked and cfg.spectrum_kind is SpectrumKind.UNIFORM:
         lam = np.linspace(1.0, cfg.condition_target, d)
     else:
         lam = np.geomspace(1.0, cfg.condition_target, d)
-    h = (q * lam) @ q.conj().T
-    return HermitianMatrix._wrap_exact((h + h.conj().T) / 2.0)
+    h = (q * lam) @ q.conj().swapaxes(-1, -2)
+    h = (h + h.conj().swapaxes(-1, -2)) / 2.0
+    if stacked:
+        return HermitianStack._wrap_exact(h)
+    return HermitianMatrix._wrap_exact(h[0])
 
 
 # ---------------------------------------------------------------------------
@@ -310,11 +424,17 @@ def random_pd(cfg: PdSampleConfig) -> HermitianMatrix:
 # ---------------------------------------------------------------------------
 
 
+def _json_double(x: float) -> str:
+    # JSON reads "-0" as the integer 0, which has no sign; "-0.0" keeps it.
+    text = format_sig17(x)
+    return "-0.0" if text == "-0" else text
+
+
 def dump_matrix(mat) -> str:
     arr = _as_array(mat)
     dim = arr.shape[0]
     pairs = ", ".join(
-        f"[{format_sig17(v.real)}, {format_sig17(v.imag)}]" for v in arr.ravel()
+        f"[{_json_double(v.real)}, {_json_double(v.imag)}]" for v in arr.ravel()
     )
     return f'{{"dim": {dim}, "entries": [{pairs}]}}\n'
 

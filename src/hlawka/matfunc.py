@@ -24,7 +24,7 @@ from math import comb, fsum
 import numpy as np
 
 from .errors import BudgetError, InputError
-from .linalg import HermitianMatrix
+from .linalg import HermitianMatrix, HermitianStack
 from .sums import OperatorFamily, TensorSumParams
 from .symgroup import CharacterSpec, GroupSpec, character_values, enumerate_group
 
@@ -45,22 +45,29 @@ def _as_square_array(x) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _group_data(group: GroupSpec, chi: CharacterSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Row-major flat index of X[i, sigma(i)], one row per sigma, and chi(sigma)."""
     elements = enumerate_group(group)
     perms = np.array(elements, dtype=np.intp)
     chis = character_values(group, chi, elements)
-    return perms, chis
+    return np.arange(group.degree) * group.degree + perms, chis
 
 
-def generalized_matrix_function(x, group: GroupSpec, chi: CharacterSpec) -> complex:
-    """Evaluate d(X) = sum_sigma chi(sigma) prod_i X[i, sigma(i)]."""
-    arr = _as_square_array(x)
-    m = arr.shape[0]
+def generalized_matrix_function(x, group: GroupSpec, chi: CharacterSpec):
+    """Evaluate d(X) = sum_sigma chi(sigma) prod_i X[i, sigma(i)].
+
+    A :class:`HermitianStack` gives an array of d(X), one per matrix.
+    """
+    arr = x.array if isinstance(x, HermitianStack) else _as_square_array(x)
+    m = arr.shape[-1]
     if m != group.degree:
         raise InputError(f"matrix dimension {m} does not match group degree {group.degree}")
-    perms, chis = _group_data(group, chi)
-    rows = np.arange(m)
-    products = arr[rows[np.newaxis, :], perms].prod(axis=1)
-    return complex(chis @ products)
+    flat, chis = _group_data(group, chi)
+    # The gather is contiguous, so a matrix's products round the same in a
+    # stack as alone; one matrix-vector product over the whole stack would
+    # round differently from the per-matrix dot.
+    products = np.take(arr.reshape(-1, m * m), flat, axis=1).prod(axis=-1)
+    values = [chis @ row for row in products]
+    return np.array(values) if arr.ndim == 3 else complex(values[0])
 
 
 def determinant_via_elimination(x) -> complex:
@@ -223,24 +230,39 @@ def scalar_inequality_check(
     matrix function instead of a Kronecker power; subset sizes and
     coefficients are unchanged.  For positive semidefinite inputs the
     values are real up to rounding; the real parts are compared.
+
+    With :class:`HermitianStack` inputs (input ``i`` of every trial in
+    stack ``i``) every trial is checked at once and a list of results, one
+    per trial, is returned.
     """
-    hs = [m if isinstance(m, HermitianMatrix) else HermitianMatrix(m) for m in mats]
+    hs = [m if isinstance(m, (HermitianMatrix, HermitianStack)) else HermitianMatrix(m)
+          for m in mats]
+    stacked = any(isinstance(h, HermitianStack) for h in hs)
     n = len(hs)
     if any(h.dim != group.degree for h in hs):
         raise InputError("matrix dimension must equal the group degree")
+    if stacked and not all(isinstance(h, HermitianStack) and len(h) == len(hs[0]) for h in hs):
+        raise InputError("stacked inputs must all be stacks of one length")
     lhs_terms, rhs_terms = family_terms(family, n, params)
 
-    def evaluate(weighted):
+    def evaluate(weighted) -> np.ndarray:
+        # One row per term, one column per trial.
         values = []
         for coef, idx in weighted:
             subset = hs[idx[0]]
             for i in idx[1:]:
                 subset = subset + hs[i]
-            values.append(coef * generalized_matrix_function(subset, group, chi).real)
-        return values
+            values.append(coef * np.atleast_1d(generalized_matrix_function(subset, group, chi)).real)
+        return np.array(values)
 
     lhs_values = evaluate(lhs_terms)
     rhs_values = evaluate(rhs_terms)
+    results = [_scalar_result(lhs_values[:, t], rhs_values[:, t], tol)
+               for t in range(lhs_values.shape[1])]
+    return results if stacked else results[0]
+
+
+def _scalar_result(lhs_values, rhs_values, tol: float) -> ScalarInequalityResult:
     lhs = fsum(lhs_values)
     rhs = fsum(rhs_values)
     margin = lhs - rhs

@@ -2,7 +2,10 @@
 
 Every function here assembles LHS - RHS of one operator inequality family
 as a single :class:`~hlawka.linalg.HermitianMatrix`, ready for Loewner
-certification.  The families:
+certification.  Given :class:`~hlawka.linalg.HermitianStack` inputs (matrix
+``i`` of every trial in stack ``i``), it builds every trial's difference at
+once and returns them as a stack, bit for bit the per-trial results.  The
+families:
 
 * ``superadd``:    (A1+...+An)^op  >=  sum_i Ai^op
 * ``hlawka3``:     (A+B+C)^op + A^op + B^op + C^op  >=  sum of pair powers
@@ -15,10 +18,10 @@ certification.  The families:
 where X^op denotes the p-fold Kronecker power and S_k the sum of such
 powers over all size-k subset sums.
 
-Determinism: inputs are first canonically ordered by content hash, then
-subsets are enumerated lexicographically and accumulated with pairwise
-(tree) summation.  Shuffling the input list therefore cannot change a
-single bit of the output.
+Determinism: inputs are first canonically ordered by content hash (trial
+by trial for stacks), then subsets are enumerated lexicographically and
+accumulated with pairwise (tree) summation.  Shuffling the input list
+therefore cannot change a single bit of the output.
 """
 
 from __future__ import annotations
@@ -32,7 +35,8 @@ from math import comb, lcm
 import numpy as np
 
 from .errors import InputError
-from .linalg import DEFAULT_MAX_TENSOR_DIM, HermitianMatrix, check_tensor_budget
+from .linalg import DEFAULT_MAX_TENSOR_DIM, HermitianMatrix, HermitianStack, check_tensor_budget
+from .linalg import _kron_power as _power
 
 
 class OperatorFamily(Enum):
@@ -75,18 +79,38 @@ class TensorSumParams:
 
 
 def _canonical_arrays(mats, *, keep_first_fixed: bool = False) -> list[np.ndarray]:
-    hs = [m if isinstance(m, HermitianMatrix) else HermitianMatrix(m) for m in mats]
+    hs = [m if isinstance(m, (HermitianMatrix, HermitianStack)) else HermitianMatrix(m)
+          for m in mats]
     if not hs:
         raise InputError("need at least one matrix")
     dim = hs[0].dim
     if any(h.dim != dim for h in hs):
         raise InputError("all matrices must share one dimension")
-    if keep_first_fixed:
-        head, tail = hs[:1], sorted(hs[1:], key=lambda h: h.digest)
-        hs = head + tail
-    else:
-        hs = sorted(hs, key=lambda h: h.digest)
-    return [h.array for h in hs]
+    first = 1 if keep_first_fixed else 0
+    if any(isinstance(h, HermitianStack) for h in hs):
+        return _canonical_stacks(hs, first)
+    return [h.array for h in hs[:first] + sorted(hs[first:], key=lambda h: h.digest)]
+
+
+def _canonical_stacks(hs: list, first: int) -> list[np.ndarray]:
+    # Sort each trial's matrices by their own digests, then gather every
+    # position into one contiguous (trials, dim, dim) array.
+    if not all(isinstance(h, HermitianStack) and len(h) == len(hs[0]) for h in hs):
+        raise InputError("stacked inputs must all be stacks of one length")
+    keys = list(zip(*(h.digests for h in hs)))
+    order = np.array(
+        [list(range(first)) + sorted(range(first, len(hs)), key=k.__getitem__) for k in keys],
+        dtype=np.intp,
+    ).reshape(len(keys), len(hs))
+    stacked = np.stack([h.array for h in hs])
+    trial = np.arange(len(keys))
+    return [stacked[order[:, i], trial] for i in range(len(hs))]
+
+
+def _wrap(arr: np.ndarray):
+    if arr.ndim == 3:
+        return HermitianStack._wrap_exact(arr)
+    return HermitianMatrix._wrap_exact(arr)
 
 
 def _pairwise_sum(terms) -> np.ndarray:
@@ -105,13 +129,6 @@ def _pairwise_sum(terms) -> np.ndarray:
     acc = None
     for _, part in reversed(stack):
         acc = part if acc is None else acc + part
-    return acc
-
-
-def _power(arr: np.ndarray, p: int) -> np.ndarray:
-    acc = arr
-    for _ in range(p - 1):
-        acc = np.kron(acc, arr)
     return acc
 
 
@@ -139,8 +156,8 @@ def symmetric_tensor_sum(
     n = len(arrays)
     if not 1 <= k <= n:
         raise InputError(f"k must satisfy 1 <= k <= {n}, got {k}")
-    _check_params(n, p, arrays[0].shape[0], max_dim)
-    return HermitianMatrix._wrap_exact(_subset_power_sum(arrays, k, p))
+    _check_params(n, p, arrays[0].shape[-1], max_dim)
+    return _wrap(_subset_power_sum(arrays, k, p))
 
 
 def alternating_difference(
@@ -156,10 +173,10 @@ def alternating_difference(
     n = len(arrays)
     if n < 3:
         raise InputError(f"alternating difference needs n >= 3, got {n}")
-    _check_params(n, p, arrays[0].shape[0], max_dim)
+    _check_params(n, p, arrays[0].shape[-1], max_dim)
     lhs = _pairwise_sum(_subset_power_sum(arrays, j, p) for j in range(n, 0, -2))
     rhs = _pairwise_sum(_subset_power_sum(arrays, j, p) for j in range(n - 1, 0, -2))
-    return HermitianMatrix._wrap_exact(lhs - rhs)
+    return _wrap(lhs - rhs)
 
 
 def hlawka3_difference(
@@ -174,11 +191,11 @@ def supermodularity_difference(
 ) -> HermitianMatrix:
     """(A+B+C)^op + A^op - (A+B)^op - (A+C)^op; the first matrix is special."""
     arrays = _canonical_arrays([a, b, c], keep_first_fixed=True)
-    _check_params(3, p, arrays[0].shape[0], max_dim)
+    _check_params(3, p, arrays[0].shape[-1], max_dim)
     aa, bb, cc = arrays
     total = _power(aa + bb + cc, p) + _power(aa, p)
     pairs = _power(aa + bb, p) + _power(aa + cc, p)
-    return HermitianMatrix._wrap_exact(total - pairs)
+    return _wrap(total - pairs)
 
 
 def superadditivity_difference(
@@ -189,10 +206,10 @@ def superadditivity_difference(
     n = len(arrays)
     if n < 2:
         raise InputError(f"superadditivity needs n >= 2, got {n}")
-    _check_params(n, p, arrays[0].shape[0], max_dim)
+    _check_params(n, p, arrays[0].shape[-1], max_dim)
     total = _power(_pairwise_sum(iter(arrays)), p)
     parts = _pairwise_sum(_power(arr, p) for arr in arrays)
-    return HermitianMatrix._wrap_exact(total - parts)
+    return _wrap(total - parts)
 
 
 def pop_subsets_difference(
@@ -203,20 +220,21 @@ def pop_subsets_difference(
     n = len(arrays)
     if not 2 <= m < n:
         raise InputError(f"need 2 <= m < n, got m={m}, n={n}")
-    _check_params(n, p, arrays[0].shape[0], max_dim)
+    _check_params(n, p, arrays[0].shape[-1], max_dim)
     c_single = comb(n - 2, m - 1)
     c_total = comb(n - 2, m - 2)
     singles = _subset_power_sum(arrays, 1, p)
     total = _power(_pairwise_sum(iter(arrays)), p)
     subsets = _subset_power_sum(arrays, m, p)
-    return HermitianMatrix._wrap_exact(c_single * singles + c_total * total - subsets)
+    return _wrap(c_single * singles + c_total * total - subsets)
 
 
 def pop_pairs_difference(
     mats, p: int, max_dim: int = DEFAULT_MAX_TENSOR_DIM
 ) -> HermitianMatrix:
     """(n-2) sum Ai^op + (sum Ai)^op - pair powers; the m=2 subset case."""
-    if len(list(mats)) < 3:
+    mats = list(mats)
+    if len(mats) < 3:
         raise InputError("pop-pairs needs n >= 3")
     return pop_subsets_difference(mats, 2, p, max_dim)
 
@@ -237,7 +255,7 @@ def pop_levels_difference(
     n = len(arrays)
     if not 1 <= k < ell < m <= n:
         raise InputError(f"need 1 <= k < ell < m <= n, got ({k}, {ell}, {m}), n={n}")
-    _check_params(n, p, arrays[0].shape[0], max_dim)
+    _check_params(n, p, arrays[0].shape[-1], max_dim)
     c_low = Fraction(m - ell, k * comb(n, k))
     c_high = Fraction(ell - k, m * comb(n, m))
     c_mid = Fraction(m - k, ell * comb(n, ell))
@@ -249,7 +267,7 @@ def pop_levels_difference(
     s_high = _subset_power_sum(arrays, m, p)
     s_mid = _subset_power_sum(arrays, ell, p)
     combined = w_low * s_low + w_high * s_high - w_mid * s_mid
-    return HermitianMatrix._wrap_exact(combined / den)
+    return _wrap(combined / den)
 
 
 def build_difference(

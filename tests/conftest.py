@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hlawka.linalg import HermitianMatrix, PdSampleConfig, random_pd
+from hlawka.linalg import HermitianMatrix, HermitianStack, PdSampleConfig, random_pd
 from hlawka.util import derive_seed
 
 
@@ -11,6 +11,11 @@ def pd_tuple(seed: int, count: int, dim: int, condition_target: float = 10.0):
         random_pd(PdSampleConfig(dim=dim, seed=derive_seed(seed, i), condition_target=condition_target))
         for i in range(count)
     ]
+
+
+def stack_of(mats) -> HermitianStack:
+    """The matrices, in order, as one stack."""
+    return HermitianStack._wrap_exact(np.stack([m.array for m in mats]))
 
 
 def random_hermitian(rng: np.random.Generator, dim: int) -> HermitianMatrix:

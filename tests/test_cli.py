@@ -126,6 +126,11 @@ class TestScalarVerifyCommand:
                      "--dim", "3", "--trials", "50", "--seed", "6"])
         assert code == 0
 
+    @pytest.mark.parametrize("family", ["hlawka3", "supermod"])
+    def test_three_matrix_families_refuse_other_n(self, family, capsys):
+        assert main(["scalar-verify", "--family", family, "--n", "5", "--trials", "1"]) == 2
+        assert f"{family} takes exactly three matrices (got --n 5)" in capsys.readouterr().err
+
     def test_pcz_suite_exit_zero(self):
         code = main(["scalar-verify", "--family", "pcz", "--n", "5", "--m", "3",
                      "--trials", "100", "--seed", "8"])

@@ -241,6 +241,7 @@ class TestMatrixFile:
         arr = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         arr[0, 0] = math.pi + 1j / 3
         arr[1, 2] = 1e-300 - 1e300j
+        arr[2, 3] = complex(-0.0, -0.0)  # JSON reads a bare "-0" as the integer 0
         path = tmp_path / "m.json"
         save_matrix(path, arr)
         back = load_matrix(path)

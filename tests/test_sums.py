@@ -164,6 +164,11 @@ class TestPopPairs:
         b = pop_subsets_difference(mats, 2, 3)
         assert np.array_equal(a.array, b.array)
 
+    def test_accepts_a_one_shot_iterator(self):
+        mats = pd_tuple(14, 4, 2)
+        a = pop_pairs_difference(iter(mats), 3)
+        assert a.array.tobytes() == pop_pairs_difference(mats, 3).array.tobytes()
+
 
 class TestPopSubsets:
     def test_p1_zero(self):
