@@ -6,7 +6,8 @@ Public surface:
 * :mod:`hlawka.linalg` -- Hermitian matrices and their stacks, Kronecker
   powers, Loewner certificates, seeded positive definite sampling, matrix
   files.
-* :mod:`hlawka.sums` -- the inequality difference builders.
+* :mod:`hlawka.sums` -- the operator family table and its difference
+  builders.
 * :mod:`hlawka.symgroup` / :mod:`hlawka.matfunc` -- permutation groups,
   characters, determinants/permanents/immanants and their corollaries.
 * :mod:`hlawka.scalar` -- convex/norm inequality evaluators and

@@ -16,10 +16,12 @@ import argparse
 import sys
 
 from .errors import BudgetError, InputError
-from .harness import RunConfig, run_counterexample, run_scalar_verify, run_verify
+from .harness import SUITES, RunConfig, run_counterexample, run_scalar_verify, run_verify
 from .linalg import DEFAULT_MAX_TENSOR_DIM, load_matrix
 from .matfunc import generalized_matrix_function, parse_character_selector
 from .report import TrialReport
+from .scalar import SearchFamily, SearchStrategy
+from .sums import OperatorFamily
 from .symgroup import load_character_table
 from .util import format_complex_sig17
 
@@ -53,8 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="operator inequality trial suite")
     _common_flags(p_verify)
     p_verify.add_argument("--family", required=True,
-                          choices=("hlawka3", "supermod", "superadd", "alternating",
-                                   "pop-pairs", "pop-subsets", "pop-levels"))
+                          choices=tuple(family.value for family in OperatorFamily))
     p_verify.add_argument("--n", type=int, default=3, help="number of matrices")
     p_verify.add_argument("--p", type=int, default=3, help="tensor power")
     p_verify.add_argument("--dim", type=int, default=2, help="matrix dimension")
@@ -65,12 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_scalar = sub.add_parser("scalar-verify", help="scalar corollary / convex suite")
     _common_flags(p_scalar)
-    p_scalar.add_argument("--family", required=True,
-                          choices=("hlawka3", "supermod", "superadd", "alternating",
-                                   "pop-pairs", "pop-subsets", "pop-levels",
-                                   "norm-hlawka", "radu", "jensen", "popoviciu",
-                                   "vasc", "pcz", "pop-levels-scalar",
-                                   "functional-hlawka", "hlawka-pop", "freudenthal"))
+    p_scalar.add_argument("--family", required=True, choices=tuple(SUITES))
     p_scalar.add_argument("--char", default="det",
                           help="det | perm | partition=<parts> (matrix-function suites)")
     p_scalar.add_argument("--fn", default="all",
@@ -90,10 +86,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_counter = sub.add_parser("counterexample", help="seeded violation search")
     _common_flags(p_counter)
-    p_counter.add_argument("--family", required=True, choices=("freudenthal", "hlawka-pop"))
+    p_counter.add_argument("--family", required=True,
+                           choices=tuple(family.value for family in SearchFamily))
     p_counter.add_argument("--n", type=int, default=4)
     p_counter.add_argument("--dim", type=int, default=2, help="vector dimension (freudenthal)")
-    p_counter.add_argument("--strategy", choices=("random", "coordinate-descent"),
+    p_counter.add_argument("--strategy", choices=tuple(s.value for s in SearchStrategy),
                            default="random")
     p_counter.add_argument("--fn", default="abs")
     p_counter.add_argument("--include-known", action="store_true")

@@ -1,10 +1,14 @@
 """Trial-suite drivers behind the CLI subcommands.
 
-Each runner samples seeded inputs, evaluates one inequality family, and
-assembles a :class:`~hlawka.report.TrialReport` plus a process exit code:
-0 for success, 1 when a violation is found in a family whose inequality
-is established, 2 for usage errors, 3 for budget refusals (the latter two
-are raised as exceptions and mapped by the CLI).
+Every ``scalar-verify`` family is one entry of :data:`SUITES`, giving its
+sampler, evaluator, status and flags; the operator families among them are
+also the ``verify`` suites.  Each runner turns its suite into per-trial
+records, and :func:`_run`, the one trial loop, assembles them into a
+:class:`~hlawka.report.TrialReport` plus a process exit code: 0 for
+success, 1 when a violation is found in a family whose inequality is
+established (or a refutation is confirmed), 2 for usage errors, 3 for
+budget refusals (the latter two are raised as exceptions and mapped by the
+CLI).
 
 Per-trial seeds derive from (master seed, trial index), so how trials are
 grouped cannot change any reported number.  The two operator suites run
@@ -20,7 +24,8 @@ from __future__ import annotations
 import hashlib
 import math
 import time
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterator
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,6 +46,7 @@ from .scalar import (
     DEFAULT_SCALAR_TOL,
     KNOWN_HLAWKA_POP_COUNTEREXAMPLE,
     ConvexFunction,
+    ScalarCheckResult,
     SearchConfig,
     SearchFamily,
     SearchStrategy,
@@ -57,13 +63,7 @@ from .scalar import (
     radu_check,
     vasc_check,
 )
-from .sums import (
-    EMPIRICAL_FAMILIES,
-    PROVEN_FAMILIES,
-    OperatorFamily,
-    TensorSumParams,
-    build_difference,
-)
+from .sums import FAMILIES, OperatorFamily, TensorSumParams, build_difference
 from .symgroup import MAX_SYMMETRIC_DEGREE
 from .util import derive_seed
 
@@ -77,15 +77,7 @@ CHUNK_BYTES = 128 * 1024
 #: Bytes per complex128 entry.
 _ENTRY_BYTES = 16
 
-#: Scalar suites whose inequality is established (violations exit 1).
-PROVEN_SCALAR_SUITES = frozenset({"norm-hlawka", "radu", "jensen", "popoviciu", "vasc", "pcz"})
-
-#: Scalar evaluators that only measure (violations reported, exit 0)...
-EVALUATOR_SCALAR_SUITES = frozenset({"functional-hlawka", "pop-levels-scalar", "freudenthal"})
-
-#: ...except the refuted alternating subset-mean pattern, where a confirmed
-#: violation is the documented outcome and exits 1.
-REFUTED_SCALAR_SUITES = frozenset({"hlawka-pop"})
+_EMPIRICAL_FLAG = "empirical-family: inequality not established; margins reported, not assumed"
 
 
 @dataclass
@@ -112,7 +104,69 @@ class RunConfig:
     center: tuple[float, ...] | None = None
     radius: float = 2.0
     points: tuple[float, ...] | None = None
-    flags_extra: list[str] = field(default_factory=list)
+
+
+@dataclass(frozen=True)
+class Suite:
+    """One ``scalar-verify`` family; the operator families serve ``verify`` too.
+
+    ``sampler`` is ``matrices`` (seeded PD tuples, evaluated through the
+    family table of :mod:`hlawka.sums`), ``points`` (uniform reals in
+    [-10, 10], checked once per convex function) or ``vectors`` (Gaussian
+    vectors of dimension ``--dim``); ``evaluate(cfg, fn, data)`` checks one
+    trial of the latter two.  ``status`` is ``proven``, ``empirical``,
+    ``evaluator`` or ``refuted``.  A violation exits 1 under ``proven`` and
+    ``refuted``, and at the tuple size ``proven_at``, where an evaluator
+    states a theorem.  ``notes(n)`` adds interpretation flags; ``arity`` is
+    the only tuple size the suite takes.
+    """
+
+    status: str
+    sampler: str = "matrices"
+    evaluate: Callable[..., ScalarCheckResult] | None = None
+    notes: Callable[[int], list[str]] = lambda n: []
+    arity: int | None = None
+    proven_at: int | None = None
+
+
+def _requires(cfg: RunConfig, *names: str) -> list[int]:
+    values = [getattr(cfg, name) for name in names]
+    if None in values:
+        raise InputError(f"{cfg.family} requires " + ", ".join(f"--{name}" for name in names))
+    return values
+
+
+# The evaluators are looked up by name when called, so the names this module
+# binds are the ones every trial goes through.
+SUITES = {
+    **{family.value: Suite(spec.status, arity=spec.arity) for family, spec in FAMILIES.items()},
+    "norm-hlawka": Suite("proven", "vectors", lambda cfg, fn, v: norm_hlawka(*v), arity=3),
+    "radu": Suite("proven", "vectors", lambda cfg, fn, v: radu_check(v, *_requires(cfg, "k"))),
+    "jensen": Suite("proven", "points", lambda cfg, fn, x: jensen_check(fn, x)),
+    "popoviciu": Suite("proven", "points", lambda cfg, fn, x: popoviciu_check(fn, *x), arity=3),
+    "vasc": Suite("proven", "points", lambda cfg, fn, x: vasc_check(fn, x)),
+    "pcz": Suite("proven", "points", lambda cfg, fn, x: pcz_check(fn, x, *_requires(cfg, "m"))),
+    "pop-levels-scalar": Suite(
+        "evaluator", "points",
+        lambda cfg, fn, x: pop_levels_scalar_eval(fn, x, *_requires(cfg, "k", "ell", "m")),
+        notes=lambda n: ["evaluator-only: direction depends on (k, ell, m); margins reported only"],
+    ),
+    "functional-hlawka": Suite(
+        "evaluator", "points", lambda cfg, fn, x: functional_hlawka(fn, *x),
+        notes=lambda n: ["evaluator-only: convexity does not imply the functional form"],
+        arity=3,
+    ),
+    "hlawka-pop": Suite(
+        "refuted", "points", lambda cfg, fn, x: conjecture_hlawka_pop_eval(fn, x),
+        notes=lambda n: ["evaluator-only: alternating subset-mean pattern fails for n >= 4"]
+        + ["interpretation: subset-size weights extrapolated beyond the n=4 instance"] * (n > 4),
+    ),
+    "freudenthal": Suite(
+        "evaluator", "vectors", lambda cfg, fn, v: freudenthal_alternating(v),
+        notes=lambda n: ["evaluator-only: alternating norm sum fails for n >= 4"] * (n >= 4),
+        proven_at=3,
+    ),
+}
 
 
 def _check_loop(trials: int, jobs: int) -> None:
@@ -129,17 +183,25 @@ def _tuple_digest(parts: list[HermitianStack], t: int) -> str:
     return h.hexdigest()
 
 
-def _operator_family(cfg: RunConfig) -> tuple[OperatorFamily, int]:
-    """The family and its tuple size; the three-matrix families take no other n."""
+def _data_digest(data: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(data, dtype=np.float64).tobytes()).hexdigest()
+
+
+def _given(cfg: RunConfig) -> dict:
+    return {name: getattr(cfg, name) for name in ("k", "ell", "m")
+            if getattr(cfg, name) is not None}
+
+
+def _operator_family(cfg: RunConfig) -> OperatorFamily:
+    """The family of an operator suite; the three-matrix families take no other n."""
     try:
         family = OperatorFamily(cfg.family)
     except ValueError:
         raise InputError(f"unknown operator family {cfg.family!r}") from None
-    if family in (OperatorFamily.HLAWKA3, OperatorFamily.SUPERMOD):
-        if cfg.n != 3:
-            raise InputError(f"{cfg.family} takes exactly three matrices (got --n {cfg.n})")
-        return family, 3
-    return family, cfg.n
+    arity = FAMILIES[family].arity
+    if arity is not None and cfg.n != arity:
+        raise InputError(f"{cfg.family} takes exactly three matrices (got --n {cfg.n})")
+    return family
 
 
 def _sampled_chunks(cfg: RunConfig, n: int, trial_bytes: int):
@@ -161,265 +223,145 @@ def _sampled_chunks(cfg: RunConfig, n: int, trial_bytes: int):
         yield seeds, inputs, [inputs[i * count:(i + 1) * count] for i in range(n)]
 
 
+def _matrix_trials(cfg: RunConfig, largest: int, check, margin_key: str):
+    """Per-trial records of an operator suite.
+
+    ``largest`` is the entry count of a trial's largest stacked array
+    besides its inputs, and ``check(inputs, parts)`` gives one ``(margin,
+    equal, fails)`` per trial of a chunk.
+    """
+    trial_bytes = _ENTRY_BYTES * max(largest, cfg.n * cfg.dim * cfg.dim)
+    for seeds, inputs, parts in _sampled_chunks(cfg, cfg.n, trial_bytes):
+        for t, (seed, (margin, equal, fails)) in enumerate(zip(seeds, check(inputs, parts))):
+            yield [(None, margin, equal, fails)], (
+                lambda kind, worst, t=t, seed=seed, parts=parts:
+                {"inputsDigest": _tuple_digest(parts, t), margin_key: worst, "seed": seed})
+
+
+def _run(cfg: RunConfig, suite: Suite, report: TrialReport, records) -> tuple[TrialReport, int]:
+    """The one trial loop: fill ``report`` from per-trial records.
+
+    A record is ``(outcomes, violation)``: one ``(function kind or None,
+    margin, within the equality band, violates)`` per evaluated function,
+    and ``violation(kind, margin)``, the report entry of the trial's worst
+    outcome.  A trial counts as an equality case when all its outcomes are
+    and yields at most one violation entry, so violations never outnumber
+    trials.  Flags a record source learns while it runs go to the report's
+    flags, after the suite's own.
+    """
+    start = time.perf_counter()
+    margins = []
+    for outcomes, violation in records:
+        margins.extend(margin for _, margin, _, _ in outcomes)
+        report.equality_cases += all(equal for _, _, equal, _ in outcomes)
+        kind, margin, _, fails = min(outcomes, key=lambda outcome: outcome[1])
+        if fails:
+            report.violations.append(violation(kind, margin))
+    report.min_margin = min(margins) if margins else None
+    report.interpretation_flags[:0] = (
+        [_EMPIRICAL_FLAG] * (suite.status == "empirical") + suite.notes(cfg.n))
+    report.runtime_ms = int((time.perf_counter() - start) * 1000)
+    binding = suite.status in ("proven", "refuted") or cfg.n == suite.proven_at
+    return report, 1 if report.violations and binding else 0
+
+
+def _report(cfg: RunConfig, family: str, params: dict, tol: float, trials: int) -> TrialReport:
+    return TrialReport(family=family, params=params, trials=trials, seed=cfg.seed,
+                       tolerance_used=tol, min_margin=None, equality_cases=0, violations=[])
+
+
 def run_verify(cfg: RunConfig) -> tuple[TrialReport, int]:
     """Sample PD tuples, build the family difference, certify each trial."""
-    family, n = _operator_family(cfg)
-    params = TensorSumParams(n=n, p=cfg.p, k=cfg.k, ell=cfg.ell, m=cfg.m)
+    family = _operator_family(cfg)
+    params = TensorSumParams(n=cfg.n, p=cfg.p, k=cfg.k, ell=cfg.ell, m=cfg.m)
     tol = DEFAULT_LOEWNER_TOL if cfg.tol is None else cfg.tol
-    pd_tol = 1e-12
+    report = _report(cfg, cfg.family, {
+        "n": cfg.n, "p": cfg.p, "dim": cfg.dim, "conditionTarget": cfg.condition_target,
+        "maxTensorDim": cfg.max_tensor_dim, **_given(cfg)}, tol, cfg.trials)
+    flags = report.interpretation_flags
+    psd_only = "psd-only-inputs: some inputs were not strictly positive definite"
 
-    start = time.perf_counter()
-    psd_only_seen = False
-    violations = []
-    margins = []
-    equality = 0
-    side = max(1, cfg.dim) ** max(1, cfg.p)
-    trial_bytes = _ENTRY_BYTES * max(side * side, n * cfg.dim * cfg.dim)
-    for seeds, inputs, parts in _sampled_chunks(cfg, n, trial_bytes):
+    def certify(inputs, parts):
         # Not bound to a name: the chunk's differences are freed before the
         # next chunk builds its own.
         certs = psd_certificate(build_difference(family, parts, params, cfg.max_tensor_dim), tol)
-        psd_only_seen |= not (min_eigenvalue(inputs) > pd_tol).all()
-        for t, (trial_seed, cert) in enumerate(zip(seeds, certs)):
-            margins.append(cert.min_eigenvalue)
-            if cert.verdict is Verdict.EQUALITY:
-                equality += 1
-            if cert.verdict is Verdict.FAILS:
-                violations.append({"inputsDigest": _tuple_digest(parts, t),
-                                   "minEigenvalue": cert.min_eigenvalue, "seed": trial_seed})
+        if not (min_eigenvalue(inputs) > 1e-12).all() and psd_only not in flags:
+            flags.append(psd_only)
+        return [(c.min_eigenvalue, c.verdict is Verdict.EQUALITY, c.verdict is Verdict.FAILS)
+                for c in certs]
 
-    flags = list(cfg.flags_extra)
-    if family in EMPIRICAL_FAMILIES:
-        flags.append("empirical-family: inequality not established; margins reported, not assumed")
-    if psd_only_seen:
-        flags.append("psd-only-inputs: some inputs were not strictly positive definite")
-
-    params_dict = {"n": n, "p": cfg.p, "dim": cfg.dim, "conditionTarget": cfg.condition_target,
-                   "maxTensorDim": cfg.max_tensor_dim}
-    for name in ("k", "ell", "m"):
-        value = getattr(cfg, name)
-        if value is not None:
-            params_dict[name] = value
-
-    report = TrialReport(
-        family=cfg.family,
-        params=params_dict,
-        trials=cfg.trials,
-        seed=cfg.seed,
-        tolerance_used=tol,
-        min_margin=min(margins) if margins else None,
-        equality_cases=equality,
-        violations=violations,
-        interpretation_flags=flags,
-        runtime_ms=int((time.perf_counter() - start) * 1000),
-    )
-    exit_code = 1 if (violations and family in PROVEN_FAMILIES) else 0
-    return report, exit_code
-
-
-def _convex_functions(selector: str) -> list[ConvexFunction]:
-    if selector == "all":
-        return list(convex_catalog())
-    return [ConvexFunction(selector)]
-
-
-def _scalar_point_eval(cfg: RunConfig, fn: ConvexFunction, xs):
-    fam = cfg.family
-    if fam == "jensen":
-        return jensen_check(fn, xs)
-    if fam == "popoviciu":
-        return popoviciu_check(fn, *xs)
-    if fam == "vasc":
-        return vasc_check(fn, xs)
-    if fam == "pcz":
-        if cfg.m is None:
-            raise InputError("pcz requires --m")
-        return pcz_check(fn, xs, cfg.m)
-    if fam == "pop-levels-scalar":
-        if cfg.k is None or cfg.ell is None or cfg.m is None:
-            raise InputError("pop-levels-scalar requires --k, --ell, --m")
-        return pop_levels_scalar_eval(fn, xs, cfg.k, cfg.ell, cfg.m)
-    if fam == "hlawka-pop":
-        return conjecture_hlawka_pop_eval(fn, xs)
-    raise InputError(f"unknown scalar family {fam!r}")
-
-
-_POINT_SUITES = {"jensen", "popoviciu", "vasc", "pcz", "pop-levels-scalar", "hlawka-pop", "functional-hlawka"}
-_VECTOR_SUITES = {"norm-hlawka", "radu", "freudenthal"}
+    side = max(1, cfg.dim) ** max(1, cfg.p)
+    return _run(cfg, SUITES[cfg.family], report,
+                _matrix_trials(cfg, side * side, certify, "minEigenvalue"))
 
 
 def run_scalar_verify(cfg: RunConfig) -> tuple[TrialReport, int]:
     """Scalar suites: either the d-image of an operator family (choose a
     character with --char) or one of the convex/norm evaluators."""
-    operator_names = {fam.value for fam in OperatorFamily}
-    if cfg.family in operator_names:
-        return _run_matrix_function_suite(cfg)
-    if cfg.family in _POINT_SUITES or cfg.family in _VECTOR_SUITES:
-        return _run_scalar_suite(cfg)
-    raise InputError(f"unknown scalar-verify family {cfg.family!r}")
-
-
-def _run_matrix_function_suite(cfg: RunConfig) -> tuple[TrialReport, int]:
-    family, n = _operator_family(cfg)
-    params = TensorSumParams(n=n, p=cfg.p, k=cfg.k, ell=cfg.ell, m=cfg.m)
+    suite = SUITES.get(cfg.family)
+    if suite is None:
+        raise InputError(f"unknown scalar-verify family {cfg.family!r}")
+    if suite.sampler != "matrices":
+        return _run(cfg, suite, *_scalar_trials(cfg, suite))
+    family = _operator_family(cfg)
+    params = TensorSumParams(n=cfg.n, p=cfg.p, k=cfg.k, ell=cfg.ell, m=cfg.m)
     group, chi = parse_character_selector(cfg.char, cfg.dim)
     tol = DEFAULT_SCALAR_MATRIX_TOL if cfg.tol is None else cfg.tol
+    report = _report(cfg, f"{cfg.family}[{cfg.char}]", {
+        "n": cfg.n, "p": cfg.p, "dim": cfg.dim, "char": cfg.char,
+        "conditionTarget": cfg.condition_target}, tol, cfg.trials)
 
-    start = time.perf_counter()
-    violations = []
-    margins = []
-    equality = 0
+    def check(inputs, parts):
+        return [(r.margin, abs(r.margin) <= tol * r.scale, not r.holds)
+                for r in scalar_inequality_check(family, parts, params, group, chi, tol)]
+
     # The largest stacked array is the (group order, degree) gather of one
     # generalized matrix function per trial; orders beyond the guard are
     # refused when it runs.
     order = math.factorial(min(group.degree, MAX_SYMMETRIC_DEGREE + 1))
-    trial_bytes = _ENTRY_BYTES * max(order * group.degree, n * cfg.dim * cfg.dim)
-    for seeds, _, parts in _sampled_chunks(cfg, n, trial_bytes):
-        results = scalar_inequality_check(family, parts, params, group, chi, tol)
-        for t, (trial_seed, res) in enumerate(zip(seeds, results)):
-            margins.append(res.margin)
-            if abs(res.margin) <= tol * res.scale:
-                equality += 1
-            if not res.holds:
-                violations.append({"inputsDigest": _tuple_digest(parts, t),
-                                   "margin": res.margin, "seed": trial_seed})
-
-    flags = list(cfg.flags_extra)
-    if family in EMPIRICAL_FAMILIES:
-        flags.append("empirical-family: inequality not established; margins reported, not assumed")
-
-    report = TrialReport(
-        family=f"{cfg.family}[{cfg.char}]",
-        params={"n": n, "p": cfg.p, "dim": cfg.dim, "char": cfg.char,
-                "conditionTarget": cfg.condition_target},
-        trials=cfg.trials,
-        seed=cfg.seed,
-        tolerance_used=tol,
-        min_margin=min(margins) if margins else None,
-        equality_cases=equality,
-        violations=violations,
-        interpretation_flags=flags,
-        runtime_ms=int((time.perf_counter() - start) * 1000),
-    )
-    exit_code = 1 if (violations and family in PROVEN_FAMILIES) else 0
-    return report, exit_code
+    return _run(cfg, suite, report, _matrix_trials(cfg, order * group.degree, check, "margin"))
 
 
-def _scalar_suite_flags(cfg: RunConfig) -> list[str]:
-    flags = list(cfg.flags_extra)
-    fam = cfg.family
-    if fam == "hlawka-pop":
-        flags.append("evaluator-only: alternating subset-mean pattern fails for n >= 4")
-        if cfg.n > 4:
-            flags.append("interpretation: subset-size weights extrapolated beyond the n=4 instance")
-    elif fam == "pop-levels-scalar":
-        flags.append("evaluator-only: direction depends on (k, ell, m); margins reported only")
-    elif fam == "functional-hlawka":
-        flags.append("evaluator-only: convexity does not imply the functional form")
-    elif fam == "freudenthal" and cfg.n >= 4:
-        flags.append("evaluator-only: alternating norm sum fails for n >= 4")
-    return flags
-
-
-def _run_scalar_suite(cfg: RunConfig) -> tuple[TrialReport, int]:
-    fam = cfg.family
+def _scalar_trials(cfg: RunConfig, suite: Suite) -> tuple[TrialReport, Iterator]:
+    """The report header and per-trial records of a points or vectors suite."""
     tol = DEFAULT_SCALAR_TOL if cfg.tol is None else cfg.tol
-    fns = _convex_functions(cfg.fn) if fam in _POINT_SUITES else [None]
-
-    explicit_points = cfg.points
-    if cfg.include_known and fam == "hlawka-pop":
-        explicit_points = KNOWN_HLAWKA_POP_COUNTEREXAMPLE
-    n = len(explicit_points) if (explicit_points is not None and fam in _POINT_SUITES) else cfg.n
-    trials = 1 if explicit_points is not None else cfg.trials
-    if fam in ("popoviciu", "norm-hlawka", "functional-hlawka") and n != 3:
-        raise InputError(f"{fam} takes exactly three inputs")
-    if explicit_points is not None and fam in _VECTOR_SUITES and len(explicit_points) % cfg.n:
-        raise InputError(
-            f"--points length {len(explicit_points)} is not divisible by --n {cfg.n}"
-        )
-
-    start = time.perf_counter()
-
-    def evaluate_point(fn: ConvexFunction | None, data):
-        if fam == "norm-hlawka":
-            return norm_hlawka(*data)
-        if fam == "radu":
-            if cfg.k is None:
-                raise InputError("radu requires --k")
-            return radu_check(data, cfg.k)
-        if fam == "freudenthal":
-            return freudenthal_alternating(data)
-        if fam == "functional-hlawka":
-            return functional_hlawka(fn, *data)
-        return _scalar_point_eval(cfg, fn, data)
-
-    def one_trial(t: int):
-        trial_seed = derive_seed(cfg.seed, t)
-        rng = np.random.default_rng(trial_seed)
-        if explicit_points is not None:
-            data = np.asarray(explicit_points, dtype=np.float64)
-            if fam in _VECTOR_SUITES:
-                data = data.reshape(cfg.n, -1)
-        elif fam in _VECTOR_SUITES:
-            data = rng.standard_normal((n, cfg.dim))
-        else:
-            data = rng.uniform(-10.0, 10.0, n)
-        outcomes = []
-        for fn in fns:
-            res = evaluate_point(fn, data)
-            outcomes.append((fn.kind if fn else None, res))
-        return t, trial_seed, data, outcomes
-
+    points = suite.sampler == "points"
+    fns = [None]
+    if points:
+        fns = list(convex_catalog()) if cfg.fn == "all" else [ConvexFunction(cfg.fn)]
+    explicit = cfg.points
+    if cfg.include_known and cfg.family == "hlawka-pop":
+        explicit = KNOWN_HLAWKA_POP_COUNTEREXAMPLE
+    n = len(explicit) if (explicit is not None and points) else cfg.n
+    trials = 1 if explicit is not None else cfg.trials
+    if suite.arity is not None and n != suite.arity:
+        raise InputError(f"{cfg.family} takes exactly three inputs")
+    if explicit is not None and not points and len(explicit) % cfg.n:
+        raise InputError(f"--points length {len(explicit)} is not divisible by --n {cfg.n}")
+    params = {"n": n, "dim": cfg.dim, "fn": cfg.fn, **_given(cfg)}
+    if explicit is not None:
+        params["points"] = [float(x) for x in np.asarray(explicit).ravel()]
     _check_loop(trials, cfg.jobs)
-    results = [one_trial(t) for t in range(trials)]
 
-    # At most one violation entry per trial (the worst margin across the
-    # evaluated functions), keeping violations.length <= trials.
-    violations = []
-    margins = []
-    equality = 0
-    for t, trial_seed, data, outcomes in results:
-        digest = hashlib.sha256(np.ascontiguousarray(data, dtype=np.float64).tobytes()).hexdigest()
-        margins.extend(res.margin for _, res in outcomes)
-        if all(abs(res.margin) <= tol * res.scale for _, res in outcomes):
-            equality += 1
-        worst_kind, worst = min(outcomes, key=lambda pair: pair[1].margin)
-        if worst.margin < -tol * worst.scale:
-            entry = {
-                "inputsDigest": digest,
-                "margin": worst.margin,
-                "seed": trial_seed,
-                "inputs": [float(x) for x in np.asarray(data).ravel()],
-            }
-            if worst_kind:
-                entry["fn"] = worst_kind
-            violations.append(entry)
+    def records():
+        for t in range(trials):
+            trial_seed = derive_seed(cfg.seed, t)
+            if explicit is not None:
+                data = np.asarray(explicit, dtype=np.float64)
+                if not points:
+                    data = data.reshape(cfg.n, -1)
+            elif points:
+                data = np.random.default_rng(trial_seed).uniform(-10.0, 10.0, n)
+            else:
+                data = np.random.default_rng(trial_seed).standard_normal((n, cfg.dim))
+            results = [(fn.kind if fn else None, suite.evaluate(cfg, fn, data)) for fn in fns]
+            yield [(kind, r.margin, abs(r.margin) <= tol * r.scale, r.margin < -tol * r.scale)
+                   for kind, r in results], (
+                lambda kind, worst, data=data, seed=trial_seed: {
+                    "inputsDigest": _data_digest(data), "margin": worst, "seed": seed,
+                    "inputs": [float(x) for x in data.ravel()], **({"fn": kind} if kind else {})})
 
-    params_dict = {"n": n, "dim": cfg.dim, "fn": cfg.fn}
-    for name in ("k", "ell", "m"):
-        value = getattr(cfg, name)
-        if value is not None:
-            params_dict[name] = value
-    if explicit_points is not None:
-        params_dict["points"] = [float(x) for x in np.asarray(explicit_points).ravel()]
-
-    report = TrialReport(
-        family=fam,
-        params=params_dict,
-        trials=trials,
-        seed=cfg.seed,
-        tolerance_used=tol,
-        min_margin=min(margins) if margins else None,
-        equality_cases=equality,
-        violations=violations,
-        interpretation_flags=_scalar_suite_flags(cfg),
-        runtime_ms=int((time.perf_counter() - start) * 1000),
-    )
-
-    proven = fam in PROVEN_SCALAR_SUITES or (fam == "freudenthal" and cfg.n == 3)
-    refutation_confirmed = fam in REFUTED_SCALAR_SUITES and violations
-    exit_code = 1 if (violations and proven) or refutation_confirmed else 0
-    return report, exit_code
+    return _report(cfg, cfg.family, params, tol, trials), records()
 
 
 def run_counterexample(cfg: RunConfig) -> tuple[TrialReport, int]:
@@ -434,6 +376,7 @@ def run_counterexample(cfg: RunConfig) -> tuple[TrialReport, int]:
     except ValueError as exc:
         raise InputError(f"unknown strategy {cfg.strategy!r}") from exc
     fn = ConvexFunction(cfg.fn if cfg.fn != "all" else "abs")
+    _check_loop(cfg.trials, cfg.jobs)
     search_cfg = SearchConfig(
         n=cfg.n,
         dim=cfg.dim,
@@ -445,13 +388,14 @@ def run_counterexample(cfg: RunConfig) -> tuple[TrialReport, int]:
         center=cfg.center,
         radius=cfg.radius,
     )
+    report = _report(cfg, cfg.family, {
+        "n": cfg.n, "dim": cfg.dim, "strategy": strategy.value, "fn": fn.kind,
+        "includeKnown": cfg.include_known}, DEFAULT_SCALAR_TOL, cfg.trials)
     start = time.perf_counter()
     found = counterexample_search(family, search_cfg)
-    violations = [
+    report.violations = [
         {
-            "inputsDigest": hashlib.sha256(
-                np.asarray(v.inputs, dtype=np.float64).tobytes()
-            ).hexdigest(),
+            "inputsDigest": _data_digest(np.asarray(v.inputs)),
             "margin": v.margin,
             "seed": v.seed,
             "trialIndex": v.trial_index,
@@ -459,20 +403,8 @@ def run_counterexample(cfg: RunConfig) -> tuple[TrialReport, int]:
         }
         for v in found
     ]
-    flags = list(cfg.flags_extra)
-    flags.append("search: violations are findings, re-verified before inclusion; "
-                 "an empty list is a valid outcome")
-    report = TrialReport(
-        family=cfg.family,
-        params={"n": cfg.n, "dim": cfg.dim, "strategy": strategy.value, "fn": fn.kind,
-                "includeKnown": cfg.include_known},
-        trials=cfg.trials,
-        seed=cfg.seed,
-        tolerance_used=DEFAULT_SCALAR_TOL,
-        min_margin=min((v.margin for v in found), default=None),
-        equality_cases=0,
-        violations=violations,
-        interpretation_flags=flags,
-        runtime_ms=int((time.perf_counter() - start) * 1000),
-    )
+    report.min_margin = min((v.margin for v in found), default=None)
+    report.interpretation_flags.append("search: violations are findings, re-verified before "
+                                       "inclusion; an empty list is a valid outcome")
+    report.runtime_ms = int((time.perf_counter() - start) * 1000)
     return report, 0

@@ -16,16 +16,16 @@ the two routes can cross-check each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from math import comb, fsum
+from math import fsum
 
 import numpy as np
 
 from .errors import BudgetError, InputError
 from .linalg import HermitianMatrix, HermitianStack
-from .sums import OperatorFamily, TensorSumParams
+from .scalar import ScalarCheckResult, _result
+from .sums import OperatorFamily, TensorSumParams, family_levels
 from .symgroup import CharacterSpec, GroupSpec, character_values, enumerate_group
 
 #: Ryser evaluation enumerates 2^m column subsets; refuse beyond this.
@@ -144,76 +144,8 @@ def elementary_symmetric_det(mats, k: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ScalarInequalityResult:
-    lhs: float
-    rhs: float
-    margin: float
-    scale: float
-    holds: bool
-
-
-def family_terms(
-    family: OperatorFamily, n: int, params: TensorSumParams
-) -> tuple[list[tuple[float, tuple[int, ...]]], list[tuple[float, tuple[int, ...]]]]:
-    """Weighted subset terms (coefficient, index subset) of LHS and RHS."""
-    everyone = tuple(range(n))
-    singles = [(i,) for i in range(n)]
-    if family is OperatorFamily.HLAWKA3:
-        if n != 3:
-            raise InputError("hlawka3 takes exactly three matrices")
-        return (
-            [(1.0, everyone)] + [(1.0, s) for s in singles],
-            [(1.0, pair) for pair in combinations(range(3), 2)],
-        )
-    if family is OperatorFamily.SUPERMOD:
-        if n != 3:
-            raise InputError("supermod takes exactly three matrices")
-        return ([(1.0, everyone), (1.0, (0,))], [(1.0, (0, 1)), (1.0, (0, 2))])
-    if family is OperatorFamily.SUPERADD:
-        if n < 2:
-            raise InputError("superadd needs n >= 2")
-        return ([(1.0, everyone)], [(1.0, s) for s in singles])
-    if family is OperatorFamily.ALTERNATING:
-        if n < 3:
-            raise InputError("alternating needs n >= 3")
-        lhs = [
-            (1.0, idx)
-            for j in range(n, 0, -2)
-            for idx in combinations(range(n), j)
-        ]
-        rhs = [
-            (1.0, idx)
-            for j in range(n - 1, 0, -2)
-            for idx in combinations(range(n), j)
-        ]
-        return lhs, rhs
-    if family is OperatorFamily.POP_PAIRS:
-        if n < 3:
-            raise InputError("pop-pairs needs n >= 3")
-        lhs = [(float(n - 2), s) for s in singles] + [(1.0, everyone)]
-        rhs = [(1.0, pair) for pair in combinations(range(n), 2)]
-        return lhs, rhs
-    if family is OperatorFamily.POP_SUBSETS:
-        m = params.m
-        if m is None or not 2 <= m < n:
-            raise InputError(f"pop-subsets needs 2 <= m < n, got m={m}, n={n}")
-        lhs = [(float(comb(n - 2, m - 1)), s) for s in singles]
-        lhs.append((float(comb(n - 2, m - 2)), everyone))
-        rhs = [(1.0, idx) for idx in combinations(range(n), m)]
-        return lhs, rhs
-    if family is OperatorFamily.POP_LEVELS:
-        k, ell, m = params.k, params.ell, params.m
-        if k is None or ell is None or m is None or not 1 <= k < ell < m <= n:
-            raise InputError(f"pop-levels needs 1 <= k < ell < m <= n, got ({k}, {ell}, {m})")
-        c_low = (m - ell) / (k * comb(n, k))
-        c_high = (ell - k) / (m * comb(n, m))
-        c_mid = (m - k) / (ell * comb(n, ell))
-        lhs = [(c_low, idx) for idx in combinations(range(n), k)]
-        lhs += [(c_high, idx) for idx in combinations(range(n), m)]
-        rhs = [(c_mid, idx) for idx in combinations(range(n), ell)]
-        return lhs, rhs
-    raise InputError(f"unknown family {family}")
+#: The d-image check gives the scalar suites' result type.
+ScalarInequalityResult = ScalarCheckResult
 
 
 def scalar_inequality_check(
@@ -243,33 +175,27 @@ def scalar_inequality_check(
         raise InputError("matrix dimension must equal the group degree")
     if stacked and not all(isinstance(h, HermitianStack) and len(h) == len(hs[0]) for h in hs):
         raise InputError("stacked inputs must all be stacks of one length")
-    lhs_terms, rhs_terms = family_terms(family, n, params)
+    lhs, rhs = family_levels(family, n, params)
 
-    def evaluate(weighted) -> np.ndarray:
-        # One row per term, one column per trial.
+    def evaluate(levels) -> np.ndarray:
+        # One row per term, one column per trial.  Subset sums stay in input
+        # order (the reports' bits depend on it); fsum rounds each side
+        # once, so no grouping of the terms needs fixing.
         values = []
-        for coef, idx in weighted:
-            subset = hs[idx[0]]
-            for i in idx[1:]:
-                subset = subset + hs[i]
-            values.append(coef * np.atleast_1d(generalized_matrix_function(subset, group, chi)).real)
+        for level in levels:
+            weight = float(level.weight)
+            for idx in level.subsets:
+                subset = hs[idx[0]]
+                for i in idx[1:]:
+                    subset = subset + hs[i]
+                values.append(weight * np.atleast_1d(generalized_matrix_function(subset, group, chi)).real)
         return np.array(values)
 
-    lhs_values = evaluate(lhs_terms)
-    rhs_values = evaluate(rhs_terms)
-    results = [_scalar_result(lhs_values[:, t], rhs_values[:, t], tol)
+    lhs_values = evaluate(lhs)
+    rhs_values = evaluate(rhs)
+    results = [_result(lhs_values[:, t], rhs_values[:, t], tol)
                for t in range(lhs_values.shape[1])]
     return results if stacked else results[0]
-
-
-def _scalar_result(lhs_values, rhs_values, tol: float) -> ScalarInequalityResult:
-    lhs = fsum(lhs_values)
-    rhs = fsum(rhs_values)
-    margin = lhs - rhs
-    scale = max(1.0, fsum(abs(v) for v in lhs_values) + fsum(abs(v) for v in rhs_values))
-    return ScalarInequalityResult(
-        lhs=lhs, rhs=rhs, margin=margin, scale=scale, holds=margin >= -tol * scale
-    )
 
 
 def parse_character_selector(selector: str, dim: int) -> tuple[GroupSpec, CharacterSpec]:

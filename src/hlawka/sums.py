@@ -1,11 +1,15 @@
-"""Builders for tensor-sum inequality differences.
+"""The operator inequality families and their tensor-sum differences.
 
-Every function here assembles LHS - RHS of one operator inequality family
-as a single :class:`~hlawka.linalg.HermitianMatrix`, ready for Loewner
-certification.  Given :class:`~hlawka.linalg.HermitianStack` inputs (matrix
-``i`` of every trial in stack ``i``), it builds every trial's difference at
-once and returns them as a stack, bit for bit the per-trial results.  The
-families:
+Every family is one entry of :data:`FAMILIES`: its LHS and RHS as levels,
+each an exact weight times a list of index subsets, read as
+``sum_S weight * F(X_S)`` for the subset sums ``X_S`` and a functor ``F``.
+:func:`build_difference` takes ``F`` to be the p-fold Kronecker power and
+assembles LHS - RHS as a single :class:`~hlawka.linalg.HermitianMatrix`,
+ready for Loewner certification; :func:`hlawka.matfunc.scalar_inequality_check`
+takes a generalized matrix function.  Given
+:class:`~hlawka.linalg.HermitianStack` inputs (matrix ``i`` of every trial
+in stack ``i``), every trial's difference is built at once and returned as
+a stack, bit for bit the per-trial results.  The families:
 
 * ``superadd``:    (A1+...+An)^op  >=  sum_i Ai^op
 * ``hlawka3``:     (A+B+C)^op + A^op + B^op + C^op  >=  sum of pair powers
@@ -26,6 +30,7 @@ therefore cannot change a single bit of the output.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -51,22 +56,6 @@ class OperatorFamily(Enum):
     POP_LEVELS = "pop-levels"
 
 
-#: Families whose inequality is established for every p; a FAILS verdict on
-#: these is a genuine violation.
-PROVEN_FAMILIES = frozenset(
-    {
-        OperatorFamily.HLAWKA3,
-        OperatorFamily.SUPERMOD,
-        OperatorFamily.SUPERADD,
-        OperatorFamily.ALTERNATING,
-        OperatorFamily.POP_PAIRS,
-    }
-)
-
-#: Families checked empirically only; margins are reported, never assumed.
-EMPIRICAL_FAMILIES = frozenset({OperatorFamily.POP_SUBSETS, OperatorFamily.POP_LEVELS})
-
-
 @dataclass(frozen=True)
 class TensorSumParams:
     """Parameters selecting one instance of a difference family."""
@@ -76,6 +65,100 @@ class TensorSumParams:
     k: int | None = None
     ell: int | None = None
     m: int | None = None
+
+
+@dataclass(frozen=True)
+class Level:
+    """``weight`` times the sum of X_S over the index subsets S, where X_S
+    is the image (Kronecker power, generalized matrix function) of the
+    subset sum of the inputs indexed by S."""
+
+    weight: Fraction
+    subsets: tuple[tuple[int, ...], ...]
+
+
+def _level(n: int, size: int, weight=1) -> Level:
+    return Level(Fraction(weight), tuple(combinations(range(n), size)))
+
+
+def _alternating(n, k, ell, m):
+    return ([_level(n, j) for j in range(n, 0, -2)],
+            [_level(n, j) for j in range(n - 1, 0, -2)])
+
+
+def _pop_subsets(n, m):
+    return ([_level(n, 1, comb(n - 2, m - 1)), _level(n, n, comb(n - 2, m - 2))],
+            [_level(n, m)])
+
+
+def _pop_levels(n, k, ell, m):
+    return ([_level(n, k, Fraction(m - ell, k * comb(n, k))),
+             _level(n, m, Fraction(ell - k, m * comb(n, m)))],
+            [_level(n, ell, Fraction(m - k, ell * comb(n, ell)))])
+
+
+@dataclass(frozen=True)
+class FamilySpec:
+    """One operator family: the sum of the ``lhs`` levels dominates the sum
+    of the ``rhs`` levels.
+
+    ``sides(n, k, ell, m)`` gives ``(lhs, rhs)`` for a valid parameter set;
+    ``valid`` tests the condition that ``needs`` states.  ``status`` is
+    ``proven`` (a violation is a genuine failure) or ``empirical`` (margins
+    are reported, never assumed).  ``arity`` is the only tuple size a
+    three-matrix family takes; ``supermod`` keeps input 0 in its place.
+    """
+
+    status: str
+    needs: str
+    valid: Callable[..., bool]
+    sides: Callable[..., tuple[list[Level], list[Level]]]
+    arity: int | None = None
+    supermod: bool = False
+
+
+#: The one definition of every operator family.
+FAMILIES = {
+    OperatorFamily.HLAWKA3: FamilySpec(
+        "proven", "n = 3", lambda n, k, ell, m: n == 3, _alternating, arity=3),
+    OperatorFamily.SUPERMOD: FamilySpec(
+        "proven", "n = 3", lambda n, k, ell, m: n == 3,
+        lambda n, k, ell, m: ([Level(Fraction(1), ((0, 1, 2), (0,)))],
+                              [Level(Fraction(1), ((0, 1), (0, 2)))]),
+        arity=3, supermod=True),
+    OperatorFamily.SUPERADD: FamilySpec(
+        "proven", "n >= 2", lambda n, k, ell, m: n >= 2,
+        lambda n, k, ell, m: ([_level(n, n)], [_level(n, 1)])),
+    OperatorFamily.ALTERNATING: FamilySpec(
+        "proven", "n >= 3", lambda n, k, ell, m: n >= 3, _alternating),
+    OperatorFamily.POP_PAIRS: FamilySpec(
+        "proven", "n >= 3", lambda n, k, ell, m: n >= 3,
+        lambda n, k, ell, m: _pop_subsets(n, 2)),
+    OperatorFamily.POP_SUBSETS: FamilySpec(
+        "empirical", "2 <= m < n", lambda n, k, ell, m: m is not None and 2 <= m < n,
+        lambda n, k, ell, m: _pop_subsets(n, m)),
+    OperatorFamily.POP_LEVELS: FamilySpec(
+        "empirical", "1 <= k < ell < m <= n",
+        lambda n, k, ell, m: None not in (k, ell, m) and 1 <= k < ell < m <= n, _pop_levels),
+}
+
+
+def family_levels(
+    family: OperatorFamily, n: int, params: TensorSumParams
+) -> tuple[list[Level], list[Level]]:
+    """The ``(lhs, rhs)`` levels of a family over n inputs.
+
+    Raises :class:`InputError` naming the parameters when the family's
+    condition fails; every evaluator goes through here, so a fault reads
+    the same on every route.
+    """
+    spec = FAMILIES[family]
+    values = {"n": n, "k": params.k, "ell": params.ell, "m": params.m}
+    if not spec.valid(**values):
+        shown = [name for name in values if name == "n" or name in spec.needs.split()]
+        got = ", ".join(f"{name}={values[name]}" for name in shown)
+        raise InputError(f"{family.value} needs {spec.needs}, got {got}")
+    return spec.sides(**values)
 
 
 def _canonical_arrays(mats, *, keep_first_fixed: bool = False) -> list[np.ndarray]:
@@ -132,20 +215,20 @@ def _pairwise_sum(terms) -> np.ndarray:
     return acc
 
 
-def _subset_power_sum(arrays: list[np.ndarray], k: int, p: int) -> np.ndarray:
-    n = len(arrays)
-    return _pairwise_sum(
-        _power(_pairwise_sum(arrays[i] for i in idx), p)
-        for idx in combinations(range(n), k)
+def _level_sum(arrays: list[np.ndarray], level: Level, p: int, den: int) -> np.ndarray:
+    # Integer weight over the common denominator; a unit weight costs no
+    # pass over the d^p x d^p sum.
+    total = _pairwise_sum(
+        _power(_pairwise_sum(arrays[i] for i in idx), p) for idx in level.subsets
     )
+    weight = int(level.weight * den)
+    return total if weight == 1 else weight * total
 
 
-def _check_params(n: int, p: int, dim: int, max_dim: int) -> None:
+def _check_power(p: int, dim: int, max_dim: int) -> None:
     if p < 1:
         raise InputError("tensor power p must be >= 1")
     check_tensor_budget(dim, p, max_dim)
-    if n < 1:
-        raise InputError("need at least one matrix")
 
 
 def symmetric_tensor_sum(
@@ -156,8 +239,60 @@ def symmetric_tensor_sum(
     n = len(arrays)
     if not 1 <= k <= n:
         raise InputError(f"k must satisfy 1 <= k <= {n}, got {k}")
-    _check_params(n, p, arrays[0].shape[-1], max_dim)
-    return _wrap(_subset_power_sum(arrays, k, p))
+    _check_power(p, arrays[0].shape[-1], max_dim)
+    return _wrap(_level_sum(arrays, _level(n, k), p, 1))
+
+
+def build_difference(
+    family: OperatorFamily,
+    mats,
+    params: TensorSumParams,
+    max_dim: int = DEFAULT_MAX_TENSOR_DIM,
+) -> HermitianMatrix:
+    """LHS - RHS of the family's table entry at Kronecker power ``params.p``.
+
+    The tuple size is the number of matrices given.  Each level streams its
+    subset powers through pairwise summation, the levels of a side are
+    summed pairwise, and with rational weights the common denominator is
+    divided out once at the end.
+    """
+    mats = list(mats)
+    sides = family_levels(family, len(mats), params)
+    arrays = _canonical_arrays(mats, keep_first_fixed=FAMILIES[family].supermod)
+    _check_power(params.p, arrays[0].shape[-1], max_dim)
+    den = lcm(*(level.weight.denominator for side in sides for level in side))
+    lhs, rhs = (
+        _pairwise_sum(_level_sum(arrays, level, params.p, den) for level in side)
+        for side in sides
+    )
+    diff = lhs - rhs
+    return _wrap(diff if den == 1 else diff / den)
+
+
+def _build(family: OperatorFamily, mats, p: int, max_dim: int, **levels) -> HermitianMatrix:
+    mats = list(mats)
+    return build_difference(family, mats, TensorSumParams(len(mats), p, **levels), max_dim)
+
+
+def hlawka3_difference(
+    a, b, c, p: int, max_dim: int = DEFAULT_MAX_TENSOR_DIM
+) -> HermitianMatrix:
+    """(A+B+C)^op + A^op + B^op + C^op - pair powers; the n=3 alternating case."""
+    return _build(OperatorFamily.HLAWKA3, [a, b, c], p, max_dim)
+
+
+def supermodularity_difference(
+    a, b, c, p: int, max_dim: int = DEFAULT_MAX_TENSOR_DIM
+) -> HermitianMatrix:
+    """(A+B+C)^op + A^op - (A+B)^op - (A+C)^op; the first matrix is special."""
+    return _build(OperatorFamily.SUPERMOD, [a, b, c], p, max_dim)
+
+
+def superadditivity_difference(
+    mats, p: int, max_dim: int = DEFAULT_MAX_TENSOR_DIM
+) -> HermitianMatrix:
+    """(A1+...+An)^op - (A1^op + ... + An^op) for n >= 2."""
+    return _build(OperatorFamily.SUPERADD, mats, p, max_dim)
 
 
 def alternating_difference(
@@ -169,74 +304,21 @@ def alternating_difference(
     alternating subset sum is an n-th order finite difference, which
     annihilates the degree-p power map.  Strict positivity needs p >= n.
     """
-    arrays = _canonical_arrays(mats)
-    n = len(arrays)
-    if n < 3:
-        raise InputError(f"alternating difference needs n >= 3, got {n}")
-    _check_params(n, p, arrays[0].shape[-1], max_dim)
-    lhs = _pairwise_sum(_subset_power_sum(arrays, j, p) for j in range(n, 0, -2))
-    rhs = _pairwise_sum(_subset_power_sum(arrays, j, p) for j in range(n - 1, 0, -2))
-    return _wrap(lhs - rhs)
-
-
-def hlawka3_difference(
-    a, b, c, p: int, max_dim: int = DEFAULT_MAX_TENSOR_DIM
-) -> HermitianMatrix:
-    """(A+B+C)^op + A^op + B^op + C^op - pair powers; the n=3 alternating case."""
-    return alternating_difference([a, b, c], p, max_dim)
-
-
-def supermodularity_difference(
-    a, b, c, p: int, max_dim: int = DEFAULT_MAX_TENSOR_DIM
-) -> HermitianMatrix:
-    """(A+B+C)^op + A^op - (A+B)^op - (A+C)^op; the first matrix is special."""
-    arrays = _canonical_arrays([a, b, c], keep_first_fixed=True)
-    _check_params(3, p, arrays[0].shape[-1], max_dim)
-    aa, bb, cc = arrays
-    total = _power(aa + bb + cc, p) + _power(aa, p)
-    pairs = _power(aa + bb, p) + _power(aa + cc, p)
-    return _wrap(total - pairs)
-
-
-def superadditivity_difference(
-    mats, p: int, max_dim: int = DEFAULT_MAX_TENSOR_DIM
-) -> HermitianMatrix:
-    """(A1+...+An)^op - (A1^op + ... + An^op) for n >= 2."""
-    arrays = _canonical_arrays(mats)
-    n = len(arrays)
-    if n < 2:
-        raise InputError(f"superadditivity needs n >= 2, got {n}")
-    _check_params(n, p, arrays[0].shape[-1], max_dim)
-    total = _power(_pairwise_sum(iter(arrays)), p)
-    parts = _pairwise_sum(_power(arr, p) for arr in arrays)
-    return _wrap(total - parts)
-
-
-def pop_subsets_difference(
-    mats, m: int, p: int, max_dim: int = DEFAULT_MAX_TENSOR_DIM
-) -> HermitianMatrix:
-    """C(n-2,m-1) sum Ai^op + C(n-2,m-2) (sum Ai)^op - size-m subset powers."""
-    arrays = _canonical_arrays(mats)
-    n = len(arrays)
-    if not 2 <= m < n:
-        raise InputError(f"need 2 <= m < n, got m={m}, n={n}")
-    _check_params(n, p, arrays[0].shape[-1], max_dim)
-    c_single = comb(n - 2, m - 1)
-    c_total = comb(n - 2, m - 2)
-    singles = _subset_power_sum(arrays, 1, p)
-    total = _power(_pairwise_sum(iter(arrays)), p)
-    subsets = _subset_power_sum(arrays, m, p)
-    return _wrap(c_single * singles + c_total * total - subsets)
+    return _build(OperatorFamily.ALTERNATING, mats, p, max_dim)
 
 
 def pop_pairs_difference(
     mats, p: int, max_dim: int = DEFAULT_MAX_TENSOR_DIM
 ) -> HermitianMatrix:
     """(n-2) sum Ai^op + (sum Ai)^op - pair powers; the m=2 subset case."""
-    mats = list(mats)
-    if len(mats) < 3:
-        raise InputError("pop-pairs needs n >= 3")
-    return pop_subsets_difference(mats, 2, p, max_dim)
+    return _build(OperatorFamily.POP_PAIRS, mats, p, max_dim)
+
+
+def pop_subsets_difference(
+    mats, m: int, p: int, max_dim: int = DEFAULT_MAX_TENSOR_DIM
+) -> HermitianMatrix:
+    """C(n-2,m-1) sum Ai^op + C(n-2,m-2) (sum Ai)^op - size-m subset powers."""
+    return _build(OperatorFamily.POP_SUBSETS, mats, p, max_dim, m=m)
 
 
 def pop_levels_difference(
@@ -246,59 +328,5 @@ def pop_levels_difference(
 
     ((m-ell)/(k C(n,k))) S_k + ((ell-k)/(m C(n,m))) S_m
       - ((m-k)/(ell C(n,ell))) S_ell
-
-    The rational coefficients are brought to a common denominator in exact
-    integer arithmetic, applied as integer weights, and the denominator is
-    divided out once at the end.
     """
-    arrays = _canonical_arrays(mats)
-    n = len(arrays)
-    if not 1 <= k < ell < m <= n:
-        raise InputError(f"need 1 <= k < ell < m <= n, got ({k}, {ell}, {m}), n={n}")
-    _check_params(n, p, arrays[0].shape[-1], max_dim)
-    c_low = Fraction(m - ell, k * comb(n, k))
-    c_high = Fraction(ell - k, m * comb(n, m))
-    c_mid = Fraction(m - k, ell * comb(n, ell))
-    den = lcm(c_low.denominator, c_high.denominator, c_mid.denominator)
-    w_low = int(c_low * den)
-    w_high = int(c_high * den)
-    w_mid = int(c_mid * den)
-    s_low = _subset_power_sum(arrays, k, p)
-    s_high = _subset_power_sum(arrays, m, p)
-    s_mid = _subset_power_sum(arrays, ell, p)
-    combined = w_low * s_low + w_high * s_high - w_mid * s_mid
-    return _wrap(combined / den)
-
-
-def build_difference(
-    family: OperatorFamily,
-    mats,
-    params: TensorSumParams,
-    max_dim: int = DEFAULT_MAX_TENSOR_DIM,
-) -> HermitianMatrix:
-    """Dispatch to the family's builder, validating its parameter shape."""
-    mats = list(mats)
-    p = params.p
-    if family is OperatorFamily.HLAWKA3:
-        if len(mats) != 3:
-            raise InputError("hlawka3 takes exactly three matrices")
-        return hlawka3_difference(*mats, p, max_dim)
-    if family is OperatorFamily.SUPERMOD:
-        if len(mats) != 3:
-            raise InputError("supermod takes exactly three matrices")
-        return supermodularity_difference(*mats, p, max_dim)
-    if family is OperatorFamily.SUPERADD:
-        return superadditivity_difference(mats, p, max_dim)
-    if family is OperatorFamily.ALTERNATING:
-        return alternating_difference(mats, p, max_dim)
-    if family is OperatorFamily.POP_PAIRS:
-        return pop_pairs_difference(mats, p, max_dim)
-    if family is OperatorFamily.POP_SUBSETS:
-        if params.m is None:
-            raise InputError("pop-subsets requires the subset size m")
-        return pop_subsets_difference(mats, params.m, p, max_dim)
-    if family is OperatorFamily.POP_LEVELS:
-        if params.k is None or params.ell is None or params.m is None:
-            raise InputError("pop-levels requires k, ell, and m")
-        return pop_levels_difference(mats, params.k, params.ell, params.m, p, max_dim)
-    raise InputError(f"unknown family {family}")
+    return _build(OperatorFamily.POP_LEVELS, mats, p, max_dim, k=k, ell=ell, m=m)

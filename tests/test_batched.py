@@ -16,7 +16,7 @@ from conftest import pd_tuple, stack_of
 import hlawka.harness as harness
 from hlawka.cli import main
 from hlawka.errors import InputError
-from hlawka.harness import RunConfig, run_scalar_verify, run_verify
+from hlawka.harness import SUITES, RunConfig, run_scalar_verify, run_verify
 from hlawka.linalg import (
     DEFAULT_LOEWNER_TOL,
     HermitianStack,
@@ -37,8 +37,10 @@ from hlawka.matfunc import (
 )
 from hlawka.report import TrialReport
 from hlawka.symgroup import character_values, enumerate_group
-from hlawka.sums import EMPIRICAL_FAMILIES, OperatorFamily, TensorSumParams, build_difference
+from hlawka.sums import OperatorFamily, TensorSumParams, build_difference
 from hlawka.util import derive_seed
+
+EMPIRICAL_FAMILIES = {f for f in OperatorFamily if SUITES[f.value].status == "empirical"}
 
 EMPIRICAL_FLAG = "empirical-family: inequality not established; margins reported, not assumed"
 
@@ -239,9 +241,19 @@ class TestCliChunking:
         ["verify", "--family", "hlawka3"],
         ["scalar-verify", "--family", "hlawka3", "--char", "det"],
         ["scalar-verify", "--family", "jensen"],
+        ["counterexample", "--family", "freudenthal"],
     ])
     def test_jobs_zero_is_a_usage_error(self, command):
         assert main(command + ["--trials", "2", "--jobs", "0"]) == 2
+
+    @pytest.mark.parametrize("command", [
+        ["verify", "--family", "hlawka3"],
+        ["scalar-verify", "--family", "jensen"],
+        ["counterexample", "--family", "freudenthal"],
+    ])
+    def test_negative_trials_is_a_usage_error(self, command, capsys):
+        assert main(command + ["--trials", "-5"]) == 2
+        assert capsys.readouterr().err == "error: trials must be nonnegative\n"
 
     def test_empty_tuple_is_a_usage_error(self):
         assert main(["verify", "--family", "alternating", "--n", "0", "--trials", "2"]) == 2

@@ -1,15 +1,18 @@
 """CLI subcommands, exit codes, report determinism, format parity."""
 
+import argparse
 import csv
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hlawka.cli import main
-from hlawka.harness import RunConfig, run_counterexample, run_scalar_verify, run_verify
+from hlawka.cli import build_parser, main
+from hlawka.harness import SUITES, RunConfig, run_counterexample, run_scalar_verify, run_verify
 from hlawka.linalg import PdSampleConfig, random_pd, save_matrix
+from hlawka.sums import OperatorFamily
 from hlawka.symgroup import save_character_table
 from hlawka.util import format_complex_sig17, format_sig17
 
@@ -130,6 +133,20 @@ class TestScalarVerifyCommand:
     def test_three_matrix_families_refuse_other_n(self, family, capsys):
         assert main(["scalar-verify", "--family", family, "--n", "5", "--trials", "1"]) == 2
         assert f"{family} takes exactly three matrices (got --n 5)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [
+        ["--family", "superadd", "--n", "1"],
+        ["--family", "alternating", "--n", "2"],
+        ["--family", "pop-subsets", "--n", "4"],
+        ["--family", "pop-levels", "--n", "4"],
+    ], ids=lambda args: args[1])
+    def test_parameter_fault_reads_the_same_under_both_commands(self, args, capsys):
+        errors = []
+        for command in ("verify", "scalar-verify"):
+            assert main([command, *args, "--trials", "2"]) == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert errors[0].startswith(f"error: {args[1]} needs ")
 
     def test_pcz_suite_exit_zero(self):
         code = main(["scalar-verify", "--family", "pcz", "--n", "5", "--m", "3",
@@ -305,3 +322,26 @@ class TestHarnessApi:
     def test_scalar_runner_rejects_unknown_family(self):
         with pytest.raises(Exception):
             run_scalar_verify(RunConfig(family="nonesuch", trials=1, seed=0))
+
+
+def family_choices(command: str) -> tuple:
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return tuple(next(a.choices for a in sub.choices[command]._actions if a.dest == "family"))
+
+
+def readme_statuses() -> dict:
+    """Name and status of every row of the README "What is checked" tables."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("## What is checked", 1)[1].split("\n## ", 1)[0]
+    return dict(re.findall(r"^\| `([^`]+)` +\|.*\| *(\w+) *\|$", section, flags=re.M))
+
+
+class TestRegistryDrift:
+    def test_verify_choices_are_the_operator_families(self):
+        assert family_choices("verify") == tuple(f.value for f in OperatorFamily)
+
+    def test_scalar_verify_choices_are_the_registry(self):
+        assert family_choices("scalar-verify") == tuple(SUITES)
+
+    def test_readme_statuses_match_the_registry(self):
+        assert readme_statuses() == {name: suite.status for name, suite in SUITES.items()}

@@ -1,9 +1,14 @@
 """Difference builders: equality cases, exact identities, trial suites."""
 
+from fractions import Fraction
+from functools import reduce
+from itertools import combinations
+from math import comb, lcm
+
 import numpy as np
 import pytest
 
-from conftest import input_scale, pd_tuple
+from conftest import input_scale, pd_tuple, stack_of
 
 from hlawka.errors import BudgetError, InputError
 from hlawka.linalg import HermitianMatrix, Verdict, psd_certificate
@@ -20,6 +25,7 @@ from hlawka.sums import (
     supermodularity_difference,
     symmetric_tensor_sum,
 )
+from hlawka.util import derive_seed
 
 
 def inf_norm(h: HermitianMatrix) -> float:
@@ -271,3 +277,113 @@ class TestSharedProperties:
         mats = [rank1, rank1, HermitianMatrix.identity(2)]
         cert = psd_certificate(hlawka3_difference(*mats, 3))
         assert cert.ok
+
+
+def subsets(n: int, size: int) -> list:
+    return list(combinations(range(n), size))
+
+
+#: Each family's statement as (LHS levels, RHS levels), a level being
+#: (weight, index subsets), written from the README table and the module
+#: docstring of ``hlawka.sums``.
+STATEMENTS = {
+    "superadd": lambda n, **_: ([(1, subsets(n, n))], [(1, subsets(n, 1))]),
+    "hlawka3": lambda n, **_: ([(1, [(0, 1, 2)]), (1, subsets(3, 1))], [(1, subsets(3, 2))]),
+    "supermod": lambda n, **_: ([(1, [(0, 1, 2), (0,)])], [(1, [(0, 1), (0, 2)])]),
+    "alternating": lambda n, **_: ([(1, subsets(n, j)) for j in range(n, 0, -2)],
+                                   [(1, subsets(n, j)) for j in range(n - 1, 0, -2)]),
+    "pop-pairs": lambda n, **_: ([(n - 2, subsets(n, 1)), (1, subsets(n, n))],
+                                 [(1, subsets(n, 2))]),
+    "pop-subsets": lambda n, m, **_: (
+        [(comb(n - 2, m - 1), subsets(n, 1)), (comb(n - 2, m - 2), subsets(n, n))],
+        [(1, subsets(n, m))]),
+    "pop-levels": lambda n, k, ell, m: (
+        [(Fraction(m - ell, k * comb(n, k)), subsets(n, k)),
+         (Fraction(ell - k, m * comb(n, m)), subsets(n, m))],
+        [(Fraction(m - k, ell * comb(n, ell)), subsets(n, ell))]),
+}
+
+WRAPPERS = {
+    "superadd": lambda mats, p, **_: superadditivity_difference(mats, p),
+    "hlawka3": lambda mats, p, **_: hlawka3_difference(*mats, p),
+    "supermod": lambda mats, p, **_: supermodularity_difference(*mats, p),
+    "alternating": lambda mats, p, **_: alternating_difference(mats, p),
+    "pop-pairs": lambda mats, p, **_: pop_pairs_difference(mats, p),
+    "pop-subsets": lambda mats, p, m, **_: pop_subsets_difference(mats, m, p),
+    "pop-levels": lambda mats, p, k, ell, m: pop_levels_difference(mats, k, ell, m, p),
+}
+
+
+def pairwise(terms):
+    """The pairwise sum restated: blocks of 2^j terms from the left, largest
+    first, each summed as a perfect binary tree; then the blocks summed
+    starting from the last."""
+    terms = list(terms)
+    blocks, start = [], 0
+    for j in reversed(range(len(terms).bit_length())):
+        if len(terms) >> j & 1:
+            block = terms[start:start + 2**j]
+            start += 2**j
+            while len(block) > 1:
+                block = [block[i] + block[i + 1] for i in range(0, len(block), 2)]
+            blocks.append(block[0])
+    total = blocks[-1]
+    for block in reversed(blocks[:-1]):
+        total = total + block
+    return total
+
+
+def oracle(family: str, mats, p: int, **levels) -> np.ndarray:
+    """LHS - RHS in canonical order: a left-associated np.kron power of each
+    subset sum, pairwise sums within and across levels, and integer weights
+    over one common denominator divided out at the end."""
+    fixed = 1 if family == "supermod" else 0
+    ordered = mats[:fixed] + sorted(mats[fixed:], key=lambda m: m.digest)
+    arrays = [m.array for m in ordered]
+    lhs, rhs = STATEMENTS[family](len(mats), **levels)
+    den = lcm(*(Fraction(w).denominator for w, _ in lhs + rhs))
+
+    def side(side_levels):
+        sums = []
+        for weight, subs in side_levels:
+            total = pairwise(reduce(np.kron, [pairwise(arrays[i] for i in s)] * p) for s in subs)
+            w = int(Fraction(weight) * den)
+            sums.append(total if w == 1 else w * total)
+        return pairwise(sums)
+
+    diff = side(lhs) - side(rhs)
+    return diff if den == 1 else diff / den
+
+
+ORACLE_CASES = [
+    ("superadd", 4, 3, {}),
+    ("hlawka3", 3, 3, {}),
+    ("supermod", 3, 3, {}),
+    ("alternating", 5, 4, {}),
+    ("alternating", 7, 3, {}),  # four LHS levels: their grouping decides the bits
+    ("pop-pairs", 4, 3, {}),
+    ("pop-subsets", 5, 3, {"m": 3}),
+    ("pop-levels", 4, 3, {"k": 1, "ell": 2, "m": 3}),  # denominator 12
+    ("pop-levels", 5, 2, {"k": 2, "ell": 3, "m": 5}),
+]
+
+
+class TestAgainstStatementOracle:
+    @pytest.mark.parametrize("family, n, p, levels", ORACLE_CASES,
+                             ids=[f"{c[0]}-n{c[1]}" for c in ORACLE_CASES])
+    def test_single_inputs(self, family, n, p, levels):
+        for seed in range(3):
+            mats = pd_tuple(40 + seed, n, 2)
+            expected = oracle(family, mats, p, **levels).tobytes()
+            assert WRAPPERS[family](mats, p, **levels).array.tobytes() == expected
+            out = build_difference(OperatorFamily(family), mats, TensorSumParams(n=n, p=p, **levels))
+            assert out.array.tobytes() == expected
+
+    @pytest.mark.parametrize("family, n, p, levels", ORACLE_CASES,
+                             ids=[f"{c[0]}-n{c[1]}" for c in ORACLE_CASES])
+    def test_stacked_inputs(self, family, n, p, levels):
+        trials = [pd_tuple(derive_seed(50, t), n, 2, 100.0) for t in range(4)]
+        parts = [stack_of([mats[i] for mats in trials]) for i in range(n)]
+        out = build_difference(OperatorFamily(family), parts, TensorSumParams(n=n, p=p, **levels))
+        for t, mats in enumerate(trials):
+            assert out[t].array.tobytes() == oracle(family, mats, p, **levels).tobytes()
