@@ -36,6 +36,7 @@ from .linalg import (
     HermitianStack,
     PdBatchConfig,
     Verdict,
+    check_tensor_budget,
     min_eigenvalue,
     psd_certificate,
     random_pd,
@@ -61,9 +62,10 @@ from .scalar import (
     pop_levels_scalar_eval,
     popoviciu_check,
     radu_check,
+    suite_terms,
     vasc_check,
 )
-from .sums import FAMILIES, OperatorFamily, TensorSumParams, build_difference
+from .sums import FAMILIES, OperatorFamily, TensorSumParams, build_difference, family_levels
 from .symgroup import MAX_SYMMETRIC_DEGREE
 from .util import derive_seed
 
@@ -117,44 +119,34 @@ class Suite:
     trial of the latter two.  ``status`` is ``proven``, ``empirical``,
     ``evaluator`` or ``refuted``.  A violation exits 1 under ``proven`` and
     ``refuted``, and at the tuple size ``proven_at``, where an evaluator
-    states a theorem.  ``notes(n)`` adds interpretation flags; ``arity`` is
-    the only tuple size the suite takes.
+    states a theorem.  ``notes(n)`` adds interpretation flags.
     """
 
     status: str
     sampler: str = "matrices"
     evaluate: Callable[..., ScalarCheckResult] | None = None
     notes: Callable[[int], list[str]] = lambda n: []
-    arity: int | None = None
     proven_at: int | None = None
-
-
-def _requires(cfg: RunConfig, *names: str) -> list[int]:
-    values = [getattr(cfg, name) for name in names]
-    if None in values:
-        raise InputError(f"{cfg.family} requires " + ", ".join(f"--{name}" for name in names))
-    return values
 
 
 # The evaluators are looked up by name when called, so the names this module
 # binds are the ones every trial goes through.
 SUITES = {
-    **{family.value: Suite(spec.status, arity=spec.arity) for family, spec in FAMILIES.items()},
-    "norm-hlawka": Suite("proven", "vectors", lambda cfg, fn, v: norm_hlawka(*v), arity=3),
-    "radu": Suite("proven", "vectors", lambda cfg, fn, v: radu_check(v, *_requires(cfg, "k"))),
+    **{family.value: Suite(spec.status) for family, spec in FAMILIES.items()},
+    "norm-hlawka": Suite("proven", "vectors", lambda cfg, fn, v: norm_hlawka(*v)),
+    "radu": Suite("proven", "vectors", lambda cfg, fn, v: radu_check(v, cfg.k)),
     "jensen": Suite("proven", "points", lambda cfg, fn, x: jensen_check(fn, x)),
-    "popoviciu": Suite("proven", "points", lambda cfg, fn, x: popoviciu_check(fn, *x), arity=3),
+    "popoviciu": Suite("proven", "points", lambda cfg, fn, x: popoviciu_check(fn, *x)),
     "vasc": Suite("proven", "points", lambda cfg, fn, x: vasc_check(fn, x)),
-    "pcz": Suite("proven", "points", lambda cfg, fn, x: pcz_check(fn, x, *_requires(cfg, "m"))),
+    "pcz": Suite("proven", "points", lambda cfg, fn, x: pcz_check(fn, x, cfg.m)),
     "pop-levels-scalar": Suite(
         "evaluator", "points",
-        lambda cfg, fn, x: pop_levels_scalar_eval(fn, x, *_requires(cfg, "k", "ell", "m")),
+        lambda cfg, fn, x: pop_levels_scalar_eval(fn, x, cfg.k, cfg.ell, cfg.m),
         notes=lambda n: ["evaluator-only: direction depends on (k, ell, m); margins reported only"],
     ),
     "functional-hlawka": Suite(
         "evaluator", "points", lambda cfg, fn, x: functional_hlawka(fn, *x),
         notes=lambda n: ["evaluator-only: convexity does not imply the functional form"],
-        arity=3,
     ),
     "hlawka-pop": Suite(
         "refuted", "points", lambda cfg, fn, x: conjecture_hlawka_pop_eval(fn, x),
@@ -192,8 +184,9 @@ def _given(cfg: RunConfig) -> dict:
             if getattr(cfg, name) is not None}
 
 
-def _operator_family(cfg: RunConfig) -> OperatorFamily:
-    """The family of an operator suite; the three-matrix families take no other n."""
+def _operator_family(cfg: RunConfig) -> tuple[OperatorFamily, TensorSumParams]:
+    """The family and parameters of an operator suite, checked before any
+    trial runs; the three-matrix families take no other n."""
     try:
         family = OperatorFamily(cfg.family)
     except ValueError:
@@ -201,7 +194,10 @@ def _operator_family(cfg: RunConfig) -> OperatorFamily:
     arity = FAMILIES[family].arity
     if arity is not None and cfg.n != arity:
         raise InputError(f"{cfg.family} takes exactly three matrices (got --n {cfg.n})")
-    return family
+    _check_loop(cfg.trials, cfg.jobs)
+    params = TensorSumParams(n=cfg.n, p=cfg.p, k=cfg.k, ell=cfg.ell, m=cfg.m)
+    family_levels(family, cfg.n, params)
+    return family, params
 
 
 def _sampled_chunks(cfg: RunConfig, n: int, trial_bytes: int):
@@ -210,7 +206,6 @@ def _sampled_chunks(cfg: RunConfig, n: int, trial_bytes: int):
     Input ``i`` of trial ``t`` is sampled from ``derive_seed(seed_t, i)``;
     position ``i`` of every trial of the chunk forms one stack.
     """
-    _check_loop(cfg.trials, cfg.jobs)
     size = max(1, CHUNK_BYTES // max(1, trial_bytes))
     for lo in range(0, cfg.trials, size):
         seeds = [derive_seed(cfg.seed, t) for t in range(lo, min(cfg.trials, lo + size))]
@@ -272,8 +267,8 @@ def _report(cfg: RunConfig, family: str, params: dict, tol: float, trials: int) 
 
 def run_verify(cfg: RunConfig) -> tuple[TrialReport, int]:
     """Sample PD tuples, build the family difference, certify each trial."""
-    family = _operator_family(cfg)
-    params = TensorSumParams(n=cfg.n, p=cfg.p, k=cfg.k, ell=cfg.ell, m=cfg.m)
+    family, params = _operator_family(cfg)
+    side = check_tensor_budget(cfg.dim, cfg.p, cfg.max_tensor_dim)
     tol = DEFAULT_LOEWNER_TOL if cfg.tol is None else cfg.tol
     report = _report(cfg, cfg.family, {
         "n": cfg.n, "p": cfg.p, "dim": cfg.dim, "conditionTarget": cfg.condition_target,
@@ -290,7 +285,6 @@ def run_verify(cfg: RunConfig) -> tuple[TrialReport, int]:
         return [(c.min_eigenvalue, c.verdict is Verdict.EQUALITY, c.verdict is Verdict.FAILS)
                 for c in certs]
 
-    side = max(1, cfg.dim) ** max(1, cfg.p)
     return _run(cfg, SUITES[cfg.family], report,
                 _matrix_trials(cfg, side * side, certify, "minEigenvalue"))
 
@@ -303,8 +297,7 @@ def run_scalar_verify(cfg: RunConfig) -> tuple[TrialReport, int]:
         raise InputError(f"unknown scalar-verify family {cfg.family!r}")
     if suite.sampler != "matrices":
         return _run(cfg, suite, *_scalar_trials(cfg, suite))
-    family = _operator_family(cfg)
-    params = TensorSumParams(n=cfg.n, p=cfg.p, k=cfg.k, ell=cfg.ell, m=cfg.m)
+    family, params = _operator_family(cfg)
     group, chi = parse_character_selector(cfg.char, cfg.dim)
     tol = DEFAULT_SCALAR_MATRIX_TOL if cfg.tol is None else cfg.tol
     report = _report(cfg, f"{cfg.family}[{cfg.char}]", {
@@ -334,8 +327,7 @@ def _scalar_trials(cfg: RunConfig, suite: Suite) -> tuple[TrialReport, Iterator]
         explicit = KNOWN_HLAWKA_POP_COUNTEREXAMPLE
     n = len(explicit) if (explicit is not None and points) else cfg.n
     trials = 1 if explicit is not None else cfg.trials
-    if suite.arity is not None and n != suite.arity:
-        raise InputError(f"{cfg.family} takes exactly three inputs")
+    suite_terms(cfg.family, n, cfg.k, cfg.ell, cfg.m)  # a parameter fault stops the run here
     if explicit is not None and not points and len(explicit) % cfg.n:
         raise InputError(f"--points length {len(explicit)} is not divisible by --n {cfg.n}")
     params = {"n": n, "dim": cfg.dim, "fn": cfg.fn, **_given(cfg)}

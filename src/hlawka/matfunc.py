@@ -23,24 +23,13 @@ from math import fsum
 import numpy as np
 
 from .errors import BudgetError, InputError
-from .linalg import HermitianMatrix, HermitianStack
+from .linalg import HermitianMatrix, HermitianStack, _as_array
 from .scalar import ScalarCheckResult, _result
 from .sums import OperatorFamily, TensorSumParams, family_levels
 from .symgroup import CharacterSpec, GroupSpec, character_values, enumerate_group
 
 #: Ryser evaluation enumerates 2^m column subsets; refuse beyond this.
 MAX_PERMANENT_DIM = 12
-
-
-def _as_square_array(x) -> np.ndarray:
-    if isinstance(x, HermitianMatrix):
-        return x.array
-    arr = np.asarray(x, dtype=np.complex128)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
-        raise InputError(f"expected a nonempty square matrix, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise InputError("matrix entries must be finite")
-    return arr
 
 
 @lru_cache(maxsize=64)
@@ -57,7 +46,7 @@ def generalized_matrix_function(x, group: GroupSpec, chi: CharacterSpec):
 
     A :class:`HermitianStack` gives an array of d(X), one per matrix.
     """
-    arr = x.array if isinstance(x, HermitianStack) else _as_square_array(x)
+    arr = x.array if isinstance(x, HermitianStack) else _as_array(x)
     m = arr.shape[-1]
     if m != group.degree:
         raise InputError(f"matrix dimension {m} does not match group degree {group.degree}")
@@ -76,7 +65,7 @@ def determinant_via_elimination(x) -> complex:
     The independent route for the sign character.  A product of pivots,
     so 1x1 and diagonal inputs are exact (numpy's det is not).
     """
-    a = _as_square_array(x).copy()
+    a = _as_array(x).copy()
     m = a.shape[0]
     det = 1.0 + 0.0j
     for col in range(m):
@@ -100,7 +89,7 @@ def permanent_oracle(x) -> complex:
     Gray-code ordering updates one column sum per step, so the cost is
     O(2^m * m).  Independent of :func:`generalized_matrix_function`.
     """
-    arr = _as_square_array(x)
+    arr = _as_array(x)
     m = arr.shape[0]
     if m > MAX_PERMANENT_DIM:
         raise BudgetError(f"permanent oracle limited to dim <= {MAX_PERMANENT_DIM}, got {m}")

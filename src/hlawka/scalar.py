@@ -11,22 +11,30 @@ evaluator live here:
   (the functional Hlawka form, the alternating norm sum, the alternating
   subset-mean pattern), which only measure.
 
-All evaluators canonically sort their input points first, so permuting
-the inputs cannot change a single bit of the result, and per-term sums
-use ``math.fsum`` so algebraically equal expressions agree exactly.
+Every suite is one entry of :data:`CONVEX_NORM_SUITES`: the levels of an
+operator family of :mod:`hlawka.sums` (exact weights times index subsets)
+and a term rule mapping a subset of the inputs to a norm or a value of f.
+One evaluator reads the table, and the public evaluators are wrappers
+over it.  Inputs are canonically sorted first, so permuting them cannot
+change a single bit of the result, and each side is summed with
+``math.fsum``, so algebraically equal expressions agree exactly.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import combinations
-from math import comb, fsum
+from functools import lru_cache, reduce
+from math import fsum
+from operator import add
 
 import numpy as np
 
 from .errors import InputError
+from .sums import FAMILIES, Level, OperatorFamily, checked_sides
+from .sums import _alternating, _level, _pop_subsets
 from .util import derive_seed
 
 #: Default relative tolerance deciding whether a scalar margin "holds".
@@ -95,7 +103,7 @@ def _result(lhs_terms, rhs_terms, tol: float = DEFAULT_SCALAR_TOL) -> ScalarChec
 
 
 def _sorted_points(xs) -> list[float]:
-    pts = [float(x) for x in xs]
+    pts = np.asarray(xs, dtype=np.float64).ravel().tolist()
     if not all(math.isfinite(x) for x in pts):
         raise InputError("points must be finite")
     return sorted(pts)
@@ -113,8 +121,94 @@ def _sorted_vectors(vectors) -> np.ndarray:
     return arr[order]
 
 
-def _norm(v: np.ndarray, ord: float = 2) -> float:
-    return float(np.linalg.norm(v, ord))
+@dataclass(frozen=True)
+class ConvexNormSuite:
+    """One convex/norm suite: ``needs``, ``valid`` and ``sides`` as in
+    :class:`~hlawka.sums.FamilySpec`, and the ``term`` rule that maps a level
+    of weight w and a subset S of the sorted inputs to one term:
+
+    * ``norm``:  ``float(w) * ||sum of the vectors of S||``
+    * ``value``: ``float(w) * f(the points of S added one by one)``
+    * ``mean``:  ``float(w*|S|) * f(fsum(the points of S) / |S|)``, with the
+      exact product ``w*|S|`` rounded once.
+    """
+
+    term: str
+    needs: str
+    valid: Callable[..., bool]
+    sides: Callable[..., tuple[list[Level], list[Level]]]
+
+
+def _like(family: OperatorFamily, term: str) -> ConvexNormSuite:
+    spec = FAMILIES[family]
+    return ConvexNormSuite(term, spec.needs, spec.valid, spec.sides)
+
+
+def _odd_left(n, k, ell, m):
+    # The alternating family with odd subset sizes on the left.
+    lhs, rhs = _alternating(n, k, ell, m)
+    return (lhs, rhs) if n % 2 else (rhs, lhs)
+
+
+def _vasc(n, k, ell, m):
+    # pop-pairs divided by n - 2.
+    return tuple([Level(level.weight / (n - 2), level.subsets) for level in side]
+                 for side in _pop_subsets(n, 2))
+
+
+#: The one definition of every convex/norm suite, keyed by its
+#: ``scalar-verify`` family name.
+CONVEX_NORM_SUITES = {
+    "norm-hlawka": _like(OperatorFamily.HLAWKA3, "norm"),
+    "radu": ConvexNormSuite(
+        "norm", "n >= 3 and 2 <= k <= n",
+        lambda n, k, ell, m: k is not None and 2 <= k <= n and n >= 3,
+        lambda n, k, ell, m: _pop_subsets(n, k)),
+    "jensen": ConvexNormSuite(
+        "mean", "n >= 1", lambda n, k, ell, m: n >= 1,
+        lambda n, k, ell, m: ([_level(n, 1)], [_level(n, n)])),
+    "popoviciu": _like(OperatorFamily.HLAWKA3, "mean"),
+    "vasc": ConvexNormSuite("mean", "n >= 3", lambda n, k, ell, m: n >= 3, _vasc),
+    "pcz": _like(OperatorFamily.POP_SUBSETS, "mean"),
+    "pop-levels-scalar": _like(OperatorFamily.POP_LEVELS, "mean"),
+    "functional-hlawka": _like(OperatorFamily.HLAWKA3, "value"),
+    "hlawka-pop": ConvexNormSuite("mean", "n >= 3", lambda n, k, ell, m: n >= 3, _odd_left),
+    "freudenthal": ConvexNormSuite("norm", "n >= 3", lambda n, k, ell, m: n >= 3, _odd_left),
+}
+
+
+@lru_cache(maxsize=64)
+def suite_terms(suite: str, n: int, k=None, ell=None, m=None) -> tuple:
+    """The ``(lhs, rhs)`` terms of a convex/norm suite over n inputs, each a
+    ``(coefficient, subset)`` pair; :class:`InputError` if the parameters
+    fail the suite's condition.  Coefficients are rounded once per
+    parameter set, so evaluating a term does no ``Fraction`` arithmetic.
+    """
+    spec = CONVEX_NORM_SUITES[suite]
+    mean = spec.term == "mean"
+    return tuple(
+        tuple((float(level.weight * len(s) if mean else level.weight), s)
+              for level in side for s in level.subsets)
+        for side in checked_sides(suite, spec, n, k, ell, m))
+
+
+def _evaluate(suite: str, data, f: ConvexFunction | None = None, *, k=None, ell=None, m=None,
+              ord: float = 2) -> ScalarCheckResult:
+    """The convex/norm suite on canonically sorted ``data``: vectors, one
+    per row, under the norm rule and points under the other two."""
+    term = CONVEX_NORM_SUITES[suite].term
+    if term == "norm":
+        arr = _sorted_vectors(data)
+        sides = suite_terms(suite, arr.shape[0], k, ell, m)
+        return _result(*([c * float(np.linalg.norm(arr[list(s)].sum(axis=0), ord))
+                          for c, s in side] for side in sides))
+    pts = _sorted_points(data)
+    sides = suite_terms(suite, len(pts), k, ell, m)
+    if term == "value":
+        return _result(*([c * f(reduce(add, map(pts.__getitem__, s))) for c, s in side]
+                         for side in sides))
+    return _result(*([c * f(fsum(map(pts.__getitem__, s)) / len(s)) for c, s in side]
+                     for side in sides))
 
 
 # ---------------------------------------------------------------------------
@@ -124,11 +218,7 @@ def _norm(v: np.ndarray, ord: float = 2) -> float:
 
 def norm_hlawka(a, b, c, ord: float = 2) -> ScalarCheckResult:
     """||a+b+c|| + ||a|| + ||b|| + ||c||  vs  pairwise sums."""
-    vs = _sorted_vectors([a, b, c])
-    a, b, c = vs
-    lhs = [_norm(a + b + c, ord), _norm(a, ord), _norm(b, ord), _norm(c, ord)]
-    rhs = [_norm(a + b, ord), _norm(a + c, ord), _norm(b + c, ord)]
-    return _result(lhs, rhs)
+    return _evaluate("norm-hlawka", [a, b, c], ord=ord)
 
 
 def freudenthal_alternating(vectors, ord: float = 2) -> ScalarCheckResult:
@@ -137,32 +227,12 @@ def freudenthal_alternating(vectors, ord: float = 2) -> ScalarCheckResult:
     An evaluator only: the statement is known to fail for four or more
     vectors, so negative margins are findings, not errors.
     """
-    arr = _sorted_vectors(vectors)
-    n = arr.shape[0]
-    if n < 3:
-        raise InputError("need at least three vectors")
-    lhs, rhs = [], []
-    for k in range(1, n + 1):
-        bucket = lhs if k % 2 == 1 else rhs
-        for idx in combinations(range(n), k):
-            bucket.append(_norm(arr[list(idx)].sum(axis=0), ord))
-    return _result(lhs, rhs)
+    return _evaluate("freudenthal", vectors, ord=ord)
 
 
 def radu_check(vectors, k: int, ord: float = 2) -> ScalarCheckResult:
     """Binomially weighted bound on the size-k subset-sum norms."""
-    arr = _sorted_vectors(vectors)
-    n = arr.shape[0]
-    if n < 3:
-        raise InputError("need at least three vectors")
-    if not 2 <= k <= n:
-        raise InputError(f"need 2 <= k <= {n}, got {k}")
-    c_single = comb(n - 2, k - 1)
-    c_total = comb(n - 2, k - 2)
-    lhs = [c_single * _norm(arr[i], ord) for i in range(n)]
-    lhs.append(c_total * _norm(arr.sum(axis=0), ord))
-    rhs = [_norm(arr[list(idx)].sum(axis=0), ord) for idx in combinations(range(n), k)]
-    return _result(lhs, rhs)
+    return _evaluate("radu", vectors, k=k, ord=ord)
 
 
 # ---------------------------------------------------------------------------
@@ -173,57 +243,27 @@ def radu_check(vectors, k: int, ord: float = 2) -> ScalarCheckResult:
 def functional_hlawka(f: ConvexFunction, a: float, b: float, c: float) -> ScalarCheckResult:
     """f(a+b+c)+f(a)+f(b)+f(c) vs pair values.  Evaluator only: convexity
     does not guarantee a nonnegative margin."""
-    a, b, c = _sorted_points([a, b, c])
-    lhs = [f(a + b + c), f(a), f(b), f(c)]
-    rhs = [f(a + b), f(a + c), f(b + c)]
-    return _result(lhs, rhs)
+    return _evaluate("functional-hlawka", [a, b, c], f)
 
 
 def jensen_check(f: ConvexFunction, xs) -> ScalarCheckResult:
     """sum f(x_i)  vs  k f(mean)."""
-    pts = _sorted_points(xs)
-    if not pts:
-        raise InputError("need at least one point")
-    k = len(pts)
-    mean = fsum(pts) / k
-    return _result([f(x) for x in pts], [k * f(mean)])
+    return _evaluate("jensen", xs, f)
 
 
 def popoviciu_check(f: ConvexFunction, x1: float, x2: float, x3: float) -> ScalarCheckResult:
     """f(x1)+f(x2)+f(x3)+3 f(mean)  vs  2 * (pairwise midpoint values)."""
-    a, b, c = _sorted_points([x1, x2, x3])
-    mean = fsum((a, b, c)) / 3.0
-    lhs = [f(a), f(b), f(c), 3.0 * f(mean)]
-    rhs = [2.0 * f((a + b) / 2.0), 2.0 * f((a + c) / 2.0), 2.0 * f((b + c) / 2.0)]
-    return _result(lhs, rhs)
+    return _evaluate("popoviciu", [x1, x2, x3], f)
 
 
 def vasc_check(f: ConvexFunction, xs) -> ScalarCheckResult:
     """sum f(x_i) + (n/(n-2)) f(mean)  vs  (2/(n-2)) * midpoint values."""
-    pts = _sorted_points(xs)
-    n = len(pts)
-    if n < 3:
-        raise InputError(f"need n >= 3 points, got {n}")
-    mean = fsum(pts) / n
-    lhs = [f(x) for x in pts]
-    lhs.append(n / (n - 2) * f(mean))
-    rhs = [2.0 / (n - 2) * f((pts[i] + pts[j]) / 2.0) for i, j in combinations(range(n), 2)]
-    return _result(lhs, rhs)
+    return _evaluate("vasc", xs, f)
 
 
 def pcz_check(f: ConvexFunction, xs, m: int) -> ScalarCheckResult:
     """C(n-2,m-1) sum f(x_i) + n C(n-2,m-2) f(mean)  vs  m * size-m subset means."""
-    pts = _sorted_points(xs)
-    n = len(pts)
-    if not 2 <= m < n:
-        raise InputError(f"need 2 <= m < n, got m={m}, n={n}")
-    mean = fsum(pts) / n
-    c_single = comb(n - 2, m - 1)
-    c_total = n * comb(n - 2, m - 2)
-    lhs = [c_single * f(x) for x in pts]
-    lhs.append(c_total * f(mean))
-    rhs = [m * f(fsum(pts[i] for i in idx) / m) for idx in combinations(range(n), m)]
-    return _result(lhs, rhs)
+    return _evaluate("pcz", xs, f, m=m)
 
 
 def pop_levels_scalar_eval(f: ConvexFunction, xs, k: int, ell: int, m: int) -> ScalarCheckResult:
@@ -232,20 +272,7 @@ def pop_levels_scalar_eval(f: ConvexFunction, xs, k: int, ell: int, m: int) -> S
     Measures only: the direction is known to depend on (k, ell, m), so no
     suite asserts a sign for this family.
     """
-    pts = _sorted_points(xs)
-    n = len(pts)
-    if not 1 <= k < ell < m <= n:
-        raise InputError(f"need 1 <= k < ell < m <= n, got ({k}, {ell}, {m}), n={n}")
-
-    def level(size: int) -> list[float]:
-        return [size * f(fsum(pts[i] for i in idx) / size) for idx in combinations(range(n), size)]
-
-    c_low = (m - ell) / (k * comb(n, k))
-    c_high = (ell - k) / (m * comb(n, m))
-    c_mid = (m - k) / (ell * comb(n, ell))
-    lhs = [c_low * t for t in level(k)] + [c_high * t for t in level(m)]
-    rhs = [c_mid * t for t in level(ell)]
-    return _result(lhs, rhs)
+    return _evaluate("pop-levels-scalar", xs, f, k=k, ell=ell, m=m)
 
 
 def conjecture_hlawka_pop_eval(f: ConvexFunction, xs) -> ScalarCheckResult:
@@ -254,16 +281,7 @@ def conjecture_hlawka_pop_eval(f: ConvexFunction, xs) -> ScalarCheckResult:
 
     Fails for four points (margins may be negative); evaluator only.
     """
-    pts = _sorted_points(xs)
-    n = len(pts)
-    if n < 3:
-        raise InputError(f"need n >= 3 points, got {n}")
-    lhs, rhs = [], []
-    for k in range(1, n + 1):
-        bucket = lhs if k % 2 == 1 else rhs
-        for idx in combinations(range(n), k):
-            bucket.append(k * f(fsum(pts[i] for i in idx) / k))
-    return _result(lhs, rhs)
+    return _evaluate("hlawka-pop", xs, f)
 
 
 #: The refuting input for the alternating subset-mean pattern at n=4 with
@@ -310,9 +328,8 @@ class SearchViolation:
 
 
 def _search_margin(family: SearchFamily, cfg: SearchConfig, point: np.ndarray) -> ScalarCheckResult:
-    if family is SearchFamily.FREUDENTHAL:
-        return freudenthal_alternating(point.reshape(cfg.n, cfg.dim), ord=cfg.ord)
-    return conjecture_hlawka_pop_eval(cfg.fn, point.ravel())
+    # One input per row: a vector for freudenthal, a point for hlawka-pop.
+    return _evaluate(family.value, point.reshape(cfg.n, -1), cfg.fn, ord=cfg.ord)
 
 
 def _flat_size(family: SearchFamily, cfg: SearchConfig) -> int:
@@ -364,8 +381,7 @@ def counterexample_search(family: SearchFamily, cfg: SearchConfig) -> list[Searc
     candidate is re-verified by a fresh evaluation of its rounded inputs
     before being reported.  An empty result is a valid outcome.
     """
-    if cfg.n < 3:
-        raise InputError("search needs n >= 3")
+    suite_terms(family.value, cfg.n)  # a parameter fault stops the search here
     violations: list[SearchViolation] = []
     for t in range(cfg.trials):
         trial_seed = derive_seed(cfg.seed, t)

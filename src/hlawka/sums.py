@@ -143,22 +143,27 @@ FAMILIES = {
 }
 
 
+def checked_sides(name: str, spec, n: int, k=None, ell=None, m=None):
+    """``spec.sides`` over n inputs, for a :class:`FamilySpec` or any entry
+    with its ``needs``, ``valid`` and ``sides``.
+
+    Raises :class:`InputError` naming the parameters when the condition
+    fails; every table is read through here, so a fault reads the same on
+    every route.
+    """
+    values = {"n": n, "k": k, "ell": ell, "m": m}
+    if not spec.valid(**values):
+        shown = [key for key in values if key == "n" or key in spec.needs.split()]
+        got = ", ".join(f"{key}={values[key]}" for key in shown)
+        raise InputError(f"{name} needs {spec.needs}, got {got}")
+    return spec.sides(**values)
+
+
 def family_levels(
     family: OperatorFamily, n: int, params: TensorSumParams
 ) -> tuple[list[Level], list[Level]]:
-    """The ``(lhs, rhs)`` levels of a family over n inputs.
-
-    Raises :class:`InputError` naming the parameters when the family's
-    condition fails; every evaluator goes through here, so a fault reads
-    the same on every route.
-    """
-    spec = FAMILIES[family]
-    values = {"n": n, "k": params.k, "ell": params.ell, "m": params.m}
-    if not spec.valid(**values):
-        shown = [name for name in values if name == "n" or name in spec.needs.split()]
-        got = ", ".join(f"{name}={values[name]}" for name in shown)
-        raise InputError(f"{family.value} needs {spec.needs}, got {got}")
-    return spec.sides(**values)
+    """The ``(lhs, rhs)`` levels of a family over n inputs; see :func:`checked_sides`."""
+    return checked_sides(family.value, FAMILIES[family], n, params.k, params.ell, params.m)
 
 
 def _canonical_arrays(mats, *, keep_first_fixed: bool = False) -> list[np.ndarray]:
@@ -225,12 +230,6 @@ def _level_sum(arrays: list[np.ndarray], level: Level, p: int, den: int) -> np.n
     return total if weight == 1 else weight * total
 
 
-def _check_power(p: int, dim: int, max_dim: int) -> None:
-    if p < 1:
-        raise InputError("tensor power p must be >= 1")
-    check_tensor_budget(dim, p, max_dim)
-
-
 def symmetric_tensor_sum(
     mats, k: int, p: int, max_dim: int = DEFAULT_MAX_TENSOR_DIM
 ) -> HermitianMatrix:
@@ -239,7 +238,7 @@ def symmetric_tensor_sum(
     n = len(arrays)
     if not 1 <= k <= n:
         raise InputError(f"k must satisfy 1 <= k <= {n}, got {k}")
-    _check_power(p, arrays[0].shape[-1], max_dim)
+    check_tensor_budget(arrays[0].shape[-1], p, max_dim)
     return _wrap(_level_sum(arrays, _level(n, k), p, 1))
 
 
@@ -259,7 +258,7 @@ def build_difference(
     mats = list(mats)
     sides = family_levels(family, len(mats), params)
     arrays = _canonical_arrays(mats, keep_first_fixed=FAMILIES[family].supermod)
-    _check_power(params.p, arrays[0].shape[-1], max_dim)
+    check_tensor_budget(arrays[0].shape[-1], params.p, max_dim)
     den = lcm(*(level.weight.denominator for side in sides for level in side))
     lhs, rhs = (
         _pairwise_sum(_level_sum(arrays, level, params.p, den) for level in side)

@@ -12,6 +12,7 @@ import pytest
 from hlawka.cli import build_parser, main
 from hlawka.harness import SUITES, RunConfig, run_counterexample, run_scalar_verify, run_verify
 from hlawka.linalg import PdSampleConfig, random_pd, save_matrix
+from hlawka.scalar import CONVEX_NORM_SUITES
 from hlawka.sums import OperatorFamily
 from hlawka.symgroup import save_character_table
 from hlawka.util import format_complex_sig17, format_sig17
@@ -148,6 +149,24 @@ class TestScalarVerifyCommand:
         assert errors[0] == errors[1]
         assert errors[0].startswith(f"error: {args[1]} needs ")
 
+    @pytest.mark.parametrize("args, message", [
+        (["--family", "radu", "--n", "4", "--k", "9"],
+         "radu needs n >= 3 and 2 <= k <= n, got n=4, k=9"),
+        (["--family", "radu", "--n", "4"], "radu needs n >= 3 and 2 <= k <= n, got n=4, k=None"),
+        (["--family", "pcz", "--n", "5"], "pcz needs 2 <= m < n, got n=5, m=None"),
+        (["--family", "pcz", "--n", "5", "--m", "5"], "pcz needs 2 <= m < n, got n=5, m=5"),
+        (["--family", "vasc", "--n", "2"], "vasc needs n >= 3, got n=2"),
+        (["--family", "pop-levels-scalar", "--n", "4", "--k", "2", "--ell", "2", "--m", "3"],
+         "pop-levels-scalar needs 1 <= k < ell < m <= n, got n=4, k=2, ell=2, m=3"),
+        (["--family", "popoviciu", "--n", "4"], "popoviciu needs n = 3, got n=4"),
+    ], ids=["radu-k9", "radu-no-k", "pcz-no-m", "pcz-m5", "vasc-n2", "pop-levels-scalar",
+            "popoviciu-n4"])
+    def test_convex_norm_parameter_fault_names_the_suite(self, args, message, capsys):
+        # The same table message whether or not a trial runs.
+        for trials in ("0", "2"):
+            assert main(["scalar-verify", *args, "--trials", trials]) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_pcz_suite_exit_zero(self):
         code = main(["scalar-verify", "--family", "pcz", "--n", "5", "--m", "3",
                      "--trials", "100", "--seed", "8"])
@@ -214,6 +233,19 @@ class TestScalarVerifyCommand:
         assert code == 0
         doc = json.loads(out.read_text())
         assert any("evaluator-only" in f for f in doc["interpretationFlags"])
+
+
+class TestParametersCheckedBeforeTheTrials:
+    @pytest.mark.parametrize("command, code", [
+        ("verify --family hlawka3 --p 13", 3),
+        ("verify --family superadd --n 1", 2),
+        ("scalar-verify --family pcz --n 5", 2),
+        ("scalar-verify --family radu --n 4 --k 9", 2),
+    ])
+    def test_zero_trials_still_refuse_bad_parameters(self, command, code, tmp_path):
+        out = tmp_path / "r.json"
+        assert main([*command.split(), "--trials", "0", "--out", str(out)]) == code
+        assert not out.exists()
 
 
 class TestCounterexampleCommand:
@@ -342,6 +374,12 @@ class TestRegistryDrift:
 
     def test_scalar_verify_choices_are_the_registry(self):
         assert family_choices("scalar-verify") == tuple(SUITES)
+
+    def test_every_convex_norm_suite_has_one_table_entry(self):
+        suites = {name: suite for name, suite in SUITES.items() if suite.sampler != "matrices"}
+        assert sorted(suites) == sorted(CONVEX_NORM_SUITES)
+        for name, suite in suites.items():
+            assert (suite.sampler == "vectors") == (CONVEX_NORM_SUITES[name].term == "norm")
 
     def test_readme_statuses_match_the_registry(self):
         assert readme_statuses() == {name: suite.status for name, suite in SUITES.items()}

@@ -406,3 +406,162 @@ class TestCounterexampleSearch:
     def test_needs_three(self):
         with pytest.raises(InputError):
             counterexample_search(SearchFamily.HLAWKA_POP, SearchConfig(n=2, trials=1, seed=0))
+
+
+# ---------------------------------------------------------------------------
+# Statement oracle: each README formula restated term by term
+# ---------------------------------------------------------------------------
+
+
+def sides(lhs, rhs):
+    """(lhs, rhs, margin, scale): each side an fsum of its terms, the scale
+    the sum of absolute term sizes (at least 1)."""
+    left, right = math.fsum(lhs), math.fsum(rhs)
+    return left, right, left - right, max(1.0, math.fsum(map(abs, lhs)) + math.fsum(map(abs, rhs)))
+
+
+def vector_sum(vs, idx):
+    """The vectors of idx added one by one."""
+    total = vs[idx[0]]
+    for i in idx[1:]:
+        total = total + vs[i]
+    return total
+
+
+def norm(v):
+    return float(np.linalg.norm(v))
+
+
+def subset_means(xs, size):
+    return [math.fsum(xs[i] for i in idx) / size for idx in combinations(range(len(xs)), size)]
+
+
+def by_rows(vs):
+    """The vectors in lexicographic order."""
+    return [np.array(v) for v in sorted(tuple(map(float, v)) for v in vs)]
+
+
+def oracle_norm_hlawka(vs):
+    a, b, c = by_rows(vs)
+    return sides([norm(a + b + c), norm(a), norm(b), norm(c)],
+                 [norm(a + b), norm(a + c), norm(b + c)])
+
+
+def oracle_radu(vs, k):
+    vs = by_rows(vs)
+    n = len(vs)
+    lhs = [math.comb(n - 2, k - 1) * norm(v) for v in vs]
+    lhs.append(math.comb(n - 2, k - 2) * norm(vector_sum(vs, range(n))))
+    return sides(lhs, [norm(vector_sum(vs, idx)) for idx in combinations(range(n), k)])
+
+
+def oracle_freudenthal(vs):
+    vs = by_rows(vs)
+    n = len(vs)
+    odd = [norm(vector_sum(vs, idx)) for k in range(1, n + 1, 2) for idx in combinations(range(n), k)]
+    even = [norm(vector_sum(vs, idx)) for k in range(2, n + 1, 2) for idx in combinations(range(n), k)]
+    return sides(odd, even)
+
+
+def oracle_jensen(f, xs):
+    n = len(xs)
+    return sides([f(x) for x in xs], [n * f(math.fsum(xs) / n)])
+
+
+def oracle_popoviciu(f, xs):
+    a, b, c = sorted(xs)
+    return sides([f(a), f(b), f(c), 3 * f(math.fsum(xs) / 3)],
+                 [2 * f((a + b) / 2), 2 * f((a + c) / 2), 2 * f((b + c) / 2)])
+
+
+def oracle_vasc(f, xs):
+    n = len(xs)
+    return sides([f(x) for x in xs] + [n / (n - 2) * f(math.fsum(xs) / n)],
+                 [2 / (n - 2) * f(mean) for mean in subset_means(xs, 2)])
+
+
+def oracle_pcz(f, xs, m):
+    n = len(xs)
+    lhs = [math.comb(n - 2, m - 1) * f(x) for x in xs]
+    lhs.append(n * math.comb(n - 2, m - 2) * f(math.fsum(xs) / n))
+    return sides(lhs, [m * f(mean) for mean in subset_means(xs, m)])
+
+
+def oracle_functional_hlawka(f, xs):
+    a, b, c = sorted(xs)
+    return sides([f(a + b + c), f(a), f(b), f(c)], [f(a + b), f(a + c), f(b + c)])
+
+
+def oracle_hlawka_pop(f, xs):
+    n = len(xs)
+    odd = [k * f(mean) for k in range(1, n + 1, 2) for mean in subset_means(xs, k)]
+    even = [k * f(mean) for k in range(2, n + 1, 2) for mean in subset_means(xs, k)]
+    return sides(odd, even)
+
+
+def exact_pop_levels_margin(f, xs, k, ell, m) -> Fraction:
+    """The pop-levels weights times |S| f(mean_S), weighted and summed
+    exactly; only f(mean_S) is taken as computed in floating point."""
+    n = len(xs)
+
+    def level(size):
+        return size * sum((Fraction(f(mean)) for mean in subset_means(xs, size)), Fraction(0))
+
+    return (Fraction(m - ell, k * math.comb(n, k)) * level(k)
+            + Fraction(ell - k, m * math.comb(n, m)) * level(m)
+            - Fraction(m - k, ell * math.comb(n, ell)) * level(ell))
+
+
+#: (name, evaluator, statement oracle, tuple sizes, input kind)
+STATEMENT_CASES = [
+    ("norm-hlawka", lambda vs: norm_hlawka(*vs), oracle_norm_hlawka, (3,), "vectors"),
+    ("radu-k2", lambda vs: radu_check(vs, 2), lambda vs: oracle_radu(vs, 2), (3, 4, 5), "vectors"),
+    ("radu-k3", lambda vs: radu_check(vs, 3), lambda vs: oracle_radu(vs, 3), (4, 5), "vectors"),
+    ("radu-k=n", lambda vs: radu_check(vs, len(vs)), lambda vs: oracle_radu(vs, len(vs)),
+     (3, 4, 5), "vectors"),
+    ("freudenthal", freudenthal_alternating, oracle_freudenthal, (3, 4, 5), "vectors"),
+    ("jensen", jensen_check, oracle_jensen, (1, 2, 5), "points"),
+    ("popoviciu", lambda f, xs: popoviciu_check(f, *xs), oracle_popoviciu, (3,), "points"),
+    ("vasc", vasc_check, oracle_vasc, (3, 4, 5, 6), "points"),
+    ("pcz-m2", lambda f, xs: pcz_check(f, xs, 2), lambda f, xs: oracle_pcz(f, xs, 2),
+     (4, 6), "points"),
+    ("pcz-m3", lambda f, xs: pcz_check(f, xs, 3), lambda f, xs: oracle_pcz(f, xs, 3),
+     (4, 5, 6), "points"),
+    ("pcz-m4", lambda f, xs: pcz_check(f, xs, 4), lambda f, xs: oracle_pcz(f, xs, 4),
+     (5, 6), "points"),
+    ("functional-hlawka", lambda f, xs: functional_hlawka(f, *xs), oracle_functional_hlawka,
+     (3,), "points"),
+    ("hlawka-pop", conjecture_hlawka_pop_eval, oracle_hlawka_pop, (3, 4, 5), "points"),
+]
+
+
+class TestAgainstStatementOracle:
+    @pytest.mark.parametrize("name, evaluate, statement, sizes, kind", STATEMENT_CASES,
+                             ids=[c[0] for c in STATEMENT_CASES])
+    def test_bit_for_bit(self, name, evaluate, statement, sizes, kind):
+        rng = np.random.default_rng(20261018)
+        for n in sizes:
+            for trial in range(40):
+                if kind == "vectors":
+                    vs = rng.standard_normal((n, 1 + trial % 3))
+                    cases = [(evaluate(vs), statement(vs))]
+                else:
+                    xs = rng.uniform(-10, 10, n)
+                    if trial % 4 == 0:
+                        xs = np.round(xs)  # ties and exact cancellations
+                    cases = [(evaluate(f, xs), statement(f, sorted(xs.tolist())))
+                             for f in convex_catalog()]
+                for got, expected in cases:
+                    assert (got.lhs, got.rhs, got.margin, got.scale) == expected
+
+    @pytest.mark.parametrize("n, k, ell, m", [(3, 1, 2, 3), (4, 1, 2, 3), (5, 1, 3, 5),
+                                              (6, 2, 3, 5), (6, 1, 4, 6)])
+    def test_pop_levels_scalar_within_four_eps_of_the_exact_sum(self, n, k, ell, m):
+        rng = np.random.default_rng(20261019)
+        for _ in range(30):
+            xs = rng.uniform(-10, 10, n)
+            for f in convex_catalog():
+                got = pop_levels_scalar_eval(f, xs, k, ell, m)
+                exact = exact_pop_levels_margin(f, sorted(xs.tolist()), k, ell, m)
+                band = 4 * Fraction(np.finfo(float).eps) * Fraction(got.scale)
+                assert abs(Fraction(got.margin) - exact) <= band
