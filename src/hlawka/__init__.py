@@ -38,7 +38,6 @@ from .linalg import (
     tensor_power,
 )
 from .matfunc import (
-    ScalarInequalityResult,
     elementary_symmetric_det,
     generalized_matrix_function,
     permanent_oracle,

@@ -99,7 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_counter.add_argument("--radius", type=float, default=2.0)
 
     p_imm = sub.add_parser("immanant", help="generalized matrix function of a matrix file")
-    _common_flags(p_imm)
     p_imm.add_argument("matrix", help="matrix file path")
     p_imm.add_argument("selector", help="det | perm | partition=<parts> | table=<path>")
 

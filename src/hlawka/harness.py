@@ -36,12 +36,13 @@ from .linalg import (
     HermitianStack,
     PdBatchConfig,
     Verdict,
+    band_verdict,
     check_tensor_budget,
     min_eigenvalue,
     psd_certificate,
     random_pd,
 )
-from .matfunc import parse_character_selector, scalar_inequality_check
+from .matfunc import DEFAULT_SCALAR_MATRIX_TOL, parse_character_selector, scalar_inequality_check
 from .report import TrialReport
 from .scalar import (
     DEFAULT_SCALAR_TOL,
@@ -62,14 +63,13 @@ from .scalar import (
     pop_levels_scalar_eval,
     popoviciu_check,
     radu_check,
+    sample_inputs,
     suite_terms,
     vasc_check,
 )
 from .sums import FAMILIES, OperatorFamily, TensorSumParams, build_difference, family_levels
 from .symgroup import MAX_SYMMETRIC_DEGREE
 from .util import derive_seed
-
-DEFAULT_SCALAR_MATRIX_TOL = 1e-10
 
 #: Byte budget of the largest array stacked over one chunk of trials.  Big
 #: enough to amortize per-call overhead on small tuples; a trial over budget
@@ -223,12 +223,12 @@ def _matrix_trials(cfg: RunConfig, largest: int, check, margin_key: str):
 
     ``largest`` is the entry count of a trial's largest stacked array
     besides its inputs, and ``check(inputs, parts)`` gives one ``(margin,
-    equal, fails)`` per trial of a chunk.
+    verdict)`` per trial of a chunk.
     """
     trial_bytes = _ENTRY_BYTES * max(largest, cfg.n * cfg.dim * cfg.dim)
     for seeds, inputs, parts in _sampled_chunks(cfg, cfg.n, trial_bytes):
-        for t, (seed, (margin, equal, fails)) in enumerate(zip(seeds, check(inputs, parts))):
-            yield [(None, margin, equal, fails)], (
+        for t, (seed, (margin, verdict)) in enumerate(zip(seeds, check(inputs, parts))):
+            yield [(None, margin, verdict)], (
                 lambda kind, worst, t=t, seed=seed, parts=parts:
                 {"inputsDigest": _tuple_digest(parts, t), margin_key: worst, "seed": seed})
 
@@ -237,20 +237,20 @@ def _run(cfg: RunConfig, suite: Suite, report: TrialReport, records) -> tuple[Tr
     """The one trial loop: fill ``report`` from per-trial records.
 
     A record is ``(outcomes, violation)``: one ``(function kind or None,
-    margin, within the equality band, violates)`` per evaluated function,
-    and ``violation(kind, margin)``, the report entry of the trial's worst
-    outcome.  A trial counts as an equality case when all its outcomes are
-    and yields at most one violation entry, so violations never outnumber
-    trials.  Flags a record source learns while it runs go to the report's
-    flags, after the suite's own.
+    margin, verdict)`` per evaluated function, and ``violation(kind,
+    margin)``, the report entry of the trial's worst outcome.  A trial is
+    an equality case when all its outcomes are EQUALITY, and it yields one
+    violation entry when its worst outcome FAILS, so violations never
+    outnumber trials.  Flags a record source learns while it runs go to the
+    report's flags, after the suite's own.
     """
     start = time.perf_counter()
     margins = []
     for outcomes, violation in records:
-        margins.extend(margin for _, margin, _, _ in outcomes)
-        report.equality_cases += all(equal for _, _, equal, _ in outcomes)
-        kind, margin, _, fails = min(outcomes, key=lambda outcome: outcome[1])
-        if fails:
+        margins.extend(margin for _, margin, _ in outcomes)
+        report.equality_cases += all(verdict is Verdict.EQUALITY for _, _, verdict in outcomes)
+        kind, margin, verdict = min(outcomes, key=lambda outcome: outcome[1])
+        if verdict is Verdict.FAILS:
             report.violations.append(violation(kind, margin))
     report.min_margin = min(margins) if margins else None
     report.interpretation_flags[:0] = (
@@ -282,8 +282,7 @@ def run_verify(cfg: RunConfig) -> tuple[TrialReport, int]:
         certs = psd_certificate(build_difference(family, parts, params, cfg.max_tensor_dim), tol)
         if not (min_eigenvalue(inputs) > 1e-12).all() and psd_only not in flags:
             flags.append(psd_only)
-        return [(c.min_eigenvalue, c.verdict is Verdict.EQUALITY, c.verdict is Verdict.FAILS)
-                for c in certs]
+        return [(c.min_eigenvalue, c.verdict) for c in certs]
 
     return _run(cfg, SUITES[cfg.family], report,
                 _matrix_trials(cfg, side * side, certify, "minEigenvalue"))
@@ -305,7 +304,7 @@ def run_scalar_verify(cfg: RunConfig) -> tuple[TrialReport, int]:
         "conditionTarget": cfg.condition_target}, tol, cfg.trials)
 
     def check(inputs, parts):
-        return [(r.margin, abs(r.margin) <= tol * r.scale, not r.holds)
+        return [(r.margin, r.verdict)
                 for r in scalar_inequality_check(family, parts, params, group, chi, tol)]
 
     # The largest stacked array is the (group order, degree) gather of one
@@ -338,16 +337,14 @@ def _scalar_trials(cfg: RunConfig, suite: Suite) -> tuple[TrialReport, Iterator]
     def records():
         for t in range(trials):
             trial_seed = derive_seed(cfg.seed, t)
-            if explicit is not None:
+            if explicit is None:
+                data = sample_inputs(cfg.family, np.random.default_rng(trial_seed), n, cfg.dim)
+            else:
                 data = np.asarray(explicit, dtype=np.float64)
                 if not points:
                     data = data.reshape(cfg.n, -1)
-            elif points:
-                data = np.random.default_rng(trial_seed).uniform(-10.0, 10.0, n)
-            else:
-                data = np.random.default_rng(trial_seed).standard_normal((n, cfg.dim))
             results = [(fn.kind if fn else None, suite.evaluate(cfg, fn, data)) for fn in fns]
-            yield [(kind, r.margin, abs(r.margin) <= tol * r.scale, r.margin < -tol * r.scale)
+            yield [(kind, r.margin, band_verdict(r.margin, abs(r.margin), r.scale, tol))
                    for kind, r in results], (
                 lambda kind, worst, data=data, seed=trial_seed: {
                     "inputsDigest": _data_digest(data), "margin": worst, "seed": seed,
@@ -369,6 +366,7 @@ def run_counterexample(cfg: RunConfig) -> tuple[TrialReport, int]:
         raise InputError(f"unknown strategy {cfg.strategy!r}") from exc
     fn = ConvexFunction(cfg.fn if cfg.fn != "all" else "abs")
     _check_loop(cfg.trials, cfg.jobs)
+    tol = DEFAULT_SCALAR_TOL if cfg.tol is None else cfg.tol
     search_cfg = SearchConfig(
         n=cfg.n,
         dim=cfg.dim,
@@ -379,10 +377,13 @@ def run_counterexample(cfg: RunConfig) -> tuple[TrialReport, int]:
         include_known=cfg.include_known,
         center=cfg.center,
         radius=cfg.radius,
+        tol=tol,
     )
-    report = _report(cfg, cfg.family, {
-        "n": cfg.n, "dim": cfg.dim, "strategy": strategy.value, "fn": fn.kind,
-        "includeKnown": cfg.include_known}, DEFAULT_SCALAR_TOL, cfg.trials)
+    params = {"n": cfg.n, "dim": cfg.dim, "strategy": strategy.value, "fn": fn.kind,
+              "includeKnown": cfg.include_known}
+    if cfg.center is not None:
+        params.update(center=list(cfg.center), radius=cfg.radius)
+    report = _report(cfg, cfg.family, params, tol, cfg.trials)
     start = time.perf_counter()
     found = counterexample_search(family, search_cfg)
     report.violations = [

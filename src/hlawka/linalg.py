@@ -66,11 +66,7 @@ class HermitianMatrix:
     __slots__ = ("_arr", "_digest")
 
     def __init__(self, entries) -> None:
-        arr = np.asarray(entries, dtype=np.complex128)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
-            raise InputError(f"expected a nonempty square matrix, got shape {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise InputError("matrix entries must be finite (no NaN/Inf)")
+        arr = _as_array(entries)
         max_abs = float(np.max(np.abs(arr)))
         deviation = float(np.max(np.abs(arr - arr.conj().T)))
         if deviation > HERMITICITY_RTOL * max_abs:
@@ -201,12 +197,9 @@ class LoewnerCertificate:
     """Numerical verdict of a Loewner-order comparison.
 
     ``min_eigenvalue`` is the smallest eigenvalue of the (symmetrized)
-    difference, ``scale`` its infinity norm, and the verdict is decided
-    relative to ``tolerance * max(1, scale)``:
-
-    * EQUALITY: every eigenvalue lies within the band.
-    * HOLDS: the smallest eigenvalue is above the negative band edge.
-    * FAILS: otherwise.
+    difference, ``scale`` its infinity norm, and the verdict is
+    :func:`band_verdict` of the smallest and the largest absolute
+    eigenvalue.
     """
 
     min_eigenvalue: float
@@ -343,40 +336,46 @@ def min_eigenvalue(mat: HermitianMatrix | HermitianStack):
     return float(eigs[0])
 
 
+def band_verdict(lo: float, largest: float, scale: float, tol: float) -> Verdict:
+    """The one rule judging "LHS - RHS >= 0" with the band ``tol * max(1, scale)``:
+    EQUALITY when ``largest`` (the largest absolute value of the difference)
+    lies in the band, HOLDS when ``lo`` (its smallest value) is above the
+    band's lower edge, FAILS otherwise, a NaN included."""
+    band = tol * max(1.0, scale)
+    if largest <= band:
+        return Verdict.EQUALITY
+    if lo >= -band:
+        return Verdict.HOLDS
+    return Verdict.FAILS
+
+
 def psd_certificate(mat: HermitianMatrix | HermitianStack, tol: float = DEFAULT_LOEWNER_TOL):
     """Certify ``mat >= 0`` in the Loewner order; a list of certificates,
     one per matrix, for a stack.
 
     The tolerance is applied relative to ``max(1, scale)`` with scale the
     infinity norm of ``mat``; tensor powers inflate magnitudes, so an
-    absolute tolerance would be meaningless.
+    absolute tolerance would be meaningless.  An overflowed scale is refused.
     """
     mat = _hermitian(mat)
-    eigs = np.linalg.eigvalsh(mat.array)
     scales = np.linalg.norm(mat.array, np.inf, axis=(-2, -1))
+    if not np.isfinite(scales).all():
+        raise InputError("overflow: the matrix to certify exceeds double precision")
+    eigs = np.linalg.eigvalsh(mat.array)
     if eigs.ndim == 1:
         return _certificate(eigs, float(scales), tol)
     return [_certificate(e, float(s), tol) for e, s in zip(eigs, scales)]
 
 
 def _certificate(eigs: np.ndarray, scale: float, tol: float) -> LoewnerCertificate:
-    band = tol * max(1.0, scale)
     lo = float(eigs[0])
-    if float(np.max(np.abs(eigs))) <= band:
-        verdict = Verdict.EQUALITY
-    elif lo >= -band:
-        verdict = Verdict.HOLDS
-    else:
-        verdict = Verdict.FAILS
+    verdict = band_verdict(lo, float(np.max(np.abs(eigs))), scale, tol)
     return LoewnerCertificate(min_eigenvalue=lo, scale=scale, tolerance=tol, verdict=verdict)
 
 
 def loewner_geq(a: HermitianMatrix, b: HermitianMatrix, tol: float = DEFAULT_LOEWNER_TOL) -> LoewnerCertificate:
     """Certificate for ``a >= b`` (positive semidefiniteness of a - b)."""
-    if not isinstance(a, HermitianMatrix):
-        a = HermitianMatrix(a)
-    if not isinstance(b, HermitianMatrix):
-        b = HermitianMatrix(b)
+    a, b = _hermitian(a), _hermitian(b)
     if a.dim != b.dim:
         raise InputError(f"dimension mismatch: {a.dim} vs {b.dim}")
     return psd_certificate(a - b, tol)

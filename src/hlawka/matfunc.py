@@ -23,13 +23,16 @@ from math import fsum
 import numpy as np
 
 from .errors import BudgetError, InputError
-from .linalg import HermitianMatrix, HermitianStack, _as_array
+from .linalg import HermitianMatrix, HermitianStack, _as_array, _hermitian
 from .scalar import ScalarCheckResult, _result
 from .sums import OperatorFamily, TensorSumParams, family_levels
 from .symgroup import CharacterSpec, GroupSpec, character_values, enumerate_group
 
 #: Ryser evaluation enumerates 2^m column subsets; refuse beyond this.
 MAX_PERMANENT_DIM = 12
+
+#: Default relative tolerance of the matrix-function corollaries.
+DEFAULT_SCALAR_MATRIX_TOL = 1e-10
 
 
 @lru_cache(maxsize=64)
@@ -133,18 +136,14 @@ def elementary_symmetric_det(mats, k: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-#: The d-image check gives the scalar suites' result type.
-ScalarInequalityResult = ScalarCheckResult
-
-
 def scalar_inequality_check(
     family: OperatorFamily,
     mats,
     params: TensorSumParams,
     group: GroupSpec,
     chi: CharacterSpec,
-    tol: float = 1e-10,
-) -> ScalarInequalityResult:
+    tol: float = DEFAULT_SCALAR_MATRIX_TOL,
+) -> ScalarCheckResult:
     """Check the d-image of a family's inequality on Hermitian inputs.
 
     Each operator term (a subset sum) is mapped through the generalized
@@ -156,8 +155,7 @@ def scalar_inequality_check(
     stack ``i``) every trial is checked at once and a list of results, one
     per trial, is returned.
     """
-    hs = [m if isinstance(m, (HermitianMatrix, HermitianStack)) else HermitianMatrix(m)
-          for m in mats]
+    hs = [_hermitian(m) for m in mats]
     stacked = any(isinstance(h, HermitianStack) for h in hs)
     n = len(hs)
     if any(h.dim != group.degree for h in hs):

@@ -1,8 +1,8 @@
 """Scalar and norm-space inequality evaluators and counterexample search.
 
 Margins are always LHS - RHS; a check "holds" when the margin is at worst
--1e-12 relative to the magnitude scale of its own terms.  Two kinds of
-evaluator live here:
+-1e-12 relative to the sum of its absolute terms (:func:`band_verdict`), and
+a term or sum that overflows is refused.  Two kinds of evaluator live here:
 
 * proven inequalities (triangle/Hlawka norm inequalities, Jensen,
   Popoviciu and its generalizations) whose margins the trial suites
@@ -33,6 +33,7 @@ from operator import add
 import numpy as np
 
 from .errors import InputError
+from .linalg import Verdict, band_verdict
 from .sums import FAMILIES, Level, OperatorFamily, checked_sides
 from .sums import _alternating, _level, _pop_subsets
 from .util import derive_seed
@@ -62,21 +63,25 @@ class ConvexFunction:
             raise InputError(f"unknown convex function {self.kind!r}; choose from {CONVEX_KINDS}")
 
     def __call__(self, x: float) -> float:
+        # An overflow gives inf, as float arithmetic does, for the check to refuse.
         y = self.scale * (float(x) - self.shift)
-        if self.kind == "abs":
-            return abs(y)
-        if self.kind == "square":
-            return y * y
-        if self.kind == "fourth":
-            return y**4
-        if self.kind == "exp":
-            return math.exp(y)
-        if self.kind == "relu":
-            return y if y > 0.0 else 0.0
-        # softplus, evaluated stably on both tails
-        if y > 0.0:
-            return y + math.log1p(math.exp(-y))
-        return math.log1p(math.exp(y))
+        try:
+            if self.kind == "abs":
+                return abs(y)
+            if self.kind == "square":
+                return y * y
+            if self.kind == "fourth":
+                return y**4
+            if self.kind == "exp":
+                return math.exp(y)
+            if self.kind == "relu":
+                return y if y > 0.0 else 0.0
+            # softplus, evaluated stably on both tails
+            if y > 0.0:
+                return y + math.log1p(math.exp(-y))
+            return math.log1p(math.exp(y))
+        except OverflowError:
+            return math.inf
 
 
 def convex_catalog() -> tuple[ConvexFunction, ...]:
@@ -85,21 +90,39 @@ def convex_catalog() -> tuple[ConvexFunction, ...]:
 
 @dataclass(frozen=True)
 class ScalarCheckResult:
+    """``scale`` is ``max(1, sum of the absolute terms)``; ``verdict``, the
+    :func:`~hlawka.linalg.band_verdict` of ``margin``, is derived when read."""
+
     lhs: float
     rhs: float
     margin: float
     scale: float
-    holds: bool
+    tolerance: float
+
+    @property
+    def verdict(self) -> Verdict:
+        return band_verdict(self.margin, abs(self.margin), self.scale, self.tolerance)
+
+    @property
+    def holds(self) -> bool:
+        """True for HOLDS or EQUALITY."""
+        return self.verdict is not Verdict.FAILS
 
 
 def _result(lhs_terms, rhs_terms, tol: float = DEFAULT_SCALAR_TOL) -> ScalarCheckResult:
     lhs_terms = list(lhs_terms)
     rhs_terms = list(rhs_terms)
-    lhs = fsum(lhs_terms)
-    rhs = fsum(rhs_terms)
+    try:
+        lhs = fsum(lhs_terms)
+        rhs = fsum(rhs_terms)
+        scale = max(1.0, fsum(abs(t) for t in lhs_terms) + fsum(abs(t) for t in rhs_terms))
+    except (OverflowError, ValueError):  # fsum refuses an overflowing sum and inf - inf
+        lhs = rhs = scale = math.inf
     margin = lhs - rhs
-    scale = max(1.0, fsum(abs(t) for t in lhs_terms) + fsum(abs(t) for t in rhs_terms))
-    return ScalarCheckResult(lhs=lhs, rhs=rhs, margin=margin, scale=scale, holds=margin >= -tol * scale)
+    # max(1, nan) is 1, so a NaN term shows only in the margin.
+    if not (math.isfinite(margin) and math.isfinite(scale)):
+        raise InputError("overflow: a term or a side of the inequality exceeds double precision")
+    return ScalarCheckResult(lhs=lhs, rhs=rhs, margin=margin, scale=scale, tolerance=tol)
 
 
 def _sorted_points(xs) -> list[float]:
@@ -193,22 +216,37 @@ def suite_terms(suite: str, n: int, k=None, ell=None, m=None) -> tuple:
 
 
 def _evaluate(suite: str, data, f: ConvexFunction | None = None, *, k=None, ell=None, m=None,
-              ord: float = 2) -> ScalarCheckResult:
+              tol: float = DEFAULT_SCALAR_TOL) -> ScalarCheckResult:
     """The convex/norm suite on canonically sorted ``data``: vectors, one
     per row, under the norm rule and points under the other two."""
     term = CONVEX_NORM_SUITES[suite].term
     if term == "norm":
         arr = _sorted_vectors(data)
         sides = suite_terms(suite, arr.shape[0], k, ell, m)
-        return _result(*([c * float(np.linalg.norm(arr[list(s)].sum(axis=0), ord))
-                          for c, s in side] for side in sides))
+        return _result(*([c * float(np.linalg.norm(arr[list(s)].sum(axis=0)))
+                          for c, s in side] for side in sides), tol)
     pts = _sorted_points(data)
     sides = suite_terms(suite, len(pts), k, ell, m)
     if term == "value":
         return _result(*([c * f(reduce(add, map(pts.__getitem__, s))) for c, s in side]
-                         for side in sides))
+                         for side in sides), tol)
     return _result(*([c * f(fsum(map(pts.__getitem__, s)) / len(s)) for c, s in side]
-                     for side in sides))
+                     for side in sides), tol)
+
+
+def sample_inputs(suite: str, rng: np.random.Generator, n: int, dim: int,
+                  center=None, radius: float = 2.0) -> np.ndarray:
+    """Seeded inputs of a suite: ``(n, dim)`` standard Gaussian vectors under
+    the norm rule, else ``n`` uniform points in [-10, 10]; with a ``center``
+    (all coordinates, flat), the center plus uniform offsets in [-radius, radius]."""
+    vectors = CONVEX_NORM_SUITES[suite].term == "norm"
+    shape = (n, dim) if vectors else (n,)
+    if center is None:
+        return rng.standard_normal(shape) if vectors else rng.uniform(-10.0, 10.0, shape)
+    center = np.asarray(center, dtype=np.float64)
+    if center.size != math.prod(shape):
+        raise InputError(f"center must have {math.prod(shape)} coordinates, got {center.size}")
+    return center.reshape(shape) + rng.uniform(-radius, radius, shape)
 
 
 # ---------------------------------------------------------------------------
@@ -216,23 +254,23 @@ def _evaluate(suite: str, data, f: ConvexFunction | None = None, *, k=None, ell=
 # ---------------------------------------------------------------------------
 
 
-def norm_hlawka(a, b, c, ord: float = 2) -> ScalarCheckResult:
-    """||a+b+c|| + ||a|| + ||b|| + ||c||  vs  pairwise sums."""
-    return _evaluate("norm-hlawka", [a, b, c], ord=ord)
+def norm_hlawka(a, b, c) -> ScalarCheckResult:
+    """||a+b+c|| + ||a|| + ||b|| + ||c||  vs  pairwise sums (Euclidean)."""
+    return _evaluate("norm-hlawka", [a, b, c])
 
 
-def freudenthal_alternating(vectors, ord: float = 2) -> ScalarCheckResult:
+def freudenthal_alternating(vectors) -> ScalarCheckResult:
     """Alternating sum of subset-sum norms; size-k subsets carry (-1)^(k-1).
 
     An evaluator only: the statement is known to fail for four or more
     vectors, so negative margins are findings, not errors.
     """
-    return _evaluate("freudenthal", vectors, ord=ord)
+    return _evaluate("freudenthal", vectors)
 
 
-def radu_check(vectors, k: int, ord: float = 2) -> ScalarCheckResult:
+def radu_check(vectors, k: int) -> ScalarCheckResult:
     """Binomially weighted bound on the size-k subset-sum norms."""
-    return _evaluate("radu", vectors, k=k, ord=ord)
+    return _evaluate("radu", vectors, k=k)
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +353,7 @@ class SearchConfig:
     include_known: bool = False
     center: tuple[float, ...] | None = None
     radius: float = 2.0
-    ord: float = 2
+    tol: float = DEFAULT_SCALAR_TOL
 
 
 @dataclass(frozen=True)
@@ -328,24 +366,8 @@ class SearchViolation:
 
 
 def _search_margin(family: SearchFamily, cfg: SearchConfig, point: np.ndarray) -> ScalarCheckResult:
-    # One input per row: a vector for freudenthal, a point for hlawka-pop.
-    return _evaluate(family.value, point.reshape(cfg.n, -1), cfg.fn, ord=cfg.ord)
-
-
-def _flat_size(family: SearchFamily, cfg: SearchConfig) -> int:
-    return cfg.n * cfg.dim if family is SearchFamily.FREUDENTHAL else cfg.n
-
-
-def _sample_point(family: SearchFamily, cfg: SearchConfig, rng: np.random.Generator) -> np.ndarray:
-    size = _flat_size(family, cfg)
-    if cfg.center is not None:
-        center = np.asarray(cfg.center, dtype=np.float64)
-        if center.size != size:
-            raise InputError(f"center must have {size} coordinates, got {center.size}")
-        return center + rng.uniform(-cfg.radius, cfg.radius, size)
-    if family is SearchFamily.FREUDENTHAL:
-        return rng.standard_normal(size)
-    return rng.uniform(-10.0, 10.0, size)
+    # ``point`` is shaped as sample_inputs gives it.
+    return _evaluate(family.value, point, cfg.fn, tol=cfg.tol)
 
 
 def _coordinate_descent(
@@ -364,7 +386,7 @@ def _coordinate_descent(
             for i in range(point.size):
                 for delta in (step, -step):
                     trial = point.copy()
-                    trial[i] += delta
+                    trial.flat[i] += delta
                     margin = _search_margin(family, cfg, trial).margin
                     if margin < best - 1e-15:
                         best = margin
@@ -389,27 +411,20 @@ def counterexample_search(family: SearchFamily, cfg: SearchConfig) -> list[Searc
         if t == 0 and cfg.include_known and family is SearchFamily.HLAWKA_POP and cfg.n == 4:
             point = np.asarray(KNOWN_HLAWKA_POP_COUNTEREXAMPLE)
         else:
-            point = _sample_point(family, cfg, rng)
+            point = sample_inputs(family.value, rng, cfg.n, cfg.dim, cfg.center, cfg.radius)
         if cfg.strategy is SearchStrategy.COORDINATE_DESCENT:
             point = _coordinate_descent(family, cfg, point)
-        candidate = _search_margin(family, cfg, point)
-        if candidate.margin >= -DEFAULT_SCALAR_TOL * candidate.scale:
+        if _search_margin(family, cfg, point).holds:
             continue
         # Fresh evaluation of the exact values we are about to report.
-        inputs = tuple(float(x) for x in point.ravel())
-        confirmed = _search_margin(family, cfg, np.asarray(inputs))
-        if confirmed.margin < -DEFAULT_SCALAR_TOL * confirmed.scale:
-            if family is SearchFamily.FREUDENTHAL:
-                reported: tuple = tuple(
-                    tuple(row) for row in np.asarray(inputs).reshape(cfg.n, cfg.dim)
-                )
-            else:
-                reported = inputs
+        inputs = point.tolist()
+        confirmed = _search_margin(family, cfg, np.array(inputs))
+        if not confirmed.holds:
             violations.append(
                 SearchViolation(
                     trial_index=t,
                     seed=trial_seed,
-                    inputs=reported,
+                    inputs=tuple(map(tuple, inputs)) if point.ndim == 2 else tuple(inputs),
                     margin=confirmed.margin,
                     scale=confirmed.scale,
                 )

@@ -53,21 +53,7 @@ def inverse(p: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def permutation_sign(p: tuple[int, ...]) -> int:
-    return -1 if (len(p) - _num_cycles(p)) % 2 else 1
-
-
-def _num_cycles(p: tuple[int, ...]) -> int:
-    seen = [False] * len(p)
-    count = 0
-    for start in range(len(p)):
-        if seen[start]:
-            continue
-        count += 1
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-    return count
+    return (-1) ** (len(p) - len(cycle_type(p)))
 
 
 def cycle_type(p: tuple[int, ...]) -> tuple[int, ...]:

@@ -12,7 +12,7 @@ import pytest
 from hlawka.cli import build_parser, main
 from hlawka.harness import SUITES, RunConfig, run_counterexample, run_scalar_verify, run_verify
 from hlawka.linalg import PdSampleConfig, random_pd, save_matrix
-from hlawka.scalar import CONVEX_NORM_SUITES
+from hlawka.scalar import CONVEX_NORM_SUITES, SearchFamily
 from hlawka.sums import OperatorFamily
 from hlawka.symgroup import save_character_table
 from hlawka.util import format_complex_sig17, format_sig17
@@ -270,6 +270,48 @@ class TestCounterexampleCommand:
             main(["counterexample", "--family", "nonesuch", "--trials", "1"])
         assert err.value.code == 2
 
+    def test_tol_is_honoured(self, tmp_path):
+        docs = []
+        for extra in ([], ["--tol", "1e-3"]):
+            out = tmp_path / f"ce{len(docs)}.json"
+            assert main(["counterexample", "--family", "hlawka-pop", "--n", "4", "--trials", "100",
+                         "--out", str(out), *extra]) == 0
+            docs.append(json.loads(out.read_text()))
+        default, loose = docs
+        assert default["toleranceUsed"] == 1e-12
+        assert loose["toleranceUsed"] == 0.001
+        seeds = [v["seed"] for v in loose["violations"]]
+        assert seeds and set(seeds) < {v["seed"] for v in default["violations"]}
+
+    def test_centred_search_records_its_centre(self, tmp_path):
+        params = []
+        for extra in ([], ["--center=-10,1,1,9"], ["--center=-10,1,1,8", "--radius", "0.5"]):
+            out = tmp_path / f"ce{len(params)}.json"
+            assert main(["counterexample", "--family", "hlawka-pop", "--n", "4", "--trials", "20",
+                         "--out", str(out), *extra]) == 0
+            params.append(json.loads(out.read_text())["params"])
+        plain, centred, other = params
+        assert plain == {"n": 4, "dim": 2, "strategy": "random", "fn": "abs",
+                         "includeKnown": False}
+        assert centred == {**plain, "center": [-10.0, 1.0, 1.0, 9.0], "radius": 2.0}
+        assert other == {**plain, "center": [-10.0, 1.0, 1.0, 8.0], "radius": 0.5}
+
+    @pytest.mark.parametrize("family, scalar_args", [
+        ("freudenthal", ["--dim", "2"]),
+        ("hlawka-pop", ["--dim", "2", "--fn", "abs"]),
+    ])
+    def test_scalar_verify_trial_draws_the_search_start(self, family, scalar_args, tmp_path):
+        # Trial t of both commands samples its inputs from the same seed and the
+        # same draw, so the violating trials and their inputs coincide.
+        found = []
+        for args in (["scalar-verify", *scalar_args], ["counterexample", "--dim", "2"]):
+            out = tmp_path / f"{args[0]}.json"
+            main([*args, "--family", family, "--n", "4", "--trials", "200", "--seed", "5",
+                  "--out", str(out)])
+            found.append([(v["seed"], v["inputs"])
+                          for v in json.loads(out.read_text())["violations"]])
+        assert found[0] and found[0] == found[1]
+
 
 class TestImmanantCommand:
     def test_det_of_identity(self, id3, capsys):
@@ -320,6 +362,18 @@ class TestImmanantCommand:
         save_matrix(path, np.eye(9, dtype=complex))
         assert main(["immanant", str(path), "perm"]) == 3
 
+    @pytest.mark.parametrize("flags", [
+        "--seed 1", "--trials 5", "--tol 1e-3", "--max-dim 9", "--jobs 0", "--out r.json",
+        "--format csv", "--out r.json --jobs 0 --trials -5 --format csv",
+    ])
+    def test_takes_only_its_two_arguments(self, id3, flags, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as err:
+            main(["immanant", id3, "det", *flags.split()])
+        assert err.value.code == 2
+        assert f"unrecognized arguments: {flags}" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
 
 class TestFormatting:
     def test_sig17_round_trip(self, rng):
@@ -330,6 +384,25 @@ class TestFormatting:
     def test_complex_formatting(self):
         assert format_complex_sig17(1.0 + 0j) == "1"
         assert format_complex_sig17(1.5 - 2.25j) == "1.5-2.25i"
+
+
+class TestOverflowRefused:
+    # Each exited 0 with a NaN or overflowed margin, 1 with NaN violations, or
+    # raised a traceback; an overflow is refused as a usage error instead.
+    @pytest.mark.parametrize("command", [
+        "scalar-verify --family popoviciu --points 1e200,1e200,-1e200 --fn square",
+        "scalar-verify --family norm-hlawka --dim 1 --points 1e308,1e308,1e308",
+        "scalar-verify --family hlawka-pop --points 705,706,707,708 --fn exp",
+        "scalar-verify --family hlawka3 --char det --dim 3 --condition-target 1e200 --trials 2",
+        "scalar-verify --family jensen --points 800,1,2 --fn exp",
+        "verify --family hlawka3 --p 3 --condition-target 1e300 --trials 2",
+    ])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_exit_two_naming_the_overflow(self, command, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert main([*command.split(), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: overflow: ")
+        assert not out.exists()
 
 
 class TestHarnessApi:
@@ -380,6 +453,9 @@ class TestRegistryDrift:
         assert sorted(suites) == sorted(CONVEX_NORM_SUITES)
         for name, suite in suites.items():
             assert (suite.sampler == "vectors") == (CONVEX_NORM_SUITES[name].term == "norm")
+
+    def test_every_search_family_is_a_convex_norm_suite(self):
+        assert {family.value for family in SearchFamily} <= set(CONVEX_NORM_SUITES)
 
     def test_readme_statuses_match_the_registry(self):
         assert readme_statuses() == {name: suite.status for name, suite in SUITES.items()}

@@ -13,6 +13,7 @@ from hlawka.linalg import (
     PdSampleConfig,
     SpectrumKind,
     Verdict,
+    band_verdict,
     dump_matrix,
     hermitian_eigenvalues,
     kron,
@@ -201,6 +202,39 @@ class TestLoewner:
             lhs = tensor_power(a + b, p)
             rhs = tensor_power(a, p) + tensor_power(b, p)
             assert loewner_geq(lhs, rhs).ok
+
+
+class TestBandVerdict:
+    # (lo, largest, scale, tol) -> verdict; the band is tol * max(1, scale).
+    @pytest.mark.parametrize("lo, largest, scale, tol, verdict", [
+        (-0.5, 0.5, 100.0, 1e-2, Verdict.EQUALITY),   # inside the band, 1.0
+        (-1.0, 1.0, 100.0, 1e-2, Verdict.EQUALITY),   # both edges exactly on the band
+        (-1.0, 1.5, 100.0, 1e-2, Verdict.HOLDS),      # lo on the lower edge
+        (-1.5, 1.5, 100.0, 1e-2, Verdict.FAILS),      # lo below the lower edge
+        (0.5, 2.0, 100.0, 1e-2, Verdict.HOLDS),       # positive, beyond the band
+        (-0.1, 0.1, 0.5, 0.1, Verdict.EQUALITY),      # scale < 1 is clamped: band 0.1
+        (-0.2, 0.2, 0.5, 0.1, Verdict.FAILS),         # not 0.05 or 0.5
+        (-0.1, 0.1, 0.0, 0.1, Verdict.EQUALITY),
+        (math.nan, math.nan, 1.0, 1e-8, Verdict.FAILS),
+        (math.nan, math.nan, math.nan, 1e-8, Verdict.FAILS),
+        (-2.0, 2.0, math.nan, 1.0, Verdict.FAILS),    # max(1, nan) is 1
+    ])
+    def test_table(self, lo, largest, scale, tol, verdict):
+        assert band_verdict(lo, largest, scale, tol) is verdict
+
+    def test_certificate_is_the_band_verdict_of_its_spectrum(self, rng):
+        for _ in range(20):
+            d = random_hermitian(rng, 3)
+            cert = psd_certificate(d, 1e-2)
+            eigs = hermitian_eigenvalues(d)
+            assert cert.verdict is band_verdict(
+                eigs[0], np.max(np.abs(eigs)), cert.scale, cert.tolerance)
+
+    def test_overflowed_tensor_power_is_refused(self):
+        with np.errstate(over="ignore"):
+            square = tensor_power(HermitianMatrix.diagonal([1e200, 1.0]), 2)  # 1e400 is inf
+        with pytest.raises(InputError, match="overflow"):
+            psd_certificate(square)
 
 
 class TestRandomPd:

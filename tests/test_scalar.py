@@ -1,5 +1,6 @@
 """Convex/norm inequality evaluators, exact oracles, counterexample search."""
 
+import dataclasses
 import math
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hlawka.errors import InputError
+from hlawka.linalg import Verdict
 from hlawka.scalar import (
     KNOWN_HLAWKA_POP_COUNTEREXAMPLE,
     ConvexFunction,
@@ -27,6 +29,7 @@ from hlawka.scalar import (
     pop_levels_scalar_eval,
     popoviciu_check,
     radu_check,
+    sample_inputs,
     vasc_check,
 )
 
@@ -406,6 +409,83 @@ class TestCounterexampleSearch:
     def test_needs_three(self):
         with pytest.raises(InputError):
             counterexample_search(SearchFamily.HLAWKA_POP, SearchConfig(n=2, trials=1, seed=0))
+
+    def test_tolerance_decides_what_is_reported(self):
+        loose = SearchConfig(n=4, trials=300, seed=11, tol=1e-3)
+        found = counterexample_search(SearchFamily.HLAWKA_POP, loose)
+        strict = counterexample_search(SearchFamily.HLAWKA_POP,
+                                       dataclasses.replace(loose, tol=1e-12))
+        assert found and len(found) < len(strict)
+        assert {v.trial_index for v in found} < {v.trial_index for v in strict}
+        for v in found:
+            assert v.margin < -1e-3 * v.scale
+        for v in strict:
+            if v.trial_index not in {w.trial_index for w in found}:
+                assert v.margin >= -1e-3 * v.scale
+
+    def test_freudenthal_finds_keep_one_row_per_vector(self):
+        cfg = SearchConfig(n=5, dim=2, trials=300, seed=2)
+        found = counterexample_search(SearchFamily.FREUDENTHAL, cfg)
+        assert found
+        for v in found:
+            assert len(v.inputs) == 5 and all(len(row) == 2 for row in v.inputs)
+            assert all(isinstance(x, float) for row in v.inputs for x in row)
+
+
+class TestSampleInputs:
+    def test_shape_follows_the_term_rule(self):
+        rng = np.random.default_rng(0)
+        assert sample_inputs("freudenthal", rng, 4, 3).shape == (4, 3)
+        assert sample_inputs("radu", rng, 5, 2).shape == (5, 2)
+        assert sample_inputs("hlawka-pop", rng, 4, 3).shape == (4,)
+        assert sample_inputs("jensen", rng, 6, 3).shape == (6,)
+
+    def test_draws(self):
+        draw = sample_inputs("hlawka-pop", np.random.default_rng(3), 4, 2)
+        assert np.array_equal(draw, np.random.default_rng(3).uniform(-10.0, 10.0, 4))
+        draw = sample_inputs("freudenthal", np.random.default_rng(3), 4, 2)
+        assert np.array_equal(draw, np.random.default_rng(3).standard_normal(8).reshape(4, 2))
+
+    def test_center_is_flat_and_checked(self):
+        center = np.arange(8.0)
+        draw = sample_inputs("freudenthal", np.random.default_rng(1), 4, 2, center, 0.5)
+        offsets = np.random.default_rng(1).uniform(-0.5, 0.5, 8)
+        assert np.array_equal(draw, (center + offsets).reshape(4, 2))
+        with pytest.raises(InputError, match="center must have 8 coordinates, got 3"):
+            sample_inputs("freudenthal", np.random.default_rng(1), 4, 2, (1.0, 2.0, 3.0))
+
+
+class TestOverflowRefused:
+    def test_convex_function_overflow_is_inf(self):
+        assert ConvexFunction("exp")(800.0) == math.inf
+        assert ConvexFunction("fourth")(1e300) == math.inf
+        assert ConvexFunction("softplus")(1e308) == 1e308
+
+    @pytest.mark.parametrize("check", [
+        lambda: jensen_check(ConvexFunction("exp"), [800.0, 1.0, 2.0]),
+        lambda: popoviciu_check(SQUARE, 1e200, 1e200, -1e200),          # a NaN margin
+        lambda: popoviciu_check(SQUARE, 1e154, 1e154, 1e154),           # fsum overflows
+        lambda: conjecture_hlawka_pop_eval(ConvexFunction("exp"), [705, 706, 707, 708]),
+        lambda: norm_hlawka([1e308], [1e308], [1e308]),
+    ], ids=["exp-term", "nan-margin", "fsum", "scale", "norm"])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_refused_not_judged(self, check):
+        with pytest.raises(InputError, match="overflow"):
+            check()
+
+
+class TestVerdict:
+    def test_derived_from_the_stored_tolerance(self):
+        res = conjecture_hlawka_pop_eval(ABS, KNOWN_HLAWKA_POP_COUNTEREXAMPLE)
+        assert res.tolerance == 1e-12
+        assert res.verdict is Verdict.FAILS and not res.holds
+        # The margin -2 is within 0.03 * scale (82) of zero.
+        assert dataclasses.replace(res, tolerance=0.03).verdict is Verdict.EQUALITY
+        assert dataclasses.replace(res, tolerance=0.03).holds
+
+    def test_holds_and_equality(self):
+        assert jensen_check(SQUARE, [1.0, 2.0, 3.0]).verdict is Verdict.HOLDS
+        assert jensen_check(SQUARE, [2.0, 2.0]).verdict is Verdict.EQUALITY
 
 
 # ---------------------------------------------------------------------------
