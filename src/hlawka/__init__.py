@@ -3,9 +3,9 @@ inequalities on positive definite matrices.
 
 Public surface:
 
-* :mod:`hlawka.linalg` -- Hermitian matrices and their stacks, Kronecker
-  powers, Loewner certificates, seeded positive definite sampling, matrix
-  files.
+* :mod:`hlawka.linalg` -- Hermitian stacks (a matrix is a stack of one),
+  Kronecker powers, Loewner certificates, seeded positive definite
+  sampling, matrix files.
 * :mod:`hlawka.sums` -- the operator family table and its difference
   builders.
 * :mod:`hlawka.symgroup` / :mod:`hlawka.matfunc` -- permutation groups,
@@ -24,7 +24,6 @@ from .linalg import (
     LoewnerCertificate,
     PdBatchConfig,
     PdSampleConfig,
-    SpectrumKind,
     Verdict,
     hermitian_eigenvalues,
     kron,

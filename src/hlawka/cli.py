@@ -34,7 +34,8 @@ EXIT_BUDGET = 3
 def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="64-bit master seed")
     parser.add_argument("--trials", type=int, default=100, help="number of trials")
-    parser.add_argument("--tol", type=float, default=None, help="relative tolerance override")
+    parser.add_argument("--tol", type=float, default=None,
+                        help="relative tolerance override, finite and >= 0")
     parser.add_argument("--max-dim", type=int, default=DEFAULT_MAX_TENSOR_DIM,
                         help="tensor dimension budget (refuse, never truncate)")
     parser.add_argument("--jobs", type=int, default=1,

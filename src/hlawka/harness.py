@@ -161,6 +161,16 @@ SUITES = {
 }
 
 
+def _tolerance(cfg: RunConfig, default: float) -> float:
+    """The run's tolerance: ``cfg.tol`` or the suite's default, refused
+    unless finite and >= 0 (a NaN or negative band fails every verdict, an
+    infinite one passes every verdict)."""
+    tol = default if cfg.tol is None else cfg.tol
+    if not (math.isfinite(tol) and tol >= 0):
+        raise InputError(f"tol must be finite and >= 0, got {tol}")
+    return tol
+
+
 def _check_loop(trials: int, jobs: int) -> None:
     if trials < 0:
         raise InputError("trials must be nonnegative")
@@ -269,7 +279,7 @@ def run_verify(cfg: RunConfig) -> tuple[TrialReport, int]:
     """Sample PD tuples, build the family difference, certify each trial."""
     family, params = _operator_family(cfg)
     side = check_tensor_budget(cfg.dim, cfg.p, cfg.max_tensor_dim)
-    tol = DEFAULT_LOEWNER_TOL if cfg.tol is None else cfg.tol
+    tol = _tolerance(cfg, DEFAULT_LOEWNER_TOL)
     report = _report(cfg, cfg.family, {
         "n": cfg.n, "p": cfg.p, "dim": cfg.dim, "conditionTarget": cfg.condition_target,
         "maxTensorDim": cfg.max_tensor_dim, **_given(cfg)}, tol, cfg.trials)
@@ -298,7 +308,7 @@ def run_scalar_verify(cfg: RunConfig) -> tuple[TrialReport, int]:
         return _run(cfg, suite, *_scalar_trials(cfg, suite))
     family, params = _operator_family(cfg)
     group, chi = parse_character_selector(cfg.char, cfg.dim)
-    tol = DEFAULT_SCALAR_MATRIX_TOL if cfg.tol is None else cfg.tol
+    tol = _tolerance(cfg, DEFAULT_SCALAR_MATRIX_TOL)
     report = _report(cfg, f"{cfg.family}[{cfg.char}]", {
         "n": cfg.n, "p": cfg.p, "dim": cfg.dim, "char": cfg.char,
         "conditionTarget": cfg.condition_target}, tol, cfg.trials)
@@ -316,7 +326,7 @@ def run_scalar_verify(cfg: RunConfig) -> tuple[TrialReport, int]:
 
 def _scalar_trials(cfg: RunConfig, suite: Suite) -> tuple[TrialReport, Iterator]:
     """The report header and per-trial records of a points or vectors suite."""
-    tol = DEFAULT_SCALAR_TOL if cfg.tol is None else cfg.tol
+    tol = _tolerance(cfg, DEFAULT_SCALAR_TOL)
     points = suite.sampler == "points"
     fns = [None]
     if points:
@@ -366,7 +376,7 @@ def run_counterexample(cfg: RunConfig) -> tuple[TrialReport, int]:
         raise InputError(f"unknown strategy {cfg.strategy!r}") from exc
     fn = ConvexFunction(cfg.fn if cfg.fn != "all" else "abs")
     _check_loop(cfg.trials, cfg.jobs)
-    tol = DEFAULT_SCALAR_TOL if cfg.tol is None else cfg.tol
+    tol = _tolerance(cfg, DEFAULT_SCALAR_TOL)
     search_cfg = SearchConfig(
         n=cfg.n,
         dim=cfg.dim,

@@ -1,17 +1,19 @@
 """Dense complex Hermitian matrix algebra.
 
-Provides the carrier type for all operator computations
-(:class:`HermitianMatrix`), its stacked form for batches of trials
-(:class:`HermitianStack`), Kronecker products and tensor powers,
-eigenvalue-based positive-semidefiniteness certificates for the Loewner
-partial order, reproducible positive definite sampling, and the on-disk
-matrix format used by the CLI.
+One carrier holds all Hermitian data: :class:`HermitianStack`, same-size
+matrices on a leading axis, stored as one read-only ``(count, dim, dim)``
+array.  A single matrix, :class:`HermitianMatrix`, is a stack of one.  So
+each kernel here (eigenvalues, Loewner certificates, positive definite
+sampling) and in :mod:`hlawka.sums` and :mod:`hlawka.matfunc` has one code
+path over ``(count, dim, dim)`` arrays, and a single-matrix call is the
+stacked call on one matrix, bit for bit: LAPACK and the elementwise kernels
+run once per matrix on a stack.  :func:`_single_or_all` is the one place a
+single-matrix result is taken.  Also here: Kronecker products and tensor
+powers, and the on-disk matrix format used by the CLI.
 
 All values are immutable and all operations are pure functions, so they
 may be shared freely between threads.  Arithmetic is fixed double
-precision (complex128).  A stacked call gives, matrix by matrix, the bits
-the single-matrix call gives: LAPACK and the elementwise kernels run once
-per matrix on a stack.
+precision (complex128).
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import math
 import os
 from dataclasses import dataclass
 from enum import Enum
+from typing import ClassVar
 
 import numpy as np
 
@@ -46,114 +49,27 @@ class Verdict(Enum):
     EQUALITY = "EQUALITY"
 
 
-class SpectrumKind(Enum):
-    """Eigenvalue spacing used by :func:`random_pd`."""
-
-    UNIFORM = "UNIFORM"
-    LOGUNIFORM = "LOGUNIFORM"
-
-
-class HermitianMatrix:
-    """Immutable dense complex Hermitian matrix.
-
-    Construction validates that the input is square, finite, and Hermitian
-    within ``HERMITICITY_RTOL`` of its largest absolute entry, then stores
-    the exactly symmetrized form ``(X + X*) / 2``.  Diagonal imaginary
-    parts cancel exactly under IEEE arithmetic, so stored diagonals are
-    real.  The underlying array is marked read-only.
-    """
-
-    __slots__ = ("_arr", "_digest")
-
-    def __init__(self, entries) -> None:
-        arr = _as_array(entries)
-        max_abs = float(np.max(np.abs(arr)))
-        deviation = float(np.max(np.abs(arr - arr.conj().T)))
-        if deviation > HERMITICITY_RTOL * max_abs:
-            raise InputError(
-                f"matrix is not Hermitian: max |X - X*| = {deviation:.3e} "
-                f"exceeds {HERMITICITY_RTOL:.0e} * {max_abs:.3e}"
-            )
-        sym = (arr + arr.conj().T) / 2.0
-        sym.flags.writeable = False
-        self._arr = sym
-        self._digest = None
-
-    @classmethod
-    def _wrap_exact(cls, arr: np.ndarray) -> "HermitianMatrix":
-        # Internal fast path for arrays already exactly Hermitian
-        # (sums, real scalings, and Kronecker products of exactly
-        # Hermitian arrays stay exactly Hermitian in IEEE arithmetic).
-        obj = cls.__new__(cls)
-        a = np.ascontiguousarray(arr, dtype=np.complex128)
-        a.flags.writeable = False
-        obj._arr = a
-        obj._digest = None
-        return obj
-
-    @classmethod
-    def identity(cls, dim: int) -> "HermitianMatrix":
-        return cls._wrap_exact(np.eye(dim, dtype=np.complex128))
-
-    @classmethod
-    def diagonal(cls, values) -> "HermitianMatrix":
-        vals = np.asarray(values, dtype=np.float64)
-        return cls._wrap_exact(np.diag(vals).astype(np.complex128))
-
-    @property
-    def dim(self) -> int:
-        return self._arr.shape[0]
-
-    @property
-    def array(self) -> np.ndarray:
-        """The stored entries as a read-only (dim, dim) complex array."""
-        return self._arr
-
-    @property
-    def digest(self) -> str:
-        """Content hash; equal matrices (bitwise) share a digest."""
-        if self._digest is None:
-            self._digest = array_digest(self._arr)
-        return self._digest
-
-    def __add__(self, other: "HermitianMatrix") -> "HermitianMatrix":
-        if not isinstance(other, HermitianMatrix):
-            return NotImplemented
-        return HermitianMatrix._wrap_exact(self._arr + other._arr)
-
-    def __sub__(self, other: "HermitianMatrix") -> "HermitianMatrix":
-        if not isinstance(other, HermitianMatrix):
-            return NotImplemented
-        return HermitianMatrix._wrap_exact(self._arr - other._arr)
-
-    def __mul__(self, scalar) -> "HermitianMatrix":
-        s = float(scalar)  # real scalars only; complex would break hermiticity
-        return HermitianMatrix._wrap_exact(self._arr * s)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "HermitianMatrix":
-        return HermitianMatrix._wrap_exact(-self._arr)
-
-    def __repr__(self) -> str:
-        return f"HermitianMatrix(dim={self.dim})"
-
-
 class HermitianStack:
     """Immutable stack of same-size Hermitian matrices on a leading axis.
 
-    The batched counterpart of :class:`HermitianMatrix`: ``dim`` is the
-    size of one matrix, ``array`` the read-only ``(count, dim, dim)``
-    entries, ``stack[i]`` one matrix and ``stack[i:j]`` a sub-stack.
+    ``dim`` is the size of one matrix, ``array`` the read-only
+    ``(count, dim, dim)`` entries, ``stack[i]`` one matrix and
+    ``stack[i:j]`` a sub-stack.  Real scalings, negation, and sums and
+    differences of two carriers of one type act matrix by matrix and keep
+    the type.
     """
 
     __slots__ = ("_arr", "_digests")
 
     @classmethod
-    def _wrap_exact(cls, arr: np.ndarray) -> "HermitianStack":
-        # Same contract as HermitianMatrix._wrap_exact, per matrix.
+    def _wrap_exact(cls, arr: np.ndarray):
+        # Internal fast path for arrays already exactly Hermitian (sums,
+        # real scalings, and Kronecker products of exactly Hermitian arrays
+        # stay exactly Hermitian in IEEE arithmetic).  A (dim, dim) array
+        # is stored as a stack of one.
         obj = cls.__new__(cls)
         a = np.ascontiguousarray(arr, dtype=np.complex128)
+        a = a.reshape(-1, *a.shape[-2:])
         a.flags.writeable = False
         obj._arr = a
         obj._digests = None
@@ -161,7 +77,7 @@ class HermitianStack:
 
     @property
     def dim(self) -> int:
-        return self._arr.shape[1]
+        return self._arr.shape[-1]
 
     @property
     def array(self) -> np.ndarray:
@@ -170,7 +86,7 @@ class HermitianStack:
 
     @property
     def digests(self) -> tuple[str, ...]:
-        """Per-matrix content hashes, equal to each ``HermitianMatrix.digest``."""
+        """Per-matrix content hashes; equal matrices (bitwise) share one."""
         if self._digests is None:
             self._digests = tuple(array_digest(a) for a in self._arr)
         return self._digests
@@ -184,12 +100,77 @@ class HermitianStack:
         return HermitianMatrix._wrap_exact(self._arr[key])
 
     def __add__(self, other: "HermitianStack") -> "HermitianStack":
-        if not isinstance(other, HermitianStack):
+        if type(other) is not type(self):
             return NotImplemented
-        return HermitianStack._wrap_exact(self._arr + other._arr)
+        return type(self)._wrap_exact(self._arr + other._arr)
+
+    def __sub__(self, other: "HermitianStack") -> "HermitianStack":
+        if type(other) is not type(self):
+            return NotImplemented
+        return type(self)._wrap_exact(self._arr - other._arr)
+
+    def __mul__(self, scalar) -> "HermitianStack":
+        s = float(scalar)  # real scalars only; complex would break hermiticity
+        return type(self)._wrap_exact(self._arr * s)
+
+    __rmul__ = __mul__
+
+    def __neg__(self) -> "HermitianStack":
+        return type(self)._wrap_exact(-self._arr)
 
     def __repr__(self) -> str:
         return f"HermitianStack(count={len(self)}, dim={self.dim})"
+
+
+class HermitianMatrix(HermitianStack):
+    """Immutable dense complex Hermitian matrix: a :class:`HermitianStack`
+    of one, whose ``array`` is the read-only ``(dim, dim)`` view.
+
+    Construction validates that the input is square, finite, and Hermitian
+    within ``HERMITICITY_RTOL`` of its largest absolute entry, then stores
+    the exactly symmetrized form ``X/2 + X*/2``.  Halving first keeps every
+    finite input finite; halving is exact, so outside the subnormal range
+    this is ``(X + X*)/2`` bit for bit.  Diagonal imaginary parts cancel
+    exactly under IEEE arithmetic, so stored diagonals are real.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, entries) -> None:
+        arr = _as_array(entries)
+        max_abs = float(np.max(np.abs(arr)))
+        deviation = float(np.max(np.abs(arr - arr.conj().T)))
+        if deviation > HERMITICITY_RTOL * max_abs:
+            raise InputError(
+                f"matrix is not Hermitian: max |X - X*| = {deviation:.3e} "
+                f"exceeds {HERMITICITY_RTOL:.0e} * {max_abs:.3e}"
+            )
+        sym = (arr / 2.0 + arr.conj().T / 2.0)[np.newaxis]
+        sym.flags.writeable = False
+        self._arr = sym
+        self._digests = None
+
+    @classmethod
+    def identity(cls, dim: int) -> "HermitianMatrix":
+        return cls._wrap_exact(np.eye(dim, dtype=np.complex128))
+
+    @classmethod
+    def diagonal(cls, values) -> "HermitianMatrix":
+        vals = np.asarray(values, dtype=np.float64)
+        return cls._wrap_exact(np.diag(vals).astype(np.complex128))
+
+    @property
+    def array(self) -> np.ndarray:
+        """The stored entries as a read-only (dim, dim) complex array."""
+        return self._arr[0]
+
+    @property
+    def digest(self) -> str:
+        """Content hash; equal matrices (bitwise) share a digest."""
+        return self.digests[0]
+
+    def __repr__(self) -> str:
+        return f"HermitianMatrix(dim={self.dim})"
 
 
 @dataclass(frozen=True)
@@ -213,42 +194,38 @@ class LoewnerCertificate:
         return self.verdict is not Verdict.FAILS
 
 
-def _check_sample_config(dim: int, seeds, condition_target: float) -> None:
-    if dim < 1:
-        raise InputError("dim must be a positive integer")
-    if not all(0 <= seed < 2**64 for seed in seeds):
-        raise InputError("seed must be a 64-bit unsigned integer")
-    if not (math.isfinite(condition_target) and condition_target >= 1.0):
-        raise InputError("condition_target must be finite and >= 1")
-
-
-@dataclass(frozen=True)
-class PdSampleConfig:
-    """Parameters of one reproducible positive definite sample."""
-
-    dim: int
-    seed: int
-    condition_target: float = 10.0
-    spectrum_kind: SpectrumKind = SpectrumKind.LOGUNIFORM
-
-    def __post_init__(self) -> None:
-        _check_sample_config(self.dim, (self.seed,), self.condition_target)
-
-
 @dataclass(frozen=True)
 class PdBatchConfig:
-    """Parameters of a stack of samples: one per seed, otherwise shared.
-
-    Matrix ``i`` of the stack equals the single log-uniform sample with
-    ``seeds[i]``.
-    """
+    """Parameters of a stack of positive definite samples: one per seed,
+    otherwise shared.  :func:`random_pd` gives a :class:`HermitianStack`."""
 
     dim: int
     seeds: tuple[int, ...]
     condition_target: float = 10.0
+    _carrier: ClassVar[type] = HermitianStack
 
     def __post_init__(self) -> None:
-        _check_sample_config(self.dim, self.seeds, self.condition_target)
+        if self.dim < 1:
+            raise InputError("dim must be a positive integer")
+        if not all(0 <= seed < 2**64 for seed in self.seeds):
+            raise InputError("seed must be a 64-bit unsigned integer")
+        if not (math.isfinite(self.condition_target) and self.condition_target >= 1.0):
+            raise InputError("condition_target must be finite and >= 1")
+
+
+class PdSampleConfig(PdBatchConfig):
+    """The one-seed :class:`PdBatchConfig`: :func:`random_pd` gives a
+    :class:`HermitianMatrix`, matrix 0 of the stack it gives for
+    ``seeds=(seed,)``."""
+
+    _carrier: ClassVar[type] = HermitianMatrix
+
+    def __init__(self, dim: int, seed: int, condition_target: float = 10.0) -> None:
+        super().__init__(dim, (seed,), condition_target)
+
+    @property
+    def seed(self) -> int:
+        return self.seeds[0]
 
 
 def _as_array(mat) -> np.ndarray:
@@ -316,24 +293,49 @@ def tensor_power(mat: HermitianMatrix, power: int, max_dim: int = DEFAULT_MAX_TE
     return HermitianMatrix._wrap_exact(_kron_power(mat.array, power))
 
 
-def _hermitian(mat):
-    if isinstance(mat, (HermitianMatrix, HermitianStack)):
-        return mat
-    return HermitianMatrix(mat)
+def _hermitian(mat) -> HermitianStack:
+    """The carrier of ``mat``: a stack as it is, anything else validated as
+    one :class:`HermitianMatrix`."""
+    return mat if isinstance(mat, HermitianStack) else HermitianMatrix(mat)
 
 
-def hermitian_eigenvalues(mat: HermitianMatrix | HermitianStack) -> np.ndarray:
+def _entries(mat) -> np.ndarray:
+    """The ``(count, dim, dim)`` entries of a carrier, or of one plain square
+    matrix (Hermitian or not) as a stack of one."""
+    return mat._arr if isinstance(mat, HermitianStack) else _as_array(mat)[np.newaxis]
+
+
+def _single_or_all(given, values):
+    """The one place a single-matrix result is taken: ``values[0]`` when
+    ``given`` is one matrix (a :class:`HermitianMatrix` or a plain 2-D array),
+    all of ``values``, one per matrix, when it is a stack.  A numpy scalar
+    comes back as the Python number of the same bits."""
+    if isinstance(given, HermitianMatrix) or not isinstance(given, HermitianStack):
+        first = values[0]
+        return first.item() if isinstance(first, np.generic) else first
+    return values
+
+
+def _same_shape(mats) -> list[HermitianStack]:
+    """The inputs as carriers, refused unless all share one dimension and
+    one count: the input check of every kernel over several carriers."""
+    hs = [_hermitian(m) for m in mats]
+    if any(h.dim != hs[0].dim for h in hs):
+        raise InputError("all matrices must share one dimension")
+    if any(len(h) != len(hs[0]) for h in hs):
+        raise InputError("stacked inputs must all be stacks of one length")
+    return hs
+
+
+def hermitian_eigenvalues(mat: HermitianStack) -> np.ndarray:
     """All eigenvalues, ascending (one row per matrix of a stack).
     Deterministic for identical input."""
-    return np.linalg.eigvalsh(_hermitian(mat).array)
+    return _single_or_all(mat, np.linalg.eigvalsh(_hermitian(mat)._arr))
 
 
-def min_eigenvalue(mat: HermitianMatrix | HermitianStack):
+def min_eigenvalue(mat: HermitianStack):
     """Smallest eigenvalue of a Hermitian matrix; an array of them for a stack."""
-    eigs = hermitian_eigenvalues(mat)
-    if eigs.ndim == 2:
-        return eigs[:, 0]
-    return float(eigs[0])
+    return _single_or_all(mat, np.linalg.eigvalsh(_hermitian(mat)._arr)[:, 0])
 
 
 def band_verdict(lo: float, largest: float, scale: float, tol: float) -> Verdict:
@@ -349,7 +351,7 @@ def band_verdict(lo: float, largest: float, scale: float, tol: float) -> Verdict
     return Verdict.FAILS
 
 
-def psd_certificate(mat: HermitianMatrix | HermitianStack, tol: float = DEFAULT_LOEWNER_TOL):
+def psd_certificate(mat: HermitianStack, tol: float = DEFAULT_LOEWNER_TOL):
     """Certify ``mat >= 0`` in the Loewner order; a list of certificates,
     one per matrix, for a stack.
 
@@ -357,14 +359,12 @@ def psd_certificate(mat: HermitianMatrix | HermitianStack, tol: float = DEFAULT_
     infinity norm of ``mat``; tensor powers inflate magnitudes, so an
     absolute tolerance would be meaningless.  An overflowed scale is refused.
     """
-    mat = _hermitian(mat)
-    scales = np.linalg.norm(mat.array, np.inf, axis=(-2, -1))
+    arr = _hermitian(mat)._arr
+    scales = np.linalg.norm(arr, np.inf, axis=(-2, -1))
     if not np.isfinite(scales).all():
         raise InputError("overflow: the matrix to certify exceeds double precision")
-    eigs = np.linalg.eigvalsh(mat.array)
-    if eigs.ndim == 1:
-        return _certificate(eigs, float(scales), tol)
-    return [_certificate(e, float(s), tol) for e, s in zip(eigs, scales)]
+    eigs = np.linalg.eigvalsh(arr)
+    return _single_or_all(mat, [_certificate(e, float(s), tol) for e, s in zip(eigs, scales)])
 
 
 def _certificate(eigs: np.ndarray, scale: float, tol: float) -> LoewnerCertificate:
@@ -375,28 +375,25 @@ def _certificate(eigs: np.ndarray, scale: float, tol: float) -> LoewnerCertifica
 
 def loewner_geq(a: HermitianMatrix, b: HermitianMatrix, tol: float = DEFAULT_LOEWNER_TOL) -> LoewnerCertificate:
     """Certificate for ``a >= b`` (positive semidefiniteness of a - b)."""
-    a, b = _hermitian(a), _hermitian(b)
-    if a.dim != b.dim:
-        raise InputError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    a, b = _same_shape([a, b])
     return psd_certificate(a - b, tol)
 
 
-def random_pd(cfg: PdSampleConfig | PdBatchConfig):
-    """Seeded Hermitian positive definite sample; a :class:`HermitianStack`
-    of one log-uniform sample per seed for a :class:`PdBatchConfig`.
+def random_pd(cfg: PdBatchConfig) -> HermitianStack:
+    """Seeded Hermitian positive definite samples, one per seed, as a
+    :class:`HermitianStack`; one :class:`HermitianMatrix` for a
+    :class:`PdSampleConfig`.
 
     Built as ``Q diag(lam) Q*`` where Q comes from the QR factorization of
     a seeded complex Gaussian matrix (columns rephased so R has a positive
-    real diagonal, which makes Q canonical) and ``lam`` is a deterministic
+    real diagonal, which makes Q canonical) and ``lam`` is the log-uniform
     grid on ``[1, condition_target]``.  Identical configs give
     bit-identical output on the same platform.
     """
-    stacked = isinstance(cfg, PdBatchConfig)
-    seeds = cfg.seeds if stacked else (cfg.seed,)
     d = cfg.dim
-    re = np.empty((len(seeds), d, d))
-    im = np.empty((len(seeds), d, d))
-    for k, seed in enumerate(seeds):
+    re = np.empty((len(cfg.seeds), d, d))
+    im = np.empty((len(cfg.seeds), d, d))
+    for k, seed in enumerate(cfg.seeds):
         rng = np.random.default_rng(seed)
         rng.standard_normal(out=re[k])
         rng.standard_normal(out=im[k])
@@ -405,15 +402,10 @@ def random_pd(cfg: PdSampleConfig | PdBatchConfig):
     diag = np.diagonal(r, axis1=-2, axis2=-1).copy()
     diag[diag == 0] = 1.0
     q = q * (diag / np.abs(diag)).conj()[:, None, :]
-    if not stacked and cfg.spectrum_kind is SpectrumKind.UNIFORM:
-        lam = np.linspace(1.0, cfg.condition_target, d)
-    else:
-        lam = np.geomspace(1.0, cfg.condition_target, d)
+    lam = np.geomspace(1.0, cfg.condition_target, d)
     h = (q * lam) @ q.conj().swapaxes(-1, -2)
     h = (h + h.conj().swapaxes(-1, -2)) / 2.0
-    if stacked:
-        return HermitianStack._wrap_exact(h)
-    return HermitianMatrix._wrap_exact(h[0])
+    return cfg._carrier._wrap_exact(h)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from math import fsum
 import numpy as np
 
 from .errors import BudgetError, InputError
-from .linalg import HermitianMatrix, HermitianStack, _as_array, _hermitian
+from .linalg import HermitianStack, _as_array, _entries, _same_shape, _single_or_all
 from .scalar import ScalarCheckResult, _result
 from .sums import OperatorFamily, TensorSumParams, family_levels
 from .symgroup import CharacterSpec, GroupSpec, character_values, enumerate_group
@@ -47,9 +47,10 @@ def _group_data(group: GroupSpec, chi: CharacterSpec) -> tuple[np.ndarray, np.nd
 def generalized_matrix_function(x, group: GroupSpec, chi: CharacterSpec):
     """Evaluate d(X) = sum_sigma chi(sigma) prod_i X[i, sigma(i)].
 
-    A :class:`HermitianStack` gives an array of d(X), one per matrix.
+    ``x`` is one square matrix, Hermitian or not, or a
+    :class:`HermitianStack`, which gives an array of d(X), one per matrix.
     """
-    arr = x.array if isinstance(x, HermitianStack) else _as_array(x)
+    arr = _entries(x)
     m = arr.shape[-1]
     if m != group.degree:
         raise InputError(f"matrix dimension {m} does not match group degree {group.degree}")
@@ -58,8 +59,7 @@ def generalized_matrix_function(x, group: GroupSpec, chi: CharacterSpec):
     # stack as alone; one matrix-vector product over the whole stack would
     # round differently from the per-matrix dot.
     products = np.take(arr.reshape(-1, m * m), flat, axis=1).prod(axis=-1)
-    values = [chis @ row for row in products]
-    return np.array(values) if arr.ndim == 3 else complex(values[0])
+    return _single_or_all(x, np.array([chis @ row for row in products]))
 
 
 def determinant_via_elimination(x) -> complex:
@@ -116,12 +116,10 @@ def permanent_oracle(x) -> complex:
 
 def elementary_symmetric_det(mats, k: int) -> float:
     """Sum of determinants of all size-k subset sums of Hermitian inputs."""
-    hs = [m if isinstance(m, HermitianMatrix) else HermitianMatrix(m) for m in mats]
+    hs = _same_shape(mats)
     n = len(hs)
     if not 1 <= k <= n:
         raise InputError(f"k must satisfy 1 <= k <= {n}, got {k}")
-    if any(h.dim != hs[0].dim for h in hs):
-        raise InputError("all matrices must share one dimension")
     terms = []
     for idx in combinations(range(n), k):
         subset = hs[idx[0]]
@@ -151,18 +149,16 @@ def scalar_inequality_check(
     coefficients are unchanged.  For positive semidefinite inputs the
     values are real up to rounding; the real parts are compared.
 
-    With :class:`HermitianStack` inputs (input ``i`` of every trial in
-    stack ``i``) every trial is checked at once and a list of results, one
-    per trial, is returned.
+    Input ``i`` is a :class:`HermitianStack` holding input ``i`` of every
+    trial (a :class:`~hlawka.linalg.HermitianMatrix` is the stack of one
+    trial); every trial is checked at once and a list of results, one per
+    trial, is returned, or one result for single-matrix inputs.
     """
-    hs = [_hermitian(m) for m in mats]
-    stacked = any(isinstance(h, HermitianStack) for h in hs)
-    n = len(hs)
+    hs = _same_shape(mats)
     if any(h.dim != group.degree for h in hs):
         raise InputError("matrix dimension must equal the group degree")
-    if stacked and not all(isinstance(h, HermitianStack) and len(h) == len(hs[0]) for h in hs):
-        raise InputError("stacked inputs must all be stacks of one length")
-    lhs, rhs = family_levels(family, n, params)
+    arrays = [_entries(h) for h in hs]
+    lhs, rhs = family_levels(family, len(hs), params)
 
     def evaluate(levels) -> np.ndarray:
         # One row per term, one column per trial.  Subset sums stay in input
@@ -172,17 +168,17 @@ def scalar_inequality_check(
         for level in levels:
             weight = float(level.weight)
             for idx in level.subsets:
-                subset = hs[idx[0]]
+                subset = arrays[idx[0]]
                 for i in idx[1:]:
-                    subset = subset + hs[i]
-                values.append(weight * np.atleast_1d(generalized_matrix_function(subset, group, chi)).real)
+                    subset = subset + arrays[i]
+                d = generalized_matrix_function(HermitianStack._wrap_exact(subset), group, chi)
+                values.append(weight * d.real)
         return np.array(values)
 
     lhs_values = evaluate(lhs)
     rhs_values = evaluate(rhs)
-    results = [_result(lhs_values[:, t], rhs_values[:, t], tol)
-               for t in range(lhs_values.shape[1])]
-    return results if stacked else results[0]
+    return _single_or_all(hs[0], [_result(lhs_values[:, t], rhs_values[:, t], tol)
+                                  for t in range(lhs_values.shape[1])])
 
 
 def parse_character_selector(selector: str, dim: int) -> tuple[GroupSpec, CharacterSpec]:

@@ -4,12 +4,12 @@ Every family is one entry of :data:`FAMILIES`: its LHS and RHS as levels,
 each an exact weight times a list of index subsets, read as
 ``sum_S weight * F(X_S)`` for the subset sums ``X_S`` and a functor ``F``.
 :func:`build_difference` takes ``F`` to be the p-fold Kronecker power and
-assembles LHS - RHS as a single :class:`~hlawka.linalg.HermitianMatrix`,
-ready for Loewner certification; :func:`hlawka.matfunc.scalar_inequality_check`
-takes a generalized matrix function.  Given
-:class:`~hlawka.linalg.HermitianStack` inputs (matrix ``i`` of every trial
-in stack ``i``), every trial's difference is built at once and returned as
-a stack, bit for bit the per-trial results.  The families:
+assembles LHS - RHS, ready for Loewner certification;
+:func:`hlawka.matfunc.scalar_inequality_check` takes a generalized matrix
+function.  Input ``i`` is a :class:`~hlawka.linalg.HermitianStack` holding
+matrix ``i`` of every trial (a :class:`~hlawka.linalg.HermitianMatrix` is
+the stack of one trial), and every trial's difference is built at once: a
+stack of them, or one matrix for single-matrix inputs.  The families:
 
 * ``superadd``:    (A1+...+An)^op  >=  sum_i Ai^op
 * ``hlawka3``:     (A+B+C)^op + A^op + B^op + C^op  >=  sum of pair powers
@@ -40,7 +40,15 @@ from math import comb, lcm
 import numpy as np
 
 from .errors import InputError
-from .linalg import DEFAULT_MAX_TENSOR_DIM, HermitianMatrix, HermitianStack, check_tensor_budget
+from .linalg import (
+    DEFAULT_MAX_TENSOR_DIM,
+    HermitianMatrix,
+    HermitianStack,
+    _entries,
+    _same_shape,
+    _single_or_all,
+    check_tensor_budget,
+)
 from .linalg import _kron_power as _power
 
 
@@ -167,38 +175,21 @@ def family_levels(
 
 
 def _canonical_arrays(mats, *, keep_first_fixed: bool = False) -> list[np.ndarray]:
-    hs = [m if isinstance(m, (HermitianMatrix, HermitianStack)) else HermitianMatrix(m)
-          for m in mats]
-    if not hs:
+    # Sort each trial's matrices by their own digests (stable, so equal
+    # matrices keep their input order), then gather every position into one
+    # contiguous (trials, dim, dim) array.
+    if not mats:
         raise InputError("need at least one matrix")
-    dim = hs[0].dim
-    if any(h.dim != dim for h in hs):
-        raise InputError("all matrices must share one dimension")
+    hs = _same_shape(mats)
     first = 1 if keep_first_fixed else 0
-    if any(isinstance(h, HermitianStack) for h in hs):
-        return _canonical_stacks(hs, first)
-    return [h.array for h in hs[:first] + sorted(hs[first:], key=lambda h: h.digest)]
-
-
-def _canonical_stacks(hs: list, first: int) -> list[np.ndarray]:
-    # Sort each trial's matrices by their own digests, then gather every
-    # position into one contiguous (trials, dim, dim) array.
-    if not all(isinstance(h, HermitianStack) and len(h) == len(hs[0]) for h in hs):
-        raise InputError("stacked inputs must all be stacks of one length")
     keys = list(zip(*(h.digests for h in hs)))
     order = np.array(
         [list(range(first)) + sorted(range(first, len(hs)), key=k.__getitem__) for k in keys],
         dtype=np.intp,
     ).reshape(len(keys), len(hs))
-    stacked = np.stack([h.array for h in hs])
+    stacked = np.stack([_entries(h) for h in hs])
     trial = np.arange(len(keys))
     return [stacked[order[:, i], trial] for i in range(len(hs))]
-
-
-def _wrap(arr: np.ndarray):
-    if arr.ndim == 3:
-        return HermitianStack._wrap_exact(arr)
-    return HermitianMatrix._wrap_exact(arr)
 
 
 def _pairwise_sum(terms) -> np.ndarray:
@@ -232,14 +223,16 @@ def _level_sum(arrays: list[np.ndarray], level: Level, p: int, den: int) -> np.n
 
 def symmetric_tensor_sum(
     mats, k: int, p: int, max_dim: int = DEFAULT_MAX_TENSOR_DIM
-) -> HermitianMatrix:
+) -> HermitianStack:
     """Sum of p-fold Kronecker powers of all size-k subset sums."""
+    mats = list(mats)
     arrays = _canonical_arrays(mats)
     n = len(arrays)
     if not 1 <= k <= n:
         raise InputError(f"k must satisfy 1 <= k <= {n}, got {k}")
     check_tensor_budget(arrays[0].shape[-1], p, max_dim)
-    return _wrap(_level_sum(arrays, _level(n, k), p, 1))
+    total = _level_sum(arrays, _level(n, k), p, 1)
+    return _single_or_all(mats[0], HermitianStack._wrap_exact(total))
 
 
 def build_difference(
@@ -247,7 +240,7 @@ def build_difference(
     mats,
     params: TensorSumParams,
     max_dim: int = DEFAULT_MAX_TENSOR_DIM,
-) -> HermitianMatrix:
+) -> HermitianStack:
     """LHS - RHS of the family's table entry at Kronecker power ``params.p``.
 
     The tuple size is the number of matrices given.  Each level streams its
@@ -265,7 +258,7 @@ def build_difference(
         for side in sides
     )
     diff = lhs - rhs
-    return _wrap(diff if den == 1 else diff / den)
+    return _single_or_all(mats[0], HermitianStack._wrap_exact(diff if den == 1 else diff / den))
 
 
 def _build(family: OperatorFamily, mats, p: int, max_dim: int, **levels) -> HermitianMatrix:

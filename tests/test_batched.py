@@ -342,6 +342,25 @@ class TestStackedCalls:
             scalar_inequality_check(OperatorFamily.SUPERADD, [a, b], TensorSumParams(n=2, p=2),
                                     group, chi)
 
+    @pytest.mark.parametrize("shapes, message", [
+        (((3, 2), (2, 2)), "stacked inputs must all be stacks of one length"),
+        (((3, 2), (3, 3)), "all matrices must share one dimension"),
+        (((None, 2), (None, 3)), "all matrices must share one dimension"),
+        (((None, 2), (3, 2)), "stacked inputs must all be stacks of one length"),
+    ])
+    def test_one_input_check_for_both_routes(self, shapes, message):
+        # (count, dim) per input; a count of None is one HermitianMatrix.
+        mats = [pd_tuple(seed, 1, dim)[0] if count is None
+                else stack_of(pd_tuple(seed, count, dim))
+                for seed, (count, dim) in enumerate(shapes)]
+        params = TensorSumParams(n=2, p=2)
+        group, chi = parse_character_selector("det", 2)
+        with pytest.raises(InputError) as tensor:
+            build_difference(OperatorFamily.SUPERADD, mats, params)
+        with pytest.raises(InputError) as scalar:
+            scalar_inequality_check(OperatorFamily.SUPERADD, mats, params, group, chi)
+        assert str(tensor.value) == str(scalar.value) == message
+
 
 def one_qr_sample(cfg: PdSampleConfig) -> np.ndarray:
     """A log-uniform sample by the one-matrix-at-a-time formula: its own

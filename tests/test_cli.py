@@ -405,6 +405,28 @@ class TestOverflowRefused:
         assert not out.exists()
 
 
+class TestToleranceRefused:
+    # A NaN or negative band failed every verdict (3 false violations of a
+    # proven family at minMargin +23.5); an infinite one passed every verdict.
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    def test_every_subcommand_exits_two_with_one_message(self, tol, tmp_path, capsys):
+        commands = [
+            "verify --family hlawka3",
+            "scalar-verify --family hlawka3 --char det",
+            "scalar-verify --family jensen",
+            "counterexample --family freudenthal",
+        ]
+        out = tmp_path / "r.json"
+        errors = set()
+        for command in commands:
+            assert main([*command.split(), "--trials", "3", "--tol", tol, "--out", str(out)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            errors.add(captured.err)
+        assert errors == {f"error: tol must be finite and >= 0, got {float(tol)}\n"}
+        assert not out.exists()
+
+
 class TestHarnessApi:
     def test_psd_only_flag_never_set_for_pd_sampler(self):
         report, code = run_verify(RunConfig(family="hlawka3", p=2, dim=2, trials=5, seed=1))
@@ -434,10 +456,14 @@ def family_choices(command: str) -> tuple:
     return tuple(next(a.choices for a in sub.choices[command]._actions if a.dest == "family"))
 
 
+def readme_section(title: str) -> str:
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return text.split(f"## {title}", 1)[1].split("\n## ", 1)[0]
+
+
 def readme_statuses() -> dict:
     """Name and status of every row of the README "What is checked" tables."""
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    section = text.split("## What is checked", 1)[1].split("\n## ", 1)[0]
+    section = readme_section("What is checked")
     return dict(re.findall(r"^\| `([^`]+)` +\|.*\| *(\w+) *\|$", section, flags=re.M))
 
 
@@ -459,3 +485,7 @@ class TestRegistryDrift:
 
     def test_readme_statuses_match_the_registry(self):
         assert readme_statuses() == {name: suite.status for name, suite in SUITES.items()}
+
+    def test_readme_library_sketch_runs_as_written(self):
+        code = re.search(r"```python\n(.*?)```", readme_section("Library sketch"), flags=re.S)
+        exec(compile(code.group(1), "README.md", "exec"), {})

@@ -10,8 +10,8 @@ from conftest import random_hermitian
 from hlawka.errors import BudgetError, InputError
 from hlawka.linalg import (
     HermitianMatrix,
+    HermitianStack,
     PdSampleConfig,
-    SpectrumKind,
     Verdict,
     band_verdict,
     dump_matrix,
@@ -54,6 +54,19 @@ class TestHermitianMatrix:
         h = HermitianMatrix.identity(2)
         with pytest.raises(ValueError):
             h.array[0, 0] = 5.0
+
+    def test_entries_near_the_largest_double_stay_finite(self):
+        # X/2 + X*/2, not (X + X*)/2, which overflows to inf+nanj.
+        h = HermitianMatrix(np.full((2, 2), 1e308))
+        assert np.isfinite(h.array).all()
+        assert np.array_equal(h.array, np.full((2, 2), 1e308))
+
+    def test_is_a_stack_of_one(self, rng):
+        h = random_hermitian(rng, 3)
+        assert isinstance(h, HermitianStack)
+        assert len(h) == 1 and h.digests == (h.digest,)
+        assert h.array.shape == (3, 3) and not h.array.flags.writeable
+        assert h[0].array.tobytes() == h.array.tobytes()
 
     def test_arithmetic_stays_exactly_hermitian(self, rng):
         a = random_hermitian(rng, 4)
@@ -254,12 +267,6 @@ class TestRandomPd:
             eigs = hermitian_eigenvalues(h)
             ratio = eigs[-1] / eigs[0]
             assert 50.0 <= ratio <= 200.0
-
-    def test_uniform_spectrum_kind(self):
-        h = random_pd(PdSampleConfig(dim=4, seed=3, condition_target=7.0,
-                                     spectrum_kind=SpectrumKind.UNIFORM))
-        eigs = hermitian_eigenvalues(h)
-        assert np.allclose(eigs, np.linspace(1.0, 7.0, 4), rtol=1e-9)
 
     def test_config_validation(self):
         with pytest.raises(InputError):
