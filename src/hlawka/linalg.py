@@ -18,6 +18,7 @@ precision (complex128).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -207,7 +208,7 @@ class PdBatchConfig:
     def __post_init__(self) -> None:
         if self.dim < 1:
             raise InputError("dim must be a positive integer")
-        if not all(0 <= seed < 2**64 for seed in self.seeds):
+        if not all(isinstance(seed, (int, np.integer)) and 0 <= seed < 2**64 for seed in self.seeds):
             raise InputError("seed must be a 64-bit unsigned integer")
         if not (math.isfinite(self.condition_target) and self.condition_target >= 1.0):
             raise InputError("condition_target must be finite and >= 1")
@@ -229,8 +230,10 @@ class PdSampleConfig(PdBatchConfig):
 
 
 def _as_array(mat) -> np.ndarray:
-    if isinstance(mat, HermitianMatrix):
-        return mat.array
+    if isinstance(mat, HermitianStack):
+        if len(mat) != 1:
+            raise InputError(f"expected one matrix, got a stack of {len(mat)}")
+        return mat._arr[0]
     arr = np.asarray(mat, dtype=np.complex128)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
         raise InputError(f"expected a nonempty square matrix, got shape {arr.shape}")
@@ -389,15 +392,19 @@ def random_pd(cfg: PdBatchConfig) -> HermitianStack:
     real diagonal, which makes Q canonical) and ``lam`` is the log-uniform
     grid on ``[1, condition_target]``.  Identical configs give
     bit-identical output on the same platform.
+
+    Stream contract: sample k draws exactly the stream of
+    ``numpy.random.default_rng(seeds[k])``, the real parts of its Gaussian
+    matrix then the imaginary parts.  The generators are seeded from
+    :func:`_seed_states`, which hashes the seed words of the whole call at
+    once.
     """
     d = cfg.dim
-    re = np.empty((len(cfg.seeds), d, d))
-    im = np.empty((len(cfg.seeds), d, d))
-    for k, seed in enumerate(cfg.seeds):
-        rng = np.random.default_rng(seed)
-        rng.standard_normal(out=re[k])
-        rng.standard_normal(out=im[k])
-    z = re + 1j * im
+    preset = _preset_state_type()
+    draws = np.empty((len(cfg.seeds), 2, d, d))
+    for state, out in zip(_seed_states(cfg.seeds), draws):
+        np.random.Generator(np.random.PCG64(preset(state))).standard_normal(out=out)
+    z = draws[:, 0] + 1j * draws[:, 1]
     q, r = np.linalg.qr(z)
     diag = np.diagonal(r, axis1=-2, axis2=-1).copy()
     diag[diag == 0] = 1.0
@@ -406,6 +413,67 @@ def random_pd(cfg: PdBatchConfig) -> HermitianStack:
     h = (q * lam) @ q.conj().swapaxes(-1, -2)
     h = (h + h.conj().swapaxes(-1, -2)) / 2.0
     return cfg._carrier._wrap_exact(h)
+
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) for one 64-bit
+# seed: the entropy words are the seed's low and high 32 bits (a seed below
+# 2**32 has one word, and the absent one hashes as 0 all the same), the pool
+# holds 4 words, and PCG64 asks for 4 uint64 words of state.  The hash
+# constants do not depend on the seed: mixing call j XORs its value with
+# _MIX_CONST[j] and multiplies it by _MIX_CONST[j + 1], and output word j
+# uses _OUT_CONST the same way.
+
+
+def _power_chain(init: int, mult: int, count: int) -> np.ndarray:
+    chain = [init]
+    for _ in range(count):
+        chain.append(chain[-1] * mult & 0xFFFFFFFF)
+    return np.array(chain, dtype=np.uint32)
+
+
+_MIX_CONST = _power_chain(0x43B0D7E5, 0x931E8875, 16)
+_OUT_CONST = _power_chain(0x8B51F9DD, 0x58F38DED, 8)
+
+
+def _hashmix(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    # Row r of ``values`` XORed with consts[r], times consts[r + 1], folded.
+    v = (values ^ consts[:-1, None]) * consts[1:, None]
+    return v ^ (v >> 16)
+
+
+def _seed_states(seeds) -> np.ndarray:
+    """``SeedSequence(s).generate_state(4, np.uint64)`` for every seed, one
+    row each, computed for all seeds in one uint32 pass (arrays wrap
+    modulo 2**32 as the C code does)."""
+    pool = np.zeros((4, len(seeds)), dtype=np.uint32)
+    pool[:2] = np.array(seeds, dtype="<u8").view("<u4").reshape(-1, 2).T
+    pool = _hashmix(pool, _MIX_CONST[:5])
+    for src in range(4):
+        # numpy mixes word src into each other word in turn; word src does
+        # not change meanwhile, so the three updates are independent.
+        dst = [i for i in range(4) if i != src]
+        hashed = _hashmix(pool[src], _MIX_CONST[4 + 3 * src:8 + 3 * src])
+        mixed = 0xCA01F9DD * pool[dst] - 0x4973F715 * hashed  # MIX_MULT_L, MIX_MULT_R
+        pool[dst] = mixed ^ (mixed >> 16)
+    out = _hashmix(np.concatenate((pool, pool)), _OUT_CONST)
+    return out.T.astype("<u4", order="C").view("<u8").astype(np.uint64)
+
+
+@functools.cache
+def _preset_state_type() -> type:
+    """A ``numpy.random`` seed sequence that hands over a state already
+    hashed by :func:`_seed_states`.  Defined on first use, so that importing
+    :mod:`hlawka` does not import ``numpy.random``."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class PresetState(ISeedSequence):
+        def __init__(self, state: np.ndarray) -> None:
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+            return self.state
+
+    return PresetState
 
 
 # ---------------------------------------------------------------------------

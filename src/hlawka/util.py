@@ -21,8 +21,8 @@ def splitmix64(state: int) -> int:
 def derive_seed(master_seed: int, index: int) -> int:
     """Deterministic per-trial seed from a master seed and a trial index.
 
-    Independent of how many other indices are drawn, so parallel trial
-    execution cannot change the streams.
+    Independent of how many other indices are drawn, so how trials are
+    grouped into chunks cannot change the streams.
     """
     if not 0 <= master_seed <= _MASK64:
         raise ValueError("master seed must fit in 64 bits")

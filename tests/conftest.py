@@ -4,6 +4,10 @@ import pytest
 from hlawka.linalg import HermitianMatrix, HermitianStack, PdSampleConfig, random_pd
 from hlawka.util import derive_seed
 
+#: Seeds at the edges of the 64-bit range and of numpy's one-word and
+#: two-word seed entropy (a seed below 2**32 is one 32-bit word).
+EDGE_SEEDS = (0, 1, 2, 2**32 - 1, 2**32, 2**63, 2**64 - 1)
+
 
 def pd_tuple(seed: int, count: int, dim: int, condition_target: float = 10.0):
     """Seeded PD tuple matching the harness's sampling scheme."""

@@ -11,7 +11,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from conftest import pd_tuple, stack_of
+from conftest import EDGE_SEEDS, pd_tuple, stack_of
 
 import hlawka.harness as harness
 from hlawka.cli import main
@@ -395,7 +395,7 @@ class TestKernelsAgainstNumpyFormulas:
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 8])
     def test_random_pd_matches_one_qr_per_matrix(self, dim):
-        seeds = tuple(derive_seed(dim, i) for i in range(5))
+        seeds = EDGE_SEEDS + tuple(derive_seed(dim, i) for i in range(5))
         stack = random_pd(PdBatchConfig(dim=dim, seeds=seeds, condition_target=100.0))
         for i, seed in enumerate(seeds):
             cfg = PdSampleConfig(dim=dim, seed=seed, condition_target=100.0)

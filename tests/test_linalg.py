@@ -1,18 +1,23 @@
 """Kronecker algebra, eigenvalue certificates, PD sampling, matrix files."""
 
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import random_hermitian
+from conftest import EDGE_SEEDS, random_hermitian, stack_of
 
+import hlawka
 from hlawka.errors import BudgetError, InputError
 from hlawka.linalg import (
     HermitianMatrix,
     HermitianStack,
     PdSampleConfig,
     Verdict,
+    _seed_states,
     band_verdict,
     dump_matrix,
     hermitian_eigenvalues,
@@ -27,6 +32,7 @@ from hlawka.linalg import (
     save_matrix,
     tensor_power,
 )
+from hlawka.util import derive_seed
 
 
 class TestHermitianMatrix:
@@ -92,6 +98,11 @@ class TestKron:
         out = kron(np.diag([1.0, 2.0]), np.diag([3.0, 5.0]))
         assert np.array_equal(out, np.diag([3.0, 5.0, 6.0, 10.0]).astype(complex))
 
+    def test_stack_of_several_is_refused(self, rng):
+        stack = stack_of([random_hermitian(rng, 2) for _ in range(2)])
+        with pytest.raises(InputError, match="expected one matrix, got a stack of 2"):
+            kron(stack, stack[0])
+
     def test_budget_error(self, rng):
         a = random_hermitian(rng, 8)
         with pytest.raises(BudgetError):
@@ -141,6 +152,12 @@ class TestTensorPower:
         assert tensor_power(a, 12, max_dim=4096).dim == 4096
         with pytest.raises(BudgetError):
             tensor_power(a, 13, max_dim=4096)
+
+    def test_stack_of_several_is_refused_and_a_stack_of_one_is_a_matrix(self, rng):
+        stack = stack_of([random_hermitian(rng, 2) for _ in range(3)])
+        with pytest.raises(InputError, match="expected one matrix, got a stack of 3"):
+            tensor_power(stack, 2)
+        assert tensor_power(stack[:1], 2).array.tobytes() == tensor_power(stack[0], 2).array.tobytes()
 
     def test_power_must_be_positive(self, rng):
         with pytest.raises(InputError):
@@ -275,6 +292,34 @@ class TestRandomPd:
             PdSampleConfig(dim=2, seed=1, condition_target=0.5)
         with pytest.raises(InputError):
             PdSampleConfig(dim=2, seed=-1)
+        with pytest.raises(InputError):
+            PdSampleConfig(dim=2, seed=1.0)
+
+    def test_seed_states_match_numpy_seed_sequence(self):
+        seeds = EDGE_SEEDS + tuple(derive_seed(2026, i) for i in range(10_000))
+        expected = np.array([np.random.SeedSequence(s).generate_state(4, np.uint64) for s in seeds])
+        assert _seed_states(seeds).tobytes() == expected.tobytes()
+
+    def test_importing_the_cli_leaves_numpy_random_to_the_first_sample(self):
+        # Importing numpy.random takes 12-35 ms on a 2-vCPU host; only sampling needs it.
+        script = (
+            "import sys\n"
+            "import numpy\n"
+            "before = 'numpy.random' in sys.modules\n"
+            "import hlawka.cli\n"
+            "after_import = 'numpy.random' in sys.modules\n"
+            "from hlawka.linalg import PdSampleConfig, random_pd\n"
+            "random_pd(PdSampleConfig(dim=2, seed=1))\n"
+            "print(before, after_import, 'numpy.random' in sys.modules)\n"
+        )
+        src = str(Path(hlawka.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r})\n" + script],
+            capture_output=True, text=True, check=True, timeout=60,
+        ).stdout.split()
+        if out[0] == "True":
+            pytest.skip("this numpy imports numpy.random with numpy itself")
+        assert out[1:] == ["False", "True"]
 
 
 class TestMatrixFile:
@@ -294,6 +339,11 @@ class TestMatrixFile:
         save_matrix(path, h)
         back = load_hermitian(path)
         assert np.array_equal(back.array, h.array)
+
+    def test_stack_of_several_is_refused(self, rng, tmp_path):
+        stack = stack_of([random_hermitian(rng, 2) for _ in range(4)])
+        with pytest.raises(InputError, match="expected one matrix, got a stack of 4"):
+            save_matrix(tmp_path / "m.json", stack)
 
     def test_dump_format_fields(self):
         text = dump_matrix(np.eye(2))
