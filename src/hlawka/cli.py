@@ -74,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="convex function: abs|square|fourth|exp|relu|softplus|all")
     p_scalar.add_argument("--n", type=int, default=3)
     p_scalar.add_argument("--p", type=int, default=None,
-                          help="unused for scalar suites; accepted for symmetry")
+                          help="read by no suite; a matrix-function report echoes it")
     p_scalar.add_argument("--dim", type=int, default=3)
     p_scalar.add_argument("--m", type=int, default=None)
     p_scalar.add_argument("--k", type=int, default=None)
@@ -126,8 +126,10 @@ def _emit(report: TrialReport, args) -> None:
 
 
 def _config_from(args) -> RunConfig:
+    if args.jobs < 1:
+        raise InputError("jobs must be >= 1")
     cfg = RunConfig(family=args.family)
-    for name in ("n", "p", "dim", "trials", "seed", "tol", "jobs", "k", "ell", "m",
+    for name in ("n", "p", "dim", "trials", "seed", "tol", "k", "ell", "m",
                  "char", "fn", "strategy", "include_known", "radius"):
         if hasattr(args, name) and getattr(args, name) is not None:
             setattr(cfg, name, getattr(args, name))

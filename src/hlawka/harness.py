@@ -1,8 +1,8 @@
 """Trial-suite drivers behind the CLI subcommands.
 
-Every ``scalar-verify`` family is one entry of :data:`SUITES`, giving its
-sampler, evaluator, status and flags; the operator families among them are
-also the ``verify`` suites.  Each runner turns its suite into per-trial
+Every ``scalar-verify`` family is one entry of :data:`SUITES`, an operator
+family (also a ``verify`` suite) or a convex/norm suite, with its status
+and notes.  Each runner turns its suite into per-trial
 records, and :func:`_run`, the one trial loop, assembles them into a
 :class:`~hlawka.report.TrialReport` plus a process exit code: 0 for
 success, 1 when a violation is found in a family whose inequality is
@@ -24,7 +24,6 @@ from __future__ import annotations
 import hashlib
 import math
 import time
-from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +35,7 @@ from .linalg import (
     HermitianStack,
     PdBatchConfig,
     Verdict,
+    _generators,
     band_verdict,
     check_tensor_budget,
     min_eigenvalue,
@@ -45,10 +45,11 @@ from .linalg import (
 from .matfunc import DEFAULT_SCALAR_MATRIX_TOL, parse_character_selector, scalar_inequality_check
 from .report import TrialReport
 from .scalar import (
+    CONVEX_NORM_SUITES,
     DEFAULT_SCALAR_TOL,
     KNOWN_HLAWKA_POP_COUNTEREXAMPLE,
     ConvexFunction,
-    ScalarCheckResult,
+    ConvexNormSuite,
     SearchConfig,
     SearchFamily,
     SearchStrategy,
@@ -95,7 +96,6 @@ class RunConfig:
     tol: float | None = None
     max_tensor_dim: int = DEFAULT_MAX_TENSOR_DIM
     condition_target: float = 10.0
-    jobs: int = 1
     k: int | None = None
     ell: int | None = None
     m: int | None = None
@@ -108,56 +108,23 @@ class RunConfig:
     points: tuple[float, ...] | None = None
 
 
-@dataclass(frozen=True)
-class Suite:
-    """One ``scalar-verify`` family; the operator families serve ``verify`` too.
+#: Every ``scalar-verify`` family, name -> table entry: the operator
+#: families, then the convex/norm suites.
+SUITES = {**{family.value: spec for family, spec in FAMILIES.items()}, **CONVEX_NORM_SUITES}
 
-    ``sampler`` is ``matrices`` (seeded PD tuples, evaluated through the
-    family table of :mod:`hlawka.sums`), ``points`` (uniform reals in
-    [-10, 10], checked once per convex function) or ``vectors`` (Gaussian
-    vectors of dimension ``--dim``); ``evaluate(cfg, fn, data)`` checks one
-    trial of the latter two.  ``status`` is ``proven``, ``empirical``,
-    ``evaluator`` or ``refuted``.  A violation exits 1 under ``proven`` and
-    ``refuted``, and at the tuple size ``proven_at``, where an evaluator
-    states a theorem.  ``notes(n)`` adds interpretation flags.
-    """
-
-    status: str
-    sampler: str = "matrices"
-    evaluate: Callable[..., ScalarCheckResult] | None = None
-    notes: Callable[[int], list[str]] = lambda n: []
-    proven_at: int | None = None
-
-
-# The evaluators are looked up by name when called, so the names this module
-# binds are the ones every trial goes through.
-SUITES = {
-    **{family.value: Suite(spec.status) for family, spec in FAMILIES.items()},
-    "norm-hlawka": Suite("proven", "vectors", lambda cfg, fn, v: norm_hlawka(*v)),
-    "radu": Suite("proven", "vectors", lambda cfg, fn, v: radu_check(v, cfg.k)),
-    "jensen": Suite("proven", "points", lambda cfg, fn, x: jensen_check(fn, x)),
-    "popoviciu": Suite("proven", "points", lambda cfg, fn, x: popoviciu_check(fn, *x)),
-    "vasc": Suite("proven", "points", lambda cfg, fn, x: vasc_check(fn, x)),
-    "pcz": Suite("proven", "points", lambda cfg, fn, x: pcz_check(fn, x, cfg.m)),
-    "pop-levels-scalar": Suite(
-        "evaluator", "points",
-        lambda cfg, fn, x: pop_levels_scalar_eval(fn, x, cfg.k, cfg.ell, cfg.m),
-        notes=lambda n: ["evaluator-only: direction depends on (k, ell, m); margins reported only"],
-    ),
-    "functional-hlawka": Suite(
-        "evaluator", "points", lambda cfg, fn, x: functional_hlawka(fn, *x),
-        notes=lambda n: ["evaluator-only: convexity does not imply the functional form"],
-    ),
-    "hlawka-pop": Suite(
-        "refuted", "points", lambda cfg, fn, x: conjecture_hlawka_pop_eval(fn, x),
-        notes=lambda n: ["evaluator-only: alternating subset-mean pattern fails for n >= 4"]
-        + ["interpretation: subset-size weights extrapolated beyond the n=4 instance"] * (n > 4),
-    ),
-    "freudenthal": Suite(
-        "evaluator", "vectors", lambda cfg, fn, v: freudenthal_alternating(v),
-        notes=lambda n: ["evaluator-only: alternating norm sum fails for n >= 4"] * (n >= 4),
-        proven_at=3,
-    ),
+# ``evaluate(cfg, fn, data)`` of each convex/norm suite.  Evaluators are looked
+# up by name when called, so every trial goes through the names bound here.
+_EVALUATORS = {
+    "norm-hlawka": lambda cfg, fn, v: norm_hlawka(*v),
+    "radu": lambda cfg, fn, v: radu_check(v, cfg.k),
+    "jensen": lambda cfg, fn, x: jensen_check(fn, x),
+    "popoviciu": lambda cfg, fn, x: popoviciu_check(fn, *x),
+    "vasc": lambda cfg, fn, x: vasc_check(fn, x),
+    "pcz": lambda cfg, fn, x: pcz_check(fn, x, cfg.m),
+    "pop-levels-scalar": lambda cfg, fn, x: pop_levels_scalar_eval(fn, x, cfg.k, cfg.ell, cfg.m),
+    "functional-hlawka": lambda cfg, fn, x: functional_hlawka(fn, *x),
+    "hlawka-pop": lambda cfg, fn, x: conjecture_hlawka_pop_eval(fn, x),
+    "freudenthal": lambda cfg, fn, v: freudenthal_alternating(v),
 }
 
 
@@ -171,11 +138,9 @@ def _tolerance(cfg: RunConfig, default: float) -> float:
     return tol
 
 
-def _check_loop(trials: int, jobs: int) -> None:
+def _check_loop(trials: int) -> None:
     if trials < 0:
         raise InputError("trials must be nonnegative")
-    if jobs < 1:
-        raise InputError("jobs must be >= 1")
 
 
 def _tuple_digest(parts: list[HermitianStack], t: int) -> str:
@@ -200,11 +165,11 @@ def _operator_family(cfg: RunConfig) -> tuple[OperatorFamily, TensorSumParams]:
     try:
         family = OperatorFamily(cfg.family)
     except ValueError:
-        raise InputError(f"unknown operator family {cfg.family!r}") from None
+        raise InputError(f"unknown family {cfg.family!r}") from None
     arity = FAMILIES[family].arity
     if arity is not None and cfg.n != arity:
         raise InputError(f"{cfg.family} takes exactly three matrices (got --n {cfg.n})")
-    _check_loop(cfg.trials, cfg.jobs)
+    _check_loop(cfg.trials)
     params = TensorSumParams(n=cfg.n, p=cfg.p, k=cfg.k, ell=cfg.ell, m=cfg.m)
     family_levels(family, cfg.n, params)
     return family, params
@@ -243,7 +208,8 @@ def _matrix_trials(cfg: RunConfig, largest: int, check, margin_key: str):
                 {"inputsDigest": _tuple_digest(parts, t), margin_key: worst, "seed": seed})
 
 
-def _run(cfg: RunConfig, suite: Suite, report: TrialReport, records) -> tuple[TrialReport, int]:
+def _run(report: TrialReport, status: str, notes: list[str], theorem: bool,
+         records) -> tuple[TrialReport, int]:
     """The one trial loop: fill ``report`` from per-trial records.
 
     A record is ``(outcomes, violation)``: one ``(function kind or None,
@@ -252,21 +218,20 @@ def _run(cfg: RunConfig, suite: Suite, report: TrialReport, records) -> tuple[Tr
     an equality case when all its outcomes are EQUALITY, and it yields one
     violation entry when its worst outcome FAILS, so violations never
     outnumber trials.  Flags a record source learns while it runs go to the
-    report's flags, after the suite's own.
+    report's flags, after the suite's ``notes``.  A violation exits 1 under
+    the ``status`` ``proven`` or ``refuted``, or on a ``theorem``.
     """
     start = time.perf_counter()
-    margins = []
     for outcomes, violation in records:
-        margins.extend(margin for _, margin, _ in outcomes)
         report.equality_cases += all(verdict is Verdict.EQUALITY for _, _, verdict in outcomes)
         kind, margin, verdict = min(outcomes, key=lambda outcome: outcome[1])
+        if report.min_margin is None or margin < report.min_margin:
+            report.min_margin = margin
         if verdict is Verdict.FAILS:
             report.violations.append(violation(kind, margin))
-    report.min_margin = min(margins) if margins else None
-    report.interpretation_flags[:0] = (
-        [_EMPIRICAL_FLAG] * (suite.status == "empirical") + suite.notes(cfg.n))
+    report.interpretation_flags[:0] = [_EMPIRICAL_FLAG] * (status == "empirical") + notes
     report.runtime_ms = int((time.perf_counter() - start) * 1000)
-    binding = suite.status in ("proven", "refuted") or cfg.n == suite.proven_at
+    binding = status in ("proven", "refuted") or theorem
     return report, 1 if report.violations and binding else 0
 
 
@@ -294,18 +259,15 @@ def run_verify(cfg: RunConfig) -> tuple[TrialReport, int]:
             flags.append(psd_only)
         return [(c.min_eigenvalue, c.verdict) for c in certs]
 
-    return _run(cfg, SUITES[cfg.family], report,
+    return _run(report, FAMILIES[family].status, [], False,
                 _matrix_trials(cfg, side * side, certify, "minEigenvalue"))
 
 
 def run_scalar_verify(cfg: RunConfig) -> tuple[TrialReport, int]:
     """Scalar suites: either the d-image of an operator family (choose a
     character with --char) or one of the convex/norm evaluators."""
-    suite = SUITES.get(cfg.family)
-    if suite is None:
-        raise InputError(f"unknown scalar-verify family {cfg.family!r}")
-    if suite.sampler != "matrices":
-        return _run(cfg, suite, *_scalar_trials(cfg, suite))
+    if cfg.family in CONVEX_NORM_SUITES:
+        return _run_convex_norm(cfg, CONVEX_NORM_SUITES[cfg.family])
     family, params = _operator_family(cfg)
     group, chi = parse_character_selector(cfg.char, cfg.dim)
     tol = _tolerance(cfg, DEFAULT_SCALAR_MATRIX_TOL)
@@ -321,46 +283,52 @@ def run_scalar_verify(cfg: RunConfig) -> tuple[TrialReport, int]:
     # generalized matrix function per trial; orders beyond the guard are
     # refused when it runs.
     order = math.factorial(min(group.degree, MAX_SYMMETRIC_DEGREE + 1))
-    return _run(cfg, suite, report, _matrix_trials(cfg, order * group.degree, check, "margin"))
+    return _run(report, FAMILIES[family].status, [], False,
+                _matrix_trials(cfg, order * group.degree, check, "margin"))
 
 
-def _scalar_trials(cfg: RunConfig, suite: Suite) -> tuple[TrialReport, Iterator]:
-    """The report header and per-trial records of a points or vectors suite."""
+def _run_convex_norm(cfg: RunConfig, suite: ConvexNormSuite) -> tuple[TrialReport, int]:
+    """A convex/norm suite on seeded inputs, or once on explicit inputs,
+    which then set the reported tuple size and vector dimension."""
     tol = _tolerance(cfg, DEFAULT_SCALAR_TOL)
-    points = suite.sampler == "points"
+    vectors = suite.term == "norm"
     fns = [None]
-    if points:
+    if not vectors:
         fns = list(convex_catalog()) if cfg.fn == "all" else [ConvexFunction(cfg.fn)]
     explicit = cfg.points
     if cfg.include_known and cfg.family == "hlawka-pop":
         explicit = KNOWN_HLAWKA_POP_COUNTEREXAMPLE
-    n = len(explicit) if (explicit is not None and points) else cfg.n
+    n = len(explicit) if (explicit is not None and not vectors) else cfg.n
     trials = 1 if explicit is not None else cfg.trials
     suite_terms(cfg.family, n, cfg.k, cfg.ell, cfg.m)  # a parameter fault stops the run here
-    if explicit is not None and not points and len(explicit) % cfg.n:
-        raise InputError(f"--points length {len(explicit)} is not divisible by --n {cfg.n}")
     params = {"n": n, "dim": cfg.dim, "fn": cfg.fn, **_given(cfg)}
-    if explicit is not None:
-        params["points"] = [float(x) for x in np.asarray(explicit).ravel()]
-    _check_loop(trials, cfg.jobs)
+    if explicit is None:
+        inputs = (sample_inputs(cfg.family, rng, n, cfg.dim)
+                  for rng in _generators(derive_seed(cfg.seed, t) for t in range(trials)))
+    else:
+        data = np.asarray(explicit, dtype=np.float64)
+        if vectors:
+            if len(explicit) % n:
+                raise InputError(f"--points length {len(explicit)} is not divisible by --n {n}")
+            data = data.reshape(n, -1)
+            params["dim"] = data.shape[1]
+        params["points"] = data.ravel().tolist()
+        inputs = [data]
+    _check_loop(trials)
+    evaluate = _EVALUATORS[cfg.family]
 
     def records():
-        for t in range(trials):
-            trial_seed = derive_seed(cfg.seed, t)
-            if explicit is None:
-                data = sample_inputs(cfg.family, np.random.default_rng(trial_seed), n, cfg.dim)
-            else:
-                data = np.asarray(explicit, dtype=np.float64)
-                if not points:
-                    data = data.reshape(cfg.n, -1)
-            results = [(fn.kind if fn else None, suite.evaluate(cfg, fn, data)) for fn in fns]
+        for t, data in enumerate(inputs):
+            results = [(fn.kind if fn else None, evaluate(cfg, fn, data)) for fn in fns]
             yield [(kind, r.margin, band_verdict(r.margin, abs(r.margin), r.scale, tol))
                    for kind, r in results], (
-                lambda kind, worst, data=data, seed=trial_seed: {
-                    "inputsDigest": _data_digest(data), "margin": worst, "seed": seed,
+                lambda kind, worst, data=data, t=t: {
+                    "inputsDigest": _data_digest(data), "margin": worst,
+                    "seed": derive_seed(cfg.seed, t),
                     "inputs": [float(x) for x in data.ravel()], **({"fn": kind} if kind else {})})
 
-    return _report(cfg, cfg.family, params, tol, trials), records()
+    return _run(_report(cfg, cfg.family, params, tol, trials), suite.status, suite.notes(n),
+                n == suite.proven_at, records())
 
 
 def run_counterexample(cfg: RunConfig) -> tuple[TrialReport, int]:
@@ -375,7 +343,7 @@ def run_counterexample(cfg: RunConfig) -> tuple[TrialReport, int]:
     except ValueError as exc:
         raise InputError(f"unknown strategy {cfg.strategy!r}") from exc
     fn = ConvexFunction(cfg.fn if cfg.fn != "all" else "abs")
-    _check_loop(cfg.trials, cfg.jobs)
+    _check_loop(cfg.trials)
     tol = _tolerance(cfg, DEFAULT_SCALAR_TOL)
     search_cfg = SearchConfig(
         n=cfg.n,

@@ -19,6 +19,7 @@ precision (complex128).
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import os
@@ -393,17 +394,14 @@ def random_pd(cfg: PdBatchConfig) -> HermitianStack:
     grid on ``[1, condition_target]``.  Identical configs give
     bit-identical output on the same platform.
 
-    Stream contract: sample k draws exactly the stream of
-    ``numpy.random.default_rng(seeds[k])``, the real parts of its Gaussian
-    matrix then the imaginary parts.  The generators are seeded from
-    :func:`_seed_states`, which hashes the seed words of the whole call at
-    once.
+    Stream contract: sample k draws exactly the stream of the generator
+    :func:`_generators` gives for ``seeds[k]``, the real parts of its
+    Gaussian matrix then the imaginary parts.
     """
     d = cfg.dim
-    preset = _preset_state_type()
     draws = np.empty((len(cfg.seeds), 2, d, d))
-    for state, out in zip(_seed_states(cfg.seeds), draws):
-        np.random.Generator(np.random.PCG64(preset(state))).standard_normal(out=out)
+    for rng, out in zip(_generators(cfg.seeds), draws):
+        rng.standard_normal(out=out)
     z = draws[:, 0] + 1j * draws[:, 1]
     q, r = np.linalg.qr(z)
     diag = np.diagonal(r, axis1=-2, axis2=-1).copy()
@@ -457,6 +455,24 @@ def _seed_states(seeds) -> np.ndarray:
         pool[dst] = mixed ^ (mixed >> 16)
     out = _hashmix(np.concatenate((pool, pool)), _OUT_CONST)
     return out.T.astype("<u4", order="C").view("<u8").astype(np.uint64)
+
+
+#: Seeds per :func:`_seed_states` call in :func:`_generators`, which bounds
+#: the hash's temporaries (about 150 bytes a seed) for any run length.
+_SEED_BLOCK = 512
+
+
+def _generators(seeds):
+    """One generator per seed of ``seeds`` (integers in ``[0, 2**64)``), the
+    only place the package builds one: each draws exactly the stream of
+    ``Generator(PCG64(SeedSequence(seed)))``.  The seeds are read lazily,
+    ``_SEED_BLOCK`` at a time, and each block is hashed by one
+    :func:`_seed_states` call."""
+    preset = _preset_state_type()
+    seeds = iter(seeds)
+    while block := list(itertools.islice(seeds, _SEED_BLOCK)):
+        for state in _seed_states(block):
+            yield np.random.Generator(np.random.PCG64(preset(state)))
 
 
 @functools.cache

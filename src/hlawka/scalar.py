@@ -12,12 +12,13 @@ a term or sum that overflows is refused.  Two kinds of evaluator live here:
   subset-mean pattern), which only measure.
 
 Every suite is one entry of :data:`CONVEX_NORM_SUITES`: the levels of an
-operator family of :mod:`hlawka.sums` (exact weights times index subsets)
-and a term rule mapping a subset of the inputs to a norm or a value of f.
-One evaluator reads the table, and the public evaluators are wrappers
-over it.  Inputs are canonically sorted first, so permuting them cannot
-change a single bit of the result, and each side is summed with
-``math.fsum``, so algebraically equal expressions agree exactly.
+operator family of :mod:`hlawka.sums` (exact weights times index subsets),
+a term rule mapping a subset of the inputs to a norm or a value of f, and
+the suite's status and notes.  One evaluator reads the table, and the
+public evaluators are wrappers over it.  Inputs are canonically sorted
+first, so permuting them cannot change a single bit of the result, and
+each side is summed with ``math.fsum``, so algebraically equal
+expressions agree exactly.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from operator import add
 import numpy as np
 
 from .errors import InputError
-from .linalg import Verdict, band_verdict
+from .linalg import Verdict, _generators, band_verdict
 from .sums import FAMILIES, Level, OperatorFamily, checked_sides
 from .sums import _alternating, _level, _pop_subsets
 from .util import derive_seed
@@ -154,17 +155,24 @@ class ConvexNormSuite:
     * ``value``: ``float(w) * f(the points of S added one by one)``
     * ``mean``:  ``float(w*|S|) * f(fsum(the points of S) / |S|)``, with the
       exact product ``w*|S|`` rounded once.
+
+    ``status`` is ``proven``, ``evaluator`` or ``refuted``; an evaluator
+    states a theorem over ``proven_at`` inputs.  ``notes(n)`` gives the
+    interpretation flags of a run over n inputs.
     """
 
     term: str
     needs: str
     valid: Callable[..., bool]
     sides: Callable[..., tuple[list[Level], list[Level]]]
+    status: str = "proven"
+    notes: Callable[[int], list[str]] = lambda n: []
+    proven_at: int | None = None
 
 
-def _like(family: OperatorFamily, term: str) -> ConvexNormSuite:
+def _like(family: OperatorFamily, term: str, **kwargs) -> ConvexNormSuite:
     spec = FAMILIES[family]
-    return ConvexNormSuite(term, spec.needs, spec.valid, spec.sides)
+    return ConvexNormSuite(term, spec.needs, spec.valid, spec.sides, **kwargs)
 
 
 def _odd_left(n, k, ell, m):
@@ -193,10 +201,18 @@ CONVEX_NORM_SUITES = {
     "popoviciu": _like(OperatorFamily.HLAWKA3, "mean"),
     "vasc": ConvexNormSuite("mean", "n >= 3", lambda n, k, ell, m: n >= 3, _vasc),
     "pcz": _like(OperatorFamily.POP_SUBSETS, "mean"),
-    "pop-levels-scalar": _like(OperatorFamily.POP_LEVELS, "mean"),
-    "functional-hlawka": _like(OperatorFamily.HLAWKA3, "value"),
-    "hlawka-pop": ConvexNormSuite("mean", "n >= 3", lambda n, k, ell, m: n >= 3, _odd_left),
-    "freudenthal": ConvexNormSuite("norm", "n >= 3", lambda n, k, ell, m: n >= 3, _odd_left),
+    "pop-levels-scalar": _like(OperatorFamily.POP_LEVELS, "mean", status="evaluator", notes=(
+        lambda n: ["evaluator-only: direction depends on (k, ell, m); margins reported only"])),
+    "functional-hlawka": _like(OperatorFamily.HLAWKA3, "value", status="evaluator", notes=(
+        lambda n: ["evaluator-only: convexity does not imply the functional form"])),
+    "hlawka-pop": ConvexNormSuite(
+        "mean", "n >= 3", lambda n, k, ell, m: n >= 3, _odd_left, status="refuted",
+        notes=lambda n: ["evaluator-only: alternating subset-mean pattern fails for n >= 4"]
+        + ["interpretation: subset-size weights extrapolated beyond the n=4 instance"] * (n > 4)),
+    "freudenthal": ConvexNormSuite(
+        "norm", "n >= 3", lambda n, k, ell, m: n >= 3, _odd_left, status="evaluator",
+        notes=lambda n: ["evaluator-only: alternating norm sum fails for n >= 4"] * (n >= 4),
+        proven_at=3),
 }
 
 
@@ -405,9 +421,7 @@ def counterexample_search(family: SearchFamily, cfg: SearchConfig) -> list[Searc
     """
     suite_terms(family.value, cfg.n)  # a parameter fault stops the search here
     violations: list[SearchViolation] = []
-    for t in range(cfg.trials):
-        trial_seed = derive_seed(cfg.seed, t)
-        rng = np.random.default_rng(trial_seed)
+    for t, rng in enumerate(_generators(derive_seed(cfg.seed, t) for t in range(cfg.trials))):
         if t == 0 and cfg.include_known and family is SearchFamily.HLAWKA_POP and cfg.n == 4:
             point = np.asarray(KNOWN_HLAWKA_POP_COUNTEREXAMPLE)
         else:
@@ -423,7 +437,7 @@ def counterexample_search(family: SearchFamily, cfg: SearchConfig) -> list[Searc
             violations.append(
                 SearchViolation(
                     trial_index=t,
-                    seed=trial_seed,
+                    seed=derive_seed(cfg.seed, t),
                     inputs=tuple(map(tuple, inputs)) if point.ndim == 2 else tuple(inputs),
                     margin=confirmed.margin,
                     scale=confirmed.scale,

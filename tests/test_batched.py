@@ -251,6 +251,15 @@ class TestCliChunking:
         ["scalar-verify", "--family", "jensen"],
         ["counterexample", "--family", "freudenthal"],
     ])
+    def test_jobs_below_one_reads_the_same_everywhere(self, command, capsys):
+        assert main(command + ["--trials", "2", "--jobs", "-1"]) == 2
+        assert capsys.readouterr().err == "error: jobs must be >= 1\n"
+
+    @pytest.mark.parametrize("command", [
+        ["verify", "--family", "hlawka3"],
+        ["scalar-verify", "--family", "jensen"],
+        ["counterexample", "--family", "freudenthal"],
+    ])
     def test_negative_trials_is_a_usage_error(self, command, capsys):
         assert main(command + ["--trials", "-5"]) == 2
         assert capsys.readouterr().err == "error: trials must be nonnegative\n"

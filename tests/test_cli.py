@@ -4,18 +4,26 @@ import argparse
 import csv
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hlawka.cli import build_parser, main
-from hlawka.harness import SUITES, RunConfig, run_counterexample, run_scalar_verify, run_verify
+from hlawka.harness import (
+    _EVALUATORS,
+    SUITES,
+    RunConfig,
+    run_counterexample,
+    run_scalar_verify,
+    run_verify,
+)
 from hlawka.linalg import PdSampleConfig, random_pd, save_matrix
-from hlawka.scalar import CONVEX_NORM_SUITES, SearchFamily
+from hlawka.scalar import CONVEX_NORM_SUITES, SearchFamily, sample_inputs
 from hlawka.sums import OperatorFamily
 from hlawka.symgroup import save_character_table
-from hlawka.util import format_complex_sig17, format_sig17
+from hlawka.util import derive_seed, format_complex_sig17, format_sig17
 
 
 def normalized(text: str) -> str:
@@ -205,6 +213,32 @@ class TestScalarVerifyCommand:
         assert code == 1
         assert json.loads(out.read_text())["minMargin"] == -2.0
 
+    @pytest.mark.parametrize("args, n, dim, extrapolated", [
+        ("--family hlawka-pop --n 5 --include-known", 4, 3, False),
+        ("--family hlawka-pop --points 1,2,3,4,5", 5, 3, True),
+        ("--family norm-hlawka --points 1,2,3,4,5,6", 3, 2, False),
+    ])
+    def test_explicit_inputs_set_the_tuple_size(self, args, n, dim, extrapolated, tmp_path):
+        # The known input is four points whatever --n says, and the six
+        # numbers are three 2-vectors: the report describes what was evaluated.
+        out = tmp_path / "x.json"
+        main(["scalar-verify", *args.split(), "--out", str(out)])
+        doc = json.loads(out.read_text())
+        assert (doc["params"]["n"], doc["params"]["dim"]) == (n, dim)
+        note = "interpretation: subset-size weights extrapolated beyond the n=4 instance"
+        assert (note in doc["interpretationFlags"]) == extrapolated
+
+    def test_violations_replay_from_their_seed(self, tmp_path):
+        out = tmp_path / "hp.json"
+        assert main(["scalar-verify", "--family", "hlawka-pop", "--n", "4", "--trials", "200",
+                     "--out", str(out)]) == 1
+        violations = json.loads(out.read_text())["violations"]
+        assert violations
+        seeds = [derive_seed(0, t) for t in range(200)]
+        for v in violations:
+            rng = np.random.default_rng(seeds[seeds.index(v["seed"])])
+            assert v["inputs"] == sample_inputs("hlawka-pop", rng, 4, 3).tolist()
+
     def test_immanant_corollary_suite(self):
         code = main(["scalar-verify", "--family", "alternating", "--n", "4",
                      "--char", "partition=2,1", "--dim", "3", "--trials", "25",
@@ -257,6 +291,17 @@ class TestCounterexampleCommand:
         assert code == 0
         doc = json.loads(out.read_text())
         assert any(v["inputs"] == [-10.0, 1.0, 1.0, 9.0] for v in doc["violations"])
+
+    def test_random_finds_replay_from_their_trial(self, tmp_path):
+        out = tmp_path / "ce.json"
+        assert main(["counterexample", "--family", "freudenthal", "--n", "4", "--dim", "2",
+                     "--trials", "300", "--seed", "2", "--out", str(out)]) == 0
+        violations = json.loads(out.read_text())["violations"]
+        assert violations
+        for v in violations:
+            assert v["seed"] == derive_seed(2, v["trialIndex"])
+            draw = sample_inputs("freudenthal", np.random.default_rng(v["seed"]), 4, 2)
+            assert v["inputs"] == draw.ravel().tolist()
 
     def test_freudenthal_n3_empty(self, tmp_path):
         out = tmp_path / "ce.json"
@@ -450,6 +495,20 @@ class TestHarnessApi:
         with pytest.raises(Exception):
             run_scalar_verify(RunConfig(family="nonesuch", trials=1, seed=0))
 
+    def test_memory_does_not_grow_with_trials(self):
+        # Neither the seeds nor the margins of a run may be held for all its
+        # trials: 2700 more trials held would be about 0.5 MB of either.
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                run_scalar_verify(RunConfig(family="jensen", trials=trials, seed=1))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(10)
+        assert peak(3000) < peak(300) + 200_000
+
 
 def family_choices(command: str) -> tuple:
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
@@ -475,10 +534,11 @@ class TestRegistryDrift:
         assert family_choices("scalar-verify") == tuple(SUITES)
 
     def test_every_convex_norm_suite_has_one_table_entry(self):
-        suites = {name: suite for name, suite in SUITES.items() if suite.sampler != "matrices"}
-        assert sorted(suites) == sorted(CONVEX_NORM_SUITES)
-        for name, suite in suites.items():
-            assert (suite.sampler == "vectors") == (CONVEX_NORM_SUITES[name].term == "norm")
+        operators = {family.value for family in OperatorFamily}
+        convex = {name: suite for name, suite in SUITES.items() if name not in operators}
+        assert list(convex) == list(CONVEX_NORM_SUITES)
+        assert all(suite is CONVEX_NORM_SUITES[name] for name, suite in convex.items())
+        assert list(_EVALUATORS) == list(CONVEX_NORM_SUITES)
 
     def test_every_search_family_is_a_convex_norm_suite(self):
         assert {family.value for family in SearchFamily} <= set(CONVEX_NORM_SUITES)

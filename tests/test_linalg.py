@@ -1,5 +1,7 @@
 """Kronecker algebra, eigenvalue certificates, PD sampling, matrix files."""
 
+import ast
+import itertools
 import math
 import subprocess
 import sys
@@ -11,12 +13,14 @@ import pytest
 from conftest import EDGE_SEEDS, random_hermitian, stack_of
 
 import hlawka
+from hlawka import linalg
 from hlawka.errors import BudgetError, InputError
 from hlawka.linalg import (
     HermitianMatrix,
     HermitianStack,
     PdSampleConfig,
     Verdict,
+    _generators,
     _seed_states,
     band_verdict,
     dump_matrix,
@@ -299,6 +303,38 @@ class TestRandomPd:
         seeds = EDGE_SEEDS + tuple(derive_seed(2026, i) for i in range(10_000))
         expected = np.array([np.random.SeedSequence(s).generate_state(4, np.uint64) for s in seeds])
         assert _seed_states(seeds).tobytes() == expected.tobytes()
+
+    def test_generators_match_numpy_across_blocks(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_SEED_BLOCK", 3)
+        seeds = EDGE_SEEDS + (3, 2**40, derive_seed(2026, 0))
+        assert len(seeds) == 10 and {0, 2**64 - 1} <= set(seeds)
+        for rng, seed in zip(_generators(iter(seeds)), seeds, strict=True):
+            oracle = np.random.default_rng(seed)
+            assert rng.standard_normal(5).tobytes() == oracle.standard_normal(5).tobytes()
+            assert rng.uniform(-10.0, 10.0, 3).tobytes() == oracle.uniform(-10.0, 10.0, 3).tobytes()
+
+    def test_generators_read_their_seeds_lazily(self):
+        def endless():
+            for seed in itertools.count():
+                assert seed < linalg._SEED_BLOCK, "read past the first block"
+                yield seed
+
+        rng = next(_generators(endless()))
+        assert rng.standard_normal() == np.random.default_rng(0).standard_normal()
+
+    def test_only_generators_builds_a_generator(self):
+        # Every seeded stream of the package goes through one constructor.
+        src = Path(hlawka.__file__).resolve().parent
+        tree = ast.parse((src / "linalg.py").read_text(encoding="utf-8"))
+        body = next(node for node in tree.body
+                    if isinstance(node, ast.FunctionDef) and node.name == "_generators")
+        inside = range(body.lineno, body.end_lineno + 1)
+        hits = [(path.name, number)
+                for path in sorted(src.glob("*.py"))
+                for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+                if "default_rng" in line or "Generator(" in line]
+        assert [hit for hit in hits if not (hit[0] == "linalg.py" and hit[1] in inside)] == []
+        assert hits  # the guard sees the one constructor
 
     def test_importing_the_cli_leaves_numpy_random_to_the_first_sample(self):
         # Importing numpy.random takes 12-35 ms on a 2-vCPU host; only sampling needs it.
