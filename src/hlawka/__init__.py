@@ -10,8 +10,8 @@ Public surface:
   builders.
 * :mod:`hlawka.symgroup` / :mod:`hlawka.matfunc` -- permutation groups,
   characters, determinants/permanents/immanants and their corollaries.
-* :mod:`hlawka.scalar` -- convex/norm inequality evaluators and
-  counterexample search.
+* :mod:`hlawka.scalar` -- convex/norm inequality evaluators and the
+  counterexample search from one start point.
 * :mod:`hlawka.cli` -- the ``hlawka`` command.
 """
 
@@ -46,11 +46,7 @@ from .scalar import (
     KNOWN_HLAWKA_POP_COUNTEREXAMPLE,
     ConvexFunction,
     ScalarCheckResult,
-    SearchConfig,
-    SearchFamily,
-    SearchStrategy,
     conjecture_hlawka_pop_eval,
-    counterexample_search,
     freudenthal_alternating,
     functional_hlawka,
     jensen_check,

@@ -20,7 +20,7 @@ from .harness import SUITES, RunConfig, run_counterexample, run_scalar_verify, r
 from .linalg import DEFAULT_MAX_TENSOR_DIM, load_matrix
 from .matfunc import generalized_matrix_function, parse_character_selector
 from .report import TrialReport
-from .scalar import SearchFamily, SearchStrategy
+from .scalar import SEARCH_FAMILIES, SEARCH_STRATEGIES
 from .sums import OperatorFamily
 from .symgroup import load_character_table
 from .util import format_complex_sig17
@@ -83,18 +83,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_scalar.add_argument("--points", default=None,
                           help="comma-separated explicit inputs (single evaluation)")
     p_scalar.add_argument("--include-known", action="store_true",
-                          help="evaluate the known refuting input (hlawka-pop, n=4)")
+                          help="evaluate only the known refuting input (four points); "
+                               "--family hlawka-pop only")
 
     p_counter = sub.add_parser("counterexample", help="seeded violation search")
     _common_flags(p_counter)
-    p_counter.add_argument("--family", required=True,
-                           choices=tuple(family.value for family in SearchFamily))
+    p_counter.add_argument("--family", required=True, choices=SEARCH_FAMILIES)
     p_counter.add_argument("--n", type=int, default=4)
     p_counter.add_argument("--dim", type=int, default=2, help="vector dimension (freudenthal)")
-    p_counter.add_argument("--strategy", choices=tuple(s.value for s in SearchStrategy),
-                           default="random")
+    p_counter.add_argument("--strategy", choices=SEARCH_STRATEGIES, default="random")
     p_counter.add_argument("--fn", default="abs")
-    p_counter.add_argument("--include-known", action="store_true")
+    p_counter.add_argument("--include-known", action="store_true",
+                           help="start trial 0 from the known refuting input; "
+                                "--family hlawka-pop --n 4 only")
     p_counter.add_argument("--center", default=None,
                            help="comma-separated center of the sampled region")
     p_counter.add_argument("--radius", type=float, default=2.0)

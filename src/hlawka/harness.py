@@ -8,7 +8,8 @@ records, and :func:`_run`, the one trial loop, assembles them into a
 success, 1 when a violation is found in a family whose inequality is
 established (or a refutation is confirmed), 2 for usage errors, 3 for
 budget refusals (the latter two are raised as exceptions and mapped by the
-CLI).
+CLI).  ``counterexample`` runs on the same :class:`RunConfig` in a loop of
+its own, :func:`counterexample_search`, and a completed search exits 0.
 
 Per-trial seeds derive from (master seed, trial index), so how trials are
 grouped cannot change any reported number.  The two operator suites run
@@ -48,14 +49,12 @@ from .scalar import (
     CONVEX_NORM_SUITES,
     DEFAULT_SCALAR_TOL,
     KNOWN_HLAWKA_POP_COUNTEREXAMPLE,
+    SEARCH_FAMILIES,
+    SEARCH_STRATEGIES,
     ConvexFunction,
     ConvexNormSuite,
-    SearchConfig,
-    SearchFamily,
-    SearchStrategy,
     conjecture_hlawka_pop_eval,
     convex_catalog,
-    counterexample_search,
     freudenthal_alternating,
     functional_hlawka,
     jensen_check,
@@ -65,6 +64,7 @@ from .scalar import (
     popoviciu_check,
     radu_check,
     sample_inputs,
+    search_from,
     suite_terms,
     vasc_check,
 )
@@ -159,16 +159,22 @@ def _given(cfg: RunConfig) -> dict:
             if getattr(cfg, name) is not None}
 
 
+def _check_include_known(cfg: RunConfig, n: int | None = None) -> None:
+    """Refuse ``include_known`` where it selects no input: the known input
+    refutes hlawka-pop, and a search starts from it only at its size n."""
+    wanted = "--family hlawka-pop" + (f" --n {n}" if n else "")
+    got = f"--family {cfg.family}" + (f" --n {cfg.n}" if n else "")
+    if cfg.include_known and got != wanted:
+        raise InputError(f"--include-known applies only to {wanted}, got {got}")
+
+
 def _operator_family(cfg: RunConfig) -> tuple[OperatorFamily, TensorSumParams]:
     """The family and parameters of an operator suite, checked before any
-    trial runs; the three-matrix families take no other n."""
+    trial runs."""
     try:
         family = OperatorFamily(cfg.family)
     except ValueError:
         raise InputError(f"unknown family {cfg.family!r}") from None
-    arity = FAMILIES[family].arity
-    if arity is not None and cfg.n != arity:
-        raise InputError(f"{cfg.family} takes exactly three matrices (got --n {cfg.n})")
     _check_loop(cfg.trials)
     params = TensorSumParams(n=cfg.n, p=cfg.p, k=cfg.k, ell=cfg.ell, m=cfg.m)
     family_levels(family, cfg.n, params)
@@ -266,6 +272,7 @@ def run_verify(cfg: RunConfig) -> tuple[TrialReport, int]:
 def run_scalar_verify(cfg: RunConfig) -> tuple[TrialReport, int]:
     """Scalar suites: either the d-image of an operator family (choose a
     character with --char) or one of the convex/norm evaluators."""
+    _check_include_known(cfg)
     if cfg.family in CONVEX_NORM_SUITES:
         return _run_convex_norm(cfg, CONVEX_NORM_SUITES[cfg.family])
     family, params = _operator_family(cfg)
@@ -296,7 +303,7 @@ def _run_convex_norm(cfg: RunConfig, suite: ConvexNormSuite) -> tuple[TrialRepor
     if not vectors:
         fns = list(convex_catalog()) if cfg.fn == "all" else [ConvexFunction(cfg.fn)]
     explicit = cfg.points
-    if cfg.include_known and cfg.family == "hlawka-pop":
+    if cfg.include_known:
         explicit = KNOWN_HLAWKA_POP_COUNTEREXAMPLE
     n = len(explicit) if (explicit is not None and not vectors) else cfg.n
     trials = 1 if explicit is not None else cfg.trials
@@ -331,50 +338,52 @@ def _run_convex_norm(cfg: RunConfig, suite: ConvexNormSuite) -> tuple[TrialRepor
                 n == suite.proven_at, records())
 
 
+def counterexample_search(suite: str, cfg: RunConfig, fn: ConvexFunction,
+                          tol: float) -> list[dict]:
+    """The search's trial loop: the report entry of every confirmed find.
+
+    Trial t starts from ``sample_inputs`` drawn from the seed derived from
+    (seed, t), or under ``include_known`` trial 0 from the known refuting
+    input; :func:`~hlawka.scalar.search_from` descends from it under the
+    ``coordinate-descent`` strategy and re-verifies what it reports.  An
+    empty list is a valid outcome.
+    """
+    suite_terms(suite, cfg.n)  # a parameter fault stops the search here
+    descend = cfg.strategy == "coordinate-descent"
+    found = []
+    for t, rng in enumerate(_generators(derive_seed(cfg.seed, t) for t in range(cfg.trials))):
+        if t == 0 and cfg.include_known:
+            start = np.asarray(KNOWN_HLAWKA_POP_COUNTEREXAMPLE)
+        else:
+            start = sample_inputs(suite, rng, cfg.n, cfg.dim, cfg.center, cfg.radius)
+        hit = search_from(suite, fn, tol, start, descend)
+        if hit is not None:
+            inputs, result = hit
+            found.append({"inputsDigest": _data_digest(np.asarray(inputs)),
+                          "margin": result.margin, "seed": derive_seed(cfg.seed, t),
+                          "trialIndex": t, "inputs": [float(x) for x in np.ravel(inputs)]})
+    return found
+
+
 def run_counterexample(cfg: RunConfig) -> tuple[TrialReport, int]:
-    """Drive the scalar counterexample search; completion always exits 0."""
-    try:
-        family = SearchFamily(cfg.family)
-    except ValueError as exc:
+    """Drive the counterexample search; completion always exits 0."""
+    if cfg.family not in SEARCH_FAMILIES:
         raise InputError(f"counterexample family must be one of "
-                         f"{[f.value for f in SearchFamily]}, got {cfg.family!r}") from exc
-    try:
-        strategy = SearchStrategy(cfg.strategy)
-    except ValueError as exc:
-        raise InputError(f"unknown strategy {cfg.strategy!r}") from exc
+                         f"{list(SEARCH_FAMILIES)}, got {cfg.family!r}")
+    if cfg.strategy not in SEARCH_STRATEGIES:
+        raise InputError(f"unknown strategy {cfg.strategy!r}")
+    _check_include_known(cfg, len(KNOWN_HLAWKA_POP_COUNTEREXAMPLE))
     fn = ConvexFunction(cfg.fn if cfg.fn != "all" else "abs")
     _check_loop(cfg.trials)
     tol = _tolerance(cfg, DEFAULT_SCALAR_TOL)
-    search_cfg = SearchConfig(
-        n=cfg.n,
-        dim=cfg.dim,
-        trials=cfg.trials,
-        seed=cfg.seed,
-        strategy=strategy,
-        fn=fn,
-        include_known=cfg.include_known,
-        center=cfg.center,
-        radius=cfg.radius,
-        tol=tol,
-    )
-    params = {"n": cfg.n, "dim": cfg.dim, "strategy": strategy.value, "fn": fn.kind,
+    params = {"n": cfg.n, "dim": cfg.dim, "strategy": cfg.strategy, "fn": fn.kind,
               "includeKnown": cfg.include_known}
     if cfg.center is not None:
         params.update(center=list(cfg.center), radius=cfg.radius)
     report = _report(cfg, cfg.family, params, tol, cfg.trials)
     start = time.perf_counter()
-    found = counterexample_search(family, search_cfg)
-    report.violations = [
-        {
-            "inputsDigest": _data_digest(np.asarray(v.inputs)),
-            "margin": v.margin,
-            "seed": v.seed,
-            "trialIndex": v.trial_index,
-            "inputs": [float(x) for x in np.asarray(v.inputs).ravel()],
-        }
-        for v in found
-    ]
-    report.min_margin = min((v.margin for v in found), default=None)
+    report.violations = counterexample_search(cfg.family, cfg, fn, tol)
+    report.min_margin = min((v["margin"] for v in report.violations), default=None)
     report.interpretation_flags.append("search: violations are findings, re-verified before "
                                        "inclusion; an empty list is a valid outcome")
     report.runtime_ms = int((time.perf_counter() - start) * 1000)

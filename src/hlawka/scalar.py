@@ -1,4 +1,4 @@
-"""Scalar and norm-space inequality evaluators and counterexample search.
+"""Scalar and norm-space inequality evaluators; the search from one start point.
 
 Margins are always LHS - RHS; a check "holds" when the margin is at worst
 -1e-12 relative to the sum of its absolute terms (:func:`band_verdict`), and
@@ -25,8 +25,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 from functools import lru_cache, reduce
 from math import fsum
 from operator import add
@@ -34,10 +33,9 @@ from operator import add
 import numpy as np
 
 from .errors import InputError
-from .linalg import Verdict, _generators, band_verdict
+from .linalg import Verdict, band_verdict
 from .sums import FAMILIES, Level, OperatorFamily, checked_sides
 from .sums import _alternating, _level, _pop_subsets
-from .util import derive_seed
 
 #: Default relative tolerance deciding whether a scalar margin "holds".
 DEFAULT_SCALAR_TOL = 1e-12
@@ -348,51 +346,24 @@ KNOWN_HLAWKA_POP_COUNTEREXAMPLE = (-10.0, 1.0, 1.0, 9.0)
 # ---------------------------------------------------------------------------
 
 
-class SearchFamily(Enum):
-    FREUDENTHAL = "freudenthal"
-    HLAWKA_POP = "hlawka-pop"
+#: The ``counterexample`` families, keys of :data:`CONVEX_NORM_SUITES`, and
+#: its strategies.
+SEARCH_FAMILIES = ("freudenthal", "hlawka-pop")
+SEARCH_STRATEGIES = ("random", "coordinate-descent")
 
 
-class SearchStrategy(Enum):
-    RANDOM = "random"
-    COORDINATE_DESCENT = "coordinate-descent"
-
-
-@dataclass(frozen=True)
-class SearchConfig:
-    n: int
-    dim: int = 2
-    trials: int = 1000
-    seed: int = 0
-    strategy: SearchStrategy = SearchStrategy.RANDOM
-    fn: ConvexFunction = field(default_factory=lambda: ConvexFunction("abs"))
-    include_known: bool = False
-    center: tuple[float, ...] | None = None
-    radius: float = 2.0
-    tol: float = DEFAULT_SCALAR_TOL
-
-
-@dataclass(frozen=True)
-class SearchViolation:
-    trial_index: int
-    seed: int
-    inputs: tuple
-    margin: float
-    scale: float
-
-
-def _search_margin(family: SearchFamily, cfg: SearchConfig, point: np.ndarray) -> ScalarCheckResult:
+def _search_margin(suite: str, fn: ConvexFunction, tol: float,
+                   point: np.ndarray) -> ScalarCheckResult:
     # ``point`` is shaped as sample_inputs gives it.
-    return _evaluate(family.value, point, cfg.fn, tol=cfg.tol)
+    return _evaluate(suite, point, fn, tol=tol)
 
 
-def _coordinate_descent(
-    family: SearchFamily, cfg: SearchConfig, start: np.ndarray
-) -> np.ndarray:
+def _coordinate_descent(suite: str, fn: ConvexFunction, tol: float,
+                        start: np.ndarray) -> np.ndarray:
     # Greedy per-coordinate minimization of the margin with a shrinking
     # step schedule; deterministic given the start point.
     point = start.copy()
-    best = _search_margin(family, cfg, point).margin
+    best = _search_margin(suite, fn, tol, point).margin
     for step in (4.0, 2.0, 1.0, 0.5, 0.25, 0.125, 0.0625):
         improved = True
         sweeps = 0
@@ -403,7 +374,7 @@ def _coordinate_descent(
                 for delta in (step, -step):
                     trial = point.copy()
                     trial.flat[i] += delta
-                    margin = _search_margin(family, cfg, trial).margin
+                    margin = _search_margin(suite, fn, tol, trial).margin
                     if margin < best - 1e-15:
                         best = margin
                         point = trial
@@ -411,36 +382,20 @@ def _coordinate_descent(
     return point
 
 
-def counterexample_search(family: SearchFamily, cfg: SearchConfig) -> list[SearchViolation]:
-    """Search for inputs with a genuinely negative margin.
+def search_from(suite: str, fn: ConvexFunction, tol: float, start: np.ndarray,
+                descend: bool = False) -> tuple[list, ScalarCheckResult] | None:
+    """One start point of the counterexample search, after a coordinate
+    descent from it when ``descend`` is set.
 
-    Deterministic under the seed: trial t uses the seed derived from
-    (seed, t), so results do not depend on execution order.  Every
-    candidate is re-verified by a fresh evaluation of its rounded inputs
-    before being reported.  An empty result is a valid outcome.
+    Returns ``(inputs, result)`` when the point violates: ``inputs`` are the
+    values to report (one list per vector under the norm rule) and
+    ``result`` a fresh evaluation of exactly those values, which must fail
+    too.  Returns ``None`` otherwise.
     """
-    suite_terms(family.value, cfg.n)  # a parameter fault stops the search here
-    violations: list[SearchViolation] = []
-    for t, rng in enumerate(_generators(derive_seed(cfg.seed, t) for t in range(cfg.trials))):
-        if t == 0 and cfg.include_known and family is SearchFamily.HLAWKA_POP and cfg.n == 4:
-            point = np.asarray(KNOWN_HLAWKA_POP_COUNTEREXAMPLE)
-        else:
-            point = sample_inputs(family.value, rng, cfg.n, cfg.dim, cfg.center, cfg.radius)
-        if cfg.strategy is SearchStrategy.COORDINATE_DESCENT:
-            point = _coordinate_descent(family, cfg, point)
-        if _search_margin(family, cfg, point).holds:
-            continue
-        # Fresh evaluation of the exact values we are about to report.
-        inputs = point.tolist()
-        confirmed = _search_margin(family, cfg, np.array(inputs))
-        if not confirmed.holds:
-            violations.append(
-                SearchViolation(
-                    trial_index=t,
-                    seed=derive_seed(cfg.seed, t),
-                    inputs=tuple(map(tuple, inputs)) if point.ndim == 2 else tuple(inputs),
-                    margin=confirmed.margin,
-                    scale=confirmed.scale,
-                )
-            )
-    return violations
+    point = _coordinate_descent(suite, fn, tol, start) if descend else start
+    if _search_margin(suite, fn, tol, point).holds:
+        return None
+    # Fresh evaluation of the exact values we are about to report.
+    inputs = point.tolist()
+    confirmed = _search_margin(suite, fn, tol, np.array(inputs))
+    return None if confirmed.holds else (inputs, confirmed)

@@ -113,27 +113,25 @@ class FamilySpec:
     ``sides(n, k, ell, m)`` gives ``(lhs, rhs)`` for a valid parameter set;
     ``valid`` tests the condition that ``needs`` states.  ``status`` is
     ``proven`` (a violation is a genuine failure) or ``empirical`` (margins
-    are reported, never assumed).  ``arity`` is the only tuple size a
-    three-matrix family takes; ``supermod`` keeps input 0 in its place.
+    are reported, never assumed).  ``supermod`` keeps input 0 in its place.
     """
 
     status: str
     needs: str
     valid: Callable[..., bool]
     sides: Callable[..., tuple[list[Level], list[Level]]]
-    arity: int | None = None
     supermod: bool = False
 
 
 #: The one definition of every operator family.
 FAMILIES = {
     OperatorFamily.HLAWKA3: FamilySpec(
-        "proven", "n = 3", lambda n, k, ell, m: n == 3, _alternating, arity=3),
+        "proven", "n = 3", lambda n, k, ell, m: n == 3, _alternating),
     OperatorFamily.SUPERMOD: FamilySpec(
         "proven", "n = 3", lambda n, k, ell, m: n == 3,
         lambda n, k, ell, m: ([Level(Fraction(1), ((0, 1, 2), (0,)))],
                               [Level(Fraction(1), ((0, 1), (0, 2)))]),
-        arity=3, supermod=True),
+        supermod=True),
     OperatorFamily.SUPERADD: FamilySpec(
         "proven", "n >= 2", lambda n, k, ell, m: n >= 2,
         lambda n, k, ell, m: ([_level(n, n)], [_level(n, 1)])),

@@ -18,6 +18,7 @@ import numpy as np
 from conftest import input_scale, pd_tuple
 
 from hlawka.cli import main
+from hlawka.harness import RunConfig, counterexample_search
 from hlawka.linalg import Verdict, psd_certificate
 from hlawka.matfunc import (
     determinant_via_elimination,
@@ -27,12 +28,10 @@ from hlawka.matfunc import (
 )
 from hlawka.scalar import (
     KNOWN_HLAWKA_POP_COUNTEREXAMPLE,
+    DEFAULT_SCALAR_TOL,
     ConvexFunction,
-    SearchConfig,
-    SearchFamily,
     conjecture_hlawka_pop_eval,
     convex_catalog,
-    counterexample_search,
     freudenthal_alternating,
     jensen_check,
     norm_hlawka,
@@ -263,13 +262,14 @@ def test_criterion_8_proven_scalar_suites():
             fre = freudenthal_alternating(rng.standard_normal((3, max(dim, 1))))
             assert fre.margin >= -1e-12 * fre.scale
 
-        cfg = SearchConfig(n=4, dim=2, trials=1000, seed=4242)
-        first = counterexample_search(SearchFamily.FREUDENTHAL, cfg)
-        second = counterexample_search(SearchFamily.FREUDENTHAL, cfg)
+        cfg = RunConfig(family="freudenthal", n=4, dim=2, trials=1000, seed=4242)
+        abs_fn = ConvexFunction("abs")
+        first = counterexample_search("freudenthal", cfg, abs_fn, DEFAULT_SCALAR_TOL)
+        second = counterexample_search("freudenthal", cfg, abs_fn, DEFAULT_SCALAR_TOL)
         assert first == second
         for v in first:
-            fresh = freudenthal_alternating(np.asarray(v.inputs))
-            assert fresh.margin == v.margin and fresh.margin < 0
+            fresh = freudenthal_alternating(np.reshape(v["inputs"], (4, 2)))
+            assert fresh.margin == v["margin"] and fresh.margin < 0
 
 
 def test_criterion_9_determinism(tmp_path):

@@ -20,7 +20,14 @@ from hlawka.harness import (
     run_verify,
 )
 from hlawka.linalg import PdSampleConfig, random_pd, save_matrix
-from hlawka.scalar import CONVEX_NORM_SUITES, SearchFamily, sample_inputs
+from hlawka.scalar import (
+    CONVEX_NORM_SUITES,
+    SEARCH_FAMILIES,
+    SEARCH_STRATEGIES,
+    ConvexFunction,
+    sample_inputs,
+    search_from,
+)
 from hlawka.sums import OperatorFamily
 from hlawka.symgroup import save_character_table
 from hlawka.util import derive_seed, format_complex_sig17, format_sig17
@@ -141,7 +148,7 @@ class TestScalarVerifyCommand:
     @pytest.mark.parametrize("family", ["hlawka3", "supermod"])
     def test_three_matrix_families_refuse_other_n(self, family, capsys):
         assert main(["scalar-verify", "--family", family, "--n", "5", "--trials", "1"]) == 2
-        assert f"{family} takes exactly three matrices (got --n 5)" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {family} needs n = 3, got n=5\n"
 
     @pytest.mark.parametrize("args", [
         ["--family", "superadd", "--n", "1"],
@@ -303,12 +310,45 @@ class TestCounterexampleCommand:
             draw = sample_inputs("freudenthal", np.random.default_rng(v["seed"]), 4, 2)
             assert v["inputs"] == draw.ravel().tolist()
 
+    def test_descent_finds_replay_from_their_seed(self, tmp_path):
+        # Descending from the random start drawn at a find's seed gives its inputs.
+        out = tmp_path / "ce.json"
+        assert main(["counterexample", "--family", "hlawka-pop", "--n", "4", "--strategy",
+                     "coordinate-descent", "--trials", "10", "--seed", "3",
+                     "--out", str(out)]) == 0
+        violations = json.loads(out.read_text())["violations"]
+        assert violations
+        for v in violations:
+            start = sample_inputs("hlawka-pop", np.random.default_rng(v["seed"]), 4, 2)
+            inputs, result = search_from("hlawka-pop", ConvexFunction("abs"), 1e-12, start,
+                                         descend=True)
+            assert (inputs, result.margin) == (v["inputs"], v["margin"])
+
     def test_freudenthal_n3_empty(self, tmp_path):
         out = tmp_path / "ce.json"
         code = main(["counterexample", "--family", "freudenthal", "--n", "3",
                      "--dim", "3", "--trials", "300", "--seed", "2", "--out", str(out)])
         assert code == 0
         assert json.loads(out.read_text())["violations"] == []
+
+    @pytest.mark.parametrize("command, message", [
+        ("counterexample --family hlawka-pop --n 5",
+         "--include-known applies only to --family hlawka-pop --n 4, "
+         "got --family hlawka-pop --n 5"),
+        ("counterexample --family freudenthal",
+         "--include-known applies only to --family hlawka-pop --n 4, "
+         "got --family freudenthal --n 4"),
+        ("scalar-verify --family jensen",
+         "--include-known applies only to --family hlawka-pop, got --family jensen"),
+    ])
+    def test_include_known_refused_where_it_selects_nothing(self, command, message, tmp_path,
+                                                            capsys):
+        out = tmp_path / "r.json"
+        assert main([*command.split(), "--include-known", "--trials", "3",
+                     "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+        assert not out.exists()
 
     def test_unknown_family_usage_error(self):
         with pytest.raises(SystemExit) as err:
@@ -510,9 +550,9 @@ class TestHarnessApi:
         assert peak(3000) < peak(300) + 200_000
 
 
-def family_choices(command: str) -> tuple:
+def cli_choices(command: str, dest: str = "family") -> tuple:
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    return tuple(next(a.choices for a in sub.choices[command]._actions if a.dest == "family"))
+    return tuple(next(a.choices for a in sub.choices[command]._actions if a.dest == dest))
 
 
 def readme_section(title: str) -> str:
@@ -528,10 +568,10 @@ def readme_statuses() -> dict:
 
 class TestRegistryDrift:
     def test_verify_choices_are_the_operator_families(self):
-        assert family_choices("verify") == tuple(f.value for f in OperatorFamily)
+        assert cli_choices("verify") == tuple(f.value for f in OperatorFamily)
 
     def test_scalar_verify_choices_are_the_registry(self):
-        assert family_choices("scalar-verify") == tuple(SUITES)
+        assert cli_choices("scalar-verify") == tuple(SUITES)
 
     def test_every_convex_norm_suite_has_one_table_entry(self):
         operators = {family.value for family in OperatorFamily}
@@ -541,7 +581,9 @@ class TestRegistryDrift:
         assert list(_EVALUATORS) == list(CONVEX_NORM_SUITES)
 
     def test_every_search_family_is_a_convex_norm_suite(self):
-        assert {family.value for family in SearchFamily} <= set(CONVEX_NORM_SUITES)
+        assert cli_choices("counterexample") == SEARCH_FAMILIES
+        assert cli_choices("counterexample", "strategy") == SEARCH_STRATEGIES
+        assert set(SEARCH_FAMILIES) <= set(CONVEX_NORM_SUITES)
 
     def test_readme_statuses_match_the_registry(self):
         assert readme_statuses() == {name: suite.status for name, suite in SUITES.items()}

@@ -11,16 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hlawka.errors import InputError
+from hlawka.harness import RunConfig, counterexample_search
 from hlawka.linalg import Verdict
 from hlawka.scalar import (
+    DEFAULT_SCALAR_TOL,
     KNOWN_HLAWKA_POP_COUNTEREXAMPLE,
     ConvexFunction,
-    SearchConfig,
-    SearchFamily,
-    SearchStrategy,
     conjecture_hlawka_pop_eval,
     convex_catalog,
-    counterexample_search,
     freudenthal_alternating,
     functional_hlawka,
     jensen_check,
@@ -350,86 +348,80 @@ class TestPermutationInvariance:
             assert radu_check([vs[i] for i in perm], 2).margin == base
 
 
+def search(family: str, tol: float = DEFAULT_SCALAR_TOL, **cfg) -> list[dict]:
+    # The search under the abs function, as the counterexample command runs it.
+    return counterexample_search(family, RunConfig(family=family, **cfg), ABS, tol)
+
+
 class TestCounterexampleSearch:
     def test_freudenthal_n3_finds_nothing(self):
-        cfg = SearchConfig(n=3, dim=3, trials=500, seed=42)
-        assert counterexample_search(SearchFamily.FREUDENTHAL, cfg) == []
+        assert search("freudenthal", n=3, dim=3, trials=500, seed=42) == []
 
     def test_hlawka_pop_include_known_finds_it(self):
-        cfg = SearchConfig(n=4, trials=5, seed=0, include_known=True)
-        found = counterexample_search(SearchFamily.HLAWKA_POP, cfg)
+        found = search("hlawka-pop", n=4, trials=5, seed=0, include_known=True)
         assert found
-        assert found[0].trial_index == 0
-        assert found[0].inputs == KNOWN_HLAWKA_POP_COUNTEREXAMPLE
-        assert found[0].margin == -2.0
+        assert found[0]["trialIndex"] == 0
+        assert found[0]["inputs"] == list(KNOWN_HLAWKA_POP_COUNTEREXAMPLE)
+        assert found[0]["margin"] == -2.0
 
     def test_search_rediscovers_known_region_when_sampled(self):
-        cfg = SearchConfig(
-            n=4, trials=64, seed=7, center=KNOWN_HLAWKA_POP_COUNTEREXAMPLE, radius=1.0
-        )
-        found = counterexample_search(SearchFamily.HLAWKA_POP, cfg)
+        found = search("hlawka-pop", n=4, trials=64, seed=7,
+                       center=KNOWN_HLAWKA_POP_COUNTEREXAMPLE, radius=1.0)
         assert len(found) >= 1
 
     def test_deterministic_under_seed(self):
-        cfg = SearchConfig(n=4, trials=300, seed=11)
-        first = counterexample_search(SearchFamily.HLAWKA_POP, cfg)
-        second = counterexample_search(SearchFamily.HLAWKA_POP, cfg)
-        assert first == second
+        assert search("hlawka-pop", n=4, trials=300, seed=11) == search(
+            "hlawka-pop", n=4, trials=300, seed=11)
 
     def test_every_find_reverifies(self):
-        cfg = SearchConfig(n=4, trials=300, seed=11)
-        for v in counterexample_search(SearchFamily.HLAWKA_POP, cfg):
-            fresh = conjecture_hlawka_pop_eval(ABS, v.inputs)
-            assert fresh.margin == v.margin
+        for v in search("hlawka-pop", n=4, trials=300, seed=11):
+            fresh = conjecture_hlawka_pop_eval(ABS, v["inputs"])
+            assert fresh.margin == v["margin"]
             assert fresh.margin < 0
 
     def test_freudenthal_n4_completes_and_reverifies(self):
-        cfg = SearchConfig(n=4, dim=2, trials=2000, seed=5)
-        found = counterexample_search(SearchFamily.FREUDENTHAL, cfg)
-        for v in found:
-            fresh = freudenthal_alternating(np.asarray(v.inputs))
-            assert fresh.margin == v.margin
+        for v in search("freudenthal", n=4, dim=2, trials=2000, seed=5):
+            fresh = freudenthal_alternating(np.reshape(v["inputs"], (4, 2)))
+            assert fresh.margin == v["margin"]
             assert fresh.margin < 0
 
     def test_coordinate_descent_deterministic(self):
-        cfg = SearchConfig(n=4, trials=8, seed=3, strategy=SearchStrategy.COORDINATE_DESCENT)
-        first = counterexample_search(SearchFamily.HLAWKA_POP, cfg)
-        second = counterexample_search(SearchFamily.HLAWKA_POP, cfg)
-        assert first == second
+        cfg = dict(n=4, trials=8, seed=3, strategy="coordinate-descent")
+        assert search("hlawka-pop", **cfg) == search("hlawka-pop", **cfg)
 
     def test_coordinate_descent_descends_into_violation(self):
         # Starting near the refuting point, descent must fall in.
-        cfg = SearchConfig(
-            n=4, trials=4, seed=9, strategy=SearchStrategy.COORDINATE_DESCENT,
-            center=(-9.0, 1.5, 0.5, 8.0), radius=0.5,
-        )
-        found = counterexample_search(SearchFamily.HLAWKA_POP, cfg)
+        found = search("hlawka-pop", n=4, trials=4, seed=9, strategy="coordinate-descent",
+                       center=(-9.0, 1.5, 0.5, 8.0), radius=0.5)
         assert found
 
     def test_needs_three(self):
         with pytest.raises(InputError):
-            counterexample_search(SearchFamily.HLAWKA_POP, SearchConfig(n=2, trials=1, seed=0))
+            search("hlawka-pop", n=2, trials=1, seed=0)
 
     def test_tolerance_decides_what_is_reported(self):
-        loose = SearchConfig(n=4, trials=300, seed=11, tol=1e-3)
-        found = counterexample_search(SearchFamily.HLAWKA_POP, loose)
-        strict = counterexample_search(SearchFamily.HLAWKA_POP,
-                                       dataclasses.replace(loose, tol=1e-12))
+        found = search("hlawka-pop", 1e-3, n=4, trials=300, seed=11)
+        strict = search("hlawka-pop", 1e-12, n=4, trials=300, seed=11)
         assert found and len(found) < len(strict)
-        assert {v.trial_index for v in found} < {v.trial_index for v in strict}
+        assert {v["trialIndex"] for v in found} < {v["trialIndex"] for v in strict}
+
+        def scale(v):
+            return conjecture_hlawka_pop_eval(ABS, v["inputs"]).scale
+
         for v in found:
-            assert v.margin < -1e-3 * v.scale
+            assert v["margin"] < -1e-3 * scale(v)
         for v in strict:
-            if v.trial_index not in {w.trial_index for w in found}:
-                assert v.margin >= -1e-3 * v.scale
+            if v["trialIndex"] not in {w["trialIndex"] for w in found}:
+                assert v["margin"] >= -1e-3 * scale(v)
 
     def test_freudenthal_finds_keep_one_row_per_vector(self):
-        cfg = SearchConfig(n=5, dim=2, trials=300, seed=2)
-        found = counterexample_search(SearchFamily.FREUDENTHAL, cfg)
+        found = search("freudenthal", n=5, dim=2, trials=300, seed=2)
         assert found
         for v in found:
-            assert len(v.inputs) == 5 and all(len(row) == 2 for row in v.inputs)
-            assert all(isinstance(x, float) for row in v.inputs for x in row)
+            assert len(v["inputs"]) == 5 * 2
+            assert all(isinstance(x, float) for x in v["inputs"])
+            fresh = freudenthal_alternating(np.reshape(v["inputs"], (5, 2)))
+            assert fresh.margin == v["margin"]
 
 
 class TestSampleInputs:
