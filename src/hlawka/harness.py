@@ -1,15 +1,16 @@
 """Trial-suite drivers behind the CLI subcommands.
 
-Every ``scalar-verify`` family is one entry of :data:`SUITES`, an operator
-family (also a ``verify`` suite) or a convex/norm suite, with its status
-and notes.  Each runner turns its suite into per-trial
-records, and :func:`_run`, the one trial loop, assembles them into a
-:class:`~hlawka.report.TrialReport` plus a process exit code: 0 for
-success, 1 when a violation is found in a family whose inequality is
-established (or a refutation is confirmed), 2 for usage errors, 3 for
-budget refusals (the latter two are raised as exceptions and mapped by the
-CLI).  ``counterexample`` runs on the same :class:`RunConfig` in a loop of
-its own, :func:`counterexample_search`, and a completed search exits 0.
+Every ``scalar-verify`` family is one :class:`~hlawka.sums.FamilySpec` of
+:data:`~hlawka.scalar.SUITES`, an operator family (also a ``verify``
+suite) or a convex/norm suite, and the entry sets its flags and exit rule.
+Each runner turns its suite into per-trial records, and :func:`_run`, the
+one trial loop, assembles them into a :class:`~hlawka.report.TrialReport`
+plus a process exit code: 0 for success, 1 when a violation is found in a
+family whose inequality is established (or a refutation is confirmed), 2
+for usage errors, 3 for budget refusals (the latter two are raised as
+exceptions and mapped by the CLI).  ``counterexample`` runs on the same
+:class:`RunConfig` in a loop of its own, :func:`counterexample_search`,
+and a completed search exits 0.
 
 Per-trial seeds derive from (master seed, trial index), so how trials are
 grouped cannot change any reported number.  The two operator suites run
@@ -46,13 +47,12 @@ from .linalg import (
 from .matfunc import DEFAULT_SCALAR_MATRIX_TOL, parse_character_selector, scalar_inequality_check
 from .report import TrialReport
 from .scalar import (
-    CONVEX_NORM_SUITES,
     DEFAULT_SCALAR_TOL,
     KNOWN_HLAWKA_POP_COUNTEREXAMPLE,
     SEARCH_FAMILIES,
     SEARCH_STRATEGIES,
+    SUITES,
     ConvexFunction,
-    ConvexNormSuite,
     conjecture_hlawka_pop_eval,
     convex_catalog,
     freudenthal_alternating,
@@ -68,7 +68,7 @@ from .scalar import (
     suite_terms,
     vasc_check,
 )
-from .sums import FAMILIES, OperatorFamily, TensorSumParams, build_difference, family_levels
+from .sums import FamilySpec, OperatorFamily, TensorSumParams, build_difference
 from .symgroup import MAX_SYMMETRIC_DEGREE
 from .util import derive_seed
 
@@ -79,8 +79,6 @@ CHUNK_BYTES = 128 * 1024
 
 #: Bytes per complex128 entry.
 _ENTRY_BYTES = 16
-
-_EMPIRICAL_FLAG = "empirical-family: inequality not established; margins reported, not assumed"
 
 
 @dataclass
@@ -107,10 +105,6 @@ class RunConfig:
     radius: float = 2.0
     points: tuple[float, ...] | None = None
 
-
-#: Every ``scalar-verify`` family, name -> table entry: the operator
-#: families, then the convex/norm suites.
-SUITES = {**{family.value: spec for family, spec in FAMILIES.items()}, **CONVEX_NORM_SUITES}
 
 # ``evaluate(cfg, fn, data)`` of each convex/norm suite.  Evaluators are looked
 # up by name when called, so every trial goes through the names bound here.
@@ -160,12 +154,15 @@ def _given(cfg: RunConfig) -> dict:
 
 
 def _check_include_known(cfg: RunConfig, n: int | None = None) -> None:
-    """Refuse ``include_known`` where it selects no input: the known input
-    refutes hlawka-pop, and a search starts from it only at its size n."""
+    """Refuse ``include_known`` beside ``points`` or where it selects no
+    input: the known input refutes hlawka-pop, and a search starts from it
+    only at its size n."""
     wanted = "--family hlawka-pop" + (f" --n {n}" if n else "")
     got = f"--family {cfg.family}" + (f" --n {cfg.n}" if n else "")
     if cfg.include_known and got != wanted:
         raise InputError(f"--include-known applies only to {wanted}, got {got}")
+    if cfg.include_known and cfg.points is not None:
+        raise InputError("--include-known and --points select different inputs; give one")
 
 
 def _operator_family(cfg: RunConfig) -> tuple[OperatorFamily, TensorSumParams]:
@@ -176,9 +173,8 @@ def _operator_family(cfg: RunConfig) -> tuple[OperatorFamily, TensorSumParams]:
     except ValueError:
         raise InputError(f"unknown family {cfg.family!r}") from None
     _check_loop(cfg.trials)
-    params = TensorSumParams(n=cfg.n, p=cfg.p, k=cfg.k, ell=cfg.ell, m=cfg.m)
-    family_levels(family, cfg.n, params)
-    return family, params
+    suite_terms(family.value, cfg.n, cfg.k, cfg.ell, cfg.m)
+    return family, TensorSumParams(n=cfg.n, p=cfg.p, k=cfg.k, ell=cfg.ell, m=cfg.m)
 
 
 def _sampled_chunks(cfg: RunConfig, n: int, trial_bytes: int):
@@ -214,8 +210,7 @@ def _matrix_trials(cfg: RunConfig, largest: int, check, margin_key: str):
                 {"inputsDigest": _tuple_digest(parts, t), margin_key: worst, "seed": seed})
 
 
-def _run(report: TrialReport, status: str, notes: list[str], theorem: bool,
-         records) -> tuple[TrialReport, int]:
+def _run(report: TrialReport, spec: FamilySpec, n: int, records) -> tuple[TrialReport, int]:
     """The one trial loop: fill ``report`` from per-trial records.
 
     A record is ``(outcomes, violation)``: one ``(function kind or None,
@@ -223,9 +218,10 @@ def _run(report: TrialReport, status: str, notes: list[str], theorem: bool,
     margin)``, the report entry of the trial's worst outcome.  A trial is
     an equality case when all its outcomes are EQUALITY, and it yields one
     violation entry when its worst outcome FAILS, so violations never
-    outnumber trials.  Flags a record source learns while it runs go to the
-    report's flags, after the suite's ``notes``.  A violation exits 1 under
-    the ``status`` ``proven`` or ``refuted``, or on a ``theorem``.
+    outnumber trials.  The report's flags are the notes of the table entry
+    ``spec`` over n inputs, then the flags a record source learns while it
+    runs.  A violation exits 1 under the ``spec.status`` ``proven`` or
+    ``refuted``, or when n is ``spec.proven_at``.
     """
     start = time.perf_counter()
     for outcomes, violation in records:
@@ -235,9 +231,9 @@ def _run(report: TrialReport, status: str, notes: list[str], theorem: bool,
             report.min_margin = margin
         if verdict is Verdict.FAILS:
             report.violations.append(violation(kind, margin))
-    report.interpretation_flags[:0] = [_EMPIRICAL_FLAG] * (status == "empirical") + notes
+    report.interpretation_flags[:0] = spec.notes(n)
     report.runtime_ms = int((time.perf_counter() - start) * 1000)
-    binding = status in ("proven", "refuted") or theorem
+    binding = spec.status in ("proven", "refuted") or n == spec.proven_at
     return report, 1 if report.violations and binding else 0
 
 
@@ -265,7 +261,7 @@ def run_verify(cfg: RunConfig) -> tuple[TrialReport, int]:
             flags.append(psd_only)
         return [(c.min_eigenvalue, c.verdict) for c in certs]
 
-    return _run(report, FAMILIES[family].status, [], False,
+    return _run(report, SUITES[cfg.family], cfg.n,
                 _matrix_trials(cfg, side * side, certify, "minEigenvalue"))
 
 
@@ -273,8 +269,11 @@ def run_scalar_verify(cfg: RunConfig) -> tuple[TrialReport, int]:
     """Scalar suites: either the d-image of an operator family (choose a
     character with --char) or one of the convex/norm evaluators."""
     _check_include_known(cfg)
-    if cfg.family in CONVEX_NORM_SUITES:
-        return _run_convex_norm(cfg, CONVEX_NORM_SUITES[cfg.family])
+    if cfg.family in _EVALUATORS:
+        return _run_convex_norm(cfg, SUITES[cfg.family])
+    if cfg.points is not None:
+        raise InputError(f"--points applies only to a convex/norm family, "
+                         f"got --family {cfg.family}")
     family, params = _operator_family(cfg)
     group, chi = parse_character_selector(cfg.char, cfg.dim)
     tol = _tolerance(cfg, DEFAULT_SCALAR_MATRIX_TOL)
@@ -290,11 +289,11 @@ def run_scalar_verify(cfg: RunConfig) -> tuple[TrialReport, int]:
     # generalized matrix function per trial; orders beyond the guard are
     # refused when it runs.
     order = math.factorial(min(group.degree, MAX_SYMMETRIC_DEGREE + 1))
-    return _run(report, FAMILIES[family].status, [], False,
+    return _run(report, SUITES[cfg.family], cfg.n,
                 _matrix_trials(cfg, order * group.degree, check, "margin"))
 
 
-def _run_convex_norm(cfg: RunConfig, suite: ConvexNormSuite) -> tuple[TrialReport, int]:
+def _run_convex_norm(cfg: RunConfig, suite: FamilySpec) -> tuple[TrialReport, int]:
     """A convex/norm suite on seeded inputs, or once on explicit inputs,
     which then set the reported tuple size and vector dimension."""
     tol = _tolerance(cfg, DEFAULT_SCALAR_TOL)
@@ -302,9 +301,7 @@ def _run_convex_norm(cfg: RunConfig, suite: ConvexNormSuite) -> tuple[TrialRepor
     fns = [None]
     if not vectors:
         fns = list(convex_catalog()) if cfg.fn == "all" else [ConvexFunction(cfg.fn)]
-    explicit = cfg.points
-    if cfg.include_known:
-        explicit = KNOWN_HLAWKA_POP_COUNTEREXAMPLE
+    explicit = KNOWN_HLAWKA_POP_COUNTEREXAMPLE if cfg.include_known else cfg.points
     n = len(explicit) if (explicit is not None and not vectors) else cfg.n
     trials = 1 if explicit is not None else cfg.trials
     suite_terms(cfg.family, n, cfg.k, cfg.ell, cfg.m)  # a parameter fault stops the run here
@@ -334,8 +331,7 @@ def _run_convex_norm(cfg: RunConfig, suite: ConvexNormSuite) -> tuple[TrialRepor
                     "seed": derive_seed(cfg.seed, t),
                     "inputs": [float(x) for x in data.ravel()], **({"fn": kind} if kind else {})})
 
-    return _run(_report(cfg, cfg.family, params, tol, trials), suite.status, suite.notes(n),
-                n == suite.proven_at, records())
+    return _run(_report(cfg, cfg.family, params, tol, trials), suite, n, records())
 
 
 def counterexample_search(suite: str, cfg: RunConfig, fn: ConvexFunction,

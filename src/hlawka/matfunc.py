@@ -9,23 +9,25 @@ group this is the determinant for the sign character, the permanent for
 the trivial character, and an immanant for any other partition label.
 
 Applying d to each operator term of a tensor-sum inequality (in place of
-Kronecker powers) yields the scalar corollaries checked here.  The
-permanent additionally has an independent inclusion-exclusion oracle so
-the two routes can cross-check each other.
+Kronecker powers), the terms :func:`~hlawka.scalar.suite_terms` gives,
+yields the scalar corollaries checked here.  The permanent additionally has
+an independent inclusion-exclusion oracle so the two routes can
+cross-check each other.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations
 from math import fsum
+from operator import add
 
 import numpy as np
 
 from .errors import BudgetError, InputError
 from .linalg import HermitianStack, _as_array, _entries, _same_shape, _single_or_all
-from .scalar import ScalarCheckResult, _result
-from .sums import OperatorFamily, TensorSumParams, family_levels
+from .scalar import ScalarCheckResult, _result, suite_terms
+from .sums import OperatorFamily, TensorSumParams, _checked_count
 from .symgroup import CharacterSpec, GroupSpec, character_values, enumerate_group
 
 #: Ryser evaluation enumerates 2^m column subsets; refuse beyond this.
@@ -120,13 +122,8 @@ def elementary_symmetric_det(mats, k: int) -> float:
     n = len(hs)
     if not 1 <= k <= n:
         raise InputError(f"k must satisfy 1 <= k <= {n}, got {k}")
-    terms = []
-    for idx in combinations(range(n), k):
-        subset = hs[idx[0]]
-        for i in idx[1:]:
-            subset = subset + hs[i]
-        terms.append(determinant_via_elimination(subset.array).real)
-    return fsum(terms)
+    return fsum(determinant_via_elimination(reduce(add, map(hs.__getitem__, idx)).array).real
+                for idx in combinations(range(n), k))
 
 
 # ---------------------------------------------------------------------------
@@ -154,31 +151,20 @@ def scalar_inequality_check(
     trial); every trial is checked at once and a list of results, one per
     trial, is returned, or one result for single-matrix inputs.
     """
-    hs = _same_shape(mats)
-    if any(h.dim != group.degree for h in hs):
-        raise InputError("matrix dimension must equal the group degree")
+    hs = _same_shape(_checked_count(mats, params))
     arrays = [_entries(h) for h in hs]
-    lhs, rhs = family_levels(family, len(hs), params)
 
-    def evaluate(levels) -> np.ndarray:
-        # One row per term, one column per trial.  Subset sums stay in input
-        # order (the reports' bits depend on it); fsum rounds each side
-        # once, so no grouping of the terms needs fixing.
-        values = []
-        for level in levels:
-            weight = float(level.weight)
-            for idx in level.subsets:
-                subset = arrays[idx[0]]
-                for i in idx[1:]:
-                    subset = subset + arrays[i]
-                d = generalized_matrix_function(HermitianStack._wrap_exact(subset), group, chi)
-                values.append(weight * d.real)
-        return np.array(values)
+    def d(subset: np.ndarray) -> np.ndarray:
+        # Refuses a dimension other than the group degree.
+        return generalized_matrix_function(HermitianStack._wrap_exact(subset), group, chi)
 
-    lhs_values = evaluate(lhs)
-    rhs_values = evaluate(rhs)
-    return _single_or_all(hs[0], [_result(lhs_values[:, t], rhs_values[:, t], tol)
-                                  for t in range(lhs_values.shape[1])])
+    # One row per term, one column per trial.  Subset sums stay in input
+    # order (the reports' bits depend on it); fsum rounds each side once, so
+    # no grouping of the terms needs fixing.
+    lhs, rhs = (np.array([c * d(reduce(add, map(arrays.__getitem__, s))).real for c, s in side])
+                for side in suite_terms(family.value, len(hs), params.k, params.ell, params.m))
+    return _single_or_all(hs[0], [_result(lhs[:, t], rhs[:, t], tol)
+                                  for t in range(lhs.shape[1])])
 
 
 def parse_character_selector(selector: str, dim: int) -> tuple[GroupSpec, CharacterSpec]:

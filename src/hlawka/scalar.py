@@ -11,20 +11,20 @@ a term or sum that overflows is refused.  Two kinds of evaluator live here:
   (the functional Hlawka form, the alternating norm sum, the alternating
   subset-mean pattern), which only measure.
 
-Every suite is one entry of :data:`CONVEX_NORM_SUITES`: the levels of an
-operator family of :mod:`hlawka.sums` (exact weights times index subsets),
-a term rule mapping a subset of the inputs to a norm or a value of f, and
-the suite's status and notes.  One evaluator reads the table, and the
-public evaluators are wrappers over it.  Inputs are canonically sorted
-first, so permuting them cannot change a single bit of the result, and
-each side is summed with ``math.fsum``, so algebraically equal
-expressions agree exactly.
+Every suite is one :class:`~hlawka.sums.FamilySpec` of
+:data:`CONVEX_NORM_SUITES`, with the levels of an operator family (exact
+weights times index subsets) and a ``term`` rule mapping a subset of the
+inputs to a norm or a value of f.  :data:`SUITES` adds the operator
+families, and :func:`suite_terms` gives the terms of any entry to the one
+evaluator here and to :mod:`hlawka.matfunc`.  The public evaluators are
+wrappers over it.  Inputs are canonically sorted first, so permuting them
+cannot change a single bit of the result, and each side is summed with
+``math.fsum``, so algebraically equal expressions agree exactly.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from math import fsum
@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import InputError
 from .linalg import Verdict, band_verdict
-from .sums import FAMILIES, Level, OperatorFamily, checked_sides
+from .sums import FAMILIES, FamilySpec, Level, OperatorFamily, checked_sides
 from .sums import _alternating, _level, _pop_subsets
 
 #: Default relative tolerance deciding whether a scalar margin "holds".
@@ -143,34 +143,9 @@ def _sorted_vectors(vectors) -> np.ndarray:
     return arr[order]
 
 
-@dataclass(frozen=True)
-class ConvexNormSuite:
-    """One convex/norm suite: ``needs``, ``valid`` and ``sides`` as in
-    :class:`~hlawka.sums.FamilySpec`, and the ``term`` rule that maps a level
-    of weight w and a subset S of the sorted inputs to one term:
-
-    * ``norm``:  ``float(w) * ||sum of the vectors of S||``
-    * ``value``: ``float(w) * f(the points of S added one by one)``
-    * ``mean``:  ``float(w*|S|) * f(fsum(the points of S) / |S|)``, with the
-      exact product ``w*|S|`` rounded once.
-
-    ``status`` is ``proven``, ``evaluator`` or ``refuted``; an evaluator
-    states a theorem over ``proven_at`` inputs.  ``notes(n)`` gives the
-    interpretation flags of a run over n inputs.
-    """
-
-    term: str
-    needs: str
-    valid: Callable[..., bool]
-    sides: Callable[..., tuple[list[Level], list[Level]]]
-    status: str = "proven"
-    notes: Callable[[int], list[str]] = lambda n: []
-    proven_at: int | None = None
-
-
-def _like(family: OperatorFamily, term: str, **kwargs) -> ConvexNormSuite:
+def _like(family: OperatorFamily, term: str, status: str = "proven", **kwargs) -> FamilySpec:
     spec = FAMILIES[family]
-    return ConvexNormSuite(term, spec.needs, spec.valid, spec.sides, **kwargs)
+    return FamilySpec(status, spec.needs, spec.valid, spec.sides, term=term, **kwargs)
 
 
 def _odd_left(n, k, ell, m):
@@ -189,39 +164,44 @@ def _vasc(n, k, ell, m):
 #: ``scalar-verify`` family name.
 CONVEX_NORM_SUITES = {
     "norm-hlawka": _like(OperatorFamily.HLAWKA3, "norm"),
-    "radu": ConvexNormSuite(
-        "norm", "n >= 3 and 2 <= k <= n",
+    "radu": FamilySpec(
+        "proven", "n >= 3 and 2 <= k <= n",
         lambda n, k, ell, m: k is not None and 2 <= k <= n and n >= 3,
-        lambda n, k, ell, m: _pop_subsets(n, k)),
-    "jensen": ConvexNormSuite(
-        "mean", "n >= 1", lambda n, k, ell, m: n >= 1,
-        lambda n, k, ell, m: ([_level(n, 1)], [_level(n, n)])),
+        lambda n, k, ell, m: _pop_subsets(n, k), term="norm"),
+    "jensen": FamilySpec(
+        "proven", "n >= 1", lambda n, k, ell, m: n >= 1,
+        lambda n, k, ell, m: ([_level(n, 1)], [_level(n, n)]), term="mean"),
     "popoviciu": _like(OperatorFamily.HLAWKA3, "mean"),
-    "vasc": ConvexNormSuite("mean", "n >= 3", lambda n, k, ell, m: n >= 3, _vasc),
+    "vasc": FamilySpec("proven", "n >= 3", lambda n, k, ell, m: n >= 3, _vasc, term="mean"),
     "pcz": _like(OperatorFamily.POP_SUBSETS, "mean"),
     "pop-levels-scalar": _like(OperatorFamily.POP_LEVELS, "mean", status="evaluator", notes=(
         lambda n: ["evaluator-only: direction depends on (k, ell, m); margins reported only"])),
     "functional-hlawka": _like(OperatorFamily.HLAWKA3, "value", status="evaluator", notes=(
         lambda n: ["evaluator-only: convexity does not imply the functional form"])),
-    "hlawka-pop": ConvexNormSuite(
-        "mean", "n >= 3", lambda n, k, ell, m: n >= 3, _odd_left, status="refuted",
+    "hlawka-pop": FamilySpec(
+        "refuted", "n >= 3", lambda n, k, ell, m: n >= 3, _odd_left, term="mean",
         notes=lambda n: ["evaluator-only: alternating subset-mean pattern fails for n >= 4"]
         + ["interpretation: subset-size weights extrapolated beyond the n=4 instance"] * (n > 4)),
-    "freudenthal": ConvexNormSuite(
-        "norm", "n >= 3", lambda n, k, ell, m: n >= 3, _odd_left, status="evaluator",
+    "freudenthal": FamilySpec(
+        "evaluator", "n >= 3", lambda n, k, ell, m: n >= 3, _odd_left, term="norm",
         notes=lambda n: ["evaluator-only: alternating norm sum fails for n >= 4"] * (n >= 4),
         proven_at=3),
 }
 
+#: Every ``scalar-verify`` family, name -> table entry: the operator
+#: families, then the convex/norm suites.
+SUITES = {**{family.value: spec for family, spec in FAMILIES.items()}, **CONVEX_NORM_SUITES}
+
 
 @lru_cache(maxsize=64)
 def suite_terms(suite: str, n: int, k=None, ell=None, m=None) -> tuple:
-    """The ``(lhs, rhs)`` terms of a convex/norm suite over n inputs, each a
-    ``(coefficient, subset)`` pair; :class:`InputError` if the parameters
-    fail the suite's condition.  Coefficients are rounded once per
-    parameter set, so evaluating a term does no ``Fraction`` arithmetic.
+    """The ``(lhs, rhs)`` terms of a :data:`SUITES` entry over n inputs, each
+    a ``(coefficient, subset)`` pair as :func:`_evaluate` reads it;
+    :class:`InputError` if the parameters fail the entry's condition.
+    Coefficients are rounded once per parameter set, so evaluating a term
+    does no ``Fraction`` arithmetic.
     """
-    spec = CONVEX_NORM_SUITES[suite]
+    spec = SUITES[suite]
     mean = spec.term == "mean"
     return tuple(
         tuple((float(level.weight * len(s) if mean else level.weight), s)
@@ -231,9 +211,15 @@ def suite_terms(suite: str, n: int, k=None, ell=None, m=None) -> tuple:
 
 def _evaluate(suite: str, data, f: ConvexFunction | None = None, *, k=None, ell=None, m=None,
               tol: float = DEFAULT_SCALAR_TOL) -> ScalarCheckResult:
-    """The convex/norm suite on canonically sorted ``data``: vectors, one
-    per row, under the norm rule and points under the other two."""
-    term = CONVEX_NORM_SUITES[suite].term
+    """The convex/norm suite on canonically sorted ``data``.  The ``term``
+    rule maps a level of weight w and a subset S of the inputs to one term:
+
+    * ``norm``:  ``float(w) * ||sum of the vectors of S||``, one vector a row
+    * ``value``: ``float(w) * f(the points of S added one by one)``
+    * ``mean``:  ``float(w*|S|) * f(fsum(the points of S) / |S|)``, with the
+      exact product ``w*|S|`` rounded once.
+    """
+    term = SUITES[suite].term
     if term == "norm":
         arr = _sorted_vectors(data)
         sides = suite_terms(suite, arr.shape[0], k, ell, m)
@@ -253,7 +239,7 @@ def sample_inputs(suite: str, rng: np.random.Generator, n: int, dim: int,
     """Seeded inputs of a suite: ``(n, dim)`` standard Gaussian vectors under
     the norm rule, else ``n`` uniform points in [-10, 10]; with a ``center``
     (all coordinates, flat), the center plus uniform offsets in [-radius, radius]."""
-    vectors = CONVEX_NORM_SUITES[suite].term == "norm"
+    vectors = SUITES[suite].term == "norm"
     shape = (n, dim) if vectors else (n,)
     if center is None:
         return rng.standard_normal(shape) if vectors else rng.uniform(-10.0, 10.0, shape)

@@ -1,15 +1,17 @@
 """The operator inequality families and their tensor-sum differences.
 
-Every family is one entry of :data:`FAMILIES`: its LHS and RHS as levels,
-each an exact weight times a list of index subsets, read as
+Every family is one :class:`FamilySpec` of :data:`FAMILIES`: its LHS and
+RHS as levels, each an exact weight times a list of index subsets, read as
 ``sum_S weight * F(X_S)`` for the subset sums ``X_S`` and a functor ``F``.
 :func:`build_difference` takes ``F`` to be the p-fold Kronecker power and
 assembles LHS - RHS, ready for Loewner certification;
 :func:`hlawka.matfunc.scalar_inequality_check` takes a generalized matrix
-function.  Input ``i`` is a :class:`~hlawka.linalg.HermitianStack` holding
-matrix ``i`` of every trial (a :class:`~hlawka.linalg.HermitianMatrix` is
-the stack of one trial), and every trial's difference is built at once: a
-stack of them, or one matrix for single-matrix inputs.  The families:
+function; the convex/norm suites of :mod:`hlawka.scalar` are entries with
+a scalar ``term`` rule in place of ``F``.  Input ``i`` is a
+:class:`~hlawka.linalg.HermitianStack` holding matrix ``i`` of every trial
+(a :class:`~hlawka.linalg.HermitianMatrix` is the stack of one trial), and
+every trial's difference is built at once: a stack of them, or one matrix
+for single-matrix inputs.  The families:
 
 * ``superadd``:    (A1+...+An)^op  >=  sum_i Ai^op
 * ``hlawka3``:     (A+B+C)^op + A^op + B^op + C^op  >=  sum of pair powers
@@ -66,7 +68,7 @@ class OperatorFamily(Enum):
 
 @dataclass(frozen=True)
 class TensorSumParams:
-    """Parameters selecting one instance of a difference family."""
+    """Parameters selecting one instance of a difference family over n inputs."""
 
     n: int
     p: int
@@ -107,13 +109,16 @@ def _pop_levels(n, k, ell, m):
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """One operator family: the sum of the ``lhs`` levels dominates the sum
-    of the ``rhs`` levels.
+    """One ``scalar-verify`` family: the sum of the ``lhs`` levels dominates
+    the sum of the ``rhs`` levels.
 
     ``sides(n, k, ell, m)`` gives ``(lhs, rhs)`` for a valid parameter set;
-    ``valid`` tests the condition that ``needs`` states.  ``status`` is
-    ``proven`` (a violation is a genuine failure) or ``empirical`` (margins
-    are reported, never assumed).  ``supermod`` keeps input 0 in its place.
+    ``valid`` tests the condition that ``needs`` states.  ``supermod`` keeps
+    input 0 in its place.  ``term`` is ``None`` for an operator family, else
+    the term rule of a convex/norm suite.  A violation is a failure under the
+    ``status`` ``proven`` or ``refuted``, and over ``proven_at`` inputs; under
+    ``empirical`` or ``evaluator`` margins are only reported.  ``notes(n)``
+    gives the interpretation flags of a run over n inputs.
     """
 
     status: str
@@ -121,6 +126,13 @@ class FamilySpec:
     valid: Callable[..., bool]
     sides: Callable[..., tuple[list[Level], list[Level]]]
     supermod: bool = False
+    term: str | None = None
+    notes: Callable[[int], list[str]] = lambda n: []
+    proven_at: int | None = None
+
+
+def _empirical(n: int) -> list[str]:
+    return ["empirical-family: inequality not established; margins reported, not assumed"]
 
 
 #: The one definition of every operator family.
@@ -142,16 +154,16 @@ FAMILIES = {
         lambda n, k, ell, m: _pop_subsets(n, 2)),
     OperatorFamily.POP_SUBSETS: FamilySpec(
         "empirical", "2 <= m < n", lambda n, k, ell, m: m is not None and 2 <= m < n,
-        lambda n, k, ell, m: _pop_subsets(n, m)),
+        lambda n, k, ell, m: _pop_subsets(n, m), notes=_empirical),
     OperatorFamily.POP_LEVELS: FamilySpec(
         "empirical", "1 <= k < ell < m <= n",
-        lambda n, k, ell, m: None not in (k, ell, m) and 1 <= k < ell < m <= n, _pop_levels),
+        lambda n, k, ell, m: None not in (k, ell, m) and 1 <= k < ell < m <= n, _pop_levels,
+        notes=_empirical),
 }
 
 
-def checked_sides(name: str, spec, n: int, k=None, ell=None, m=None):
-    """``spec.sides`` over n inputs, for a :class:`FamilySpec` or any entry
-    with its ``needs``, ``valid`` and ``sides``.
+def checked_sides(name: str, spec: FamilySpec, n: int, k=None, ell=None, m=None):
+    """``spec.sides`` over n inputs.
 
     Raises :class:`InputError` naming the parameters when the condition
     fails; every table is read through here, so a fault reads the same on
@@ -165,11 +177,11 @@ def checked_sides(name: str, spec, n: int, k=None, ell=None, m=None):
     return spec.sides(**values)
 
 
-def family_levels(
-    family: OperatorFamily, n: int, params: TensorSumParams
-) -> tuple[list[Level], list[Level]]:
-    """The ``(lhs, rhs)`` levels of a family over n inputs; see :func:`checked_sides`."""
-    return checked_sides(family.value, FAMILIES[family], n, params.k, params.ell, params.m)
+def _checked_count(mats, params: TensorSumParams) -> list:
+    mats = list(mats)
+    if len(mats) != params.n:
+        raise InputError(f"params.n is {params.n}, but {len(mats)} inputs were given")
+    return mats
 
 
 def _canonical_arrays(mats, *, keep_first_fixed: bool = False) -> list[np.ndarray]:
@@ -246,8 +258,8 @@ def build_difference(
     summed pairwise, and with rational weights the common denominator is
     divided out once at the end.
     """
-    mats = list(mats)
-    sides = family_levels(family, len(mats), params)
+    mats = _checked_count(mats, params)
+    sides = checked_sides(family.value, FAMILIES[family], params.n, params.k, params.ell, params.m)
     arrays = _canonical_arrays(mats, keep_first_fixed=FAMILIES[family].supermod)
     check_tensor_budget(arrays[0].shape[-1], params.p, max_dim)
     den = lcm(*(level.weight.denominator for side in sides for level in side))

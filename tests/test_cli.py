@@ -27,8 +27,9 @@ from hlawka.scalar import (
     ConvexFunction,
     sample_inputs,
     search_from,
+    suite_terms,
 )
-from hlawka.sums import OperatorFamily
+from hlawka.sums import FAMILIES, FamilySpec, OperatorFamily
 from hlawka.symgroup import save_character_table
 from hlawka.util import derive_seed, format_complex_sig17, format_sig17
 
@@ -286,6 +287,22 @@ class TestParametersCheckedBeforeTheTrials:
     def test_zero_trials_still_refuse_bad_parameters(self, command, code, tmp_path):
         out = tmp_path / "r.json"
         assert main([*command.split(), "--trials", "0", "--out", str(out)]) == code
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, message", [
+        ("scalar-verify --family hlawka-pop --include-known --points 1,2,3",
+         "--include-known and --points select different inputs; give one"),
+        ("scalar-verify --family hlawka3 --points 1,2,3 --trials 3",
+         "--points applies only to a convex/norm family, got --family hlawka3"),
+    ])
+    def test_points_refused_where_they_are_not_evaluated(self, command, message, tmp_path,
+                                                         capsys):
+        # The known input and the sampled matrices would each silently
+        # replace the given points.
+        out = tmp_path / "r.json"
+        assert main([*command.split(), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
         assert not out.exists()
 
 
@@ -566,6 +583,18 @@ def readme_statuses() -> dict:
     return dict(re.findall(r"^\| `([^`]+)` +\|.*\| *(\w+) *\|$", section, flags=re.M))
 
 
+#: Valid parameters of every ``scalar-verify`` family, at sizes where the
+#: size-dependent notes show.
+SUITE_ARGS = {
+    "hlawka3": "", "supermod": "", "superadd": "--n 4", "alternating": "--n 4",
+    "pop-pairs": "--n 4", "pop-subsets": "--n 4 --m 2",
+    "pop-levels": "--n 4 --k 1 --ell 2 --m 4", "norm-hlawka": "", "radu": "--n 5 --k 3",
+    "jensen": "--n 4", "popoviciu": "", "vasc": "--n 5", "pcz": "--n 5 --m 3",
+    "pop-levels-scalar": "--n 5 --k 1 --ell 3 --m 5", "functional-hlawka": "",
+    "hlawka-pop": "--n 5", "freudenthal": "--n 4",
+}
+
+
 class TestRegistryDrift:
     def test_verify_choices_are_the_operator_families(self):
         assert cli_choices("verify") == tuple(f.value for f in OperatorFamily)
@@ -579,6 +608,32 @@ class TestRegistryDrift:
         assert list(convex) == list(CONVEX_NORM_SUITES)
         assert all(suite is CONVEX_NORM_SUITES[name] for name, suite in convex.items())
         assert list(_EVALUATORS) == list(CONVEX_NORM_SUITES)
+
+    def test_one_entry_type_and_one_term_list(self):
+        assert all(isinstance(spec, FamilySpec) for spec in SUITES.values())
+        operators = {family.value for family in OperatorFamily}
+        assert {name for name, spec in SUITES.items() if spec.term is None} == operators
+        for family, (n, k, ell, m) in [
+            (OperatorFamily.HLAWKA3, (3, None, None, None)),
+            (OperatorFamily.SUPERMOD, (3, None, None, None)),
+            (OperatorFamily.SUPERADD, (4, None, None, None)),
+            (OperatorFamily.ALTERNATING, (5, None, None, None)),
+            (OperatorFamily.POP_PAIRS, (4, None, None, None)),
+            (OperatorFamily.POP_SUBSETS, (5, None, None, 3)),
+            (OperatorFamily.POP_LEVELS, (5, 1, 3, 5)),
+        ]:
+            expected = [[(float(level.weight), s) for level in side for s in level.subsets]
+                        for side in FAMILIES[family].sides(n, k, ell, m)]
+            assert [list(side) for side in suite_terms(family.value, n, k, ell, m)] == expected
+
+    @pytest.mark.parametrize("name", list(SUITES))
+    def test_report_flags_are_the_table_notes(self, name, tmp_path):
+        out = tmp_path / "r.json"
+        args = SUITE_ARGS[name].split()
+        assert main(["scalar-verify", "--family", name, *args, "--trials", "0",
+                     "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["interpretationFlags"] == SUITES[name].notes(doc["params"]["n"])
 
     def test_every_search_family_is_a_convex_norm_suite(self):
         assert cli_choices("counterexample") == SEARCH_FAMILIES

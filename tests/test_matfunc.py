@@ -163,6 +163,12 @@ class TestScalarInequalityCheck:
         assert (res.lhs, res.rhs, res.margin) == (6.0, 6.0, 0.0)
         assert res.holds
 
+    def test_params_n_must_count_the_inputs(self):
+        with pytest.raises(InputError, match="params.n is 7, but 3 inputs were given"):
+            scalar_inequality_check(OperatorFamily.HLAWKA3, pd_tuple(1, 3, 2),
+                                    TensorSumParams(n=7, p=2), GroupSpec.full_symmetric(2),
+                                    CharacterSpec.sign())
+
     def test_det_hlawka_trial_suite(self):
         group = GroupSpec.full_symmetric(3)
         for seed in range(100):

@@ -261,6 +261,12 @@ class TestSharedProperties:
         out = build_difference(family, mats, params)
         assert np.array_equal(out.array, out.array.conj().T)
 
+    def test_params_n_must_count_the_inputs(self):
+        # n is the tuple size; a mismatch is refused, not read as len(mats).
+        mats = pd_tuple(28, 3, 2)
+        with pytest.raises(InputError, match="params.n is 7, but 3 inputs were given"):
+            build_difference(OperatorFamily.HLAWKA3, mats, TensorSumParams(n=7, p=2))
+
     def test_mixed_dimensions_rejected(self):
         mats = pd_tuple(26, 2, 2) + pd_tuple(26, 1, 3)
         with pytest.raises(InputError):
