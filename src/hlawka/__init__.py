@@ -59,7 +59,6 @@ from .scalar import (
 )
 from .sums import (
     OperatorFamily,
-    TensorSumParams,
     alternating_difference,
     build_difference,
     hlawka3_difference,

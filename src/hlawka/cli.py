@@ -4,6 +4,8 @@ Subcommands: ``verify`` (operator inequality trial suites),
 ``scalar-verify`` (determinant/permanent/immanant corollaries and the
 convex/norm suites), ``counterexample`` (seeded search for violating
 inputs), and ``immanant`` (generalized matrix function of a matrix file).
+Each flag of the first three but ``--out`` and ``--format`` sets one
+:class:`~hlawka.harness.RunConfig` field, and abbreviations are refused.
 
 Exit codes: 0 success / no violation, 1 violation found in a family whose
 inequality is established (or a confirmed refutation), 2 usage error,
@@ -13,6 +15,7 @@ inequality is established (or a confirmed refutation), 2 usage error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from .errors import BudgetError, InputError
@@ -36,11 +39,6 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--trials", type=int, default=100, help="number of trials")
     parser.add_argument("--tol", type=float, default=None,
                         help="relative tolerance override, finite and >= 0")
-    parser.add_argument("--max-dim", type=int, default=DEFAULT_MAX_TENSOR_DIM,
-                        help="tensor dimension budget (refuse, never truncate)")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="must be >= 1; kept for compatibility and changes nothing: "
-                             "trials run in memory-bounded chunks stacked on one thread")
     parser.add_argument("--out", default=None, help="report file path")
     parser.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
 
@@ -50,10 +48,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="hlawka",
         description="Certify tensor-sum operator inequalities, their scalar "
                     "corollaries, and reproduce the known counterexamples.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_verify = sub.add_parser("verify", help="operator inequality trial suite")
+    p_verify = sub.add_parser("verify", help="operator inequality trial suite", allow_abbrev=False)
     _common_flags(p_verify)
     p_verify.add_argument("--family", required=True,
                           choices=tuple(family.value for family in OperatorFamily))
@@ -64,8 +63,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--k", type=int, default=None, help="low level (pop-levels)")
     p_verify.add_argument("--ell", type=int, default=None, help="middle level (pop-levels)")
     p_verify.add_argument("--condition-target", type=float, default=10.0)
+    p_verify.add_argument("--max-dim", dest="max_tensor_dim", type=int,
+                          default=DEFAULT_MAX_TENSOR_DIM,
+                          help="tensor dimension budget (refuse, never truncate)")
 
-    p_scalar = sub.add_parser("scalar-verify", help="scalar corollary / convex suite")
+    p_scalar = sub.add_parser("scalar-verify", help="scalar corollary / convex suite",
+                              allow_abbrev=False)
     _common_flags(p_scalar)
     p_scalar.add_argument("--family", required=True, choices=tuple(SUITES))
     p_scalar.add_argument("--char", default="det",
@@ -73,8 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_scalar.add_argument("--fn", default="all",
                           help="convex function: abs|square|fourth|exp|relu|softplus|all")
     p_scalar.add_argument("--n", type=int, default=3)
-    p_scalar.add_argument("--p", type=int, default=None,
-                          help="read by no suite; a matrix-function report echoes it")
     p_scalar.add_argument("--dim", type=int, default=3)
     p_scalar.add_argument("--m", type=int, default=None)
     p_scalar.add_argument("--k", type=int, default=None)
@@ -86,7 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="evaluate only the known refuting input (four points); "
                                "--family hlawka-pop only")
 
-    p_counter = sub.add_parser("counterexample", help="seeded violation search")
+    p_counter = sub.add_parser("counterexample", help="seeded violation search",
+                               allow_abbrev=False)
     _common_flags(p_counter)
     p_counter.add_argument("--family", required=True, choices=SEARCH_FAMILIES)
     p_counter.add_argument("--n", type=int, default=4)
@@ -100,7 +102,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="comma-separated center of the sampled region")
     p_counter.add_argument("--radius", type=float, default=2.0)
 
-    p_imm = sub.add_parser("immanant", help="generalized matrix function of a matrix file")
+    p_imm = sub.add_parser("immanant", help="generalized matrix function of a matrix file",
+                           allow_abbrev=False)
     p_imm.add_argument("matrix", help="matrix file path")
     p_imm.add_argument("selector", help="det | perm | partition=<parts> | table=<path>")
 
@@ -127,21 +130,12 @@ def _emit(report: TrialReport, args) -> None:
 
 
 def _config_from(args) -> RunConfig:
-    if args.jobs < 1:
-        raise InputError("jobs must be >= 1")
-    cfg = RunConfig(family=args.family)
-    for name in ("n", "p", "dim", "trials", "seed", "tol", "k", "ell", "m",
-                 "char", "fn", "strategy", "include_known", "radius"):
-        if hasattr(args, name) and getattr(args, name) is not None:
-            setattr(cfg, name, getattr(args, name))
-    cfg.max_tensor_dim = args.max_dim
-    if getattr(args, "condition_target", None) is not None:
-        cfg.condition_target = args.condition_target
-    if getattr(args, "center", None):
-        cfg.center = _parse_floats(args.center)
-    if getattr(args, "points", None):
-        cfg.points = _parse_floats(args.points)
-    return cfg
+    given = {field.name: getattr(args, field.name)
+             for field in dataclasses.fields(RunConfig) if hasattr(args, field.name)}
+    for name in ("center", "points"):
+        if given.get(name) is not None:
+            given[name] = _parse_floats(given[name])
+    return RunConfig(**given)
 
 
 def _cmd_immanant(args) -> int:
@@ -149,10 +143,6 @@ def _cmd_immanant(args) -> int:
     selector = args.selector
     if selector.startswith("table="):
         group, chi = load_character_table(selector[len("table="):])
-        if group.degree != matrix.shape[0]:
-            raise InputError(
-                f"matrix dimension {matrix.shape[0]} does not match group degree {group.degree}"
-            )
     else:
         group, chi = parse_character_selector(selector, matrix.shape[0])
     value = generalized_matrix_function(matrix, group, chi)

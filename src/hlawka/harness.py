@@ -10,7 +10,8 @@ family whose inequality is established (or a refutation is confirmed), 2
 for usage errors, 3 for budget refusals (the latter two are raised as
 exceptions and mapped by the CLI).  ``counterexample`` runs on the same
 :class:`RunConfig` in a loop of its own, :func:`counterexample_search`,
-and a completed search exits 0.
+and a completed search exits 0.  Every route checks its settings in
+:func:`_check_run` before its first trial.
 
 Per-trial seeds derive from (master seed, trial index), so how trials are
 grouped cannot change any reported number.  The two operator suites run
@@ -64,11 +65,12 @@ from .scalar import (
     popoviciu_check,
     radu_check,
     sample_inputs,
+    sample_shape,
     search_from,
     suite_terms,
     vasc_check,
 )
-from .sums import FamilySpec, OperatorFamily, TensorSumParams, build_difference
+from .sums import FamilySpec, OperatorFamily, build_difference
 from .symgroup import MAX_SYMMETRIC_DEGREE
 from .util import derive_seed
 
@@ -83,7 +85,7 @@ _ENTRY_BYTES = 16
 
 @dataclass
 class RunConfig:
-    """Flat bag of knobs shared by the subcommands."""
+    """The settings of one run: each flag of a trial subcommand sets one field."""
 
     family: str
     n: int = 3
@@ -132,9 +134,21 @@ def _tolerance(cfg: RunConfig, default: float) -> float:
     return tol
 
 
-def _check_loop(trials: int) -> None:
+def _check_run(cfg: RunConfig, trials: int) -> None:
+    """The settings check every route makes before its first trial: refuse
+    a negative trial count, a seed outside [0, 2**64), a dimension below 1
+    and a ``center`` region that cannot be sampled."""
     if trials < 0:
         raise InputError("trials must be nonnegative")
+    if not 0 <= cfg.seed < 2**64:
+        raise InputError("seed must be a 64-bit unsigned integer")
+    if cfg.dim < 1:
+        raise InputError("dim must be a positive integer")
+    if cfg.center is not None:
+        # The offsets are drawn from [-radius, radius], a range 2 * radius wide.
+        if not (cfg.radius >= 0 and math.isfinite(2 * cfg.radius)):
+            raise InputError(f"radius must be >= 0 with 2 * radius finite, got {cfg.radius}")
+        sample_shape(cfg.family, cfg.n, cfg.dim, cfg.center)
 
 
 def _tuple_digest(parts: list[HermitianStack], t: int) -> str:
@@ -165,16 +179,16 @@ def _check_include_known(cfg: RunConfig, n: int | None = None) -> None:
         raise InputError("--include-known and --points select different inputs; give one")
 
 
-def _operator_family(cfg: RunConfig) -> tuple[OperatorFamily, TensorSumParams]:
-    """The family and parameters of an operator suite, checked before any
-    trial runs."""
+def _operator_family(cfg: RunConfig) -> OperatorFamily:
+    """The family of an operator suite, checked with its parameters before
+    any trial runs."""
     try:
         family = OperatorFamily(cfg.family)
     except ValueError:
         raise InputError(f"unknown family {cfg.family!r}") from None
-    _check_loop(cfg.trials)
+    _check_run(cfg, cfg.trials)
     suite_terms(family.value, cfg.n, cfg.k, cfg.ell, cfg.m)
-    return family, TensorSumParams(n=cfg.n, p=cfg.p, k=cfg.k, ell=cfg.ell, m=cfg.m)
+    return family
 
 
 def _sampled_chunks(cfg: RunConfig, n: int, trial_bytes: int):
@@ -244,7 +258,7 @@ def _report(cfg: RunConfig, family: str, params: dict, tol: float, trials: int) 
 
 def run_verify(cfg: RunConfig) -> tuple[TrialReport, int]:
     """Sample PD tuples, build the family difference, certify each trial."""
-    family, params = _operator_family(cfg)
+    family = _operator_family(cfg)
     side = check_tensor_budget(cfg.dim, cfg.p, cfg.max_tensor_dim)
     tol = _tolerance(cfg, DEFAULT_LOEWNER_TOL)
     report = _report(cfg, cfg.family, {
@@ -256,7 +270,8 @@ def run_verify(cfg: RunConfig) -> tuple[TrialReport, int]:
     def certify(inputs, parts):
         # Not bound to a name: the chunk's differences are freed before the
         # next chunk builds its own.
-        certs = psd_certificate(build_difference(family, parts, params, cfg.max_tensor_dim), tol)
+        certs = psd_certificate(
+            build_difference(family, parts, cfg.p, cfg.max_tensor_dim, **_given(cfg)), tol)
         if not (min_eigenvalue(inputs) > 1e-12).all() and psd_only not in flags:
             flags.append(psd_only)
         return [(c.min_eigenvalue, c.verdict) for c in certs]
@@ -274,16 +289,16 @@ def run_scalar_verify(cfg: RunConfig) -> tuple[TrialReport, int]:
     if cfg.points is not None:
         raise InputError(f"--points applies only to a convex/norm family, "
                          f"got --family {cfg.family}")
-    family, params = _operator_family(cfg)
+    family = _operator_family(cfg)
     group, chi = parse_character_selector(cfg.char, cfg.dim)
     tol = _tolerance(cfg, DEFAULT_SCALAR_MATRIX_TOL)
     report = _report(cfg, f"{cfg.family}[{cfg.char}]", {
-        "n": cfg.n, "p": cfg.p, "dim": cfg.dim, "char": cfg.char,
+        "n": cfg.n, "dim": cfg.dim, "char": cfg.char,
         "conditionTarget": cfg.condition_target}, tol, cfg.trials)
 
     def check(inputs, parts):
         return [(r.margin, r.verdict)
-                for r in scalar_inequality_check(family, parts, params, group, chi, tol)]
+                for r in scalar_inequality_check(family, parts, group, chi, tol, **_given(cfg))]
 
     # The largest stacked array is the (group order, degree) gather of one
     # generalized matrix function per trial; orders beyond the guard are
@@ -318,7 +333,7 @@ def _run_convex_norm(cfg: RunConfig, suite: FamilySpec) -> tuple[TrialReport, in
             params["dim"] = data.shape[1]
         params["points"] = data.ravel().tolist()
         inputs = [data]
-    _check_loop(trials)
+    _check_run(cfg, trials)
     evaluate = _EVALUATORS[cfg.family]
 
     def records():
@@ -370,7 +385,7 @@ def run_counterexample(cfg: RunConfig) -> tuple[TrialReport, int]:
         raise InputError(f"unknown strategy {cfg.strategy!r}")
     _check_include_known(cfg, len(KNOWN_HLAWKA_POP_COUNTEREXAMPLE))
     fn = ConvexFunction(cfg.fn if cfg.fn != "all" else "abs")
-    _check_loop(cfg.trials)
+    _check_run(cfg, cfg.trials)
     tol = _tolerance(cfg, DEFAULT_SCALAR_TOL)
     params = {"n": cfg.n, "dim": cfg.dim, "strategy": cfg.strategy, "fn": fn.kind,
               "includeKnown": cfg.include_known}

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import BudgetError, InputError
 from .linalg import HermitianStack, _as_array, _entries, _same_shape, _single_or_all
 from .scalar import ScalarCheckResult, _result, suite_terms
-from .sums import OperatorFamily, TensorSumParams, _checked_count
+from .sums import OperatorFamily
 from .symgroup import CharacterSpec, GroupSpec, character_values, enumerate_group
 
 #: Ryser evaluation enumerates 2^m column subsets; refuse beyond this.
@@ -134,24 +134,28 @@ def elementary_symmetric_det(mats, k: int) -> float:
 def scalar_inequality_check(
     family: OperatorFamily,
     mats,
-    params: TensorSumParams,
     group: GroupSpec,
     chi: CharacterSpec,
     tol: float = DEFAULT_SCALAR_MATRIX_TOL,
+    *,
+    k: int | None = None,
+    ell: int | None = None,
+    m: int | None = None,
 ) -> ScalarCheckResult:
     """Check the d-image of a family's inequality on Hermitian inputs.
 
     Each operator term (a subset sum) is mapped through the generalized
     matrix function instead of a Kronecker power; subset sizes and
-    coefficients are unchanged.  For positive semidefinite inputs the
-    values are real up to rounding; the real parts are compared.
+    coefficients are unchanged, n is the input count and ``k``, ``ell``,
+    ``m`` are the levels the entry needs.  For positive semidefinite inputs
+    the values are real up to rounding; the real parts are compared.
 
     Input ``i`` is a :class:`HermitianStack` holding input ``i`` of every
     trial (a :class:`~hlawka.linalg.HermitianMatrix` is the stack of one
     trial); every trial is checked at once and a list of results, one per
     trial, is returned, or one result for single-matrix inputs.
     """
-    hs = _same_shape(_checked_count(mats, params))
+    hs = _same_shape(mats)
     arrays = [_entries(h) for h in hs]
 
     def d(subset: np.ndarray) -> np.ndarray:
@@ -162,7 +166,7 @@ def scalar_inequality_check(
     # order (the reports' bits depend on it); fsum rounds each side once, so
     # no grouping of the terms needs fixing.
     lhs, rhs = (np.array([c * d(reduce(add, map(arrays.__getitem__, s))).real for c, s in side])
-                for side in suite_terms(family.value, len(hs), params.k, params.ell, params.m))
+                for side in suite_terms(family.value, len(hs), k, ell, m))
     return _single_or_all(hs[0], [_result(lhs[:, t], rhs[:, t], tol)
                                   for t in range(lhs.shape[1])])
 

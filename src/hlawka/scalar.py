@@ -234,19 +234,25 @@ def _evaluate(suite: str, data, f: ConvexFunction | None = None, *, k=None, ell=
                      for side in sides), tol)
 
 
+def sample_shape(suite: str, n: int, dim: int, center=None) -> tuple[int, ...]:
+    """The shape of a suite's seeded inputs: ``(n, dim)`` vectors under the
+    norm rule, else ``n`` points; refused unless a ``center`` has one
+    coordinate per entry."""
+    shape = (n, dim) if SUITES[suite].term == "norm" else (n,)
+    if center is not None and np.size(center) != math.prod(shape):
+        raise InputError(f"center must have {math.prod(shape)} coordinates, got {np.size(center)}")
+    return shape
+
+
 def sample_inputs(suite: str, rng: np.random.Generator, n: int, dim: int,
                   center=None, radius: float = 2.0) -> np.ndarray:
-    """Seeded inputs of a suite: ``(n, dim)`` standard Gaussian vectors under
-    the norm rule, else ``n`` uniform points in [-10, 10]; with a ``center``
-    (all coordinates, flat), the center plus uniform offsets in [-radius, radius]."""
-    vectors = SUITES[suite].term == "norm"
-    shape = (n, dim) if vectors else (n,)
+    """Seeded inputs of a suite: standard Gaussian vectors under the norm
+    rule, else uniform points in [-10, 10]; with a ``center`` (all
+    coordinates, flat), the center plus uniform offsets in [-radius, radius]."""
+    shape = sample_shape(suite, n, dim, center)
     if center is None:
-        return rng.standard_normal(shape) if vectors else rng.uniform(-10.0, 10.0, shape)
-    center = np.asarray(center, dtype=np.float64)
-    if center.size != math.prod(shape):
-        raise InputError(f"center must have {math.prod(shape)} coordinates, got {center.size}")
-    return center.reshape(shape) + rng.uniform(-radius, radius, shape)
+        return rng.standard_normal(shape) if len(shape) == 2 else rng.uniform(-10.0, 10.0, shape)
+    return np.asarray(center, dtype=np.float64).reshape(shape) + rng.uniform(-radius, radius, shape)
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,10 @@ Every family is one :class:`FamilySpec` of :data:`FAMILIES`: its LHS and
 RHS as levels, each an exact weight times a list of index subsets, read as
 ``sum_S weight * F(X_S)`` for the subset sums ``X_S`` and a functor ``F``.
 :func:`build_difference` takes ``F`` to be the p-fold Kronecker power and
-assembles LHS - RHS, ready for Loewner certification;
-:func:`hlawka.matfunc.scalar_inequality_check` takes a generalized matrix
-function; the convex/norm suites of :mod:`hlawka.scalar` are entries with
-a scalar ``term`` rule in place of ``F``.  Input ``i`` is a
+assembles LHS - RHS over the n inputs it is given, ready for Loewner
+certification; :func:`hlawka.matfunc.scalar_inequality_check` takes a
+generalized matrix function; the convex/norm suites of :mod:`hlawka.scalar`
+are entries with a scalar ``term`` rule in place of ``F``.  Input ``i`` is a
 :class:`~hlawka.linalg.HermitianStack` holding matrix ``i`` of every trial
 (a :class:`~hlawka.linalg.HermitianMatrix` is the stack of one trial), and
 every trial's difference is built at once: a stack of them, or one matrix
@@ -64,17 +64,6 @@ class OperatorFamily(Enum):
     POP_PAIRS = "pop-pairs"
     POP_SUBSETS = "pop-subsets"
     POP_LEVELS = "pop-levels"
-
-
-@dataclass(frozen=True)
-class TensorSumParams:
-    """Parameters selecting one instance of a difference family over n inputs."""
-
-    n: int
-    p: int
-    k: int | None = None
-    ell: int | None = None
-    m: int | None = None
 
 
 @dataclass(frozen=True)
@@ -177,13 +166,6 @@ def checked_sides(name: str, spec: FamilySpec, n: int, k=None, ell=None, m=None)
     return spec.sides(**values)
 
 
-def _checked_count(mats, params: TensorSumParams) -> list:
-    mats = list(mats)
-    if len(mats) != params.n:
-        raise InputError(f"params.n is {params.n}, but {len(mats)} inputs were given")
-    return mats
-
-
 def _canonical_arrays(mats, *, keep_first_fixed: bool = False) -> list[np.ndarray]:
     # Sort each trial's matrices by their own digests (stable, so equal
     # matrices keep their input order), then gather every position into one
@@ -248,53 +230,52 @@ def symmetric_tensor_sum(
 def build_difference(
     family: OperatorFamily,
     mats,
-    params: TensorSumParams,
+    p: int,
     max_dim: int = DEFAULT_MAX_TENSOR_DIM,
+    *,
+    k: int | None = None,
+    ell: int | None = None,
+    m: int | None = None,
 ) -> HermitianStack:
-    """LHS - RHS of the family's table entry at Kronecker power ``params.p``.
+    """LHS - RHS of the family's table entry at Kronecker power ``p``.
 
-    The tuple size is the number of matrices given.  Each level streams its
-    subset powers through pairwise summation, the levels of a side are
-    summed pairwise, and with rational weights the common denominator is
-    divided out once at the end.
+    n is the number of matrices given, and ``k``, ``ell``, ``m`` are the
+    levels the entry needs.  Each level streams its subset powers through
+    pairwise summation, the levels of a side are summed pairwise, and with
+    rational weights the common denominator is divided out once at the end.
     """
-    mats = _checked_count(mats, params)
-    sides = checked_sides(family.value, FAMILIES[family], params.n, params.k, params.ell, params.m)
+    mats = list(mats)
+    sides = checked_sides(family.value, FAMILIES[family], len(mats), k, ell, m)
     arrays = _canonical_arrays(mats, keep_first_fixed=FAMILIES[family].supermod)
-    check_tensor_budget(arrays[0].shape[-1], params.p, max_dim)
+    check_tensor_budget(arrays[0].shape[-1], p, max_dim)
     den = lcm(*(level.weight.denominator for side in sides for level in side))
     lhs, rhs = (
-        _pairwise_sum(_level_sum(arrays, level, params.p, den) for level in side)
+        _pairwise_sum(_level_sum(arrays, level, p, den) for level in side)
         for side in sides
     )
     diff = lhs - rhs
     return _single_or_all(mats[0], HermitianStack._wrap_exact(diff if den == 1 else diff / den))
 
 
-def _build(family: OperatorFamily, mats, p: int, max_dim: int, **levels) -> HermitianMatrix:
-    mats = list(mats)
-    return build_difference(family, mats, TensorSumParams(len(mats), p, **levels), max_dim)
-
-
 def hlawka3_difference(
     a, b, c, p: int, max_dim: int = DEFAULT_MAX_TENSOR_DIM
 ) -> HermitianMatrix:
     """(A+B+C)^op + A^op + B^op + C^op - pair powers; the n=3 alternating case."""
-    return _build(OperatorFamily.HLAWKA3, [a, b, c], p, max_dim)
+    return build_difference(OperatorFamily.HLAWKA3, [a, b, c], p, max_dim)
 
 
 def supermodularity_difference(
     a, b, c, p: int, max_dim: int = DEFAULT_MAX_TENSOR_DIM
 ) -> HermitianMatrix:
     """(A+B+C)^op + A^op - (A+B)^op - (A+C)^op; the first matrix is special."""
-    return _build(OperatorFamily.SUPERMOD, [a, b, c], p, max_dim)
+    return build_difference(OperatorFamily.SUPERMOD, [a, b, c], p, max_dim)
 
 
 def superadditivity_difference(
     mats, p: int, max_dim: int = DEFAULT_MAX_TENSOR_DIM
 ) -> HermitianMatrix:
     """(A1+...+An)^op - (A1^op + ... + An^op) for n >= 2."""
-    return _build(OperatorFamily.SUPERADD, mats, p, max_dim)
+    return build_difference(OperatorFamily.SUPERADD, mats, p, max_dim)
 
 
 def alternating_difference(
@@ -306,21 +287,21 @@ def alternating_difference(
     alternating subset sum is an n-th order finite difference, which
     annihilates the degree-p power map.  Strict positivity needs p >= n.
     """
-    return _build(OperatorFamily.ALTERNATING, mats, p, max_dim)
+    return build_difference(OperatorFamily.ALTERNATING, mats, p, max_dim)
 
 
 def pop_pairs_difference(
     mats, p: int, max_dim: int = DEFAULT_MAX_TENSOR_DIM
 ) -> HermitianMatrix:
     """(n-2) sum Ai^op + (sum Ai)^op - pair powers; the m=2 subset case."""
-    return _build(OperatorFamily.POP_PAIRS, mats, p, max_dim)
+    return build_difference(OperatorFamily.POP_PAIRS, mats, p, max_dim)
 
 
 def pop_subsets_difference(
     mats, m: int, p: int, max_dim: int = DEFAULT_MAX_TENSOR_DIM
 ) -> HermitianMatrix:
     """C(n-2,m-1) sum Ai^op + C(n-2,m-2) (sum Ai)^op - size-m subset powers."""
-    return _build(OperatorFamily.POP_SUBSETS, mats, p, max_dim, m=m)
+    return build_difference(OperatorFamily.POP_SUBSETS, mats, p, max_dim, m=m)
 
 
 def pop_levels_difference(
@@ -331,4 +312,4 @@ def pop_levels_difference(
     ((m-ell)/(k C(n,k))) S_k + ((ell-k)/(m C(n,m))) S_m
       - ((m-k)/(ell C(n,ell))) S_ell
     """
-    return _build(OperatorFamily.POP_LEVELS, mats, p, max_dim, k=k, ell=ell, m=m)
+    return build_difference(OperatorFamily.POP_LEVELS, mats, p, max_dim, k=k, ell=ell, m=m)

@@ -42,7 +42,6 @@ from hlawka.scalar import (
 )
 from hlawka.sums import (
     OperatorFamily,
-    TensorSumParams,
     alternating_difference,
     hlawka3_difference,
     pop_levels_difference,
@@ -181,18 +180,18 @@ def test_criterion_6_scalar_corollaries():
             CharacterSpec.from_partition((2, 1)),
         ]
         cases = [
-            (OperatorFamily.HLAWKA3, 3, TensorSumParams(n=3, p=1)),
-            (OperatorFamily.SUPERMOD, 3, TensorSumParams(n=3, p=1)),
-            (OperatorFamily.ALTERNATING, 3, TensorSumParams(n=3, p=1)),
-            (OperatorFamily.ALTERNATING, 4, TensorSumParams(n=4, p=1)),
-            (OperatorFamily.POP_PAIRS, 3, TensorSumParams(n=3, p=1)),
-            (OperatorFamily.POP_PAIRS, 4, TensorSumParams(n=4, p=1)),
+            (OperatorFamily.HLAWKA3, 3),
+            (OperatorFamily.SUPERMOD, 3),
+            (OperatorFamily.ALTERNATING, 3),
+            (OperatorFamily.ALTERNATING, 4),
+            (OperatorFamily.POP_PAIRS, 3),
+            (OperatorFamily.POP_PAIRS, 4),
         ]
         for trial in range(200):
-            for family, n, params in cases:
+            for family, n in cases:
                 mats = pd_tuple(trial * 11 + n, n, 3)
                 for chi in characters:
-                    res = scalar_inequality_check(family, mats, params, group, chi)
+                    res = scalar_inequality_check(family, mats, group, chi)
                     assert res.margin >= -1e-10 * res.scale, (
                         f"{family.value}/{chi.kind.value} trial {trial}: {res.margin}"
                     )

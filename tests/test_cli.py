@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import dataclasses
 import json
 import re
 import tracemalloc
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hlawka.cli import build_parser, main
+from hlawka.cli import _config_from, build_parser, main
 from hlawka.harness import (
     _EVALUATORS,
     SUITES,
@@ -85,14 +86,6 @@ class TestVerifyCommand:
         assert code == 0
         doc = json.loads(out.read_text())
         assert any("empirical" in f for f in doc["interpretationFlags"])
-
-    def test_jobs_do_not_change_results(self, tmp_path):
-        out1, out4 = tmp_path / "r1.json", tmp_path / "r4.json"
-        main(["verify", "--family", "pop-pairs", "--n", "4", "--p", "3",
-              "--trials", "16", "--seed", "9", "--out", str(out1)])
-        main(["verify", "--family", "pop-pairs", "--n", "4", "--p", "3",
-              "--trials", "16", "--seed", "9", "--jobs", "4", "--out", str(out4)])
-        assert normalized(out1.read_text()) == normalized(out4.read_text())
 
 
 class TestDeterminism:
@@ -277,6 +270,10 @@ class TestScalarVerifyCommand:
         assert any("evaluator-only" in f for f in doc["interpretationFlags"])
 
 
+SEED_FAULT = "seed must be a 64-bit unsigned integer"
+DIM_FAULT = "dim must be a positive integer"
+
+
 class TestParametersCheckedBeforeTheTrials:
     @pytest.mark.parametrize("command, code", [
         ("verify --family hlawka3 --p 13", 3),
@@ -299,6 +296,41 @@ class TestParametersCheckedBeforeTheTrials:
                                                          capsys):
         # The known input and the sampled matrices would each silently
         # replace the given points.
+        out = tmp_path / "r.json"
+        assert main([*command.split(), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, message", [
+        ("verify --family hlawka3 --seed -1 --trials 2", SEED_FAULT),
+        ("verify --family hlawka3 --seed 18446744073709551616 --trials 2", SEED_FAULT),
+        ("scalar-verify --family hlawka3 --char det --seed -1 --trials 0", SEED_FAULT),
+        ("scalar-verify --family jensen --seed -1 --trials 1", SEED_FAULT),
+        ("counterexample --family hlawka-pop --seed -5 --trials 0", SEED_FAULT),
+        ("counterexample --family hlawka-pop --center 1,2,3,4 --radius -1 --trials 2",
+         "radius must be >= 0 with 2 * radius finite, got -1.0"),
+        ("counterexample --family hlawka-pop --center 1,2,3,4 --radius nan --trials 2",
+         "radius must be >= 0 with 2 * radius finite, got nan"),
+        ("counterexample --family hlawka-pop --center 1,2,3,4 --radius inf --trials 2",
+         "radius must be >= 0 with 2 * radius finite, got inf"),
+        ("counterexample --family hlawka-pop --center 1,2,3,4 --radius 1e308 --trials 2",
+         "radius must be >= 0 with 2 * radius finite, got 1e+308"),
+        ("counterexample --family hlawka-pop --center 1,2,3 --trials 0",
+         "center must have 4 coordinates, got 3"),
+        ("counterexample --family freudenthal --center 1,2,3,4 --trials 0",
+         "center must have 8 coordinates, got 4"),
+        ("verify --family hlawka3 --dim 0 --trials 0", DIM_FAULT),
+        ("scalar-verify --family hlawka3 --char det --dim 0 --trials 2", DIM_FAULT),
+        ("scalar-verify --family norm-hlawka --dim 0 --trials 2", DIM_FAULT),
+        ("scalar-verify --family norm-hlawka --dim -1 --trials 2", DIM_FAULT),
+        ("counterexample --family freudenthal --dim 0 --trials 2", DIM_FAULT),
+        ("scalar-verify --family jensen --points=", "unparseable number list ''"),
+        ("counterexample --family hlawka-pop --center=", "unparseable number list ''"),
+    ])
+    def test_run_settings_refused_before_any_trial(self, command, message, tmp_path, capsys):
+        # Each raised a traceback (exit 1), ran trials on empty vectors or on
+        # sampled inputs, or passed unchecked at --trials 0.
         out = tmp_path / "r.json"
         assert main([*command.split(), "--out", str(out)]) == 2
         captured = capsys.readouterr()
@@ -453,6 +485,14 @@ class TestImmanantCommand:
         assert main(["immanant", str(mat), f"table={table}"]) == 0
         assert capsys.readouterr().out.strip() == "30"
 
+    def test_table_of_another_degree_exit_two(self, id3, tmp_path, capsys):
+        table = tmp_path / "s2.json"
+        save_character_table(table, [(0, 1), (1, 0)], [1.0, -1.0])
+        assert main(["immanant", id3, f"table={table}"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", "error: matrix dimension 3 does not match group degree 2\n")
+
     def test_missing_file_exit_two(self):
         assert main(["immanant", "/nonexistent.json", "det"]) == 2
 
@@ -567,9 +607,13 @@ class TestHarnessApi:
         assert peak(3000) < peak(300) + 200_000
 
 
-def cli_choices(command: str, dest: str = "family") -> tuple:
+def subparser(command: str) -> argparse.ArgumentParser:
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    return tuple(next(a.choices for a in sub.choices[command]._actions if a.dest == dest))
+    return sub.choices[command]
+
+
+def cli_choices(command: str, dest: str = "family") -> tuple:
+    return tuple(next(a.choices for a in subparser(command)._actions if a.dest == dest))
 
 
 def readme_section(title: str) -> str:
@@ -595,7 +639,46 @@ SUITE_ARGS = {
 }
 
 
+#: A value of every flag of the trial subcommands, its default under none of
+#: them, and the ``RunConfig`` value it gives.
+FLAG_VALUES = {
+    "--seed": ("5", 5), "--trials": ("7", 7), "--tol": ("0.5", 0.5), "--n": ("6", 6),
+    "--p": ("4", 4), "--dim": ("5", 5), "--m": ("2", 2), "--k": ("1", 1), "--ell": ("4", 4),
+    "--condition-target": ("20", 20.0), "--max-dim": ("64", 64), "--char": ("perm", "perm"),
+    "--fn": ("square", "square"), "--points": ("1,2", (1.0, 2.0)),
+    "--include-known": ("", True), "--strategy": ("coordinate-descent", "coordinate-descent"),
+    "--center": ("1,2", (1.0, 2.0)), "--radius": ("0.5", 0.5),
+}
+
+
 class TestRegistryDrift:
+    @pytest.mark.parametrize("command, family, abbreviation", [
+        ("verify", "supermod", "--cond 100"),
+        ("scalar-verify", "jensen", "--poi 4"),
+        ("counterexample", "freudenthal", "--rad 1"),
+    ])
+    def test_every_flag_lands_in_its_config_field(self, command, family, abbreviation):
+        # A flag accepted and then dropped could not pass: every dest is a
+        # field, and setting the flag changes that field and no other.
+        fields = {field.name for field in dataclasses.fields(RunConfig)}
+        base = [command, "--family", family]
+        default = _config_from(build_parser().parse_args(base))
+        assert default.family == family
+        for action in subparser(command)._actions:
+            if action.dest in ("help", "out", "fmt"):
+                continue
+            assert action.dest in fields
+            if action.dest == "family":
+                continue
+            text, value = FLAG_VALUES[action.option_strings[0]]
+            assert value not in (action.default, getattr(default, action.dest))
+            cfg = _config_from(build_parser().parse_args(
+                [*base, action.option_strings[0], *text.split()]))
+            assert cfg == dataclasses.replace(default, **{action.dest: value})
+        with pytest.raises(SystemExit) as err:
+            build_parser().parse_args([*base, *abbreviation.split()])
+        assert err.value.code == 2
+
     def test_verify_choices_are_the_operator_families(self):
         assert cli_choices("verify") == tuple(f.value for f in OperatorFamily)
 

@@ -17,7 +17,7 @@ from hlawka.matfunc import (
     scalar_inequality_check,
 )
 from hlawka.linalg import HermitianMatrix, PdSampleConfig, random_pd
-from hlawka.sums import OperatorFamily, TensorSumParams
+from hlawka.sums import OperatorFamily
 from hlawka.symgroup import CharacterSpec, GroupSpec, partitions_of
 
 
@@ -156,25 +156,18 @@ class TestScalarInequalityCheck:
         res = scalar_inequality_check(
             OperatorFamily.HLAWKA3,
             ones,
-            TensorSumParams(n=3, p=1),
             GroupSpec.full_symmetric(1),
             CharacterSpec.sign(),
         )
         assert (res.lhs, res.rhs, res.margin) == (6.0, 6.0, 0.0)
         assert res.holds
 
-    def test_params_n_must_count_the_inputs(self):
-        with pytest.raises(InputError, match="params.n is 7, but 3 inputs were given"):
-            scalar_inequality_check(OperatorFamily.HLAWKA3, pd_tuple(1, 3, 2),
-                                    TensorSumParams(n=7, p=2), GroupSpec.full_symmetric(2),
-                                    CharacterSpec.sign())
-
     def test_det_hlawka_trial_suite(self):
         group = GroupSpec.full_symmetric(3)
         for seed in range(100):
             mats = pd_tuple(seed, 3, 3)
             res = scalar_inequality_check(
-                OperatorFamily.HLAWKA3, mats, TensorSumParams(n=3, p=1), group, CharacterSpec.sign()
+                OperatorFamily.HLAWKA3, mats, group, CharacterSpec.sign()
             )
             assert res.holds, f"seed {seed}: margin {res.margin}"
 
@@ -185,7 +178,7 @@ class TestScalarInequalityCheck:
         for seed in range(20):
             mats = pd_tuple(seed, 4, 2)
             res = scalar_inequality_check(
-                OperatorFamily.ALTERNATING, mats, TensorSumParams(n=4, p=1),
+                OperatorFamily.ALTERNATING, mats,
                 group, CharacterSpec.sign(),
             )
             s = {k: elementary_symmetric_det(mats, k) for k in (1, 2, 3, 4)}
@@ -197,7 +190,7 @@ class TestScalarInequalityCheck:
         for seed in range(100):
             mats = pd_tuple(seed, 4, 2)
             res = scalar_inequality_check(
-                OperatorFamily.ALTERNATING, mats, TensorSumParams(n=4, p=1),
+                OperatorFamily.ALTERNATING, mats,
                 group, CharacterSpec.sign(),
             )
             assert res.margin >= -1e-10 * res.scale
@@ -207,7 +200,7 @@ class TestScalarInequalityCheck:
         for seed in range(50):
             mats = pd_tuple(seed, 4, 2)
             res = scalar_inequality_check(
-                OperatorFamily.POP_PAIRS, mats, TensorSumParams(n=4, p=1),
+                OperatorFamily.POP_PAIRS, mats,
                 group, CharacterSpec.trivial(),
             )
             assert res.holds
@@ -216,7 +209,7 @@ class TestScalarInequalityCheck:
         mats = pd_tuple(34, 3, 3)
         with pytest.raises(InputError):
             scalar_inequality_check(
-                OperatorFamily.HLAWKA3, mats, TensorSumParams(n=3, p=1),
+                OperatorFamily.HLAWKA3, mats,
                 GroupSpec.full_symmetric(2), CharacterSpec.sign(),
             )
 

@@ -14,7 +14,6 @@ from hlawka.errors import BudgetError, InputError
 from hlawka.linalg import HermitianMatrix, Verdict, psd_certificate
 from hlawka.sums import (
     OperatorFamily,
-    TensorSumParams,
     alternating_difference,
     build_difference,
     hlawka3_difference,
@@ -222,20 +221,20 @@ class TestPopLevels:
 
 
 class TestSharedProperties:
-    @pytest.mark.parametrize("family,params", [
-        (OperatorFamily.ALTERNATING, TensorSumParams(n=4, p=2)),
-        (OperatorFamily.POP_PAIRS, TensorSumParams(n=4, p=2)),
-        (OperatorFamily.POP_SUBSETS, TensorSumParams(n=4, p=2, m=3)),
-        (OperatorFamily.POP_LEVELS, TensorSumParams(n=4, p=2, k=1, ell=2, m=3)),
-        (OperatorFamily.SUPERADD, TensorSumParams(n=4, p=2)),
-        (OperatorFamily.HLAWKA3, TensorSumParams(n=3, p=3)),
+    @pytest.mark.parametrize("family,n,p,levels", [
+        (OperatorFamily.ALTERNATING, 4, 2, {}),
+        (OperatorFamily.POP_PAIRS, 4, 2, {}),
+        (OperatorFamily.POP_SUBSETS, 4, 2, {"m": 3}),
+        (OperatorFamily.POP_LEVELS, 4, 2, {"k": 1, "ell": 2, "m": 3}),
+        (OperatorFamily.SUPERADD, 4, 2, {}),
+        (OperatorFamily.HLAWKA3, 3, 3, {}),
     ])
-    def test_permutation_invariance_exact(self, family, params, rng):
-        mats = pd_tuple(23, params.n, 2)
-        base = build_difference(family, mats, params)
+    def test_permutation_invariance_exact(self, family, n, p, levels, rng):
+        mats = pd_tuple(23, n, 2)
+        base = build_difference(family, mats, p, **levels)
         for _ in range(4):
-            shuffled = [mats[i] for i in rng.permutation(params.n)]
-            again = build_difference(family, shuffled, params)
+            shuffled = [mats[i] for i in rng.permutation(n)]
+            again = build_difference(family, shuffled, p, **levels)
             assert np.array_equal(base.array, again.array)
 
     @pytest.mark.parametrize("t", [0.3, 1.7, 6.0])
@@ -250,22 +249,16 @@ class TestSharedProperties:
             scale = max(1.0, np.abs(expect).max())
             assert np.abs(scaled.array - expect).max() <= 1e-10 * scale
 
-    @pytest.mark.parametrize("family,params", [
-        (OperatorFamily.HLAWKA3, TensorSumParams(n=3, p=3)),
-        (OperatorFamily.SUPERMOD, TensorSumParams(n=3, p=3)),
-        (OperatorFamily.ALTERNATING, TensorSumParams(n=5, p=2)),
-        (OperatorFamily.POP_LEVELS, TensorSumParams(n=4, p=2, k=1, ell=3, m=4)),
+    @pytest.mark.parametrize("family,n,p,levels", [
+        (OperatorFamily.HLAWKA3, 3, 3, {}),
+        (OperatorFamily.SUPERMOD, 3, 3, {}),
+        (OperatorFamily.ALTERNATING, 5, 2, {}),
+        (OperatorFamily.POP_LEVELS, 4, 2, {"k": 1, "ell": 3, "m": 4}),
     ])
-    def test_output_exactly_hermitian(self, family, params):
-        mats = pd_tuple(25, params.n, 3)
-        out = build_difference(family, mats, params)
+    def test_output_exactly_hermitian(self, family, n, p, levels):
+        mats = pd_tuple(25, n, 3)
+        out = build_difference(family, mats, p, **levels)
         assert np.array_equal(out.array, out.array.conj().T)
-
-    def test_params_n_must_count_the_inputs(self):
-        # n is the tuple size; a mismatch is refused, not read as len(mats).
-        mats = pd_tuple(28, 3, 2)
-        with pytest.raises(InputError, match="params.n is 7, but 3 inputs were given"):
-            build_difference(OperatorFamily.HLAWKA3, mats, TensorSumParams(n=7, p=2))
 
     def test_mixed_dimensions_rejected(self):
         mats = pd_tuple(26, 2, 2) + pd_tuple(26, 1, 3)
@@ -382,7 +375,7 @@ class TestAgainstStatementOracle:
             mats = pd_tuple(40 + seed, n, 2)
             expected = oracle(family, mats, p, **levels).tobytes()
             assert WRAPPERS[family](mats, p, **levels).array.tobytes() == expected
-            out = build_difference(OperatorFamily(family), mats, TensorSumParams(n=n, p=p, **levels))
+            out = build_difference(OperatorFamily(family), mats, p, **levels)
             assert out.array.tobytes() == expected
 
     @pytest.mark.parametrize("family, n, p, levels", ORACLE_CASES,
@@ -390,6 +383,6 @@ class TestAgainstStatementOracle:
     def test_stacked_inputs(self, family, n, p, levels):
         trials = [pd_tuple(derive_seed(50, t), n, 2, 100.0) for t in range(4)]
         parts = [stack_of([mats[i] for mats in trials]) for i in range(n)]
-        out = build_difference(OperatorFamily(family), parts, TensorSumParams(n=n, p=p, **levels))
+        out = build_difference(OperatorFamily(family), parts, p, **levels)
         for t, mats in enumerate(trials):
             assert out[t].array.tobytes() == oracle(family, mats, p, **levels).tobytes()
