@@ -6,6 +6,8 @@ convex/norm suites), ``counterexample`` (seeded search for violating
 inputs), and ``immanant`` (generalized matrix function of a matrix file).
 Each flag of the first three but ``--out`` and ``--format`` sets one
 :class:`~hlawka.harness.RunConfig` field, and abbreviations are refused.
+The parser states no default but ``--seed`` and ``--trials``: an unset
+field takes its route's value from :data:`hlawka.harness._READS`.
 
 Exit codes: 0 success / no violation, 1 violation found in a family whose
 inequality is established (or a confirmed refutation), 2 usage error,
@@ -20,7 +22,7 @@ import sys
 
 from .errors import BudgetError, InputError
 from .harness import SUITES, RunConfig, run_counterexample, run_scalar_verify, run_verify
-from .linalg import DEFAULT_MAX_TENSOR_DIM, load_matrix
+from .linalg import load_matrix
 from .matfunc import generalized_matrix_function, parse_character_selector
 from .report import TrialReport
 from .scalar import SEARCH_FAMILIES, SEARCH_STRATEGIES
@@ -34,13 +36,18 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
-def _common_flags(parser: argparse.ArgumentParser) -> None:
+def _trial_parser(sub, command: str, text: str, families) -> argparse.ArgumentParser:
+    """A trial subcommand with the flags all its routes read."""
+    parser = sub.add_parser(command, help=text, allow_abbrev=False)
+    parser.add_argument("--family", required=True, choices=tuple(families))
     parser.add_argument("--seed", type=int, default=0, help="64-bit master seed")
     parser.add_argument("--trials", type=int, default=100, help="number of trials")
-    parser.add_argument("--tol", type=float, default=None,
-                        help="relative tolerance override, finite and >= 0")
-    parser.add_argument("--out", default=None, help="report file path")
+    parser.add_argument("--tol", type=float, help="relative tolerance override, finite and >= 0")
+    parser.add_argument("--n", type=int, help="number of inputs")
+    parser.add_argument("--dim", type=int, help="matrix or vector dimension")
+    parser.add_argument("--out", help="report file path")
     parser.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -51,56 +58,29 @@ def build_parser() -> argparse.ArgumentParser:
         allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    p_verify = _trial_parser(sub, "verify", "operator inequality trial suite",
+                             (family.value for family in OperatorFamily))
+    p_scalar = _trial_parser(sub, "scalar-verify", "scalar corollary / convex suite", SUITES)
+    p_counter = _trial_parser(sub, "counterexample", "seeded violation search", SEARCH_FAMILIES)
 
-    p_verify = sub.add_parser("verify", help="operator inequality trial suite", allow_abbrev=False)
-    _common_flags(p_verify)
-    p_verify.add_argument("--family", required=True,
-                          choices=tuple(family.value for family in OperatorFamily))
-    p_verify.add_argument("--n", type=int, default=3, help="number of matrices")
-    p_verify.add_argument("--p", type=int, default=3, help="tensor power")
-    p_verify.add_argument("--dim", type=int, default=2, help="matrix dimension")
-    p_verify.add_argument("--m", type=int, default=None, help="subset size (pop-subsets/levels)")
-    p_verify.add_argument("--k", type=int, default=None, help="low level (pop-levels)")
-    p_verify.add_argument("--ell", type=int, default=None, help="middle level (pop-levels)")
-    p_verify.add_argument("--condition-target", type=float, default=10.0)
+    for p_levels in (p_verify, p_scalar):
+        p_levels.add_argument("--m", type=int, help="subset size (pop-subsets/levels, pcz)")
+        p_levels.add_argument("--k", type=int, help="low level (pop-levels) or radu's k")
+        p_levels.add_argument("--ell", type=int, help="middle level (pop-levels)")
+        p_levels.add_argument("--condition-target", type=float)
+    p_verify.add_argument("--p", type=int, help="tensor power")
     p_verify.add_argument("--max-dim", dest="max_tensor_dim", type=int,
-                          default=DEFAULT_MAX_TENSOR_DIM,
                           help="tensor dimension budget (refuse, never truncate)")
-
-    p_scalar = sub.add_parser("scalar-verify", help="scalar corollary / convex suite",
-                              allow_abbrev=False)
-    _common_flags(p_scalar)
-    p_scalar.add_argument("--family", required=True, choices=tuple(SUITES))
-    p_scalar.add_argument("--char", default="det",
-                          help="det | perm | partition=<parts> (matrix-function suites)")
-    p_scalar.add_argument("--fn", default="all",
-                          help="convex function: abs|square|fourth|exp|relu|softplus|all")
-    p_scalar.add_argument("--n", type=int, default=3)
-    p_scalar.add_argument("--dim", type=int, default=3)
-    p_scalar.add_argument("--m", type=int, default=None)
-    p_scalar.add_argument("--k", type=int, default=None)
-    p_scalar.add_argument("--ell", type=int, default=None)
-    p_scalar.add_argument("--condition-target", type=float, default=10.0)
-    p_scalar.add_argument("--points", default=None,
-                          help="comma-separated explicit inputs (single evaluation)")
-    p_scalar.add_argument("--include-known", action="store_true",
-                          help="evaluate only the known refuting input (four points); "
-                               "--family hlawka-pop only")
-
-    p_counter = sub.add_parser("counterexample", help="seeded violation search",
-                               allow_abbrev=False)
-    _common_flags(p_counter)
-    p_counter.add_argument("--family", required=True, choices=SEARCH_FAMILIES)
-    p_counter.add_argument("--n", type=int, default=4)
-    p_counter.add_argument("--dim", type=int, default=2, help="vector dimension (freudenthal)")
-    p_counter.add_argument("--strategy", choices=SEARCH_STRATEGIES, default="random")
-    p_counter.add_argument("--fn", default="abs")
-    p_counter.add_argument("--include-known", action="store_true",
-                           help="start trial 0 from the known refuting input; "
-                                "--family hlawka-pop --n 4 only")
-    p_counter.add_argument("--center", default=None,
-                           help="comma-separated center of the sampled region")
-    p_counter.add_argument("--radius", type=float, default=2.0)
+    p_scalar.add_argument("--char", help="det | perm | partition=<parts> (matrix-function suites)")
+    p_scalar.add_argument("--points", help="comma-separated explicit inputs (single evaluation)")
+    p_counter.add_argument("--strategy", choices=SEARCH_STRATEGIES)
+    p_counter.add_argument("--center", help="comma-separated center of the sampled region")
+    p_counter.add_argument("--radius", type=float, help="half-width of the region (with --center)")
+    for p_convex in (p_scalar, p_counter):
+        p_convex.add_argument("--fn", help="convex function: abs|square|fourth|exp|relu|softplus"
+                                           "|all (all: scalar-verify only)")
+        p_convex.add_argument("--include-known", action="store_const", const=True,
+                              help="the known refuting input of --family hlawka-pop")
 
     p_imm = sub.add_parser("immanant", help="generalized matrix function of a matrix file",
                            allow_abbrev=False)
@@ -168,10 +148,7 @@ def main(argv=None) -> int:
     except BudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except (InputError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -10,8 +10,9 @@ family whose inequality is established (or a refutation is confirmed), 2
 for usage errors, 3 for budget refusals (the latter two are raised as
 exceptions and mapped by the CLI).  ``counterexample`` runs on the same
 :class:`RunConfig` in a loop of its own, :func:`counterexample_search`,
-and a completed search exits 0.  Every route checks its settings in
-:func:`_check_run` before its first trial.
+and a completed search exits 0.  Every run starts with one settings pass,
+:func:`_settings`, over one table, :data:`_READS`, of the fields each
+route reads and the value each takes when unset.
 
 Per-trial seeds derive from (master seed, trial index), so how trials are
 grouped cannot change any reported number.  The two operator suites run
@@ -26,8 +27,9 @@ from __future__ import annotations
 
 import hashlib
 import math
+import re
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -70,8 +72,8 @@ from .scalar import (
     suite_terms,
     vasc_check,
 )
-from .sums import FamilySpec, OperatorFamily, build_difference
-from .symgroup import MAX_SYMMETRIC_DEGREE
+from .sums import OperatorFamily, build_difference
+from .symgroup import check_symmetric_degree
 from .util import derive_seed
 
 #: Byte budget of the largest array stacked over one chunk of trials.  Big
@@ -85,26 +87,29 @@ _ENTRY_BYTES = 16
 
 @dataclass
 class RunConfig:
-    """The settings of one run: each flag of a trial subcommand sets one field."""
+    """The settings of one run: each flag of a trial subcommand sets one
+    field.  A field left ``None`` takes the value :data:`_READS` gives it on
+    the route that runs, and a field set where that route does not read it
+    is refused."""
 
     family: str
-    n: int = 3
-    p: int = 3
-    dim: int = 2
+    n: int | None = None
+    p: int | None = None
+    dim: int | None = None
     trials: int = 100
     seed: int = 0
     tol: float | None = None
-    max_tensor_dim: int = DEFAULT_MAX_TENSOR_DIM
-    condition_target: float = 10.0
+    max_tensor_dim: int | None = None
+    condition_target: float | None = None
     k: int | None = None
     ell: int | None = None
     m: int | None = None
-    char: str = "det"
-    fn: str = "all"
-    strategy: str = "random"
-    include_known: bool = False
+    char: str | None = None
+    fn: str | None = None
+    strategy: str | None = None
+    include_known: bool | None = None
     center: tuple[float, ...] | None = None
-    radius: float = 2.0
+    radius: float | None = None
     points: tuple[float, ...] | None = None
 
 
@@ -123,32 +128,106 @@ _EVALUATORS = {
     "freudenthal": lambda cfg, fn, v: freudenthal_alternating(v),
 }
 
+_LEVELS = {"k": None, "ell": None, "m": None}
 
-def _tolerance(cfg: RunConfig, default: float) -> float:
-    """The run's tolerance: ``cfg.tol`` or the suite's default, refused
-    unless finite and >= 0 (a NaN or negative band fails every verdict, an
-    infinite one passes every verdict)."""
-    tol = default if cfg.tol is None else cfg.tol
-    if not (math.isfinite(tol) and tol >= 0):
-        raise InputError(f"tol must be finite and >= 0, got {tol}")
-    return tol
+#: Per route: the families it runs, its default tolerance, and the fields it
+#: reads in report order, each with the value it takes when unset.  A level
+#: is read only where the family's condition names it, ``dim`` on the
+#: convex/norm and search routes only under the ``norm`` term, ``radius``
+#: only with a ``center`` and ``include_known`` only by ``hlawka-pop``.
+#: ``seed``, ``trials`` and ``tol`` are read everywhere and reported outside
+#: ``params``.
+_READS = {
+    "verify": (tuple(family.value for family in OperatorFamily), DEFAULT_LOEWNER_TOL, {
+        "n": 3, "p": 3, "dim": 2, "condition_target": 10.0,
+        "max_tensor_dim": DEFAULT_MAX_TENSOR_DIM, **_LEVELS}),
+    "matrix": (tuple(family.value for family in OperatorFamily), DEFAULT_SCALAR_MATRIX_TOL, {
+        "n": 3, "dim": 3, "char": "det", "condition_target": 10.0, **_LEVELS}),
+    "convex": (tuple(_EVALUATORS), DEFAULT_SCALAR_TOL, {
+        "n": 3, "dim": 3, "fn": "all", **_LEVELS, "include_known": False, "points": None}),
+    "counterexample": (SEARCH_FAMILIES, DEFAULT_SCALAR_TOL, {
+        "n": 4, "dim": 2, "strategy": "random", "fn": "abs", "include_known": False,
+        "center": None, "radius": 2.0}),
+}
 
 
-def _check_run(cfg: RunConfig, trials: int) -> None:
-    """The settings check every route makes before its first trial: refuse
-    a negative trial count, a seed outside [0, 2**64), a dimension below 1
-    and a ``center`` region that cannot be sampled."""
-    if trials < 0:
+def _settings(cfg: RunConfig, route: str) -> tuple[RunConfig, list[str]]:
+    """The one settings pass of a run on ``route``, before its first trial
+    and even at ``trials=0``: the resolved config and the fields read, in
+    report order.  In this order it refuses a family the route does not run
+    and a field set (not ``None``) that the route does not read for the
+    family; fills every unset field read from :data:`_READS`; then refuses
+    a negative trial count, a seed outside [0, 2**64), a ``dim`` below 1, a
+    tolerance not finite and >= 0, a condition target not finite and >= 1,
+    an unknown strategy, convex function or character, ``include_known``
+    beside ``points`` or in a search at another n than the known input's,
+    a ``center`` region that cannot be sampled, parameters the family's
+    table entry refuses (explicit inputs set n and one trial first), vectors
+    that do not split into n rows (they set ``dim``), and last, as budget
+    errors, a tensor over ``max_tensor_dim`` and a group over the guard.
+    """
+    families, tol, row = _READS[route]
+    if cfg.family not in families:
+        raise InputError(f"--family must be one of {list(families)}, got {cfg.family!r}")
+    spec = SUITES[cfg.family]
+    needs = spec.needs.split()
+    only = {"k": "k" in needs, "ell": "ell" in needs, "m": "m" in needs,
+            "dim": route in ("verify", "matrix") or spec.term == "norm",
+            "radius": cfg.center is not None, "include_known": cfg.family == "hlawka-pop"}
+    names = [name for name in row if only.get(name, True)]
+    read = {"family", "seed", "trials", "tol", *names}
+    for name in (field.name for field in fields(RunConfig)):
+        if name not in read and getattr(cfg, name) is not None:
+            flag = "max-dim" if name == "max_tensor_dim" else name.replace("_", "-")
+            raise InputError(f"--{flag} is not read by --family {cfg.family}")
+    cfg = replace(cfg, tol=tol if cfg.tol is None else cfg.tol,
+                  **{name: row[name] for name in names if getattr(cfg, name) is None})
+
+    if cfg.trials < 0:
         raise InputError("trials must be nonnegative")
     if not 0 <= cfg.seed < 2**64:
         raise InputError("seed must be a 64-bit unsigned integer")
-    if cfg.dim < 1:
+    if cfg.dim is not None and cfg.dim < 1:
         raise InputError("dim must be a positive integer")
+    # A NaN or negative band fails every verdict, an infinite one passes every verdict.
+    if not (math.isfinite(cfg.tol) and cfg.tol >= 0):
+        raise InputError(f"tol must be finite and >= 0, got {cfg.tol}")
+    if cfg.condition_target is not None:
+        PdBatchConfig(cfg.dim, (), cfg.condition_target)  # the sampler's check of the target
+    if cfg.strategy is not None and cfg.strategy not in SEARCH_STRATEGIES:
+        raise InputError(f"unknown strategy {cfg.strategy!r}")
+    if cfg.fn is not None and (cfg.fn != "all" or route == "counterexample"):
+        ConvexFunction(cfg.fn)  # "all", the whole catalog, only on the convex/norm route
+    if cfg.char is not None:
+        parse_character_selector(cfg.char, cfg.dim)
+
+    if cfg.include_known and cfg.points is not None:
+        raise InputError("--include-known and --points select different inputs; give one")
+    if cfg.include_known and route == "counterexample" and cfg.n != 4:
+        # A search starts from the known input only at its size.
+        raise InputError(f"--include-known applies only to --family hlawka-pop --n 4, "
+                         f"got --family hlawka-pop --n {cfg.n}")
     if cfg.center is not None:
         # The offsets are drawn from [-radius, radius], a range 2 * radius wide.
         if not (cfg.radius >= 0 and math.isfinite(2 * cfg.radius)):
             raise InputError(f"radius must be >= 0 with 2 * radius finite, got {cfg.radius}")
         sample_shape(cfg.family, cfg.n, cfg.dim, cfg.center)
+
+    if route == "convex" and (cfg.include_known or cfg.points is not None):
+        points = KNOWN_HLAWKA_POP_COUNTEREXAMPLE if cfg.include_known else cfg.points
+        cfg = replace(cfg, points=points, trials=1,
+                      n=cfg.n if spec.term == "norm" else len(points))
+    suite_terms(cfg.family, cfg.n, cfg.k, cfg.ell, cfg.m)
+    if cfg.points is not None and spec.term == "norm":
+        if len(cfg.points) % cfg.n:
+            raise InputError(f"--points length {len(cfg.points)} is not divisible by --n {cfg.n}")
+        cfg = replace(cfg, dim=len(cfg.points) // cfg.n)
+
+    if cfg.p is not None:
+        check_tensor_budget(cfg.dim, cfg.p, cfg.max_tensor_dim)
+    if cfg.char is not None:
+        check_symmetric_degree(cfg.dim)
+    return cfg, names
 
 
 def _tuple_digest(parts: list[HermitianStack], t: int) -> str:
@@ -162,36 +241,7 @@ def _data_digest(data: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(data, dtype=np.float64).tobytes()).hexdigest()
 
 
-def _given(cfg: RunConfig) -> dict:
-    return {name: getattr(cfg, name) for name in ("k", "ell", "m")
-            if getattr(cfg, name) is not None}
-
-
-def _check_include_known(cfg: RunConfig, n: int | None = None) -> None:
-    """Refuse ``include_known`` beside ``points`` or where it selects no
-    input: the known input refutes hlawka-pop, and a search starts from it
-    only at its size n."""
-    wanted = "--family hlawka-pop" + (f" --n {n}" if n else "")
-    got = f"--family {cfg.family}" + (f" --n {cfg.n}" if n else "")
-    if cfg.include_known and got != wanted:
-        raise InputError(f"--include-known applies only to {wanted}, got {got}")
-    if cfg.include_known and cfg.points is not None:
-        raise InputError("--include-known and --points select different inputs; give one")
-
-
-def _operator_family(cfg: RunConfig) -> OperatorFamily:
-    """The family of an operator suite, checked with its parameters before
-    any trial runs."""
-    try:
-        family = OperatorFamily(cfg.family)
-    except ValueError:
-        raise InputError(f"unknown family {cfg.family!r}") from None
-    _check_run(cfg, cfg.trials)
-    suite_terms(family.value, cfg.n, cfg.k, cfg.ell, cfg.m)
-    return family
-
-
-def _sampled_chunks(cfg: RunConfig, n: int, trial_bytes: int):
+def _sampled_chunks(cfg: RunConfig, trial_bytes: int):
     """Yield ``(trial seeds, all inputs, inputs by position)`` per chunk.
 
     Input ``i`` of trial ``t`` is sampled from ``derive_seed(seed_t, i)``;
@@ -201,12 +251,9 @@ def _sampled_chunks(cfg: RunConfig, n: int, trial_bytes: int):
     for lo in range(0, cfg.trials, size):
         seeds = [derive_seed(cfg.seed, t) for t in range(lo, min(cfg.trials, lo + size))]
         count = len(seeds)
-        inputs = random_pd(PdBatchConfig(
-            dim=cfg.dim,
-            seeds=tuple(derive_seed(s, i) for i in range(n) for s in seeds),
-            condition_target=cfg.condition_target,
-        ))
-        yield seeds, inputs, [inputs[i * count:(i + 1) * count] for i in range(n)]
+        inputs = random_pd(PdBatchConfig(cfg.dim, tuple(
+            derive_seed(s, i) for i in range(cfg.n) for s in seeds), cfg.condition_target))
+        yield seeds, inputs, [inputs[i * count:(i + 1) * count] for i in range(cfg.n)]
 
 
 def _matrix_trials(cfg: RunConfig, largest: int, check, margin_key: str):
@@ -217,26 +264,28 @@ def _matrix_trials(cfg: RunConfig, largest: int, check, margin_key: str):
     verdict)`` per trial of a chunk.
     """
     trial_bytes = _ENTRY_BYTES * max(largest, cfg.n * cfg.dim * cfg.dim)
-    for seeds, inputs, parts in _sampled_chunks(cfg, cfg.n, trial_bytes):
+    for seeds, inputs, parts in _sampled_chunks(cfg, trial_bytes):
         for t, (seed, (margin, verdict)) in enumerate(zip(seeds, check(inputs, parts))):
             yield [(None, margin, verdict)], (
                 lambda kind, worst, t=t, seed=seed, parts=parts:
                 {"inputsDigest": _tuple_digest(parts, t), margin_key: worst, "seed": seed})
 
 
-def _run(report: TrialReport, spec: FamilySpec, n: int, records) -> tuple[TrialReport, int]:
-    """The one trial loop: fill ``report`` from per-trial records.
+def _run(report: TrialReport, cfg: RunConfig, records) -> tuple[TrialReport, int]:
+    """The one trial loop: fill ``report`` of the resolved ``cfg`` from
+    per-trial records.
 
     A record is ``(outcomes, violation)``: one ``(function kind or None,
     margin, verdict)`` per evaluated function, and ``violation(kind,
     margin)``, the report entry of the trial's worst outcome.  A trial is
     an equality case when all its outcomes are EQUALITY, and it yields one
     violation entry when its worst outcome FAILS, so violations never
-    outnumber trials.  The report's flags are the notes of the table entry
-    ``spec`` over n inputs, then the flags a record source learns while it
-    runs.  A violation exits 1 under the ``spec.status`` ``proven`` or
-    ``refuted``, or when n is ``spec.proven_at``.
+    outnumber trials.  The report's flags are the notes of the family's
+    table entry ``spec`` over n inputs, then the flags a record source
+    learns while it runs.  A violation exits 1 under the ``spec.status``
+    ``proven`` or ``refuted``, or when n is ``spec.proven_at``.
     """
+    spec, n = SUITES[cfg.family], cfg.n
     start = time.perf_counter()
     for outcomes, violation in records:
         report.equality_cases += all(verdict is Verdict.EQUALITY for _, _, verdict in outcomes)
@@ -251,102 +300,80 @@ def _run(report: TrialReport, spec: FamilySpec, n: int, records) -> tuple[TrialR
     return report, 1 if report.violations and binding else 0
 
 
-def _report(cfg: RunConfig, family: str, params: dict, tol: float, trials: int) -> TrialReport:
-    return TrialReport(family=family, params=params, trials=trials, seed=cfg.seed,
-                       tolerance_used=tol, min_margin=None, equality_cases=0, violations=[])
+def _report(cfg: RunConfig, names: list[str], family: str) -> TrialReport:
+    """An empty report of ``cfg``, whose ``params`` are the fields ``names``
+    that are set, in camelCase."""
+    params = {re.sub("_(.)", lambda c: c[1].upper(), name): getattr(cfg, name)
+              for name in names if getattr(cfg, name) is not None}
+    return TrialReport(family=family, params=params, trials=cfg.trials, seed=cfg.seed,
+                       tolerance_used=cfg.tol, min_margin=None, equality_cases=0, violations=[])
 
 
 def run_verify(cfg: RunConfig) -> tuple[TrialReport, int]:
     """Sample PD tuples, build the family difference, certify each trial."""
-    family = _operator_family(cfg)
-    side = check_tensor_budget(cfg.dim, cfg.p, cfg.max_tensor_dim)
-    tol = _tolerance(cfg, DEFAULT_LOEWNER_TOL)
-    report = _report(cfg, cfg.family, {
-        "n": cfg.n, "p": cfg.p, "dim": cfg.dim, "conditionTarget": cfg.condition_target,
-        "maxTensorDim": cfg.max_tensor_dim, **_given(cfg)}, tol, cfg.trials)
+    cfg, names = _settings(cfg, "verify")
+    family = OperatorFamily(cfg.family)
+    report = _report(cfg, names, cfg.family)
     flags = report.interpretation_flags
     psd_only = "psd-only-inputs: some inputs were not strictly positive definite"
 
     def certify(inputs, parts):
         # Not bound to a name: the chunk's differences are freed before the
         # next chunk builds its own.
-        certs = psd_certificate(
-            build_difference(family, parts, cfg.p, cfg.max_tensor_dim, **_given(cfg)), tol)
+        certs = psd_certificate(build_difference(
+            family, parts, cfg.p, cfg.max_tensor_dim, k=cfg.k, ell=cfg.ell, m=cfg.m), cfg.tol)
         if not (min_eigenvalue(inputs) > 1e-12).all() and psd_only not in flags:
             flags.append(psd_only)
         return [(c.min_eigenvalue, c.verdict) for c in certs]
 
-    return _run(report, SUITES[cfg.family], cfg.n,
-                _matrix_trials(cfg, side * side, certify, "minEigenvalue"))
+    side = cfg.dim**cfg.p
+    return _run(report, cfg, _matrix_trials(cfg, side * side, certify, "minEigenvalue"))
 
 
 def run_scalar_verify(cfg: RunConfig) -> tuple[TrialReport, int]:
     """Scalar suites: either the d-image of an operator family (choose a
     character with --char) or one of the convex/norm evaluators."""
-    _check_include_known(cfg)
     if cfg.family in _EVALUATORS:
-        return _run_convex_norm(cfg, SUITES[cfg.family])
-    if cfg.points is not None:
-        raise InputError(f"--points applies only to a convex/norm family, "
-                         f"got --family {cfg.family}")
-    family = _operator_family(cfg)
+        return _run_convex_norm(*_settings(cfg, "convex"))
+    cfg, names = _settings(cfg, "matrix")
+    family = OperatorFamily(cfg.family)
     group, chi = parse_character_selector(cfg.char, cfg.dim)
-    tol = _tolerance(cfg, DEFAULT_SCALAR_MATRIX_TOL)
-    report = _report(cfg, f"{cfg.family}[{cfg.char}]", {
-        "n": cfg.n, "dim": cfg.dim, "char": cfg.char,
-        "conditionTarget": cfg.condition_target}, tol, cfg.trials)
+    report = _report(cfg, names, f"{cfg.family}[{cfg.char}]")
 
     def check(inputs, parts):
-        return [(r.margin, r.verdict)
-                for r in scalar_inequality_check(family, parts, group, chi, tol, **_given(cfg))]
+        return [(r.margin, r.verdict) for r in scalar_inequality_check(
+            family, parts, group, chi, cfg.tol, k=cfg.k, ell=cfg.ell, m=cfg.m)]
 
     # The largest stacked array is the (group order, degree) gather of one
-    # generalized matrix function per trial; orders beyond the guard are
-    # refused when it runs.
-    order = math.factorial(min(group.degree, MAX_SYMMETRIC_DEGREE + 1))
-    return _run(report, SUITES[cfg.family], cfg.n,
-                _matrix_trials(cfg, order * group.degree, check, "margin"))
+    # generalized matrix function per trial.
+    order = math.factorial(cfg.dim)
+    return _run(report, cfg, _matrix_trials(cfg, order * cfg.dim, check, "margin"))
 
 
-def _run_convex_norm(cfg: RunConfig, suite: FamilySpec) -> tuple[TrialReport, int]:
-    """A convex/norm suite on seeded inputs, or once on explicit inputs,
-    which then set the reported tuple size and vector dimension."""
-    tol = _tolerance(cfg, DEFAULT_SCALAR_TOL)
-    vectors = suite.term == "norm"
+def _run_convex_norm(cfg: RunConfig, names: list[str]) -> tuple[TrialReport, int]:
+    """A convex/norm suite on seeded inputs, or once on explicit ``points``."""
     fns = [None]
-    if not vectors:
+    if SUITES[cfg.family].term != "norm":
         fns = list(convex_catalog()) if cfg.fn == "all" else [ConvexFunction(cfg.fn)]
-    explicit = KNOWN_HLAWKA_POP_COUNTEREXAMPLE if cfg.include_known else cfg.points
-    n = len(explicit) if (explicit is not None and not vectors) else cfg.n
-    trials = 1 if explicit is not None else cfg.trials
-    suite_terms(cfg.family, n, cfg.k, cfg.ell, cfg.m)  # a parameter fault stops the run here
-    params = {"n": n, "dim": cfg.dim, "fn": cfg.fn, **_given(cfg)}
-    if explicit is None:
-        inputs = (sample_inputs(cfg.family, rng, n, cfg.dim)
-                  for rng in _generators(derive_seed(cfg.seed, t) for t in range(trials)))
+    if cfg.points is None:
+        inputs = (sample_inputs(cfg.family, rng, cfg.n, cfg.dim)
+                  for rng in _generators(derive_seed(cfg.seed, t) for t in range(cfg.trials)))
     else:
-        data = np.asarray(explicit, dtype=np.float64)
-        if vectors:
-            if len(explicit) % n:
-                raise InputError(f"--points length {len(explicit)} is not divisible by --n {n}")
-            data = data.reshape(n, -1)
-            params["dim"] = data.shape[1]
-        params["points"] = data.ravel().tolist()
-        inputs = [data]
-    _check_run(cfg, trials)
+        inputs = [np.asarray(cfg.points, dtype=np.float64).reshape(
+            sample_shape(cfg.family, cfg.n, cfg.dim))]
     evaluate = _EVALUATORS[cfg.family]
 
     def records():
         for t, data in enumerate(inputs):
             results = [(fn.kind if fn else None, evaluate(cfg, fn, data)) for fn in fns]
-            yield [(kind, r.margin, band_verdict(r.margin, abs(r.margin), r.scale, tol))
+            yield [(kind, r.margin, band_verdict(r.margin, abs(r.margin), r.scale, cfg.tol))
                    for kind, r in results], (
                 lambda kind, worst, data=data, t=t: {
                     "inputsDigest": _data_digest(data), "margin": worst,
                     "seed": derive_seed(cfg.seed, t),
                     "inputs": [float(x) for x in data.ravel()], **({"fn": kind} if kind else {})})
 
-    return _run(_report(cfg, cfg.family, params, tol, trials), suite, n, records())
+    return _run(_report(cfg, names, cfg.family), cfg, records())
 
 
 def counterexample_search(suite: str, cfg: RunConfig, fn: ConvexFunction,
@@ -357,9 +384,9 @@ def counterexample_search(suite: str, cfg: RunConfig, fn: ConvexFunction,
     (seed, t), or under ``include_known`` trial 0 from the known refuting
     input; :func:`~hlawka.scalar.search_from` descends from it under the
     ``coordinate-descent`` strategy and re-verifies what it reports.  An
-    empty list is a valid outcome.
+    empty list is a valid outcome.  ``cfg`` is read as given, with no
+    defaults: :func:`run_counterexample` passes the resolved config.
     """
-    suite_terms(suite, cfg.n)  # a parameter fault stops the search here
     descend = cfg.strategy == "coordinate-descent"
     found = []
     for t, rng in enumerate(_generators(derive_seed(cfg.seed, t) for t in range(cfg.trials))):
@@ -378,22 +405,10 @@ def counterexample_search(suite: str, cfg: RunConfig, fn: ConvexFunction,
 
 def run_counterexample(cfg: RunConfig) -> tuple[TrialReport, int]:
     """Drive the counterexample search; completion always exits 0."""
-    if cfg.family not in SEARCH_FAMILIES:
-        raise InputError(f"counterexample family must be one of "
-                         f"{list(SEARCH_FAMILIES)}, got {cfg.family!r}")
-    if cfg.strategy not in SEARCH_STRATEGIES:
-        raise InputError(f"unknown strategy {cfg.strategy!r}")
-    _check_include_known(cfg, len(KNOWN_HLAWKA_POP_COUNTEREXAMPLE))
-    fn = ConvexFunction(cfg.fn if cfg.fn != "all" else "abs")
-    _check_run(cfg, cfg.trials)
-    tol = _tolerance(cfg, DEFAULT_SCALAR_TOL)
-    params = {"n": cfg.n, "dim": cfg.dim, "strategy": cfg.strategy, "fn": fn.kind,
-              "includeKnown": cfg.include_known}
-    if cfg.center is not None:
-        params.update(center=list(cfg.center), radius=cfg.radius)
-    report = _report(cfg, cfg.family, params, tol, cfg.trials)
+    cfg, names = _settings(cfg, "counterexample")
+    report = _report(cfg, names, cfg.family)
     start = time.perf_counter()
-    report.violations = counterexample_search(cfg.family, cfg, fn, tol)
+    report.violations = counterexample_search(cfg.family, cfg, ConvexFunction(cfg.fn), cfg.tol)
     report.min_margin = min((v["margin"] for v in report.violations), default=None)
     report.interpretation_flags.append("search: violations are findings, re-verified before "
                                        "inclusion; an empty list is a valid outcome")

@@ -238,19 +238,23 @@ class CharacterSpec:
         return cls(kind=CharacterKind.TABLE, table=tuple(complex(v) for v in values))
 
 
+def check_symmetric_degree(degree: int) -> None:
+    """Refuse with :class:`BudgetError` to enumerate S_degree beyond the
+    guard, degree 8 (order 40320).  Enumerates nothing."""
+    if degree > MAX_SYMMETRIC_DEGREE:
+        raise BudgetError(f"S_{degree} has {degree}! elements; the guard allows degree <= "
+                          f"{MAX_SYMMETRIC_DEGREE}, order {MAX_GROUP_ORDER}")
+
+
 def enumerate_group(spec: GroupSpec) -> list[tuple[int, ...]]:
     """All group elements in deterministic (lexicographic) order.
 
     Explicit lists are validated for closure under composition and
     inverse; a violation is an input error.  Full symmetric groups are
-    guarded at degree 8 (order 40320).
+    guarded by :func:`check_symmetric_degree`.
     """
     if spec.kind is GroupKind.FULL_SYMMETRIC:
-        if spec.degree > MAX_SYMMETRIC_DEGREE:
-            raise BudgetError(
-                f"S_{spec.degree} has {math.factorial(spec.degree)} elements; "
-                f"the guard allows degree <= {MAX_SYMMETRIC_DEGREE}"
-            )
+        check_symmetric_degree(spec.degree)
         return [tuple(p) for p in itertools.permutations(range(spec.degree))]
 
     elems = sorted(set(spec.elements))

@@ -19,6 +19,7 @@ from hlawka.errors import InputError
 from hlawka.harness import SUITES, RunConfig, run_scalar_verify, run_verify
 from hlawka.linalg import (
     DEFAULT_LOEWNER_TOL,
+    DEFAULT_MAX_TENSOR_DIM,
     HermitianStack,
     _kron_power,
     PdBatchConfig,
@@ -56,13 +57,23 @@ def tuple_digest(mats) -> str:
     return h.hexdigest()
 
 
-def tuple_size(cfg: RunConfig) -> int:
-    return 3 if cfg.family in ("hlawka3", "supermod") else cfg.n
+#: The settings the oracles read beyond each case's own: the harness's
+#: values for fields a case leaves unset.
+VERIFY_SETTINGS = dict(n=3, condition_target=10.0, max_tensor_dim=DEFAULT_MAX_TENSOR_DIM)
+SCALAR_SETTINGS = dict(n=3, condition_target=10.0)
+
+
+def verify_cfg(**settings) -> RunConfig:
+    return RunConfig(**{**VERIFY_SETTINGS, **settings})
+
+
+def scalar_cfg(**settings) -> RunConfig:
+    return RunConfig(**{**SCALAR_SETTINGS, **settings})
 
 
 def oracle_verify(cfg: RunConfig) -> TrialReport:
     """``verify`` one seeded tuple at a time, through the single-matrix calls."""
-    family, n = OperatorFamily(cfg.family), tuple_size(cfg)
+    family, n = OperatorFamily(cfg.family), cfg.n
     levels = {k: getattr(cfg, k) for k in ("k", "ell", "m") if getattr(cfg, k) is not None}
     tol = DEFAULT_LOEWNER_TOL if cfg.tol is None else cfg.tol
     margins, violations, equality, psd_only = [], [], 0, False
@@ -92,7 +103,7 @@ def oracle_verify(cfg: RunConfig) -> TrialReport:
 
 def oracle_scalar(cfg: RunConfig) -> TrialReport:
     """The matrix-function half of ``scalar-verify``, one tuple at a time."""
-    family, n = OperatorFamily(cfg.family), tuple_size(cfg)
+    family, n = OperatorFamily(cfg.family), cfg.n
     levels = {k: getattr(cfg, k) for k in ("k", "ell", "m") if getattr(cfg, k) is not None}
     group, chi = parse_character_selector(cfg.char, cfg.dim)
     tol = harness.DEFAULT_SCALAR_MATRIX_TOL if cfg.tol is None else cfg.tol
@@ -108,7 +119,7 @@ def oracle_scalar(cfg: RunConfig) -> TrialReport:
                                "seed": trial_seed})
     return TrialReport(family=f"{cfg.family}[{cfg.char}]",
                        params={"n": n, "dim": cfg.dim, "char": cfg.char,
-                               "conditionTarget": cfg.condition_target},
+                               "conditionTarget": cfg.condition_target, **levels},
                        trials=cfg.trials, seed=cfg.seed, tolerance_used=tol,
                        min_margin=min(margins) if margins else None, equality_cases=equality,
                        violations=violations,
@@ -149,17 +160,17 @@ VERIFY_CASES = [
 class TestVerifyAgainstOracle:
     @pytest.mark.parametrize("case", VERIFY_CASES, ids=lambda c: c["family"])
     def test_every_family(self, case, monkeypatch):
-        cfg = RunConfig(dim=2, trials=70, seed=5, **case)
+        cfg = verify_cfg(dim=2, trials=70, seed=5, **case)
         sizes = count_chunks(monkeypatch)
         report, _ = run_verify(cfg)
-        n = tuple_size(cfg)
+        n = cfg.n
         assert sizes == [32 * n, 32 * n, 6 * n]
         monkeypatch.undo()
         assert_same_report(report, oracle_verify(cfg))
 
     def test_violations_are_reported_like_the_oracle(self):
-        cfg = RunConfig(family="alternating", n=5, p=4, dim=2, trials=40, seed=5,
-                        condition_target=1000.0)
+        cfg = verify_cfg(family="alternating", n=5, p=4, dim=2, trials=40, seed=5,
+                         condition_target=1000.0)
         report, code = run_verify(cfg)
         assert report.violations and code == 1
         assert_same_report(report, oracle_verify(cfg))
@@ -170,7 +181,7 @@ class TestVerifyAgainstOracle:
         # difference (1 KiB) per trial.
         chunk = harness.CHUNK_BYTES // (16 * 8 * 8)
         trials = 0 if delta is None else chunk + delta
-        cfg = RunConfig(family="hlawka3", p=3, dim=2, trials=trials, seed=3)
+        cfg = verify_cfg(family="hlawka3", p=3, dim=2, trials=trials, seed=3)
         sizes = count_chunks(monkeypatch)
         report, _ = run_verify(cfg)
         assert sum(sizes) == 3 * trials
@@ -179,12 +190,12 @@ class TestVerifyAgainstOracle:
         assert_same_report(report, oracle_verify(cfg))
 
     def test_one_trial(self):
-        cfg = RunConfig(family="pop-pairs", n=4, p=3, dim=2, trials=1, seed=8)
+        cfg = verify_cfg(family="pop-pairs", n=4, p=3, dim=2, trials=1, seed=8)
         assert_same_report(run_verify(cfg)[0], oracle_verify(cfg))
 
     def test_trial_over_budget_runs_alone(self, monkeypatch):
         monkeypatch.setattr(harness, "CHUNK_BYTES", 100)
-        cfg = RunConfig(family="hlawka3", p=2, dim=2, trials=3, seed=4)
+        cfg = verify_cfg(family="hlawka3", p=2, dim=2, trials=3, seed=4)
         sizes = count_chunks(monkeypatch)
         report, _ = run_verify(cfg)
         assert sizes == [3, 3, 3]
@@ -206,7 +217,7 @@ class TestScalarAgainstOracle:
         dict(family="supermod", dim=4, char="partition=3,1"),
     ], ids=lambda c: f"{c['family']}[{c['char']}]")
     def test_characters(self, case):
-        cfg = RunConfig(trials=200, seed=6, **case)
+        cfg = scalar_cfg(trials=200, seed=6, **case)
         assert_same_report(run_scalar_verify(cfg)[0], oracle_scalar(cfg))
 
     @pytest.mark.parametrize("delta", [None, -1, 0, 1])
@@ -215,7 +226,7 @@ class TestScalarAgainstOracle:
         # of one determinant (1.5 KiB) per trial.
         chunk = harness.CHUNK_BYTES // (16 * 24 * 4)
         trials = 0 if delta is None else chunk + delta
-        cfg = RunConfig(family="alternating", n=4, dim=4, char="det", trials=trials, seed=2)
+        cfg = scalar_cfg(family="alternating", n=4, dim=4, char="det", trials=trials, seed=2)
         sizes = count_chunks(monkeypatch)
         report, _ = run_scalar_verify(cfg)
         assert len(sizes) == math.ceil(trials / chunk)
@@ -223,7 +234,7 @@ class TestScalarAgainstOracle:
         assert_same_report(report, oracle_scalar(cfg))
 
     def test_one_trial(self):
-        cfg = RunConfig(family="alternating", n=4, dim=3, char="perm", trials=1, seed=9)
+        cfg = scalar_cfg(family="alternating", n=4, dim=3, char="perm", trials=1, seed=9)
         assert_same_report(run_scalar_verify(cfg)[0], oracle_scalar(cfg))
 
 

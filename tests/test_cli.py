@@ -14,6 +14,7 @@ import pytest
 from hlawka.cli import _config_from, build_parser, main
 from hlawka.harness import (
     _EVALUATORS,
+    _READS,
     SUITES,
     RunConfig,
     run_counterexample,
@@ -22,6 +23,7 @@ from hlawka.harness import (
 )
 from hlawka.linalg import PdSampleConfig, random_pd, save_matrix
 from hlawka.scalar import (
+    CONVEX_KINDS,
     CONVEX_NORM_SUITES,
     SEARCH_FAMILIES,
     SEARCH_STRATEGIES,
@@ -215,17 +217,18 @@ class TestScalarVerifyCommand:
         assert json.loads(out.read_text())["minMargin"] == -2.0
 
     @pytest.mark.parametrize("args, n, dim, extrapolated", [
-        ("--family hlawka-pop --n 5 --include-known", 4, 3, False),
-        ("--family hlawka-pop --points 1,2,3,4,5", 5, 3, True),
+        ("--family hlawka-pop --n 5 --include-known", 4, None, False),
+        ("--family hlawka-pop --points 1,2,3,4,5", 5, None, True),
         ("--family norm-hlawka --points 1,2,3,4,5,6", 3, 2, False),
     ])
     def test_explicit_inputs_set_the_tuple_size(self, args, n, dim, extrapolated, tmp_path):
         # The known input is four points whatever --n says, and the six
         # numbers are three 2-vectors: the report describes what was evaluated.
+        # Points have no dimension to report.
         out = tmp_path / "x.json"
         main(["scalar-verify", *args.split(), "--out", str(out)])
         doc = json.loads(out.read_text())
-        assert (doc["params"]["n"], doc["params"]["dim"]) == (n, dim)
+        assert (doc["params"]["n"], doc["params"].get("dim")) == (n, dim)
         note = "interpretation: subset-size weights extrapolated beyond the n=4 instance"
         assert (note in doc["interpretationFlags"]) == extrapolated
 
@@ -272,6 +275,7 @@ class TestScalarVerifyCommand:
 
 SEED_FAULT = "seed must be a 64-bit unsigned integer"
 DIM_FAULT = "dim must be a positive integer"
+TARGET_FAULT = "condition_target must be finite and >= 1"
 
 
 class TestParametersCheckedBeforeTheTrials:
@@ -280,6 +284,7 @@ class TestParametersCheckedBeforeTheTrials:
         ("verify --family superadd --n 1", 2),
         ("scalar-verify --family pcz --n 5", 2),
         ("scalar-verify --family radu --n 4 --k 9", 2),
+        ("scalar-verify --family hlawka3 --char perm --dim 9", 3),
     ])
     def test_zero_trials_still_refuse_bad_parameters(self, command, code, tmp_path):
         out = tmp_path / "r.json"
@@ -290,7 +295,7 @@ class TestParametersCheckedBeforeTheTrials:
         ("scalar-verify --family hlawka-pop --include-known --points 1,2,3",
          "--include-known and --points select different inputs; give one"),
         ("scalar-verify --family hlawka3 --points 1,2,3 --trials 3",
-         "--points applies only to a convex/norm family, got --family hlawka3"),
+         "--points is not read by --family hlawka3"),
     ])
     def test_points_refused_where_they_are_not_evaluated(self, command, message, tmp_path,
                                                          capsys):
@@ -327,10 +332,29 @@ class TestParametersCheckedBeforeTheTrials:
         ("counterexample --family freudenthal --dim 0 --trials 2", DIM_FAULT),
         ("scalar-verify --family jensen --points=", "unparseable number list ''"),
         ("counterexample --family hlawka-pop --center=", "unparseable number list ''"),
+        ("verify --family hlawka3 --condition-target 0.5 --trials 0", TARGET_FAULT),
+        ("verify --family hlawka3 --condition-target nan --trials 0", TARGET_FAULT),
+        ("scalar-verify --family hlawka3 --char det --condition-target 0.5 --trials 0",
+         TARGET_FAULT),
+        ("scalar-verify --family hlawka3 --char det --condition-target inf --trials 0",
+         TARGET_FAULT),
+        ("counterexample --family hlawka-pop --fn all --trials 2",
+         f"unknown convex function 'all'; choose from {CONVEX_KINDS}"),
+        ("verify --family hlawka3 --m 5 --k 9 --trials 2", "--k is not read by --family hlawka3"),
+        ("scalar-verify --family jensen --char perm --condition-target 1e9 --trials 2",
+         "--condition-target is not read by --family jensen"),
+        ("scalar-verify --family jensen --dim 7 --trials 2",
+         "--dim is not read by --family jensen"),
+        ("scalar-verify --family hlawka3 --char det --fn exp --trials 2",
+         "--fn is not read by --family hlawka3"),
+        ("counterexample --family hlawka-pop --radius 5 --trials 2",
+         "--radius is not read by --family hlawka-pop"),
     ])
     def test_run_settings_refused_before_any_trial(self, command, message, tmp_path, capsys):
         # Each raised a traceback (exit 1), ran trials on empty vectors or on
-        # sampled inputs, or passed unchecked at --trials 0.
+        # sampled inputs, passed unchecked at --trials 0, searched under abs
+        # (--fn all), or ran with a value neither read nor reported, or
+        # reported a level the family does not read.
         out = tmp_path / "r.json"
         assert main([*command.split(), "--out", str(out)]) == 2
         captured = capsys.readouterr()
@@ -385,10 +409,8 @@ class TestCounterexampleCommand:
          "--include-known applies only to --family hlawka-pop --n 4, "
          "got --family hlawka-pop --n 5"),
         ("counterexample --family freudenthal",
-         "--include-known applies only to --family hlawka-pop --n 4, "
-         "got --family freudenthal --n 4"),
-        ("scalar-verify --family jensen",
-         "--include-known applies only to --family hlawka-pop, got --family jensen"),
+         "--include-known is not read by --family freudenthal"),
+        ("scalar-verify --family jensen", "--include-known is not read by --family jensen"),
     ])
     def test_include_known_refused_where_it_selects_nothing(self, command, message, tmp_path,
                                                             capsys):
@@ -425,20 +447,20 @@ class TestCounterexampleCommand:
                          "--out", str(out), *extra]) == 0
             params.append(json.loads(out.read_text())["params"])
         plain, centred, other = params
-        assert plain == {"n": 4, "dim": 2, "strategy": "random", "fn": "abs",
-                         "includeKnown": False}
+        assert plain == {"n": 4, "strategy": "random", "fn": "abs", "includeKnown": False}
         assert centred == {**plain, "center": [-10.0, 1.0, 1.0, 9.0], "radius": 2.0}
         assert other == {**plain, "center": [-10.0, 1.0, 1.0, 8.0], "radius": 0.5}
 
-    @pytest.mark.parametrize("family, scalar_args", [
-        ("freudenthal", ["--dim", "2"]),
-        ("hlawka-pop", ["--dim", "2", "--fn", "abs"]),
+    @pytest.mark.parametrize("family, scalar_args, search_args", [
+        ("freudenthal", ["--dim", "2"], ["--dim", "2"]),
+        ("hlawka-pop", ["--fn", "abs"], []),
     ])
-    def test_scalar_verify_trial_draws_the_search_start(self, family, scalar_args, tmp_path):
+    def test_scalar_verify_trial_draws_the_search_start(self, family, scalar_args, search_args,
+                                                         tmp_path):
         # Trial t of both commands samples its inputs from the same seed and the
         # same draw, so the violating trials and their inputs coincide.
         found = []
-        for args in (["scalar-verify", *scalar_args], ["counterexample", "--dim", "2"]):
+        for args in (["scalar-verify", *scalar_args], ["counterexample", *search_args]):
             out = tmp_path / f"{args[0]}.json"
             main([*args, "--family", family, "--n", "4", "--trials", "200", "--seed", "5",
                   "--out", str(out)])
@@ -651,6 +673,55 @@ FLAG_VALUES = {
 }
 
 
+TRIAL_COMMANDS = ("verify", "scalar-verify", "counterexample")
+RUNNERS = {"verify": run_verify, "scalar-verify": run_scalar_verify,
+           "counterexample": run_counterexample}
+
+
+def camel(name: str) -> str:
+    return re.sub("_(.)", lambda c: c[1].upper(), name)
+
+
+def base_args(command: str, family: str) -> list[str]:
+    """Valid parameters of a family under a trial subcommand, at no trials."""
+    return [*("" if command == "counterexample" else SUITE_ARGS[family]).split(), "--trials", "0"]
+
+
+def flag_value(command: str, family: str, flag: str) -> list[str]:
+    """The ``FLAG_VALUES`` value of ``flag``, made valid for ``family``: one
+    number per input coordinate (two per vector) for explicit inputs and a
+    centre, and n = 3 where the family fixes it."""
+    args = base_args(command, family)
+    if "--n" in args:
+        n = int(args[args.index("--n") + 1])
+    else:
+        n = 4 if command == "counterexample" else 3  # the search's default; a fixed n = 3
+    coords = ",".join(map(str, range(1, n * (2 if SUITES[family].term == "norm" else 1) + 1)))
+    valid = {"--points": coords, "--center": coords}
+    if command != "counterexample":
+        valid["--n"] = "3"
+    return valid.get(flag, FLAG_VALUES[flag][0]).split()
+
+
+def setting_flags() -> dict:
+    """Flag -> ``RunConfig`` field of every setting a trial subcommand takes
+    beyond ``--family``, ``--seed`` and ``--trials``."""
+    return {action.option_strings[0]: action.dest
+            for command in TRIAL_COMMANDS for action in subparser(command)._actions
+            if action.dest not in ("help", "family", "seed", "trials", "out", "fmt")}
+
+
+def readme_reads() -> dict:
+    """Flag -> one cell per route, from the README "CLI" settings table."""
+    rows = re.findall(r"^\| `(--[\w-]+)` +\|(.+)\|$", readme_section("CLI"), flags=re.M)
+    return {flag: [cell.split()[0] for cell in cells.split("|")] for flag, cells in rows}
+
+
+def readme_cli_lines() -> list[str]:
+    block = re.search(r"```sh\n(.*?)```", readme_section("CLI"), flags=re.S).group(1)
+    return [line for line in block.splitlines() if line.startswith("hlawka ")]
+
+
 class TestRegistryDrift:
     @pytest.mark.parametrize("command, family, abbreviation", [
         ("verify", "supermod", "--cond 100"),
@@ -729,3 +800,67 @@ class TestRegistryDrift:
     def test_readme_library_sketch_runs_as_written(self):
         code = re.search(r"```python\n(.*?)```", readme_section("Library sketch"), flags=re.S)
         exec(compile(code.group(1), "README.md", "exec"), {})
+
+    @pytest.mark.parametrize("command, family",
+                             [(c, f) for c in TRIAL_COMMANDS for f in cli_choices(c)])
+    def test_every_flag_is_refused_or_reported(self, command, family, tmp_path, capsys):
+        # A flag either is refused as not read, or its value shows in the
+        # report: in params, or as seed, trials or toleranceUsed.  A level is
+        # read exactly where the family's condition names it.
+        out = tmp_path / "r.json"
+        base = [command, "--family", family, *base_args(command, family)]
+        for action in subparser(command)._actions:
+            if action.dest in ("help", "family", "out", "fmt"):
+                continue
+            flag = action.option_strings[0]
+            line = base if flag in base else [*base, flag, *flag_value(command, family, flag)]
+            code = main([*line, "--out", str(out)])
+            err = capsys.readouterr().err
+            if action.dest in ("k", "ell", "m"):
+                assert (code != 2) == (action.dest in SUITES[family].needs.split()), line
+            if code == 2:
+                assert err == f"error: {flag} is not read by --family {family}\n", line
+                continue
+            assert code in (0, 1), line
+            doc = json.loads(out.read_text())
+            reported = {**doc["params"], "seed": doc["seed"], "trials": doc["trials"],
+                        "tol": doc["toleranceUsed"]}
+            value = getattr(_config_from(build_parser().parse_args(line)), action.dest)
+            assert reported[camel(action.dest)] == (
+                list(value) if isinstance(value, tuple) else value), line
+
+    @pytest.mark.parametrize("command, family", [
+        ("verify", "hlawka3"), ("scalar-verify", "hlawka3"), ("scalar-verify", "norm-hlawka"),
+        ("scalar-verify", "jensen"), ("counterexample", "hlawka-pop"),
+        ("counterexample", "freudenthal"),
+    ])
+    def test_library_and_cli_run_one_config(self, command, family, tmp_path, capsys):
+        # Each default is stated once, so a config that sets only the family
+        # runs as the bare command line does.
+        out = tmp_path / "r.json"
+        code = main([command, "--family", family, "--out", str(out)])
+        report, library_code = RUNNERS[command](RunConfig(family=family))
+        assert (library_code, normalized(report.to_json())) == (code, normalized(out.read_text()))
+
+    def test_readme_settings_table_is_the_reads_table(self):
+        def cell(value):
+            return "unset" if value is None else "off" if value is False else str(value)
+
+        expected = {flag: [cell(tol) if dest == "tol" else cell(row[dest]) if dest in row
+                           else "refused" for _, tol, row in _READS.values()]
+                    for flag, dest in setting_flags().items()}
+        assert readme_reads() == expected
+
+    @pytest.mark.parametrize("line", readme_cli_lines())
+    def test_readme_cli_examples_run(self, line, tmp_path, monkeypatch, capsys):
+        # Each runs as documented, at two trials: argparse keeps the last value.
+        monkeypatch.chdir(tmp_path)
+        save_matrix(tmp_path / "matrix.json", np.diag([2.0, 3.0, 5.0]).astype(complex))
+        save_character_table(tmp_path / "character_table.json", [(0, 1, 2), (1, 0, 2)],
+                             [1.0, -1.0])
+        command, _, comment = line.partition("#")
+        argv = command.split()[1:]
+        if argv[0] != "immanant":
+            argv += ["--trials", "2", "--out", str(tmp_path / "r.json")]
+        stated = re.search(r"exits (\d)", comment)
+        assert main(argv) == (int(stated.group(1)) if stated else 0)

@@ -71,6 +71,11 @@ class TestEnumerateGroup:
         with pytest.raises(BudgetError):
             enumerate_group(GroupSpec.full_symmetric(9))
 
+    def test_degree_guard_names_no_order_it_cannot_print(self):
+        # 2000! has more digits than Python converts an int to text.
+        with pytest.raises(BudgetError, match=r"^S_2000 has 2000! elements; the guard allows "):
+            enumerate_group(GroupSpec.full_symmetric(2000))
+
     def test_explicit_transposition_group(self):
         elems = enumerate_group(GroupSpec.explicit([(0, 1, 2), (1, 0, 2)]))
         assert elems == [(0, 1, 2), (1, 0, 2)]
