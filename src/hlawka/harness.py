@@ -133,8 +133,10 @@ _LEVELS = {"k": None, "ell": None, "m": None}
 #: Per route: the families it runs, its default tolerance, and the fields it
 #: reads in report order, each with the value it takes when unset.  A level
 #: is read only where the family's condition names it, ``dim`` on the
-#: convex/norm and search routes only under the ``norm`` term, ``radius``
-#: only with a ``center`` and ``include_known`` only by ``hlawka-pop``.
+#: convex/norm and search routes only under the ``norm`` term and ``fn``
+#: only outside it, ``radius`` only with a ``center`` and ``include_known``
+#: only by ``hlawka-pop``.  Explicit ``points`` give the ``n`` of a point
+#: suite and the ``dim`` of a vector suite.
 #: ``seed``, ``trials`` and ``tol`` are read everywhere and reported outside
 #: ``params``.
 _READS = {
@@ -163,7 +165,8 @@ def _settings(cfg: RunConfig, route: str) -> tuple[RunConfig, list[str]]:
     beside ``points`` or in a search at another n than the known input's,
     a ``center`` region that cannot be sampled, parameters the family's
     table entry refuses (explicit inputs set n and one trial first), vectors
-    that do not split into n rows (they set ``dim``), and last, as budget
+    that do not split into n rows (they set ``dim``), an ``n`` or ``dim``
+    set to another value than the given points give, and last, as budget
     errors, a tensor over ``max_tensor_dim`` and a group over the guard.
     """
     families, tol, row = _READS[route]
@@ -173,6 +176,7 @@ def _settings(cfg: RunConfig, route: str) -> tuple[RunConfig, list[str]]:
     needs = spec.needs.split()
     only = {"k": "k" in needs, "ell": "ell" in needs, "m": "m" in needs,
             "dim": route in ("verify", "matrix") or spec.term == "norm",
+            "fn": spec.term != "norm",
             "radius": cfg.center is not None, "include_known": cfg.family == "hlawka-pop"}
     names = [name for name in row if only.get(name, True)]
     read = {"family", "seed", "trials", "tol", *names}
@@ -180,6 +184,7 @@ def _settings(cfg: RunConfig, route: str) -> tuple[RunConfig, list[str]]:
         if name not in read and getattr(cfg, name) is not None:
             flag = "max-dim" if name == "max_tensor_dim" else name.replace("_", "-")
             raise InputError(f"--{flag} is not read by --family {cfg.family}")
+    given = cfg
     cfg = replace(cfg, tol=tol if cfg.tol is None else cfg.tol,
                   **{name: row[name] for name in names if getattr(cfg, name) is None})
 
@@ -222,6 +227,11 @@ def _settings(cfg: RunConfig, route: str) -> tuple[RunConfig, list[str]]:
         if len(cfg.points) % cfg.n:
             raise InputError(f"--points length {len(cfg.points)} is not divisible by --n {cfg.n}")
         cfg = replace(cfg, dim=len(cfg.points) // cfg.n)
+    if given.points is not None:
+        for name in ("n", "dim"):
+            if getattr(given, name) not in (None, getattr(cfg, name)):
+                raise InputError(f"--{name} {getattr(given, name)} disagrees with --points, "
+                                 f"which give {name} {getattr(cfg, name)}")
 
     if cfg.p is not None:
         check_tensor_budget(cfg.dim, cfg.p, cfg.max_tensor_dim)
@@ -344,8 +354,10 @@ def run_scalar_verify(cfg: RunConfig) -> tuple[TrialReport, int]:
         return [(r.margin, r.verdict) for r in scalar_inequality_check(
             family, parts, group, chi, cfg.tol, k=cfg.k, ell=cfg.ell, m=cfg.m)]
 
-    # The largest stacked array is the (group order, degree) gather of one
-    # generalized matrix function per trial.
+    # The largest stacked arrays are the last level of the prefix tree of one
+    # generalized matrix function: per trial, some eight floats, four entries,
+    # per group element.  The estimate of (group order) * degree entries
+    # bounds them from degree 4 up and keeps the chunks as they were.
     order = math.factorial(cfg.dim)
     return _run(report, cfg, _matrix_trials(cfg, order * cfg.dim, check, "margin"))
 
@@ -376,7 +388,7 @@ def _run_convex_norm(cfg: RunConfig, names: list[str]) -> tuple[TrialReport, int
     return _run(_report(cfg, names, cfg.family), cfg, records())
 
 
-def counterexample_search(suite: str, cfg: RunConfig, fn: ConvexFunction,
+def counterexample_search(suite: str, cfg: RunConfig, fn: ConvexFunction | None,
                           tol: float) -> list[dict]:
     """The search's trial loop: the report entry of every confirmed find.
 
@@ -384,9 +396,11 @@ def counterexample_search(suite: str, cfg: RunConfig, fn: ConvexFunction,
     (seed, t), or under ``include_known`` trial 0 from the known refuting
     input; :func:`~hlawka.scalar.search_from` descends from it under the
     ``coordinate-descent`` strategy and re-verifies what it reports.  An
-    empty list is a valid outcome.  ``cfg`` is read as given, with no
-    defaults: :func:`run_counterexample` passes the resolved config.
+    empty list is a valid outcome.  ``cfg`` goes through the settings pass
+    of the search route first, which leaves a resolved config as it is;
+    ``fn`` is not read under the ``norm`` term.
     """
+    cfg, _ = _settings(cfg, "counterexample")
     descend = cfg.strategy == "coordinate-descent"
     found = []
     for t, rng in enumerate(_generators(derive_seed(cfg.seed, t) for t in range(cfg.trials))):
@@ -408,7 +422,8 @@ def run_counterexample(cfg: RunConfig) -> tuple[TrialReport, int]:
     cfg, names = _settings(cfg, "counterexample")
     report = _report(cfg, names, cfg.family)
     start = time.perf_counter()
-    report.violations = counterexample_search(cfg.family, cfg, ConvexFunction(cfg.fn), cfg.tol)
+    fn = None if cfg.fn is None else ConvexFunction(cfg.fn)
+    report.violations = counterexample_search(cfg.family, cfg, fn, cfg.tol)
     report.min_margin = min((v["margin"] for v in report.violations), default=None)
     report.interpretation_flags.append("search: violations are findings, re-verified before "
                                        "inclusion; an empty list is a valid outcome")

@@ -18,7 +18,7 @@ cross-check each other.
 from __future__ import annotations
 
 from functools import lru_cache, reduce
-from itertools import combinations
+from itertools import chain, combinations
 from math import fsum
 from operator import add
 
@@ -38,12 +38,38 @@ DEFAULT_SCALAR_MATRIX_TOL = 1e-10
 
 
 @lru_cache(maxsize=64)
-def _group_data(group: GroupSpec, chi: CharacterSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Row-major flat index of X[i, sigma(i)], one row per sigma, and chi(sigma)."""
+def _group_data(group: GroupSpec,
+                chi: CharacterSpec) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
+    """The prefix tree of the group's elements, and chi(sigma) per element.
+
+    :func:`enumerate_group` lists the elements in lexicographic order, so
+    the elements that share the images ``sigma(0..k)`` are consecutive; they
+    form one node of level k.  Level k is a pair ``(parent, flat)`` over its
+    nodes in element order: the index of the node's parent among the nodes
+    of level k - 1 (0, the root, at level 0), and the row-major flat index
+    ``k * m + sigma(k)`` of the entry X[k, sigma(k)] the node appends.  The
+    elements are distinct, so the nodes of the last level are the elements,
+    in order.
+    """
+    m = group.degree
     elements = enumerate_group(group)
-    perms = np.array(elements, dtype=np.intp)
     chis = character_values(group, chi, elements)
-    return np.arange(group.degree) * group.degree + perms, chis
+    # Flattened, the tuples convert in about half the time np.array takes.
+    perms = np.fromiter(chain.from_iterable(elements), dtype=np.intp,
+                        count=len(elements) * m).reshape(-1, m)
+    del elements  # the tuples outweigh the tree
+    # Row r starts a node of level k when it differs from row r - 1 in one
+    # of the images 0..k; the node ids of a level count those starts.
+    new = np.zeros(len(perms), dtype=bool)
+    new[0] = True
+    ids = np.zeros(len(perms), dtype=np.intp)
+    levels = []
+    for k in range(m):
+        new[1:] |= perms[1:, k] != perms[:-1, k]
+        rows = np.flatnonzero(new)
+        levels.append((ids[rows], k * m + perms[rows, k]))
+        ids = np.cumsum(new) - 1
+    return levels, chis
 
 
 def generalized_matrix_function(x, group: GroupSpec, chi: CharacterSpec):
@@ -56,11 +82,27 @@ def generalized_matrix_function(x, group: GroupSpec, chi: CharacterSpec):
     m = arr.shape[-1]
     if m != group.degree:
         raise InputError(f"matrix dimension {m} does not match group degree {group.degree}")
-    flat, chis = _group_data(group, chi)
-    # The gather is contiguous, so a matrix's products round the same in a
-    # stack as alone; one matrix-vector product over the whole stack would
+    levels, chis = _group_data(group, chi)
+    # Each node of the prefix tree holds the partial product
+    # ((X[0, s0] * X[1, s1]) * ...) * X[k, sk] of its prefix, formed once and
+    # shared by every element below it.  Each step is spelled in real
+    # arithmetic, (a + bi)(c + di) = (ac - bd) + (ad + bc)i, so an element's
+    # product has the bits of a left-to-right ``prod`` over its entries;
+    # numpy's complex multiply rounds differently.
+    # Arrays are (node, matrix): a level gathers whole rows, which costs
+    # less per call than a column gather when the stack is small.
+    flat = arr.reshape(-1, m * m)
+    entries_re, entries_im = flat.real.T.copy(), flat.imag.T.copy()
+    _, first = levels[0]
+    re, im = np.take(entries_re, first, axis=0), np.take(entries_im, first, axis=0)
+    for parent, index in levels[1:]:
+        pr, pi = np.take(re, parent, axis=0), np.take(im, parent, axis=0)
+        cr, ci = np.take(entries_re, index, axis=0), np.take(entries_im, index, axis=0)
+        re, im = pr * cr - pi * ci, pr * ci + pi * cr
+    products = np.empty(re.shape[::-1], dtype=np.complex128)
+    products.real, products.imag = re.T, im.T
+    # One dot per matrix: a matrix-vector product over the whole stack would
     # round differently from the per-matrix dot.
-    products = np.take(arr.reshape(-1, m * m), flat, axis=1).prod(axis=-1)
     return _single_or_all(x, np.array([chis @ row for row in products]))
 
 

@@ -32,12 +32,19 @@ from hlawka.linalg import (
     tensor_power,
 )
 from hlawka.matfunc import (
+    _group_data,
     generalized_matrix_function,
     parse_character_selector,
     scalar_inequality_check,
 )
 from hlawka.report import TrialReport
-from hlawka.symgroup import character_values, enumerate_group
+from hlawka.symgroup import (
+    CharacterSpec,
+    GroupSpec,
+    character_values,
+    compose,
+    enumerate_group,
+)
 from hlawka.sums import OperatorFamily, build_difference
 from hlawka.util import derive_seed
 
@@ -383,13 +390,22 @@ def one_qr_sample(cfg: PdSampleConfig) -> np.ndarray:
     return (h + h.conj().T) / 2.0
 
 
-def two_index_gather(arr: np.ndarray, selector: str) -> complex:
+def two_index_gather(arr: np.ndarray, group: GroupSpec, chi: CharacterSpec) -> complex:
     """d(X) by the fancy-indexed gather X[i, sigma(i)] over every sigma."""
-    group, chi = parse_character_selector(selector, arr.shape[0])
     elements = enumerate_group(group)
     perms = np.array(elements, dtype=np.intp)
     rows = np.arange(arr.shape[0])
     return complex(character_values(group, chi, elements) @ arr[rows[np.newaxis, :], perms].prod(axis=1))
+
+
+def generated(*gens) -> list[tuple[int, ...]]:
+    """The permutation group the images ``gens`` generate."""
+    group = {tuple(range(len(gens[0])))}
+    frontier = list(group)
+    while frontier:
+        frontier = [q for q in {compose(g, p) for p in frontier for g in gens} if q not in group]
+        group.update(frontier)
+    return sorted(group)
 
 
 def bits(values) -> bytes:
@@ -426,13 +442,58 @@ class TestKernelsAgainstNumpyFormulas:
 
     @pytest.mark.parametrize("dim, selector", [
         (3, "det"), (3, "perm"), (4, "det"), (4, "partition=2,1,1"), (5, "partition=3,2"),
+        (6, "perm"), (7, "partition=3,3,1"), (8, "partition=4,2,1,1"),
     ])
     def test_generalized_matrix_function_matches_the_two_index_gather(self, dim, selector):
         mats = pd_tuple(dim, 6, dim)
         group, chi = parse_character_selector(selector, dim)
-        expected = bits([two_index_gather(m.array, selector) for m in mats])
+        expected = bits([two_index_gather(m.array, group, chi) for m in mats])
         assert bits([generalized_matrix_function(m, group, chi) for m in mats]) == expected
         assert bits(generalized_matrix_function(stack_of(mats), group, chi)) == expected
+
+    def test_generalized_matrix_function_of_an_explicit_subgroup_matches_the_gather(self):
+        # S_3 x S_2 on six letters: its prefix tree has 3, 2, 1, 2, 1, 1
+        # children per node, level by level, where S_6 has 6, 5, ..., 1.
+        group = GroupSpec.explicit(generated((1, 2, 0, 3, 4, 5), (1, 0, 2, 3, 4, 5),
+                                             (0, 1, 2, 4, 3, 5)))
+        rng = np.random.default_rng(13)
+        values = (rng.standard_normal(12) + 1j * rng.standard_normal(12)) / 4
+        chi = CharacterSpec.from_table([1.0, *values[1:]])
+        mats = pd_tuple(6, 5, 6)
+        expected = bits([two_index_gather(m.array, group, chi) for m in mats])
+        assert bits([generalized_matrix_function(m, group, chi) for m in mats]) == expected
+        assert bits(generalized_matrix_function(stack_of(mats), group, chi)) == expected
+
+    @pytest.mark.parametrize("selector", ["det", "perm", "partition=3,1,1"])
+    def test_real_non_hermitian_input_keeps_the_gathers_signed_zeros(self, selector):
+        # Negative and zero entries give products of either sign of zero,
+        # in the imaginary parts too.
+        rng = np.random.default_rng(17)
+        group, chi = parse_character_selector(selector, 5)
+        for _ in range(20):
+            x = (rng.integers(-2, 3, (5, 5)) * rng.standard_normal((5, 5))).astype(complex)
+            value = generalized_matrix_function(x, group, chi)
+            expected = two_index_gather(x, group, chi)
+            assert bits(value) == bits(expected)
+            assert value.imag == 0 and np.signbit(value.imag) == np.signbit(expected.imag)
+
+    @pytest.mark.parametrize("group", [
+        GroupSpec.full_symmetric(1), GroupSpec.full_symmetric(4), GroupSpec.full_symmetric(7),
+        GroupSpec.explicit(generated((1, 2, 0, 3, 4), (0, 1, 2, 4, 3))),
+    ], ids=["S1", "S4", "S7", "C3xC2"])
+    def test_prefix_tree_leaves_walk_up_to_the_elements(self, group):
+        levels, _ = _group_data(group, CharacterSpec.trivial())
+        elements = enumerate_group(group)
+        m = group.degree
+        nodes = np.arange(len(elements))
+        images = []
+        for k in range(m - 1, -1, -1):
+            parent, flat = levels[k]
+            # One node per distinct prefix of length k + 1.
+            assert len(flat) == len({p[:k + 1] for p in elements})
+            images.append(flat[nodes] - k * m)
+            nodes = parent[nodes]
+        assert np.array(images[::-1]).T.tolist() == [list(p) for p in elements]
 
     def test_certificate_scale_is_the_matrix_infinity_norm(self):
         mats = pd_tuple(3, 6, 4)

@@ -220,6 +220,8 @@ class TestScalarVerifyCommand:
         ("--family hlawka-pop --n 5 --include-known", 4, None, False),
         ("--family hlawka-pop --points 1,2,3,4,5", 5, None, True),
         ("--family norm-hlawka --points 1,2,3,4,5,6", 3, 2, False),
+        ("--family hlawka-pop --n 5 --points 1,2,3,4,5", 5, None, True),
+        ("--family norm-hlawka --n 3 --dim 2 --points 1,2,3,4,5,6", 3, 2, False),
     ])
     def test_explicit_inputs_set_the_tuple_size(self, args, n, dim, extrapolated, tmp_path):
         # The known input is four points whatever --n says, and the six
@@ -349,6 +351,14 @@ class TestParametersCheckedBeforeTheTrials:
          "--fn is not read by --family hlawka3"),
         ("counterexample --family hlawka-pop --radius 5 --trials 2",
          "--radius is not read by --family hlawka-pop"),
+        ("scalar-verify --family norm-hlawka --fn exp --trials 2",
+         "--fn is not read by --family norm-hlawka"),
+        ("counterexample --family freudenthal --fn abs --trials 2",
+         "--fn is not read by --family freudenthal"),
+        ("scalar-verify --family norm-hlawka --dim 7 --points 1,2,3,4,5,6",
+         "--dim 7 disagrees with --points, which give dim 2"),
+        ("scalar-verify --family hlawka-pop --n 7 --points 1,2,3,4",
+         "--n 7 disagrees with --points, which give n 4"),
     ])
     def test_run_settings_refused_before_any_trial(self, command, message, tmp_path, capsys):
         # Each raised a traceback (exit 1), ran trials on empty vectors or on
@@ -371,6 +381,13 @@ class TestCounterexampleCommand:
         assert code == 0
         doc = json.loads(out.read_text())
         assert any(v["inputs"] == [-10.0, 1.0, 1.0, 9.0] for v in doc["violations"])
+
+    def test_norm_search_reports_no_convex_function(self, tmp_path):
+        # A norm term evaluates no convex function; the report said "abs".
+        out = tmp_path / "ce.json"
+        assert main(["counterexample", "--family", "freudenthal", "--trials", "2",
+                     "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["params"] == {"n": 4, "dim": 2, "strategy": "random"}
 
     def test_random_finds_replay_from_their_trial(self, tmp_path):
         out = tmp_path / "ce.json"

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hlawka.errors import InputError
-from hlawka.harness import RunConfig, counterexample_search
+from hlawka.harness import RunConfig, counterexample_search, run_counterexample
 from hlawka.linalg import Verdict
 from hlawka.scalar import (
     DEFAULT_SCALAR_TOL,
@@ -368,6 +368,13 @@ class TestCounterexampleSearch:
         found = search("hlawka-pop", n=4, trials=64, seed=7,
                        center=KNOWN_HLAWKA_POP_COUNTEREXAMPLE, radius=1.0)
         assert len(found) >= 1
+
+    def test_raw_config_runs_as_the_command(self):
+        # Unset fields take the search route's values, as under the command;
+        # the unresolved dim and strategy raised a TypeError.
+        cfg = RunConfig(family="freudenthal", n=4, trials=5)
+        report, _ = run_counterexample(cfg)
+        assert counterexample_search("freudenthal", cfg, ABS, 1e-12) == report.violations
 
     def test_deterministic_under_seed(self):
         assert search("hlawka-pop", n=4, trials=300, seed=11) == search(
