@@ -72,6 +72,7 @@ from .sums import (
 from .symgroup import (
     CharacterSpec,
     GroupSpec,
+    character_values,
     cycle_type,
     enumerate_group,
     mn_character,

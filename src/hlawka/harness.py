@@ -166,8 +166,9 @@ def _settings(cfg: RunConfig, route: str) -> tuple[RunConfig, list[str]]:
     a ``center`` region that cannot be sampled, parameters the family's
     table entry refuses (explicit inputs set n and one trial first), vectors
     that do not split into n rows (they set ``dim``), an ``n`` or ``dim``
-    set to another value than the given points give, and last, as budget
-    errors, a tensor over ``max_tensor_dim`` and a group over the guard.
+    set to another value than the given points or the known input give, and
+    last, as budget errors, a tensor over ``max_tensor_dim`` and a group
+    over the guard.
     """
     families, tol, row = _READS[route]
     if cfg.family not in families:
@@ -227,11 +228,14 @@ def _settings(cfg: RunConfig, route: str) -> tuple[RunConfig, list[str]]:
         if len(cfg.points) % cfg.n:
             raise InputError(f"--points length {len(cfg.points)} is not divisible by --n {cfg.n}")
         cfg = replace(cfg, dim=len(cfg.points) // cfg.n)
-    if given.points is not None:
+    if cfg.points is not None:
+        # Given points, or the known input --include-known stands for.
+        source = ("--points, which give" if given.points is not None
+                  else "--include-known, which gives")
         for name in ("n", "dim"):
             if getattr(given, name) not in (None, getattr(cfg, name)):
-                raise InputError(f"--{name} {getattr(given, name)} disagrees with --points, "
-                                 f"which give {name} {getattr(cfg, name)}")
+                raise InputError(f"--{name} {getattr(given, name)} disagrees with {source} "
+                                 f"{name} {getattr(cfg, name)}")
 
     if cfg.p is not None:
         check_tensor_budget(cfg.dim, cfg.p, cfg.max_tensor_dim)

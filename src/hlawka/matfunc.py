@@ -18,7 +18,7 @@ cross-check each other.
 from __future__ import annotations
 
 from functools import lru_cache, reduce
-from itertools import chain, combinations
+from itertools import combinations
 from math import fsum
 from operator import add
 
@@ -52,12 +52,8 @@ def _group_data(group: GroupSpec,
     in order.
     """
     m = group.degree
-    elements = enumerate_group(group)
-    chis = character_values(group, chi, elements)
-    # Flattened, the tuples convert in about half the time np.array takes.
-    perms = np.fromiter(chain.from_iterable(elements), dtype=np.intp,
-                        count=len(elements) * m).reshape(-1, m)
-    del elements  # the tuples outweigh the tree
+    perms = enumerate_group(group)
+    chis = character_values(group, chi, perms)
     # Row r starts a node of level k when it differs from row r - 1 in one
     # of the images 0..k; the node ids of a level count those starts.
     new = np.zeros(len(perms), dtype=bool)

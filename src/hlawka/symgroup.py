@@ -1,7 +1,8 @@
 """Permutation groups, integer partitions, and symmetric group characters.
 
 Permutations are tuples of images on ``{0, ..., m-1}`` (0-based
-throughout).  Partitions are weakly decreasing tuples of positive
+throughout); an enumerated group is an ``(order, degree)`` array of them,
+one per row.  Partitions are weakly decreasing tuples of positive
 integers; they label both irreducible characters of the symmetric group
 and conjugacy classes (as cycle types).  Irreducible character values are
 computed by the Murnaghan-Nakayama recursion in exact integer arithmetic.
@@ -9,7 +10,6 @@ computed by the Murnaghan-Nakayama recursion in exact integer arithmetic.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import os
@@ -246,8 +246,9 @@ def check_symmetric_degree(degree: int) -> None:
                           f"{MAX_SYMMETRIC_DEGREE}, order {MAX_GROUP_ORDER}")
 
 
-def enumerate_group(spec: GroupSpec) -> list[tuple[int, ...]]:
-    """All group elements in deterministic (lexicographic) order.
+def enumerate_group(spec: GroupSpec) -> np.ndarray:
+    """All group elements, one per row of an ``(order, degree)`` intp array,
+    in lexicographic order.
 
     Explicit lists are validated for closure under composition and
     inverse; a violation is an input error.  Full symmetric groups are
@@ -255,59 +256,118 @@ def enumerate_group(spec: GroupSpec) -> list[tuple[int, ...]]:
     """
     if spec.kind is GroupKind.FULL_SYMMETRIC:
         check_symmetric_degree(spec.degree)
-        return [tuple(p) for p in itertools.permutations(range(spec.degree))]
+        # Block a of S_k is a followed by S_(k-1), in order, on the letters
+        # other than a: relabelling keeps each block in lexicographic order.
+        elements = np.zeros((1, 0), dtype=np.intp)
+        for k in range(1, spec.degree + 1):
+            grown = np.empty((k * len(elements), k), dtype=np.intp)
+            grown[:, 0] = np.repeat(np.arange(k), len(elements))
+            rest = grown[:, 1:]
+            rest[...] = np.tile(elements, (k, 1))
+            rest += rest >= grown[:, :1]
+            elements = grown
+        return elements
 
-    elems = sorted(set(spec.elements))
-    if len(elems) > MAX_GROUP_ORDER:
-        raise BudgetError(f"group order {len(elems)} exceeds guard {MAX_GROUP_ORDER}")
-    _validate_closure(elems, spec.degree)
-    return elems
+    rows = np.array(spec.elements, dtype=np.intp)
+    codes, first = np.unique(_codes(rows, spec.degree), return_index=True)
+    if len(codes) > MAX_GROUP_ORDER:
+        raise BudgetError(f"group order {len(codes)} exceeds guard {MAX_GROUP_ORDER}")
+    elements = rows[first]
+    _validate_closure(elements, codes)
+    return elements
 
 
-def _validate_closure(elems: list[tuple[int, ...]], degree: int) -> None:
-    member = set(elems)
-    identity = tuple(range(degree))
-    if identity not in member:
+def _codes(digits: np.ndarray, base: int) -> np.ndarray:
+    """One integer per row of ``digits``, each digit in ``[0, base)``, read
+    most significant first: equal rows alone share a code, and codes sort
+    as the rows do, lexicographically.  int64 where ``base**width`` fits,
+    Python ints (an object array) beyond."""
+    width = digits.shape[1]
+    dtype = np.int64 if base**width <= 2**63 else object
+    return digits @ np.array([base**k for k in range(width - 1, -1, -1)], dtype=dtype)
+
+
+def _contains(sorted_codes: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """Whether each of ``codes`` is among the nonempty ``sorted_codes``."""
+    at = np.searchsorted(sorted_codes, codes)
+    return sorted_codes[np.minimum(at, len(sorted_codes) - 1)] == codes
+
+
+def _validate_closure(elements: np.ndarray, codes: np.ndarray) -> None:
+    """Refuse distinct, sorted ``elements`` (with their sorted :func:`_codes`)
+    that lack the identity or an inverse or a product of two of them."""
+    degree = elements.shape[1]
+    # The identity is the lexicographically first permutation.
+    if not np.array_equal(elements[0], np.arange(degree)):
         raise InputError("explicit group does not contain the identity")
-    for p in elems:
-        if inverse(p) not in member:
-            raise InputError(f"explicit group is not closed under inverse: {p}")
-    # Vectorized row composition keeps the O(|G|^2) check affordable.
-    arr = np.array(elems, dtype=np.int64)
-    for p in elems:
-        composed = np.asarray(p, dtype=np.int64)[arr]
-        for row in composed:
-            if tuple(int(x) for x in row) not in member:
-                raise InputError("explicit group is not closed under composition")
+    missing = ~_contains(codes, _codes(np.argsort(elements, axis=1), degree))
+    if missing.any():
+        p = tuple(elements[np.argmax(missing)].tolist())
+        raise InputError(f"explicit group is not closed under inverse: {p}")
+    for p in elements:
+        # Row q of p[elements] is the product p o q.
+        if not _contains(codes, _codes(p[elements], degree)).all():
+            raise InputError("explicit group is not closed under composition")
 
 
-def character_values(spec: GroupSpec, chi: CharacterSpec, elements: list[tuple[int, ...]]) -> np.ndarray:
-    """Character value per element, aligned with ``elements`` order."""
+def _class_codes(elements: np.ndarray) -> np.ndarray:
+    """One integer per element, shared exactly by the elements of one cycle
+    type (one conjugacy class of S_degree).
+
+    Digit j is the number of fixed points of p^(j+1).  The counts of p,
+    p^2, ..., p^degree give, by Moebius inversion, the number of cycles of
+    each length, so they fix the cycle type, and the cycle type fixes them.
+    """
+    order, degree = elements.shape
+    # Column r of a power (one row per letter) is element r.  Column r of
+    # p^(j+1) = p^j o p gathers column r of p^j at the images p_r(i); the
+    # powers are held in the smallest integer type, which gathers fastest.
+    at = (elements.T * order + np.arange(order)).ravel()
+    power = elements.T.astype(np.min_scalar_type(degree - 1)).ravel()
+    letters = np.arange(degree)[:, np.newaxis]
+    fixed = np.empty((degree, order), dtype=np.intp)
+    for j in range(degree):
+        fixed[j] = (power.reshape(degree, order) == letters).sum(axis=0)
+        if j + 1 < degree:
+            power = power[at]
+    return _codes(fixed.T, degree + 1)
+
+
+def character_values(spec: GroupSpec, chi: CharacterSpec, elements: np.ndarray) -> np.ndarray:
+    """Character value per element, aligned with the rows of ``elements``
+    (as :func:`enumerate_group` gives them).
+
+    A sign or partition character is constant on each conjugacy class of
+    S_degree: one pass over the elements finds the classes, and the value
+    is formed once per class, from one of its elements, and scattered back.
+    """
     if chi.kind is CharacterKind.TRIVIAL:
         return np.ones(len(elements), dtype=np.complex128)
-    if chi.kind is CharacterKind.SIGN:
-        return np.array([permutation_sign(p) for p in elements], dtype=np.complex128)
-    if chi.kind is CharacterKind.PARTITION:
-        if spec.kind is not GroupKind.FULL_SYMMETRIC:
-            raise InputError("partition characters require the full symmetric group")
-        lam = chi.partition
-        if lam is None or sum(lam) != spec.degree:
-            raise InputError(f"partition {lam} does not label a character of S_{spec.degree}")
-        cache: dict[tuple[int, ...], int] = {}
-        vals = np.empty(len(elements), dtype=np.complex128)
-        for i, p in enumerate(elements):
-            ct = cycle_type(p)
-            if ct not in cache:
-                cache[ct] = mn_character(lam, ct)
-            vals[i] = cache[ct]
-        return vals
+    if chi.kind in (CharacterKind.SIGN, CharacterKind.PARTITION):
+        if chi.kind is CharacterKind.SIGN:
+            value = permutation_sign
+        else:
+            if spec.kind is not GroupKind.FULL_SYMMETRIC:
+                raise InputError("partition characters require the full symmetric group")
+            lam = chi.partition
+            if lam is None or sum(lam) != spec.degree:
+                raise InputError(f"partition {lam} does not label a character of S_{spec.degree}")
+
+            def value(p):
+                return mn_character(lam, cycle_type(p))
+
+        _, first, cls = np.unique(_class_codes(elements), return_index=True,
+                                  return_inverse=True)
+        per_class = np.array([value(tuple(elements[i].tolist())) for i in first],
+                             dtype=np.complex128)
+        return per_class[cls]
     if chi.kind is CharacterKind.TABLE:
         if len(chi.table) != len(elements):
             raise InputError(
                 f"character table covers {len(chi.table)} elements, group has {len(elements)}"
             )
         vals = np.asarray(chi.table, dtype=np.complex128)
-        ident_idx = elements.index(tuple(range(len(elements[0]))))
+        ident_idx = np.flatnonzero((elements == np.arange(elements.shape[1])).all(axis=1))[0]
         chi_id = vals[ident_idx]
         if not (chi_id.imag == 0 and chi_id.real > 0):
             raise InputError("table character must have chi(identity) real and positive")

@@ -2,6 +2,7 @@
 per-trial oracle, bit for bit."""
 
 import hashlib
+import itertools
 import json
 import math
 import re
@@ -43,7 +44,11 @@ from hlawka.symgroup import (
     GroupSpec,
     character_values,
     compose,
+    cycle_type,
     enumerate_group,
+    mn_character,
+    partitions_of,
+    permutation_sign,
 )
 from hlawka.sums import OperatorFamily, build_difference
 from hlawka.util import derive_seed
@@ -392,10 +397,9 @@ def one_qr_sample(cfg: PdSampleConfig) -> np.ndarray:
 
 def two_index_gather(arr: np.ndarray, group: GroupSpec, chi: CharacterSpec) -> complex:
     """d(X) by the fancy-indexed gather X[i, sigma(i)] over every sigma."""
-    elements = enumerate_group(group)
-    perms = np.array(elements, dtype=np.intp)
+    perms = enumerate_group(group)
     rows = np.arange(arr.shape[0])
-    return complex(character_values(group, chi, elements) @ arr[rows[np.newaxis, :], perms].prod(axis=1))
+    return complex(character_values(group, chi, perms) @ arr[rows[np.newaxis, :], perms].prod(axis=1))
 
 
 def generated(*gens) -> list[tuple[int, ...]]:
@@ -490,10 +494,43 @@ class TestKernelsAgainstNumpyFormulas:
         for k in range(m - 1, -1, -1):
             parent, flat = levels[k]
             # One node per distinct prefix of length k + 1.
-            assert len(flat) == len({p[:k + 1] for p in elements})
+            assert len(flat) == len({tuple(p[:k + 1]) for p in elements.tolist()})
             images.append(flat[nodes] - k * m)
             nodes = parent[nodes]
-        assert np.array(images[::-1]).T.tolist() == [list(p) for p in elements]
+        assert np.array_equal(np.array(images[::-1]).T, elements)
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_group_data_matches_a_tuple_built_reference(self, m):
+        # The tuples, per-element characters and fromiter conversion the
+        # array route replaces: every level and chi, bytes and dtype.
+        group = GroupSpec.full_symmetric(m)
+        elements = list(itertools.permutations(range(m)))
+        types = [cycle_type(p) for p in elements]
+        perms = np.fromiter(itertools.chain.from_iterable(elements), dtype=np.intp,
+                            count=len(elements) * m).reshape(-1, m)
+        new = np.zeros(len(perms), dtype=bool)
+        new[0] = True
+        ids = np.zeros(len(perms), dtype=np.intp)
+        expected_levels = []
+        for k in range(m):
+            new[1:] |= perms[1:, k] != perms[:-1, k]
+            rows = np.flatnonzero(new)
+            expected_levels.append((ids[rows], k * m + perms[rows, k]))
+            ids = np.cumsum(new) - 1
+        characters = {"det": [permutation_sign(p) for p in elements],
+                      "perm": [1] * len(elements)}
+        for lam in partitions_of(m):
+            by_type = {t: mn_character(lam, t) for t in set(types)}
+            characters["partition=" + ",".join(map(str, lam))] = [by_type[t] for t in types]
+        for selector, values in characters.items():
+            # Uncached: 82 tables of up to S_8 would outgrow the cache.
+            levels, chis = _group_data.__wrapped__(*parse_character_selector(selector, m))
+            assert len(levels) == m
+            for (parent, flat), (want_parent, want_flat) in zip(levels, expected_levels):
+                for got, want in ((parent, want_parent), (flat, want_flat)):
+                    assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes()), selector
+            want = np.array(values, dtype=np.complex128)
+            assert (chis.dtype, chis.tobytes()) == (want.dtype, want.tobytes()), selector
 
     def test_certificate_scale_is_the_matrix_infinity_norm(self):
         mats = pd_tuple(3, 6, 4)

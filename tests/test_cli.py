@@ -217,15 +217,16 @@ class TestScalarVerifyCommand:
         assert json.loads(out.read_text())["minMargin"] == -2.0
 
     @pytest.mark.parametrize("args, n, dim, extrapolated", [
-        ("--family hlawka-pop --n 5 --include-known", 4, None, False),
+        ("--family hlawka-pop --include-known", 4, None, False),
+        ("--family hlawka-pop --n 4 --include-known", 4, None, False),
         ("--family hlawka-pop --points 1,2,3,4,5", 5, None, True),
         ("--family norm-hlawka --points 1,2,3,4,5,6", 3, 2, False),
         ("--family hlawka-pop --n 5 --points 1,2,3,4,5", 5, None, True),
         ("--family norm-hlawka --n 3 --dim 2 --points 1,2,3,4,5,6", 3, 2, False),
     ])
     def test_explicit_inputs_set_the_tuple_size(self, args, n, dim, extrapolated, tmp_path):
-        # The known input is four points whatever --n says, and the six
-        # numbers are three 2-vectors: the report describes what was evaluated.
+        # The known input is four points, and the six numbers are three
+        # 2-vectors: the report describes what was evaluated.
         # Points have no dimension to report.
         out = tmp_path / "x.json"
         main(["scalar-verify", *args.split(), "--out", str(out)])
@@ -359,6 +360,8 @@ class TestParametersCheckedBeforeTheTrials:
          "--dim 7 disagrees with --points, which give dim 2"),
         ("scalar-verify --family hlawka-pop --n 7 --points 1,2,3,4",
          "--n 7 disagrees with --points, which give n 4"),
+        ("scalar-verify --family hlawka-pop --n 5 --include-known",
+         "--n 5 disagrees with --include-known, which gives n 4"),
     ])
     def test_run_settings_refused_before_any_trial(self, command, message, tmp_path, capsys):
         # Each raised a traceback (exit 1), ran trials on empty vectors or on
@@ -831,6 +834,9 @@ class TestRegistryDrift:
                 continue
             flag = action.option_strings[0]
             line = base if flag in base else [*base, flag, *flag_value(command, family, flag)]
+            if flag == "--include-known" and "--n" in line:
+                # The known input is four points; another --n is refused.
+                line[line.index("--n") + 1] = "4"
             code = main([*line, "--out", str(out)])
             err = capsys.readouterr().err
             if action.dest in ("k", "ell", "m"):

@@ -1,12 +1,17 @@
 """Partitions, permutation groups, Murnaghan-Nakayama characters."""
 
+import itertools
 import math
 
+import numpy as np
 import pytest
 
 from hlawka.errors import BudgetError, InputError
 from hlawka.symgroup import (
+    CharacterSpec,
     GroupSpec,
+    _class_codes,
+    character_values,
     class_size,
     compose,
     cycle_type,
@@ -63,9 +68,8 @@ class TestPartitions:
 class TestEnumerateGroup:
     def test_full_symmetric_3(self):
         elems = enumerate_group(GroupSpec.full_symmetric(3))
-        assert len(elems) == 6
-        assert elems[0] == (0, 1, 2)
-        assert elems == sorted(elems)
+        assert (elems.dtype, elems.shape) == (np.intp, (6, 3))
+        assert elems.tolist() == [[0, 1, 2], [0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]]
 
     def test_degree_guard(self):
         with pytest.raises(BudgetError):
@@ -78,15 +82,29 @@ class TestEnumerateGroup:
 
     def test_explicit_transposition_group(self):
         elems = enumerate_group(GroupSpec.explicit([(0, 1, 2), (1, 0, 2)]))
-        assert elems == [(0, 1, 2), (1, 0, 2)]
+        assert (elems.dtype, elems.tolist()) == (np.intp, [[0, 1, 2], [1, 0, 2]])
+
+    def test_explicit_rows_are_sorted_and_distinct(self):
+        elems = enumerate_group(GroupSpec.explicit([(1, 0, 2), (0, 1, 2), (1, 0, 2)]))
+        assert elems.tolist() == [[0, 1, 2], [1, 0, 2]]
 
     def test_explicit_closure_violation(self):
         # A 3-cycle without its inverse is not closed.
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match=r"^explicit group is not closed under inverse: "
+                                             r"\(1, 2, 0\)$"):
             enumerate_group(GroupSpec.explicit([(0, 1, 2), (1, 2, 0)]))
 
+    @pytest.mark.parametrize("degree", [3, 17])
+    def test_explicit_composition_violation(self, degree):
+        # Two transpositions, each its own inverse, without their product;
+        # at degree 17 the row codes outgrow int64.
+        rest = tuple(range(3, degree))
+        with pytest.raises(InputError, match=r"^explicit group is not closed under composition$"):
+            enumerate_group(GroupSpec.explicit([(0, 1, 2, *rest), (1, 0, 2, *rest),
+                                                (0, 2, 1, *rest)]))
+
     def test_explicit_missing_identity(self):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match=r"^explicit group does not contain the identity$"):
             enumerate_group(GroupSpec.explicit([(1, 0, 2)]))
 
     def test_explicit_cyclic_group(self):
@@ -142,20 +160,80 @@ class TestMnCharacter:
             mn_character((2, 1), (2, 2))
 
 
+def cyclic_product(degree, *cycles):
+    """The direct product of the cyclic groups the disjoint ``cycles``
+    generate, as image tuples on ``degree`` letters."""
+    elements = []
+    for powers in itertools.product(*(range(len(c)) for c in cycles)):
+        p = list(range(degree))
+        for cycle, k in zip(cycles, powers):
+            for i, letter in enumerate(cycle):
+                p[letter] = cycle[(i + k) % len(cycle)]
+        elements.append(tuple(p))
+    return elements
+
+
+EXPLICIT_SUBGROUPS = {
+    "C3xC2": cyclic_product(5, (0, 1, 2), (3, 4)),
+    "S4 on 17 letters": [p + tuple(range(4, 17)) for p in itertools.permutations(range(4))],
+    "C6xC4xC3xC2 on 17 letters": cyclic_product(17, tuple(range(6)), (6, 7, 8, 9),
+                                                (10, 11, 12), (13, 14)),
+}
+
+
+class TestClassPass:
+    """Characters formed once per conjugacy class, against the per-element
+    Murnaghan-Nakayama value and sign of every element."""
+
+    @staticmethod
+    def check_full_symmetric(m, partitions):
+        group = GroupSpec.full_symmetric(m)
+        elements = list(itertools.permutations(range(m)))
+        rows = enumerate_group(group)
+        assert rows.dtype == np.intp and rows.tolist() == [list(p) for p in elements]
+        types = [cycle_type(p) for p in elements]
+        for lam in partitions:
+            by_type = {t: mn_character(lam, t) for t in set(types)}
+            values = character_values(group, CharacterSpec.from_partition(lam), rows)
+            assert values.dtype == np.complex128
+            assert values.tolist() == [by_type[t] for t in types], lam
+        signs = character_values(group, CharacterSpec.sign(), rows)
+        assert signs.tolist() == [permutation_sign(p) for p in elements]
+
+    @pytest.mark.parametrize("m", range(1, 8))
+    def test_every_character_of_s_m_on_every_element(self, m):
+        self.check_full_symmetric(m, list(partitions_of(m)))
+
+    def test_s_8_on_every_element(self):
+        self.check_full_symmetric(8, [(4, 2, 1, 1), (8,), (1,) * 8, (3, 3, 2)])
+
+    @pytest.mark.parametrize("name", EXPLICIT_SUBGROUPS)
+    def test_explicit_subgroup_classes_and_signs(self, name):
+        # Degree 17 takes the class codes past int64 (18**17 > 2**63).
+        elements = sorted(EXPLICIT_SUBGROUPS[name])
+        group = GroupSpec.explicit(elements)
+        rows = enumerate_group(group)
+        assert rows.tolist() == [list(p) for p in elements]
+        signs = character_values(group, CharacterSpec.sign(), rows)
+        assert signs.tolist() == [permutation_sign(p) for p in elements]
+        codes = _class_codes(rows)
+        types = [cycle_type(p) for p in elements]
+        for i, j in itertools.combinations(range(len(elements)), 2):
+            assert (codes[i] == codes[j]) == (types[i] == types[j])
+
+
 class TestCharacterTableFile:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "table.json"
         elems = [(0, 1, 2), (1, 0, 2)]
         save_character_table(path, elems, [1.0, -1.0])
         group, chi = load_character_table(path)
-        assert enumerate_group(group) == elems
+        assert enumerate_group(group).tolist() == [list(p) for p in elems]
         assert chi.table == (1.0 + 0j, -1.0 + 0j)
 
     def test_rejects_bad_identity_value(self, tmp_path):
         path = tmp_path / "bad.json"
         save_character_table(path, [(0, 1), (1, 0)], [-1.0, 1.0])
-        from hlawka.symgroup import character_values
-
         group, chi = load_character_table(path)
         with pytest.raises(InputError):
             character_values(group, chi, enumerate_group(group))
@@ -163,8 +241,6 @@ class TestCharacterTableFile:
     def test_rejects_oversized_values(self, tmp_path):
         path = tmp_path / "big.json"
         save_character_table(path, [(0, 1), (1, 0)], [1.0, 3.0])
-        from hlawka.symgroup import character_values
-
         group, chi = load_character_table(path)
         with pytest.raises(InputError):
             character_values(group, chi, enumerate_group(group))
