@@ -6,8 +6,8 @@ Public surface:
 * :mod:`hlawka.linalg` -- Hermitian stacks (a matrix is a stack of one),
   Kronecker powers, Loewner certificates, seeded positive definite
   sampling, matrix files.
-* :mod:`hlawka.sums` -- the operator family table and its difference
-  builders.
+* :mod:`hlawka.sums` -- the operator family table, keyed by family name,
+  and :func:`~hlawka.sums.build_difference`, which takes that name.
 * :mod:`hlawka.symgroup` / :mod:`hlawka.matfunc` -- permutation groups,
   characters, determinants/permanents/immanants and their corollaries.
 * :mod:`hlawka.scalar` -- convex/norm inequality evaluators and the
@@ -57,18 +57,7 @@ from .scalar import (
     radu_check,
     vasc_check,
 )
-from .sums import (
-    OperatorFamily,
-    alternating_difference,
-    build_difference,
-    hlawka3_difference,
-    pop_levels_difference,
-    pop_pairs_difference,
-    pop_subsets_difference,
-    superadditivity_difference,
-    supermodularity_difference,
-    symmetric_tensor_sum,
-)
+from .sums import build_difference, symmetric_tensor_sum
 from .symgroup import (
     CharacterSpec,
     GroupSpec,

@@ -10,7 +10,8 @@ The parser states no default but ``--seed`` and ``--trials``: an unset
 field takes its route's value from :data:`hlawka.harness._READS`.
 
 Exit codes: 0 success / no violation, 1 violation found in a family whose
-inequality is established (or a confirmed refutation), 2 usage error,
+inequality is established (or a confirmed refutation), 2 usage error (a
+malformed or unreadable input file, an unwritable ``--out`` included),
 3 budget exceeded.
 """
 
@@ -26,7 +27,7 @@ from .linalg import load_matrix
 from .matfunc import generalized_matrix_function, parse_character_selector
 from .report import TrialReport
 from .scalar import SEARCH_FAMILIES, SEARCH_STRATEGIES
-from .sums import OperatorFamily
+from .sums import FAMILIES
 from .symgroup import load_character_table
 from .util import format_complex_sig17
 
@@ -58,8 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
         allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    p_verify = _trial_parser(sub, "verify", "operator inequality trial suite",
-                             (family.value for family in OperatorFamily))
+    p_verify = _trial_parser(sub, "verify", "operator inequality trial suite", FAMILIES)
     p_scalar = _trial_parser(sub, "scalar-verify", "scalar corollary / convex suite", SUITES)
     p_counter = _trial_parser(sub, "counterexample", "seeded violation search", SEARCH_FAMILIES)
 
@@ -148,7 +148,7 @@ def main(argv=None) -> int:
     except BudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (InputError, FileNotFoundError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

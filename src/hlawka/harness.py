@@ -50,6 +50,7 @@ from .linalg import (
 from .matfunc import DEFAULT_SCALAR_MATRIX_TOL, parse_character_selector, scalar_inequality_check
 from .report import TrialReport
 from .scalar import (
+    CONVEX_NORM_SUITES,
     DEFAULT_SCALAR_TOL,
     KNOWN_HLAWKA_POP_COUNTEREXAMPLE,
     SEARCH_FAMILIES,
@@ -72,7 +73,7 @@ from .scalar import (
     suite_terms,
     vasc_check,
 )
-from .sums import OperatorFamily, build_difference
+from .sums import FAMILIES, build_difference
 from .symgroup import check_symmetric_degree
 from .util import derive_seed
 
@@ -140,12 +141,12 @@ _LEVELS = {"k": None, "ell": None, "m": None}
 #: ``seed``, ``trials`` and ``tol`` are read everywhere and reported outside
 #: ``params``.
 _READS = {
-    "verify": (tuple(family.value for family in OperatorFamily), DEFAULT_LOEWNER_TOL, {
+    "verify": (tuple(FAMILIES), DEFAULT_LOEWNER_TOL, {
         "n": 3, "p": 3, "dim": 2, "condition_target": 10.0,
         "max_tensor_dim": DEFAULT_MAX_TENSOR_DIM, **_LEVELS}),
-    "matrix": (tuple(family.value for family in OperatorFamily), DEFAULT_SCALAR_MATRIX_TOL, {
+    "matrix": (tuple(FAMILIES), DEFAULT_SCALAR_MATRIX_TOL, {
         "n": 3, "dim": 3, "char": "det", "condition_target": 10.0, **_LEVELS}),
-    "convex": (tuple(_EVALUATORS), DEFAULT_SCALAR_TOL, {
+    "convex": (tuple(CONVEX_NORM_SUITES), DEFAULT_SCALAR_TOL, {
         "n": 3, "dim": 3, "fn": "all", **_LEVELS, "include_known": False, "points": None}),
     "counterexample": (SEARCH_FAMILIES, DEFAULT_SCALAR_TOL, {
         "n": 4, "dim": 2, "strategy": "random", "fn": "abs", "include_known": False,
@@ -326,7 +327,6 @@ def _report(cfg: RunConfig, names: list[str], family: str) -> TrialReport:
 def run_verify(cfg: RunConfig) -> tuple[TrialReport, int]:
     """Sample PD tuples, build the family difference, certify each trial."""
     cfg, names = _settings(cfg, "verify")
-    family = OperatorFamily(cfg.family)
     report = _report(cfg, names, cfg.family)
     flags = report.interpretation_flags
     psd_only = "psd-only-inputs: some inputs were not strictly positive definite"
@@ -335,7 +335,7 @@ def run_verify(cfg: RunConfig) -> tuple[TrialReport, int]:
         # Not bound to a name: the chunk's differences are freed before the
         # next chunk builds its own.
         certs = psd_certificate(build_difference(
-            family, parts, cfg.p, cfg.max_tensor_dim, k=cfg.k, ell=cfg.ell, m=cfg.m), cfg.tol)
+            cfg.family, parts, cfg.p, cfg.max_tensor_dim, k=cfg.k, ell=cfg.ell, m=cfg.m), cfg.tol)
         if not (min_eigenvalue(inputs) > 1e-12).all() and psd_only not in flags:
             flags.append(psd_only)
         return [(c.min_eigenvalue, c.verdict) for c in certs]
@@ -347,16 +347,15 @@ def run_verify(cfg: RunConfig) -> tuple[TrialReport, int]:
 def run_scalar_verify(cfg: RunConfig) -> tuple[TrialReport, int]:
     """Scalar suites: either the d-image of an operator family (choose a
     character with --char) or one of the convex/norm evaluators."""
-    if cfg.family in _EVALUATORS:
+    if cfg.family in CONVEX_NORM_SUITES:
         return _run_convex_norm(*_settings(cfg, "convex"))
     cfg, names = _settings(cfg, "matrix")
-    family = OperatorFamily(cfg.family)
     group, chi = parse_character_selector(cfg.char, cfg.dim)
     report = _report(cfg, names, f"{cfg.family}[{cfg.char}]")
 
     def check(inputs, parts):
         return [(r.margin, r.verdict) for r in scalar_inequality_check(
-            family, parts, group, chi, cfg.tol, k=cfg.k, ell=cfg.ell, m=cfg.m)]
+            cfg.family, parts, group, chi, cfg.tol, k=cfg.k, ell=cfg.ell, m=cfg.m)]
 
     # The largest stacked arrays are the last level of the prefix tree of one
     # generalized matrix function: per trial, some eight floats, four entries,

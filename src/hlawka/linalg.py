@@ -30,7 +30,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import BudgetError, InputError
-from .util import array_digest, format_sig17
+from .util import array_digest, format_sig17, json_complex
 
 #: Refuse to build matrices larger than this on a side unless overridden.
 DEFAULT_MAX_TENSOR_DIM = 4096
@@ -519,24 +519,22 @@ def save_matrix(path: str | os.PathLike, mat) -> None:
         fh.write(dump_matrix(mat))
 
 
-def parse_matrix(text: str) -> np.ndarray:
+def parse_matrix(text: str | bytes) -> np.ndarray:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON or UTF-8
         raise InputError(f"unparseable matrix file: {exc}") from exc
     if not isinstance(doc, dict) or "dim" not in doc or "entries" not in doc:
         raise InputError('matrix file must contain "dim" and "entries" fields')
     dim = doc["dim"]
     entries = doc["entries"]
-    if not isinstance(dim, int) or dim < 1:
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise InputError('"dim" must be a positive integer')
     if not isinstance(entries, list) or len(entries) != dim * dim:
         raise InputError(f'"entries" must hold dim^2 = {dim * dim} [re, im] pairs')
     flat = np.empty(dim * dim, dtype=np.complex128)
     for idx, pair in enumerate(entries):
-        if not (isinstance(pair, list) and len(pair) == 2):
-            raise InputError(f"entry {idx} is not a [re, im] pair")
-        flat[idx] = complex(float(pair[0]), float(pair[1]))
+        flat[idx] = json_complex(pair, f"entry {idx}")
     arr = flat.reshape(dim, dim)
     if not np.isfinite(arr).all():
         raise InputError("matrix entries must be finite (no NaN/Inf)")
@@ -545,7 +543,7 @@ def parse_matrix(text: str) -> np.ndarray:
 
 def load_matrix(path: str | os.PathLike) -> np.ndarray:
     """Read a matrix file as a general complex square array."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         return parse_matrix(fh.read())
 
 

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import BudgetError, InputError
 from .linalg import HermitianStack, _as_array, _entries, _same_shape, _single_or_all
 from .scalar import ScalarCheckResult, _result, suite_terms
-from .sums import OperatorFamily
+from .sums import operator_family
 from .symgroup import CharacterSpec, GroupSpec, character_values, enumerate_group
 
 #: Ryser evaluation enumerates 2^m column subsets; refuse beyond this.
@@ -170,7 +170,7 @@ def elementary_symmetric_det(mats, k: int) -> float:
 
 
 def scalar_inequality_check(
-    family: OperatorFamily,
+    family: str,
     mats,
     group: GroupSpec,
     chi: CharacterSpec,
@@ -180,7 +180,7 @@ def scalar_inequality_check(
     ell: int | None = None,
     m: int | None = None,
 ) -> ScalarCheckResult:
-    """Check the d-image of a family's inequality on Hermitian inputs.
+    """Check the d-image of an operator family's inequality on Hermitian inputs.
 
     Each operator term (a subset sum) is mapped through the generalized
     matrix function instead of a Kronecker power; subset sizes and
@@ -193,6 +193,7 @@ def scalar_inequality_check(
     trial); every trial is checked at once and a list of results, one per
     trial, is returned, or one result for single-matrix inputs.
     """
+    operator_family(family)  # refuses a convex/norm suite, whose terms differ
     hs = _same_shape(mats)
     arrays = [_entries(h) for h in hs]
 
@@ -204,7 +205,7 @@ def scalar_inequality_check(
     # order (the reports' bits depend on it); fsum rounds each side once, so
     # no grouping of the terms needs fixing.
     lhs, rhs = (np.array([c * d(reduce(add, map(arrays.__getitem__, s))).real for c, s in side])
-                for side in suite_terms(family.value, len(hs), k, ell, m))
+                for side in suite_terms(family, len(hs), k, ell, m))
     return _single_or_all(hs[0], [_result(lhs[:, t], rhs[:, t], tol)
                                   for t in range(lhs.shape[1])])
 

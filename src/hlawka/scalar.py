@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import InputError
 from .linalg import Verdict, band_verdict
-from .sums import FAMILIES, FamilySpec, Level, OperatorFamily, checked_sides
+from .sums import FAMILIES, FamilySpec, Level, checked_sides
 from .sums import _alternating, _level, _pop_subsets
 
 #: Default relative tolerance deciding whether a scalar margin "holds".
@@ -143,7 +143,7 @@ def _sorted_vectors(vectors) -> np.ndarray:
     return arr[order]
 
 
-def _like(family: OperatorFamily, term: str, status: str = "proven", **kwargs) -> FamilySpec:
+def _like(family: str, term: str, status: str = "proven", **kwargs) -> FamilySpec:
     spec = FAMILIES[family]
     return FamilySpec(status, spec.needs, spec.valid, spec.sides, term=term, **kwargs)
 
@@ -163,7 +163,7 @@ def _vasc(n, k, ell, m):
 #: The one definition of every convex/norm suite, keyed by its
 #: ``scalar-verify`` family name.
 CONVEX_NORM_SUITES = {
-    "norm-hlawka": _like(OperatorFamily.HLAWKA3, "norm"),
+    "norm-hlawka": _like("hlawka3", "norm"),
     "radu": FamilySpec(
         "proven", "n >= 3 and 2 <= k <= n",
         lambda n, k, ell, m: k is not None and 2 <= k <= n and n >= 3,
@@ -171,12 +171,12 @@ CONVEX_NORM_SUITES = {
     "jensen": FamilySpec(
         "proven", "n >= 1", lambda n, k, ell, m: n >= 1,
         lambda n, k, ell, m: ([_level(n, 1)], [_level(n, n)]), term="mean"),
-    "popoviciu": _like(OperatorFamily.HLAWKA3, "mean"),
+    "popoviciu": _like("hlawka3", "mean"),
     "vasc": FamilySpec("proven", "n >= 3", lambda n, k, ell, m: n >= 3, _vasc, term="mean"),
-    "pcz": _like(OperatorFamily.POP_SUBSETS, "mean"),
-    "pop-levels-scalar": _like(OperatorFamily.POP_LEVELS, "mean", status="evaluator", notes=(
+    "pcz": _like("pop-subsets", "mean"),
+    "pop-levels-scalar": _like("pop-levels", "mean", status="evaluator", notes=(
         lambda n: ["evaluator-only: direction depends on (k, ell, m); margins reported only"])),
-    "functional-hlawka": _like(OperatorFamily.HLAWKA3, "value", status="evaluator", notes=(
+    "functional-hlawka": _like("hlawka3", "value", status="evaluator", notes=(
         lambda n: ["evaluator-only: convexity does not imply the functional form"])),
     "hlawka-pop": FamilySpec(
         "refuted", "n >= 3", lambda n, k, ell, m: n >= 3, _odd_left, term="mean",
@@ -190,7 +190,7 @@ CONVEX_NORM_SUITES = {
 
 #: Every ``scalar-verify`` family, name -> table entry: the operator
 #: families, then the convex/norm suites.
-SUITES = {**{family.value: spec for family, spec in FAMILIES.items()}, **CONVEX_NORM_SUITES}
+SUITES = {**FAMILIES, **CONVEX_NORM_SUITES}
 
 
 @lru_cache(maxsize=64)

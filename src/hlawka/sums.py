@@ -1,6 +1,8 @@
 """The operator inequality families and their tensor-sum differences.
 
-Every family is one :class:`FamilySpec` of :data:`FAMILIES`: its LHS and
+Every family is one :class:`FamilySpec` of :data:`FAMILIES`, whose key is
+its only name: the CLI's, the reports' and the library's, as in
+``build_difference("hlawka3", [a, b, c], p=3)``.  The entry holds its LHS and
 RHS as levels, each an exact weight times a list of index subsets, read as
 ``sum_S weight * F(X_S)`` for the subset sums ``X_S`` and a functor ``F``.
 :func:`build_difference` takes ``F`` to be the p-fold Kronecker power and
@@ -22,7 +24,9 @@ for single-matrix inputs.  The families:
 * ``pop-levels``:  rationally weighted three-level comparison
 
 where X^op denotes the p-fold Kronecker power and S_k the sum of such
-powers over all size-k subset sums.
+powers over all size-k subset sums.  The alternating difference is an n-th
+order finite difference, so at p < n it is zero up to rounding; strict
+positivity needs p >= n.
 
 Determinism: inputs are first canonically ordered by content hash (trial
 by trial for stacks), then subsets are enumerated lexicographically and
@@ -34,7 +38,6 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from itertools import combinations
 from math import comb, lcm
@@ -44,7 +47,6 @@ import numpy as np
 from .errors import InputError
 from .linalg import (
     DEFAULT_MAX_TENSOR_DIM,
-    HermitianMatrix,
     HermitianStack,
     _entries,
     _same_shape,
@@ -52,18 +54,6 @@ from .linalg import (
     check_tensor_budget,
 )
 from .linalg import _kron_power as _power
-
-
-class OperatorFamily(Enum):
-    """Catalog of the inequality difference builders."""
-
-    HLAWKA3 = "hlawka3"
-    SUPERMOD = "supermod"
-    SUPERADD = "superadd"
-    ALTERNATING = "alternating"
-    POP_PAIRS = "pop-pairs"
-    POP_SUBSETS = "pop-subsets"
-    POP_LEVELS = "pop-levels"
 
 
 @dataclass(frozen=True)
@@ -124,31 +114,39 @@ def _empirical(n: int) -> list[str]:
     return ["empirical-family: inequality not established; margins reported, not assumed"]
 
 
-#: The one definition of every operator family.
+#: The one definition of every operator family, keyed by its name.
 FAMILIES = {
-    OperatorFamily.HLAWKA3: FamilySpec(
+    "hlawka3": FamilySpec(
         "proven", "n = 3", lambda n, k, ell, m: n == 3, _alternating),
-    OperatorFamily.SUPERMOD: FamilySpec(
+    "supermod": FamilySpec(
         "proven", "n = 3", lambda n, k, ell, m: n == 3,
         lambda n, k, ell, m: ([Level(Fraction(1), ((0, 1, 2), (0,)))],
                               [Level(Fraction(1), ((0, 1), (0, 2)))]),
         supermod=True),
-    OperatorFamily.SUPERADD: FamilySpec(
+    "superadd": FamilySpec(
         "proven", "n >= 2", lambda n, k, ell, m: n >= 2,
         lambda n, k, ell, m: ([_level(n, n)], [_level(n, 1)])),
-    OperatorFamily.ALTERNATING: FamilySpec(
+    "alternating": FamilySpec(
         "proven", "n >= 3", lambda n, k, ell, m: n >= 3, _alternating),
-    OperatorFamily.POP_PAIRS: FamilySpec(
+    "pop-pairs": FamilySpec(
         "proven", "n >= 3", lambda n, k, ell, m: n >= 3,
         lambda n, k, ell, m: _pop_subsets(n, 2)),
-    OperatorFamily.POP_SUBSETS: FamilySpec(
+    "pop-subsets": FamilySpec(
         "empirical", "2 <= m < n", lambda n, k, ell, m: m is not None and 2 <= m < n,
         lambda n, k, ell, m: _pop_subsets(n, m), notes=_empirical),
-    OperatorFamily.POP_LEVELS: FamilySpec(
+    "pop-levels": FamilySpec(
         "empirical", "1 <= k < ell < m <= n",
         lambda n, k, ell, m: None not in (k, ell, m) and 1 <= k < ell < m <= n, _pop_levels,
         notes=_empirical),
 }
+
+
+def operator_family(name: str) -> FamilySpec:
+    """The :data:`FAMILIES` entry of ``name``; :class:`InputError` naming
+    the operator families for any other name, a convex/norm suite's too."""
+    if name not in FAMILIES:
+        raise InputError(f"unknown operator family {name!r}; one of {list(FAMILIES)}")
+    return FAMILIES[name]
 
 
 def checked_sides(name: str, spec: FamilySpec, n: int, k=None, ell=None, m=None):
@@ -228,7 +226,7 @@ def symmetric_tensor_sum(
 
 
 def build_difference(
-    family: OperatorFamily,
+    family: str,
     mats,
     p: int,
     max_dim: int = DEFAULT_MAX_TENSOR_DIM,
@@ -237,16 +235,17 @@ def build_difference(
     ell: int | None = None,
     m: int | None = None,
 ) -> HermitianStack:
-    """LHS - RHS of the family's table entry at Kronecker power ``p``.
+    """LHS - RHS of the entry ``FAMILIES[family]`` at Kronecker power ``p``.
 
     n is the number of matrices given, and ``k``, ``ell``, ``m`` are the
     levels the entry needs.  Each level streams its subset powers through
     pairwise summation, the levels of a side are summed pairwise, and with
     rational weights the common denominator is divided out once at the end.
     """
+    spec = operator_family(family)
     mats = list(mats)
-    sides = checked_sides(family.value, FAMILIES[family], len(mats), k, ell, m)
-    arrays = _canonical_arrays(mats, keep_first_fixed=FAMILIES[family].supermod)
+    sides = checked_sides(family, spec, len(mats), k, ell, m)
+    arrays = _canonical_arrays(mats, keep_first_fixed=spec.supermod)
     check_tensor_budget(arrays[0].shape[-1], p, max_dim)
     den = lcm(*(level.weight.denominator for side in sides for level in side))
     lhs, rhs = (
@@ -256,60 +255,3 @@ def build_difference(
     diff = lhs - rhs
     return _single_or_all(mats[0], HermitianStack._wrap_exact(diff if den == 1 else diff / den))
 
-
-def hlawka3_difference(
-    a, b, c, p: int, max_dim: int = DEFAULT_MAX_TENSOR_DIM
-) -> HermitianMatrix:
-    """(A+B+C)^op + A^op + B^op + C^op - pair powers; the n=3 alternating case."""
-    return build_difference(OperatorFamily.HLAWKA3, [a, b, c], p, max_dim)
-
-
-def supermodularity_difference(
-    a, b, c, p: int, max_dim: int = DEFAULT_MAX_TENSOR_DIM
-) -> HermitianMatrix:
-    """(A+B+C)^op + A^op - (A+B)^op - (A+C)^op; the first matrix is special."""
-    return build_difference(OperatorFamily.SUPERMOD, [a, b, c], p, max_dim)
-
-
-def superadditivity_difference(
-    mats, p: int, max_dim: int = DEFAULT_MAX_TENSOR_DIM
-) -> HermitianMatrix:
-    """(A1+...+An)^op - (A1^op + ... + An^op) for n >= 2."""
-    return build_difference(OperatorFamily.SUPERADD, mats, p, max_dim)
-
-
-def alternating_difference(
-    mats, p: int, max_dim: int = DEFAULT_MAX_TENSOR_DIM
-) -> HermitianMatrix:
-    """S_n + S_{n-2} + ...  minus  S_{n-1} + S_{n-3} + ... at power p.
-
-    For p < n the result is identically zero up to rounding: the
-    alternating subset sum is an n-th order finite difference, which
-    annihilates the degree-p power map.  Strict positivity needs p >= n.
-    """
-    return build_difference(OperatorFamily.ALTERNATING, mats, p, max_dim)
-
-
-def pop_pairs_difference(
-    mats, p: int, max_dim: int = DEFAULT_MAX_TENSOR_DIM
-) -> HermitianMatrix:
-    """(n-2) sum Ai^op + (sum Ai)^op - pair powers; the m=2 subset case."""
-    return build_difference(OperatorFamily.POP_PAIRS, mats, p, max_dim)
-
-
-def pop_subsets_difference(
-    mats, m: int, p: int, max_dim: int = DEFAULT_MAX_TENSOR_DIM
-) -> HermitianMatrix:
-    """C(n-2,m-1) sum Ai^op + C(n-2,m-2) (sum Ai)^op - size-m subset powers."""
-    return build_difference(OperatorFamily.POP_SUBSETS, mats, p, max_dim, m=m)
-
-
-def pop_levels_difference(
-    mats, k: int, ell: int, m: int, p: int, max_dim: int = DEFAULT_MAX_TENSOR_DIM
-) -> HermitianMatrix:
-    """Three-level comparison of symmetric tensor sums.
-
-    ((m-ell)/(k C(n,k))) S_k + ((ell-k)/(m C(n,m))) S_m
-      - ((m-k)/(ell C(n,ell))) S_ell
-    """
-    return build_difference(OperatorFamily.POP_LEVELS, mats, p, max_dim, k=k, ell=ell, m=m)

@@ -20,6 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BudgetError, InputError
+from .util import json_complex
 
 #: Largest m for which the full symmetric group may be enumerated (8! = 40320).
 MAX_SYMMETRIC_DEGREE = 8
@@ -34,22 +35,14 @@ MAX_GROUP_ORDER = math.factorial(MAX_SYMMETRIC_DEGREE)
 
 
 def validate_permutation(images) -> tuple[int, ...]:
+    """The images, integers (Python or numpy, not bool) listing 0..m-1 once each."""
+    if not isinstance(images, (list, tuple, np.ndarray)) or not all(
+            isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in images):
+        raise InputError(f"a permutation is a list of integer images, got {images!r}")
     perm = tuple(int(x) for x in images)
     if sorted(perm) != list(range(len(perm))):
         raise InputError(f"not a permutation of 0..{len(perm) - 1}: {perm}")
     return perm
-
-
-def compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    """(p o q)(i) = p(q(i))."""
-    return tuple(p[q[i]] for i in range(len(p)))
-
-
-def inverse(p: tuple[int, ...]) -> tuple[int, ...]:
-    inv = [0] * len(p)
-    for i, img in enumerate(p):
-        inv[img] = i
-    return tuple(inv)
 
 
 def permutation_sign(p: tuple[int, ...]) -> int:
@@ -387,10 +380,12 @@ def load_character_table(path: str | os.PathLike) -> tuple[GroupSpec, CharacterS
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # malformed JSON or UTF-8
             raise InputError(f"unparseable character table: {exc}") from exc
     if not isinstance(doc, dict) or "elements" not in doc or "values" not in doc:
         raise InputError('character table must contain "elements" and "values"')
+    if not (isinstance(doc["elements"], list) and isinstance(doc["values"], list)):
+        raise InputError('character table "elements" and "values" must be lists')
     elements = [validate_permutation(p) for p in doc["elements"]]
     values = doc["values"]
     if len(values) != len(elements):
@@ -398,12 +393,7 @@ def load_character_table(path: str | os.PathLike) -> tuple[GroupSpec, CharacterS
     # Keep values aligned with the deterministic element order.
     order = sorted(range(len(elements)), key=lambda i: elements[i])
     group = GroupSpec.explicit([elements[i] for i in order])
-    vals = []
-    for i in order:
-        pair = values[i]
-        if not (isinstance(pair, list) and len(pair) == 2):
-            raise InputError("character values must be [re, im] pairs")
-        vals.append(complex(float(pair[0]), float(pair[1])))
+    vals = [json_complex(values[i], f"character value {i}") for i in order]
     return group, CharacterSpec.from_table(vals)
 
 

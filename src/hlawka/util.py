@@ -1,10 +1,12 @@
-"""Small shared helpers: seed derivation, digests, number formatting."""
+"""Small shared helpers: seed derivation, digests, JSON numbers, formatting."""
 
 from __future__ import annotations
 
 import hashlib
 
 import numpy as np
+
+from .errors import InputError
 
 _MASK64 = (1 << 64) - 1
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
@@ -38,6 +40,18 @@ def array_digest(arr: np.ndarray) -> str:
     h.update(str(a.shape).encode())
     h.update(a.tobytes())
     return h.hexdigest()
+
+
+def json_complex(pair, what: str) -> complex:
+    """A ``[re, im]`` pair of JSON numbers (int or float, not bool) as a
+    complex; :class:`InputError` naming ``what`` otherwise."""
+    if not (isinstance(pair, list) and len(pair) == 2 and all(
+            isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)):
+        raise InputError(f"{what} is not a [re, im] pair of numbers: {pair!r}")
+    try:
+        return complex(float(pair[0]), float(pair[1]))
+    except OverflowError:
+        raise InputError(f"{what} is out of the float range") from None
 
 
 def format_sig17(x: float) -> str:

@@ -40,15 +40,7 @@ from hlawka.scalar import (
     radu_check,
     vasc_check,
 )
-from hlawka.sums import (
-    OperatorFamily,
-    alternating_difference,
-    hlawka3_difference,
-    pop_levels_difference,
-    pop_pairs_difference,
-    pop_subsets_difference,
-    supermodularity_difference,
-)
+from hlawka.sums import build_difference
 from hlawka.symgroup import (
     CharacterSpec,
     GroupSpec,
@@ -82,9 +74,9 @@ def test_criterion_1_equality_cases():
                 triple = pd_tuple(trial * 10 + dim, 3, dim)
                 quad = pd_tuple(trial * 10 + dim + 5, 4, dim)
                 for p in (1, 2):
-                    h = hlawka3_difference(*triple, p)
+                    h = build_difference("hlawka3", triple, p)
                     assert inf_norm(h.array) <= 1e-9 * input_scale(triple) ** p
-                    q = pop_pairs_difference(quad, p)
+                    q = build_difference("pop-pairs", quad, p)
                     assert inf_norm(q.array) <= 1e-9 * input_scale(quad) ** p
         assert time.perf_counter() - start < 10.0
 
@@ -95,9 +87,9 @@ def test_criterion_2_hlawka3_and_supermod_hold():
         for trial in range(500):
             triple = pd_tuple(trial, 3, 2)
             for p in (3, 4, 5):
-                h = psd_certificate(hlawka3_difference(*triple, p), 1e-8)
+                h = psd_certificate(build_difference("hlawka3", triple, p), 1e-8)
                 assert h.ok, f"trial {trial}, p={p}: min eig {h.min_eigenvalue}"
-                s = psd_certificate(supermodularity_difference(*triple, p), 1e-8)
+                s = psd_certificate(build_difference("supermod", triple, p), 1e-8)
                 if h.ok:
                     assert s.ok, f"supermod failed where hlawka held (trial {trial}, p={p})"
         assert time.perf_counter() - start < 60.0
@@ -110,13 +102,13 @@ def test_criterion_3_alternating():
             for n in (4, 5):
                 mats = pd_tuple(trial * 7 + n, n, 2)
                 for p in (2, 3, 4):
-                    cert = psd_certificate(alternating_difference(mats, p), 1e-8)
+                    cert = psd_certificate(build_difference("alternating", mats, p), 1e-8)
                     assert cert.ok, f"trial {trial}, n={n}, p={p}"
         for trial in range(20):
             triple = pd_tuple(trial, 3, 2)
             for p in (1, 2, 3):
-                a = alternating_difference(triple, p)
-                b = hlawka3_difference(*triple, p)
+                a = build_difference("alternating", triple, p)
+                b = build_difference("hlawka3", triple, p)
                 assert np.array_equal(a.array, b.array)
         assert time.perf_counter() - start < 120.0
 
@@ -131,9 +123,9 @@ def test_criterion_4_popoviciu_families():
             for n in (4, 5):
                 mats = pd_tuple(trial * 13 + n, n, 2)
                 for p in (1, 2, 3):
-                    diffs = [pop_pairs_difference(mats, p)]
-                    diffs += [pop_subsets_difference(mats, m, p) for m in range(2, n)]
-                    diffs += [pop_levels_difference(mats, k, l, m, p)
+                    diffs = [build_difference("pop-pairs", mats, p)]
+                    diffs += [build_difference("pop-subsets", mats, p, m=m) for m in range(2, n)]
+                    diffs += [build_difference("pop-levels", mats, p, k=k, ell=l, m=m)
                               for (k, l, m) in level_triples[n]]
                     for diff in diffs:
                         if p == 1:
@@ -180,12 +172,12 @@ def test_criterion_6_scalar_corollaries():
             CharacterSpec.from_partition((2, 1)),
         ]
         cases = [
-            (OperatorFamily.HLAWKA3, 3),
-            (OperatorFamily.SUPERMOD, 3),
-            (OperatorFamily.ALTERNATING, 3),
-            (OperatorFamily.ALTERNATING, 4),
-            (OperatorFamily.POP_PAIRS, 3),
-            (OperatorFamily.POP_PAIRS, 4),
+            ("hlawka3", 3),
+            ("supermod", 3),
+            ("alternating", 3),
+            ("alternating", 4),
+            ("pop-pairs", 3),
+            ("pop-pairs", 4),
         ]
         for trial in range(200):
             for family, n in cases:
@@ -193,7 +185,7 @@ def test_criterion_6_scalar_corollaries():
                 for chi in characters:
                     res = scalar_inequality_check(family, mats, group, chi)
                     assert res.margin >= -1e-10 * res.scale, (
-                        f"{family.value}/{chi.kind.value} trial {trial}: {res.margin}"
+                        f"{family}/{chi.kind.value} trial {trial}: {res.margin}"
                     )
 
 

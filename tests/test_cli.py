@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from hlawka.cli import _config_from, build_parser, main
+from hlawka.errors import InputError
 from hlawka.harness import (
     _EVALUATORS,
     _READS,
@@ -32,7 +33,7 @@ from hlawka.scalar import (
     search_from,
     suite_terms,
 )
-from hlawka.sums import FAMILIES, FamilySpec, OperatorFamily
+from hlawka.sums import FAMILIES, FamilySpec
 from hlawka.symgroup import save_character_table
 from hlawka.util import derive_seed, format_complex_sig17, format_sig17
 
@@ -489,6 +490,35 @@ class TestCounterexampleCommand:
         assert found[0] and found[0] == found[1]
 
 
+ID2 = {"dim": 2, "entries": [[1, 0], [0, 0], [0, 0], [1, 0]]}
+
+#: Per case, the files to write (a JSON document, raw bytes, or None for a
+#: directory) and the command that reads them.
+MALFORMED_FILES = {
+    "entry-null": ({"m": {"dim": 1, "entries": [[None, 0]]}}, "immanant m det"),
+    "entry-string": ({"m": {"dim": 1, "entries": [["x", 0]]}}, "immanant m det"),
+    "entry-bool": ({"m": {"dim": 1, "entries": [[True, 0]]}}, "immanant m det"),
+    "entry-numeric-string": ({"m": {"dim": 1, "entries": [["1.5", 0]]}}, "immanant m det"),
+    "entry-beyond-float": ({"m": {"dim": 1, "entries": [[10**400, 0]]}}, "immanant m det"),
+    "dim-bool": ({"m": {"dim": True, "entries": [[1, 0]]}}, "immanant m det"),
+    "matrix-not-utf8": ({"m": b"\xff{"}, "immanant m det"),
+    "matrix-directory": ({"m": None}, "immanant m det"),
+    "elements-not-a-list": ({"m": ID2, "t": {"elements": 5, "values": [[1, 0]]}},
+                            "immanant m table=t"),
+    "image-string": ({"m": ID2, "t": {"elements": [["a", 1]], "values": [[1, 0]]}},
+                     "immanant m table=t"),
+    "image-fraction": ({"m": ID2, "t": {"elements": [[0.5, 1]], "values": [[1, 0]]}},
+                       "immanant m table=t"),
+    "values-not-a-list": ({"m": ID2, "t": {"elements": [[0, 1]], "values": 7}},
+                          "immanant m table=t"),
+    "value-string": ({"m": ID2, "t": {"elements": [[0, 1]], "values": [[1, "q"]]}},
+                     "immanant m table=t"),
+    "table-not-utf8": ({"m": ID2, "t": b"\xff{"}, "immanant m table=t"),
+    "table-directory": ({"m": ID2, "t": None}, "immanant m table=t"),
+    "out-directory": ({"r": None}, "verify --family hlawka3 --trials 1 --out r"),
+}
+
+
 class TestImmanantCommand:
     def test_det_of_identity(self, id3, capsys):
         assert main(["immanant", id3, "det"]) == 0
@@ -537,6 +567,21 @@ class TestImmanantCommand:
 
     def test_missing_file_exit_two(self):
         assert main(["immanant", "/nonexistent.json", "det"]) == 2
+
+    @pytest.mark.parametrize("files, argv", MALFORMED_FILES.values(), ids=MALFORMED_FILES)
+    def test_malformed_file_exit_two(self, files, argv, tmp_path, monkeypatch, capsys):
+        # Exit 1 would report a violation; a bad file is a usage error.
+        monkeypatch.chdir(tmp_path)
+        for name, content in files.items():
+            if content is None:
+                (tmp_path / name).mkdir()
+            elif isinstance(content, bytes):
+                (tmp_path / name).write_bytes(content)
+            else:
+                (tmp_path / name).write_text(json.dumps(content))
+        assert main(argv.split()) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
 
     def test_bad_selector_exit_two(self, id3):
         assert main(["immanant", id3, "spectral"]) == 2
@@ -631,7 +676,7 @@ class TestHarnessApi:
         assert any("search" in f for f in report.interpretation_flags)
 
     def test_scalar_runner_rejects_unknown_family(self):
-        with pytest.raises(Exception):
+        with pytest.raises(InputError):
             run_scalar_verify(RunConfig(family="nonesuch", trials=1, seed=0))
 
     def test_memory_does_not_grow_with_trials(self):
@@ -771,13 +816,16 @@ class TestRegistryDrift:
         assert err.value.code == 2
 
     def test_verify_choices_are_the_operator_families(self):
-        assert cli_choices("verify") == tuple(f.value for f in OperatorFamily)
+        # One tuple, read from the table by the parser and by both routes.
+        families = cli_choices("verify")
+        assert families == tuple(FAMILIES) == _READS["verify"][0] == _READS["matrix"][0]
+        assert _READS["convex"][0] == tuple(CONVEX_NORM_SUITES)
 
     def test_scalar_verify_choices_are_the_registry(self):
         assert cli_choices("scalar-verify") == tuple(SUITES)
 
     def test_every_convex_norm_suite_has_one_table_entry(self):
-        operators = {family.value for family in OperatorFamily}
+        operators = set(FAMILIES)
         convex = {name: suite for name, suite in SUITES.items() if name not in operators}
         assert list(convex) == list(CONVEX_NORM_SUITES)
         assert all(suite is CONVEX_NORM_SUITES[name] for name, suite in convex.items())
@@ -785,20 +833,20 @@ class TestRegistryDrift:
 
     def test_one_entry_type_and_one_term_list(self):
         assert all(isinstance(spec, FamilySpec) for spec in SUITES.values())
-        operators = {family.value for family in OperatorFamily}
+        operators = set(FAMILIES)
         assert {name for name, spec in SUITES.items() if spec.term is None} == operators
         for family, (n, k, ell, m) in [
-            (OperatorFamily.HLAWKA3, (3, None, None, None)),
-            (OperatorFamily.SUPERMOD, (3, None, None, None)),
-            (OperatorFamily.SUPERADD, (4, None, None, None)),
-            (OperatorFamily.ALTERNATING, (5, None, None, None)),
-            (OperatorFamily.POP_PAIRS, (4, None, None, None)),
-            (OperatorFamily.POP_SUBSETS, (5, None, None, 3)),
-            (OperatorFamily.POP_LEVELS, (5, 1, 3, 5)),
+            ("hlawka3", (3, None, None, None)),
+            ("supermod", (3, None, None, None)),
+            ("superadd", (4, None, None, None)),
+            ("alternating", (5, None, None, None)),
+            ("pop-pairs", (4, None, None, None)),
+            ("pop-subsets", (5, None, None, 3)),
+            ("pop-levels", (5, 1, 3, 5)),
         ]:
             expected = [[(float(level.weight), s) for level in side for s in level.subsets]
                         for side in FAMILIES[family].sides(n, k, ell, m)]
-            assert [list(side) for side in suite_terms(family.value, n, k, ell, m)] == expected
+            assert [list(side) for side in suite_terms(family, n, k, ell, m)] == expected
 
     @pytest.mark.parametrize("name", list(SUITES))
     def test_report_flags_are_the_table_notes(self, name, tmp_path):

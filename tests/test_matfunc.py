@@ -17,7 +17,6 @@ from hlawka.matfunc import (
     scalar_inequality_check,
 )
 from hlawka.linalg import HermitianMatrix, PdSampleConfig, random_pd
-from hlawka.sums import OperatorFamily
 from hlawka.symgroup import CharacterSpec, GroupSpec, partitions_of
 
 
@@ -154,7 +153,7 @@ class TestScalarInequalityCheck:
     def test_dim1_linear_equality(self):
         ones = [HermitianMatrix([[1.0]])] * 3
         res = scalar_inequality_check(
-            OperatorFamily.HLAWKA3,
+            "hlawka3",
             ones,
             GroupSpec.full_symmetric(1),
             CharacterSpec.sign(),
@@ -167,7 +166,7 @@ class TestScalarInequalityCheck:
         for seed in range(100):
             mats = pd_tuple(seed, 3, 3)
             res = scalar_inequality_check(
-                OperatorFamily.HLAWKA3, mats, group, CharacterSpec.sign()
+                "hlawka3", mats, group, CharacterSpec.sign()
             )
             assert res.holds, f"seed {seed}: margin {res.margin}"
 
@@ -178,7 +177,7 @@ class TestScalarInequalityCheck:
         for seed in range(20):
             mats = pd_tuple(seed, 4, 2)
             res = scalar_inequality_check(
-                OperatorFamily.ALTERNATING, mats,
+                "alternating", mats,
                 group, CharacterSpec.sign(),
             )
             s = {k: elementary_symmetric_det(mats, k) for k in (1, 2, 3, 4)}
@@ -190,7 +189,7 @@ class TestScalarInequalityCheck:
         for seed in range(100):
             mats = pd_tuple(seed, 4, 2)
             res = scalar_inequality_check(
-                OperatorFamily.ALTERNATING, mats,
+                "alternating", mats,
                 group, CharacterSpec.sign(),
             )
             assert res.margin >= -1e-10 * res.scale
@@ -200,16 +199,24 @@ class TestScalarInequalityCheck:
         for seed in range(50):
             mats = pd_tuple(seed, 4, 2)
             res = scalar_inequality_check(
-                OperatorFamily.POP_PAIRS, mats,
+                "pop-pairs", mats,
                 group, CharacterSpec.trivial(),
             )
             assert res.holds
+
+    @pytest.mark.parametrize("family", ["popoviciu", "no-such-family"])
+    def test_only_operator_families_are_accepted(self, family):
+        # "popoviciu" is a convex/norm suite: its mean-rule terms are not
+        # an operator family's.
+        with pytest.raises(InputError, match=r"^unknown operator family .*'hlawka3'"):
+            scalar_inequality_check(family, pd_tuple(35, 3, 2), GroupSpec.full_symmetric(2),
+                                    CharacterSpec.sign())
 
     def test_group_degree_must_match(self):
         mats = pd_tuple(34, 3, 3)
         with pytest.raises(InputError):
             scalar_inequality_check(
-                OperatorFamily.HLAWKA3, mats,
+                "hlawka3", mats,
                 GroupSpec.full_symmetric(2), CharacterSpec.sign(),
             )
 

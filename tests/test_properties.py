@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from conftest import pd_tuple
 
 from hlawka.linalg import HermitianMatrix, parse_matrix, dump_matrix
-from hlawka.sums import alternating_difference, pop_pairs_difference
+from hlawka.sums import build_difference
 from hlawka.util import derive_seed
 
 finite_doubles = st.floats(allow_nan=False, allow_infinity=False, width=64)
@@ -18,9 +18,9 @@ finite_doubles = st.floats(allow_nan=False, allow_infinity=False, width=64)
 def test_difference_homogeneity(t):
     # Genuinely nonzero differences: alternating at p >= n, pairs at p = 3.
     mats4 = pd_tuple(99, 4, 2)
-    for builder, p in ((alternating_difference, 4), (pop_pairs_difference, 3)):
-        base = builder(mats4, p).array
-        scaled = builder([t * m for m in mats4], p).array
+    for family, p in (("alternating", 4), ("pop-pairs", 3)):
+        base = build_difference(family, mats4, p).array
+        scaled = build_difference(family, [t * m for m in mats4], p).array
         expect = (t**p) * base
         scale = max(1.0, float(np.abs(expect).max()))
         assert float(np.abs(scaled - expect).max()) <= 1e-10 * scale
@@ -34,9 +34,9 @@ def test_alternating_difference_vanishes_below_subset_count():
         mats = pd_tuple(200 + n, n, 2)
         term_scale = sum(float(np.abs(m.array).max()) for m in mats) ** max(1, n - 1)
         for p in range(1, n):
-            diff = alternating_difference(mats, p).array
+            diff = build_difference("alternating", mats, p).array
             assert float(np.abs(diff).max()) <= 1e-12 * max(1.0, term_scale)
-        strict = alternating_difference(mats, n).array
+        strict = build_difference("alternating", mats, n).array
         assert float(np.abs(strict).max()) > 1e-6
 
 
@@ -46,7 +46,7 @@ def test_pop_pairs_positive_scaling_keeps_certificate(s):
     mats = [s * m for m in pd_tuple(98, 4, 2)]
     from hlawka.linalg import psd_certificate
 
-    assert psd_certificate(pop_pairs_difference(mats, 3)).ok
+    assert psd_certificate(build_difference("pop-pairs", mats, 3)).ok
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,4 +1,4 @@
-"""Difference builders: equality cases, exact identities, trial suites."""
+"""The difference builder: equality cases, exact identities, trial suites."""
 
 from fractions import Fraction
 from functools import reduce
@@ -12,18 +12,7 @@ from conftest import input_scale, pd_tuple, stack_of
 
 from hlawka.errors import BudgetError, InputError
 from hlawka.linalg import HermitianMatrix, Verdict, psd_certificate
-from hlawka.sums import (
-    OperatorFamily,
-    alternating_difference,
-    build_difference,
-    hlawka3_difference,
-    pop_levels_difference,
-    pop_pairs_difference,
-    pop_subsets_difference,
-    superadditivity_difference,
-    supermodularity_difference,
-    symmetric_tensor_sum,
-)
+from hlawka.sums import build_difference, symmetric_tensor_sum
 from hlawka.util import derive_seed
 
 
@@ -68,26 +57,26 @@ class TestHlawka3:
     def test_p1_zero(self):
         for seed in range(10):
             mats = pd_tuple(seed, 3, 3)
-            diff = hlawka3_difference(*mats, 1)
+            diff = build_difference("hlawka3", mats, 1)
             assert inf_norm(diff) <= 1e-10 * input_scale(mats)
 
     def test_p2_zero(self):
         for seed in range(10):
             mats = pd_tuple(100 + seed, 3, 3)
-            diff = hlawka3_difference(*mats, 2)
+            diff = build_difference("hlawka3", mats, 2)
             assert inf_norm(diff) <= 1e-10 * input_scale(mats) ** 2
 
     def test_p3_holds_trial_suite(self):
         for seed in range(200):
             mats = pd_tuple(seed, 3, 2)
-            cert = psd_certificate(hlawka3_difference(*mats, 3))
+            cert = psd_certificate(build_difference("hlawka3", mats, 3))
             assert cert.ok, f"seed {seed}: min eig {cert.min_eigenvalue}"
 
     def test_supermod_holds_whenever_hlawka_holds(self):
         for seed in range(100):
             mats = pd_tuple(seed, 3, 2)
-            h = psd_certificate(hlawka3_difference(*mats, 4))
-            s = psd_certificate(supermodularity_difference(*mats, 4))
+            h = psd_certificate(build_difference("hlawka3", mats, 4))
+            s = psd_certificate(build_difference("supermod", mats, 4))
             if h.ok:
                 assert s.ok
 
@@ -95,12 +84,12 @@ class TestHlawka3:
 class TestSupermodularity:
     def test_p1_zero(self):
         mats = pd_tuple(5, 3, 3)
-        assert inf_norm(supermodularity_difference(*mats, 1)) <= 1e-10 * input_scale(mats)
+        assert inf_norm(build_difference("supermod", mats, 1)) <= 1e-10 * input_scale(mats)
 
     def test_p2_expansion(self):
         # (A+B+C)^2 + A^2 - (A+B)^2 - (A+C)^2 telescopes to BC + CB.
         a, b, c = pd_tuple(6, 3, 2)
-        diff = supermodularity_difference(a, b, c, 2)
+        diff = build_difference("supermod", [a, b, c], 2)
         expected = np.kron(b.array, c.array) + np.kron(c.array, b.array)
         scale = np.abs(expected).max()
         assert np.abs(diff.array - expected).max() <= 1e-12 * scale
@@ -109,125 +98,126 @@ class TestSupermodularity:
     def test_p3_holds_trial_suite(self):
         for seed in range(200):
             mats = pd_tuple(seed, 3, 2)
-            assert psd_certificate(supermodularity_difference(*mats, 3)).ok
+            assert psd_certificate(build_difference("supermod", mats, 3)).ok
 
     def test_first_argument_is_distinguished(self):
         a, b, c = pd_tuple(7, 3, 2)
-        same = supermodularity_difference(a, c, b, 3)
-        swapped = supermodularity_difference(b, a, c, 3)
-        assert np.array_equal(supermodularity_difference(a, b, c, 3).array, same.array)
-        assert not np.allclose(supermodularity_difference(a, b, c, 3).array, swapped.array)
+        same = build_difference("supermod", [a, c, b], 3)
+        swapped = build_difference("supermod", [b, a, c], 3)
+        assert np.array_equal(build_difference("supermod", [a, b, c], 3).array, same.array)
+        assert not np.allclose(build_difference("supermod", [a, b, c], 3).array, swapped.array)
 
 
 class TestSuperadditivity:
     def test_two_matrices_holds(self):
         mats = pd_tuple(8, 2, 2)
         for p in (1, 2, 3, 4):
-            assert psd_certificate(superadditivity_difference(mats, p)).ok
+            assert psd_certificate(build_difference("superadd", mats, p)).ok
 
     def test_needs_two(self):
         with pytest.raises(InputError):
-            superadditivity_difference(pd_tuple(8, 1, 2), 2)
+            build_difference("superadd", pd_tuple(8, 1, 2), 2)
 
 
 class TestAlternating:
     def test_n3_equals_hlawka3_exactly(self):
         mats = pd_tuple(9, 3, 2)
-        a = alternating_difference(mats, 3)
-        b = hlawka3_difference(*mats, 3)
+        a = build_difference("alternating", mats, 3)
+        b = build_difference("hlawka3", mats, 3)
         assert np.array_equal(a.array, b.array)
 
     def test_p1_zero_any_n(self):
         for n in (3, 4, 5):
             mats = pd_tuple(10 + n, n, 2)
-            assert inf_norm(alternating_difference(mats, 1)) <= 1e-10 * input_scale(mats)
+            assert inf_norm(build_difference("alternating", mats, 1)) <= 1e-10 * input_scale(mats)
 
     def test_n4_p3_trial_suite(self):
         for seed in range(100):
             mats = pd_tuple(seed, 4, 2)
-            assert psd_certificate(alternating_difference(mats, 3)).ok
+            assert psd_certificate(build_difference("alternating", mats, 3)).ok
 
     def test_needs_three(self):
         with pytest.raises(InputError):
-            alternating_difference(pd_tuple(11, 2, 2), 2)
+            build_difference("alternating", pd_tuple(11, 2, 2), 2)
 
 
 class TestPopPairs:
     def test_p1_p2_zero(self):
         mats = pd_tuple(12, 4, 2)
-        assert inf_norm(pop_pairs_difference(mats, 1)) <= 1e-10 * input_scale(mats)
-        assert inf_norm(pop_pairs_difference(mats, 2)) <= 1e-10 * input_scale(mats) ** 2
+        assert inf_norm(build_difference("pop-pairs", mats, 1)) <= 1e-10 * input_scale(mats)
+        assert inf_norm(build_difference("pop-pairs", mats, 2)) <= 1e-10 * input_scale(mats) ** 2
 
     def test_n4_p3_trial_suite(self):
         for seed in range(100):
             mats = pd_tuple(seed, 4, 2)
-            assert psd_certificate(pop_pairs_difference(mats, 3)).ok
+            assert psd_certificate(build_difference("pop-pairs", mats, 3)).ok
 
     def test_equals_pop_subsets_m2_exactly(self):
         mats = pd_tuple(13, 5, 2)
-        a = pop_pairs_difference(mats, 3)
-        b = pop_subsets_difference(mats, 2, 3)
+        a = build_difference("pop-pairs", mats, 3)
+        b = build_difference("pop-subsets", mats, 3, m=2)
         assert np.array_equal(a.array, b.array)
 
     def test_accepts_a_one_shot_iterator(self):
         mats = pd_tuple(14, 4, 2)
-        a = pop_pairs_difference(iter(mats), 3)
-        assert a.array.tobytes() == pop_pairs_difference(mats, 3).array.tobytes()
+        a = build_difference("pop-pairs", iter(mats), 3)
+        assert a.array.tobytes() == build_difference("pop-pairs", mats, 3).array.tobytes()
 
 
 class TestPopSubsets:
     def test_p1_zero(self):
         for n, m in ((4, 2), (4, 3), (5, 3), (5, 4)):
             mats = pd_tuple(14 + n + m, n, 2)
-            assert inf_norm(pop_subsets_difference(mats, m, 1)) <= 1e-10 * input_scale(mats)
+            diff = build_difference("pop-subsets", mats, 1, m=m)
+            assert inf_norm(diff) <= 1e-10 * input_scale(mats)
 
     def test_verdict_recorded_n5_m3_p2(self):
         # No proof is assumed; the certificate is simply recorded.
         mats = pd_tuple(15, 5, 2)
-        cert = psd_certificate(pop_subsets_difference(mats, 3, 2))
+        cert = psd_certificate(build_difference("pop-subsets", mats, 2, m=3))
         assert cert.verdict in (Verdict.HOLDS, Verdict.EQUALITY, Verdict.FAILS)
 
     def test_parameter_range(self):
         mats = pd_tuple(16, 4, 2)
         for bad_m in (1, 4, 5):
             with pytest.raises(InputError):
-                pop_subsets_difference(mats, bad_m, 2)
+                build_difference("pop-subsets", mats, 2, m=bad_m)
 
 
 class TestPopLevels:
     def test_p1_zero(self):
         mats = pd_tuple(17, 4, 2)
-        diff = pop_levels_difference(mats, 1, 2, 3, 1)
+        diff = build_difference("pop-levels", mats, 1, k=1, ell=2, m=3)
         assert inf_norm(diff) <= 1e-10 * input_scale(mats)
 
     def test_n3_is_hlawka_over_three(self):
         # (k, ell, m) = (1, 2, 3) at n=3 has all coefficients 1/3.
         mats = pd_tuple(18, 3, 2)
-        levels = pop_levels_difference(mats, 1, 2, 3, 3)
-        hlawka = hlawka3_difference(*mats, 3)
+        levels = build_difference("pop-levels", mats, 3, k=1, ell=2, m=3)
+        hlawka = build_difference("hlawka3", mats, 3)
         scale = np.abs(hlawka.array).max()
         assert np.abs(3.0 * levels.array - hlawka.array).max() <= 1e-12 * scale
 
     def test_n4_p3_holds(self):
         for seed in range(50):
             mats = pd_tuple(seed, 4, 2)
-            assert psd_certificate(pop_levels_difference(mats, 1, 2, 3, 3)).ok
+            assert psd_certificate(build_difference("pop-levels", mats, 3, k=1, ell=2, m=3)).ok
 
     def test_parameter_range(self):
         mats = pd_tuple(19, 4, 2)
         for bad in ((2, 2, 3), (0, 1, 2), (1, 3, 2), (1, 2, 5)):
             with pytest.raises(InputError):
-                pop_levels_difference(mats, *bad, 2)
+                build_difference("pop-levels", mats, 2, **dict(zip(("k", "ell", "m"), bad)))
 
 
 class TestSharedProperties:
     @pytest.mark.parametrize("family,n,p,levels", [
-        (OperatorFamily.ALTERNATING, 4, 2, {}),
-        (OperatorFamily.POP_PAIRS, 4, 2, {}),
-        (OperatorFamily.POP_SUBSETS, 4, 2, {"m": 3}),
-        (OperatorFamily.POP_LEVELS, 4, 2, {"k": 1, "ell": 2, "m": 3}),
-        (OperatorFamily.SUPERADD, 4, 2, {}),
-        (OperatorFamily.HLAWKA3, 3, 3, {}),
+        ("alternating", 4, 2, {}),
+        ("pop-pairs", 4, 2, {}),
+        ("pop-subsets", 4, 2, {"m": 3}),
+        ("pop-levels", 4, 2, {"k": 1, "ell": 2, "m": 3}),
+        ("superadd", 4, 2, {}),
+        ("hlawka3", 3, 3, {}),
     ])
     def test_permutation_invariance_exact(self, family, n, p, levels, rng):
         mats = pd_tuple(23, n, 2)
@@ -242,39 +232,46 @@ class TestSharedProperties:
         # Tested where the difference is genuinely nonzero (p >= n for the
         # alternating family; its p < n differences vanish identically).
         mats = pd_tuple(24, 4, 2)
-        for builder, p in ((alternating_difference, 4), (pop_pairs_difference, 3)):
-            base = builder(mats, p)
-            scaled = builder([t * m for m in mats], p)
+        for family, p in (("alternating", 4), ("pop-pairs", 3)):
+            base = build_difference(family, mats, p)
+            scaled = build_difference(family, [t * m for m in mats], p)
             expect = (t**p) * base.array
             scale = max(1.0, np.abs(expect).max())
             assert np.abs(scaled.array - expect).max() <= 1e-10 * scale
 
     @pytest.mark.parametrize("family,n,p,levels", [
-        (OperatorFamily.HLAWKA3, 3, 3, {}),
-        (OperatorFamily.SUPERMOD, 3, 3, {}),
-        (OperatorFamily.ALTERNATING, 5, 2, {}),
-        (OperatorFamily.POP_LEVELS, 4, 2, {"k": 1, "ell": 3, "m": 4}),
+        ("hlawka3", 3, 3, {}),
+        ("supermod", 3, 3, {}),
+        ("alternating", 5, 2, {}),
+        ("pop-levels", 4, 2, {"k": 1, "ell": 3, "m": 4}),
     ])
     def test_output_exactly_hermitian(self, family, n, p, levels):
         mats = pd_tuple(25, n, 3)
         out = build_difference(family, mats, p, **levels)
         assert np.array_equal(out.array, out.array.conj().T)
 
+    @pytest.mark.parametrize("family", ["popoviciu", "no-such-family"])
+    def test_only_operator_families_are_accepted(self, family):
+        # "popoviciu" names a convex/norm suite of the same table, not an
+        # operator family.
+        with pytest.raises(InputError, match=r"^unknown operator family .*'hlawka3'"):
+            build_difference(family, pd_tuple(28, 3, 2), 3)
+
     def test_mixed_dimensions_rejected(self):
         mats = pd_tuple(26, 2, 2) + pd_tuple(26, 1, 3)
         with pytest.raises(InputError):
-            alternating_difference(mats, 2)
+            build_difference("alternating", mats, 2)
 
     def test_budget_propagates(self):
         mats = pd_tuple(27, 3, 4)
         with pytest.raises(BudgetError):
-            alternating_difference(mats, 2, max_dim=8)
+            build_difference("alternating", mats, 2, max_dim=8)
 
     def test_psd_inputs_accepted(self):
         # Singular PSD inputs are fine: inequalities are closed under limits.
         rank1 = HermitianMatrix(np.outer([1.0, 1.0], [1.0, 1.0]))
         mats = [rank1, rank1, HermitianMatrix.identity(2)]
-        cert = psd_certificate(hlawka3_difference(*mats, 3))
+        cert = psd_certificate(build_difference("hlawka3", mats, 3))
         assert cert.ok
 
 
@@ -301,17 +298,6 @@ STATEMENTS = {
          (Fraction(ell - k, m * comb(n, m)), subsets(n, m))],
         [(Fraction(m - k, ell * comb(n, ell)), subsets(n, ell))]),
 }
-
-WRAPPERS = {
-    "superadd": lambda mats, p, **_: superadditivity_difference(mats, p),
-    "hlawka3": lambda mats, p, **_: hlawka3_difference(*mats, p),
-    "supermod": lambda mats, p, **_: supermodularity_difference(*mats, p),
-    "alternating": lambda mats, p, **_: alternating_difference(mats, p),
-    "pop-pairs": lambda mats, p, **_: pop_pairs_difference(mats, p),
-    "pop-subsets": lambda mats, p, m, **_: pop_subsets_difference(mats, m, p),
-    "pop-levels": lambda mats, p, k, ell, m: pop_levels_difference(mats, k, ell, m, p),
-}
-
 
 def pairwise(terms):
     """The pairwise sum restated: blocks of 2^j terms from the left, largest
@@ -374,8 +360,7 @@ class TestAgainstStatementOracle:
         for seed in range(3):
             mats = pd_tuple(40 + seed, n, 2)
             expected = oracle(family, mats, p, **levels).tobytes()
-            assert WRAPPERS[family](mats, p, **levels).array.tobytes() == expected
-            out = build_difference(OperatorFamily(family), mats, p, **levels)
+            out = build_difference(family, mats, p, **levels)
             assert out.array.tobytes() == expected
 
     @pytest.mark.parametrize("family, n, p, levels", ORACLE_CASES,
@@ -383,6 +368,6 @@ class TestAgainstStatementOracle:
     def test_stacked_inputs(self, family, n, p, levels):
         trials = [pd_tuple(derive_seed(50, t), n, 2, 100.0) for t in range(4)]
         parts = [stack_of([mats[i] for mats in trials]) for i in range(n)]
-        out = build_difference(OperatorFamily(family), parts, p, **levels)
+        out = build_difference(family, parts, p, **levels)
         for t, mats in enumerate(trials):
             assert out[t].array.tobytes() == oracle(family, mats, p, **levels).tobytes()
