@@ -17,13 +17,13 @@ Public surface:
 
 from .errors import BudgetError, HlawkaError, InputError
 from .linalg import (
+    DEFAULT_CONDITION_TARGET,
     DEFAULT_LOEWNER_TOL,
     DEFAULT_MAX_TENSOR_DIM,
     HermitianMatrix,
     HermitianStack,
     LoewnerCertificate,
     PdBatchConfig,
-    PdSampleConfig,
     Verdict,
     hermitian_eigenvalues,
     kron,

@@ -26,7 +26,7 @@ from .harness import SUITES, RunConfig, run_counterexample, run_scalar_verify, r
 from .linalg import load_matrix
 from .matfunc import generalized_matrix_function, parse_character_selector
 from .report import TrialReport
-from .scalar import SEARCH_FAMILIES, SEARCH_STRATEGIES
+from .scalar import CONVEX_KINDS, SEARCH_FAMILIES, SEARCH_STRATEGIES
 from .sums import FAMILIES
 from .symgroup import load_character_table
 from .util import format_complex_sig17
@@ -77,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_counter.add_argument("--center", help="comma-separated center of the sampled region")
     p_counter.add_argument("--radius", type=float, help="half-width of the region (with --center)")
     for p_convex in (p_scalar, p_counter):
-        p_convex.add_argument("--fn", help="convex function: abs|square|fourth|exp|relu|softplus"
+        p_convex.add_argument("--fn", help=f"convex function: {'|'.join(CONVEX_KINDS)}"
                                            "|all (all: scalar-verify only)")
         p_convex.add_argument("--include-known", action="store_const", const=True,
                               help="the known refuting input of --family hlawka-pop")

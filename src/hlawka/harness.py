@@ -35,6 +35,7 @@ import numpy as np
 
 from .errors import InputError
 from .linalg import (
+    DEFAULT_CONDITION_TARGET,
     DEFAULT_LOEWNER_TOL,
     DEFAULT_MAX_TENSOR_DIM,
     HermitianStack,
@@ -142,10 +143,10 @@ _LEVELS = {"k": None, "ell": None, "m": None}
 #: ``params``.
 _READS = {
     "verify": (tuple(FAMILIES), DEFAULT_LOEWNER_TOL, {
-        "n": 3, "p": 3, "dim": 2, "condition_target": 10.0,
+        "n": 3, "p": 3, "dim": 2, "condition_target": DEFAULT_CONDITION_TARGET,
         "max_tensor_dim": DEFAULT_MAX_TENSOR_DIM, **_LEVELS}),
     "matrix": (tuple(FAMILIES), DEFAULT_SCALAR_MATRIX_TOL, {
-        "n": 3, "dim": 3, "char": "det", "condition_target": 10.0, **_LEVELS}),
+        "n": 3, "dim": 3, "char": "det", "condition_target": DEFAULT_CONDITION_TARGET, **_LEVELS}),
     "convex": (tuple(CONVEX_NORM_SUITES), DEFAULT_SCALAR_TOL, {
         "n": 3, "dim": 3, "fn": "all", **_LEVELS, "include_known": False, "points": None}),
     "counterexample": (SEARCH_FAMILIES, DEFAULT_SCALAR_TOL, {
@@ -165,11 +166,13 @@ def _settings(cfg: RunConfig, route: str) -> tuple[RunConfig, list[str]]:
     an unknown strategy, convex function or character, ``include_known``
     beside ``points`` or in a search at another n than the known input's,
     a ``center`` region that cannot be sampled, parameters the family's
-    table entry refuses (explicit inputs set n and one trial first), vectors
-    that do not split into n rows (they set ``dim``), an ``n`` or ``dim``
-    set to another value than the given points or the known input give, and
-    last, as budget errors, a tensor over ``max_tensor_dim`` and a group
-    over the guard.
+    table entry refuses (explicit inputs set n and one trial first) and, as
+    a budget error, a level of more subsets than
+    :data:`~hlawka.sums.MAX_LEVEL_SUBSETS` (counted before any is listed),
+    vectors that do not split into n rows (they set ``dim``), an ``n`` or
+    ``dim`` set to another value than the given points or the known input
+    give, and last, as budget errors, a tensor over ``max_tensor_dim`` and a
+    group over the guard.
     """
     families, tol, row = _READS[route]
     if cfg.family not in families:

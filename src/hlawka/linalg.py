@@ -25,7 +25,6 @@ import math
 import os
 from dataclasses import dataclass
 from enum import Enum
-from typing import ClassVar
 
 import numpy as np
 
@@ -37,6 +36,9 @@ DEFAULT_MAX_TENSOR_DIM = 4096
 
 #: Default relative tolerance for Loewner-order certificates.
 DEFAULT_LOEWNER_TOL = 1e-8
+
+#: Default ratio of the largest to the smallest eigenvalue of a sample.
+DEFAULT_CONDITION_TARGET = 10.0
 
 #: Input matrices may deviate from exact hermiticity by this fraction of
 #: their largest absolute entry before being rejected.
@@ -203,8 +205,7 @@ class PdBatchConfig:
 
     dim: int
     seeds: tuple[int, ...]
-    condition_target: float = 10.0
-    _carrier: ClassVar[type] = HermitianStack
+    condition_target: float = DEFAULT_CONDITION_TARGET
 
     def __post_init__(self) -> None:
         if self.dim < 1:
@@ -213,21 +214,6 @@ class PdBatchConfig:
             raise InputError("seed must be a 64-bit unsigned integer")
         if not (math.isfinite(self.condition_target) and self.condition_target >= 1.0):
             raise InputError("condition_target must be finite and >= 1")
-
-
-class PdSampleConfig(PdBatchConfig):
-    """The one-seed :class:`PdBatchConfig`: :func:`random_pd` gives a
-    :class:`HermitianMatrix`, matrix 0 of the stack it gives for
-    ``seeds=(seed,)``."""
-
-    _carrier: ClassVar[type] = HermitianMatrix
-
-    def __init__(self, dim: int, seed: int, condition_target: float = 10.0) -> None:
-        super().__init__(dim, (seed,), condition_target)
-
-    @property
-    def seed(self) -> int:
-        return self.seeds[0]
 
 
 def _as_array(mat) -> np.ndarray:
@@ -385,8 +371,7 @@ def loewner_geq(a: HermitianMatrix, b: HermitianMatrix, tol: float = DEFAULT_LOE
 
 def random_pd(cfg: PdBatchConfig) -> HermitianStack:
     """Seeded Hermitian positive definite samples, one per seed, as a
-    :class:`HermitianStack`; one :class:`HermitianMatrix` for a
-    :class:`PdSampleConfig`.
+    :class:`HermitianStack`: ``random_pd(cfg)[k]`` is sample k.
 
     Built as ``Q diag(lam) Q*`` where Q comes from the QR factorization of
     a seeded complex Gaussian matrix (columns rephased so R has a positive
@@ -410,7 +395,7 @@ def random_pd(cfg: PdBatchConfig) -> HermitianStack:
     lam = np.geomspace(1.0, cfg.condition_target, d)
     h = (q * lam) @ q.conj().swapaxes(-1, -2)
     h = (h + h.conj().swapaxes(-1, -2)) / 2.0
-    return cfg._carrier._wrap_exact(h)
+    return HermitianStack._wrap_exact(h)
 
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx) for one 64-bit

@@ -40,45 +40,35 @@ from .sums import _alternating, _level, _pop_subsets
 #: Default relative tolerance deciding whether a scalar margin "holds".
 DEFAULT_SCALAR_TOL = 1e-12
 
-CONVEX_KINDS = ("abs", "square", "fourth", "exp", "relu", "softplus")
+#: The one catalog of convex functions on the real line: kind -> function.
+#: It is fixed because convexity of arbitrary user code cannot be verified.
+#: softplus is evaluated stably on both tails.
+CONVEX_FUNCTIONS = {
+    "abs": abs,
+    "square": lambda y: y * y,
+    "fourth": lambda y: y**4,
+    "exp": math.exp,
+    "relu": lambda y: y if y > 0.0 else 0.0,
+    "softplus": lambda y: y + math.log1p(math.exp(-y)) if y > 0.0 else math.log1p(math.exp(y)),
+}
+
+CONVEX_KINDS = tuple(CONVEX_FUNCTIONS)
 
 
 @dataclass(frozen=True)
 class ConvexFunction:
-    """One of a fixed catalog of convex functions on the real line.
-
-    ``shift`` and ``scale`` pre-compose an affine map, f(x) =
-    base(scale * (x - shift)), which preserves convexity for any values.
-    The catalog is fixed because convexity of arbitrary user code cannot
-    be verified.
-    """
+    """The :data:`CONVEX_FUNCTIONS` entry ``kind``, called on a float."""
 
     kind: str
-    shift: float = 0.0
-    scale: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.kind not in CONVEX_KINDS:
+        if self.kind not in CONVEX_FUNCTIONS:
             raise InputError(f"unknown convex function {self.kind!r}; choose from {CONVEX_KINDS}")
 
     def __call__(self, x: float) -> float:
         # An overflow gives inf, as float arithmetic does, for the check to refuse.
-        y = self.scale * (float(x) - self.shift)
         try:
-            if self.kind == "abs":
-                return abs(y)
-            if self.kind == "square":
-                return y * y
-            if self.kind == "fourth":
-                return y**4
-            if self.kind == "exp":
-                return math.exp(y)
-            if self.kind == "relu":
-                return y if y > 0.0 else 0.0
-            # softplus, evaluated stably on both tails
-            if y > 0.0:
-                return y + math.log1p(math.exp(-y))
-            return math.log1p(math.exp(y))
+            return CONVEX_FUNCTIONS[self.kind](float(x))
         except OverflowError:
             return math.inf
 
@@ -217,7 +207,8 @@ def _evaluate(suite: str, data, f: ConvexFunction | None = None, *, k=None, ell=
     * ``norm``:  ``float(w) * ||sum of the vectors of S||``, one vector a row
     * ``value``: ``float(w) * f(the points of S added one by one)``
     * ``mean``:  ``float(w*|S|) * f(fsum(the points of S) / |S|)``, with the
-      exact product ``w*|S|`` rounded once.
+      exact product ``w*|S|`` rounded once; an overflowing ``fsum`` is an
+      infinite term, which :func:`_result` refuses.
     """
     term = SUITES[suite].term
     if term == "norm":
@@ -230,8 +221,11 @@ def _evaluate(suite: str, data, f: ConvexFunction | None = None, *, k=None, ell=
     if term == "value":
         return _result(*([c * f(reduce(add, map(pts.__getitem__, s))) for c, s in side]
                          for side in sides), tol)
-    return _result(*([c * f(fsum(map(pts.__getitem__, s)) / len(s)) for c, s in side]
-                     for side in sides), tol)
+    try:
+        terms = [[c * f(fsum(map(pts.__getitem__, s)) / len(s)) for c, s in side] for side in sides]
+    except OverflowError:  # fsum refuses a subset sum beyond double precision
+        terms = [[math.inf], []]
+    return _result(*terms, tol)
 
 
 def sample_shape(suite: str, n: int, dim: int, center=None) -> tuple[int, ...]:

@@ -44,7 +44,7 @@ from math import comb, lcm
 
 import numpy as np
 
-from .errors import InputError
+from .errors import BudgetError, InputError
 from .linalg import (
     DEFAULT_MAX_TENSOR_DIM,
     HermitianStack,
@@ -54,6 +54,10 @@ from .linalg import (
     check_tensor_budget,
 )
 from .linalg import _kron_power as _power
+
+#: Largest number of subsets one level may list (C(18, 9) = 48620 fits):
+#: a level is counted before it is built, and refused beyond this.
+MAX_LEVEL_SUBSETS = 2**16
 
 
 @dataclass(frozen=True)
@@ -67,6 +71,9 @@ class Level:
 
 
 def _level(n: int, size: int, weight=1) -> Level:
+    if comb(n, size) > MAX_LEVEL_SUBSETS:
+        raise BudgetError(f"level of the {size}-subsets of {n} inputs: C({n}, {size}) = "
+                          f"{comb(n, size)} exceeds budget {MAX_LEVEL_SUBSETS}")
     return Level(Fraction(weight), tuple(combinations(range(n), size)))
 
 

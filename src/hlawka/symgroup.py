@@ -163,16 +163,11 @@ def _mn(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
 # ---------------------------------------------------------------------------
 
 
-class GroupKind(Enum):
-    FULL_SYMMETRIC = "FULL_SYMMETRIC"
-    EXPLICIT = "EXPLICIT"
-
-
 @dataclass(frozen=True)
 class GroupSpec:
-    """A permutation group: S_m by degree, or an explicit element list."""
+    """A permutation group: S_degree when ``elements`` is empty, else the
+    group of the listed elements."""
 
-    kind: GroupKind
     degree: int
     elements: tuple[tuple[int, ...], ...] = ()
 
@@ -180,7 +175,7 @@ class GroupSpec:
     def full_symmetric(cls, m: int) -> "GroupSpec":
         if m < 1:
             raise InputError("degree must be >= 1")
-        return cls(kind=GroupKind.FULL_SYMMETRIC, degree=m)
+        return cls(degree=m)
 
     @classmethod
     def explicit(cls, perms) -> "GroupSpec":
@@ -190,7 +185,7 @@ class GroupSpec:
         degree = len(elems[0])
         if any(len(p) != degree for p in elems):
             raise InputError("all permutations must act on the same number of letters")
-        return cls(kind=GroupKind.EXPLICIT, degree=degree, elements=elems)
+        return cls(degree=degree, elements=elems)
 
 
 class CharacterKind(Enum):
@@ -247,7 +242,7 @@ def enumerate_group(spec: GroupSpec) -> np.ndarray:
     inverse; a violation is an input error.  Full symmetric groups are
     guarded by :func:`check_symmetric_degree`.
     """
-    if spec.kind is GroupKind.FULL_SYMMETRIC:
+    if not spec.elements:
         check_symmetric_degree(spec.degree)
         # Block a of S_k is a followed by S_(k-1), in order, on the letters
         # other than a: relabelling keeps each block in lexicographic order.
@@ -340,7 +335,7 @@ def character_values(spec: GroupSpec, chi: CharacterSpec, elements: np.ndarray) 
         if chi.kind is CharacterKind.SIGN:
             value = permutation_sign
         else:
-            if spec.kind is not GroupKind.FULL_SYMMETRIC:
+            if spec.elements:
                 raise InputError("partition characters require the full symmetric group")
             lam = chi.partition
             if lam is None or sum(lam) != spec.degree:

@@ -24,7 +24,6 @@ from hlawka.linalg import (
     HermitianStack,
     _kron_power,
     PdBatchConfig,
-    PdSampleConfig,
     Verdict,
     min_eigenvalue,
     kron,
@@ -304,7 +303,7 @@ class TestStackedCalls:
         stack = random_pd(PdBatchConfig(dim=3, seeds=seeds, condition_target=50.0))
         assert (len(stack), stack.dim, stack.array.shape) == (6, 3, (6, 3, 3))
         for i, seed in enumerate(seeds):
-            single = random_pd(PdSampleConfig(dim=3, seed=seed, condition_target=50.0))
+            single = random_pd(PdBatchConfig(dim=3, seeds=(seed,), condition_target=50.0))[0]
             assert stack[i].array.tobytes() == single.array.tobytes()
             assert stack.digests[i] == single.digest
 
@@ -380,10 +379,10 @@ class TestStackedCalls:
         assert str(tensor.value) == str(scalar.value) == message
 
 
-def one_qr_sample(cfg: PdSampleConfig) -> np.ndarray:
+def one_qr_sample(cfg: PdBatchConfig) -> np.ndarray:
     """A log-uniform sample by the one-matrix-at-a-time formula: its own
-    QR, spectrum and products."""
-    rng = np.random.default_rng(cfg.seed)
+    QR, spectrum and products, for the one seed of ``cfg``."""
+    rng = np.random.default_rng(cfg.seeds[0])
     d = cfg.dim
     z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     q, r = np.linalg.qr(z)
@@ -425,9 +424,9 @@ class TestKernelsAgainstNumpyFormulas:
         seeds = EDGE_SEEDS + tuple(derive_seed(dim, i) for i in range(5))
         stack = random_pd(PdBatchConfig(dim=dim, seeds=seeds, condition_target=100.0))
         for i, seed in enumerate(seeds):
-            cfg = PdSampleConfig(dim=dim, seed=seed, condition_target=100.0)
+            cfg = PdBatchConfig(dim=dim, seeds=(seed,), condition_target=100.0)
             expected = one_qr_sample(cfg).tobytes()
-            assert random_pd(cfg).array.tobytes() == expected
+            assert random_pd(cfg)[0].array.tobytes() == expected
             assert stack[i].array.tobytes() == expected
 
     @pytest.mark.parametrize("dim, power", [(1, 5), (2, 1), (2, 4), (3, 3), (4, 2)])

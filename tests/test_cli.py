@@ -4,13 +4,18 @@ import argparse
 import csv
 import dataclasses
 import json
+import os
 import re
+import resource
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hlawka
 from hlawka.cli import _config_from, build_parser, main
 from hlawka.errors import InputError
 from hlawka.harness import (
@@ -22,7 +27,7 @@ from hlawka.harness import (
     run_scalar_verify,
     run_verify,
 )
-from hlawka.linalg import PdSampleConfig, random_pd, save_matrix
+from hlawka.linalg import PdBatchConfig, random_pd, save_matrix
 from hlawka.scalar import (
     CONVEX_KINDS,
     CONVEX_NORM_SUITES,
@@ -535,7 +540,7 @@ class TestImmanantCommand:
         assert capsys.readouterr().out.strip() == "2"
 
     def test_seventeen_digit_round_trip(self, tmp_path, capsys):
-        h = random_pd(PdSampleConfig(dim=3, seed=123))
+        h = random_pd(PdBatchConfig(dim=3, seeds=(123,)))[0]
         path = tmp_path / "m.json"
         save_matrix(path, h)
         assert main(["immanant", str(path), "det"]) == 0
@@ -632,6 +637,51 @@ class TestOverflowRefused:
         assert main([*command.split(), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: overflow: ")
         assert not out.exists()
+
+
+def run_capped(command: str) -> subprocess.CompletedProcess:
+    """``hlawka <command>`` in a child process held to 1 GiB of address space
+    and a few seconds, so that a regression fails the test instead of
+    exhausting the machine."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    src = str(Path(hlawka.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-m", "hlawka.cli", *command.split()],
+                          env={**os.environ, "PYTHONPATH": src}, preexec_fn=cap,
+                          capture_output=True, text=True, timeout=10)
+
+
+class TestRefusedInACappedChild:
+    # The overflow lines exited 1, the violation code, with a traceback of
+    # "OverflowError: intermediate overflow in fsum".  The --n 40 lines
+    # raised MemoryError while listing every level's subsets, and the --n 22
+    # line ran for minutes.
+    @pytest.mark.parametrize("command", [
+        "scalar-verify --family popoviciu --points 1e308,1e308,1e308",
+        "scalar-verify --family jensen --points 1e308,1e308",
+        "scalar-verify --family jensen --points 1e308,1e308 --fn softplus",
+        "counterexample --family hlawka-pop --n 4 --center 1e308,1e308,1e308,1e308 --radius 1 "
+        "--trials 1",
+    ])
+    def test_mean_rule_overflow_exits_two(self, command):
+        done = run_capped(command)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == "error: overflow: a term or a side of the inequality exceeds " \
+                              "double precision\n"
+
+    @pytest.mark.parametrize("command", [
+        "verify --family alternating --n 40 --p 1 --trials 1",
+        "scalar-verify --family alternating --char det --n 40 --trials 1",
+        "counterexample --family freudenthal --n 40 --trials 1",
+        "counterexample --family hlawka-pop --n 40 --trials 1",
+        "scalar-verify --family alternating --char det --n 22 --dim 2 --trials 1",
+    ])
+    def test_subset_budget_exits_three_before_any_subset_is_listed(self, command):
+        done = run_capped(command)
+        assert (done.returncode, done.stdout) == (3, "")
+        assert re.fullmatch(r"budget exceeded: level of the \d+-subsets of \d+ inputs: "
+                            r"C\(\d+, \d+\) = \d+ exceeds budget 65536\n", done.stderr)
 
 
 class TestToleranceRefused:

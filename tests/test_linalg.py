@@ -18,7 +18,7 @@ from hlawka.errors import BudgetError, InputError
 from hlawka.linalg import (
     HermitianMatrix,
     HermitianStack,
-    PdSampleConfig,
+    PdBatchConfig,
     Verdict,
     _generators,
     _seed_states,
@@ -132,8 +132,8 @@ class TestKron:
             assert np.max(np.abs(got - expected)) < 1e-9 * scale
 
     def test_positivity_closure(self):
-        a = random_pd(PdSampleConfig(dim=3, seed=11))
-        b = random_pd(PdSampleConfig(dim=2, seed=12))
+        a = random_pd(PdBatchConfig(dim=3, seeds=(11,)))[0]
+        b = random_pd(PdBatchConfig(dim=2, seeds=(12,)))[0]
         assert min_eigenvalue(HermitianMatrix(kron(a, b))) > 0
 
 
@@ -230,8 +230,8 @@ class TestLoewner:
             assert (cert.min_eigenvalue >= -band) == (cert.verdict is not Verdict.FAILS)
 
     def test_superadditivity_of_tensor_powers(self):
-        a = random_pd(PdSampleConfig(dim=2, seed=101))
-        b = random_pd(PdSampleConfig(dim=2, seed=102))
+        a = random_pd(PdBatchConfig(dim=2, seeds=(101,)))[0]
+        b = random_pd(PdBatchConfig(dim=2, seeds=(102,)))[0]
         for p in range(1, 5):
             lhs = tensor_power(a + b, p)
             rhs = tensor_power(a, p) + tensor_power(b, p)
@@ -274,30 +274,30 @@ class TestBandVerdict:
 class TestRandomPd:
     def test_positive_definite(self):
         for seed in range(20):
-            h = random_pd(PdSampleConfig(dim=4, seed=seed))
+            h = random_pd(PdBatchConfig(dim=4, seeds=(seed,)))[0]
             assert min_eigenvalue(h) > 0
 
     def test_bit_identical_for_same_seed(self):
-        cfg = PdSampleConfig(dim=5, seed=987654321, condition_target=50.0)
+        cfg = PdBatchConfig(dim=5, seeds=(987654321,), condition_target=50.0)
         a, b = random_pd(cfg), random_pd(cfg)
         assert a.array.tobytes() == b.array.tobytes()
 
     def test_condition_number_tracks_target(self):
         for seed in (1, 2, 3, 4, 5):
-            h = random_pd(PdSampleConfig(dim=3, seed=seed, condition_target=100.0))
+            h = random_pd(PdBatchConfig(dim=3, seeds=(seed,), condition_target=100.0))[0]
             eigs = hermitian_eigenvalues(h)
             ratio = eigs[-1] / eigs[0]
             assert 50.0 <= ratio <= 200.0
 
     def test_config_validation(self):
         with pytest.raises(InputError):
-            PdSampleConfig(dim=0, seed=1)
+            PdBatchConfig(dim=0, seeds=(1,))
         with pytest.raises(InputError):
-            PdSampleConfig(dim=2, seed=1, condition_target=0.5)
+            PdBatchConfig(dim=2, seeds=(1,), condition_target=0.5)
         with pytest.raises(InputError):
-            PdSampleConfig(dim=2, seed=-1)
+            PdBatchConfig(dim=2, seeds=(-1,))
         with pytest.raises(InputError):
-            PdSampleConfig(dim=2, seed=1.0)
+            PdBatchConfig(dim=2, seeds=(1.0,))
 
     def test_seed_states_match_numpy_seed_sequence(self):
         seeds = EDGE_SEEDS + tuple(derive_seed(2026, i) for i in range(10_000))
@@ -344,8 +344,8 @@ class TestRandomPd:
             "before = 'numpy.random' in sys.modules\n"
             "import hlawka.cli\n"
             "after_import = 'numpy.random' in sys.modules\n"
-            "from hlawka.linalg import PdSampleConfig, random_pd\n"
-            "random_pd(PdSampleConfig(dim=2, seed=1))\n"
+            "from hlawka.linalg import PdBatchConfig, random_pd\n"
+            "random_pd(PdBatchConfig(dim=2, seeds=(1,)))\n"
             "print(before, after_import, 'numpy.random' in sys.modules)\n"
         )
         src = str(Path(hlawka.__file__).resolve().parents[1])
@@ -370,7 +370,7 @@ class TestMatrixFile:
         assert back.tobytes() == arr.tobytes()
 
     def test_hermitian_round_trip(self, tmp_path):
-        h = random_pd(PdSampleConfig(dim=3, seed=77))
+        h = random_pd(PdBatchConfig(dim=3, seeds=(77,)))[0]
         path = tmp_path / "h.json"
         save_matrix(path, h)
         back = load_hermitian(path)

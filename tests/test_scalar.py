@@ -93,10 +93,6 @@ class TestConvexCatalog:
         for f in convex_catalog():
             assert math.isfinite(f(0.3))
 
-    def test_affine_parameters(self):
-        f = ConvexFunction("square", shift=1.0, scale=2.0)
-        assert f(2.0) == 4.0  # (2*(2-1))^2
-
     def test_softplus_stable_on_tails(self):
         f = ConvexFunction("softplus")
         assert f(1000.0) == pytest.approx(1000.0)

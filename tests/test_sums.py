@@ -11,6 +11,7 @@ import pytest
 from conftest import input_scale, pd_tuple, stack_of
 
 from hlawka.errors import BudgetError, InputError
+from hlawka import sums
 from hlawka.linalg import HermitianMatrix, Verdict, psd_certificate
 from hlawka.sums import build_difference, symmetric_tensor_sum
 from hlawka.util import derive_seed
@@ -266,6 +267,15 @@ class TestSharedProperties:
         mats = pd_tuple(27, 3, 4)
         with pytest.raises(BudgetError):
             build_difference("alternating", mats, 2, max_dim=8)
+
+    def test_subset_budget_counts_each_level_before_listing_it(self, monkeypatch):
+        # C(40, 20) subsets would not fit in memory; the count refuses first.
+        with pytest.raises(BudgetError, match=r"C\(40, 36\) = 91390 exceeds budget 65536"):
+            build_difference("alternating", pd_tuple(29, 40, 2), 1)
+        monkeypatch.setattr(sums, "MAX_LEVEL_SUBSETS", 10)
+        assert len(sums._level(5, 2).subsets) == 10
+        with pytest.raises(BudgetError, match=r"C\(6, 2\) = 15 exceeds budget 10"):
+            symmetric_tensor_sum(pd_tuple(29, 6, 2), 2, 1)
 
     def test_psd_inputs_accepted(self):
         # Singular PSD inputs are fine: inequalities are closed under limits.
