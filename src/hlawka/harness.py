@@ -43,7 +43,6 @@ from .linalg import (
     Verdict,
     _generators,
     band_verdict,
-    check_tensor_budget,
     min_eigenvalue,
     psd_certificate,
     random_pd,
@@ -74,7 +73,7 @@ from .scalar import (
     suite_terms,
     vasc_check,
 )
-from .sums import FAMILIES, build_difference
+from .sums import FAMILIES, build_difference, check_build_budget
 from .symgroup import check_symmetric_degree
 from .util import derive_seed
 
@@ -242,7 +241,8 @@ def _settings(cfg: RunConfig, route: str) -> tuple[RunConfig, list[str]]:
                                  f"{name} {getattr(cfg, name)}")
 
     if cfg.p is not None:
-        check_tensor_budget(cfg.dim, cfg.p, cfg.max_tensor_dim)
+        check_build_budget(cfg.family, cfg.n, cfg.p, cfg.dim, cfg.max_tensor_dim,
+                           k=cfg.k, ell=cfg.ell, m=cfg.m)
     if cfg.char is not None:
         check_symmetric_degree(cfg.dim)
     return cfg, names

@@ -203,9 +203,12 @@ def scalar_inequality_check(
 
     # One row per term, one column per trial.  Subset sums stay in input
     # order (the reports' bits depend on it); fsum rounds each side once, so
-    # no grouping of the terms needs fixing.
-    lhs, rhs = (np.array([c * d(reduce(add, map(arrays.__getitem__, s))).real for c, s in side])
-                for side in suite_terms(family, len(hs), k, ell, m))
+    # no grouping of the terms needs fixing.  An overflowed term is inf or
+    # NaN, which _result refuses.
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs, rhs = (np.array([c * d(reduce(add, map(arrays.__getitem__, s))).real
+                              for c, s in side])
+                    for side in suite_terms(family, len(hs), k, ell, m))
     return _single_or_all(hs[0], [_result(lhs[:, t], rhs[:, t], tol)
                                   for t in range(lhs.shape[1])])
 

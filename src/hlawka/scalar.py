@@ -214,8 +214,10 @@ def _evaluate(suite: str, data, f: ConvexFunction | None = None, *, k=None, ell=
     if term == "norm":
         arr = _sorted_vectors(data)
         sides = suite_terms(suite, arr.shape[0], k, ell, m)
-        return _result(*([c * float(np.linalg.norm(arr[list(s)].sum(axis=0)))
-                          for c, s in side] for side in sides), tol)
+        with np.errstate(over="ignore", invalid="ignore"):  # _result refuses an inf term
+            terms = [[c * float(np.linalg.norm(arr[list(s)].sum(axis=0))) for c, s in side]
+                     for side in sides]
+        return _result(*terms, tol)
     pts = _sorted_points(data)
     sides = suite_terms(suite, len(pts), k, ell, m)
     if term == "value":

@@ -24,21 +24,32 @@ for single-matrix inputs.  The families:
 * ``pop-levels``:  rationally weighted three-level comparison
 
 where X^op denotes the p-fold Kronecker power and S_k the sum of such
-powers over all size-k subset sums.  The alternating difference is an n-th
-order finite difference, so at p < n it is zero up to rounding; strict
-positivity needs p >= n.
+powers over all size-k subset sums.
+
+The difference is built as a positive sum over words, as the paper proves
+it.  Expanding each subset power over words w in [n]^p gives
+LHS - RHS = sum_w c(supp w) A_w, with A_w = A_{w_1} (x) ... (x) A_{w_p} and
+the exact coefficients c(U) of :func:`support_coefficients`, all >= 0 for
+every entry above (checked exactly at every parameter set with n <= 12).
+A DP over the word length keeps one partial sum per support set that can
+still reach a set with c != 0, so nothing is formed that cancels later.
+The alternating difference is an n-th order finite difference: its only
+nonzero coefficient is on the full set, so at p < n no word survives and it
+is exactly zero; strict positivity needs p >= n.
 
 Determinism: inputs are first canonically ordered by content hash (trial
-by trial for stacks), then subsets are enumerated lexicographically and
-accumulated with pairwise (tree) summation.  Shuffling the input list
+by trial for stacks), then support sets are visited in ascending bitmask
+order and every sum runs in one fixed order.  Shuffling the input list
 therefore cannot change a single bit of the output.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import comb, lcm
 
@@ -49,15 +60,20 @@ from .linalg import (
     DEFAULT_MAX_TENSOR_DIM,
     HermitianStack,
     _entries,
+    _kron,
     _same_shape,
     _single_or_all,
     check_tensor_budget,
 )
-from .linalg import _kron_power as _power
 
 #: Largest number of subsets one level may list (C(18, 9) = 48620 fits):
-#: a level is counted before it is built, and refused beyond this.
+#: a level is counted before it is built, and refused beyond this.  The
+#: support sets of a build are held to the same count.
 MAX_LEVEL_SUBSETS = 2**16
+
+#: A build may hold at most this many arrays of the tensor budget's size,
+#: ``max_dim x max_dim`` entries, per trial.
+MAX_BUILD_ARRAYS = 8
 
 
 @dataclass(frozen=True)
@@ -189,46 +205,191 @@ def _canonical_arrays(mats, *, keep_first_fixed: bool = False) -> list[np.ndarra
     return [stacked[order[:, i], trial] for i in range(len(hs))]
 
 
-def _pairwise_sum(terms) -> np.ndarray:
-    # Binary-counter pairwise accumulation: deterministic for a fixed term
-    # order and keeps at most log2(#terms) partial sums alive.
-    stack: list[tuple[int, np.ndarray]] = []
-    for term in terms:
-        level = 0
-        while stack and stack[-1][0] == level:
-            _, prev = stack.pop()
-            term = prev + term
-            level += 1
-        stack.append((level, term))
-    if not stack:
-        raise InputError("empty term sequence")
-    acc = None
-    for _, part in reversed(stack):
-        acc = part if acc is None else acc + part
-    return acc
+def support_coefficients(name: str, n: int, k=None, ell=None, m=None) -> dict[int, Fraction]:
+    """The coefficient ``c(U)`` of every nonempty support set U of the
+    entry ``FAMILIES[name]`` over n inputs, keyed by bitmask (input i is
+    bit i), in ascending order.
+
+    Expanding each subset power over words, ``(sum_{i in S} A_i)^{(x)p} =
+    sum_{supp w ⊆ S} A_{w_1} (x) ... (x) A_{w_p}``, turns LHS - RHS into
+    ``sum_w c(supp w) A_w``, where ``c(U)`` is the sum over the levels of
+    ``±weight * #{S in the level : S ⊇ U}``, + on the LHS and - on the RHS.
+    Exact; refused with :class:`BudgetError` beyond ``MAX_LEVEL_SUBSETS``
+    sets.
+    """
+    return _coefficients(checked_sides(name, operator_family(name), n, k, ell, m), n, n)
 
 
-def _level_sum(arrays: list[np.ndarray], level: Level, p: int, den: int) -> np.ndarray:
-    # Integer weight over the common denominator; a unit weight costs no
-    # pass over the d^p x d^p sum.
-    total = _pairwise_sum(
-        _power(_pairwise_sum(arrays[i] for i in idx), p) for idx in level.subsets
-    )
-    weight = int(level.weight * den)
-    return total if weight == 1 else weight * total
+def _coefficients(sides, n: int, up_to: int) -> dict[int, Fraction]:
+    # The sets of at most up_to inputs: a word of p letters has at most p.
+    up_to = min(n, up_to)
+    count = sum(comb(n, j) for j in range(1, up_to + 1))
+    if count > MAX_LEVEL_SUBSETS:
+        raise BudgetError(f"support sets of at most {up_to} of {n} inputs: {count} exceed "
+                          f"budget {MAX_LEVEL_SUBSETS}")
+    by_size = [Fraction(0)] * (up_to + 1)
+    listed: dict[int, Fraction] = {}
+    for sign, side in zip((1, -1), sides):
+        for level in side:
+            weight = sign * level.weight
+            sizes = {len(s) for s in level.subsets}
+            size = max(sizes, default=0)
+            if sizes == {size} and len({frozenset(s) for s in level.subsets}) == comb(n, size):
+                # Every size-`size` subset: C(n - j, size - j) of them hold a j-set.
+                for j in range(1, min(size, up_to) + 1):
+                    by_size[j] += weight * comb(n - j, size - j)
+                continue
+            for s in level.subsets:
+                mask = sum(1 << i for i in s)
+                sub = mask
+                while sub:
+                    if sub.bit_count() <= up_to:
+                        listed[sub] = listed.get(sub, 0) + weight
+                    sub = (sub - 1) & mask
+    masks = sorted(sum(1 << i for i in s)
+                   for j in range(1, up_to + 1) for s in combinations(range(n), j))
+    return {u: by_size[u.bit_count()] + listed.get(u, 0) for u in masks}
+
+
+@dataclass(frozen=True)
+class _WordPlan:
+    """The support-set DP of one entry over n inputs at power p.
+
+    ``steps[k]`` builds ``T_{k+1}`` from ``T_k``: one ``(U, terms)`` per
+    live set U, ascending, each term ``(i, a, b)`` read as ``(T_k[a] +
+    T_k[b]) (x) A_i`` with an absent (``None``) set dropped.  ``fold`` is
+    one ``(i, parts)`` per input, each part ``(c(U) * den, a, b)``.
+    ``live[k]`` counts the sets ``T_k`` keeps.
+    """
+
+    steps: tuple
+    fold: tuple
+    den: int
+    live: tuple[int, ...]
+
+    def working_set(self, dim: int) -> int:
+        """Entries per trial held at the widest step: ``T_k``, ``T_{k+1}``
+        and one product, ``T_p`` being the accumulator of the fold."""
+        counts = (*self.live, 1)
+        return max(counts[k] * dim ** (2 * k) + (counts[k + 1] + 1) * dim ** (2 * k + 2)
+                   for k in range(len(self.live)))
+
+
+def _word_plan(coeff: dict[int, Fraction], n: int, p: int) -> _WordPlan:
+    # reach[U]: fewest letters still to append before the support, grown
+    # from U, is a set with c != 0.  Larger sets are settled first.
+    reach = {}
+    for u in sorted(coeff, key=int.bit_count, reverse=True):
+        reach[u] = 0 if coeff[u] else 1 + min(
+            (reach.get(u | 1 << i, math.inf) for i in range(n) if not u >> i & 1),
+            default=math.inf)
+    reach[0] = 1 + min((reach.get(1 << i, math.inf) for i in range(n)), default=math.inf)
+    live = [(0,) if reach[0] <= p else ()]
+    live += [tuple(u for u in coeff if u.bit_count() <= k and reach[u] <= p - k)
+             for k in range(1, p)]
+
+    def sources(have, u, i):
+        return u if u in have else None, u ^ 1 << i if u ^ 1 << i in have else None
+
+    steps = []
+    for k in range(p - 1):
+        have = set(live[k])
+        steps.append(tuple(
+            (u, tuple((i, *sources(have, u, i)) for i in range(n)
+                      if u >> i & 1 and (u in have or u ^ 1 << i in have)))
+            for u in live[k + 1]))
+    den = lcm(*(c.denominator for c in coeff.values()))
+    have = set(live[-1])
+    fold = tuple(
+        (i, parts) for i in range(n)
+        if (parts := tuple((int(coeff[u] * den), *sources(have, u, i)) for u in coeff
+                           if coeff[u] and u >> i & 1)))
+    return _WordPlan(tuple(steps), fold, den, tuple(map(len, live)))
+
+
+@lru_cache(maxsize=64)
+def _family_plan(family: str, n: int, p: int, k, ell, m) -> _WordPlan:
+    sides = checked_sides(family, operator_family(family), n, k, ell, m)
+    return _word_plan(_coefficients(sides, n, p), n, p)
+
+
+@lru_cache(maxsize=64)
+def _tensor_sum_plan(n: int, k: int, p: int) -> _WordPlan:
+    return _word_plan(_coefficients(([_level(n, k)], []), n, p), n, p)
+
+
+def _within_budget(plan: _WordPlan, dim: int, max_dim: int) -> _WordPlan:
+    held = plan.working_set(dim)
+    if held > MAX_BUILD_ARRAYS * max_dim**2:
+        raise BudgetError(f"the build holds {held} entries per trial, more than "
+                          f"{MAX_BUILD_ARRAYS} arrays of the budget's {max_dim}x{max_dim}")
+    return plan
+
+
+def check_build_budget(family: str, n: int, p: int, dim: int,
+                       max_dim: int = DEFAULT_MAX_TENSOR_DIM, *, k=None, ell=None, m=None) -> None:
+    """Refuse with :class:`BudgetError`, before any input exists, the
+    build of :func:`build_difference` over n inputs of size ``dim``: its
+    tensor over ``max_dim``, more than ``MAX_LEVEL_SUBSETS`` support sets,
+    or more than ``MAX_BUILD_ARRAYS`` arrays of ``max_dim x max_dim``
+    entries held per trial."""
+    check_tensor_budget(dim, p, max_dim)
+    _within_budget(_family_plan(family, n, p, k, ell, m), dim, max_dim)
+
+
+def _word_sum(arrays: list[np.ndarray], plan: _WordPlan, dim: int) -> np.ndarray:
+    # T_k[U] is the sum of A_w over the words w of length k with support
+    # exactly U, and T_{k+1}[U] = sum_{i in U} (T_k[U] + T_k[U - i]) (x) A_i.
+    # Sets ascend by bitmask, and each sum runs left to right over i
+    # ascending (in the fold: i outer, U inner), so the bits are fixed.
+    count, side = len(arrays[0]), dim ** len(plan.live)
+    if not plan.fold:
+        return np.zeros((count, side, side), dtype=np.complex128)
+
+    def pair(a, b):
+        return table[b] if a is None else table[a] if b is None else table[a] + table[b]
+
+    def weighted(parts):
+        inner = None
+        for weight, a, b in parts:
+            x = pair(a, b) if weight == 1 else weight * pair(a, b)
+            inner = x if inner is None else inner + x
+        return inner
+
+    def kron_sum(terms):
+        # In place: the bits of acc + term, without a third array alive.
+        acc = None
+        for i, x in terms:
+            if acc is None:
+                acc = _kron(x, arrays[i])
+            else:
+                acc += _kron(x, arrays[i])
+        return acc
+
+    table = {0: np.ones((count, 1, 1), dtype=np.complex128)}
+    for step in plan.steps:
+        table = {u: kron_sum((i, pair(a, b)) for i, a, b in terms) for u, terms in step}
+    total = kron_sum((i, weighted(parts)) for i, parts in plan.fold)
+    if plan.den != 1:
+        total /= plan.den
+    return total
 
 
 def symmetric_tensor_sum(
     mats, k: int, p: int, max_dim: int = DEFAULT_MAX_TENSOR_DIM
 ) -> HermitianStack:
-    """Sum of p-fold Kronecker powers of all size-k subset sums."""
+    """Sum of p-fold Kronecker powers of all size-k subset sums: the word
+    sum with ``c(U) = C(n - |U|, k - |U|)``."""
     mats = list(mats)
     arrays = _canonical_arrays(mats)
     n = len(arrays)
     if not 1 <= k <= n:
         raise InputError(f"k must satisfy 1 <= k <= {n}, got {k}")
-    check_tensor_budget(arrays[0].shape[-1], p, max_dim)
-    total = _level_sum(arrays, _level(n, k), p, 1)
+    dim = arrays[0].shape[-1]
+    check_tensor_budget(dim, p, max_dim)
+    plan = _within_budget(_tensor_sum_plan(n, k, p), dim, max_dim)
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = _word_sum(arrays, plan, dim)
     return _single_or_all(mats[0], HermitianStack._wrap_exact(total))
 
 
@@ -245,20 +406,24 @@ def build_difference(
     """LHS - RHS of the entry ``FAMILIES[family]`` at Kronecker power ``p``.
 
     n is the number of matrices given, and ``k``, ``ell``, ``m`` are the
-    levels the entry needs.  Each level streams its subset powers through
-    pairwise summation, the levels of a side are summed pairwise, and with
-    rational weights the common denominator is divided out once at the end.
+    levels the entry needs.  The difference is built as the paper proves
+    it, as ``sum_w c(supp w) A_w`` over the words w in [n]^p with the
+    coefficients of :func:`support_coefficients`: a sum of Kronecker
+    products of the inputs, each weighted by an integer over one common
+    denominator that is divided out once at the end.  Every coefficient of
+    the :data:`FAMILIES` entries is >= 0, so nothing cancels, and below the
+    smallest support with ``c != 0`` no word survives and the difference is
+    exactly zero.  Refused with :class:`BudgetError` as
+    :func:`check_build_budget` states.
     """
     spec = operator_family(family)
     mats = list(mats)
-    sides = checked_sides(family, spec, len(mats), k, ell, m)
     arrays = _canonical_arrays(mats, keep_first_fixed=spec.supermod)
-    check_tensor_budget(arrays[0].shape[-1], p, max_dim)
-    den = lcm(*(level.weight.denominator for side in sides for level in side))
-    lhs, rhs = (
-        _pairwise_sum(_level_sum(arrays, level, p, den) for level in side)
-        for side in sides
-    )
-    diff = lhs - rhs
-    return _single_or_all(mats[0], HermitianStack._wrap_exact(diff if den == 1 else diff / den))
-
+    dim = arrays[0].shape[-1]
+    check_tensor_budget(dim, p, max_dim)
+    plan = _within_budget(_family_plan(family, len(arrays), p, k, ell, m), dim, max_dim)
+    # An overflowed input or product gives inf or NaN entries, which the
+    # certificate's finiteness check refuses.
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = _word_sum(arrays, plan, dim)
+    return _single_or_all(mats[0], HermitianStack._wrap_exact(diff))

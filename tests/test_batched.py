@@ -160,7 +160,7 @@ VERIFY_CASES = [
     dict(family="hlawka3", p=4),
     dict(family="supermod", p=4),
     dict(family="superadd", n=4, p=4),
-    dict(family="alternating", n=5, p=4, condition_target=1000.0),  # violations
+    dict(family="alternating", n=5, p=4, condition_target=1000.0),  # D = 0 exactly
     dict(family="pop-pairs", n=4, p=4),
     dict(family="pop-subsets", n=5, m=3, p=4),
     dict(family="pop-levels", n=4, k=1, ell=2, m=3, p=4),
@@ -178,9 +178,14 @@ class TestVerifyAgainstOracle:
         monkeypatch.undo()
         assert_same_report(report, oracle_verify(cfg))
 
-    def test_violations_are_reported_like_the_oracle(self):
-        cfg = verify_cfg(family="alternating", n=5, p=4, dim=2, trials=40, seed=5,
-                         condition_target=1000.0)
+    def test_violations_are_reported_like_the_oracle(self, monkeypatch):
+        # The negated difference of a proven family fails on every trial,
+        # through the harness and through the oracle alike.
+        original = build_difference
+        negated = lambda *args, **kwargs: -original(*args, **kwargs)
+        monkeypatch.setattr(harness, "build_difference", negated)
+        monkeypatch.setitem(globals(), "build_difference", negated)
+        cfg = verify_cfg(family="hlawka3", p=3, dim=2, trials=40, seed=5)
         report, code = run_verify(cfg)
         assert report.violations and code == 1
         assert_same_report(report, oracle_verify(cfg))
@@ -289,11 +294,17 @@ class TestCliChunking:
         assert code == 3
         assert peak < 1 << 20
 
-    def test_report_digests_name_the_sampled_tuple(self, tmp_path):
+    def test_report_digests_name_the_sampled_tuple(self, tmp_path, monkeypatch):
+        # A negated difference makes every trial a violation.
+        original = build_difference
+        monkeypatch.setattr(harness, "build_difference",
+                            lambda *args, **kwargs: -original(*args, **kwargs))
         path = tmp_path / "r.json"
-        main(["verify", "--family", "alternating", "--n", "5", "--dim", "2", "--p", "4",
+        main(["verify", "--family", "alternating", "--n", "5", "--dim", "2", "--p", "5",
               "--condition-target", "1000", "--trials", "3", "--seed", "1", "--out", str(path)])
-        for v in json.loads(path.read_text())["violations"]:
+        violations = json.loads(path.read_text())["violations"]
+        assert len(violations) == 3
+        for v in violations:
             assert v["inputsDigest"] == tuple_digest(pd_tuple(v["seed"], 5, 2, 1000.0))
 
 

@@ -96,6 +96,31 @@ class TestVerifyCommand:
         assert any("empirical" in f for f in doc["interpretationFlags"])
 
 
+class TestExactZeroBelowTheSmallestSupport:
+    # Each line is a theorem at p below the smallest support with c != 0,
+    # where the difference is exactly zero.  Built from subset powers that
+    # cancel, the first four exited 1 (99, 100, 99 and 89 violations) and
+    # pop-pairs left a residue of up to 3.7e-9 of the scale.
+    @pytest.mark.parametrize("command", [
+        "verify --family alternating --n 5 --p 4 --condition-target 100",
+        "verify --family alternating --n 5 --p 4 --condition-target 1000",
+        "verify --family alternating --n 5 --p 4 --condition-target 1e6",
+        "verify --family hlawka3 --p 2 --condition-target 10000",
+        "verify --family pop-pairs --n 4 --p 2 --condition-target 1000 --seed 3 --trials 200",
+    ])
+    def test_every_trial_is_an_exact_equality(self, command, tmp_path):
+        args = command.split()
+        defaults = {"--dim": "2", "--trials": "100", "--seed": "0"}
+        args += [word for flag, value in defaults.items() if flag not in args
+                 for word in (flag, value)]
+        out = tmp_path / "r.json"
+        assert main([*args, "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["equalityCases"] == doc["trials"] == int(args[args.index("--trials") + 1])
+        assert doc["violations"] == []
+        assert doc["minMargin"] == 0.0
+
+
 class TestDeterminism:
     def test_verify_reports_byte_identical_modulo_runtime(self, tmp_path):
         outs = []
@@ -290,6 +315,8 @@ TARGET_FAULT = "condition_target must be finite and >= 1"
 class TestParametersCheckedBeforeTheTrials:
     @pytest.mark.parametrize("command, code", [
         ("verify --family hlawka3 --p 13", 3),
+        ("verify --family superadd --n 40 --p 4", 3),  # 102090 support sets
+        ("verify --family superadd --n 6 --p 4 --max-dim 16", 3),  # working set
         ("verify --family superadd --n 1", 2),
         ("scalar-verify --family pcz --n 5", 2),
         ("scalar-verify --family radu --n 4 --k 9", 2),
@@ -631,11 +658,11 @@ class TestOverflowRefused:
         "scalar-verify --family jensen --points 800,1,2 --fn exp",
         "verify --family hlawka3 --p 3 --condition-target 1e300 --trials 2",
     ])
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_exit_two_naming_the_overflow(self, command, tmp_path, capsys):
+        # No numpy RuntimeWarning comes before the one line of the refusal.
         out = tmp_path / "r.json"
         assert main([*command.split(), "--out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith("error: overflow: ")
+        assert re.fullmatch(r"error: overflow: [^\n]*\n", capsys.readouterr().err)
         assert not out.exists()
 
 

@@ -1,8 +1,10 @@
 """The difference builder: equality cases, exact identities, trial suites."""
 
+import dataclasses
+import tracemalloc
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations
+from itertools import combinations, product
 from math import comb, lcm
 
 import numpy as np
@@ -13,7 +15,7 @@ from conftest import input_scale, pd_tuple, stack_of
 from hlawka.errors import BudgetError, InputError
 from hlawka import sums
 from hlawka.linalg import HermitianMatrix, Verdict, psd_certificate
-from hlawka.sums import build_difference, symmetric_tensor_sum
+from hlawka.sums import FAMILIES, build_difference, symmetric_tensor_sum
 from hlawka.util import derive_seed
 
 
@@ -277,12 +279,114 @@ class TestSharedProperties:
         with pytest.raises(BudgetError, match=r"C\(6, 2\) = 15 exceeds budget 10"):
             symmetric_tensor_sum(pd_tuple(29, 6, 2), 2, 1)
 
+    def test_build_peaks_below_five_outputs(self):
+        # numpy reports its buffers to tracemalloc.  The subset route
+        # peaked at 5.00 outputs here, and per-set products batched into
+        # one stacked product per input at 5.44.
+        mats = pd_tuple(30, 3, 2)
+        build_difference("hlawka3", mats, 8)  # plan cached outside the count
+        tracemalloc.start()
+        try:
+            out = build_difference("hlawka3", mats, 8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * out.array.nbytes
+
     def test_psd_inputs_accepted(self):
         # Singular PSD inputs are fine: inequalities are closed under limits.
         rank1 = HermitianMatrix(np.outer([1.0, 1.0], [1.0, 1.0]))
         mats = [rank1, rank1, HermitianMatrix.identity(2)]
         cert = psd_certificate(build_difference("hlawka3", mats, 3))
         assert cert.ok
+
+
+def exact_subset_route(family: str, mats: list[np.ndarray], p: int, **levels) -> np.ndarray:
+    """LHS - RHS times the common denominator, from the statement's subset
+    powers in integer arithmetic."""
+    lhs, rhs = STATEMENTS[family](len(mats), **levels)
+    den = lcm(*(Fraction(w).denominator for w, _ in lhs + rhs))
+    return sum(sign * int(Fraction(w) * den) * reduce(np.kron, [sum(mats[i] for i in s)] * p)
+               for sign, side in ((1, lhs), (-1, rhs)) for w, subs in side for s in subs)
+
+
+def comb0(a: int, b: int) -> int:
+    return comb(a, b) if 0 <= b <= a else 0
+
+
+class TestSupportCoefficients:
+    @pytest.mark.parametrize("family, n, p, levels", [
+        ("superadd", 3, 3, {}), ("hlawka3", 3, 3, {}), ("supermod", 3, 4, {}),
+        ("alternating", 4, 4, {}), ("pop-pairs", 4, 3, {}), ("pop-subsets", 5, 3, {"m": 3}),
+        ("pop-levels", 4, 3, {"k": 1, "ell": 2, "m": 3}),
+    ])
+    def test_word_sum_is_the_subset_route_exactly(self, family, n, p, levels):
+        # Small integer matrices, exact integer arithmetic: the sum over
+        # every word in [n]^p of c(supp w) A_w is LHS - RHS.
+        rng = np.random.default_rng(n * 10 + p)
+        mats = [rng.integers(-3, 4, (2, 2)).astype(object) for _ in range(n)]
+        coeff = sums.support_coefficients(family, n, **levels)
+        den = lcm(*(c.denominator for c in coeff.values()))
+        words = sum(int(coeff[sum(1 << i for i in set(w))] * den)
+                    * reduce(np.kron, [mats[i] for i in w])
+                    for w in product(range(n), repeat=p))
+        assert np.array_equal(words, exact_subset_route(family, mats, p, **levels))
+
+    @pytest.mark.parametrize("family, n, levels", [
+        ("hlawka3", 3, {}), ("alternating", 5, {}), ("pop-pairs", 4, {}),
+    ])
+    def test_integer_inputs_build_exactly(self, family, n, levels):
+        # Every partial sum is an integer below 2**53, so nothing rounds.
+        rng = np.random.default_rng(n)
+        ints = [rng.integers(-3, 4, (2, 2)) for _ in range(n)]
+        mats = [HermitianMatrix((a + a.T).astype(float)) for a in ints]
+        exact = exact_subset_route(family, [(a + a.T).astype(object) for a in ints], 5, **levels)
+        assert np.array_equal(build_difference(family, mats, 5, **levels).array,
+                              exact.astype(complex))
+
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_pascal_identity_for_pop_subsets(self, n):
+        for m in range(2, n):
+            coeff = sums.support_coefficients("pop-subsets", n, m=m)
+            for u, c in coeff.items():
+                j = u.bit_count()
+                assert c == (0 if j < 3 else comb(n - 2, m - 2) - comb0(n - j, m - j))
+
+    def test_sets_are_listed_in_ascending_bitmask_order(self):
+        coeff = sums.support_coefficients("supermod", 3)
+        assert list(coeff) == list(range(1, 8))
+        assert {u for u, c in coeff.items() if c} == {0b110, 0b111}
+
+    def test_only_sets_that_can_still_reach_a_nonzero_support_are_kept(self):
+        # alternating n 5: c != 0 on the full set only, so at p 5 the sets of
+        # size k are all kept at step k, and nothing survives at p < 5.
+        assert sums._family_plan("alternating", 5, 5, None, None, None).live == (1, 5, 10, 10, 5)
+        assert sums._family_plan("alternating", 5, 4, None, None, None).live == (0, 0, 0, 0)
+        # hlawka3 p 4: the 3 singletons cannot reach {0, 1, 2} in the last step.
+        assert sums._family_plan("hlawka3", 3, 4, None, None, None).live == (1, 3, 6, 4)
+
+    def test_a_swapped_entry_reports_its_negative_coefficient(self, monkeypatch):
+        spec = FAMILIES["pop-pairs"]
+        swapped = dataclasses.replace(spec, sides=lambda **values: spec.sides(**values)[::-1])
+        monkeypatch.setitem(FAMILIES, "pop-pairs-swapped", swapped)
+        coeff = sums.support_coefficients("pop-pairs-swapped", 4)
+        assert {u.bit_count(): c for u, c in coeff.items()} == {1: 0, 2: 0, 3: -1, 4: -1}
+        # The same word sum builds it: the negation of pop-pairs, bit for bit.
+        mats = pd_tuple(31, 4, 2)
+        assert np.array_equal(build_difference("pop-pairs-swapped", mats, 3).array,
+                              -build_difference("pop-pairs", mats, 3).array)
+
+    def test_support_sets_are_counted_before_they_are_listed(self):
+        with pytest.raises(BudgetError, match=r"support sets of at most 4 of 40 inputs: 102090 "
+                                              r"exceed budget 65536"):
+            build_difference("superadd", pd_tuple(32, 40, 1), 4)
+
+    def test_working_set_is_held_to_the_tensor_budget(self):
+        # Every subset of 6 inputs is live below p: 41 sets of 8x8 at the
+        # last step, past eight 16x16 arrays.
+        with pytest.raises(BudgetError, match=r"more than 8 arrays of the budget's 16x16"):
+            build_difference("superadd", pd_tuple(33, 6, 2), 4, max_dim=16)
+        assert build_difference("superadd", pd_tuple(33, 6, 2), 4, max_dim=32).dim == 16
 
 
 def subsets(n: int, size: int) -> list:
@@ -354,13 +458,44 @@ ORACLE_CASES = [
     ("superadd", 4, 3, {}),
     ("hlawka3", 3, 3, {}),
     ("supermod", 3, 3, {}),
-    ("alternating", 5, 4, {}),
-    ("alternating", 7, 3, {}),  # four LHS levels: their grouping decides the bits
+    ("alternating", 5, 5, {}),
+    ("alternating", 7, 3, {}),  # p < n: no word has a support with c != 0
     ("pop-pairs", 4, 3, {}),
     ("pop-subsets", 5, 3, {"m": 3}),
     ("pop-levels", 4, 3, {"k": 1, "ell": 2, "m": 3}),  # denominator 12
     ("pop-levels", 5, 2, {"k": 2, "ell": 3, "m": 5}),
 ]
+
+
+#: Double precision's unit roundoff.
+UNIT_ROUNDOFF = 2.0**-53
+
+
+def forward_error_bound(family: str, mats, p: int, **levels) -> float:
+    """``p·N·u·Σ_S |c_S|·‖X_S‖∞^p`` over the terms of the statement, N = d^p:
+    a bound on the rounding error of either route, summed, entry by entry.
+    Every term's entries are bounded by ``‖X_S‖∞^p``, since
+    ``‖A⊗B‖∞ = ‖A‖∞‖B‖∞``, and each entry takes O(p·N) roundings."""
+    lhs, rhs = STATEMENTS[family](len(mats), **levels)
+    arrays = [m.array for m in mats]
+    total = sum(abs(Fraction(weight)) * np.linalg.norm(sum(arrays[i] for i in s), np.inf) ** p
+                for weight, subs in lhs + rhs for s in subs)
+    return p * mats[0].dim**p * UNIT_ROUNDOFF * float(total)
+
+
+def smallest_support(family: str, n: int, **levels) -> int:
+    """The fewest inputs a word needs for a nonzero coefficient."""
+    coeff = sums.support_coefficients(family, n, **levels)
+    return min(u.bit_count() for u, c in coeff.items() if c)
+
+
+def assert_matches_subset_route(out: np.ndarray, family: str, mats, p: int, **levels) -> None:
+    """The word sum against the subset route: exactly zero where no word
+    has a support with c != 0, else within the forward-error bound."""
+    if p < smallest_support(family, len(mats), **levels):
+        assert not out.any()
+    err = np.abs(out - oracle(family, mats, p, **levels)).max()
+    assert err <= forward_error_bound(family, mats, p, **levels)
 
 
 class TestAgainstStatementOracle:
@@ -369,9 +504,8 @@ class TestAgainstStatementOracle:
     def test_single_inputs(self, family, n, p, levels):
         for seed in range(3):
             mats = pd_tuple(40 + seed, n, 2)
-            expected = oracle(family, mats, p, **levels).tobytes()
             out = build_difference(family, mats, p, **levels)
-            assert out.array.tobytes() == expected
+            assert_matches_subset_route(out.array, family, mats, p, **levels)
 
     @pytest.mark.parametrize("family, n, p, levels", ORACLE_CASES,
                              ids=[f"{c[0]}-n{c[1]}" for c in ORACLE_CASES])
@@ -380,4 +514,6 @@ class TestAgainstStatementOracle:
         parts = [stack_of([mats[i] for mats in trials]) for i in range(n)]
         out = build_difference(family, parts, p, **levels)
         for t, mats in enumerate(trials):
-            assert out[t].array.tobytes() == oracle(family, mats, p, **levels).tobytes()
+            single = build_difference(family, mats, p, **levels)
+            assert out[t].array.tobytes() == single.array.tobytes()
+            assert_matches_subset_route(single.array, family, mats, p, **levels)
