@@ -19,7 +19,8 @@ grouped cannot change any reported number.  The two operator suites run
 their trials in chunks stacked on a leading axis: one sampling call, one
 build and one certification (or one scalar check) per chunk, each bit for
 bit the per-trial result.  A chunk holds as many trials as fit
-``CHUNK_BYTES`` in its largest stacked array, and at least one.  Reports
+``CHUNK_BYTES`` in the arrays a trial holds at once (the build's working
+set, on ``verify``), and at least one.  Reports
 are assembled in trial order.
 """
 
@@ -43,6 +44,7 @@ from .linalg import (
     Verdict,
     _generators,
     band_verdict,
+    check_tensor_budget,
     min_eigenvalue,
     psd_certificate,
     random_pd,
@@ -73,14 +75,14 @@ from .scalar import (
     suite_terms,
     vasc_check,
 )
-from .sums import FAMILIES, build_difference, check_build_budget
+from .sums import FAMILIES, build_difference, working_set
 from .symgroup import check_symmetric_degree
 from .util import derive_seed
 
-#: Byte budget of the largest array stacked over one chunk of trials.  Big
-#: enough to amortize per-call overhead on small tuples; a trial over budget
-#: runs alone, allocating what a single-trial run allocates.
-CHUNK_BYTES = 128 * 1024
+#: Byte budget of what one chunk of trials holds at once.  Big enough to
+#: amortize per-call overhead on small tuples; a trial over budget runs
+#: alone, allocating what a single-trial run allocates.
+CHUNK_BYTES = 512 * 1024
 
 #: Bytes per complex128 entry.
 _ENTRY_BYTES = 16
@@ -241,8 +243,7 @@ def _settings(cfg: RunConfig, route: str) -> tuple[RunConfig, list[str]]:
                                  f"{name} {getattr(cfg, name)}")
 
     if cfg.p is not None:
-        check_build_budget(cfg.family, cfg.n, cfg.p, cfg.dim, cfg.max_tensor_dim,
-                           k=cfg.k, ell=cfg.ell, m=cfg.m)
+        check_tensor_budget(cfg.dim, cfg.p, cfg.max_tensor_dim)
     if cfg.char is not None:
         check_symmetric_degree(cfg.dim)
     return cfg, names
@@ -277,8 +278,8 @@ def _sampled_chunks(cfg: RunConfig, trial_bytes: int):
 def _matrix_trials(cfg: RunConfig, largest: int, check, margin_key: str):
     """Per-trial records of an operator suite.
 
-    ``largest`` is the entry count of a trial's largest stacked array
-    besides its inputs, and ``check(inputs, parts)`` gives one ``(margin,
+    ``largest`` is the entry count a trial holds at once besides its
+    inputs, and ``check(inputs, parts)`` gives one ``(margin,
     verdict)`` per trial of a chunk.
     """
     trial_bytes = _ENTRY_BYTES * max(largest, cfg.n * cfg.dim * cfg.dim)
@@ -343,8 +344,8 @@ def run_verify(cfg: RunConfig) -> tuple[TrialReport, int]:
             flags.append(psd_only)
         return [(c.min_eigenvalue, c.verdict) for c in certs]
 
-    side = cfg.dim**cfg.p
-    return _run(report, cfg, _matrix_trials(cfg, side * side, certify, "minEigenvalue"))
+    largest = working_set(cfg.family, cfg.n, cfg.p, cfg.dim, k=cfg.k, ell=cfg.ell, m=cfg.m)
+    return _run(report, cfg, _matrix_trials(cfg, largest, certify, "minEigenvalue"))
 
 
 def run_scalar_verify(cfg: RunConfig) -> tuple[TrialReport, int]:
@@ -362,10 +363,11 @@ def run_scalar_verify(cfg: RunConfig) -> tuple[TrialReport, int]:
 
     # The largest stacked arrays are the last level of the prefix tree of one
     # generalized matrix function: per trial, some eight floats, four entries,
-    # per group element.  The estimate of (group order) * degree entries
-    # bounds them from degree 4 up and keeps the chunks as they were.
+    # per group element.  (Group order) * degree entries bounds them from
+    # degree 4 up; a trial holds 0.6 to 3.5 times that at degrees 3 to 8
+    # (tracemalloc), so four times it is counted.
     order = math.factorial(cfg.dim)
-    return _run(report, cfg, _matrix_trials(cfg, order * cfg.dim, check, "margin"))
+    return _run(report, cfg, _matrix_trials(cfg, 4 * order * cfg.dim, check, "margin"))
 
 
 def _run_convex_norm(cfg: RunConfig, names: list[str]) -> tuple[TrialReport, int]:

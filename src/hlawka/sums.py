@@ -31,26 +31,28 @@ it.  Expanding each subset power over words w in [n]^p gives
 LHS - RHS = sum_w c(supp w) A_w, with A_w = A_{w_1} (x) ... (x) A_{w_p} and
 the exact coefficients c(U) of :func:`support_coefficients`, all >= 0 for
 every entry above (checked exactly at every parameter set with n <= 12).
-A DP over the word length keeps one partial sum per support set that can
-still reach a set with c != 0, so nothing is formed that cancels later.
+A DP over the word length keeps one partial sum per support set whose
+reachable supports do not all share one coefficient, and one merged
+partial sum for every other set, each weighted by its c, which then takes
+every letter (so ``superadd`` keeps n + 1); a set that reaches only c = 0
+is dropped.  Nothing is formed that cancels later.
 The alternating difference is an n-th order finite difference: its only
 nonzero coefficient is on the full set, so at p < n no word survives and it
 is exactly zero; strict positivity needs p >= n.
 
 Determinism: inputs are first canonically ordered by content hash (trial
-by trial for stacks), then support sets are visited in ascending bitmask
-order and every sum runs in one fixed order.  Shuffling the input list
+by trial for stacks), then every sum of the DP runs in one fixed order,
+the same for any number of trials.  Shuffling the input list
 therefore cannot change a single bit of the output.
 """
 
 from __future__ import annotations
 
-import math
-from collections.abc import Callable
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, groupby
 from math import comb, lcm
 
 import numpy as np
@@ -67,13 +69,8 @@ from .linalg import (
 )
 
 #: Largest number of subsets one level may list (C(18, 9) = 48620 fits):
-#: a level is counted before it is built, and refused beyond this.  The
-#: support sets of a build are held to the same count.
+#: a level is counted before it is built, and refused beyond this.
 MAX_LEVEL_SUBSETS = 2**16
-
-#: A build may hold at most this many arrays of the tensor budget's size,
-#: ``max_dim x max_dim`` entries, per trial.
-MAX_BUILD_ARRAYS = 8
 
 
 @dataclass(frozen=True)
@@ -205,7 +202,7 @@ def _canonical_arrays(mats, *, keep_first_fixed: bool = False) -> list[np.ndarra
     return [stacked[order[:, i], trial] for i in range(len(hs))]
 
 
-def support_coefficients(name: str, n: int, k=None, ell=None, m=None) -> dict[int, Fraction]:
+def support_coefficients(name: str, n: int, k=None, ell=None, m=None) -> Mapping[int, Fraction]:
     """The coefficient ``c(U)`` of every nonempty support set U of the
     entry ``FAMILIES[name]`` over n inputs, keyed by bitmask (input i is
     bit i), in ascending order.
@@ -214,164 +211,251 @@ def support_coefficients(name: str, n: int, k=None, ell=None, m=None) -> dict[in
     sum_{supp w ⊆ S} A_{w_1} (x) ... (x) A_{w_p}``, turns LHS - RHS into
     ``sum_w c(supp w) A_w``, where ``c(U)`` is the sum over the levels of
     ``±weight * #{S in the level : S ⊇ U}``, + on the LHS and - on the RHS.
-    Exact; refused with :class:`BudgetError` beyond ``MAX_LEVEL_SUBSETS``
-    sets.
+    Exact, and read on demand: the mapping holds one value per set size
+    and one per set under a level that does not list every subset of its
+    size (``supermod``'s), so it is small at any n.
     """
-    return _coefficients(checked_sides(name, operator_family(name), n, k, ell, m), n, n)
+    return _Coefficients(checked_sides(name, operator_family(name), n, k, ell, m), n)
 
 
-def _coefficients(sides, n: int, up_to: int) -> dict[int, Fraction]:
-    # The sets of at most up_to inputs: a word of p letters has at most p.
-    up_to = min(n, up_to)
-    count = sum(comb(n, j) for j in range(1, up_to + 1))
-    if count > MAX_LEVEL_SUBSETS:
-        raise BudgetError(f"support sets of at most {up_to} of {n} inputs: {count} exceed "
-                          f"budget {MAX_LEVEL_SUBSETS}")
-    by_size = [Fraction(0)] * (up_to + 1)
-    listed: dict[int, Fraction] = {}
-    for sign, side in zip((1, -1), sides):
-        for level in side:
-            weight = sign * level.weight
-            sizes = {len(s) for s in level.subsets}
-            size = max(sizes, default=0)
-            if sizes == {size} and len({frozenset(s) for s in level.subsets}) == comb(n, size):
-                # Every size-`size` subset: C(n - j, size - j) of them hold a j-set.
-                for j in range(1, min(size, up_to) + 1):
-                    by_size[j] += weight * comb(n - j, size - j)
-                continue
-            for s in level.subsets:
-                mask = sum(1 << i for i in s)
-                sub = mask
-                while sub:
-                    if sub.bit_count() <= up_to:
+class _Coefficients(Mapping):
+    # c(U) = by_size[|U|] + listed.get(U, 0): a level of every subset of
+    # one size adds C(n - j, size - j) to each j-set, any other level adds
+    # its weight to every subset of each set it lists.
+
+    def __init__(self, sides, n: int):
+        self.n = n
+        by_size = [Fraction(0)] * (n + 1)
+        listed: dict[int, Fraction] = {}
+        for sign, side in zip((1, -1), sides):
+            for level in side:
+                weight = sign * level.weight
+                sizes = {len(s) for s in level.subsets}
+                size = max(sizes, default=0)
+                if sizes == {size} and len({frozenset(s) for s in level.subsets}) == comb(n, size):
+                    for j in range(1, size + 1):
+                        by_size[j] += weight * comb(n - j, size - j)
+                    continue
+                for s in level.subsets:
+                    mask = sum(1 << i for i in s)
+                    sub = mask
+                    while sub:
                         listed[sub] = listed.get(sub, 0) + weight
-                    sub = (sub - 1) & mask
-    masks = sorted(sum(1 << i for i in s)
-                   for j in range(1, up_to + 1) for s in combinations(range(n), j))
-    return {u: by_size[u.bit_count()] + listed.get(u, 0) for u in masks}
+                        sub = (sub - 1) & mask
+        self._by_size = by_size
+        self._listed = {u: c for u, c in listed.items() if c}
+        self.den = lcm(*(c.denominator for c in (*by_size, *self._listed.values())))
+        # steady[j]: the largest size up to which by_size keeps its value at j.
+        self._steady = list(range(n + 1))
+        for j in range(n - 1, 0, -1):
+            if by_size[j] == by_size[j + 1]:
+                self._steady[j] = self._steady[j + 1]
+
+    def __getitem__(self, u: int) -> Fraction:
+        if not 0 < u < 1 << self.n:
+            raise KeyError(u)
+        return self._by_size[u.bit_count()] + self._listed.get(u, 0)
+
+    def __iter__(self):
+        return iter(range(1, 1 << self.n))
+
+    def __len__(self) -> int:
+        return (1 << self.n) - 1
+
+    def settled(self, u: int, r: int) -> Fraction | None:
+        """The one coefficient of every support that r more letters can
+        reach from U (U itself included), or ``None`` when they may differ;
+        a listed set in reach counts as a difference."""
+        if r == 0:
+            return self[u]
+        low, high = max(1, u.bit_count()), min(self.n, u.bit_count() + r)
+        if high > self._steady[low] or any(
+                v & u == u and low <= v.bit_count() <= high for v in self._listed):
+            return None
+        return self._by_size[low]
+
+
+#: Largest product, in bytes, that one stacked Kronecker call of the DP
+#: forms when its rows are smaller; a larger row is formed alone.
+_BLOCK_BYTES = 2**20
+
+#: Every entry of the absent row that ends a table the next step reads as
+#: a missing source: adding -0 leaves every value, signed zeros included,
+#: as it is.
+_ABSENT = complex(-0.0, -0.0)
+
+
+@dataclass(frozen=True)
+class _Step:
+    """One step of the support-set DP: the table of step k + 1, ``size``
+    rows, from that of step k.
+
+    ``classes`` holds ``(lo, hi, slots)``: each row r in ``lo..hi - 1``
+    takes ``sum_t (T_k[a_t[r]] + T_k[b_t[r]]) (x) A_{i_t[r]}`` over its
+    terms, t ascending with i, one ``(i_t, a_t, b_t)`` per slot t; an
+    absent source is the row after the last of step k, there when
+    ``absent``.
+    ``merged[i]`` is ``None`` or ``(first, by_weight)``, the term of the
+    merged row (the last of the ``size``): ``by_weight`` is one ``(weight,
+    rows)`` per integer weight of its sources, in order of first appearance
+    (the merged row first, then sets ascending by bitmask).
+    """
+
+    size: int
+    classes: tuple
+    merged: tuple
+    absent: bool
 
 
 @dataclass(frozen=True)
 class _WordPlan:
     """The support-set DP of one entry over n inputs at power p.
 
-    ``steps[k]`` builds ``T_{k+1}`` from ``T_k``: one ``(U, terms)`` per
-    live set U, ascending, each term ``(i, a, b)`` read as ``(T_k[a] +
-    T_k[b]) (x) A_i`` with an absent (``None``) set dropped.  ``fold`` is
-    one ``(i, parts)`` per input, each part ``(c(U) * den, a, b)``.
-    ``live[k]`` counts the sets ``T_k`` keeps.
+    A row of the table of step k is a set U whose reachable supports do
+    not all share one coefficient, holding ``T_k[U]`` (rows with as many
+    terms are adjacent, by bitmask); or, after them, the merged row, which
+    holds every other live set, each weighted by its integer ``c * den``.
+    At the last step every set is settled, so the merged row over ``den``
+    is the difference, and a plan with no steps means it is exactly zero.
+    ``live[k]`` counts the rows of step k.
     """
 
-    steps: tuple
-    fold: tuple
+    steps: tuple[_Step, ...]
     den: int
     live: tuple[int, ...]
 
     def working_set(self, dim: int) -> int:
-        """Entries per trial held at the widest step: ``T_k``, ``T_{k+1}``
-        and one product, ``T_p`` being the accumulator of the fold."""
+        """Entries per trial held at the widest step: the table of step k,
+        that of step k + 1 and one product."""
         counts = (*self.live, 1)
         return max(counts[k] * dim ** (2 * k) + (counts[k + 1] + 1) * dim ** (2 * k + 2)
-                   for k in range(len(self.live)))
+                   for k in range(len(self.live))) if self.live else 0
 
 
-def _word_plan(coeff: dict[int, Fraction], n: int, p: int) -> _WordPlan:
-    # reach[U]: fewest letters still to append before the support, grown
-    # from U, is a set with c != 0.  Larger sets are settled first.
-    reach = {}
-    for u in sorted(coeff, key=int.bit_count, reverse=True):
-        reach[u] = 0 if coeff[u] else 1 + min(
-            (reach.get(u | 1 << i, math.inf) for i in range(n) if not u >> i & 1),
-            default=math.inf)
-    reach[0] = 1 + min((reach.get(1 << i, math.inf) for i in range(n)), default=math.inf)
-    live = [(0,) if reach[0] <= p else ()]
-    live += [tuple(u for u in coeff if u.bit_count() <= k and reach[u] <= p - k)
-             for k in range(1, p)]
-
-    def sources(have, u, i):
-        return u if u in have else None, u ^ 1 << i if u ^ 1 << i in have else None
-
-    steps = []
-    for k in range(p - 1):
-        have = set(live[k])
-        steps.append(tuple(
-            (u, tuple((i, *sources(have, u, i)) for i in range(n)
-                      if u >> i & 1 and (u in have or u ^ 1 << i in have)))
-            for u in live[k + 1]))
-    den = lcm(*(c.denominator for c in coeff.values()))
-    have = set(live[-1])
-    fold = tuple(
-        (i, parts) for i in range(n)
-        if (parts := tuple((int(coeff[u] * den), *sources(have, u, i)) for u in coeff
-                           if coeff[u] and u >> i & 1)))
-    return _WordPlan(tuple(steps), fold, den, tuple(map(len, live)))
+def _word_plan(coeff: _Coefficients, n: int, p: int) -> _WordPlan:
+    # A prefix of support U with every reachable support at coefficient c
+    # contributes c * (its sum) (x) (sum_i A_i)^(x)(p - k): it joins the
+    # merged row, which then takes every letter; c = 0 drops it.  Settled
+    # stays settled, as fewer letters reach fewer supports.
+    sets, merged, steps, live = [0], False, [], []
+    for k in range(p):
+        live.append(len(sets) + merged)
+        row = {u: r for r, u in enumerate(sets)}
+        absent = len(sets) + merged
+        weights, terms = {}, {}
+        for v in sorted({w | 1 << i for w in sets for i in range(n)}):
+            c = coeff.settled(v, p - k - 1)
+            if c is None:
+                terms[v] = [(i, row.get(v, absent), row.get(v ^ 1 << i, absent))
+                            for i in range(n) if v >> i & 1 and (v in row or v ^ 1 << i in row)]
+            elif c:
+                weights[v] = int(c * coeff.den)
+        kept = sorted(terms, key=lambda v: (len(terms[v]), v))
+        classes, lo = [], 0
+        for count, rows in groupby(kept, key=lambda v: len(terms[v])):
+            rows = list(rows)
+            classes.append((lo, lo + len(rows), tuple(
+                tuple(np.array([terms[v][t][j] for v in rows], dtype=np.intp) for j in range(3))
+                for t in range(count))))
+            lo += len(rows)
+        into = []
+        for i in range(n):
+            by_weight = {1: [len(sets)]} if merged else {}
+            for w in sorted(sets):
+                if w | 1 << i in weights:
+                    by_weight.setdefault(weights[w | 1 << i], []).append(row[w])
+            into.append((not any(into), tuple((weight, tuple(rows))
+                                              for weight, rows in by_weight.items()))
+                        if by_weight else None)
+        if not kept and not any(into):
+            return _WordPlan((), coeff.den, ())
+        reads_absent = any(absent in (a, b) for v in kept for _, a, b in terms[v])
+        steps.append(_Step(len(kept) + any(into), tuple(classes), tuple(into), reads_absent))
+        sets, merged = kept, any(into)
+    return _WordPlan(tuple(steps), coeff.den, tuple(live))
 
 
 @lru_cache(maxsize=64)
 def _family_plan(family: str, n: int, p: int, k, ell, m) -> _WordPlan:
-    sides = checked_sides(family, operator_family(family), n, k, ell, m)
-    return _word_plan(_coefficients(sides, n, p), n, p)
+    return _word_plan(_Coefficients(checked_sides(family, operator_family(family), n, k, ell, m),
+                                    n), n, p)
 
 
 @lru_cache(maxsize=64)
 def _tensor_sum_plan(n: int, k: int, p: int) -> _WordPlan:
-    return _word_plan(_coefficients(([_level(n, k)], []), n, p), n, p)
+    return _word_plan(_Coefficients(([_level(n, k)], []), n), n, p)
 
 
-def _within_budget(plan: _WordPlan, dim: int, max_dim: int) -> _WordPlan:
-    held = plan.working_set(dim)
-    if held > MAX_BUILD_ARRAYS * max_dim**2:
-        raise BudgetError(f"the build holds {held} entries per trial, more than "
-                          f"{MAX_BUILD_ARRAYS} arrays of the budget's {max_dim}x{max_dim}")
-    return plan
+def working_set(family: str, n: int, p: int, dim: int, *, k=None, ell=None, m=None) -> int:
+    """Entries per trial that :func:`build_difference` holds at once over
+    n inputs of size ``dim``: at least the output's ``dim^(2p)``."""
+    return max(dim ** (2 * p), _family_plan(family, n, p, k, ell, m).working_set(dim))
 
 
-def check_build_budget(family: str, n: int, p: int, dim: int,
-                       max_dim: int = DEFAULT_MAX_TENSOR_DIM, *, k=None, ell=None, m=None) -> None:
-    """Refuse with :class:`BudgetError`, before any input exists, the
-    build of :func:`build_difference` over n inputs of size ``dim``: its
-    tensor over ``max_dim``, more than ``MAX_LEVEL_SUBSETS`` support sets,
-    or more than ``MAX_BUILD_ARRAYS`` arrays of ``max_dim x max_dim``
-    entries held per trial."""
-    check_tensor_budget(dim, p, max_dim)
-    _within_budget(_family_plan(family, n, p, k, ell, m), dim, max_dim)
-
-
-def _word_sum(arrays: list[np.ndarray], plan: _WordPlan, dim: int) -> np.ndarray:
+def _word_sum(arrays: list[np.ndarray], plan: _WordPlan, dim: int, p: int) -> np.ndarray:
     # T_k[U] is the sum of A_w over the words w of length k with support
     # exactly U, and T_{k+1}[U] = sum_{i in U} (T_k[U] + T_k[U - i]) (x) A_i.
-    # Sets ascend by bitmask, and each sum runs left to right over i
-    # ascending (in the fold: i outer, U inner), so the bits are fixed.
-    count, side = len(arrays[0]), dim ** len(plan.live)
-    if not plan.fold:
+    # Each row sums its terms left to right over i ascending, and the
+    # merged row its sources in plan order, so the bits are fixed: the
+    # same as one row at a time, for any number of trials.
+    count, side = len(arrays[0]), dim ** p
+    if not plan.steps:
         return np.zeros((count, side, side), dtype=np.complex128)
-
-    def pair(a, b):
-        return table[b] if a is None else table[a] if b is None else table[a] + table[b]
-
-    def weighted(parts):
-        inner = None
-        for weight, a, b in parts:
-            x = pair(a, b) if weight == 1 else weight * pair(a, b)
-            inner = x if inner is None else inner + x
-        return inner
-
-    def kron_sum(terms):
-        # In place: the bits of acc + term, without a third array alive.
-        acc = None
-        for i, x in terms:
-            if acc is None:
-                acc = _kron(x, arrays[i])
-            else:
-                acc += _kron(x, arrays[i])
-        return acc
-
-    table = {0: np.ones((count, 1, 1), dtype=np.complex128)}
-    for step in plan.steps:
-        table = {u: kron_sum((i, pair(a, b)) for i, a, b in terms) for u, terms in step}
-    total = kron_sum((i, weighted(parts)) for i, parts in plan.fold)
+    inputs = np.stack(arrays)
+    table = np.full((2, count, 1, 1), _ABSENT)
+    table[0] = 1
+    for k, step in enumerate(plan.steps):
+        wide = table.shape[-1] * dim
+        # The absent row only where the next step reads it.
+        absent = k + 1 < len(plan.steps) and plan.steps[k + 1].absent
+        out = np.empty((step.size + absent, count, wide, wide), dtype=np.complex128)
+        if absent:
+            out[-1] = _ABSENT
+        block = max(1, _BLOCK_BYTES // out[0].nbytes)
+        for lo, hi, slots in step.classes:
+            for start in range(lo, hi, block):
+                part = slice(start - lo, min(hi, start + block) - lo)
+                rows = out[start:min(hi, start + block)]
+                for t, (i, a, b) in enumerate(slots):
+                    x = table[a[part]]
+                    x += table[b[part]]
+                    if t == 0:
+                        _kron_into(rows, x, inputs[i[part]])
+                    else:
+                        rows += _kron(x, inputs[i[part]])
+        for a, merged in zip(arrays, step.merged):
+            if merged is not None:
+                first, by_weight = merged
+                if first:
+                    _kron_into(out[step.size - 1], _weighted_sum(table, by_weight), a)
+                else:
+                    out[step.size - 1] += _kron(_weighted_sum(table, by_weight), a)
+        table = out
+    total = table[0]
     if plan.den != 1:
         total /= plan.den
+    return total
+
+
+def _kron_into(out: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    # _kron(a, b), its products written straight into a contiguous out.
+    n, m = a.shape[-1], b.shape[-1]
+    np.multiply(a[..., :, None, :, None], b[..., None, :, None, :],
+                out=out.reshape(*out.shape[:-2], n, m, n, m))
+
+
+def _weighted_sum(table: np.ndarray, groups) -> np.ndarray:
+    # Each weight's rows summed left to right, then weighted, in order.
+    total = None
+    for weight, rows in groups:
+        part = table[rows[0]]
+        if len(rows) > 1:
+            part = part + table[rows[1]]
+            for r in rows[2:]:
+                part += table[r]
+        if weight != 1:
+            part = weight * part
+        total = part if total is None else total + part
     return total
 
 
@@ -387,9 +471,8 @@ def symmetric_tensor_sum(
         raise InputError(f"k must satisfy 1 <= k <= {n}, got {k}")
     dim = arrays[0].shape[-1]
     check_tensor_budget(dim, p, max_dim)
-    plan = _within_budget(_tensor_sum_plan(n, k, p), dim, max_dim)
     with np.errstate(over="ignore", invalid="ignore"):
-        total = _word_sum(arrays, plan, dim)
+        total = _word_sum(arrays, _tensor_sum_plan(n, k, p), dim, p)
     return _single_or_all(mats[0], HermitianStack._wrap_exact(total))
 
 
@@ -413,17 +496,19 @@ def build_difference(
     denominator that is divided out once at the end.  Every coefficient of
     the :data:`FAMILIES` entries is >= 0, so nothing cancels, and below the
     smallest support with ``c != 0`` no word survives and the difference is
-    exactly zero.  Refused with :class:`BudgetError` as
-    :func:`check_build_budget` states.
+    exactly zero.  Sets whose reachable supports all share one coefficient
+    share one partial sum, extended by ``(x) sum_i A_i``, so ``superadd``
+    keeps n + 1 of them.  Refused with :class:`BudgetError` beyond
+    ``max_dim`` or a level of more than ``MAX_LEVEL_SUBSETS`` subsets.
     """
     spec = operator_family(family)
     mats = list(mats)
     arrays = _canonical_arrays(mats, keep_first_fixed=spec.supermod)
     dim = arrays[0].shape[-1]
     check_tensor_budget(dim, p, max_dim)
-    plan = _within_budget(_family_plan(family, len(arrays), p, k, ell, m), dim, max_dim)
+    plan = _family_plan(family, len(arrays), p, k, ell, m)
     # An overflowed input or product gives inf or NaN entries, which the
     # certificate's finiteness check refuses.
     with np.errstate(over="ignore", invalid="ignore"):
-        diff = _word_sum(arrays, plan, dim)
+        diff = _word_sum(arrays, plan, dim, p)
     return _single_or_all(mats[0], HermitianStack._wrap_exact(diff))

@@ -48,7 +48,7 @@ from hlawka.symgroup import (
     partitions_of,
     permutation_sign,
 )
-from hlawka.sums import FAMILIES, build_difference
+from hlawka.sums import FAMILIES, build_difference, working_set
 from hlawka.util import derive_seed
 
 EMPIRICAL_FAMILIES = {f for f in FAMILIES if SUITES[f].status == "empirical"}
@@ -155,7 +155,8 @@ def count_chunks(monkeypatch) -> list:
 
 
 #: One configuration per family; each spans several chunks at the real
-#: budget (dim 2, p 4: a 16x16 difference, 4 KiB, per trial: 32 per chunk).
+#: budget, which counts the build's working set (dim 2, p 4: 4 to 28 KiB
+#: per trial, so 18 to 128 trials per chunk).
 VERIFY_CASES = [
     dict(family="hlawka3", p=4),
     dict(family="supermod", p=4),
@@ -170,11 +171,14 @@ VERIFY_CASES = [
 class TestVerifyAgainstOracle:
     @pytest.mark.parametrize("case", VERIFY_CASES, ids=lambda c: c["family"])
     def test_every_family(self, case, monkeypatch):
-        cfg = verify_cfg(dim=2, trials=70, seed=5, **case)
+        cfg = verify_cfg(dim=2, trials=140, seed=5, **case)
         sizes = count_chunks(monkeypatch)
         report, _ = run_verify(cfg)
         n = cfg.n
-        assert sizes == [32 * n, 32 * n, 6 * n]
+        held = working_set(cfg.family, n, cfg.p, 2, k=cfg.k, ell=cfg.ell, m=cfg.m)
+        chunk = harness.CHUNK_BYTES // (16 * held)
+        assert len(sizes) > 1
+        assert sizes == [n * min(chunk, 140 - lo) for lo in range(0, 140, chunk)]
         monkeypatch.undo()
         assert_same_report(report, oracle_verify(cfg))
 
@@ -192,9 +196,10 @@ class TestVerifyAgainstOracle:
 
     @pytest.mark.parametrize("delta", [None, -1, 0, 1])
     def test_trial_counts_around_a_chunk(self, delta, monkeypatch):
-        # hlawka3 at dim 2, p 3: the largest stacked array is one 8x8 complex
-        # difference (1 KiB) per trial.
-        chunk = harness.CHUNK_BYTES // (16 * 8 * 8)
+        # hlawka3 at dim 2, p 3: a trial holds 176 entries at the widest
+        # step: three 4x4 pair tables, the 8x8 output and one 8x8 product.
+        assert working_set("hlawka3", 3, 3, 2) == 176
+        chunk = harness.CHUNK_BYTES // (16 * 176)
         trials = 0 if delta is None else chunk + delta
         cfg = verify_cfg(family="hlawka3", p=3, dim=2, trials=trials, seed=3)
         sizes = count_chunks(monkeypatch)
@@ -238,8 +243,8 @@ class TestScalarAgainstOracle:
     @pytest.mark.parametrize("delta", [None, -1, 0, 1])
     def test_trial_counts_around_a_chunk(self, delta, monkeypatch):
         # det at dim 4: the largest stacked array is the 24x4 complex gather
-        # of one determinant (1.5 KiB) per trial.
-        chunk = harness.CHUNK_BYTES // (16 * 24 * 4)
+        # of one determinant (1.5 KiB) per trial, counted four times.
+        chunk = harness.CHUNK_BYTES // (16 * 4 * 24 * 4)
         trials = 0 if delta is None else chunk + delta
         cfg = scalar_cfg(family="alternating", n=4, dim=4, char="det", trials=trials, seed=2)
         sizes = count_chunks(monkeypatch)

@@ -121,6 +121,20 @@ class TestExactZeroBelowTheSmallestSupport:
         assert doc["minMargin"] == 0.0
 
 
+class TestManySupportSetsStillRun:
+    # The word sum merges the sets whose supports share one coefficient:
+    # superadd keeps n + 1 sets, so these run as the subset route ran them.
+    @pytest.mark.parametrize("command", [
+        "verify --family superadd --n 40 --p 4 --trials 3",
+        "verify --family superadd --n 6 --p 4 --max-dim 16 --trials 3",
+    ])
+    def test_exit_zero_with_no_violation(self, command, tmp_path):
+        out = tmp_path / "r.json"
+        assert main([*command.split(), "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["violations"] == [] and doc["minMargin"] > 0
+
+
 class TestDeterminism:
     def test_verify_reports_byte_identical_modulo_runtime(self, tmp_path):
         outs = []
@@ -315,8 +329,6 @@ TARGET_FAULT = "condition_target must be finite and >= 1"
 class TestParametersCheckedBeforeTheTrials:
     @pytest.mark.parametrize("command, code", [
         ("verify --family hlawka3 --p 13", 3),
-        ("verify --family superadd --n 40 --p 4", 3),  # 102090 support sets
-        ("verify --family superadd --n 6 --p 4 --max-dim 16", 3),  # working set
         ("verify --family superadd --n 1", 2),
         ("scalar-verify --family pcz --n 5", 2),
         ("scalar-verify --family radu --n 4 --k 9", 2),

@@ -275,6 +275,7 @@ class TestSharedProperties:
         with pytest.raises(BudgetError, match=r"C\(40, 36\) = 91390 exceeds budget 65536"):
             build_difference("alternating", pd_tuple(29, 40, 2), 1)
         monkeypatch.setattr(sums, "MAX_LEVEL_SUBSETS", 10)
+        sums._tensor_sum_plan.cache_clear()  # a plan cached before the budget fell
         assert len(sums._level(5, 2).subsets) == 10
         with pytest.raises(BudgetError, match=r"C\(6, 2\) = 15 exceeds budget 10"):
             symmetric_tensor_sum(pd_tuple(29, 6, 2), 2, 1)
@@ -292,6 +293,17 @@ class TestSharedProperties:
         finally:
             tracemalloc.stop()
         assert peak < 5 * out.array.nbytes
+
+    def test_bits_do_not_depend_on_how_rows_are_stacked(self, monkeypatch):
+        # A 1-byte block forms every product of the DP one row at a time.
+        mats = pd_tuple(34, 5, 2)
+        for family, p, levels in (("alternating", 5, {}), ("superadd", 4, {}),
+                                  ("pop-levels", 4, {"k": 1, "ell": 2, "m": 3})):
+            stacked = build_difference(family, mats, p, **levels).array
+            monkeypatch.setattr(sums, "_BLOCK_BYTES", 1)
+            one_row = build_difference(family, mats, p, **levels).array
+            monkeypatch.undo()
+            assert stacked.tobytes() == one_row.tobytes()
 
     def test_psd_inputs_accepted(self):
         # Singular PSD inputs are fine: inequalities are closed under limits.
@@ -361,9 +373,27 @@ class TestSupportCoefficients:
         # alternating n 5: c != 0 on the full set only, so at p 5 the sets of
         # size k are all kept at step k, and nothing survives at p < 5.
         assert sums._family_plan("alternating", 5, 5, None, None, None).live == (1, 5, 10, 10, 5)
-        assert sums._family_plan("alternating", 5, 4, None, None, None).live == (0, 0, 0, 0)
-        # hlawka3 p 4: the 3 singletons cannot reach {0, 1, 2} in the last step.
+        assert sums._family_plan("alternating", 5, 4, None, None, None).steps == ()
+        # hlawka3 p 4: the 3 singletons cannot reach {0, 1, 2} in the last
+        # step; the full set is the merged accumulator.
         assert sums._family_plan("hlawka3", 3, 4, None, None, None).live == (1, 3, 6, 4)
+
+    def test_sets_whose_supports_share_one_coefficient_are_merged(self):
+        # superadd: c = 1 on every set of two or more inputs, so the DP keeps
+        # the empty set, the n singletons and one merged accumulator.
+        plan = sums._family_plan("superadd", 40, 4, None, None, None)
+        assert plan.live == (1, 40, 41, 41)
+        assert plan.working_set(2) < 3 * 4 ** 8
+        # pop-pairs: c = 1 from three inputs up, 0 below; at the last step
+        # the singletons are dropped and the 15 pairs stay apart.
+        assert sums._family_plan("pop-pairs", 6, 4, None, None, None).live == (1, 6, 21, 16)
+
+    def test_coefficients_are_read_on_demand_at_any_n(self):
+        coeff = sums.support_coefficients("superadd", 40)
+        assert len(coeff) == 2**40 - 1
+        assert (coeff[1 << 39], coeff[0b11], coeff[2**40 - 1]) == (0, 1, 1)
+        with pytest.raises(KeyError):
+            coeff[2**40]
 
     def test_a_swapped_entry_reports_its_negative_coefficient(self, monkeypatch):
         spec = FAMILIES["pop-pairs"]
@@ -376,17 +406,20 @@ class TestSupportCoefficients:
         assert np.array_equal(build_difference("pop-pairs-swapped", mats, 3).array,
                               -build_difference("pop-pairs", mats, 3).array)
 
-    def test_support_sets_are_counted_before_they_are_listed(self):
-        with pytest.raises(BudgetError, match=r"support sets of at most 4 of 40 inputs: 102090 "
-                                              r"exceed budget 65536"):
-            build_difference("superadd", pd_tuple(32, 40, 1), 4)
-
-    def test_working_set_is_held_to_the_tensor_budget(self):
-        # Every subset of 6 inputs is live below p: 41 sets of 8x8 at the
-        # last step, past eight 16x16 arrays.
-        with pytest.raises(BudgetError, match=r"more than 8 arrays of the budget's 16x16"):
-            build_difference("superadd", pd_tuple(33, 6, 2), 4, max_dim=16)
-        assert build_difference("superadd", pd_tuple(33, 6, 2), 4, max_dim=32).dim == 16
+    @pytest.mark.parametrize("family, n, p, levels", [
+        ("superadd", 5, 3, {}), ("pop-pairs", 5, 4, {}), ("pop-subsets", 6, 4, {"m": 4}),
+        ("pop-levels", 5, 4, {"k": 1, "ell": 2, "m": 3}), ("supermod", 3, 4, {}),
+    ])
+    def test_merged_sets_build_exactly(self, family, n, p, levels):
+        # Integer inputs, every partial sum an integer below 2**53: the
+        # merged accumulator's products are the word sum, bit for bit.
+        rng = np.random.default_rng(n * 10 + p)
+        ints = [rng.integers(-3, 4, (2, 2)) for _ in range(n)]
+        mats = [HermitianMatrix((a + a.T).astype(float)) for a in ints]
+        exact = exact_subset_route(family, [(a + a.T).astype(object) for a in ints], p, **levels)
+        den = lcm(*(c.denominator for c in sums.support_coefficients(family, n, **levels).values()))
+        built = build_difference(family, mats, p, **levels).array
+        assert np.array_equal(built * den, exact.astype(complex))
 
 
 def subsets(n: int, size: int) -> list:
