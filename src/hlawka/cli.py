@@ -6,8 +6,9 @@ convex/norm suites), ``counterexample`` (seeded search for violating
 inputs), and ``immanant`` (generalized matrix function of a matrix file).
 Each flag of the first three but ``--out`` and ``--format`` sets one
 :class:`~hlawka.harness.RunConfig` field, and abbreviations are refused.
-The parser states no default but ``--seed`` and ``--trials``: an unset
-field takes its route's value from :data:`hlawka.harness._READS`.
+The parser states no default of a field: an unset ``--seed`` or ``--trials``
+takes :class:`~hlawka.harness.RunConfig`'s, any other unset field its
+route's value from :data:`hlawka.harness._READS`.
 
 Exit codes: 0 success / no violation, 1 violation found in a family whose
 inequality is established (or a confirmed refutation), 2 usage error (a
@@ -41,8 +42,8 @@ def _trial_parser(sub, command: str, text: str, families) -> argparse.ArgumentPa
     """A trial subcommand with the flags all its routes read."""
     parser = sub.add_parser(command, help=text, allow_abbrev=False)
     parser.add_argument("--family", required=True, choices=tuple(families))
-    parser.add_argument("--seed", type=int, default=0, help="64-bit master seed")
-    parser.add_argument("--trials", type=int, default=100, help="number of trials")
+    parser.add_argument("--seed", type=int, default=argparse.SUPPRESS, help="64-bit master seed")
+    parser.add_argument("--trials", type=int, default=argparse.SUPPRESS, help="number of trials")
     parser.add_argument("--tol", type=float, help="relative tolerance override, finite and >= 0")
     parser.add_argument("--n", type=int, help="number of inputs")
     parser.add_argument("--dim", type=int, help="matrix or vector dimension")

@@ -75,14 +75,9 @@ from .scalar import (
     suite_terms,
     vasc_check,
 )
-from .sums import FAMILIES, build_difference, working_set
+from .sums import CHUNK_BYTES, FAMILIES, build_difference, working_set
 from .symgroup import check_symmetric_degree
 from .util import derive_seed
-
-#: Byte budget of what one chunk of trials holds at once.  Big enough to
-#: amortize per-call overhead on small tuples; a trial over budget runs
-#: alone, allocating what a single-trial run allocates.
-CHUNK_BYTES = 512 * 1024
 
 #: Bytes per complex128 entry.
 _ENTRY_BYTES = 16
@@ -179,8 +174,7 @@ def _settings(cfg: RunConfig, route: str) -> tuple[RunConfig, list[str]]:
     if cfg.family not in families:
         raise InputError(f"--family must be one of {list(families)}, got {cfg.family!r}")
     spec = SUITES[cfg.family]
-    needs = spec.needs.split()
-    only = {"k": "k" in needs, "ell": "ell" in needs, "m": "m" in needs,
+    only = {**{name: name in spec.levels for name in _LEVELS},
             "dim": route in ("verify", "matrix") or spec.term == "norm",
             "fn": spec.term != "norm",
             "radius": cfg.center is not None, "include_known": cfg.family == "hlawka-pop"}

@@ -30,7 +30,7 @@ The difference is built as a positive sum over words, as the paper proves
 it.  Expanding each subset power over words w in [n]^p gives
 LHS - RHS = sum_w c(supp w) A_w, with A_w = A_{w_1} (x) ... (x) A_{w_p} and
 the exact coefficients c(U) of :func:`support_coefficients`, all >= 0 for
-every entry above (checked exactly at every parameter set with n <= 12).
+every entry above at every parameter set (README "What is checked").
 A DP over the word length keeps one partial sum per support set whose
 reachable supports do not all share one coefficient, and one merged
 partial sum for every other set, each weighted by its c, which then takes
@@ -38,7 +38,8 @@ every letter (so ``superadd`` keeps n + 1); a set that reaches only c = 0
 is dropped.  Nothing is formed that cancels later.
 The alternating difference is an n-th order finite difference: its only
 nonzero coefficient is on the full set, so at p < n no word survives and it
-is exactly zero; strict positivity needs p >= n.
+is exactly zero; strict positivity needs p >= n.  :func:`symmetric_tensor_sum`
+builds S_k the same way, as a private table of one level.
 
 Determinism: inputs are first canonically ordered by content hash (trial
 by trial for stacks), then every sum of the DP runs in one fixed order,
@@ -116,8 +117,8 @@ class FamilySpec:
     input 0 in its place.  ``term`` is ``None`` for an operator family, else
     the term rule of a convex/norm suite.  A violation is a failure under the
     ``status`` ``proven`` or ``refuted``, and over ``proven_at`` inputs; under
-    ``empirical`` or ``evaluator`` margins are only reported.  ``notes(n)``
-    gives the interpretation flags of a run over n inputs.
+    ``evaluator`` margins are only reported.  ``notes(n)`` gives the
+    interpretation flags of a run over n inputs.
     """
 
     status: str
@@ -129,9 +130,10 @@ class FamilySpec:
     notes: Callable[[int], list[str]] = lambda n: []
     proven_at: int | None = None
 
-
-def _empirical(n: int) -> list[str]:
-    return ["empirical-family: inequality not established; margins reported, not assumed"]
+    @property
+    def levels(self) -> list[str]:
+        """The levels, of ``k``, ``ell`` and ``m``, that ``needs`` names."""
+        return [name for name in ("k", "ell", "m") if name in self.needs.split()]
 
 
 #: The one definition of every operator family, keyed by its name.
@@ -152,13 +154,17 @@ FAMILIES = {
         "proven", "n >= 3", lambda n, k, ell, m: n >= 3,
         lambda n, k, ell, m: _pop_subsets(n, 2)),
     "pop-subsets": FamilySpec(
-        "empirical", "2 <= m < n", lambda n, k, ell, m: m is not None and 2 <= m < n,
-        lambda n, k, ell, m: _pop_subsets(n, m), notes=_empirical),
+        "proven", "2 <= m < n", lambda n, k, ell, m: m is not None and 2 <= m < n,
+        lambda n, k, ell, m: _pop_subsets(n, m)),
     "pop-levels": FamilySpec(
-        "empirical", "1 <= k < ell < m <= n",
-        lambda n, k, ell, m: None not in (k, ell, m) and 1 <= k < ell < m <= n, _pop_levels,
-        notes=_empirical),
+        "proven", "1 <= k < ell < m <= n",
+        lambda n, k, ell, m: None not in (k, ell, m) and 1 <= k < ell < m <= n, _pop_levels),
 }
+
+#: S_k, the one-level table of :func:`symmetric_tensor_sum`; no family.
+_TENSOR_SUM = FamilySpec(
+    "proven", "1 <= k <= n", lambda n, k, ell, m: k is not None and 1 <= k <= n,
+    lambda n, k, ell, m: ([_level(n, k)], []))
 
 
 def operator_family(name: str) -> FamilySpec:
@@ -178,16 +184,15 @@ def checked_sides(name: str, spec: FamilySpec, n: int, k=None, ell=None, m=None)
     """
     values = {"n": n, "k": k, "ell": ell, "m": m}
     if not spec.valid(**values):
-        shown = [key for key in values if key == "n" or key in spec.needs.split()]
-        got = ", ".join(f"{key}={values[key]}" for key in shown)
+        got = ", ".join(f"{key}={values[key]}" for key in ("n", *spec.levels))
         raise InputError(f"{name} needs {spec.needs}, got {got}")
     return spec.sides(**values)
 
 
-def _canonical_arrays(mats, *, keep_first_fixed: bool = False) -> list[np.ndarray]:
+def _canonical_arrays(mats, *, keep_first_fixed: bool = False) -> np.ndarray:
     # Sort each trial's matrices by their own digests (stable, so equal
-    # matrices keep their input order), then gather every position into one
-    # contiguous (trials, dim, dim) array.
+    # matrices keep their input order), then gather them in one
+    # contiguous (n, trials, dim, dim) stack, position by position.
     if not mats:
         raise InputError("need at least one matrix")
     hs = _same_shape(mats)
@@ -198,8 +203,7 @@ def _canonical_arrays(mats, *, keep_first_fixed: bool = False) -> list[np.ndarra
         dtype=np.intp,
     ).reshape(len(keys), len(hs))
     stacked = np.stack([_entries(h) for h in hs])
-    trial = np.arange(len(keys))
-    return [stacked[order[:, i], trial] for i in range(len(hs))]
+    return stacked[order.T, np.arange(len(keys))]
 
 
 def support_coefficients(name: str, n: int, k=None, ell=None, m=None) -> Mapping[int, Fraction]:
@@ -275,9 +279,11 @@ class _Coefficients(Mapping):
         return self._by_size[low]
 
 
-#: Largest product, in bytes, that one stacked Kronecker call of the DP
-#: forms when its rows are smaller; a larger row is formed alone.
-_BLOCK_BYTES = 2**20
+#: Byte budget of the temporaries held at once: the DP forms its stacked
+#: Kronecker products in blocks of rows this size, and ``harness`` its
+#: chunks of trials.  Big enough to amortize per-call overhead on small
+#: tuples; a row or trial over budget runs alone.
+CHUNK_BYTES = 512 * 1024
 
 #: Every entry of the absent row that ends a table the next step reads as
 #: a missing source: adding -0 leaves every value, signed zeros included,
@@ -376,32 +382,26 @@ def _word_plan(coeff: _Coefficients, n: int, p: int) -> _WordPlan:
 
 
 @lru_cache(maxsize=64)
-def _family_plan(family: str, n: int, p: int, k, ell, m) -> _WordPlan:
-    return _word_plan(_Coefficients(checked_sides(family, operator_family(family), n, k, ell, m),
-                                    n), n, p)
-
-
-@lru_cache(maxsize=64)
-def _tensor_sum_plan(n: int, k: int, p: int) -> _WordPlan:
-    return _word_plan(_Coefficients(([_level(n, k)], []), n), n, p)
+def _plan(name: str, spec: FamilySpec, n: int, p: int, k, ell, m) -> _WordPlan:
+    return _word_plan(_Coefficients(checked_sides(name, spec, n, k, ell, m), n), n, p)
 
 
 def working_set(family: str, n: int, p: int, dim: int, *, k=None, ell=None, m=None) -> int:
     """Entries per trial that :func:`build_difference` holds at once over
     n inputs of size ``dim``: at least the output's ``dim^(2p)``."""
-    return max(dim ** (2 * p), _family_plan(family, n, p, k, ell, m).working_set(dim))
+    plan = _plan(family, operator_family(family), n, p, k, ell, m)
+    return max(dim ** (2 * p), plan.working_set(dim))
 
 
-def _word_sum(arrays: list[np.ndarray], plan: _WordPlan, dim: int, p: int) -> np.ndarray:
+def _word_sum(inputs: np.ndarray, plan: _WordPlan, p: int) -> np.ndarray:
     # T_k[U] is the sum of A_w over the words w of length k with support
     # exactly U, and T_{k+1}[U] = sum_{i in U} (T_k[U] + T_k[U - i]) (x) A_i.
     # Each row sums its terms left to right over i ascending, and the
     # merged row its sources in plan order, so the bits are fixed: the
     # same as one row at a time, for any number of trials.
-    count, side = len(arrays[0]), dim ** p
+    _, count, dim, _ = inputs.shape
     if not plan.steps:
-        return np.zeros((count, side, side), dtype=np.complex128)
-    inputs = np.stack(arrays)
+        return np.zeros((count, dim ** p, dim ** p), dtype=np.complex128)
     table = np.full((2, count, 1, 1), _ABSENT)
     table[0] = 1
     for k, step in enumerate(plan.steps):
@@ -411,7 +411,7 @@ def _word_sum(arrays: list[np.ndarray], plan: _WordPlan, dim: int, p: int) -> np
         out = np.empty((step.size + absent, count, wide, wide), dtype=np.complex128)
         if absent:
             out[-1] = _ABSENT
-        block = max(1, _BLOCK_BYTES // out[0].nbytes)
+        block = max(1, CHUNK_BYTES // out[0].nbytes)
         for lo, hi, slots in step.classes:
             for start in range(lo, hi, block):
                 part = slice(start - lo, min(hi, start + block) - lo)
@@ -423,7 +423,7 @@ def _word_sum(arrays: list[np.ndarray], plan: _WordPlan, dim: int, p: int) -> np
                         _kron_into(rows, x, inputs[i[part]])
                     else:
                         rows += _kron(x, inputs[i[part]])
-        for a, merged in zip(arrays, step.merged):
+        for a, merged in zip(inputs, step.merged):
             if merged is not None:
                 first, by_weight = merged
                 if first:
@@ -459,21 +459,26 @@ def _weighted_sum(table: np.ndarray, groups) -> np.ndarray:
     return total
 
 
+def _build(name: str, spec: FamilySpec, mats, p: int, max_dim: int, k, ell, m) -> HermitianStack:
+    # The word sum of the table entry ``spec`` over the given inputs.
+    mats = list(mats)
+    inputs = _canonical_arrays(mats, keep_first_fixed=spec.supermod)
+    check_tensor_budget(inputs.shape[-1], p, max_dim)
+    plan = _plan(name, spec, len(inputs), p, k, ell, m)
+    # An overflowed input or product gives inf or NaN entries, which the
+    # certificate's finiteness check refuses.
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = _word_sum(inputs, plan, p)
+    return _single_or_all(mats[0], HermitianStack._wrap_exact(total))
+
+
 def symmetric_tensor_sum(
     mats, k: int, p: int, max_dim: int = DEFAULT_MAX_TENSOR_DIM
 ) -> HermitianStack:
-    """Sum of p-fold Kronecker powers of all size-k subset sums: the word
-    sum with ``c(U) = C(n - |U|, k - |U|)``."""
-    mats = list(mats)
-    arrays = _canonical_arrays(mats)
-    n = len(arrays)
-    if not 1 <= k <= n:
-        raise InputError(f"k must satisfy 1 <= k <= {n}, got {k}")
-    dim = arrays[0].shape[-1]
-    check_tensor_budget(dim, p, max_dim)
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = _word_sum(arrays, _tensor_sum_plan(n, k, p), dim, p)
-    return _single_or_all(mats[0], HermitianStack._wrap_exact(total))
+    """Sum of p-fold Kronecker powers of all size-k subset sums, for
+    ``1 <= k <= n``: the word sum with ``c(U) = C(n - |U|, k - |U|)``,
+    built as :func:`build_difference` builds a family."""
+    return _build("symmetric_tensor_sum", _TENSOR_SUM, mats, p, max_dim, k, None, None)
 
 
 def build_difference(
@@ -501,14 +506,4 @@ def build_difference(
     keeps n + 1 of them.  Refused with :class:`BudgetError` beyond
     ``max_dim`` or a level of more than ``MAX_LEVEL_SUBSETS`` subsets.
     """
-    spec = operator_family(family)
-    mats = list(mats)
-    arrays = _canonical_arrays(mats, keep_first_fixed=spec.supermod)
-    dim = arrays[0].shape[-1]
-    check_tensor_budget(dim, p, max_dim)
-    plan = _family_plan(family, len(arrays), p, k, ell, m)
-    # An overflowed input or product gives inf or NaN entries, which the
-    # certificate's finiteness check refuses.
-    with np.errstate(over="ignore", invalid="ignore"):
-        diff = _word_sum(arrays, plan, dim, p)
-    return _single_or_all(mats[0], HermitianStack._wrap_exact(diff))
+    return _build(family, operator_family(family), mats, p, max_dim, k, ell, m)

@@ -257,12 +257,19 @@ def enumerate_group(spec: GroupSpec) -> np.ndarray:
         return elements
 
     rows = np.array(spec.elements, dtype=np.intp)
-    codes, first = np.unique(_codes(rows, spec.degree), return_index=True)
+    moved = _on_moved(rows)
+    codes, first = np.unique(_codes(moved, moved.shape[1]), return_index=True)
     if len(codes) > MAX_GROUP_ORDER:
         raise BudgetError(f"group order {len(codes)} exceeds guard {MAX_GROUP_ORDER}")
-    elements = rows[first]
-    _validate_closure(elements, codes)
-    return elements
+    _validate_closure(moved[first], codes)
+    return rows[first]
+
+
+def _on_moved(rows: np.ndarray) -> np.ndarray:
+    """Permutations ``rows`` on the s letters some row moves, relabelled 0..s-1
+    in order, keeping products, inverses, order and cycles; ``rows`` for S_m."""
+    letters = np.flatnonzero((rows != np.arange(rows.shape[1])).any(axis=0))
+    return rows if len(letters) == rows.shape[1] else np.searchsorted(letters, rows[:, letters])
 
 
 def _codes(digits: np.ndarray, base: int) -> np.ndarray:
@@ -302,10 +309,11 @@ def _class_codes(elements: np.ndarray) -> np.ndarray:
     """One integer per element, shared exactly by the elements of one cycle
     type (one conjugacy class of S_degree).
 
-    Digit j is the number of fixed points of p^(j+1).  The counts of p,
-    p^2, ..., p^degree give, by Moebius inversion, the number of cycles of
-    each length, so they fix the cycle type, and the cycle type fixes them.
+    Digit j is the number of moved letters (:func:`_on_moved`) that p^(j+1)
+    fixes.  The counts of p, p^2, ..., p^s give, by Moebius inversion, the
+    number of cycles of each length, so they fix the cycle type and back.
     """
+    elements = _on_moved(elements)
     order, degree = elements.shape
     # Column r of a power (one row per letter) is element r.  Column r of
     # p^(j+1) = p^j o p gathers column r of p^j at the images p_r(i); the

@@ -17,7 +17,7 @@ from conftest import EDGE_SEEDS, pd_tuple, stack_of
 import hlawka.harness as harness
 from hlawka.cli import main
 from hlawka.errors import InputError
-from hlawka.harness import SUITES, RunConfig, run_scalar_verify, run_verify
+from hlawka.harness import RunConfig, run_scalar_verify, run_verify
 from hlawka.linalg import (
     DEFAULT_LOEWNER_TOL,
     DEFAULT_MAX_TENSOR_DIM,
@@ -50,10 +50,6 @@ from hlawka.symgroup import (
 )
 from hlawka.sums import FAMILIES, build_difference, working_set
 from hlawka.util import derive_seed
-
-EMPIRICAL_FAMILIES = {f for f in FAMILIES if SUITES[f].status == "empirical"}
-
-EMPIRICAL_FLAG = "empirical-family: inequality not established; margins reported, not assumed"
 
 
 def normalized(text: str) -> str:
@@ -98,9 +94,7 @@ def oracle_verify(cfg: RunConfig) -> TrialReport:
         if cert.verdict is Verdict.FAILS:
             violations.append({"inputsDigest": tuple_digest(mats),
                                "minEigenvalue": cert.min_eigenvalue, "seed": trial_seed})
-    flags = [EMPIRICAL_FLAG] if family in EMPIRICAL_FAMILIES else []
-    if psd_only:
-        flags.append("psd-only-inputs: some inputs were not strictly positive definite")
+    flags = ["psd-only-inputs: some inputs were not strictly positive definite"] * psd_only
     params_dict = {"n": n, "p": cfg.p, "dim": cfg.dim, "conditionTarget": cfg.condition_target,
                    "maxTensorDim": cfg.max_tensor_dim}
     params_dict.update({k: getattr(cfg, k) for k in ("k", "ell", "m")
@@ -132,9 +126,7 @@ def oracle_scalar(cfg: RunConfig) -> TrialReport:
                                "conditionTarget": cfg.condition_target, **levels},
                        trials=cfg.trials, seed=cfg.seed, tolerance_used=tol,
                        min_margin=min(margins) if margins else None, equality_cases=equality,
-                       violations=violations,
-                       interpretation_flags=[EMPIRICAL_FLAG] if family in EMPIRICAL_FAMILIES
-                       else [])
+                       violations=violations)
 
 
 def assert_same_report(batched: TrialReport, oracle: TrialReport) -> None:

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import hlawka
+from hlawka import harness
 from hlawka.cli import _config_from, build_parser, main
 from hlawka.errors import InputError
 from hlawka.harness import (
@@ -87,13 +88,21 @@ class TestVerifyCommand:
                      "--trials", "1"]) == 2  # missing k/ell/m
         assert main(["verify", "--family", "hlawka3", "--n", "4", "--trials", "1"]) == 2
 
-    def test_empirical_family_flagged_and_exit_zero(self, tmp_path):
+    @pytest.mark.parametrize("family, levels", [("pop-subsets", "--m 3"),
+                                                ("pop-levels", "--k 1 --ell 2 --m 3")])
+    def test_popoviciu_level_families_are_proven(self, family, levels, tmp_path, monkeypatch):
+        # Every support coefficient is >= 0, so they carry no flag, and a
+        # violation (here of the negated build) exits 1.
         out = tmp_path / "r.json"
-        code = main(["verify", "--family", "pop-subsets", "--n", "4", "--m", "3",
-                     "--p", "2", "--trials", "10", "--out", str(out)])
-        assert code == 0
-        doc = json.loads(out.read_text())
-        assert any("empirical" in f for f in doc["interpretationFlags"])
+        argv = ["verify", "--family", family, "--n", "4", *levels.split(), "--p", "3",
+                "--trials", "10", "--out", str(out)]
+        assert main(argv) == 0
+        assert json.loads(out.read_text())["interpretationFlags"] == []
+        original = harness.build_difference
+        monkeypatch.setattr(harness, "build_difference",
+                            lambda *args, **kwargs: -original(*args, **kwargs))
+        assert main(argv) == 1
+        assert len(json.loads(out.read_text())["violations"]) == 10
 
 
 class TestExactZeroBelowTheSmallestSupport:
@@ -904,6 +913,16 @@ class TestRegistryDrift:
             build_parser().parse_args([*base, *abbreviation.split()])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("command", TRIAL_COMMANDS)
+    def test_seed_and_trials_are_parsed_only_when_given(self, command):
+        # RunConfig alone states their defaults.
+        base = [command, "--family", cli_choices(command)[0]]
+        args = build_parser().parse_args(base)
+        assert not hasattr(args, "seed") and not hasattr(args, "trials")
+        assert (_config_from(args).seed, _config_from(args).trials) == (0, 100)
+        args = build_parser().parse_args([*base, "--seed", "0", "--trials", "100"])
+        assert (args.seed, args.trials) == (0, 100)
+
     def test_verify_choices_are_the_operator_families(self):
         # One tuple, read from the table by the parser and by both routes.
         families = cli_choices("verify")
@@ -977,7 +996,7 @@ class TestRegistryDrift:
             code = main([*line, "--out", str(out)])
             err = capsys.readouterr().err
             if action.dest in ("k", "ell", "m"):
-                assert (code != 2) == (action.dest in SUITES[family].needs.split()), line
+                assert (code != 2) == (action.dest in SUITES[family].levels), line
             if code == 2:
                 assert err == f"error: {flag} is not read by --family {family}\n", line
                 continue

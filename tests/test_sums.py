@@ -45,10 +45,11 @@ class TestSymmetricTensorSum:
 
     def test_parameter_range(self):
         mats = pd_tuple(3, 3, 2)
-        with pytest.raises(InputError):
-            symmetric_tensor_sum(mats, 0, 1)
-        with pytest.raises(InputError):
-            symmetric_tensor_sum(mats, 4, 1)
+        for k in (0, 4):
+            # The same message as a family's.
+            with pytest.raises(InputError, match=rf"^symmetric_tensor_sum needs 1 <= k <= n, "
+                                                 rf"got n=3, k={k}$"):
+                symmetric_tensor_sum(mats, k, 1)
 
     def test_budget(self):
         mats = pd_tuple(4, 3, 4)
@@ -275,7 +276,7 @@ class TestSharedProperties:
         with pytest.raises(BudgetError, match=r"C\(40, 36\) = 91390 exceeds budget 65536"):
             build_difference("alternating", pd_tuple(29, 40, 2), 1)
         monkeypatch.setattr(sums, "MAX_LEVEL_SUBSETS", 10)
-        sums._tensor_sum_plan.cache_clear()  # a plan cached before the budget fell
+        sums._plan.cache_clear()  # a plan cached before the budget fell
         assert len(sums._level(5, 2).subsets) == 10
         with pytest.raises(BudgetError, match=r"C\(6, 2\) = 15 exceeds budget 10"):
             symmetric_tensor_sum(pd_tuple(29, 6, 2), 2, 1)
@@ -295,12 +296,12 @@ class TestSharedProperties:
         assert peak < 5 * out.array.nbytes
 
     def test_bits_do_not_depend_on_how_rows_are_stacked(self, monkeypatch):
-        # A 1-byte block forms every product of the DP one row at a time.
+        # A 1-byte budget forms every product of the DP one row at a time.
         mats = pd_tuple(34, 5, 2)
         for family, p, levels in (("alternating", 5, {}), ("superadd", 4, {}),
                                   ("pop-levels", 4, {"k": 1, "ell": 2, "m": 3})):
             stacked = build_difference(family, mats, p, **levels).array
-            monkeypatch.setattr(sums, "_BLOCK_BYTES", 1)
+            monkeypatch.setattr(sums, "CHUNK_BYTES", 1)
             one_row = build_difference(family, mats, p, **levels).array
             monkeypatch.undo()
             assert stacked.tobytes() == one_row.tobytes()
@@ -324,6 +325,11 @@ def exact_subset_route(family: str, mats: list[np.ndarray], p: int, **levels) ->
 
 def comb0(a: int, b: int) -> int:
     return comb(a, b) if 0 <= b <= a else 0
+
+
+def plan(family: str, n: int, p: int):
+    """The cached support-set DP of a family that reads no level."""
+    return sums._plan(family, FAMILIES[family], n, p, None, None, None)
 
 
 class TestSupportCoefficients:
@@ -364,6 +370,25 @@ class TestSupportCoefficients:
                 j = u.bit_count()
                 assert c == (0 if j < 3 else comb(n - 2, m - 2) - comb0(n - j, m - j))
 
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_every_coefficient_is_nonnegative_at_every_accepted_parameter_set(self, family):
+        # A level listing every subset of one size adds the same count to
+        # every set of a size, so where every level does, one set per size
+        # stands for all; otherwise (supermod) every set is read.
+        spec = FAMILIES[family]
+        for n in range(1, 13):
+            choices = [range(1, n + 1) if name in spec.levels else [None]
+                       for name in ("k", "ell", "m")]
+            for k, ell, m in product(*choices):
+                if not spec.valid(n, k, ell, m):
+                    continue
+                coeff = sums.support_coefficients(family, n, k, ell, m)
+                sets = coeff
+                if all(set(level.subsets) == set(subsets(n, len(level.subsets[0])))
+                       for side in spec.sides(n, k, ell, m) for level in side):
+                    sets = [(1 << j) - 1 for j in range(1, n + 1)]
+                assert min(coeff[u] for u in sets) >= 0, (n, k, ell, m)
+
     def test_sets_are_listed_in_ascending_bitmask_order(self):
         coeff = sums.support_coefficients("supermod", 3)
         assert list(coeff) == list(range(1, 8))
@@ -372,21 +397,21 @@ class TestSupportCoefficients:
     def test_only_sets_that_can_still_reach_a_nonzero_support_are_kept(self):
         # alternating n 5: c != 0 on the full set only, so at p 5 the sets of
         # size k are all kept at step k, and nothing survives at p < 5.
-        assert sums._family_plan("alternating", 5, 5, None, None, None).live == (1, 5, 10, 10, 5)
-        assert sums._family_plan("alternating", 5, 4, None, None, None).steps == ()
+        assert plan("alternating", 5, 5).live == (1, 5, 10, 10, 5)
+        assert plan("alternating", 5, 4).steps == ()
         # hlawka3 p 4: the 3 singletons cannot reach {0, 1, 2} in the last
         # step; the full set is the merged accumulator.
-        assert sums._family_plan("hlawka3", 3, 4, None, None, None).live == (1, 3, 6, 4)
+        assert plan("hlawka3", 3, 4).live == (1, 3, 6, 4)
 
     def test_sets_whose_supports_share_one_coefficient_are_merged(self):
         # superadd: c = 1 on every set of two or more inputs, so the DP keeps
         # the empty set, the n singletons and one merged accumulator.
-        plan = sums._family_plan("superadd", 40, 4, None, None, None)
-        assert plan.live == (1, 40, 41, 41)
-        assert plan.working_set(2) < 3 * 4 ** 8
+        superadd = plan("superadd", 40, 4)
+        assert superadd.live == (1, 40, 41, 41)
+        assert superadd.working_set(2) < 3 * 4 ** 8
         # pop-pairs: c = 1 from three inputs up, 0 below; at the last step
         # the singletons are dropped and the 15 pairs stay apart.
-        assert sums._family_plan("pop-pairs", 6, 4, None, None, None).live == (1, 6, 21, 16)
+        assert plan("pop-pairs", 6, 4).live == (1, 6, 21, 16)
 
     def test_coefficients_are_read_on_demand_at_any_n(self):
         coeff = sums.support_coefficients("superadd", 40)

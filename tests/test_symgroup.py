@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from hlawka import symgroup
 from hlawka.errors import BudgetError, InputError
 from hlawka.symgroup import (
     CharacterSpec,
@@ -170,6 +171,7 @@ EXPLICIT_SUBGROUPS = {
     "S4 on 17 letters": [p + tuple(range(4, 17)) for p in itertools.permutations(range(4))],
     "C6xC4xC3xC2 on 17 letters": cyclic_product(17, tuple(range(6)), (6, 7, 8, 9),
                                                 (10, 11, 12), (13, 14)),
+    "C9xC8 on 17 letters": cyclic_product(17, tuple(range(9)), tuple(range(9, 17))),
 }
 
 
@@ -201,7 +203,7 @@ class TestClassPass:
 
     @pytest.mark.parametrize("name", EXPLICIT_SUBGROUPS)
     def test_explicit_subgroup_classes_and_signs(self, name):
-        # Degree 17 takes the class codes past int64 (18**17 > 2**63).
+        # 17 moved letters take both codes past int64 (17**17, 18**17 > 2**63).
         elements = sorted(EXPLICIT_SUBGROUPS[name])
         group = GroupSpec.explicit(elements)
         rows = enumerate_group(group)
@@ -212,6 +214,26 @@ class TestClassPass:
         types = [cycle_type(p) for p in elements]
         for i, j in itertools.combinations(range(len(elements)), 2):
             assert (codes[i] == codes[j]) == (types[i] == types[j])
+
+
+    def test_padded_s_6_keeps_int64_codes(self, monkeypatch):
+        # Only the 6 moved letters are coded; all 17 took Python-int codes
+        # and about 20 times as long.
+        elements = [p + tuple(range(6, 17)) for p in itertools.permutations(range(6))]
+        dtypes, codes = [], symgroup._codes
+
+        def spy(*args):
+            out = codes(*args)
+            dtypes.append(out.dtype)
+            return out
+
+        monkeypatch.setattr(symgroup, "_codes", spy)
+        group = GroupSpec.explicit(elements)
+        rows = enumerate_group(group)
+        assert rows.tolist() == [list(p) for p in elements]
+        signs = character_values(group, CharacterSpec.sign(), rows)
+        assert signs.tolist() == [permutation_sign(p) for p in elements]
+        assert dtypes and set(dtypes) == {np.dtype(np.int64)}
 
 
 class TestCharacterTableFile:
