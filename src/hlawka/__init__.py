@@ -10,8 +10,8 @@ Public surface:
   and :func:`~hlawka.sums.build_difference`, which takes that name.
 * :mod:`hlawka.symgroup` / :mod:`hlawka.matfunc` -- permutation groups,
   characters, determinants/permanents/immanants and their corollaries.
-* :mod:`hlawka.scalar` -- convex/norm inequality evaluators and the
-  counterexample search from one start point.
+* :mod:`hlawka.scalar` -- the convex/norm evaluator, over a block of
+  inputs at a time, and the counterexample search from a block of starts.
 * :mod:`hlawka.cli` -- the ``hlawka`` command.
 """
 

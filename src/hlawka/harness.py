@@ -15,13 +15,14 @@ and a completed search exits 0.  Every run starts with one settings pass,
 route reads and the value each takes when unset.
 
 Per-trial seeds derive from (master seed, trial index), so how trials are
-grouped cannot change any reported number.  The two operator suites run
-their trials in chunks stacked on a leading axis: one sampling call, one
-build and one certification (or one scalar check) per chunk, each bit for
-bit the per-trial result.  A chunk holds as many trials as fit
-``CHUNK_BYTES`` in the arrays a trial holds at once (the build's working
-set, on ``verify``), and at least one.  Reports
-are assembled in trial order.
+grouped cannot change any reported number.  Every route runs its trials in
+chunks stacked on a leading axis, each bit for bit the per-trial result:
+the two operator suites take one sampling call, one build and one
+certification (or one scalar check) per chunk, and the convex/norm suites
+and the search one block evaluation per chunk (the search's descents one
+per round).  A chunk holds as many trials as fit ``CHUNK_BYTES`` in the
+arrays a trial holds at once (the build's working set, on ``verify``), and
+at least one.  Reports are assembled in trial order.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from .linalg import (
     PdBatchConfig,
     Verdict,
     _generators,
-    band_verdict,
     check_tensor_budget,
     min_eigenvalue,
     psd_certificate,
@@ -51,6 +51,7 @@ from .linalg import (
 )
 from .matfunc import DEFAULT_SCALAR_MATRIX_TOL, parse_character_selector, scalar_inequality_check
 from .report import TrialReport
+from . import scalar
 from .scalar import (
     CONVEX_NORM_SUITES,
     DEFAULT_SCALAR_TOL,
@@ -59,8 +60,16 @@ from .scalar import (
     SEARCH_STRATEGIES,
     SUITES,
     ConvexFunction,
-    conjecture_hlawka_pop_eval,
     convex_catalog,
+    row_bytes,
+    sample_inputs,
+    sample_shape,
+    search_from,
+    suite_terms,
+)
+# Bound here only for perfbench/tracing.py, which resolves them; ROADMAP item 6.
+from .scalar import (
+    conjecture_hlawka_pop_eval,
     freudenthal_alternating,
     functional_hlawka,
     jensen_check,
@@ -69,10 +78,6 @@ from .scalar import (
     pop_levels_scalar_eval,
     popoviciu_check,
     radu_check,
-    sample_inputs,
-    sample_shape,
-    search_from,
-    suite_terms,
     vasc_check,
 )
 from .sums import CHUNK_BYTES, FAMILIES, build_difference, working_set
@@ -110,21 +115,6 @@ class RunConfig:
     radius: float | None = None
     points: tuple[float, ...] | None = None
 
-
-# ``evaluate(cfg, fn, data)`` of each convex/norm suite.  Evaluators are looked
-# up by name when called, so every trial goes through the names bound here.
-_EVALUATORS = {
-    "norm-hlawka": lambda cfg, fn, v: norm_hlawka(*v),
-    "radu": lambda cfg, fn, v: radu_check(v, cfg.k),
-    "jensen": lambda cfg, fn, x: jensen_check(fn, x),
-    "popoviciu": lambda cfg, fn, x: popoviciu_check(fn, *x),
-    "vasc": lambda cfg, fn, x: vasc_check(fn, x),
-    "pcz": lambda cfg, fn, x: pcz_check(fn, x, cfg.m),
-    "pop-levels-scalar": lambda cfg, fn, x: pop_levels_scalar_eval(fn, x, cfg.k, cfg.ell, cfg.m),
-    "functional-hlawka": lambda cfg, fn, x: functional_hlawka(fn, *x),
-    "hlawka-pop": lambda cfg, fn, x: conjecture_hlawka_pop_eval(fn, x),
-    "freudenthal": lambda cfg, fn, v: freudenthal_alternating(v),
-}
 
 _LEVELS = {"k": None, "ell": None, "m": None}
 
@@ -364,28 +354,50 @@ def run_scalar_verify(cfg: RunConfig) -> tuple[TrialReport, int]:
     return _run(report, cfg, _matrix_trials(cfg, 4 * order * cfg.dim, check, "margin"))
 
 
+def _input_chunks(suite: str, cfg: RunConfig, functions: int):
+    """Yield ``(first trial, inputs)`` per chunk of trials, the inputs one
+    ``(T, n)`` or ``(T, n, dim)`` block: ``cfg.points`` as a block of one,
+    else trial t's ``sample_inputs`` drawn from the seed derived from
+    (seed, t), trial 0 being the known refuting input under
+    ``include_known``.  A chunk holds as many trials as the evaluation of
+    ``functions`` convex functions fits in ``CHUNK_BYTES``
+    (:func:`~hlawka.scalar.row_bytes`), and at least one.
+    """
+    shape = sample_shape(suite, cfg.n, cfg.dim)
+    if cfg.points is not None:
+        yield 0, np.asarray(cfg.points, dtype=np.float64).reshape(1, *shape)
+        return
+    size = max(1, CHUNK_BYTES // row_bytes(suite, cfg.n, cfg.dim, functions,
+                                           cfg.k, cfg.ell, cfg.m))
+    rngs = _generators(derive_seed(cfg.seed, t) for t in range(cfg.trials))
+    for lo in range(0, cfg.trials, size):
+        yield lo, np.array([
+            np.asarray(KNOWN_HLAWKA_POP_COUNTEREXAMPLE) if t == 0 and cfg.include_known
+            else sample_inputs(suite, rng, cfg.n, cfg.dim, cfg.center, cfg.radius)
+            for t, rng in zip(range(lo, min(cfg.trials, lo + size)), rngs)])
+
+
 def _run_convex_norm(cfg: RunConfig, names: list[str]) -> tuple[TrialReport, int]:
-    """A convex/norm suite on seeded inputs, or once on explicit ``points``."""
+    """A convex/norm suite on seeded inputs, or once on explicit ``points``,
+    one block evaluation per chunk of trials."""
     fns = [None]
     if SUITES[cfg.family].term != "norm":
         fns = list(convex_catalog()) if cfg.fn == "all" else [ConvexFunction(cfg.fn)]
-    if cfg.points is None:
-        inputs = (sample_inputs(cfg.family, rng, cfg.n, cfg.dim)
-                  for rng in _generators(derive_seed(cfg.seed, t) for t in range(cfg.trials)))
-    else:
-        inputs = [np.asarray(cfg.points, dtype=np.float64).reshape(
-            sample_shape(cfg.family, cfg.n, cfg.dim))]
-    evaluate = _EVALUATORS[cfg.family]
+    kinds = [fn.kind if fn else None for fn in fns]
 
     def records():
-        for t, data in enumerate(inputs):
-            results = [(fn.kind if fn else None, evaluate(cfg, fn, data)) for fn in fns]
-            yield [(kind, r.margin, band_verdict(r.margin, abs(r.margin), r.scale, cfg.tol))
-                   for kind, r in results], (
-                lambda kind, worst, data=data, t=t: {
-                    "inputsDigest": _data_digest(data), "margin": worst,
-                    "seed": derive_seed(cfg.seed, t),
-                    "inputs": [float(x) for x in data.ravel()], **({"fn": kind} if kind else {})})
+        for lo, block in _input_chunks(cfg.family, cfg, len(fns)):
+            # Looked up on the module, so a wrapper bound there sees every block.
+            margins = scalar._search_margin(cfg.family, block, fns, k=cfg.k, ell=cfg.ell,
+                                            m=cfg.m)
+            margins.refuse_first()
+            for t, data, row, verdicts in zip(range(lo, lo + len(block)), block,
+                                              margins.margin.tolist(), margins.verdicts(cfg.tol)):
+                yield list(zip(kinds, row, verdicts)), (
+                    lambda kind, worst, data=data, t=t: {
+                        "inputsDigest": _data_digest(data), "margin": worst,
+                        "seed": derive_seed(cfg.seed, t),
+                        "inputs": [float(x) for x in data.ravel()], **({"fn": kind} if kind else {})})
 
     return _run(_report(cfg, names, cfg.family), cfg, records())
 
@@ -396,8 +408,9 @@ def counterexample_search(suite: str, cfg: RunConfig, fn: ConvexFunction | None,
 
     Trial t starts from ``sample_inputs`` drawn from the seed derived from
     (seed, t), or under ``include_known`` trial 0 from the known refuting
-    input; :func:`~hlawka.scalar.search_from` descends from it under the
-    ``coordinate-descent`` strategy and re-verifies what it reports.  An
+    input; :func:`~hlawka.scalar.search_from` searches from a chunk of
+    starts at once, descending from each in lockstep under the
+    ``coordinate-descent`` strategy, and re-verifies what it reports.  An
     empty list is a valid outcome.  ``cfg`` goes through the settings pass
     of the search route first, which leaves a resolved config as it is;
     ``fn`` is not read under the ``norm`` term.
@@ -405,17 +418,11 @@ def counterexample_search(suite: str, cfg: RunConfig, fn: ConvexFunction | None,
     cfg, _ = _settings(cfg, "counterexample")
     descend = cfg.strategy == "coordinate-descent"
     found = []
-    for t, rng in enumerate(_generators(derive_seed(cfg.seed, t) for t in range(cfg.trials))):
-        if t == 0 and cfg.include_known:
-            start = np.asarray(KNOWN_HLAWKA_POP_COUNTEREXAMPLE)
-        else:
-            start = sample_inputs(suite, rng, cfg.n, cfg.dim, cfg.center, cfg.radius)
-        hit = search_from(suite, fn, tol, start, descend)
-        if hit is not None:
-            inputs, result = hit
+    for lo, starts in _input_chunks(suite, cfg, 1):
+        for row, inputs, result in search_from(suite, fn, tol, starts, descend):
             found.append({"inputsDigest": _data_digest(np.asarray(inputs)),
-                          "margin": result.margin, "seed": derive_seed(cfg.seed, t),
-                          "trialIndex": t, "inputs": [float(x) for x in np.ravel(inputs)]})
+                          "margin": result.margin, "seed": derive_seed(cfg.seed, lo + row),
+                          "trialIndex": lo + row, "inputs": [float(x) for x in np.ravel(inputs)]})
     return found
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import BudgetError, InputError
 from .linalg import HermitianStack, _as_array, _entries, _same_shape, _single_or_all
-from .scalar import ScalarCheckResult, _result, suite_terms
+from .scalar import ScalarCheckResult, _margins, suite_terms
 from .sums import operator_family
 from .symgroup import CharacterSpec, GroupSpec, character_values, enumerate_group
 
@@ -204,13 +204,14 @@ def scalar_inequality_check(
     # One row per term, one column per trial.  Subset sums stay in input
     # order (the reports' bits depend on it); fsum rounds each side once, so
     # no grouping of the terms needs fixing.  An overflowed term is inf or
-    # NaN, which _result refuses.
+    # NaN, which _margins refuses.
     with np.errstate(over="ignore", invalid="ignore"):
         lhs, rhs = (np.array([c * d(reduce(add, map(arrays.__getitem__, s))).real
                               for c, s in side])
                     for side in suite_terms(family, len(hs), k, ell, m))
-    return _single_or_all(hs[0], [_result(lhs[:, t], rhs[:, t], tol)
-                                  for t in range(lhs.shape[1])])
+    margins = _margins(lhs.T[:, np.newaxis], rhs.T[:, np.newaxis])
+    margins.refuse_first()
+    return _single_or_all(hs[0], [margins.result(t, tol) for t in range(lhs.shape[1])])
 
 
 def parse_character_selector(selector: str, dim: int) -> tuple[GroupSpec, CharacterSpec]:

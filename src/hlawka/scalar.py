@@ -1,4 +1,4 @@
-"""Scalar and norm-space inequality evaluators; the search from one start point.
+"""Scalar and norm-space inequality evaluators; the counterexample search.
 
 Margins are always LHS - RHS; a check "holds" when the margin is at worst
 -1e-12 relative to the sum of its absolute terms (:func:`band_verdict`), and
@@ -16,19 +16,26 @@ Every suite is one :class:`~hlawka.sums.FamilySpec` of
 weights times index subsets) and a ``term`` rule mapping a subset of the
 inputs to a norm or a value of f.  :data:`SUITES` adds the operator
 families, and :func:`suite_terms` gives the terms of any entry to the one
-evaluator here and to :mod:`hlawka.matfunc`.  The public evaluators are
-wrappers over it.  Inputs are canonically sorted first, so permuting them
-cannot change a single bit of the result, and each side is summed with
-``math.fsum``, so algebraically equal expressions agree exactly.
+evaluator here and to :mod:`hlawka.matfunc`.
+
+The evaluator, :func:`_search_margin`, takes a block of inputs, ``(T, n)``
+points or ``(T, n, dim)`` vectors, and evaluates every row under every
+given convex function at once.  The public evaluators are blocks of one,
+and the search runs the coordinate descents of a block in lockstep, one
+block per round.  Each row is canonically sorted first, so permuting its
+inputs cannot change a single bit of the result; each subset's sum or
+mean is formed once for every function; and each side is summed with
+``math.fsum``, so algebraically equal expressions agree exactly.  Every
+row gets the bits of the one-input formula :func:`_search_margin` states.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
+from itertools import groupby
 from math import fsum
-from operator import add
 
 import numpy as np
 
@@ -54,6 +61,15 @@ CONVEX_FUNCTIONS = {
 
 CONVEX_KINDS = tuple(CONVEX_FUNCTIONS)
 
+#: The catalog functions that numpy evaluates bit for bit as the Python
+#: ones.  numpy's SIMD ``exp`` and ``power`` round differently from
+#: ``math``, so the other kinds map the Python function over a block.
+_EXACT_IN_NUMPY = {
+    "abs": np.abs,
+    "square": lambda v: v * v,
+    "relu": lambda v: np.where(v > 0.0, v, 0.0),
+}
+
 
 @dataclass(frozen=True)
 class ConvexFunction:
@@ -71,6 +87,20 @@ class ConvexFunction:
             return CONVEX_FUNCTIONS[self.kind](float(x))
         except OverflowError:
             return math.inf
+
+    def over(self, values: np.ndarray) -> np.ndarray:
+        """The function on every entry of ``values``, each bit as a call
+        gives it."""
+        exact = _EXACT_IN_NUMPY.get(self.kind)
+        if exact is not None:
+            with np.errstate(over="ignore"):  # inf, as float arithmetic gives
+                return exact(values)
+        flat = values.ravel().tolist()
+        try:
+            out = list(map(CONVEX_FUNCTIONS[self.kind], flat))
+        except OverflowError:
+            out = list(map(self, flat))
+        return np.array(out, dtype=np.float64).reshape(values.shape)
 
 
 def convex_catalog() -> tuple[ConvexFunction, ...]:
@@ -98,39 +128,78 @@ class ScalarCheckResult:
         return self.verdict is not Verdict.FAILS
 
 
-def _result(lhs_terms, rhs_terms, tol: float = DEFAULT_SCALAR_TOL) -> ScalarCheckResult:
-    lhs_terms = list(lhs_terms)
-    rhs_terms = list(rhs_terms)
+_OVERFLOW = "overflow: a term or a side of the inequality exceeds double precision"
+
+
+def _fsums(*arrays: np.ndarray) -> list[np.ndarray]:
+    """``math.fsum`` along the last axis of each array; NaN where it refuses
+    a sum that overflows, or inf - inf."""
+    out = []
+    for a in arrays:
+        rows = a.reshape(math.prod(a.shape[:-1]), a.shape[-1]).tolist()
+        try:
+            sums = list(map(fsum, rows))
+        except (OverflowError, ValueError):
+            sums = [_fsum_or_nan(row) for row in rows]
+        out.append(np.array(sums, dtype=np.float64).reshape(a.shape[:-1]))
+    return out
+
+
+def _fsum_or_nan(terms: list) -> float:
     try:
-        lhs = fsum(lhs_terms)
-        rhs = fsum(rhs_terms)
-        scale = max(1.0, fsum(abs(t) for t in lhs_terms) + fsum(abs(t) for t in rhs_terms))
-    except (OverflowError, ValueError):  # fsum refuses an overflowing sum and inf - inf
-        lhs = rhs = scale = math.inf
-    margin = lhs - rhs
-    # max(1, nan) is 1, so a NaN term shows only in the margin.
-    if not (math.isfinite(margin) and math.isfinite(scale)):
-        raise InputError("overflow: a term or a side of the inequality exceeds double precision")
-    return ScalarCheckResult(lhs=lhs, rhs=rhs, margin=margin, scale=scale, tolerance=tol)
+        return fsum(terms)
+    except (OverflowError, ValueError):
+        return math.nan
 
 
-def _sorted_points(xs) -> list[float]:
-    pts = np.asarray(xs, dtype=np.float64).ravel().tolist()
-    if not all(math.isfinite(x) for x in pts):
-        raise InputError("points must be finite")
-    return sorted(pts)
+@dataclass(frozen=True)
+class Margins:
+    """A block's evaluation: each side, and the scale ``max(1, sum of the
+    absolute terms)``, as ``(T, F)`` arrays over its rows and functions, and
+    the refusal message of each refused row."""
+
+    lhs: np.ndarray
+    rhs: np.ndarray
+    scale: np.ndarray
+    refusals: dict[int, str]
+
+    @property
+    def margin(self) -> np.ndarray:
+        with np.errstate(all="ignore"):  # inf - inf in a refused row
+            return self.lhs - self.rhs
+
+    def refuse_first(self) -> None:
+        """Raise the refusal of the first refused row, as rows evaluated one
+        after another would."""
+        if self.refusals:
+            raise InputError(self.refusals[min(self.refusals)])
+
+    def verdicts(self, tol: float) -> list[list[Verdict]]:
+        """The :func:`band_verdict` of every row and function."""
+        return [[band_verdict(margin, abs(margin), scale, tol) for margin, scale in zip(*row)]
+                for row in zip(self.margin.tolist(), self.scale.tolist())]
+
+    def result(self, t: int, tol: float = DEFAULT_SCALAR_TOL) -> ScalarCheckResult:
+        """Row ``t`` under the first function."""
+        lhs, rhs, scale = (float(side[t, 0]) for side in (self.lhs, self.rhs, self.scale))
+        return ScalarCheckResult(lhs=lhs, rhs=rhs, margin=lhs - rhs, scale=scale, tolerance=tol)
 
 
-def _sorted_vectors(vectors) -> np.ndarray:
-    arr = np.asarray(vectors, dtype=np.float64)
-    if arr.ndim == 1:
-        arr = arr[:, np.newaxis]
-    if arr.ndim != 2:
-        raise InputError("expected a list of equal-length real vectors")
-    if not np.isfinite(arr).all():
-        raise InputError("vector entries must be finite")
-    order = sorted(range(arr.shape[0]), key=lambda i: tuple(arr[i]))
-    return arr[order]
+def _margins(lhs_terms: np.ndarray, rhs_terms: np.ndarray, overflow=False,
+             refused: dict[int, str] | None = None) -> Margins:
+    """The :class:`Margins` of ``(T, F, L)`` and ``(T, F, R)`` terms, each
+    side an ``fsum`` of its terms in order.  A row is refused with the
+    message ``refused`` gives it, or as an overflow where ``overflow`` marks
+    it or where a side, margin or scale of one of its functions is not
+    finite: a sum ``fsum`` refuses is NaN, and so is ``max(1, NaN)`` here,
+    while a NaN term shows in the margin."""
+    lhs, rhs, lhs_abs, rhs_abs = _fsums(lhs_terms, rhs_terms, np.abs(lhs_terms),
+                                        np.abs(rhs_terms))
+    with np.errstate(all="ignore"):
+        scale = np.maximum(1.0, lhs_abs + rhs_abs)
+        bad = overflow | ~(np.isfinite(lhs - rhs) & np.isfinite(scale)).all(axis=1)
+    overflowed = np.flatnonzero(bad).tolist() if bad.any() else []
+    return Margins(lhs, rhs, scale, {**dict.fromkeys(overflowed, _OVERFLOW), **(refused or {})})
 
 
 def _like(family: str, term: str, status: str = "proven", **kwargs) -> FamilySpec:
@@ -186,7 +255,7 @@ SUITES = {**FAMILIES, **CONVEX_NORM_SUITES}
 @lru_cache(maxsize=64)
 def suite_terms(suite: str, n: int, k=None, ell=None, m=None) -> tuple:
     """The ``(lhs, rhs)`` terms of a :data:`SUITES` entry over n inputs, each
-    a ``(coefficient, subset)`` pair as :func:`_evaluate` reads it;
+    a ``(coefficient, subset)`` pair as :func:`_search_margin` reads it;
     :class:`InputError` if the parameters fail the entry's condition.
     Coefficients are rounded once per parameter set, so evaluating a term
     does no ``Fraction`` arithmetic.
@@ -199,35 +268,109 @@ def suite_terms(suite: str, n: int, k=None, ell=None, m=None) -> tuple:
         for side in checked_sides(suite, spec, n, k, ell, m))
 
 
-def _evaluate(suite: str, data, f: ConvexFunction | None = None, *, k=None, ell=None, m=None,
-              tol: float = DEFAULT_SCALAR_TOL) -> ScalarCheckResult:
-    """The convex/norm suite on canonically sorted ``data``.  The ``term``
-    rule maps a level of weight w and a subset S of the inputs to one term:
+@lru_cache(maxsize=64)
+def _plan(suite: str, n: int, k=None, ell=None, m=None) -> tuple:
+    """The distinct subsets of a suite's terms, as ``(size, (S, size)
+    indices)`` groups by ascending size, and per side each term's column
+    among them, in group order, with its coefficient.  The arrays are
+    read-only, as every caller shares them."""
+    def shared(values, dtype):
+        arr = np.array(values, dtype=dtype)
+        arr.flags.writeable = False
+        return arr
+
+    sides = suite_terms(suite, n, k, ell, m)
+    distinct = sorted({s for side in sides for _, s in side}, key=lambda s: (len(s), s))
+    column = {s: i for i, s in enumerate(distinct)}
+    groups = tuple((size, shared(list(group), np.intp))
+                   for size, group in groupby(distinct, key=len))
+    return groups, tuple((shared([column[s] for _, s in side], np.intp),
+                          shared([c for c, _ in side], np.float64)) for side in sides)
+
+
+def _canonical(data: np.ndarray) -> np.ndarray:
+    """Each row's inputs sorted: points ascending, vectors lexicographically,
+    ties in input order, as Python's ``sorted`` orders them."""
+    if data.ndim == 2:
+        return np.sort(data, axis=1, kind="stable")
+    order = np.lexsort(np.moveaxis(data[..., ::-1], -1, 0), axis=-1)
+    return np.take_along_axis(data, order[..., np.newaxis], axis=1)
+
+
+def row_bytes(suite: str, n: int, dim: int | None, functions: int, k=None, ell=None,
+              m=None) -> int:
+    """About the bytes :func:`_search_margin` holds at once per row of a
+    block: 64 per function and term or input (the images, the terms and
+    their absolute values, as float64 arrays and as Python floats), and 16
+    per term and vector coordinate (the subset sums).  tracemalloc measures
+    40 to 90 bytes per term and function on the benchmarked suites, and
+    this bounds every one."""
+    terms = sum(map(len, suite_terms(suite, n, k, ell, m)))
+    width = dim if SUITES[suite].term == "norm" else 1
+    return 64 * functions * (terms + n) + 16 * terms * width
+
+
+def _search_margin(suite: str, data: np.ndarray, fns=(None,), *, k=None, ell=None,
+                   m=None) -> Margins:
+    """The convex/norm suite on every row of ``data``, ``(T, n)`` points or
+    ``(T, n, dim)`` vectors, under every function of ``fns`` (``(None,)``
+    under the ``norm`` rule, which reads none).  The one evaluator: every
+    trial, search point and public evaluator goes through this name, which
+    the benchmark's tracer times as ``scalar.evaluator``.
+
+    Row by row it evaluates the one-input formula on the canonically sorted
+    inputs, where a level of weight w and a subset S give one term:
 
     * ``norm``:  ``float(w) * ||sum of the vectors of S||``, one vector a row
     * ``value``: ``float(w) * f(the points of S added one by one)``
     * ``mean``:  ``float(w*|S|) * f(fsum(the points of S) / |S|)``, with the
-      exact product ``w*|S|`` rounded once; an overflowing ``fsum`` is an
-      infinite term, which :func:`_result` refuses.
+      exact product ``w*|S|`` rounded once; an overflowing ``fsum`` refuses.
+
+    The block keeps every bit: a singleton is its point and a pair's
+    ``fsum`` is ``a + b``, both exact, and a larger subset keeps one
+    ``fsum`` per row; vector and value sums add left to right; a norm is
+    ``sqrt`` of the ``ddot`` that ``np.linalg.norm`` calls, through a
+    ``(1, d) @ (d, 1)`` matmul; and :meth:`ConvexFunction.over` gives the
+    catalog's bits.  A row with an input that is not finite is refused.
     """
+    data = np.asarray(data, dtype=np.float64)
+    finite = np.isfinite(data).all(axis=tuple(range(1, data.ndim)))
+    refused = {}
+    if not finite.all():  # evaluated on zeros, and refused
+        message = ("vector entries must be finite" if SUITES[suite].term == "norm"
+                   else "points must be finite")
+        refused = dict.fromkeys(np.flatnonzero(~finite).tolist(), message)
+        data = np.where(finite.reshape(-1, *[1] * (data.ndim - 1)), data, 0.0)
+    with np.errstate(all="ignore"):  # an overflowing term is refused, not warned of
+        return _margins(*_terms(suite, data, fns, k, ell, m), refused)
+
+
+def _terms(suite: str, data: np.ndarray, fns, k=None, ell=None, m=None) -> tuple:
+    """The terms of every row of finite ``data`` under every function, as
+    ``(T, F, L)`` and ``(T, F, R)`` arrays in the order of
+    :func:`suite_terms`, and under the ``mean`` rule the rows where a
+    subset's sum overflows (else ``False``)."""
     term = SUITES[suite].term
+    groups, ((li, lc), (ri, rc)) = _plan(suite, data.shape[1], k, ell, m)
+    data = _canonical(data)
+    parts = []
+    for size, subsets in groups:
+        picked = data[:, subsets]
+        if term == "mean" and size > 2:
+            [total] = _fsums(picked)
+        else:
+            total = picked[:, :, 0]
+            for j in range(1, size):
+                total = total + picked[:, :, j]
+        parts.append(total / size if term == "mean" else total)
+    values = np.concatenate(parts, axis=1)
     if term == "norm":
-        arr = _sorted_vectors(data)
-        sides = suite_terms(suite, arr.shape[0], k, ell, m)
-        with np.errstate(over="ignore", invalid="ignore"):  # _result refuses an inf term
-            terms = [[c * float(np.linalg.norm(arr[list(s)].sum(axis=0))) for c, s in side]
-                     for side in sides]
-        return _result(*terms, tol)
-    pts = _sorted_points(data)
-    sides = suite_terms(suite, len(pts), k, ell, m)
-    if term == "value":
-        return _result(*([c * f(reduce(add, map(pts.__getitem__, s))) for c, s in side]
-                         for side in sides), tol)
-    try:
-        terms = [[c * f(fsum(map(pts.__getitem__, s)) / len(s)) for c, s in side] for side in sides]
-    except OverflowError:  # fsum refuses a subset sum beyond double precision
-        terms = [[math.inf], []]
-    return _result(*terms, tol)
+        norms = np.sqrt(values[..., np.newaxis, :] @ values[..., np.newaxis])
+        images = norms[:, np.newaxis, :, 0, 0]
+    else:
+        images = np.array([f.over(values) for f in fns]).swapaxes(0, 1)
+    overflow = term == "mean" and ~np.isfinite(values).all(axis=1)
+    return images[..., li] * lc, images[..., ri] * rc, overflow
 
 
 def sample_shape(suite: str, n: int, dim: int, center=None) -> tuple[int, ...]:
@@ -251,6 +394,20 @@ def sample_inputs(suite: str, rng: np.random.Generator, n: int, dim: int,
     return np.asarray(center, dtype=np.float64).reshape(shape) + rng.uniform(-radius, radius, shape)
 
 
+def _one(suite: str, data, f: ConvexFunction | None = None, **levels) -> ScalarCheckResult:
+    """One input of a suite, points or one vector a row, as a block of one."""
+    arr = np.asarray(data, dtype=np.float64)
+    if SUITES[suite].term != "norm":
+        arr = arr.ravel()
+    elif arr.ndim == 1:
+        arr = arr[:, np.newaxis]
+    elif arr.ndim != 2:
+        raise InputError("expected a list of equal-length real vectors")
+    margins = _search_margin(suite, arr[np.newaxis], (f,), **levels)
+    margins.refuse_first()
+    return margins.result(0)
+
+
 # ---------------------------------------------------------------------------
 # Norm-space checks
 # ---------------------------------------------------------------------------
@@ -258,7 +415,7 @@ def sample_inputs(suite: str, rng: np.random.Generator, n: int, dim: int,
 
 def norm_hlawka(a, b, c) -> ScalarCheckResult:
     """||a+b+c|| + ||a|| + ||b|| + ||c||  vs  pairwise sums (Euclidean)."""
-    return _evaluate("norm-hlawka", [a, b, c])
+    return _one("norm-hlawka", [a, b, c])
 
 
 def freudenthal_alternating(vectors) -> ScalarCheckResult:
@@ -267,12 +424,12 @@ def freudenthal_alternating(vectors) -> ScalarCheckResult:
     An evaluator only: the statement is known to fail for four or more
     vectors, so negative margins are findings, not errors.
     """
-    return _evaluate("freudenthal", vectors)
+    return _one("freudenthal", vectors)
 
 
 def radu_check(vectors, k: int) -> ScalarCheckResult:
     """Binomially weighted bound on the size-k subset-sum norms."""
-    return _evaluate("radu", vectors, k=k)
+    return _one("radu", vectors, k=k)
 
 
 # ---------------------------------------------------------------------------
@@ -283,27 +440,27 @@ def radu_check(vectors, k: int) -> ScalarCheckResult:
 def functional_hlawka(f: ConvexFunction, a: float, b: float, c: float) -> ScalarCheckResult:
     """f(a+b+c)+f(a)+f(b)+f(c) vs pair values.  Evaluator only: convexity
     does not guarantee a nonnegative margin."""
-    return _evaluate("functional-hlawka", [a, b, c], f)
+    return _one("functional-hlawka", [a, b, c], f)
 
 
 def jensen_check(f: ConvexFunction, xs) -> ScalarCheckResult:
     """sum f(x_i)  vs  k f(mean)."""
-    return _evaluate("jensen", xs, f)
+    return _one("jensen", xs, f)
 
 
 def popoviciu_check(f: ConvexFunction, x1: float, x2: float, x3: float) -> ScalarCheckResult:
     """f(x1)+f(x2)+f(x3)+3 f(mean)  vs  2 * (pairwise midpoint values)."""
-    return _evaluate("popoviciu", [x1, x2, x3], f)
+    return _one("popoviciu", [x1, x2, x3], f)
 
 
 def vasc_check(f: ConvexFunction, xs) -> ScalarCheckResult:
     """sum f(x_i) + (n/(n-2)) f(mean)  vs  (2/(n-2)) * midpoint values."""
-    return _evaluate("vasc", xs, f)
+    return _one("vasc", xs, f)
 
 
 def pcz_check(f: ConvexFunction, xs, m: int) -> ScalarCheckResult:
     """C(n-2,m-1) sum f(x_i) + n C(n-2,m-2) f(mean)  vs  m * size-m subset means."""
-    return _evaluate("pcz", xs, f, m=m)
+    return _one("pcz", xs, f, m=m)
 
 
 def pop_levels_scalar_eval(f: ConvexFunction, xs, k: int, ell: int, m: int) -> ScalarCheckResult:
@@ -312,7 +469,7 @@ def pop_levels_scalar_eval(f: ConvexFunction, xs, k: int, ell: int, m: int) -> S
     Measures only: the direction is known to depend on (k, ell, m), so no
     suite asserts a sign for this family.
     """
-    return _evaluate("pop-levels-scalar", xs, f, k=k, ell=ell, m=m)
+    return _one("pop-levels-scalar", xs, f, k=k, ell=ell, m=m)
 
 
 def conjecture_hlawka_pop_eval(f: ConvexFunction, xs) -> ScalarCheckResult:
@@ -321,7 +478,7 @@ def conjecture_hlawka_pop_eval(f: ConvexFunction, xs) -> ScalarCheckResult:
 
     Fails for four points (margins may be negative); evaluator only.
     """
-    return _evaluate("hlawka-pop", xs, f)
+    return _one("hlawka-pop", xs, f)
 
 
 #: The refuting input for the alternating subset-mean pattern at n=4 with
@@ -340,18 +497,13 @@ SEARCH_FAMILIES = ("freudenthal", "hlawka-pop")
 SEARCH_STRATEGIES = ("random", "coordinate-descent")
 
 
-def _search_margin(suite: str, fn: ConvexFunction, tol: float,
-                   point: np.ndarray) -> ScalarCheckResult:
-    # ``point`` is shaped as sample_inputs gives it.
-    return _evaluate(suite, point, fn, tol=tol)
-
-
-def _coordinate_descent(suite: str, fn: ConvexFunction, tol: float,
-                        start: np.ndarray) -> np.ndarray:
-    # Greedy per-coordinate minimization of the margin with a shrinking
-    # step schedule; deterministic given the start point.
-    point = start.copy()
-    best = _search_margin(suite, fn, tol, point).margin
+def _coordinate_descent(start: np.ndarray):
+    """Greedy per-coordinate minimization of the margin with a shrinking
+    step schedule, deterministic given the start point.  A generator: it
+    yields each point to evaluate, the start first, is sent that point's
+    margin, and returns the point it ends at."""
+    point = start
+    best = yield point
     for step in (4.0, 2.0, 1.0, 0.5, 0.25, 0.125, 0.0625):
         improved = True
         sweeps = 0
@@ -362,7 +514,7 @@ def _coordinate_descent(suite: str, fn: ConvexFunction, tol: float,
                 for delta in (step, -step):
                     trial = point.copy()
                     trial.flat[i] += delta
-                    margin = _search_margin(suite, fn, tol, trial).margin
+                    margin = yield trial
                     if margin < best - 1e-15:
                         best = margin
                         point = trial
@@ -370,20 +522,49 @@ def _coordinate_descent(suite: str, fn: ConvexFunction, tol: float,
     return point
 
 
-def search_from(suite: str, fn: ConvexFunction, tol: float, start: np.ndarray,
-                descend: bool = False) -> tuple[list, ScalarCheckResult] | None:
-    """One start point of the counterexample search, after a coordinate
-    descent from it when ``descend`` is set.
+def _lockstep(suite: str, fn: ConvexFunction | None, starts: np.ndarray) -> np.ndarray:
+    """The coordinate descent from every start of a block, advanced in
+    lockstep: each round evaluates the next point of every live descent as
+    one block.  A refused point ends its descent there, so evaluating where
+    the descents end refuses as descending from one start after another
+    would."""
+    descents = [_coordinate_descent(start) for start in starts]
+    points = [next(descent) for descent in descents]
+    live = list(range(len(descents)))
+    while live:
+        block = _search_margin(suite, np.array([points[i] for i in live]), (fn,))
+        going = []
+        for row, (i, margin) in enumerate(zip(live, block.margin[:, 0].tolist())):
+            if row in block.refusals:
+                continue
+            try:
+                points[i] = descents[i].send(margin)
+                going.append(i)
+            except StopIteration as end:
+                points[i] = end.value
+        live = going
+    return np.array(points)
 
-    Returns ``(inputs, result)`` when the point violates: ``inputs`` are the
-    values to report (one list per vector under the norm rule) and
-    ``result`` a fresh evaluation of exactly those values, which must fail
-    too.  Returns ``None`` otherwise.
+
+def search_from(suite: str, fn: ConvexFunction | None, tol: float, starts: np.ndarray,
+                descend: bool = False) -> list[tuple[int, list, ScalarCheckResult]]:
+    """The counterexample search from every start point of a block, after a
+    coordinate descent from each (all in lockstep) when ``descend`` is set.
+
+    Returns ``(row, inputs, result)`` for every point that violates, in row
+    order: ``inputs`` are the values to report (one list per vector under
+    the norm rule) and ``result`` a fresh evaluation of exactly those
+    values, which must fail too.  A refused row refuses the block, the
+    first one's message first.
     """
-    point = _coordinate_descent(suite, fn, tol, start) if descend else start
-    if _search_margin(suite, fn, tol, point).holds:
-        return None
+    points = _lockstep(suite, fn, starts) if descend else starts
+    block = _search_margin(suite, points, (fn,))
+    block.refuse_first()
+    hits = [t for t, (verdict,) in enumerate(block.verdicts(tol)) if verdict is Verdict.FAILS]
+    if not hits:
+        return []
     # Fresh evaluation of the exact values we are about to report.
-    inputs = point.tolist()
-    confirmed = _search_margin(suite, fn, tol, np.array(inputs))
-    return None if confirmed.holds else (inputs, confirmed)
+    inputs = points[hits].tolist()
+    confirmed = _search_margin(suite, np.array(inputs), (fn,))
+    return [(t, values, result) for i, (t, values) in enumerate(zip(hits, inputs))
+            if not (result := confirmed.result(i, tol)).holds]

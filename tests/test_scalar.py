@@ -3,20 +3,29 @@
 import dataclasses
 import math
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, permutations
+from operator import add
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hlawka import harness
 from hlawka.errors import InputError
-from hlawka.harness import RunConfig, counterexample_search, run_counterexample
-from hlawka.linalg import Verdict
+from hlawka.harness import RunConfig, counterexample_search, run_counterexample, run_scalar_verify
+from hlawka.linalg import Verdict, band_verdict
 from hlawka.scalar import (
+    CONVEX_NORM_SUITES,
     DEFAULT_SCALAR_TOL,
     KNOWN_HLAWKA_POP_COUNTEREXAMPLE,
+    SEARCH_STRATEGIES,
+    SUITES,
     ConvexFunction,
+    _lockstep,
+    _search_margin,
+    _terms,
     conjecture_hlawka_pop_eval,
     convex_catalog,
     freudenthal_alternating,
@@ -28,8 +37,10 @@ from hlawka.scalar import (
     popoviciu_check,
     radu_check,
     sample_inputs,
+    suite_terms,
     vasc_check,
 )
+from hlawka.util import derive_seed
 
 ABS = ConvexFunction("abs")
 SQUARE = ConvexFunction("square")
@@ -640,3 +651,221 @@ class TestAgainstStatementOracle:
                 exact = exact_pop_levels_margin(f, sorted(xs.tolist()), k, ell, m)
                 band = 4 * Fraction(np.finfo(float).eps) * Fraction(got.scale)
                 assert abs(Fraction(got.margin) - exact) <= band
+
+
+# ---------------------------------------------------------------------------
+# Blocks against the per-input oracle
+# ---------------------------------------------------------------------------
+
+
+def oracle_terms(suite: str, data, f=None, **levels) -> list[list[float]]:
+    """The terms of one input, each formed on its own as the one-input
+    formula states it, on the inputs sorted with Python's ``sorted``: an
+    infinite term where the mean rule's ``fsum`` overflows."""
+    term = SUITES[suite].term
+    arr = np.asarray(data, dtype=np.float64)
+    if term == "norm":
+        vectors = [np.array(row) for row in sorted(map(tuple, arr.tolist()))]
+    else:
+        pts = sorted(arr.ravel().tolist())
+    sides = suite_terms(suite, arr.shape[0], levels.get("k"), levels.get("ell"), levels.get("m"))
+    terms = [[], []]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for side, out in zip(sides, terms):
+            for c, s in side:
+                if term == "norm":
+                    out.append(c * float(np.linalg.norm(reduce(add, [vectors[i] for i in s]))))
+                elif term == "value":
+                    out.append(c * f(reduce(add, [pts[i] for i in s])))
+                else:
+                    try:
+                        out.append(c * f(math.fsum(pts[i] for i in s) / len(s)))
+                    except OverflowError:
+                        out.append(math.inf)
+    return terms
+
+
+def oracle_evaluate(suite: str, data, f=None, **levels) -> tuple:
+    """``(lhs, rhs, margin, scale)`` of one input, each side an ``fsum`` of
+    :func:`oracle_terms`; :class:`InputError` where the evaluator refuses."""
+    if not np.isfinite(np.asarray(data, dtype=np.float64)).all():
+        raise InputError("vector entries must be finite" if SUITES[suite].term == "norm"
+                         else "points must be finite")
+    lhs_terms, rhs_terms = oracle_terms(suite, data, f, **levels)
+    try:
+        lhs, rhs = math.fsum(lhs_terms), math.fsum(rhs_terms)
+        scale = max(1.0, math.fsum(map(abs, lhs_terms)) + math.fsum(map(abs, rhs_terms)))
+    except (OverflowError, ValueError):
+        lhs = rhs = scale = math.inf
+    margin = lhs - rhs
+    if not (math.isfinite(margin) and math.isfinite(scale)):
+        raise InputError("overflow: a term or a side of the inequality exceeds double precision")
+    return lhs, rhs, margin, scale
+
+
+def oracle_descent(suite: str, fn, start: np.ndarray) -> np.ndarray:
+    """The coordinate descent from one start, one evaluation after another."""
+    def margin(point):
+        return oracle_evaluate(suite, point, fn)[2]
+
+    point = start.copy()
+    best = margin(point)
+    for step in (4.0, 2.0, 1.0, 0.5, 0.25, 0.125, 0.0625):
+        improved = True
+        sweeps = 0
+        while improved and sweeps < 20:
+            improved = False
+            sweeps += 1
+            for i in range(point.size):
+                for delta in (step, -step):
+                    trial = point.copy()
+                    trial.flat[i] += delta
+                    value = margin(trial)
+                    if value < best - 1e-15:
+                        best, point, improved = value, trial, True
+    return point
+
+
+def oracle_search(suite: str, cfg: RunConfig, fn, tol: float) -> list[dict]:
+    """The search's report entries, one start after another."""
+    cfg, _ = harness._settings(cfg, "counterexample")
+    found = []
+    for t in range(cfg.trials):
+        if t == 0 and cfg.include_known:
+            start = np.asarray(KNOWN_HLAWKA_POP_COUNTEREXAMPLE)
+        else:
+            rng = np.random.default_rng(derive_seed(cfg.seed, t))
+            start = sample_inputs(suite, rng, cfg.n, cfg.dim, cfg.center, cfg.radius)
+        point = oracle_descent(suite, fn, start) if cfg.strategy == "coordinate-descent" else start
+        _, _, margin, scale = oracle_evaluate(suite, point, fn)
+        if band_verdict(margin, abs(margin), scale, tol) is Verdict.FAILS:
+            found.append({"inputsDigest": harness._data_digest(point), "margin": margin,
+                          "seed": derive_seed(cfg.seed, t), "trialIndex": t,
+                          "inputs": point.ravel().tolist()})
+    return found
+
+
+#: (suite, n, dim, levels): every convex/norm suite, and the norm rule's
+#: vector sums at dim 1 over subsets of eight and more vectors.
+BLOCK_CASES = [
+    ("norm-hlawka", 3, 3, {}),
+    ("radu", 4, 2, {"k": 3}),
+    ("jensen", 4, 1, {}),
+    ("popoviciu", 3, 1, {}),
+    ("vasc", 5, 1, {}),
+    ("pcz", 5, 1, {"m": 3}),
+    ("pop-levels-scalar", 5, 1, {"k": 1, "ell": 3, "m": 5}),
+    ("functional-hlawka", 3, 1, {}),
+    ("hlawka-pop", 4, 1, {}),
+    ("freudenthal", 4, 2, {}),
+    ("freudenthal", 9, 1, {}),
+    ("radu", 9, 1, {"k": 8}),
+]
+
+
+def chunk_size(suite: str, n: int, dim: int, functions: int, **levels) -> int:
+    """The trials of one chunk of the harness's convex/norm route."""
+    cfg = RunConfig(family=suite, n=n, dim=dim, trials=10**6, **levels)
+    return len(next(harness._input_chunks(suite, cfg, functions))[1])
+
+
+def block_rows(suite: str, count: int, n: int, dim: int, rng) -> np.ndarray:
+    """Seeded inputs, every third row rounded (ties and exact cancellations),
+    every third with its first coordinate rounded (ties in the leading key
+    only) and every third made nonnegative (the norm rule's equality cases
+    at dim 1, where the margin is all rounding)."""
+    block = np.stack([sample_inputs(suite, rng, n, dim) for _ in range(count)])
+    block[0::3] = np.round(block[0::3])
+    if block.ndim == 3:
+        block[1::3, :, 0] = np.round(block[1::3, :, 0])
+    block[2::3] = np.abs(block[2::3])
+    return block
+
+
+class TestBlockEqualsRows:
+    @pytest.mark.parametrize("suite, n, dim, levels", BLOCK_CASES,
+                             ids=[f"{c[0]}-n{c[1]}-dim{c[2]}" for c in BLOCK_CASES])
+    def test_every_row_and_function_bit_for_bit(self, suite, n, dim, levels):
+        fns = [None] if SUITES[suite].term == "norm" else list(convex_catalog())
+        chunk = chunk_size(suite, n, dim, len(fns), **levels)
+        rng = np.random.default_rng(20261019)
+        for count in sorted({1, chunk - 1, chunk, chunk + 1} - {0}):
+            block = block_rows(suite, count, n, dim, rng)
+            got = _search_margin(suite, block, fns, **levels)
+            lhs_terms, rhs_terms, _ = _terms(suite, block, fns, **levels)
+            assert got.refusals == {}
+            for t, data in enumerate(block):
+                for j, f in enumerate(fns):
+                    expected = oracle_terms(suite, data, f, **levels)
+                    assert lhs_terms[t, j].tolist() == expected[0]
+                    assert rhs_terms[t, j].tolist() == expected[1]
+                    assert (got.lhs[t, j], got.rhs[t, j], got.margin[t, j],
+                            got.scale[t, j]) == oracle_evaluate(suite, data, f, **levels)
+
+    def test_refusals_name_the_first_refused_row(self):
+        rows = np.array([[1.0, 2.0, 3.0], [1e308, 1e308, 1e308], [np.inf, 0.0, 1.0],
+                         [1.0, 1.0, 1.0]])
+        got = _search_margin("popoviciu", rows, (ABS,))
+        assert got.refusals == {1: "overflow: a term or a side of the inequality exceeds "
+                                   "double precision", 2: "points must be finite"}
+        with pytest.raises(InputError, match="overflow"):
+            got.refuse_first()
+        with pytest.raises(InputError, match="points must be finite"):
+            _search_margin("popoviciu", rows[[0, 2, 1]], (ABS,)).refuse_first()
+        for t in (0, 3):
+            assert got.result(t).margin == oracle_evaluate("popoviciu", rows[t], ABS)[2]
+
+
+class TestLockstepDescents:
+    @pytest.mark.parametrize("suite, cfg", [
+        ("hlawka-pop", dict(n=4, trials=12, seed=3)),
+        ("hlawka-pop", dict(n=4, trials=5, seed=0, include_known=True)),
+        ("hlawka-pop", dict(n=4, trials=6, seed=9, center=(-9.0, 1.5, 0.5, 8.0), radius=0.5)),
+        ("hlawka-pop", dict(n=5, trials=6, seed=1)),
+        ("freudenthal", dict(n=4, dim=2, trials=4, seed=2)),
+        ("freudenthal", dict(n=4, dim=2, trials=4, seed=2, center=tuple(range(8)), radius=1.0)),
+    ], ids=["plain", "include-known", "center", "n5", "norm", "norm-center"])
+    @pytest.mark.parametrize("chunk_bytes", [None, 1], ids=["one-chunk", "chunks-of-one"])
+    def test_finds_equal_the_sequential_search(self, suite, cfg, chunk_bytes, monkeypatch):
+        if chunk_bytes is not None:
+            monkeypatch.setattr(harness, "CHUNK_BYTES", chunk_bytes)
+        fn = None if SUITES[suite].term == "norm" else ABS
+        for strategy in SEARCH_STRATEGIES:
+            config = RunConfig(family=suite, strategy=strategy, **cfg)
+            assert counterexample_search(suite, config, fn, 1e-12) == oracle_search(
+                suite, config, fn, 1e-12)
+
+    def test_descended_points_equal_the_sequential_descents(self):
+        rng = np.random.default_rng(5)
+        starts = np.stack([sample_inputs("hlawka-pop", rng, 4, 1) for _ in range(7)])
+        points = _lockstep("hlawka-pop", SQUARE, starts)
+        for start, point in zip(starts, points):
+            assert point.tobytes() == oracle_descent("hlawka-pop", SQUARE, start).tobytes()
+
+    def test_zero_trials_on_both_routes(self):
+        for strategy in SEARCH_STRATEGIES:
+            assert search("hlawka-pop", n=4, trials=0, strategy=strategy) == []
+        for family in CONVEX_NORM_SUITES:
+            levels = {"radu": {"k": 2}, "pcz": {"m": 2},
+                      "pop-levels-scalar": {"k": 1, "ell": 2, "m": 3}}.get(family, {})
+            report, code = run_scalar_verify(RunConfig(family=family, trials=0, **levels))
+            assert (report.min_margin, report.violations, code) == (None, [], 0)
+
+
+class TestCatalogBlockBits:
+    def test_each_vectorized_function_equals_its_python_function(self):
+        rng = np.random.default_rng(20261019)
+        tiny = np.finfo(float).smallest_subnormal
+        values = np.concatenate([
+            rng.uniform(-50.0, 50.0, 40_000),
+            rng.uniform(700.0, 712.0, 10_000), rng.uniform(-760.0, -700.0, 10_000),
+            rng.uniform(-41.0, -39.0, 10_000), rng.uniform(39.0, 41.0, 10_000),
+            rng.uniform(-1e-300, 1e-300, 5_000), tiny * rng.integers(-2**20, 2**20, 5_000),
+            10.0 ** rng.uniform(-320, 308, 9_990) * rng.choice([-1.0, 1.0], 9_990),
+            [0.0, -0.0, tiny, -tiny, 709.782712893384, -709.782712893384, 40.0, -40.0,
+             1e300, -1e300],
+        ])
+        assert values.size == 100_000
+        for f in convex_catalog():
+            expected = np.array([f(v) for v in values.tolist()])
+            assert f.over(values).tobytes() == expected.tobytes(), f.kind
