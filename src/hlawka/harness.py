@@ -21,8 +21,9 @@ the two operator suites take one sampling call, one build and one
 certification (or one scalar check) per chunk, and the convex/norm suites
 and the search one block evaluation per chunk (the search's descents one
 per round).  A chunk holds as many trials as fit ``CHUNK_BYTES`` in the
-arrays a trial holds at once (the build's working set, on ``verify``), and
-at least one.  Reports are assembled in trial order.
+arrays a trial holds at once (the build's working set on ``verify``,
+:func:`~hlawka.scalar.row_bytes` on ``scalar-verify``), and at least one.
+Reports are assembled in trial order.
 """
 
 from __future__ import annotations
@@ -83,9 +84,6 @@ from .scalar import (
 from .sums import CHUNK_BYTES, FAMILIES, build_difference, working_set
 from .symgroup import check_symmetric_degree
 from .util import derive_seed
-
-#: Bytes per complex128 entry.
-_ENTRY_BYTES = 16
 
 
 @dataclass
@@ -259,14 +257,12 @@ def _sampled_chunks(cfg: RunConfig, trial_bytes: int):
         yield seeds, inputs, [inputs[i * count:(i + 1) * count] for i in range(cfg.n)]
 
 
-def _matrix_trials(cfg: RunConfig, largest: int, check, margin_key: str):
+def _matrix_trials(cfg: RunConfig, trial_bytes: int, check, margin_key: str):
     """Per-trial records of an operator suite.
 
-    ``largest`` is the entry count a trial holds at once besides its
-    inputs, and ``check(inputs, parts)`` gives one ``(margin,
-    verdict)`` per trial of a chunk.
+    ``trial_bytes`` is about what a trial holds at once, and ``check(inputs,
+    parts)`` gives one ``(margin, verdict)`` per trial of a chunk.
     """
-    trial_bytes = _ENTRY_BYTES * max(largest, cfg.n * cfg.dim * cfg.dim)
     for seeds, inputs, parts in _sampled_chunks(cfg, trial_bytes):
         for t, (seed, (margin, verdict)) in enumerate(zip(seeds, check(inputs, parts))):
             yield [(None, margin, verdict)], (
@@ -329,7 +325,8 @@ def run_verify(cfg: RunConfig) -> tuple[TrialReport, int]:
         return [(c.min_eigenvalue, c.verdict) for c in certs]
 
     largest = working_set(cfg.family, cfg.n, cfg.p, cfg.dim, k=cfg.k, ell=cfg.ell, m=cfg.m)
-    return _run(report, cfg, _matrix_trials(cfg, largest, certify, "minEigenvalue"))
+    trial_bytes = 16 * max(largest, cfg.n * cfg.dim * cfg.dim)  # complex128 entries
+    return _run(report, cfg, _matrix_trials(cfg, trial_bytes, certify, "minEigenvalue"))
 
 
 def run_scalar_verify(cfg: RunConfig) -> tuple[TrialReport, int]:
@@ -345,13 +342,8 @@ def run_scalar_verify(cfg: RunConfig) -> tuple[TrialReport, int]:
         return [(r.margin, r.verdict) for r in scalar_inequality_check(
             cfg.family, parts, group, chi, cfg.tol, k=cfg.k, ell=cfg.ell, m=cfg.m)]
 
-    # The largest stacked arrays are the last level of the prefix tree of one
-    # generalized matrix function: per trial, some eight floats, four entries,
-    # per group element.  (Group order) * degree entries bounds them from
-    # degree 4 up; a trial holds 0.6 to 3.5 times that at degrees 3 to 8
-    # (tracemalloc), so four times it is counted.
-    order = math.factorial(cfg.dim)
-    return _run(report, cfg, _matrix_trials(cfg, 4 * order * cfg.dim, check, "margin"))
+    trial_bytes = row_bytes(cfg.family, cfg.n, cfg.dim, 1, cfg.k, cfg.ell, cfg.m)
+    return _run(report, cfg, _matrix_trials(cfg, trial_bytes, check, "margin"))
 
 
 def _input_chunks(suite: str, cfg: RunConfig, functions: int):

@@ -9,10 +9,10 @@ group this is the determinant for the sign character, the permanent for
 the trivial character, and an immanant for any other partition label.
 
 Applying d to each operator term of a tensor-sum inequality (in place of
-Kronecker powers), the terms :func:`~hlawka.scalar.suite_terms` gives,
-yields the scalar corollaries checked here.  The permanent additionally has
-an independent inclusion-exclusion oracle so the two routes can
-cross-check each other.
+Kronecker powers), the subset sums :func:`~hlawka.scalar._terms` forms for
+the convex/norm suites too, yields the scalar corollaries checked here; d
+alone states its working set.  The permanent additionally has an
+independent inclusion-exclusion oracle so the two routes can cross-check.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ import numpy as np
 
 from .errors import BudgetError, InputError
 from .linalg import HermitianStack, _as_array, _entries, _same_shape, _single_or_all
-from .scalar import ScalarCheckResult, _margins, suite_terms
-from .sums import operator_family
+from .scalar import ScalarCheckResult, _margins, _terms
+from .sums import CHUNK_BYTES, operator_family
 from .symgroup import CharacterSpec, GroupSpec, character_values, enumerate_group
 
 #: Ryser evaluation enumerates 2^m column subsets; refuse beyond this.
@@ -72,34 +72,45 @@ def generalized_matrix_function(x, group: GroupSpec, chi: CharacterSpec):
     """Evaluate d(X) = sum_sigma chi(sigma) prod_i X[i, sigma(i)].
 
     ``x`` is one square matrix, Hermitian or not, or a
-    :class:`HermitianStack`, which gives an array of d(X), one per matrix.
+    :class:`HermitianStack`, which gives a complex array of d(X), one per
+    matrix (empty for an empty stack), the stack walked in blocks within
+    :data:`~hlawka.sums.CHUNK_BYTES` (at least one matrix each).
     """
     arr = _entries(x)
     m = arr.shape[-1]
     if m != group.degree:
         raise InputError(f"matrix dimension {m} does not match group degree {group.degree}")
     levels, chis = _group_data(group, chi)
-    # Each node of the prefix tree holds the partial product
-    # ((X[0, s0] * X[1, s1]) * ...) * X[k, sk] of its prefix, formed once and
-    # shared by every element below it.  Each step is spelled in real
-    # arithmetic, (a + bi)(c + di) = (ac - bd) + (ad + bc)i, so an element's
-    # product has the bits of a left-to-right ``prod`` over its entries;
-    # numpy's complex multiply rounds differently.
-    # Arrays are (node, matrix): a level gathers whole rows, which costs
-    # less per call than a column gather when the stack is small.
+    # The largest arrays are the tree's last level: about four entries per
+    # matrix and group element.  A matrix holds 0.6 to 3.5 times (group
+    # order) * degree entries at degrees 3 to 8 (tracemalloc); four times
+    # that is counted.
+    block = max(1, CHUNK_BYTES // (4 * len(chis) * m * 16))
     flat = arr.reshape(-1, m * m)
-    entries_re, entries_im = flat.real.T.copy(), flat.imag.T.copy()
-    _, first = levels[0]
-    re, im = np.take(entries_re, first, axis=0), np.take(entries_im, first, axis=0)
-    for parent, index in levels[1:]:
-        pr, pi = np.take(re, parent, axis=0), np.take(im, parent, axis=0)
-        cr, ci = np.take(entries_re, index, axis=0), np.take(entries_im, index, axis=0)
-        re, im = pr * cr - pi * ci, pr * ci + pi * cr
-    products = np.empty(re.shape[::-1], dtype=np.complex128)
-    products.real, products.imag = re.T, im.T
-    # One dot per matrix: a matrix-vector product over the whole stack would
-    # round differently from the per-matrix dot.
-    return _single_or_all(x, np.array([chis @ row for row in products]))
+    values = np.empty(len(flat), dtype=np.complex128)
+    for lo in range(0, len(flat), block):
+        # Each node of the prefix tree holds the partial product
+        # ((X[0, s0] * X[1, s1]) * ...) * X[k, sk] of its prefix, formed once
+        # and shared by every element below it.  Each step is spelled in real
+        # arithmetic, (a + bi)(c + di) = (ac - bd) + (ad + bc)i, so an
+        # element's product has the bits of a left-to-right ``prod`` over its
+        # entries; numpy's complex multiply rounds differently.
+        # Arrays are (node, matrix): a level gathers whole rows, which costs
+        # less per call than a column gather when the block is small.
+        part = flat[lo:lo + block]
+        entries_re, entries_im = part.real.T.copy(), part.imag.T.copy()
+        _, first = levels[0]
+        re, im = np.take(entries_re, first, axis=0), np.take(entries_im, first, axis=0)
+        for parent, index in levels[1:]:
+            pr, pi = np.take(re, parent, axis=0), np.take(im, parent, axis=0)
+            cr, ci = np.take(entries_re, index, axis=0), np.take(entries_im, index, axis=0)
+            re, im = pr * cr - pi * ci, pr * ci + pi * cr
+        products = np.empty(re.shape[::-1], dtype=np.complex128)
+        products.real, products.imag = re.T, im.T
+        # One dot per matrix: a matrix-vector product over the whole block
+        # would round differently from the per-matrix dot.
+        values[lo:lo + block] = [chis @ row for row in products]
+    return _single_or_all(x, values)
 
 
 def determinant_via_elimination(x) -> complex:
@@ -191,27 +202,24 @@ def scalar_inequality_check(
     Input ``i`` is a :class:`HermitianStack` holding input ``i`` of every
     trial (a :class:`~hlawka.linalg.HermitianMatrix` is the stack of one
     trial); every trial is checked at once and a list of results, one per
-    trial, is returned, or one result for single-matrix inputs.
+    trial, is returned, or one result for single-matrix inputs.  The terms
+    come from :func:`~hlawka.scalar._terms`, with one
+    :func:`generalized_matrix_function` call over every subset sum, formed
+    in input order (the reports' bits depend on it).
     """
     operator_family(family)  # refuses a convex/norm suite, whose terms differ
     hs = _same_shape(mats)
-    arrays = [_entries(h) for h in hs]
+    data = np.stack([_entries(h) for h in hs], axis=1)
 
-    def d(subset: np.ndarray) -> np.ndarray:
-        # Refuses a dimension other than the group degree.
-        return generalized_matrix_function(HermitianStack._wrap_exact(subset), group, chi)
+    def image(sums: np.ndarray) -> np.ndarray:
+        # (T, S, dim, dim) subset sums -> (T, 1, S) real parts of d; refuses
+        # a dimension other than the group degree.
+        values = generalized_matrix_function(HermitianStack._wrap_exact(sums), group, chi)
+        return values.real.reshape(sums.shape[:2])[:, np.newaxis]
 
-    # One row per term, one column per trial.  Subset sums stay in input
-    # order (the reports' bits depend on it); fsum rounds each side once, so
-    # no grouping of the terms needs fixing.  An overflowed term is inf or
-    # NaN, which _margins refuses.
-    with np.errstate(over="ignore", invalid="ignore"):
-        lhs, rhs = (np.array([c * d(reduce(add, map(arrays.__getitem__, s))).real
-                              for c, s in side])
-                    for side in suite_terms(family, len(hs), k, ell, m))
-    margins = _margins(lhs.T[:, np.newaxis], rhs.T[:, np.newaxis])
+    margins = _margins(*_terms(family, data, image, k, ell, m))
     margins.refuse_first()
-    return _single_or_all(hs[0], [margins.result(t, tol) for t in range(lhs.shape[1])])
+    return _single_or_all(hs[0], [margins.result(t, tol) for t in range(len(data))])
 
 
 def parse_character_selector(selector: str, dim: int) -> tuple[GroupSpec, CharacterSpec]:

@@ -15,8 +15,9 @@ Every suite is one :class:`~hlawka.sums.FamilySpec` of
 :data:`CONVEX_NORM_SUITES`, with the levels of an operator family (exact
 weights times index subsets) and a ``term`` rule mapping a subset of the
 inputs to a norm or a value of f.  :data:`SUITES` adds the operator
-families, and :func:`suite_terms` gives the terms of any entry to the one
-evaluator here and to :mod:`hlawka.matfunc`.
+families, and :func:`_terms`, the one term path, evaluates the terms
+:func:`suite_terms` gives any entry, for the evaluator here and for the
+generalized matrix functions of :mod:`hlawka.matfunc`.
 
 The evaluator, :func:`_search_margin`, takes a block of inputs, ``(T, n)``
 points or ``(T, n, dim)`` vectors, and evaluates every row under every
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import groupby
 from math import fsum
 
@@ -299,14 +300,16 @@ def _canonical(data: np.ndarray) -> np.ndarray:
 
 def row_bytes(suite: str, n: int, dim: int | None, functions: int, k=None, ell=None,
               m=None) -> int:
-    """About the bytes :func:`_search_margin` holds at once per row of a
-    block: 64 per function and term or input (the images, the terms and
-    their absolute values, as float64 arrays and as Python floats), and 16
-    per term and vector coordinate (the subset sums).  tracemalloc measures
-    40 to 90 bytes per term and function on the benchmarked suites, and
-    this bounds every one."""
+    """About the bytes :func:`_terms` holds at once per row of a block: 64
+    per function and term or input (images, terms and their absolute values,
+    as float64 arrays and Python floats), and 16 per term and real
+    coordinate of a subset sum (1 a point, ``dim`` a vector, ``2 dim^2`` a
+    complex matrix).  tracemalloc measures 40 to 90 bytes per term and
+    function on the benchmarked convex/norm suites, and 1.1 to 2.1 times
+    this on matrix terms (the stacked inputs and one size's gather)."""
     terms = sum(map(len, suite_terms(suite, n, k, ell, m)))
-    width = dim if SUITES[suite].term == "norm" else 1
+    term = SUITES[suite].term
+    width = dim if term == "norm" else 2 * dim * dim if term is None else 1
     return 64 * functions * (terms + n) + 16 * terms * width
 
 
@@ -341,18 +344,30 @@ def _search_margin(suite: str, data: np.ndarray, fns=(None,), *, k=None, ell=Non
                    else "points must be finite")
         refused = dict.fromkeys(np.flatnonzero(~finite).tolist(), message)
         data = np.where(finite.reshape(-1, *[1] * (data.ndim - 1)), data, 0.0)
-    with np.errstate(all="ignore"):  # an overflowing term is refused, not warned of
-        return _margins(*_terms(suite, data, fns, k, ell, m), refused)
+    image = partial(_convex_norm_image, SUITES[suite].term, fns)
+    return _margins(*_terms(suite, _canonical(data), image, k, ell, m), refused)
 
 
-def _terms(suite: str, data: np.ndarray, fns, k=None, ell=None, m=None) -> tuple:
-    """The terms of every row of finite ``data`` under every function, as
-    ``(T, F, L)`` and ``(T, F, R)`` arrays in the order of
-    :func:`suite_terms`, and under the ``mean`` rule the rows where a
-    subset's sum overflows (else ``False``)."""
+def _convex_norm_image(term: str, fns, values: np.ndarray) -> np.ndarray:
+    """The ``(T, F, S)`` images of subset values: norms under the ``norm``
+    rule, else every function of ``fns``."""
+    if term == "norm":
+        norms = np.sqrt(values[..., np.newaxis, :] @ values[..., np.newaxis])
+        return norms[:, np.newaxis, :, 0, 0]
+    return np.array([f.over(values) for f in fns]).swapaxes(0, 1)
+
+
+@np.errstate(all="ignore")
+def _terms(suite: str, data: np.ndarray, image, k=None, ell=None, m=None) -> tuple:
+    """The one term path of both ``scalar-verify`` routes: the terms of
+    every row of finite ``(T, n, ...)`` inputs, in the order given, as
+    ``(T, F, L)`` and ``(T, F, R)`` arrays (:func:`suite_terms` order), with
+    ``image`` mapping each distinct subset's ``(T, S, ...)`` sum or mean to
+    ``(T, F, S)``; and the ``mean`` rule's overflowed rows (else ``False``).
+    An overflowing term is inf or NaN, for :func:`_margins` to refuse, and
+    raises no warning."""
     term = SUITES[suite].term
     groups, ((li, lc), (ri, rc)) = _plan(suite, data.shape[1], k, ell, m)
-    data = _canonical(data)
     parts = []
     for size, subsets in groups:
         picked = data[:, subsets]
@@ -364,11 +379,7 @@ def _terms(suite: str, data: np.ndarray, fns, k=None, ell=None, m=None) -> tuple
                 total = total + picked[:, :, j]
         parts.append(total / size if term == "mean" else total)
     values = np.concatenate(parts, axis=1)
-    if term == "norm":
-        norms = np.sqrt(values[..., np.newaxis, :] @ values[..., np.newaxis])
-        images = norms[:, np.newaxis, :, 0, 0]
-    else:
-        images = np.array([f.over(values) for f in fns]).swapaxes(0, 1)
+    images = image(values)
     overflow = term == "mean" and ~np.isfinite(values).all(axis=1)
     return images[..., li] * lc, images[..., ri] * rc, overflow
 
@@ -391,7 +402,9 @@ def sample_inputs(suite: str, rng: np.random.Generator, n: int, dim: int,
     shape = sample_shape(suite, n, dim, center)
     if center is None:
         return rng.standard_normal(shape) if len(shape) == 2 else rng.uniform(-10.0, 10.0, shape)
-    return np.asarray(center, dtype=np.float64).reshape(shape) + rng.uniform(-radius, radius, shape)
+    offsets = rng.uniform(-radius, radius, shape)
+    with np.errstate(over="ignore"):  # inf, which the evaluator refuses
+        return np.asarray(center, dtype=np.float64).reshape(shape) + offsets
 
 
 def _one(suite: str, data, f: ConvexFunction | None = None, **levels) -> ScalarCheckResult:

@@ -15,6 +15,7 @@ import pytest
 from conftest import EDGE_SEEDS, pd_tuple, stack_of
 
 import hlawka.harness as harness
+import hlawka.matfunc as matfunc
 from hlawka.cli import main
 from hlawka.errors import InputError
 from hlawka.harness import RunConfig, run_scalar_verify, run_verify
@@ -38,6 +39,7 @@ from hlawka.matfunc import (
     scalar_inequality_check,
 )
 from hlawka.report import TrialReport
+from hlawka.scalar import row_bytes
 from hlawka.symgroup import (
     CharacterSpec,
     GroupSpec,
@@ -234,9 +236,10 @@ class TestScalarAgainstOracle:
 
     @pytest.mark.parametrize("delta", [None, -1, 0, 1])
     def test_trial_counts_around_a_chunk(self, delta, monkeypatch):
-        # det at dim 4: the largest stacked array is the 24x4 complex gather
-        # of one determinant (1.5 KiB) per trial, counted four times.
-        chunk = harness.CHUNK_BYTES // (16 * 4 * 24 * 4)
+        # alternating over 4 inputs at dim 4: a trial holds 15 subset sums of
+        # 32 real coordinates at 16 bytes each, and 64 bytes per term and input.
+        assert row_bytes("alternating", 4, 4, 1) == 16 * 15 * 32 + 64 * (15 + 4)
+        chunk = harness.CHUNK_BYTES // row_bytes("alternating", 4, 4, 1)
         trials = 0 if delta is None else chunk + delta
         cfg = scalar_cfg(family="alternating", n=4, dim=4, char="det", trials=trials, seed=2)
         sizes = count_chunks(monkeypatch)
@@ -244,6 +247,23 @@ class TestScalarAgainstOracle:
         assert len(sizes) == math.ceil(trials / chunk)
         monkeypatch.undo()
         assert_same_report(report, oracle_scalar(cfg))
+
+    def test_matrix_functions_run_a_block_of_subset_sums_at_a_time(self, tmp_path, monkeypatch):
+        # 16383 subsets of 14 inputs: one call per subset and chunk, each on
+        # a stack of one trial, made the route per-call overhead at large n.
+        calls = []
+        original = matfunc.generalized_matrix_function
+
+        def counted(x, group, chi):
+            calls.append(len(x))
+            return original(x, group, chi)
+
+        monkeypatch.setattr(matfunc, "generalized_matrix_function", counted)
+        assert main(["scalar-verify", "--family", "alternating", "--char", "det", "--n", "14",
+                     "--dim", "2", "--trials", "2", "--out", str(tmp_path / "r.json")]) == 0
+        block = harness.CHUNK_BYTES // (16 * 4 * 2 * 2)  # S_2: two elements of degree 2
+        assert sum(calls) == 2 * 16383
+        assert len(calls) <= math.ceil(2 * 16383 / block)
 
     def test_one_trial(self):
         cfg = scalar_cfg(family="alternating", n=4, dim=3, char="perm", trials=1, seed=9)

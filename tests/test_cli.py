@@ -19,7 +19,7 @@ import hlawka
 from hlawka import harness
 from hlawka.cli import _config_from, build_parser, main
 from hlawka.errors import InputError
-from hlawka import scalar
+from hlawka import matfunc, scalar
 from hlawka.harness import (
     _READS,
     SUITES,
@@ -734,6 +734,15 @@ class TestRefusedInACappedChild:
         assert done.stderr == "error: overflow: a term or a side of the inequality exceeds " \
                               "double precision\n"
 
+    def test_center_beyond_double_precision_refuses_without_a_warning(self):
+        # The sampled points overflow to inf; numpy's two-line "overflow
+        # encountered in add" warning came before the error line.
+        done = run_capped("counterexample --family hlawka-pop --n 4 --center "
+                          "1.79e308,1.79e308,1.79e308,1.79e308 --radius 1e307 --trials 8 "
+                          "--strategy coordinate-descent --seed 5")
+        assert (done.returncode, done.stdout, done.stderr) == (
+            2, "", "error: points must be finite\n")
+
     @pytest.mark.parametrize("command", [
         "verify --family alternating --n 40 --p 1 --trials 1",
         "scalar-verify --family alternating --char det --n 40 --trials 1",
@@ -972,6 +981,33 @@ class TestRegistryDrift:
         for strategy in SEARCH_STRATEGIES:
             run_counterexample(RunConfig(family="hlawka-pop", trials=2, strategy=strategy))
         assert seen and all(suite == "hlawka-pop" for suite, _ in seen)
+
+    @pytest.mark.parametrize("command", [
+        "scalar-verify --family alternating --char det --n 4 --dim 4 --trials 500",
+        "scalar-verify --family alternating --char partition=4,2,1,1 --n 4 --dim 8 --trials 1",
+    ], ids=["many-small", "big-group"])
+    def test_matrix_route_runs_the_term_path_not_the_evaluator(self, command, tmp_path,
+                                                               monkeypatch):
+        # The benchmark's tracer times scalar._search_margin as
+        # scalar.evaluator; its matrix-function lines reach only
+        # generalized_matrix_function, once a chunk.
+        seen = {"evaluator": 0, "chunk": 0, "matrix function": 0}
+
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                seen[name] += 1
+                return fn(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(scalar, "_search_margin",
+                            counted("evaluator", scalar._search_margin))
+        monkeypatch.setattr(harness, "scalar_inequality_check",
+                            counted("chunk", harness.scalar_inequality_check))
+        monkeypatch.setattr(matfunc, "generalized_matrix_function",
+                            counted("matrix function", matfunc.generalized_matrix_function))
+        assert main([*command.split(), "--out", str(tmp_path / "r.json")]) == 0
+        assert seen["evaluator"] == 0
+        assert seen["matrix function"] == seen["chunk"] > 0
 
     def test_one_entry_type_and_one_term_list(self):
         assert all(isinstance(spec, FamilySpec) for spec in SUITES.values())

@@ -1,12 +1,16 @@
 """Generalized matrix functions, the permanent oracle, scalar corollaries."""
 
 import math
+import tracemalloc
+from functools import reduce
+from operator import add
 
 import numpy as np
 import pytest
 
-from conftest import pd_tuple
+from conftest import pd_tuple, random_hermitian, stack_of
 
+from hlawka import matfunc
 from hlawka.errors import BudgetError, InputError
 from hlawka.matfunc import (
     determinant_via_elimination,
@@ -16,8 +20,9 @@ from hlawka.matfunc import (
     permanent_oracle,
     scalar_inequality_check,
 )
-from hlawka.linalg import HermitianMatrix, PdBatchConfig, random_pd
-from hlawka.symgroup import CharacterSpec, GroupSpec, partitions_of
+from hlawka.linalg import HermitianMatrix, HermitianStack, PdBatchConfig, random_pd
+from hlawka.scalar import suite_terms
+from hlawka.symgroup import CharacterSpec, GroupSpec, enumerate_group, partitions_of
 
 
 def random_complex(rng, m):
@@ -121,6 +126,60 @@ class TestImmanants:
         assert value == pytest.approx(30.0)
 
 
+class TestBlocks:
+    #: A group and character of degree 4 each: S_4 under three characters,
+    #: and a table character of the Klein four-group.
+    CASES = {
+        "det": (GroupSpec.full_symmetric(4), CharacterSpec.sign()),
+        "perm": (GroupSpec.full_symmetric(4), CharacterSpec.trivial()),
+        "partition": (GroupSpec.full_symmetric(4), CharacterSpec.from_partition((2, 1, 1))),
+        "table": (GroupSpec.explicit([(0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)]),
+                  CharacterSpec.from_table([1.0, -1.0, 1.0, -1.0])),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_stacks_around_a_block_equal_each_matrix(self, name, monkeypatch):
+        # A block of 5 matrices: CHUNK_BYTES is 5 working sets of four
+        # complex entries per group element and row.
+        group, chi = self.CASES[name]
+        order = len(enumerate_group(group))
+        monkeypatch.setattr(matfunc, "CHUNK_BYTES", 5 * 16 * 4 * order * 4)
+        rng = np.random.default_rng(41)
+        for count in (4, 5, 6, 11):
+            mats = [random_hermitian(rng, 4) for _ in range(count)]
+            got = generalized_matrix_function(stack_of(mats), group, chi)
+            assert got.dtype == np.complex128 and got.shape == (count,)
+            for value, mat in zip(got, mats):
+                one = generalized_matrix_function(mat, group, chi)
+                assert value.tobytes() == np.complex128(one).tobytes()
+
+    def test_a_stack_holds_one_block_at_a_time(self, monkeypatch):
+        # 400 determinants of S_4 in blocks of 5 hold about 21 KB at once;
+        # in one block they held 879 KB.
+        group, chi = self.CASES["det"]
+        rng = np.random.default_rng(3)
+        stack = stack_of([random_hermitian(rng, 4) for _ in range(400)])
+        generalized_matrix_function(stack, group, chi)  # the group's tables, cached
+        monkeypatch.setattr(matfunc, "CHUNK_BYTES", 5 * 16 * 4 * 24 * 4)
+        tracemalloc.start()
+        try:
+            generalized_matrix_function(stack, group, chi)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < matfunc.CHUNK_BYTES + 400 * 16  # the blocks' budget and the output
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_an_empty_stack_gives_an_empty_complex_array(self, name):
+        group, chi = self.CASES[name]
+        empty = HermitianStack._wrap_exact(np.zeros((0, 4, 4)))
+        got = generalized_matrix_function(empty, group, chi)
+        assert got.dtype == np.complex128 and got.shape == (0,)
+        with pytest.raises(InputError, match="does not match group degree"):
+            generalized_matrix_function(HermitianStack._wrap_exact(np.zeros((0, 3, 3))), group, chi)
+        assert scalar_inequality_check("hlawka3", [empty] * 3, group, chi) == []
+
+
 class TestElementarySymmetricDet:
     def test_full_subset(self):
         mats = pd_tuple(31, 3, 3)
@@ -203,6 +262,23 @@ class TestScalarInequalityCheck:
                 group, CharacterSpec.trivial(),
             )
             assert res.holds
+
+    @pytest.mark.parametrize("family, n, levels, char", [
+        ("hlawka3", 3, {}, "det"),
+        ("alternating", 5, {}, "perm"),
+        ("pop-levels", 5, {"k": 1, "ell": 3, "m": 5}, "partition=2,1"),
+    ])
+    def test_each_subset_summed_in_input_order(self, family, n, levels, char):
+        # The per-subset route: each term's inputs added left to right in
+        # input order, its own d, and each side one fsum.
+        group, chi = parse_character_selector(char, 3)
+        for seed in range(20):
+            mats = pd_tuple(seed, n, 3)
+            res = scalar_inequality_check(family, mats, group, chi, **levels)
+            lhs, rhs = (math.fsum(c * generalized_matrix_function(
+                reduce(add, (mats[i].array for i in s)), group, chi).real for c, s in side)
+                for side in suite_terms(family, n, *map(levels.get, ("k", "ell", "m"))))
+            assert (res.lhs, res.rhs) == (lhs, rhs)
 
     @pytest.mark.parametrize("family", ["popoviciu", "no-such-family"])
     def test_only_operator_families_are_accepted(self, family):

@@ -3,7 +3,7 @@
 import dataclasses
 import math
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 from itertools import combinations, permutations
 from operator import add
 
@@ -23,6 +23,8 @@ from hlawka.scalar import (
     SEARCH_STRATEGIES,
     SUITES,
     ConvexFunction,
+    _canonical,
+    _convex_norm_image,
     _lockstep,
     _search_margin,
     _terms,
@@ -792,7 +794,8 @@ class TestBlockEqualsRows:
         for count in sorted({1, chunk - 1, chunk, chunk + 1} - {0}):
             block = block_rows(suite, count, n, dim, rng)
             got = _search_margin(suite, block, fns, **levels)
-            lhs_terms, rhs_terms, _ = _terms(suite, block, fns, **levels)
+            image = partial(_convex_norm_image, SUITES[suite].term, fns)
+            lhs_terms, rhs_terms, _ = _terms(suite, _canonical(block), image, **levels)
             assert got.refusals == {}
             for t, data in enumerate(block):
                 for j, f in enumerate(fns):
