@@ -22,6 +22,8 @@ import argparse
 import dataclasses
 import sys
 
+import numpy as np
+
 from .errors import BudgetError, InputError
 from .harness import SUITES, RunConfig, run_counterexample, run_scalar_verify, run_verify
 from .linalg import load_matrix
@@ -127,6 +129,8 @@ def _cmd_immanant(args) -> int:
     else:
         group, chi = parse_character_selector(selector, matrix.shape[0])
     value = generalized_matrix_function(matrix, group, chi)
+    if not np.isfinite(value):
+        raise InputError("overflow: the matrix function's value exceeds double precision")
     print(format_complex_sig17(value))
     return EXIT_OK
 

@@ -253,14 +253,19 @@ CONVEX_NORM_SUITES = {
 SUITES = {**FAMILIES, **CONVEX_NORM_SUITES}
 
 
-@lru_cache(maxsize=64)
 def suite_terms(suite: str, n: int, k=None, ell=None, m=None) -> tuple:
     """The ``(lhs, rhs)`` terms of a :data:`SUITES` entry over n inputs, each
     a ``(coefficient, subset)`` pair as :func:`_search_margin` reads it;
     :class:`InputError` if the parameters fail the entry's condition.
     Coefficients are rounded once per parameter set, so evaluating a term
-    does no ``Fraction`` arithmetic.
+    does no ``Fraction`` arithmetic.  Cached once per parameter set, however
+    the call spells it.
     """
+    return _suite_terms(suite, n, k, ell, m)
+
+
+@lru_cache(maxsize=64)
+def _suite_terms(suite: str, n: int, k, ell, m) -> tuple:
     spec = SUITES[suite]
     mean = spec.term == "mean"
     return tuple(

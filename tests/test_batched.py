@@ -472,8 +472,12 @@ class TestKernelsAgainstNumpyFormulas:
         assert kron(b, a).tobytes() == np.kron(b, a).tobytes()
 
     @pytest.mark.parametrize("dim, selector", [
-        (3, "det"), (3, "perm"), (4, "det"), (4, "partition=2,1,1"), (5, "partition=3,2"),
-        (6, "perm"), (7, "partition=3,3,1"), (8, "partition=4,2,1,1"),
+        (3, "det"), (3, "perm"), (4, "det"), (6, "perm"), (7, "partition=3,3,1"),
+        (8, "partition=4,2,1,1"),
+        # Every irreducible character up to degree 6; most vanish on whole
+        # classes, which the tree leaves out and the gather sums.
+        *((m, "partition=" + ",".join(map(str, lam))) for m in range(1, 7)
+          for lam in partitions_of(m)),
     ])
     def test_generalized_matrix_function_matches_the_two_index_gather(self, dim, selector):
         mats = pd_tuple(dim, 6, dim)
@@ -495,7 +499,52 @@ class TestKernelsAgainstNumpyFormulas:
         assert bits([generalized_matrix_function(m, group, chi) for m in mats]) == expected
         assert bits(generalized_matrix_function(stack_of(mats), group, chi)) == expected
 
-    @pytest.mark.parametrize("selector", ["det", "perm", "partition=3,1,1"])
+    def test_a_table_character_with_zeros_matches_the_gather(self):
+        # The subgroup above under a table character with three zero values,
+        # one of them -0 - 0i: the tree leaves their elements out.
+        group = GroupSpec.explicit(generated((1, 2, 0, 3, 4, 5), (1, 0, 2, 3, 4, 5),
+                                             (0, 1, 2, 4, 3, 5)))
+        rng = np.random.default_rng(29)
+        values = (rng.standard_normal(12) + 1j * rng.standard_normal(12)) / 4
+        values[[2, 5, 9]] = 0, 0, complex(-0.0, -0.0)
+        chi = CharacterSpec.from_table([1.0, *values[1:]])
+        levels, _ = _group_data(group, chi)
+        assert len(levels[-1][1]) == 9
+        mats = pd_tuple(7, 5, 6)
+        expected = bits([two_index_gather(m.array, group, chi) for m in mats])
+        assert bits([generalized_matrix_function(m, group, chi) for m in mats]) == expected
+        assert bits(generalized_matrix_function(stack_of(mats), group, chi)) == expected
+
+    def test_an_overflow_outside_the_support_is_not_formed(self):
+        # Under (2,2) chi vanishes on the 4-cycles; only the 4-cycle
+        # 0 -> 1 -> 2 -> 3 -> 0 takes all four large entries, and its
+        # product, inf, is never formed, so d stays finite.  Summing every
+        # element gave 0 * inf = NaN.
+        group, chi = parse_character_selector("partition=2,2", 4)
+        x = np.ones((4, 4), dtype=complex)
+        x[[0, 1, 2, 3], [1, 2, 3, 0]] = 1e100
+        with np.errstate(all="raise"):
+            value = generalized_matrix_function(x, group, chi)
+        assert np.isfinite(value)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isnan(two_index_gather(x, group, chi))
+        with np.errstate(all="raise"):
+            assert not np.isfinite(generalized_matrix_function(x, group, CharacterSpec.trivial()))
+
+    def test_a_row_reads_zero_outside_the_support(self):
+        # A freed block of the row's size (24 complex entries), filled with
+        # NaN, is what numpy's small-allocation cache hands the next array
+        # of that size: a row that were not zero-filled would read it at
+        # the elements left out.
+        group, chi = parse_character_selector("partition=2,2", 4)
+        x = np.arange(16.0).reshape(4, 4).astype(complex)
+        expected = bits(two_index_gather(x, group, chi))
+        for _ in range(3):
+            np.full(24, np.nan, dtype=complex)
+            assert bits(generalized_matrix_function(x, group, chi)) == expected
+
+    @pytest.mark.parametrize("selector", ["det", "perm", "partition=3,1,1", "partition=3,2",
+                                          "partition=2,2,1"])
     def test_real_non_hermitian_input_keeps_the_gathers_signed_zeros(self, selector):
         # Negative and zero entries give products of either sign of zero,
         # in the imaginary parts too.
@@ -526,24 +575,49 @@ class TestKernelsAgainstNumpyFormulas:
             nodes = parent[nodes]
         assert np.array_equal(np.array(images[::-1]).T, elements)
 
+    @pytest.mark.parametrize("dim, selector", [
+        (5, "det"), (4, "partition=2,2"), (5, "partition=3,1,1"), (6, "partition=3,2,1"),
+        (6, "partition=2,2,2"), (8, "partition=4,2,1,1"),
+    ])
+    def test_prefix_tree_leaves_walk_up_to_the_support(self, dim, selector):
+        group, chi = parse_character_selector(selector, dim)
+        levels, chis = _group_data(group, chi)
+        support = enumerate_group(group)[chis != 0]
+        assert 0 < len(support) <= len(chis)
+        m = group.degree
+        nodes = np.arange(len(support))
+        images = []
+        for k in range(m - 1, -1, -1):
+            parent, flat = levels[k]
+            assert len(flat) == len({tuple(p[:k + 1]) for p in support.tolist()})
+            images.append(flat[nodes] - k * m)
+            nodes = parent[nodes]
+        assert np.array_equal(np.array(images[::-1]).T, support)
+
     @pytest.mark.parametrize("m", range(1, 9))
     def test_group_data_matches_a_tuple_built_reference(self, m):
         # The tuples, per-element characters and fromiter conversion the
-        # array route replaces: every level and chi, bytes and dtype.
+        # array route replaces: every level and chi, bytes and dtype.  The
+        # tree is built over the elements with chi != 0, all of S_m under
+        # det and perm.
         group = GroupSpec.full_symmetric(m)
         elements = list(itertools.permutations(range(m)))
         types = [cycle_type(p) for p in elements]
-        perms = np.fromiter(itertools.chain.from_iterable(elements), dtype=np.intp,
-                            count=len(elements) * m).reshape(-1, m)
-        new = np.zeros(len(perms), dtype=bool)
-        new[0] = True
-        ids = np.zeros(len(perms), dtype=np.intp)
-        expected_levels = []
-        for k in range(m):
-            new[1:] |= perms[1:, k] != perms[:-1, k]
-            rows = np.flatnonzero(new)
-            expected_levels.append((ids[rows], k * m + perms[rows, k]))
-            ids = np.cumsum(new) - 1
+
+        def reference_levels(support):
+            perms = np.fromiter(itertools.chain.from_iterable(support), dtype=np.intp,
+                                count=len(support) * m).reshape(-1, m)
+            new = np.zeros(len(perms), dtype=bool)
+            new[0] = True
+            ids = np.zeros(len(perms), dtype=np.intp)
+            levels = []
+            for k in range(m):
+                new[1:] |= perms[1:, k] != perms[:-1, k]
+                rows = np.flatnonzero(new)
+                levels.append((ids[rows], k * m + perms[rows, k]))
+                ids = np.cumsum(new) - 1
+            return levels
+
         characters = {"det": [permutation_sign(p) for p in elements],
                       "perm": [1] * len(elements)}
         for lam in partitions_of(m):
@@ -552,6 +626,7 @@ class TestKernelsAgainstNumpyFormulas:
         for selector, values in characters.items():
             # Uncached: 82 tables of up to S_8 would outgrow the cache.
             levels, chis = _group_data.__wrapped__(*parse_character_selector(selector, m))
+            expected_levels = reference_levels([p for p, v in zip(elements, values) if v != 0])
             assert len(levels) == m
             for (parent, flat), (want_parent, want_flat) in zip(levels, expected_levels):
                 for got, want in ((parent, want_parent), (flat, want_flat)):

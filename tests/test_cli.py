@@ -621,6 +621,16 @@ class TestImmanantCommand:
     def test_missing_file_exit_two(self):
         assert main(["immanant", "/nonexistent.json", "det"]) == 2
 
+    @pytest.mark.parametrize("selector", ["det", "perm", "partition=1,1"])
+    def test_overflow_exit_two(self, selector, tmp_path, capsys):
+        # Every product is 1e400: refused, not printed as nan or inf.
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"dim": 2, "entries": [[1e200, 0]] * 4}))
+        assert main(["immanant", str(path), selector]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", "error: overflow: the matrix function's value exceeds double precision\n")
+
     @pytest.mark.parametrize("files, argv", MALFORMED_FILES.values(), ids=MALFORMED_FILES)
     def test_malformed_file_exit_two(self, files, argv, tmp_path, monkeypatch, capsys):
         # Exit 1 would report a violation; a bad file is a usage error.

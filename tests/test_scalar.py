@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hlawka import harness
+from hlawka import harness, scalar
 from hlawka.errors import InputError
 from hlawka.harness import RunConfig, counterexample_search, run_counterexample, run_scalar_verify
 from hlawka.linalg import Verdict, band_verdict
@@ -653,6 +653,16 @@ class TestAgainstStatementOracle:
                 exact = exact_pop_levels_margin(f, sorted(xs.tolist()), k, ell, m)
                 band = 4 * Fraction(np.finfo(float).eps) * Fraction(got.scale)
                 assert abs(Fraction(got.margin) - exact) <= band
+
+
+def test_suite_terms_caches_one_entry_per_parameter_set():
+    # However a call spells its parameters, one miss and one shared table.
+    scalar._suite_terms.cache_clear()
+    first = suite_terms("alternating", 6)
+    assert suite_terms("alternating", 6, None, None, None) is first
+    assert suite_terms("alternating", n=6, m=None) is first
+    info = scalar._suite_terms.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
 
 
 # ---------------------------------------------------------------------------
