@@ -155,8 +155,9 @@ def _settings(cfg: RunConfig, route: str) -> tuple[RunConfig, list[str]]:
     :data:`~hlawka.sums.MAX_LEVEL_SUBSETS` (counted before any is listed),
     vectors that do not split into n rows (they set ``dim``), an ``n`` or
     ``dim`` set to another value than the given points or the known input
-    give, and last, as budget errors, a tensor over ``max_tensor_dim`` and a
-    group over the guard.
+    give, and last, as budget errors, a tensor over ``max_tensor_dim``, a
+    build whose working set exceeds
+    :data:`~hlawka.sums.MAX_WORKING_SET_BYTES` and a group over the guard.
     """
     families, tol, row = _READS[route]
     if cfg.family not in families:
@@ -226,6 +227,8 @@ def _settings(cfg: RunConfig, route: str) -> tuple[RunConfig, list[str]]:
 
     if cfg.p is not None:
         check_tensor_budget(cfg.dim, cfg.p, cfg.max_tensor_dim)
+    if route == "verify":
+        working_set(cfg.family, cfg.n, cfg.p, cfg.dim, k=cfg.k, ell=cfg.ell, m=cfg.m)
     if cfg.char is not None:
         check_symmetric_degree(cfg.dim)
     return cfg, names

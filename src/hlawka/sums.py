@@ -285,6 +285,11 @@ class _Coefficients(Mapping):
 #: tuples; a row or trial over budget runs alone.
 CHUNK_BYTES = 512 * 1024
 
+#: Byte budget of the tables one trial's build holds at once
+#: (:func:`working_set`), refused before the first trial: hlawka3 at p 12
+#: and dim 2 holds 0.75 GiB.
+MAX_WORKING_SET_BYTES = 2**31
+
 #: Every entry of the absent row that ends a table the next step reads as
 #: a missing source: adding -0 leaves every value, signed zeros included,
 #: as it is.
@@ -388,9 +393,14 @@ def _plan(name: str, spec: FamilySpec, n: int, p: int, k, ell, m) -> _WordPlan:
 
 def working_set(family: str, n: int, p: int, dim: int, *, k=None, ell=None, m=None) -> int:
     """Entries per trial that :func:`build_difference` holds at once over
-    n inputs of size ``dim``: at least the output's ``dim^(2p)``."""
+    n inputs of size ``dim``: at least the output's ``dim^(2p)``.  Raises
+    :class:`BudgetError` if their bytes exceed :data:`MAX_WORKING_SET_BYTES`."""
     plan = _plan(family, operator_family(family), n, p, k, ell, m)
-    return max(dim ** (2 * p), plan.working_set(dim))
+    entries = max(dim ** (2 * p), plan.working_set(dim))
+    if 16 * entries > MAX_WORKING_SET_BYTES:
+        raise BudgetError(f"working set of one trial: {16 * entries} bytes exceeds budget "
+                          f"{MAX_WORKING_SET_BYTES}")
+    return entries
 
 
 def _word_sum(inputs: np.ndarray, plan: _WordPlan, p: int) -> np.ndarray:

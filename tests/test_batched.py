@@ -12,7 +12,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from conftest import EDGE_SEEDS, pd_tuple, stack_of
+from conftest import EDGE_SEEDS, pd_tuple, random_hermitian, stack_of
 
 import hlawka.harness as harness
 import hlawka.matfunc as matfunc
@@ -421,11 +421,51 @@ def one_qr_sample(cfg: PdBatchConfig) -> np.ndarray:
     return (h + h.conj().T) / 2.0
 
 
+def halves_of(m: int) -> list[np.ndarray]:
+    """The rows of the prefix half and of the suffix half, h = m // 2; at
+    degree 1 the suffix half alone."""
+    return [rows for rows in np.split(np.arange(m), [m // 2]) if len(rows)]
+
+
 def two_index_gather(arr: np.ndarray, group: GroupSpec, chi: CharacterSpec) -> complex:
-    """d(X) by the fancy-indexed gather X[i, sigma(i)] over every sigma."""
+    """d(X) by the split formula: over the elements with chi != 0, the
+    fancy-indexed gather X[i, sigma(i)] of each half multiplied left to
+    right, the prefix half times the suffix half (the suffix half alone at
+    degree 1), and one dot with chi.
+
+    Each gather is made C-ordered: ``prod`` along its rows then multiplies
+    one pair at a time as (ac - bd) + (ad + bc)i, where over a column-ordered
+    gather (what a column slice of the index gives) it runs numpy's
+    vectorized complex multiply, which rounds differently.
+    """
+    perms = enumerate_group(group)
+    chis = character_values(group, chi, perms)
+    perms = perms[chis != 0]
+    parts = [np.ascontiguousarray(arr[rows[np.newaxis, :], perms[:, rows]]).prod(axis=1)
+             for rows in halves_of(arr.shape[0])]
+    return complex(chis[chis != 0] @ np.stack(parts, axis=1).prod(axis=1))
+
+
+def left_to_right_gather(arr: np.ndarray, group: GroupSpec,
+                         chi: CharacterSpec) -> tuple[complex, float]:
+    """d(X) by the gather X[i, sigma(i)] over every sigma, each product left
+    to right, and the scale sum_sigma |chi(sigma) prod_i X[i, sigma(i)]|."""
     perms = enumerate_group(group)
     rows = np.arange(arr.shape[0])
-    return complex(character_values(group, chi, perms) @ arr[rows[np.newaxis, :], perms].prod(axis=1))
+    chis = character_values(group, chi, perms)
+    products = arr[rows[np.newaxis, :], perms].prod(axis=1)
+    return complex(chis @ products), float(np.abs(chis * products).sum())
+
+
+def walk_up(levels: list, leaf: np.ndarray, rows: np.ndarray, m: int) -> np.ndarray:
+    """The images sigma(rows) a half tree gives each support element, read
+    from its leaf up to the root; asserts each level appends its own row."""
+    nodes, images = leaf, []
+    for (parent, flat), i in zip(levels[::-1], rows[::-1]):
+        images.append(flat[nodes] - i * m)
+        nodes = parent[nodes]
+    assert not nodes.any()  # the first level's parent is the root, 0
+    return np.array(images[::-1]).T
 
 
 def generated(*gens) -> list[tuple[int, ...]]:
@@ -475,7 +515,7 @@ class TestKernelsAgainstNumpyFormulas:
         (3, "det"), (3, "perm"), (4, "det"), (6, "perm"), (7, "partition=3,3,1"),
         (8, "partition=4,2,1,1"),
         # Every irreducible character up to degree 6; most vanish on whole
-        # classes, which the tree leaves out and the gather sums.
+        # classes, which the trees and the gather leave out.
         *((m, "partition=" + ",".join(map(str, lam))) for m in range(1, 7)
           for lam in partitions_of(m)),
     ])
@@ -486,40 +526,118 @@ class TestKernelsAgainstNumpyFormulas:
         assert bits([generalized_matrix_function(m, group, chi) for m in mats]) == expected
         assert bits(generalized_matrix_function(stack_of(mats), group, chi)) == expected
 
+    @pytest.mark.parametrize("dim, selector", [
+        *((m, selector) for m in range(1, 8) for selector in ("det", "perm")),
+        *((m, "partition=" + ",".join(map(str, lam))) for m in range(1, 8)
+          for lam in partitions_of(m)),
+    ])
+    def test_the_left_to_right_gather_agrees_within_its_forward_error_bound(self, dim, selector):
+        # Either route forms each product with m - 1 complex multiplies and
+        # weighs it with one more, each within sqrt(2) * gamma_2 <= gamma_3
+        # of exact (Higham, Accuracy and Stability, Lemma 3.5), and sums at
+        # most N = |G| terms in some order, the real and imaginary parts
+        # each within gamma_(N-1) of their sums of absolute values: in all
+        # within gamma_(3m + 2N) * sum_sigma |chi(sigma) prod_i X[i, sigma(i)]|
+        # of d.  The worst difference observed here is 2.8e-15 of the scale.
+        rng = np.random.default_rng(dim)
+        group, chi = parse_character_selector(selector, dim)
+        n = len(enumerate_group(group))
+        k = 3 * dim + 2 * n
+        bound = 2 * k * 2.0**-53 / (1 - k * 2.0**-53)
+        mats = [m.array for m in pd_tuple(dim, 4, dim)]
+        mats += [rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+                 for _ in range(4)]
+        for x in mats:
+            expected, scale = left_to_right_gather(x, group, chi)
+            assert abs(generalized_matrix_function(x, group, chi) - expected) <= bound * scale
+
     def test_generalized_matrix_function_of_an_explicit_subgroup_matches_the_gather(self):
-        # S_3 x S_2 on six letters: its prefix tree has 3, 2, 1, 2, 1, 1
-        # children per node, level by level, where S_6 has 6, 5, ..., 1.
+        # S_3 x S_2 on six letters: its prefix tree has 3, 2, 1 children per
+        # node, level by level, and its suffix tree 2, 1, 1, where S_6 has
+        # 6, 5, 4 and 3, 2, 1.
         group = GroupSpec.explicit(generated((1, 2, 0, 3, 4, 5), (1, 0, 2, 3, 4, 5),
                                              (0, 1, 2, 4, 3, 5)))
         rng = np.random.default_rng(13)
         values = (rng.standard_normal(12) + 1j * rng.standard_normal(12)) / 4
         chi = CharacterSpec.from_table([1.0, *values[1:]])
+        (prefix, _), (suffix, _) = _group_data(group, chi)[0]
+        assert [len(flat) for _, flat in prefix] == [3, 6, 6]
+        assert [len(flat) for _, flat in suffix] == [2, 2, 2]
         mats = pd_tuple(6, 5, 6)
+        expected = bits([two_index_gather(m.array, group, chi) for m in mats])
+        assert bits([generalized_matrix_function(m, group, chi) for m in mats]) == expected
+        assert bits(generalized_matrix_function(stack_of(mats), group, chi)) == expected
+
+    def test_a_subgroup_whose_suffixes_are_out_of_order(self):
+        # The dihedral group of the pentagon under a complex table
+        # character: in enumeration order its suffixes sigma(2..4) are not
+        # sorted, so the suffix tree is built over the support sorted by
+        # them, and each element finds its node through the leaf map.
+        group = GroupSpec.explicit(generated((1, 2, 3, 4, 0), (0, 4, 3, 2, 1)))
+        elements = enumerate_group(group)
+        suffixes = [tuple(p[2:]) for p in elements.tolist()]
+        assert len(elements) == 10 and suffixes != sorted(suffixes)
+        rng = np.random.default_rng(31)
+        values = (rng.standard_normal(10) + 1j * rng.standard_normal(10)) / 4
+        chi = CharacterSpec.from_table([1.0, *values[1:]])
+        halves, weights = _group_data(group, chi)
+        assert bits(weights) == bits(character_values(group, chi, elements))
+        for (levels, leaf), rows in zip(halves, halves_of(5)):
+            assert np.array_equal(walk_up(levels, leaf, rows, 5), elements[:, rows])
+        (_, prefix_leaf), (_, suffix_leaf) = halves
+        assert (np.diff(prefix_leaf) >= 0).all() and not (np.diff(suffix_leaf) >= 0).all()
+        mats = [*pd_tuple(8, 5, 5), random_hermitian(rng, 5)]
         expected = bits([two_index_gather(m.array, group, chi) for m in mats])
         assert bits([generalized_matrix_function(m, group, chi) for m in mats]) == expected
         assert bits(generalized_matrix_function(stack_of(mats), group, chi)) == expected
 
     def test_a_table_character_with_zeros_matches_the_gather(self):
         # The subgroup above under a table character with three zero values,
-        # one of them -0 - 0i: the tree leaves their elements out.
+        # one of them -0 - 0i: the trees and the gather leave their
+        # elements out.
         group = GroupSpec.explicit(generated((1, 2, 0, 3, 4, 5), (1, 0, 2, 3, 4, 5),
                                              (0, 1, 2, 4, 3, 5)))
         rng = np.random.default_rng(29)
         values = (rng.standard_normal(12) + 1j * rng.standard_normal(12)) / 4
         values[[2, 5, 9]] = 0, 0, complex(-0.0, -0.0)
         chi = CharacterSpec.from_table([1.0, *values[1:]])
-        levels, _ = _group_data(group, chi)
-        assert len(levels[-1][1]) == 9
+        halves, weights = _group_data(group, chi)
+        assert len(weights) == 9 and (weights != 0).all()
+        elements = enumerate_group(group)
+        support = elements[character_values(group, chi, elements) != 0]
+        for (levels, leaf), rows in zip(halves, halves_of(6)):
+            assert np.array_equal(walk_up(levels, leaf, rows, 6), support[:, rows])
         mats = pd_tuple(7, 5, 6)
         expected = bits([two_index_gather(m.array, group, chi) for m in mats])
         assert bits([generalized_matrix_function(m, group, chi) for m in mats]) == expected
         assert bits(generalized_matrix_function(stack_of(mats), group, chi)) == expected
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_degrees_with_an_empty_or_an_odd_half(self, dim):
+        # Degree 1 has no prefix half, and its products are the suffix
+        # half's, never multiplied by 1; degree 3 splits as 1 + 2.  Zero and
+        # negative entries give signed zeros in either half.
+        rng = np.random.default_rng(43)
+        selectors = ["det", "perm", *("partition=" + ",".join(map(str, lam))
+                                      for lam in partitions_of(dim))]
+        mats = [(rng.integers(-2, 3, (dim, dim)) * rng.standard_normal((dim, dim))
+                 + 1j * rng.integers(-1, 2, (dim, dim)) * rng.standard_normal((dim, dim)))
+                for _ in range(12)]
+        mats.append(np.full((dim, dim), complex(-0.0, -0.0)))
+        for selector in selectors:
+            group, chi = parse_character_selector(selector, dim)
+            assert len(_group_data(group, chi)[0]) == min(dim, 2)
+            expected = bits([two_index_gather(x, group, chi) for x in mats])
+            assert bits([generalized_matrix_function(x, group, chi) for x in mats]) == expected
+            stack = HermitianStack._wrap_exact(np.array(mats))
+            assert bits(generalized_matrix_function(stack, group, chi)) == expected
+
     def test_an_overflow_outside_the_support_is_not_formed(self):
         # Under (2,2) chi vanishes on the 4-cycles; only the 4-cycle
-        # 0 -> 1 -> 2 -> 3 -> 0 takes all four large entries, and its
-        # product, inf, is never formed, so d stays finite.  Summing every
-        # element gave 0 * inf = NaN.
+        # 0 -> 1 -> 2 -> 3 -> 0 takes all four large entries.  Its halves,
+        # 1e200 each, are shared with 3-cycles and formed; their product,
+        # inf, is never formed, so d stays finite.  Summing every element
+        # gave 0 * inf = NaN.
         group, chi = parse_character_selector("partition=2,2", 4)
         x = np.ones((4, 4), dtype=complex)
         x[[0, 1, 2, 3], [1, 2, 3, 0]] = 1e100
@@ -527,20 +645,32 @@ class TestKernelsAgainstNumpyFormulas:
             value = generalized_matrix_function(x, group, chi)
         assert np.isfinite(value)
         with np.errstate(over="ignore", invalid="ignore"):
-            assert np.isnan(two_index_gather(x, group, chi))
+            assert np.isnan(left_to_right_gather(x, group, chi)[0])
         with np.errstate(all="raise"):
             assert not np.isfinite(generalized_matrix_function(x, group, CharacterSpec.trivial()))
 
+    @pytest.mark.parametrize("selector", ["det", "perm", "partition=2,2", "partition=3,1"])
+    def test_an_overflow_inside_one_half_is_not_finite(self, selector):
+        # Rows 0 and 1 are 1e-150, rows 2 and 3 1e200: every product is
+        # 1e100 left to right, but the suffix half, 1e400, overflows.  The
+        # value is not finite, for the caller to refuse (the immanant
+        # command exits 2); the left-to-right gather reads a finite value.
+        group, chi = parse_character_selector(selector, 4)
+        x = np.repeat([1e-150, 1e-150, 1e200, 1e200], 4).reshape(4, 4).astype(complex)
+        assert not np.isfinite(generalized_matrix_function(x, group, chi))
+        assert np.isfinite(left_to_right_gather(x, group, chi)[0])
+        x[2:] = 1e150  # halves of 1e-300 and 1e300, both finite
+        assert np.isfinite(generalized_matrix_function(x, group, chi))
+
     def test_a_row_reads_zero_outside_the_support(self):
-        # A freed block of the row's size (24 complex entries), filled with
-        # NaN, is what numpy's small-allocation cache hands the next array
-        # of that size: a row that were not zero-filled would read it at
-        # the elements left out.
+        # A freed block of a product row's size, filled with NaN, is what
+        # numpy's small-allocation cache hands the next array of that size:
+        # a row that read it at the elements left out would not match.
         group, chi = parse_character_selector("partition=2,2", 4)
         x = np.arange(16.0).reshape(4, 4).astype(complex)
         expected = bits(two_index_gather(x, group, chi))
-        for _ in range(3):
-            np.full(24, np.nan, dtype=complex)
+        for size in (24, 12):
+            np.full(size, np.nan, dtype=complex)
             assert bits(generalized_matrix_function(x, group, chi)) == expected
 
     @pytest.mark.parametrize("selector", ["det", "perm", "partition=3,1,1", "partition=3,2",
@@ -562,18 +692,16 @@ class TestKernelsAgainstNumpyFormulas:
         GroupSpec.explicit(generated((1, 2, 0, 3, 4), (0, 1, 2, 4, 3))),
     ], ids=["S1", "S4", "S7", "C3xC2"])
     def test_prefix_tree_leaves_walk_up_to_the_elements(self, group):
-        levels, _ = _group_data(group, CharacterSpec.trivial())
+        # Each half tree is a prefix tree over its own rows' images.
+        halves, _ = _group_data(group, CharacterSpec.trivial())
         elements = enumerate_group(group)
         m = group.degree
-        nodes = np.arange(len(elements))
-        images = []
-        for k in range(m - 1, -1, -1):
-            parent, flat = levels[k]
-            # One node per distinct prefix of length k + 1.
-            assert len(flat) == len({tuple(p[:k + 1]) for p in elements.tolist()})
-            images.append(flat[nodes] - k * m)
-            nodes = parent[nodes]
-        assert np.array_equal(np.array(images[::-1]).T, elements)
+        assert len(halves) == min(m, 2)
+        for (levels, leaf), rows in zip(halves, halves_of(m)):
+            for k, (_, flat) in enumerate(levels):
+                # One node per distinct prefix of the half's images.
+                assert len(flat) == len({tuple(p[rows[:k + 1]]) for p in elements})
+            assert np.array_equal(walk_up(levels, leaf, rows, m), elements[:, rows])
 
     @pytest.mark.parametrize("dim, selector", [
         (5, "det"), (4, "partition=2,2"), (5, "partition=3,1,1"), (6, "partition=3,2,1"),
@@ -581,42 +709,54 @@ class TestKernelsAgainstNumpyFormulas:
     ])
     def test_prefix_tree_leaves_walk_up_to_the_support(self, dim, selector):
         group, chi = parse_character_selector(selector, dim)
-        levels, chis = _group_data(group, chi)
-        support = enumerate_group(group)[chis != 0]
-        assert 0 < len(support) <= len(chis)
-        m = group.degree
-        nodes = np.arange(len(support))
-        images = []
-        for k in range(m - 1, -1, -1):
-            parent, flat = levels[k]
-            assert len(flat) == len({tuple(p[:k + 1]) for p in support.tolist()})
-            images.append(flat[nodes] - k * m)
-            nodes = parent[nodes]
-        assert np.array_equal(np.array(images[::-1]).T, support)
+        halves, weights = _group_data(group, chi)
+        elements = enumerate_group(group)
+        chis = character_values(group, chi, elements)
+        support = elements[chis != 0]
+        assert 0 < len(support) <= len(chis) and bits(weights) == bits(chis[chis != 0])
+        for (levels, leaf), rows in zip(halves, halves_of(dim)):
+            for k, (_, flat) in enumerate(levels):
+                assert len(flat) == len({tuple(p[rows[:k + 1]]) for p in support})
+            assert np.array_equal(walk_up(levels, leaf, rows, dim), support[:, rows])
+        if selector == "partition=4,2,1,1":
+            # 2038 + 2038 nodes and 9856 pair products; one tree over the
+            # whole of sigma had 37122 nodes.
+            assert [sum(len(flat) for _, flat in levels) for levels, _ in halves] == [2038, 2038]
+            assert len(weights) == 9856
 
     @pytest.mark.parametrize("m", range(1, 9))
     def test_group_data_matches_a_tuple_built_reference(self, m):
         # The tuples, per-element characters and fromiter conversion the
-        # array route replaces: every level and chi, bytes and dtype.  The
-        # tree is built over the elements with chi != 0, all of S_m under
-        # det and perm.
+        # array route replaces: every level, leaf map and chi, bytes and
+        # dtype.  The trees are built over the elements with chi != 0, all
+        # of S_m under det and perm: the prefix tree in enumeration order,
+        # the suffix tree in the order of the suffixes.
         group = GroupSpec.full_symmetric(m)
         elements = list(itertools.permutations(range(m)))
         types = [cycle_type(p) for p in elements]
+        h = m // 2
 
-        def reference_levels(support):
+        def reference_tree(support, rows):
             perms = np.fromiter(itertools.chain.from_iterable(support), dtype=np.intp,
                                 count=len(support) * m).reshape(-1, m)
             new = np.zeros(len(perms), dtype=bool)
             new[0] = True
             ids = np.zeros(len(perms), dtype=np.intp)
             levels = []
-            for k in range(m):
+            for k in rows:
                 new[1:] |= perms[1:, k] != perms[:-1, k]
-                rows = np.flatnonzero(new)
-                levels.append((ids[rows], k * m + perms[rows, k]))
+                starts = np.flatnonzero(new)
+                levels.append((ids[starts], k * m + perms[starts, k]))
                 ids = np.cumsum(new) - 1
-            return levels
+            return levels, ids
+
+        def reference_halves(support):
+            order = sorted(range(len(support)), key=lambda s: support[s][h:])
+            levels, ids = reference_tree([support[s] for s in order], range(h, m))
+            leaf = np.empty_like(ids)
+            leaf[order] = ids
+            halves = reference_tree(support, range(h)), (levels, leaf)
+            return [half for half in halves if half[0]]
 
         characters = {"det": [permutation_sign(p) for p in elements],
                       "perm": [1] * len(elements)}
@@ -625,14 +765,17 @@ class TestKernelsAgainstNumpyFormulas:
             characters["partition=" + ",".join(map(str, lam))] = [by_type[t] for t in types]
         for selector, values in characters.items():
             # Uncached: 82 tables of up to S_8 would outgrow the cache.
-            levels, chis = _group_data.__wrapped__(*parse_character_selector(selector, m))
-            expected_levels = reference_levels([p for p, v in zip(elements, values) if v != 0])
-            assert len(levels) == m
-            for (parent, flat), (want_parent, want_flat) in zip(levels, expected_levels):
-                for got, want in ((parent, want_parent), (flat, want_flat)):
+            halves, weights = _group_data.__wrapped__(*parse_character_selector(selector, m))
+            expected = reference_halves([p for p, v in zip(elements, values) if v != 0])
+            assert len(halves) == len(expected) == min(m, 2)
+            for (levels, leaf), (want_levels, want_leaf) in zip(halves, expected):
+                assert len(levels) == len(want_levels)
+                arrays = [leaf, *itertools.chain.from_iterable(levels)]
+                wants = [want_leaf, *itertools.chain.from_iterable(want_levels)]
+                for got, want in zip(arrays, wants):
                     assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes()), selector
-            want = np.array(values, dtype=np.complex128)
-            assert (chis.dtype, chis.tobytes()) == (want.dtype, want.tobytes()), selector
+            want = np.array([v for v in values if v != 0], dtype=np.complex128)
+            assert (weights.dtype, weights.tobytes()) == (want.dtype, want.tobytes()), selector
 
     def test_certificate_scale_is_the_matrix_infinity_norm(self):
         mats = pd_tuple(3, 6, 4)

@@ -18,8 +18,8 @@ import pytest
 import hlawka
 from hlawka import harness
 from hlawka.cli import _config_from, build_parser, main
-from hlawka.errors import InputError
-from hlawka import matfunc, scalar
+from hlawka.errors import BudgetError, InputError
+from hlawka import matfunc, scalar, sums
 from hlawka.harness import (
     _READS,
     SUITES,
@@ -631,6 +631,18 @@ class TestImmanantCommand:
         assert (captured.out, captured.err) == (
             "", "error: overflow: the matrix function's value exceeds double precision\n")
 
+    @pytest.mark.parametrize("selector", ["det", "perm", "partition=2,2"])
+    def test_an_overflow_inside_one_half_exits_two(self, selector, tmp_path, capsys):
+        # Rows 0 and 1 are 1e-150, rows 2 and 3 1e200: every product is
+        # 1e100 left to right, but each is formed as its prefix half times
+        # its suffix half, and the suffix half, 1e400, is not finite.
+        path = tmp_path / "halves.json"
+        path.write_text(json.dumps({"dim": 4, "entries": [[1e-150, 0]] * 8 + [[1e200, 0]] * 8}))
+        assert main(["immanant", str(path), selector]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", "error: overflow: the matrix function's value exceeds double precision\n")
+
     @pytest.mark.parametrize("files, argv", MALFORMED_FILES.values(), ids=MALFORMED_FILES)
     def test_malformed_file_exit_two(self, files, argv, tmp_path, monkeypatch, capsys):
         # Exit 1 would report a violation; a bad file is a usage error.
@@ -765,6 +777,49 @@ class TestRefusedInACappedChild:
         assert (done.returncode, done.stdout) == (3, "")
         assert re.fullmatch(r"budget exceeded: level of the \d+-subsets of \d+ inputs: "
                             r"C\(\d+, \d+\) = \d+ exceeds budget 65536\n", done.stderr)
+
+    @pytest.mark.parametrize("command", [
+        "verify --family pop-pairs --n 12 --p 12 --dim 2 --trials 1",
+        "verify --family pop-subsets --n 8 --m 6 --p 12 --dim 2 --trials 1",
+    ])
+    def test_working_set_budget_exits_three_before_any_table(self, command):
+        # 5.48 and 18.9 GiB a trial by sums.working_set, within the tensor
+        # budget: numpy's MemoryError escaped cli.main and the run exited 1.
+        done = run_capped(command)
+        assert (done.returncode, done.stdout) == (3, "")
+        assert re.fullmatch(r"budget exceeded: working set of one trial: \d+ bytes exceeds "
+                            r"budget 2147483648\n", done.stderr)
+
+
+class TestWorkingSetBudget:
+    LINE = "verify --family pop-pairs --n 4 --p 4 --dim 2"
+
+    @pytest.mark.parametrize("spare, code", [(0, 0), (-1, 3)])
+    def test_the_budget_is_inclusive(self, spare, code, tmp_path, monkeypatch, capsys):
+        # The settings pass compares the working set's bytes with the
+        # budget even at --trials 0; one byte less than the working set is
+        # refused before any input is sampled.
+        held = 16 * sums.working_set("pop-pairs", 4, 4, 2)
+        monkeypatch.setattr(sums, "MAX_WORKING_SET_BYTES", held + spare)
+        for trials in ("0", "2"):
+            out = tmp_path / f"r{trials}.json"
+            argv = [*self.LINE.split(), "--trials", trials, "--out", str(out)]
+            assert main(argv) == code
+            assert out.exists() == (code == 0)
+        if code:
+            assert capsys.readouterr().err == (
+                f"budget exceeded: working set of one trial: {held} bytes exceeds budget "
+                f"{held - 1}\n" * 2)
+
+    def test_the_settings_pass_refuses_it(self):
+        # The settings pass refuses it, before the trial loop sizes its
+        # chunks by the same working set.
+        cfg = RunConfig(family="pop-pairs", n=12, p=12, dim=2, trials=1)
+        with pytest.raises(BudgetError, match="working set of one trial: 5888802816 bytes"):
+            harness._settings(cfg, "verify")
+
+    def test_the_default_keeps_the_largest_tensor_of_dim_two(self):
+        assert 16 * sums.working_set("hlawka3", 3, 12, 2) == 3 * 2**28 < sums.MAX_WORKING_SET_BYTES
 
 
 class TestToleranceRefused:

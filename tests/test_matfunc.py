@@ -137,30 +137,48 @@ class TestBlocks:
                   CharacterSpec.from_table([1.0, -1.0, 1.0, -1.0])),
     }
 
+    @staticmethod
+    def five_matrices(group, chi) -> int:
+        """A budget of five matrices by the kernel's estimate: four complex
+        entries per support element and per node of the two half trees,
+        and two per matrix entry."""
+        halves, weights = matfunc._group_data(group, chi)
+        nodes = sum(len(flat) for levels, _ in halves for _, flat in levels)
+        return 5 * 16 * (4 * (len(weights) + nodes) + 2 * group.degree ** 2)
+
     @pytest.mark.parametrize("name", CASES)
     def test_stacks_around_a_block_equal_each_matrix(self, name, monkeypatch):
-        # A block of 5 matrices: CHUNK_BYTES is 5 working sets of four
-        # complex entries per group element and row.
+        # Blocks of 5 matrices, counted by the half walks, one per half and
+        # block: stacks of 4, 5, 6 and 11 run in 1, 1, 2 and 3 blocks.
         group, chi = self.CASES[name]
-        order = len(enumerate_group(group))
-        monkeypatch.setattr(matfunc, "CHUNK_BYTES", 5 * 16 * 4 * order * 4)
+        monkeypatch.setattr(matfunc, "CHUNK_BYTES", self.five_matrices(group, chi))
+        walks = []
+
+        def counted(*args):
+            walks.append(args[2].shape[1])  # the block's matrices
+            return walk(*args)
+
+        walk = matfunc._walk
+        monkeypatch.setattr(matfunc, "_walk", counted)
         rng = np.random.default_rng(41)
-        for count in (4, 5, 6, 11):
+        for count, blocks in ((4, [4]), (5, [5]), (6, [5, 1]), (11, [5, 5, 1])):
             mats = [random_hermitian(rng, 4) for _ in range(count)]
+            walks.clear()
             got = generalized_matrix_function(stack_of(mats), group, chi)
+            assert walks == [size for size in blocks for _ in range(2)]
             assert got.dtype == np.complex128 and got.shape == (count,)
             for value, mat in zip(got, mats):
                 one = generalized_matrix_function(mat, group, chi)
                 assert value.tobytes() == np.complex128(one).tobytes()
 
     def test_a_stack_holds_one_block_at_a_time(self, monkeypatch):
-        # 400 determinants of S_4 in blocks of 5 hold about 21 KB at once;
-        # in one block they held 879 KB.
+        # 400 determinants of S_4 in blocks of 5 hold about 24 KB at once,
+        # the output's 6.4 KB included; in one block they held 790 KB.
         group, chi = self.CASES["det"]
         rng = np.random.default_rng(3)
         stack = stack_of([random_hermitian(rng, 4) for _ in range(400)])
         generalized_matrix_function(stack, group, chi)  # the group's tables, cached
-        monkeypatch.setattr(matfunc, "CHUNK_BYTES", 5 * 16 * 4 * 24 * 4)
+        monkeypatch.setattr(matfunc, "CHUNK_BYTES", self.five_matrices(group, chi))
         tracemalloc.start()
         try:
             generalized_matrix_function(stack, group, chi)
