@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+from functools import cache
 
 import numpy as np
 
@@ -54,7 +55,10 @@ def _trial_parser(sub, command: str, text: str, families) -> argparse.ArgumentPa
     return parser
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process: :func:`main`
+    parses each command line with it, and parsing changes none of it."""
     parser = argparse.ArgumentParser(
         prog="hlawka",
         description="Certify tensor-sum operator inequalities, their scalar "

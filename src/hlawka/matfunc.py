@@ -39,44 +39,67 @@ DEFAULT_SCALAR_MATRIX_TOL = 1e-10
 
 @lru_cache(maxsize=64)
 def _group_data(group: GroupSpec,
-                chi: CharacterSpec) -> tuple[tuple[tuple[list, np.ndarray], ...], np.ndarray]:
-    """The two half trees of the support of chi, and chi(sigma) on it.
+                chi: CharacterSpec) -> tuple[tuple[list, list], np.ndarray]:
+    """The two half trees of the support of chi, laid out by column set,
+    and the weights W that pair their last levels.
 
     The support is the elements with chi(sigma) != 0, in the lexicographic
     order :func:`enumerate_group` lists them; an element outside it adds
-    nothing to d, so its product is never formed.  With h = m // 2, each
-    element's product is that of its prefix half, the entries X[i, sigma(i)]
-    for i < h, times that of its suffix half, i >= h.  Each half is a tree
-    ``(levels, leaf)`` over its images: the prefix tree over the support in
-    order, the suffix tree over the support sorted by its suffix images, so
-    that in both the elements sharing the half's first images are
-    consecutive.  Level k of a half is a pair ``(parent, flat)`` over its
-    nodes: the index of the node's parent among the nodes of the level
-    before (0, the root, at the half's first level), and the row-major flat
-    index ``i * m + sigma(i)`` of the entry X[i, sigma(i)] the node appends,
-    i the half's k-th row.  ``leaf`` gives, per support element in order,
-    its node of the half's last level.  At degree 1 the prefix half is
-    empty and only the suffix half is listed.
+    nothing to d.  With h = m // 2, an element's product is that of its
+    prefix half, the entries X[i, sigma(i)] for i < h, times that of its
+    suffix half, i >= h.  Grouping the support by its column set A =
+    sigma({0..h-1}) gives the generalized Laplace expansion
+
+        d(X) = sum over A of  P_A . (W_A @ S_A),
+
+    P_A and S_A the products of the distinct prefix halves with images A
+    and suffix halves with images the complement of A, and W_A[a, b] =
+    chi(a u b) (0 where a u b is outside the support).
+
+    Each half is a tree over its images, a list of levels: the prefix tree
+    over the support in order, the suffix tree over the support sorted by
+    its suffix images, so that in both the elements sharing the half's
+    first images are consecutive.  Level k is a pair ``(parent, flat)``: the
+    index of each node's parent among the nodes of the level before (0 at
+    the first level, which has none), and the row-major flat index ``i * m
+    + sigma(i)`` of the entry X[i, sigma(i)] it appends, i the half's k-th
+    row.  The last level is laid out as ``(set, slot)`` arrays: the column
+    sets in increasing order of sum over A of 2^j, and in each set the
+    half's distinct images in lexicographic order, padded to the widest set
+    with slots that append the flat index m * m, a zero entry, to node 0:
+    a padded slot reads +-0, which W weighs with 0, unless node 0 is not
+    finite, and then neither is a half below it, nor d.  At degree 1 the
+    prefix half has no levels; its one slot is 1.
+
+    ``W`` is ``(set, prefix slot, k * suffix slot)``, [Re W_A | Im W_A]
+    with k = 2 for a character with a nonzero imaginary part, Re W_A alone
+    (k = 1) otherwise.
     """
     m = group.degree
     perms = enumerate_group(group)
     chis = character_values(group, chi, perms)
     support = chis != 0
-    perms = perms[support]
+    perms, chis = perms[support], chis[support]
     h = m // 2
+    _, sets = np.unique((1 << perms[:, :h]).sum(axis=1), return_inverse=True)
     # lexsort's last key is its first: sort by sigma(h), then sigma(h + 1)...
     order = np.lexsort(perms[:, h:][:, ::-1].T)
-    levels, ids = _tree(perms[order], range(h, m))
-    leaf = np.empty_like(ids)
-    leaf[order] = ids
-    halves = _tree(perms, range(h)), (levels, leaf)
-    return tuple(half for half in halves if half[0]), chis[support]
+    prefix, prefix_slot = _layout(*_tree(perms, range(h)), sets, m)
+    suffix, ranked = _layout(*_tree(perms[order], range(h, m)), sets[order], m)
+    suffix_slot = np.empty_like(ranked)
+    suffix_slot[order] = ranked
+    parts = (chis.real, chis.imag)[:1 + bool(chis.imag.any())]
+    width = suffix[-1][1].shape[1]
+    weights = np.zeros((sets.max() + 1, prefix_slot.max() + 1, len(parts), width))
+    for k, part in enumerate(parts):
+        weights[sets, prefix_slot, k, suffix_slot] = part
+    return (prefix, suffix), weights.reshape(*weights.shape[:2], -1)
 
 
 def _tree(perms: np.ndarray, rows: range) -> tuple[list, np.ndarray]:
     # Row r starts a node of level k when it differs from row r - 1 in one
     # of the images of the half's rows up to k; the node ids of a level
-    # count those starts.
+    # count those starts.  Also gives each row its node of the last level.
     m = perms.shape[1]
     new = np.zeros(len(perms), dtype=bool)
     new[0] = True
@@ -90,26 +113,88 @@ def _tree(perms: np.ndarray, rows: range) -> tuple[list, np.ndarray]:
     return levels, ids
 
 
-def _walk(levels: list, leaf: np.ndarray, entries_re: np.ndarray,
-          entries_im: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The product of one half per support element: real and imaginary
-    parts, (element, matrix), from the block's (entry, matrix) parts.
+def _layout(levels: list, ids: np.ndarray, sets: np.ndarray,
+            m: int) -> tuple[list, np.ndarray]:
+    # The last level's nodes move to their (set, slot), the slots of a set
+    # in node order; a padded slot appends the zero entry m * m to node 0.
+    # Also gives each row its slot.
+    count = ids.max() + 1
+    node_set = np.empty(count, dtype=np.intp)
+    node_set[ids] = sets
+    order = np.argsort(node_set, kind="stable")
+    sizes = np.bincount(node_set)
+    slot = np.empty(count, dtype=np.intp)
+    slot[order] = np.arange(count) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    if not levels:
+        return levels, slot[ids]
+    shape = len(sizes), sizes.max()
+    grid = np.zeros(shape, dtype=np.intp), np.full(shape, m * m, dtype=np.intp)
+    for array, values in zip(grid, levels[-1]):
+        array[node_set, slot] = values
+    return [*levels[:-1], grid], slot[ids]
+
+
+def _times(re, im, c_re, c_im) -> tuple[np.ndarray, np.ndarray]:
+    # (re + im i)(c_re + c_im i) as (re c_re - im c_im) + (re c_im + im
+    # c_re)i, in place of re, c_re and c_im.
+    product = re * c_im
+    np.multiply(re, c_re, out=re)
+    np.multiply(im, c_im, out=c_im)
+    np.subtract(re, c_im, out=re)
+    np.multiply(im, c_re, out=c_re)
+    np.add(product, c_re, out=product)
+    return re, product
+
+
+def _walk(levels: list, entries: np.ndarray, parts: int) -> np.ndarray:
+    """One half's product per slot, ``(matrix, set, part, slot, re/im)``,
+    from the block's ``(re/im, entry, matrix)`` entries: part 0 holds (Re,
+    Im), and a second part, for a complex chi, (-Im, Re).
 
     Each node holds the partial product ((X[i0, s0] * X[i1, s1]) * ...) of
-    its images, formed once and shared by every element below it.  Each
-    step is spelled in real arithmetic, (a + bi)(c + di) = (ac - bd) +
-    (ad + bc)i, so a half has the bits of a left-to-right ``prod`` over its
+    its images, formed once and shared by every slot below it.  Each step
+    is spelled in real arithmetic, (a + bi)(c + di) = (ac - bd) + (ad +
+    bc)i, so a half has the bits of a left-to-right ``prod`` over its
     entries; numpy's vectorized complex multiply rounds differently.  A
     level gathers whole rows, which costs less per call than a column
-    gather when the block is small.
+    gather when the block is small.  Every ufunc runs on whole arrays; one
+    with a strided output would take a buffer of up to 64 KiB.
     """
-    _, first = levels[0]
-    re, im = np.take(entries_re, first, axis=0), np.take(entries_im, first, axis=0)
-    for parent, index in levels[1:]:
-        pr, pi = np.take(re, parent, axis=0), np.take(im, parent, axis=0)
-        cr, ci = np.take(entries_re, index, axis=0), np.take(entries_im, index, axis=0)
-        re, im = pr * cr - pi * ci, pr * ci + pi * cr
-    return np.take(re, leaf, axis=0), np.take(im, leaf, axis=0)
+    entries_re, entries_im = entries
+    if not levels:  # the empty product
+        shape = 1, 1, entries.shape[-1]
+        re, im = np.ones(shape), np.zeros(shape)
+    else:
+        (_, first), *rest = levels
+        re, im = np.take(entries_re, first, axis=0), np.take(entries_im, first, axis=0)
+        for parent, flat in rest:
+            # The level before is freed here, before the product's arrays.
+            re, im = np.take(re, parent, axis=0), np.take(im, parent, axis=0)
+            re, im = _times(re, im, np.take(entries_re, flat, axis=0),
+                            np.take(entries_im, flat, axis=0))
+    out = np.empty((re.shape[2], re.shape[0], parts, re.shape[1], 2))
+    out[:, :, 0, :, 0], out[:, :, 0, :, 1] = re.transpose(2, 0, 1), im.transpose(2, 0, 1)
+    if parts == 2:
+        np.negative(im, out=im)
+        out[:, :, 1, :, 0], out[:, :, 1, :, 1] = im.transpose(2, 0, 1), re.transpose(2, 0, 1)
+    return out
+
+
+def _block(part: np.ndarray, prefix: list, suffix: list, weights: np.ndarray) -> np.ndarray:
+    """d of each matrix of a block, ``(matrix, entry)``; its arrays are
+    freed before the next block's.
+
+    Per matrix and column set one product Y_A = W_A @ S_A of the same shape,
+    a (w x kw) by a (kw x 2) matrix, and per matrix one dot of P with Y,
+    stacked: a product over the block would round differently.
+    """
+    entries = np.zeros((2, part.shape[1] + 1, len(part)))  # and a zero entry
+    entries[0, :-1], entries[1, :-1] = part.real.T, part.imag.T
+    p = _walk(prefix, entries, 1)
+    s = _walk(suffix, entries, weights.shape[2] // suffix[-1][1].shape[1])
+    y = np.matmul(weights, s.reshape(*s.shape[:2], -1, 2))
+    return np.matmul(p.view(np.complex128).reshape(len(part), 1, -1),
+                     y.view(np.complex128).reshape(len(part), -1, 1))[:, 0, 0]
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -119,42 +204,33 @@ def generalized_matrix_function(x, group: GroupSpec, chi: CharacterSpec):
     ``x`` is one square matrix, Hermitian or not, or a
     :class:`HermitianStack`, which gives a complex array of d(X), one per
     matrix (empty for an empty stack), the stack walked in blocks within
-    :data:`~hlawka.sums.CHUNK_BYTES` (at least one matrix each).  Only the
-    products of the support of chi are formed, each as (X[0, s0] * ... *
-    X[h - 1, s(h-1)]) * (X[h, sh] * ... * X[m - 1, s(m-1)]) with h = m // 2
-    (:func:`_group_data`); a product or half product that overflows gives an
-    inf or NaN value, without a warning, for the caller to refuse.
+    :data:`~hlawka.sums.CHUNK_BYTES` (at least one matrix each).  d is the
+    column-set sum of :func:`_group_data`, h = m // 2: per matrix, the
+    prefix halves P (X[0, s0] * ... * X[h - 1, s(h-1)]) and suffix halves S
+    (X[h, sh] * ... * X[m - 1, s(m-1)]) of the support of chi, laid out by
+    column set; Y_A = W_A @ S_A, one (w x w) @ (w x 2) product per matrix
+    and set on S_A's real and imaginary parts; and one dot of P with Y.  A
+    half, a Y or a product that overflows gives an inf or NaN value,
+    without a warning, for the caller to refuse.
     """
     arr = _entries(x)
     m = arr.shape[-1]
     if m != group.degree:
         raise InputError(f"matrix dimension {m} does not match group degree {group.degree}")
-    halves, weights = _group_data(group, chi)
-    # Per matrix, a block holds four complex entries per support element
-    # and per node of the two trees, and two per matrix entry; tracemalloc
-    # measures 0.40 to 0.91 of this over every character of degrees 1 to 8.
-    nodes = sum(len(flat) for levels, _ in halves for _, flat in levels)
-    block = max(1, CHUNK_BYTES // (16 * (4 * (len(weights) + nodes) + 2 * m * m)))
+    (prefix, suffix), weights = _group_data(group, chi)
+    sets, width, pairs = weights.shape
+    # Per matrix, a block holds two float64 words per matrix entry, per
+    # prefix slot and per column of W (a suffix slot's parts, twice over for
+    # a complex chi), and five per node of the widest level of the walks;
+    # tracemalloc measures 0.72 to 0.92 of this over every character of
+    # degrees 1 to 8 and complex table characters of S_1 to S_6.
+    widest = max(flat.size for levels in (prefix, suffix) for _, flat in levels)
+    words = 2 * (m * m + 1) + 2 * sets * (width + pairs) + 5 * widest
+    block = max(1, CHUNK_BYTES // (8 * words))
     flat = arr.reshape(-1, m * m)
     values = np.empty(len(flat), dtype=np.complex128)
     for lo in range(0, len(flat), block):
-        part = flat[lo:lo + block]
-        entries = part.real.T.copy(), part.imag.T.copy()
-        (re, im), *other = [_walk(*half, *entries) for half in halves]
-        # The block's products, (matrix, element): the prefix half times the
-        # suffix half in the same real arithmetic, written in place.  At
-        # degree 1 the one half as it is: a product with 1 would turn -0 to 0.
-        products = np.empty((len(part), len(weights)), dtype=np.complex128)
-        if other:
-            (qr, qi), = other
-            np.subtract(re * qr, im * qi, out=products.real.T)
-            np.add(re * qi, im * qr, out=products.imag.T)
-        else:
-            products.real[...], products.imag[...] = re.T, im.T
-        # One dot per matrix, stacked: numpy hands each 1 x support @
-        # support x 1 product to the dot ``weights @ row`` calls, where a
-        # matrix-vector product over the block would round differently.
-        values[lo:lo + block] = np.matmul(products[:, np.newaxis], weights[:, np.newaxis])[:, 0, 0]
+        values[lo:lo + block] = _block(flat[lo:lo + block], prefix, suffix, weights)
     return _single_or_all(x, values)
 
 

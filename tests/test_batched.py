@@ -423,27 +423,97 @@ def one_qr_sample(cfg: PdBatchConfig) -> np.ndarray:
 
 def halves_of(m: int) -> list[np.ndarray]:
     """The rows of the prefix half and of the suffix half, h = m // 2; at
-    degree 1 the suffix half alone."""
-    return [rows for rows in np.split(np.arange(m), [m // 2]) if len(rows)]
+    degree 1 the prefix half has none."""
+    return np.split(np.arange(m), [m // 2])
 
 
-def two_index_gather(arr: np.ndarray, group: GroupSpec, chi: CharacterSpec) -> complex:
-    """d(X) by the split formula: over the elements with chi != 0, the
-    fancy-indexed gather X[i, sigma(i)] of each half multiplied left to
-    right, the prefix half times the suffix half (the suffix half alone at
-    degree 1), and one dot with chi.
+def column_sets(group: GroupSpec, chi: CharacterSpec) -> list:
+    """The column-set layout, built from tuples: per column set A =
+    sigma({0..h-1}) of the elements with chi != 0, in increasing order of
+    sum over A of 2^j, the distinct prefix images and suffix images in
+    lexicographic order, and chi per (prefix, suffix) pair."""
+    h = group.degree // 2
+    sets = {}
+    elements = enumerate_group(group)
+    for p, c in zip(elements.tolist(), character_values(group, chi, elements).tolist()):
+        if c != 0:
+            prefixes, suffixes, weights = sets.setdefault(sum(1 << j for j in p[:h]),
+                                                          (set(), set(), {}))
+            prefixes.add(tuple(p[:h]))
+            suffixes.add(tuple(p[h:]))
+            weights[tuple(p[:h]), tuple(p[h:])] = c
+    return [(sorted(prefixes), sorted(suffixes), weights)
+            for _, (prefixes, suffixes, weights) in sorted(sets.items())]
+
+
+def half_products(arr: np.ndarray, rows: np.ndarray, slots: list) -> np.ndarray:
+    """The fancy-indexed gather X[i, sigma(i)] over ``rows`` of each slot's
+    image tuple, multiplied left to right, and 0 for a padded slot, None.
 
     Each gather is made C-ordered: ``prod`` along its rows then multiplies
     one pair at a time as (ac - bd) + (ad + bc)i, where over a column-ordered
     gather (what a column slice of the index gives) it runs numpy's
-    vectorized complex multiply, which rounds differently.
+    vectorized complex multiply, which rounds differently.  No rows give 1.
     """
-    perms = enumerate_group(group)
-    chis = character_values(group, chi, perms)
-    perms = perms[chis != 0]
-    parts = [np.ascontiguousarray(arr[rows[np.newaxis, :], perms[:, rows]]).prod(axis=1)
-             for rows in halves_of(arr.shape[0])]
-    return complex(chis[chis != 0] @ np.stack(parts, axis=1).prod(axis=1))
+    images = [a for a in slots if a is not None]
+    index = np.array(images, dtype=np.intp).reshape(len(images), len(rows))
+    out = np.zeros(len(slots), dtype=np.complex128)
+    out[:len(images)] = np.ascontiguousarray(arr[rows[np.newaxis, :], index]).prod(axis=1)
+    return out
+
+
+def padded(images: list, width: int) -> list:
+    return [*images, *[None] * (width - len(images))]
+
+
+def layout_of(group: GroupSpec, chi: CharacterSpec) -> tuple[list, np.ndarray]:
+    """Per half, per column set of :func:`column_sets`, its images padded
+    with None to the widest set; and W, ``(set, prefix slot, k * suffix
+    slot)``: [Re W_A | Im W_A] (k = 2) for a chi with an imaginary part,
+    Re W_A (k = 1) otherwise, W_A[a, b] = chi(a u b), 0 off the support."""
+    layout = column_sets(group, chi)
+    wp = max(len(prefixes) for prefixes, _, _ in layout)
+    ws = max(len(suffixes) for _, suffixes, _ in layout)
+    k = 1 + any(c.imag != 0 for *_, weights in layout for c in weights.values())
+    w = np.zeros((len(layout), wp, 2, ws))
+    for b, (prefixes, suffixes, weights) in enumerate(layout):
+        for (a, s), c in weights.items():
+            w[b, prefixes.index(a), :, suffixes.index(s)] = c.real, c.imag
+    halves = ([padded(prefixes, wp) for prefixes, _, _ in layout],
+              [padded(suffixes, ws) for _, suffixes, _ in layout])
+    return halves, w[:, :, :k].reshape(len(layout), wp, k * ws)
+
+
+def assert_layout(group: GroupSpec, chi: CharacterSpec) -> None:
+    """Both halves of :func:`_group_data` walk up to :func:`layout_of`'s
+    images, set by set and slot by slot, and its W has layout_of's bytes."""
+    (prefix, suffix), weights = _group_data(group, chi)
+    halves, w = layout_of(group, chi)
+    m = group.degree
+    for levels, rows, want in zip((prefix, suffix), halves_of(m), halves):
+        assert walk_up(levels, rows, m) == want
+    assert (weights.dtype, weights.tobytes()) == (w.dtype, w.tobytes())
+
+
+def two_index_gather(arr: np.ndarray, group: GroupSpec, chi: CharacterSpec) -> complex:
+    """d(X) by the column-set formula of :func:`layout_of`: per set A, P_A
+    and S_A the products of its prefix and suffix images
+    (:func:`half_products`, zero-padded to the widest set), Y_A = W_A @
+    [Re S_A, Im S_A] as one ``np.matmul`` of a (w x kw) by a (kw x 2)
+    matrix, [[Re S_A, Im S_A], [-Im S_A, Re S_A]] when k = 2, and one
+    ``np.matmul`` of the row of every P_A by the column of every Y_A.
+    """
+    prefix_rows, suffix_rows = halves_of(arr.shape[0])
+    (prefixes, suffixes), w = layout_of(group, chi)
+    k = w.shape[2] // len(suffixes[0])
+    ps, ys = [], []
+    for w_set, prefix, suffix in zip(w, prefixes, suffixes):
+        s = half_products(arr, suffix_rows, suffix)
+        parts = [np.stack([s.real, s.imag], axis=-1), np.stack([-s.imag, s.real], axis=-1)]
+        ys.append(np.matmul(w_set, np.concatenate(parts[:k])))
+        ps.append(half_products(arr, prefix_rows, prefix))
+    y = np.ascontiguousarray(ys).view(np.complex128).reshape(-1, 1)
+    return complex(np.matmul(np.concatenate(ps)[np.newaxis], y)[0, 0])
 
 
 def left_to_right_gather(arr: np.ndarray, group: GroupSpec,
@@ -457,15 +527,25 @@ def left_to_right_gather(arr: np.ndarray, group: GroupSpec,
     return complex(chis @ products), float(np.abs(chis * products).sum())
 
 
-def walk_up(levels: list, leaf: np.ndarray, rows: np.ndarray, m: int) -> np.ndarray:
-    """The images sigma(rows) a half tree gives each support element, read
-    from its leaf up to the root; asserts each level appends its own row."""
-    nodes, images = leaf, []
-    for (parent, flat), i in zip(levels[::-1], rows[::-1]):
-        images.append(flat[nodes] - i * m)
+def walk_up(levels: list, rows: np.ndarray, m: int) -> list:
+    """Per column set, the images sigma(rows) each slot of a half's last
+    level gives, read up to the root, None for a padded slot; asserts that
+    each level appends its own row, and that a padded slot appends the zero
+    entry m * m to node 0."""
+    if not len(rows):
+        return [[()]]
+    (nodes, last), inner = levels[-1], levels[:-1]
+    padded_slots = last == m * m
+    assert not nodes[padded_slots].any()
+    flats = [last]
+    for parent, flat in inner[::-1]:
+        flats.append(flat[nodes])
         nodes = parent[nodes]
     assert not nodes.any()  # the first level's parent is the root, 0
-    return np.array(images[::-1]).T
+    images = np.stack(flats[::-1], axis=-1) - rows * m
+    assert ((images >= 0) & (images < m)).all(axis=-1)[~padded_slots].all()
+    return [[None if pad else tuple(row) for row, pad in zip(*per_set)]
+            for per_set in zip(images.tolist(), padded_slots)]
 
 
 def generated(*gens) -> list[tuple[int, ...]]:
@@ -554,15 +634,18 @@ class TestKernelsAgainstNumpyFormulas:
     def test_generalized_matrix_function_of_an_explicit_subgroup_matches_the_gather(self):
         # S_3 x S_2 on six letters: its prefix tree has 3, 2, 1 children per
         # node, level by level, and its suffix tree 2, 1, 1, where S_6 has
-        # 6, 5, 4 and 3, 2, 1.
+        # 6, 5, 4 and 3, 2, 1.  Every element maps {0, 1, 2} onto itself, so
+        # there is one column set, of 6 prefix and 2 suffix slots.
         group = GroupSpec.explicit(generated((1, 2, 0, 3, 4, 5), (1, 0, 2, 3, 4, 5),
                                              (0, 1, 2, 4, 3, 5)))
         rng = np.random.default_rng(13)
         values = (rng.standard_normal(12) + 1j * rng.standard_normal(12)) / 4
         chi = CharacterSpec.from_table([1.0, *values[1:]])
-        (prefix, _), (suffix, _) = _group_data(group, chi)[0]
-        assert [len(flat) for _, flat in prefix] == [3, 6, 6]
-        assert [len(flat) for _, flat in suffix] == [2, 2, 2]
+        (prefix, suffix), weights = _group_data(group, chi)
+        assert [flat.shape for _, flat in prefix] == [(3,), (6,), (1, 6)]
+        assert [flat.shape for _, flat in suffix] == [(2,), (2,), (1, 2)]
+        assert weights.shape == (1, 6, 2 * 2)
+        assert_layout(group, chi)
         mats = pd_tuple(6, 5, 6)
         expected = bits([two_index_gather(m.array, group, chi) for m in mats])
         assert bits([generalized_matrix_function(m, group, chi) for m in mats]) == expected
@@ -572,7 +655,7 @@ class TestKernelsAgainstNumpyFormulas:
         # The dihedral group of the pentagon under a complex table
         # character: in enumeration order its suffixes sigma(2..4) are not
         # sorted, so the suffix tree is built over the support sorted by
-        # them, and each element finds its node through the leaf map.
+        # them, and its last level lists each set's suffixes in order.
         group = GroupSpec.explicit(generated((1, 2, 3, 4, 0), (0, 4, 3, 2, 1)))
         elements = enumerate_group(group)
         suffixes = [tuple(p[2:]) for p in elements.tolist()]
@@ -580,12 +663,7 @@ class TestKernelsAgainstNumpyFormulas:
         rng = np.random.default_rng(31)
         values = (rng.standard_normal(10) + 1j * rng.standard_normal(10)) / 4
         chi = CharacterSpec.from_table([1.0, *values[1:]])
-        halves, weights = _group_data(group, chi)
-        assert bits(weights) == bits(character_values(group, chi, elements))
-        for (levels, leaf), rows in zip(halves, halves_of(5)):
-            assert np.array_equal(walk_up(levels, leaf, rows, 5), elements[:, rows])
-        (_, prefix_leaf), (_, suffix_leaf) = halves
-        assert (np.diff(prefix_leaf) >= 0).all() and not (np.diff(suffix_leaf) >= 0).all()
+        assert_layout(group, chi)
         mats = [*pd_tuple(8, 5, 5), random_hermitian(rng, 5)]
         expected = bits([two_index_gather(m.array, group, chi) for m in mats])
         assert bits([generalized_matrix_function(m, group, chi) for m in mats]) == expected
@@ -593,20 +671,17 @@ class TestKernelsAgainstNumpyFormulas:
 
     def test_a_table_character_with_zeros_matches_the_gather(self):
         # The subgroup above under a table character with three zero values,
-        # one of them -0 - 0i: the trees and the gather leave their
-        # elements out.
+        # one of them -0 - 0i: the trees leave their elements out, and W
+        # weighs their pairs with 0.
         group = GroupSpec.explicit(generated((1, 2, 0, 3, 4, 5), (1, 0, 2, 3, 4, 5),
                                              (0, 1, 2, 4, 3, 5)))
         rng = np.random.default_rng(29)
         values = (rng.standard_normal(12) + 1j * rng.standard_normal(12)) / 4
         values[[2, 5, 9]] = 0, 0, complex(-0.0, -0.0)
         chi = CharacterSpec.from_table([1.0, *values[1:]])
-        halves, weights = _group_data(group, chi)
-        assert len(weights) == 9 and (weights != 0).all()
-        elements = enumerate_group(group)
-        support = elements[character_values(group, chi, elements) != 0]
-        for (levels, leaf), rows in zip(halves, halves_of(6)):
-            assert np.array_equal(walk_up(levels, leaf, rows, 6), support[:, rows])
+        _, weights = _group_data(group, chi)
+        assert np.count_nonzero(weights.reshape(1, 6, 2, 2).any(axis=2)) == 9
+        assert_layout(group, chi)
         mats = pd_tuple(7, 5, 6)
         expected = bits([two_index_gather(m.array, group, chi) for m in mats])
         assert bits([generalized_matrix_function(m, group, chi) for m in mats]) == expected
@@ -614,9 +689,9 @@ class TestKernelsAgainstNumpyFormulas:
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_degrees_with_an_empty_or_an_odd_half(self, dim):
-        # Degree 1 has no prefix half, and its products are the suffix
-        # half's, never multiplied by 1; degree 3 splits as 1 + 2.  Zero and
-        # negative entries give signed zeros in either half.
+        # Degree 1 has no prefix rows, and its one prefix slot is the empty
+        # product 1; degree 3 splits as 1 + 2.  Zero and negative entries
+        # give signed zeros in either half.
         rng = np.random.default_rng(43)
         selectors = ["det", "perm", *("partition=" + ",".join(map(str, lam))
                                       for lam in partitions_of(dim))]
@@ -626,7 +701,8 @@ class TestKernelsAgainstNumpyFormulas:
         mats.append(np.full((dim, dim), complex(-0.0, -0.0)))
         for selector in selectors:
             group, chi = parse_character_selector(selector, dim)
-            assert len(_group_data(group, chi)[0]) == min(dim, 2)
+            assert [len(levels) for levels in _group_data(group, chi)[0]] == [dim // 2,
+                                                                               dim - dim // 2]
             expected = bits([two_index_gather(x, group, chi) for x in mats])
             assert bits([generalized_matrix_function(x, group, chi) for x in mats]) == expected
             stack = HermitianStack._wrap_exact(np.array(mats))
@@ -635,9 +711,9 @@ class TestKernelsAgainstNumpyFormulas:
     def test_an_overflow_outside_the_support_is_not_formed(self):
         # Under (2,2) chi vanishes on the 4-cycles; only the 4-cycle
         # 0 -> 1 -> 2 -> 3 -> 0 takes all four large entries.  Its halves,
-        # 1e200 each, are shared with 3-cycles and formed; their product,
-        # inf, is never formed, so d stays finite.  Summing every element
-        # gave 0 * inf = NaN.
+        # 1e200 each, are shared with 3-cycles and formed; W weighs their
+        # pair with 0, and 0 * 1e200 adds 0 to Y, so d stays finite.
+        # Summing every element gave 0 * inf = NaN.
         group, chi = parse_character_selector("partition=2,2", 4)
         x = np.ones((4, 4), dtype=complex)
         x[[0, 1, 2, 3], [1, 2, 3, 0]] = 1e100
@@ -663,9 +739,10 @@ class TestKernelsAgainstNumpyFormulas:
         assert np.isfinite(generalized_matrix_function(x, group, chi))
 
     def test_a_row_reads_zero_outside_the_support(self):
-        # A freed block of a product row's size, filled with NaN, is what
-        # numpy's small-allocation cache hands the next array of that size:
-        # a row that read it at the elements left out would not match.
+        # A freed block of a layout's size (S_4 has 6 column sets of 2
+        # slots, 12 complex entries), filled with NaN, is what numpy's
+        # small-allocation cache hands the next array of that size: a padded
+        # slot the walk did not write would not match.
         group, chi = parse_character_selector("partition=2,2", 4)
         x = np.arange(16.0).reshape(4, 4).astype(complex)
         expected = bits(two_index_gather(x, group, chi))
@@ -692,16 +769,16 @@ class TestKernelsAgainstNumpyFormulas:
         GroupSpec.explicit(generated((1, 2, 0, 3, 4), (0, 1, 2, 4, 3))),
     ], ids=["S1", "S4", "S7", "C3xC2"])
     def test_prefix_tree_leaves_walk_up_to_the_elements(self, group):
-        # Each half tree is a prefix tree over its own rows' images.
+        # Each half tree is a prefix tree over its own rows' images, and its
+        # last level lists them by column set.
         halves, _ = _group_data(group, CharacterSpec.trivial())
         elements = enumerate_group(group)
         m = group.degree
-        assert len(halves) == min(m, 2)
-        for (levels, leaf), rows in zip(halves, halves_of(m)):
-            for k, (_, flat) in enumerate(levels):
+        for levels, rows in zip(halves, halves_of(m)):
+            for k, (_, flat) in enumerate(levels[:-1]):
                 # One node per distinct prefix of the half's images.
                 assert len(flat) == len({tuple(p[rows[:k + 1]]) for p in elements})
-            assert np.array_equal(walk_up(levels, leaf, rows, m), elements[:, rows])
+        assert_layout(group, CharacterSpec.trivial())
 
     @pytest.mark.parametrize("dim, selector", [
         (5, "det"), (4, "partition=2,2"), (5, "partition=3,1,1"), (6, "partition=3,2,1"),
@@ -713,24 +790,31 @@ class TestKernelsAgainstNumpyFormulas:
         elements = enumerate_group(group)
         chis = character_values(group, chi, elements)
         support = elements[chis != 0]
-        assert 0 < len(support) <= len(chis) and bits(weights) == bits(chis[chis != 0])
-        for (levels, leaf), rows in zip(halves, halves_of(dim)):
-            for k, (_, flat) in enumerate(levels):
+        assert 0 < len(support) <= len(chis)
+        assert np.count_nonzero(weights) == len(support)
+        for levels, rows in zip(halves, halves_of(dim)):
+            for k, (_, flat) in enumerate(levels[:-1]):
                 assert len(flat) == len({tuple(p[rows[:k + 1]]) for p in support})
-            assert np.array_equal(walk_up(levels, leaf, rows, dim), support[:, rows])
+        assert_layout(group, chi)
         if selector == "partition=4,2,1,1":
-            # 2038 + 2038 nodes and 9856 pair products; one tree over the
-            # whole of sigma had 37122 nodes.
-            assert [sum(len(flat) for _, flat in levels) for levels, _ in halves] == [2038, 2038]
-            assert len(weights) == 9856
+            # Per half 8 + 56 + 334 inner nodes and 1640 distinct halves in
+            # 70 column sets of 24 slots; W is 70 blocks of 24 x 24 with the
+            # 9856 weights of the support.
+            for levels in halves:
+                assert [flat.shape for _, flat in levels] == [(8,), (56,), (334,), (70, 24)]
+                assert np.count_nonzero(levels[-1][1] != 64) == 1640
+            assert weights.shape == (70, 24, 24)
 
     @pytest.mark.parametrize("m", range(1, 9))
     def test_group_data_matches_a_tuple_built_reference(self, m):
         # The tuples, per-element characters and fromiter conversion the
-        # array route replaces: every level, leaf map and chi, bytes and
-        # dtype.  The trees are built over the elements with chi != 0, all
-        # of S_m under det and perm: the prefix tree in enumeration order,
-        # the suffix tree in the order of the suffixes.
+        # array route replaces: every level, last-level layout and W, bytes
+        # and dtype.  The trees are built over the elements with chi != 0,
+        # all of S_m under det and perm: the prefix tree in enumeration
+        # order, the suffix tree in the order of the suffixes; the last level
+        # is laid out by column set (in increasing order of sum over A of
+        # 2^j), each set's slots in the order of their images, padded with
+        # node 0 and the zero entry m * m.
         group = GroupSpec.full_symmetric(m)
         elements = list(itertools.permutations(range(m)))
         types = [cycle_type(p) for p in elements]
@@ -750,13 +834,37 @@ class TestKernelsAgainstNumpyFormulas:
                 ids = np.cumsum(new) - 1
             return levels, ids
 
-        def reference_halves(support):
-            order = sorted(range(len(support)), key=lambda s: support[s][h:])
-            levels, ids = reference_tree([support[s] for s in order], range(h, m))
-            leaf = np.empty_like(ids)
-            leaf[order] = ids
-            halves = reference_tree(support, range(h)), (levels, leaf)
-            return [half for half in halves if half[0]]
+        def reference_half(support, rows, set_of):
+            levels, ids = reference_tree(support, rows)
+            if not levels:
+                return []
+            by_set = {}
+            for p, node in zip(support, ids.tolist()):
+                nodes = by_set.setdefault(set_of[p], [])
+                if node not in nodes:
+                    nodes.append(node)
+            width = max(map(len, by_set.values()))
+            parent = np.zeros((len(by_set), width), dtype=np.intp)
+            flat = np.full((len(by_set), width), m * m, dtype=np.intp)
+            for s, nodes in by_set.items():
+                parent[s, :len(nodes)] = levels[-1][0][nodes]
+                flat[s, :len(nodes)] = levels[-1][1][nodes]
+            return [*levels[:-1], (parent, flat)]
+
+        def reference(support, values):
+            def mask(p):
+                return sum(1 << j for j in p[:h])
+            masks = sorted({mask(p) for p in support})
+            set_of = {p: masks.index(mask(p)) for p in support}
+            halves = (reference_half(support, range(h), set_of),
+                      reference_half(sorted(support, key=lambda p: p[h:]), range(h, m), set_of))
+            prefixes = [sorted({p[:h] for p in support if set_of[p] == s}) for s in range(len(masks))]
+            suffixes = [sorted({p[h:] for p in support if set_of[p] == s}) for s in range(len(masks))]
+            weights = np.zeros((len(masks), max(map(len, prefixes)), max(map(len, suffixes))))
+            for p, v in zip(support, values):
+                s = set_of[p]
+                weights[s, prefixes[s].index(p[:h]), suffixes[s].index(p[h:])] = v
+            return halves, weights
 
         characters = {"det": [permutation_sign(p) for p in elements],
                       "perm": [1] * len(elements)}
@@ -766,15 +874,15 @@ class TestKernelsAgainstNumpyFormulas:
         for selector, values in characters.items():
             # Uncached: 82 tables of up to S_8 would outgrow the cache.
             halves, weights = _group_data.__wrapped__(*parse_character_selector(selector, m))
-            expected = reference_halves([p for p, v in zip(elements, values) if v != 0])
-            assert len(halves) == len(expected) == min(m, 2)
-            for (levels, leaf), (want_levels, want_leaf) in zip(halves, expected):
+            kept = [(p, v) for p, v in zip(elements, values) if v != 0]
+            want_halves, want = reference(*map(list, zip(*kept)))
+            for levels, want_levels in zip(halves, want_halves):
                 assert len(levels) == len(want_levels)
-                arrays = [leaf, *itertools.chain.from_iterable(levels)]
-                wants = [want_leaf, *itertools.chain.from_iterable(want_levels)]
-                for got, want in zip(arrays, wants):
-                    assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes()), selector
-            want = np.array([v for v in values if v != 0], dtype=np.complex128)
+                arrays = list(itertools.chain.from_iterable(levels))
+                wants = list(itertools.chain.from_iterable(want_levels))
+                for got, want_array in zip(arrays, wants):
+                    assert (got.dtype, got.tobytes()) == (want_array.dtype,
+                                                          want_array.tobytes()), selector
             assert (weights.dtype, weights.tobytes()) == (want.dtype, want.tobytes()), selector
 
     def test_certificate_scale_is_the_matrix_infinity_norm(self):

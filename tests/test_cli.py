@@ -975,6 +975,31 @@ def readme_cli_lines() -> list[str]:
     return [line for line in block.splitlines() if line.startswith("hlawka ")]
 
 
+class TestParserBuiltOnce:
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_consecutive_calls_share_no_state(self, tmp_path, capsys):
+        # The one parser keeps nothing of a call: --seed given and then
+        # omitted reads RunConfig's seed, and a usage error leaves the next
+        # call's report as a first call's.
+        out = tmp_path / "r.json"
+        base = ["scalar-verify", "--family", "alternating", "--char", "det", "--n", "3",
+                "--dim", "2", "--trials", "2", "--out", str(out)]
+        assert main(base) == 0
+        first = normalized(out.read_text())
+        assert main([*base, "--seed", "5"]) == 0
+        assert json.loads(out.read_text())["seed"] == 5
+        assert main(base) == 0
+        assert normalized(out.read_text()) == first and json.loads(first)["seed"] == 0
+        with pytest.raises(SystemExit) as err:
+            main([*base, "--see", "5"])
+        assert err.value.code == 2
+        assert main([*base, "--n", "0"]) == 2
+        assert main(base) == 0
+        assert normalized(out.read_text()) == first
+
+
 class TestRegistryDrift:
     @pytest.mark.parametrize("command, family, abbreviation", [
         ("verify", "supermod", "--cond 100"),

@@ -48,6 +48,25 @@ class TestAgainstDeterminant:
                 perm = permanent_oracle(x)
                 assert abs(d - perm) <= 1e-10 * max(1.0, abs(perm))
 
+    @pytest.mark.parametrize("m", [6, 7, 8])
+    def test_degrees_six_to_eight_agree_within_the_forward_error_scale(self, m, rng):
+        # The column-set blocks that matter start at m = 6 (S_8 has 70 sets
+        # of 24 x 24).  Each route's rounding error is a multiple of u times
+        # the scale perm(|X|) = sum_sigma |prod_i X[i, sigma(i)]|, the
+        # multiple growing with the terms it sums: m! products here, 2^m
+        # products of m row sums in Ryser's, ~m^3 steps in elimination.  The
+        # bound is m * 2^m * u * perm(|X|); the worst difference seen is 4.6 u
+        # perm(|X|).
+        group = GroupSpec.full_symmetric(m)
+        bound = m * 2**m * 2.0**-53
+        for _ in range(10):
+            x = random_complex(rng, m)
+            scale = permanent_oracle(np.abs(x)).real
+            det = generalized_matrix_function(x, group, CharacterSpec.sign())
+            perm = generalized_matrix_function(x, group, CharacterSpec.trivial())
+            assert abs(det - determinant_via_elimination(x)) <= bound * scale
+            assert abs(perm - permanent_oracle(x)) <= bound * scale
+
 
 class TestPermanentOracle:
     def test_identity(self):
@@ -139,12 +158,14 @@ class TestBlocks:
 
     @staticmethod
     def five_matrices(group, chi) -> int:
-        """A budget of five matrices by the kernel's estimate: four complex
-        entries per support element and per node of the two half trees,
-        and two per matrix entry."""
+        """A budget of five matrices by the kernel's estimate: two float64
+        words per matrix entry and the zero entry, per prefix slot and per
+        column of W, and five per node of the widest level of the walks."""
         halves, weights = matfunc._group_data(group, chi)
-        nodes = sum(len(flat) for levels, _ in halves for _, flat in levels)
-        return 5 * 16 * (4 * (len(weights) + nodes) + 2 * group.degree ** 2)
+        sets, width, pairs = weights.shape
+        widest = max(flat.size for levels in halves for _, flat in levels)
+        words = 2 * (group.degree ** 2 + 1) + 2 * sets * (width + pairs) + 5 * widest
+        return 5 * 8 * words
 
     @pytest.mark.parametrize("name", CASES)
     def test_stacks_around_a_block_equal_each_matrix(self, name, monkeypatch):
@@ -155,7 +176,7 @@ class TestBlocks:
         walks = []
 
         def counted(*args):
-            walks.append(args[2].shape[1])  # the block's matrices
+            walks.append(args[1].shape[-1])  # the block's matrices
             return walk(*args)
 
         walk = matfunc._walk
@@ -171,21 +192,52 @@ class TestBlocks:
                 one = generalized_matrix_function(mat, group, chi)
                 assert value.tobytes() == np.complex128(one).tobytes()
 
+    @staticmethod
+    def traced_peaks(stacks, group, chi) -> list[int]:
+        peaks = []
+        for stack in stacks:
+            tracemalloc.start()
+            try:
+                generalized_matrix_function(stack, group, chi)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        return peaks
+
     def test_a_stack_holds_one_block_at_a_time(self, monkeypatch):
-        # 400 determinants of S_4 in blocks of 5 hold about 24 KB at once,
-        # the output's 6.4 KB included; in one block they held 790 KB.
+        # 800 determinants of S_4 in blocks of 5 hold what 400 of them hold,
+        # and the larger output: 400 hold about 16 KB at once, the output's
+        # 6.4 KB included, where in one block they hold 386 KB.  A call's
+        # array headers and views, about 3 KB, outweigh five S_4 matrices.
         group, chi = self.CASES["det"]
         rng = np.random.default_rng(3)
-        stack = stack_of([random_hermitian(rng, 4) for _ in range(400)])
-        generalized_matrix_function(stack, group, chi)  # the group's tables, cached
+        mats = [random_hermitian(rng, 4) for _ in range(800)]
+        stacks = stack_of(mats[:400]), stack_of(mats)
+        generalized_matrix_function(stacks[1], group, chi)  # the group's tables, cached
         monkeypatch.setattr(matfunc, "CHUNK_BYTES", self.five_matrices(group, chi))
-        tracemalloc.start()
-        try:
-            generalized_matrix_function(stack, group, chi)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < matfunc.CHUNK_BYTES + 400 * 16  # the blocks' budget and the output
+        few, many = self.traced_peaks(stacks, group, chi)
+        assert many <= few + 400 * 16
+
+    def test_a_big_group_block_holds_four_matrices(self, monkeypatch):
+        # big-group's S_8 matrices under (4,2,1,1) run four to a block at
+        # the default CHUNK_BYTES, and a block holds less than the budget.
+        group, chi = parse_character_selector("partition=4,2,1,1", 8)
+        rng = np.random.default_rng(7)
+        stack = stack_of([random_hermitian(rng, 8) for _ in range(8)])
+        generalized_matrix_function(stack, group, chi)  # the group's tables, cached
+        assert matfunc.CHUNK_BYTES // (self.five_matrices(group, chi) // 5) == 4
+        (peak,) = self.traced_peaks([stack], group, chi)
+        assert peak < matfunc.CHUNK_BYTES + 8 * 16
+        walks = []
+
+        def counted(*args):
+            walks.append(args[1].shape[-1])
+            return walk(*args)
+
+        walk = matfunc._walk
+        monkeypatch.setattr(matfunc, "_walk", counted)
+        generalized_matrix_function(stack, group, chi)
+        assert walks == [4, 4, 4, 4]
 
     @pytest.mark.parametrize("name", CASES)
     def test_an_empty_stack_gives_an_empty_complex_array(self, name):
