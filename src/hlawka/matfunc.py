@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from functools import lru_cache, reduce
 from itertools import combinations
-from math import fsum
+from math import fsum, prod
 from operator import add
 
 import numpy as np
@@ -71,9 +71,13 @@ def _group_data(group: GroupSpec,
     finite, and then neither is a half below it, nor d.  At degree 1 the
     prefix half has no levels; its one slot is 1.
 
-    ``W`` is ``(set, prefix slot, k * suffix slot)``, [Re W_A | Im W_A]
-    with k = 2 for a character with a nonzero imaginary part, Re W_A alone
-    (k = 1) otherwise.
+    ``W`` is ``(set, prefix slot, suffix slot)``, complex128 for a
+    character with a nonzero imaginary part and float64 otherwise.  A
+    padded layout can make W far larger than the support, e.g. S_k acting
+    as sigma + sigma on 2k letters, one set of k! x k! slots with k!
+    weights; a W over :data:`~hlawka.sums.CHUNK_BYTES` and over four cells
+    per element of the support is refused with :class:`BudgetError`
+    before it is allocated.
     """
     m = group.degree
     perms = enumerate_group(group)
@@ -88,12 +92,15 @@ def _group_data(group: GroupSpec,
     suffix, ranked = _layout(*_tree(perms[order], range(h, m)), sets[order], m)
     suffix_slot = np.empty_like(ranked)
     suffix_slot[order] = ranked
-    parts = (chis.real, chis.imag)[:1 + bool(chis.imag.any())]
-    width = suffix[-1][1].shape[1]
-    weights = np.zeros((sets.max() + 1, prefix_slot.max() + 1, len(parts), width))
-    for k, part in enumerate(parts):
-        weights[sets, prefix_slot, k, suffix_slot] = part
-    return (prefix, suffix), weights.reshape(*weights.shape[:2], -1)
+    values = chis if chis.imag.any() else chis.real
+    shape = sets.max() + 1, prefix_slot.max() + 1, suffix[-1][1].shape[1]
+    size, limit = prod(shape) * values.itemsize, max(CHUNK_BYTES, 4 * values.nbytes)
+    if size > limit:
+        raise BudgetError(f"column-set weights of {size} bytes for a support of "
+                          f"{len(values)} elements exceed budget {limit}")
+    weights = np.zeros(shape, dtype=values.dtype)
+    weights[sets, prefix_slot, suffix_slot] = values
+    return (prefix, suffix), weights
 
 
 def _tree(perms: np.ndarray, rows: range) -> tuple[list, np.ndarray]:
@@ -146,10 +153,9 @@ def _times(re, im, c_re, c_im) -> tuple[np.ndarray, np.ndarray]:
     return re, product
 
 
-def _walk(levels: list, entries: np.ndarray, parts: int) -> np.ndarray:
-    """One half's product per slot, ``(matrix, set, part, slot, re/im)``,
-    from the block's ``(re/im, entry, matrix)`` entries: part 0 holds (Re,
-    Im), and a second part, for a complex chi, (-Im, Re).
+def _walk(levels: list, entries: np.ndarray) -> np.ndarray:
+    """One half's product per slot, ``(matrix, set, slot, re/im)``, from the
+    block's ``(re/im, entry, matrix)`` entries.
 
     Each node holds the partial product ((X[i0, s0] * X[i1, s1]) * ...) of
     its images, formed once and shared by every slot below it.  Each step
@@ -172,11 +178,8 @@ def _walk(levels: list, entries: np.ndarray, parts: int) -> np.ndarray:
             re, im = np.take(re, parent, axis=0), np.take(im, parent, axis=0)
             re, im = _times(re, im, np.take(entries_re, flat, axis=0),
                             np.take(entries_im, flat, axis=0))
-    out = np.empty((re.shape[2], re.shape[0], parts, re.shape[1], 2))
-    out[:, :, 0, :, 0], out[:, :, 0, :, 1] = re.transpose(2, 0, 1), im.transpose(2, 0, 1)
-    if parts == 2:
-        np.negative(im, out=im)
-        out[:, :, 1, :, 0], out[:, :, 1, :, 1] = im.transpose(2, 0, 1), re.transpose(2, 0, 1)
+    out = np.empty((re.shape[2], *re.shape[:2], 2))
+    out[..., 0], out[..., 1] = re.transpose(2, 0, 1), im.transpose(2, 0, 1)
     return out
 
 
@@ -185,16 +188,16 @@ def _block(part: np.ndarray, prefix: list, suffix: list, weights: np.ndarray) ->
     freed before the next block's.
 
     Per matrix and column set one product Y_A = W_A @ S_A of the same shape,
-    a (w x kw) by a (kw x 2) matrix, and per matrix one dot of P with Y,
-    stacked: a product over the block would round differently.
+    a real (w x w) by S_A's real and imaginary parts, (w x 2), or a complex
+    (w x w) by S_A, (w x 1); and per matrix one dot of P with Y, stacked: a
+    product over the block would round differently.
     """
     entries = np.zeros((2, part.shape[1] + 1, len(part)))  # and a zero entry
     entries[0, :-1], entries[1, :-1] = part.real.T, part.imag.T
-    p = _walk(prefix, entries, 1)
-    s = _walk(suffix, entries, weights.shape[2] // suffix[-1][1].shape[1])
-    y = np.matmul(weights, s.reshape(*s.shape[:2], -1, 2))
+    p, s = _walk(prefix, entries), _walk(suffix, entries)
+    y = np.matmul(weights, s.view(weights.dtype)).view(np.complex128)
     return np.matmul(p.view(np.complex128).reshape(len(part), 1, -1),
-                     y.view(np.complex128).reshape(len(part), -1, 1))[:, 0, 0]
+                     y.reshape(len(part), -1, 1))[:, 0, 0]
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -209,24 +212,27 @@ def generalized_matrix_function(x, group: GroupSpec, chi: CharacterSpec):
     prefix halves P (X[0, s0] * ... * X[h - 1, s(h-1)]) and suffix halves S
     (X[h, sh] * ... * X[m - 1, s(m-1)]) of the support of chi, laid out by
     column set; Y_A = W_A @ S_A, one (w x w) @ (w x 2) product per matrix
-    and set on S_A's real and imaginary parts; and one dot of P with Y.  A
-    half, a Y or a product that overflows gives an inf or NaN value,
-    without a warning, for the caller to refuse.
+    and set on S_A's real and imaginary parts (a complex (w x w) @ (w x 1)
+    for a complex chi); and one dot of P with Y.  A half, a Y or a product
+    that overflows gives an inf or NaN value, without a warning, for the
+    caller to refuse.  A group whose W :func:`_group_data` refuses raises
+    :class:`BudgetError`.
     """
     arr = _entries(x)
     m = arr.shape[-1]
     if m != group.degree:
         raise InputError(f"matrix dimension {m} does not match group degree {group.degree}")
     (prefix, suffix), weights = _group_data(group, chi)
-    sets, width, pairs = weights.shape
-    # Per matrix, a block holds two float64 words per matrix entry, per
-    # prefix slot and per column of W (a suffix slot's parts, twice over for
-    # a complex chi), and five per node of the widest level of the walks;
-    # tracemalloc measures 0.72 to 0.92 of this over every character of
-    # degrees 1 to 8 and complex table characters of S_1 to S_6.
+    sets, prefix_slots, suffix_slots = weights.shape
+    # A block holds, per matrix, two float64 words per matrix entry, per
+    # prefix slot and per suffix slot, and five per node of the widest level
+    # of the walks; and, whatever its size, 512 words of array headers and
+    # views.  tracemalloc measures 0.73 to 0.93 of the per-matrix words and
+    # 1.8 to 2.2 KiB of fixed overhead over every character of degrees 1 to
+    # 8 and table characters of explicit groups up to degree 10.
     widest = max(flat.size for levels in (prefix, suffix) for _, flat in levels)
-    words = 2 * (m * m + 1) + 2 * sets * (width + pairs) + 5 * widest
-    block = max(1, CHUNK_BYTES // (8 * words))
+    words = 2 * (m * m + 1) + 2 * sets * (prefix_slots + suffix_slots) + 5 * widest
+    block = max(1, (CHUNK_BYTES - 8 * 512) // (8 * words))
     flat = arr.reshape(-1, m * m)
     values = np.empty(len(flat), dtype=np.complex128)
     for lo in range(0, len(flat), block):

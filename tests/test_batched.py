@@ -468,20 +468,19 @@ def padded(images: list, width: int) -> list:
 
 def layout_of(group: GroupSpec, chi: CharacterSpec) -> tuple[list, np.ndarray]:
     """Per half, per column set of :func:`column_sets`, its images padded
-    with None to the widest set; and W, ``(set, prefix slot, k * suffix
-    slot)``: [Re W_A | Im W_A] (k = 2) for a chi with an imaginary part,
-    Re W_A (k = 1) otherwise, W_A[a, b] = chi(a u b), 0 off the support."""
+    with None to the widest set; and W, ``(set, prefix slot, suffix
+    slot)``, W_A[a, b] = chi(a u b), 0 off the support: complex for a chi
+    with an imaginary part, real otherwise."""
     layout = column_sets(group, chi)
     wp = max(len(prefixes) for prefixes, _, _ in layout)
     ws = max(len(suffixes) for _, suffixes, _ in layout)
-    k = 1 + any(c.imag != 0 for *_, weights in layout for c in weights.values())
-    w = np.zeros((len(layout), wp, 2, ws))
+    w = np.zeros((len(layout), wp, ws), dtype=np.complex128)
     for b, (prefixes, suffixes, weights) in enumerate(layout):
         for (a, s), c in weights.items():
-            w[b, prefixes.index(a), :, suffixes.index(s)] = c.real, c.imag
+            w[b, prefixes.index(a), suffixes.index(s)] = c
     halves = ([padded(prefixes, wp) for prefixes, _, _ in layout],
               [padded(suffixes, ws) for _, suffixes, _ in layout])
-    return halves, w[:, :, :k].reshape(len(layout), wp, k * ws)
+    return halves, w if w.imag.any() else w.real.copy()
 
 
 def assert_layout(group: GroupSpec, chi: CharacterSpec) -> None:
@@ -498,21 +497,22 @@ def assert_layout(group: GroupSpec, chi: CharacterSpec) -> None:
 def two_index_gather(arr: np.ndarray, group: GroupSpec, chi: CharacterSpec) -> complex:
     """d(X) by the column-set formula of :func:`layout_of`: per set A, P_A
     and S_A the products of its prefix and suffix images
-    (:func:`half_products`, zero-padded to the widest set), Y_A = W_A @
-    [Re S_A, Im S_A] as one ``np.matmul`` of a (w x kw) by a (kw x 2)
-    matrix, [[Re S_A, Im S_A], [-Im S_A, Re S_A]] when k = 2, and one
-    ``np.matmul`` of the row of every P_A by the column of every Y_A.
+    (:func:`half_products`, zero-padded to the widest set), Y_A = W_A @ S_A
+    as one ``np.matmul`` of a real (w x w) by [Re S_A, Im S_A], (w x 2), or
+    of a complex (w x w) by S_A, (w x 1), and one ``np.matmul`` of the row
+    of every P_A by the column of every Y_A.
     """
     prefix_rows, suffix_rows = halves_of(arr.shape[0])
     (prefixes, suffixes), w = layout_of(group, chi)
-    k = w.shape[2] // len(suffixes[0])
     ps, ys = [], []
     for w_set, prefix, suffix in zip(w, prefixes, suffixes):
         s = half_products(arr, suffix_rows, suffix)
-        parts = [np.stack([s.real, s.imag], axis=-1), np.stack([-s.imag, s.real], axis=-1)]
-        ys.append(np.matmul(w_set, np.concatenate(parts[:k])))
+        if np.iscomplexobj(w_set):
+            ys.append(np.matmul(w_set, s[:, np.newaxis]))
+        else:
+            ys.append(np.matmul(w_set, np.stack([s.real, s.imag], axis=-1)).view(np.complex128))
         ps.append(half_products(arr, prefix_rows, prefix))
-    y = np.ascontiguousarray(ys).view(np.complex128).reshape(-1, 1)
+    y = np.concatenate(ys)
     return complex(np.matmul(np.concatenate(ps)[np.newaxis], y)[0, 0])
 
 
@@ -635,7 +635,8 @@ class TestKernelsAgainstNumpyFormulas:
         # S_3 x S_2 on six letters: its prefix tree has 3, 2, 1 children per
         # node, level by level, and its suffix tree 2, 1, 1, where S_6 has
         # 6, 5, 4 and 3, 2, 1.  Every element maps {0, 1, 2} onto itself, so
-        # there is one column set, of 6 prefix and 2 suffix slots.
+        # there is one column set, of 6 prefix and 2 suffix slots, and the
+        # complex character gives a complex W.
         group = GroupSpec.explicit(generated((1, 2, 0, 3, 4, 5), (1, 0, 2, 3, 4, 5),
                                              (0, 1, 2, 4, 3, 5)))
         rng = np.random.default_rng(13)
@@ -644,7 +645,7 @@ class TestKernelsAgainstNumpyFormulas:
         (prefix, suffix), weights = _group_data(group, chi)
         assert [flat.shape for _, flat in prefix] == [(3,), (6,), (1, 6)]
         assert [flat.shape for _, flat in suffix] == [(2,), (2,), (1, 2)]
-        assert weights.shape == (1, 6, 2 * 2)
+        assert (weights.dtype, weights.shape) == (np.complex128, (1, 6, 2))
         assert_layout(group, chi)
         mats = pd_tuple(6, 5, 6)
         expected = bits([two_index_gather(m.array, group, chi) for m in mats])
@@ -680,7 +681,7 @@ class TestKernelsAgainstNumpyFormulas:
         values[[2, 5, 9]] = 0, 0, complex(-0.0, -0.0)
         chi = CharacterSpec.from_table([1.0, *values[1:]])
         _, weights = _group_data(group, chi)
-        assert np.count_nonzero(weights.reshape(1, 6, 2, 2).any(axis=2)) == 9
+        assert np.count_nonzero(weights) == 9
         assert_layout(group, chi)
         mats = pd_tuple(7, 5, 6)
         expected = bits([two_index_gather(m.array, group, chi) for m in mats])

@@ -3,6 +3,7 @@
 import argparse
 import csv
 import dataclasses
+import itertools
 import json
 import os
 import re
@@ -617,6 +618,20 @@ class TestImmanantCommand:
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == (
             "", "error: matrix dimension 3 does not match group degree 2\n")
+
+    def test_sparse_weight_table_exit_three(self, tmp_path, capsys):
+        # S_6 acting as sigma + sigma on 12 letters: its column-set weights
+        # would be 720 x 720 for 720 elements.
+        table = tmp_path / "doubled.json"
+        elements = [(*p, *(6 + i for i in p)) for p in itertools.permutations(range(6))]
+        save_character_table(table, elements, [1.0] * len(elements))
+        mat = tmp_path / "eye.json"
+        save_matrix(mat, np.eye(12, dtype=complex))
+        assert main(["immanant", str(mat), f"table={table}"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == (
+            "budget exceeded: column-set weights of 4147200 bytes for a support of 720 "
+            "elements exceed budget 524288\n")
 
     def test_missing_file_exit_two(self):
         assert main(["immanant", "/nonexistent.json", "det"]) == 2

@@ -1,5 +1,6 @@
 """Generalized matrix functions, the permanent oracle, scalar corollaries."""
 
+import itertools
 import math
 import tracemalloc
 from functools import reduce
@@ -157,15 +158,21 @@ class TestBlocks:
     }
 
     @staticmethod
-    def five_matrices(group, chi) -> int:
-        """A budget of five matrices by the kernel's estimate: two float64
+    def matrix_bytes(group, chi) -> int:
+        """The kernel's estimate of a matrix's share of a block: two float64
         words per matrix entry and the zero entry, per prefix slot and per
-        column of W, and five per node of the widest level of the walks."""
+        suffix slot, and five per node of the widest level of the walks."""
         halves, weights = matfunc._group_data(group, chi)
-        sets, width, pairs = weights.shape
+        sets, prefix_slots, suffix_slots = weights.shape
         widest = max(flat.size for levels in halves for _, flat in levels)
-        words = 2 * (group.degree ** 2 + 1) + 2 * sets * (width + pairs) + 5 * widest
-        return 5 * 8 * words
+        return 8 * (2 * (group.degree ** 2 + 1) + 2 * sets * (prefix_slots + suffix_slots)
+                    + 5 * widest)
+
+    @classmethod
+    def five_matrices(cls, group, chi) -> int:
+        """A budget of five matrices by the kernel's estimate, with its 512
+        words of fixed overhead."""
+        return 8 * 512 + 5 * cls.matrix_bytes(group, chi)
 
     @pytest.mark.parametrize("name", CASES)
     def test_stacks_around_a_block_equal_each_matrix(self, name, monkeypatch):
@@ -205,10 +212,9 @@ class TestBlocks:
         return peaks
 
     def test_a_stack_holds_one_block_at_a_time(self, monkeypatch):
-        # 800 determinants of S_4 in blocks of 5 hold what 400 of them hold,
-        # and the larger output: 400 hold about 16 KB at once, the output's
-        # 6.4 KB included, where in one block they hold 386 KB.  A call's
-        # array headers and views, about 3 KB, outweigh five S_4 matrices.
+        # 400 determinants of S_4 in blocks of 5 hold about 13 KB at once,
+        # the output's 6.4 KB included, where in one block they hold 386 KB;
+        # 800 hold no more, but for the larger output.
         group, chi = self.CASES["det"]
         rng = np.random.default_rng(3)
         mats = [random_hermitian(rng, 4) for _ in range(800)]
@@ -216,6 +222,7 @@ class TestBlocks:
         generalized_matrix_function(stacks[1], group, chi)  # the group's tables, cached
         monkeypatch.setattr(matfunc, "CHUNK_BYTES", self.five_matrices(group, chi))
         few, many = self.traced_peaks(stacks, group, chi)
+        assert few < matfunc.CHUNK_BYTES + 400 * 16  # the blocks' budget and the output
         assert many <= few + 400 * 16
 
     def test_a_big_group_block_holds_four_matrices(self, monkeypatch):
@@ -225,7 +232,7 @@ class TestBlocks:
         rng = np.random.default_rng(7)
         stack = stack_of([random_hermitian(rng, 8) for _ in range(8)])
         generalized_matrix_function(stack, group, chi)  # the group's tables, cached
-        assert matfunc.CHUNK_BYTES // (self.five_matrices(group, chi) // 5) == 4
+        assert (matfunc.CHUNK_BYTES - 8 * 512) // self.matrix_bytes(group, chi) == 4
         (peak,) = self.traced_peaks([stack], group, chi)
         assert peak < matfunc.CHUNK_BYTES + 8 * 16
         walks = []
@@ -238,6 +245,48 @@ class TestBlocks:
         monkeypatch.setattr(matfunc, "_walk", counted)
         generalized_matrix_function(stack, group, chi)
         assert walks == [4, 4, 4, 4]
+
+    @staticmethod
+    def doubled(k: int) -> GroupSpec:
+        """S_k acting as sigma + sigma on 2k letters: every element maps the
+        first k letters onto themselves, so there is one column set, of k!
+        prefix and k! suffix slots, and W_A is diagonal."""
+        return GroupSpec.explicit([(*p, *(k + i for i in p))
+                                   for p in itertools.permutations(range(k))])
+
+    def test_a_sparse_weight_table_within_the_budget_runs(self, rng):
+        # S_5 doubled: W is 120 x 120, 115 KB, with 120 weights.  d is the
+        # permanent of X[i, j] * X[5 + i, 5 + j].
+        group = self.doubled(5)
+        _, weights = matfunc._group_data(group, CharacterSpec.trivial())
+        assert weights.shape == (1, 120, 120) and np.count_nonzero(weights) == 120
+        mats = [random_hermitian(rng, 10) for _ in range(3)]
+        got = generalized_matrix_function(stack_of(mats), group, CharacterSpec.trivial())
+        for value, mat in zip(got, mats):
+            x = mat.array
+            expected = permanent_oracle(x[:5, :5] * x[5:, 5:])
+            scale = permanent_oracle(np.abs(x[:5, :5] * x[5:, 5:])).real
+            assert abs(value - expected) <= 5 * 2**5 * 2.0**-53 * scale
+            one = generalized_matrix_function(mat, group, CharacterSpec.trivial())
+            assert value.tobytes() == np.complex128(one).tobytes()
+
+    @pytest.mark.parametrize("k, size", [(6, 4147200), (7, 203212800)])
+    def test_a_sparse_weight_table_is_refused_before_it_is_allocated(self, k, size):
+        # S_k doubled has k! weights in a k! x k! W: 4.1 MB at k = 6, 203 MB
+        # at k = 7 (13 GB at k = 8), over CHUNK_BYTES and over four float64
+        # words per weight.  The call refuses it having held under 4 MB.
+        group = self.doubled(k)
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError, match=f"^column-set weights of {size} bytes "
+                               f"for a support of {math.factorial(k)} elements exceed "
+                               f"budget {matfunc.CHUNK_BYTES}$"):
+                generalized_matrix_function(np.eye(2 * k, dtype=complex), group,
+                                            CharacterSpec.trivial())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     @pytest.mark.parametrize("name", CASES)
     def test_an_empty_stack_gives_an_empty_complex_array(self, name):
