@@ -3,7 +3,8 @@
 Every ``scalar-verify`` family is one :class:`~hlawka.sums.FamilySpec` of
 :data:`~hlawka.scalar.SUITES`, an operator family (also a ``verify``
 suite) or a convex/norm suite, and the entry sets its flags and exit rule.
-Each runner turns its suite into per-trial records, and :func:`_run`, the
+Each runner turns its suite into one record per chunk of trials, a
+:class:`_Chunk` of margin and verdict-code arrays, and :func:`_run`, the
 one trial loop, assembles them into a :class:`~hlawka.report.TrialReport`
 plus a process exit code: 0 for success, 1 when a violation is found in a
 family whose inequality is established (or a refutation is confirmed), 2
@@ -15,7 +16,9 @@ and a completed search exits 0.  Every run starts with one settings pass,
 route reads and the value each takes when unset.
 
 Per-trial seeds derive from (master seed, trial index), so how trials are
-grouped cannot change any reported number.  Every route runs its trials in
+grouped cannot change any reported number; a chunk derives its trial seeds
+and its input seeds as uint64 arrays (:func:`~hlawka.util.derive_seeds`).
+Every route runs its trials in
 chunks stacked on a leading axis, each bit for bit the per-trial result:
 the two operator suites take one sampling call, one build and one
 certification (or one scalar check) per chunk, and the convex/norm suites
@@ -32,6 +35,7 @@ import hashlib
 import math
 import re
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -83,7 +87,7 @@ from .scalar import (
 )
 from .sums import CHUNK_BYTES, FAMILIES, build_difference, working_set
 from .symgroup import check_symmetric_degree
-from .util import derive_seed
+from .util import derive_seed, derive_seeds
 
 
 @dataclass
@@ -246,56 +250,80 @@ def _data_digest(data: np.ndarray) -> str:
 
 
 def _sampled_chunks(cfg: RunConfig, trial_bytes: int):
-    """Yield ``(trial seeds, all inputs, inputs by position)`` per chunk.
+    """Yield ``(trial seeds, all inputs, inputs by position)`` per chunk,
+    the seeds a uint64 array.
 
     Input ``i`` of trial ``t`` is sampled from ``derive_seed(seed_t, i)``;
     position ``i`` of every trial of the chunk forms one stack.
     """
     size = max(1, CHUNK_BYTES // max(1, trial_bytes))
     for lo in range(0, cfg.trials, size):
-        seeds = [derive_seed(cfg.seed, t) for t in range(lo, min(cfg.trials, lo + size))]
+        seeds = derive_seeds(cfg.seed, np.arange(lo, min(cfg.trials, lo + size)))
         count = len(seeds)
-        inputs = random_pd(PdBatchConfig(cfg.dim, tuple(
-            derive_seed(s, i) for i in range(cfg.n) for s in seeds), cfg.condition_target))
+        inputs = random_pd(PdBatchConfig(cfg.dim, derive_seeds(
+            seeds, np.arange(cfg.n)[:, np.newaxis]).ravel(), cfg.condition_target))
         yield seeds, inputs, [inputs[i * count:(i + 1) * count] for i in range(cfg.n)]
 
 
+@dataclass(frozen=True)
+class _Chunk:
+    """The record of one chunk of trials, in trial order.
+
+    ``margin`` and ``code`` are ``(T, F)`` arrays: the margin and the
+    verdict code (:attr:`~hlawka.linalg.Verdict.code`) of every trial of
+    the chunk under each evaluated function, whose kinds are ``kinds``
+    (``None`` on a route that names none).  ``entry(t, kind, margin)`` is
+    the report entry of trial t of the chunk, asked for only when that
+    trial's worst outcome FAILS.
+    """
+
+    margin: np.ndarray
+    code: np.ndarray
+    entry: Callable[[int, str | None, float], dict]
+    kinds: tuple = (None,)
+
+
 def _matrix_trials(cfg: RunConfig, trial_bytes: int, check, margin_key: str):
-    """Per-trial records of an operator suite.
+    """One record per chunk of an operator suite.
 
     ``trial_bytes`` is about what a trial holds at once, and ``check(inputs,
-    parts)`` gives one ``(margin, verdict)`` per trial of a chunk.
+    parts)`` gives the margin and the verdict code of every trial of a
+    chunk, two arrays.
     """
     for seeds, inputs, parts in _sampled_chunks(cfg, trial_bytes):
-        for t, (seed, (margin, verdict)) in enumerate(zip(seeds, check(inputs, parts))):
-            yield [(None, margin, verdict)], (
-                lambda kind, worst, t=t, seed=seed, parts=parts:
-                {"inputsDigest": _tuple_digest(parts, t), margin_key: worst, "seed": seed})
+        margin, code = check(inputs, parts)
+        yield _Chunk(margin[:, np.newaxis], code[:, np.newaxis],
+                     lambda t, kind, worst, seeds=seeds, parts=parts: {
+                         "inputsDigest": _tuple_digest(parts, t), margin_key: worst,
+                         "seed": int(seeds[t])})
 
 
 def _run(report: TrialReport, cfg: RunConfig, records) -> tuple[TrialReport, int]:
     """The one trial loop: fill ``report`` of the resolved ``cfg`` from
-    per-trial records.
+    one :class:`_Chunk` record per chunk of trials.
 
-    A record is ``(outcomes, violation)``: one ``(function kind or None,
-    margin, verdict)`` per evaluated function, and ``violation(kind,
-    margin)``, the report entry of the trial's worst outcome.  A trial is
-    an equality case when all its outcomes are EQUALITY, and it yields one
-    violation entry when its worst outcome FAILS, so violations never
-    outnumber trials.  The report's flags are the notes of the family's
-    table entry ``spec`` over n inputs, then the flags a record source
-    learns while it runs.  A violation exits 1 under the ``spec.status``
+    A trial's worst outcome is its first lowest margin over the evaluated
+    functions, and ``minMargin`` is the first lowest worst margin of the
+    run (the sources refuse a margin that is not finite).  A trial is an equality case when all its
+    outcomes are EQUALITY, and it yields one violation entry when its worst
+    outcome FAILS, so violations never outnumber trials; the entries keep
+    trial order.  The report's flags are the notes of the family's table
+    entry ``spec`` over n inputs, then the flags a record source learns
+    while it runs.  A violation exits 1 under the ``spec.status``
     ``proven`` or ``refuted``, or when n is ``spec.proven_at``.
     """
     spec, n = SUITES[cfg.family], cfg.n
     start = time.perf_counter()
-    for outcomes, violation in records:
-        report.equality_cases += all(verdict is Verdict.EQUALITY for _, _, verdict in outcomes)
-        kind, margin, verdict = min(outcomes, key=lambda outcome: outcome[1])
-        if report.min_margin is None or margin < report.min_margin:
-            report.min_margin = margin
-        if verdict is Verdict.FAILS:
-            report.violations.append(violation(kind, margin))
+    for chunk in records:
+        rows = np.arange(len(chunk.margin))
+        worst = chunk.margin.argmin(axis=1)
+        margin, code = chunk.margin[rows, worst], chunk.code[rows, worst]
+        report.equality_cases += int((chunk.code == Verdict.EQUALITY.code).all(axis=1).sum())
+        low = margin[margin.argmin()]
+        if report.min_margin is None or low < report.min_margin:
+            report.min_margin = float(low)
+        for t in np.flatnonzero(code == Verdict.FAILS.code).tolist():
+            report.violations.append(chunk.entry(t, chunk.kinds[worst[t]], float(margin[t])))
     report.interpretation_flags[:0] = spec.notes(n)
     report.runtime_ms = int((time.perf_counter() - start) * 1000)
     binding = spec.status in ("proven", "refuted") or n == spec.proven_at
@@ -325,7 +353,7 @@ def run_verify(cfg: RunConfig) -> tuple[TrialReport, int]:
             cfg.family, parts, cfg.p, cfg.max_tensor_dim, k=cfg.k, ell=cfg.ell, m=cfg.m), cfg.tol)
         if not (min_eigenvalue(inputs) > 1e-12).all() and psd_only not in flags:
             flags.append(psd_only)
-        return [(c.min_eigenvalue, c.verdict) for c in certs]
+        return certs.min_eigenvalue, certs.code
 
     largest = working_set(cfg.family, cfg.n, cfg.p, cfg.dim, k=cfg.k, ell=cfg.ell, m=cfg.m)
     trial_bytes = 16 * max(largest, cfg.n * cfg.dim * cfg.dim)  # complex128 entries
@@ -342,8 +370,9 @@ def run_scalar_verify(cfg: RunConfig) -> tuple[TrialReport, int]:
     report = _report(cfg, names, f"{cfg.family}[{cfg.char}]")
 
     def check(inputs, parts):
-        return [(r.margin, r.verdict) for r in scalar_inequality_check(
-            cfg.family, parts, group, chi, cfg.tol, k=cfg.k, ell=cfg.ell, m=cfg.m)]
+        results = scalar_inequality_check(cfg.family, parts, group, chi, cfg.tol,
+                                          k=cfg.k, ell=cfg.ell, m=cfg.m)
+        return results.margin, results.code
 
     trial_bytes = row_bytes(cfg.family, cfg.n, cfg.dim, 1, cfg.k, cfg.ell, cfg.m)
     return _run(report, cfg, _matrix_trials(cfg, trial_bytes, check, "margin"))
@@ -364,12 +393,12 @@ def _input_chunks(suite: str, cfg: RunConfig, functions: int):
         return
     size = max(1, CHUNK_BYTES // row_bytes(suite, cfg.n, cfg.dim, functions,
                                            cfg.k, cfg.ell, cfg.m))
-    rngs = _generators(derive_seed(cfg.seed, t) for t in range(cfg.trials))
     for lo in range(0, cfg.trials, size):
+        trials = np.arange(lo, min(cfg.trials, lo + size))
         yield lo, np.array([
             np.asarray(KNOWN_HLAWKA_POP_COUNTEREXAMPLE) if t == 0 and cfg.include_known
             else sample_inputs(suite, rng, cfg.n, cfg.dim, cfg.center, cfg.radius)
-            for t, rng in zip(range(lo, min(cfg.trials, lo + size)), rngs)])
+            for t, rng in zip(trials.tolist(), _generators(derive_seeds(cfg.seed, trials)))])
 
 
 def _run_convex_norm(cfg: RunConfig, names: list[str]) -> tuple[TrialReport, int]:
@@ -378,7 +407,7 @@ def _run_convex_norm(cfg: RunConfig, names: list[str]) -> tuple[TrialReport, int
     fns = [None]
     if SUITES[cfg.family].term != "norm":
         fns = list(convex_catalog()) if cfg.fn == "all" else [ConvexFunction(cfg.fn)]
-    kinds = [fn.kind if fn else None for fn in fns]
+    kinds = tuple(fn.kind if fn else None for fn in fns)
 
     def records():
         for lo, block in _input_chunks(cfg.family, cfg, len(fns)):
@@ -386,13 +415,12 @@ def _run_convex_norm(cfg: RunConfig, names: list[str]) -> tuple[TrialReport, int
             margins = scalar._search_margin(cfg.family, block, fns, k=cfg.k, ell=cfg.ell,
                                             m=cfg.m)
             margins.refuse_first()
-            for t, data, row, verdicts in zip(range(lo, lo + len(block)), block,
-                                              margins.margin.tolist(), margins.verdicts(cfg.tol)):
-                yield list(zip(kinds, row, verdicts)), (
-                    lambda kind, worst, data=data, t=t: {
-                        "inputsDigest": _data_digest(data), "margin": worst,
-                        "seed": derive_seed(cfg.seed, t),
-                        "inputs": [float(x) for x in data.ravel()], **({"fn": kind} if kind else {})})
+            yield _Chunk(margins.margin, margins.verdicts(cfg.tol),
+                         lambda t, kind, worst, lo=lo, block=block: {
+                             "inputsDigest": _data_digest(block[t]), "margin": worst,
+                             "seed": derive_seed(cfg.seed, lo + t),
+                             "inputs": [float(x) for x in block[t].ravel()],
+                             **({"fn": kind} if kind else {})}, kinds)
 
     return _run(_report(cfg, names, cfg.family), cfg, records())
 

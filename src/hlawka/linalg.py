@@ -23,13 +23,14 @@ import itertools
 import json
 import math
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .errors import BudgetError, InputError
-from .util import array_digest, format_sig17, json_complex
+from .util import array_digests, format_sig17, json_complex
 
 #: Refuse to build matrices larger than this on a side unless overridden.
 DEFAULT_MAX_TENSOR_DIM = 4096
@@ -51,6 +52,15 @@ class Verdict(Enum):
     HOLDS = "HOLDS"
     FAILS = "FAILS"
     EQUALITY = "EQUALITY"
+
+    @property
+    def code(self) -> int:
+        """The verdict's code in the arrays of :func:`band_verdicts`."""
+        return VERDICTS.index(self)
+
+
+#: The verdict of each code: ``VERDICTS[verdict.code] is verdict``.
+VERDICTS = tuple(Verdict)
 
 
 class HermitianStack:
@@ -92,7 +102,7 @@ class HermitianStack:
     def digests(self) -> tuple[str, ...]:
         """Per-matrix content hashes; equal matrices (bitwise) share one."""
         if self._digests is None:
-            self._digests = tuple(array_digest(a) for a in self._arr)
+            self._digests = array_digests(self._arr)
         return self._digests
 
     def __len__(self) -> int:
@@ -198,19 +208,56 @@ class LoewnerCertificate:
         return self.verdict is not Verdict.FAILS
 
 
+class ResultStack(Sequence):
+    """The results of a stack, one per matrix or trial, held as arrays:
+    item i is the single result of entry i, and the whole compares equal to
+    any sequence of the same results."""
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Sequence) and list(self) == list(other)
+
+    __hash__ = None
+
+
+@dataclass(frozen=True, eq=False)
+class LoewnerCertificates(ResultStack):
+    """The certificates of a stack: ``min_eigenvalue`` and ``scale`` of
+    every matrix, one ``tolerance``, and the verdict ``code`` of every
+    matrix (:attr:`Verdict.code`); item i is matrix i's
+    :class:`LoewnerCertificate`."""
+
+    min_eigenvalue: np.ndarray
+    scale: np.ndarray
+    tolerance: float
+    code: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.code)
+
+    def __getitem__(self, i) -> LoewnerCertificate:
+        return LoewnerCertificate(min_eigenvalue=float(self.min_eigenvalue[i]),
+                                  scale=float(self.scale[i]), tolerance=self.tolerance,
+                                  verdict=VERDICTS[self.code[i]])
+
+
 @dataclass(frozen=True)
 class PdBatchConfig:
     """Parameters of a stack of positive definite samples: one per seed,
-    otherwise shared.  :func:`random_pd` gives a :class:`HermitianStack`."""
+    otherwise shared.  :func:`random_pd` gives a :class:`HermitianStack`.
+    The seeds are integers in ``[0, 2**64)``, or a one-dimensional uint64
+    array, which holds nothing else."""
 
     dim: int
-    seeds: tuple[int, ...]
+    seeds: tuple[int, ...] | np.ndarray
     condition_target: float = DEFAULT_CONDITION_TARGET
 
     def __post_init__(self) -> None:
         if self.dim < 1:
             raise InputError("dim must be a positive integer")
-        if not all(isinstance(seed, (int, np.integer)) and 0 <= seed < 2**64 for seed in self.seeds):
+        seeds = self.seeds
+        if not (isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64 and seeds.ndim == 1
+                or all(isinstance(seed, (int, np.integer)) and 0 <= seed < 2**64
+                       for seed in seeds)):
             raise InputError("seed must be a 64-bit unsigned integer")
         if not (math.isfinite(self.condition_target) and self.condition_target >= 1.0):
             raise InputError("condition_target must be finite and >= 1")
@@ -328,22 +375,28 @@ def min_eigenvalue(mat: HermitianStack):
     return _single_or_all(mat, np.linalg.eigvalsh(_hermitian(mat)._arr)[:, 0])
 
 
+def band_verdicts(lo, largest, scale, tol: float) -> np.ndarray:
+    """The one rule judging "LHS - RHS >= 0" with the band ``tol * max(1, scale)``,
+    entry by entry over arrays broadcast together, as verdict codes
+    (:attr:`Verdict.code`): EQUALITY when ``largest`` (the largest absolute
+    value of the difference) lies in the band, HOLDS when ``lo`` (its
+    smallest value) is above the band's lower edge, FAILS otherwise, a NaN
+    included.  A NaN scale counts as 1, as Python's ``max(1.0, nan)`` does."""
+    with np.errstate(invalid="ignore"):  # 0 * inf is NaN, as float arithmetic gives
+        band = tol * np.fmax(1.0, scale)
+    return np.where(largest <= band, Verdict.EQUALITY.code,
+                    np.where(lo >= -band, Verdict.HOLDS.code, Verdict.FAILS.code))
+
+
 def band_verdict(lo: float, largest: float, scale: float, tol: float) -> Verdict:
-    """The one rule judging "LHS - RHS >= 0" with the band ``tol * max(1, scale)``:
-    EQUALITY when ``largest`` (the largest absolute value of the difference)
-    lies in the band, HOLDS when ``lo`` (its smallest value) is above the
-    band's lower edge, FAILS otherwise, a NaN included."""
-    band = tol * max(1.0, scale)
-    if largest <= band:
-        return Verdict.EQUALITY
-    if lo >= -band:
-        return Verdict.HOLDS
-    return Verdict.FAILS
+    """The :class:`Verdict` of one difference under :func:`band_verdicts`."""
+    return VERDICTS[int(band_verdicts(lo, largest, scale, tol))]
 
 
 def psd_certificate(mat: HermitianStack, tol: float = DEFAULT_LOEWNER_TOL):
-    """Certify ``mat >= 0`` in the Loewner order; a list of certificates,
-    one per matrix, for a stack.
+    """Certify ``mat >= 0`` in the Loewner order: one
+    :class:`LoewnerCertificate` for a matrix, the
+    :class:`LoewnerCertificates` of every matrix of a stack.
 
     The tolerance is applied relative to ``max(1, scale)`` with scale the
     infinity norm of ``mat``; tensor powers inflate magnitudes, so an
@@ -354,13 +407,9 @@ def psd_certificate(mat: HermitianStack, tol: float = DEFAULT_LOEWNER_TOL):
     if not np.isfinite(scales).all():
         raise InputError("overflow: the matrix to certify exceeds double precision")
     eigs = np.linalg.eigvalsh(arr)
-    return _single_or_all(mat, [_certificate(e, float(s), tol) for e, s in zip(eigs, scales)])
-
-
-def _certificate(eigs: np.ndarray, scale: float, tol: float) -> LoewnerCertificate:
-    lo = float(eigs[0])
-    verdict = band_verdict(lo, float(np.max(np.abs(eigs))), scale, tol)
-    return LoewnerCertificate(min_eigenvalue=lo, scale=scale, tolerance=tol, verdict=verdict)
+    lo = eigs[:, 0]
+    codes = band_verdicts(lo, np.abs(eigs).max(axis=1), scales, tol)
+    return _single_or_all(mat, LoewnerCertificates(lo, scales, tol, codes))
 
 
 def loewner_geq(a: HermitianMatrix, b: HermitianMatrix, tol: float = DEFAULT_LOEWNER_TOL) -> LoewnerCertificate:
@@ -448,14 +497,18 @@ _SEED_BLOCK = 512
 
 
 def _generators(seeds):
-    """One generator per seed of ``seeds`` (integers in ``[0, 2**64)``), the
-    only place the package builds one: each draws exactly the stream of
-    ``Generator(PCG64(SeedSequence(seed)))``.  The seeds are read lazily,
-    ``_SEED_BLOCK`` at a time, and each block is hashed by one
-    :func:`_seed_states` call."""
+    """One generator per seed of ``seeds`` (integers in ``[0, 2**64)``, or a
+    uint64 array), the only place the package builds one: each draws
+    exactly the stream of ``Generator(PCG64(SeedSequence(seed)))``.  The
+    seeds are read lazily, ``_SEED_BLOCK`` at a time (an array in slices),
+    and each block is hashed by one :func:`_seed_states` call."""
     preset = _preset_state_type()
-    seeds = iter(seeds)
-    while block := list(itertools.islice(seeds, _SEED_BLOCK)):
+    if isinstance(seeds, np.ndarray):
+        blocks = (seeds[lo:lo + _SEED_BLOCK] for lo in range(0, len(seeds), _SEED_BLOCK))
+    else:
+        seeds = iter(seeds)
+        blocks = iter(lambda: list(itertools.islice(seeds, _SEED_BLOCK)), [])
+    for block in blocks:
         for state in _seed_states(block):
             yield np.random.Generator(np.random.PCG64(preset(state)))
 

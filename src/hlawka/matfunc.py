@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import BudgetError, InputError
 from .linalg import HermitianStack, _as_array, _entries, _same_shape, _single_or_all
-from .scalar import ScalarCheckResult, _margins, _terms
+from .scalar import ScalarCheckResult, ScalarCheckResults, _margins, _terms
 from .sums import CHUNK_BYTES, operator_family
 from .symgroup import CharacterSpec, GroupSpec, character_values, enumerate_group
 
@@ -317,7 +317,7 @@ def scalar_inequality_check(
     k: int | None = None,
     ell: int | None = None,
     m: int | None = None,
-) -> ScalarCheckResult:
+) -> ScalarCheckResult | ScalarCheckResults:
     """Check the d-image of an operator family's inequality on Hermitian inputs.
 
     Each operator term (a subset sum) is mapped through the generalized
@@ -328,8 +328,9 @@ def scalar_inequality_check(
 
     Input ``i`` is a :class:`HermitianStack` holding input ``i`` of every
     trial (a :class:`~hlawka.linalg.HermitianMatrix` is the stack of one
-    trial); every trial is checked at once and a list of results, one per
-    trial, is returned, or one result for single-matrix inputs.  The terms
+    trial); every trial is checked at once and their
+    :class:`~hlawka.scalar.ScalarCheckResults` are returned, or one result
+    for single-matrix inputs.  The terms
     come from :func:`~hlawka.scalar._terms`, with one
     :func:`generalized_matrix_function` call over every subset sum, formed
     in input order (the reports' bits depend on it).
@@ -346,7 +347,7 @@ def scalar_inequality_check(
 
     margins = _margins(*_terms(family, data, image, k, ell, m))
     margins.refuse_first()
-    return _single_or_all(hs[0], [margins.result(t, tol) for t in range(len(data))])
+    return _single_or_all(hs[0], margins.results(tol))
 
 
 def parse_character_selector(selector: str, dim: int) -> tuple[GroupSpec, CharacterSpec]:

@@ -41,7 +41,7 @@ from math import fsum
 import numpy as np
 
 from .errors import InputError
-from .linalg import Verdict, band_verdict
+from .linalg import ResultStack, Verdict, band_verdict, band_verdicts
 from .sums import FAMILIES, FamilySpec, Level, checked_sides
 from .sums import _alternating, _level, _pop_subsets
 
@@ -129,6 +129,37 @@ class ScalarCheckResult:
         return self.verdict is not Verdict.FAILS
 
 
+@dataclass(frozen=True, eq=False)
+class ScalarCheckResults(ResultStack):
+    """The results of a stack of trials: ``lhs``, ``rhs`` and ``scale`` of
+    every trial and one ``tolerance``; item t is trial t's
+    :class:`ScalarCheckResult`."""
+
+    lhs: np.ndarray
+    rhs: np.ndarray
+    scale: np.ndarray
+    tolerance: float
+
+    @property
+    def margin(self) -> np.ndarray:
+        with np.errstate(all="ignore"):  # inf - inf, as float arithmetic gives
+            return self.lhs - self.rhs
+
+    @property
+    def code(self) -> np.ndarray:
+        """The verdict code (:attr:`~hlawka.linalg.Verdict.code`) of every trial."""
+        margin = self.margin
+        return band_verdicts(margin, np.abs(margin), self.scale, self.tolerance)
+
+    def __len__(self) -> int:
+        return len(self.lhs)
+
+    def __getitem__(self, t) -> ScalarCheckResult:
+        lhs, rhs = float(self.lhs[t]), float(self.rhs[t])
+        return ScalarCheckResult(lhs=lhs, rhs=rhs, margin=lhs - rhs, scale=float(self.scale[t]),
+                                 tolerance=self.tolerance)
+
+
 _OVERFLOW = "overflow: a term or a side of the inequality exceeds double precision"
 
 
@@ -175,15 +206,15 @@ class Margins:
         if self.refusals:
             raise InputError(self.refusals[min(self.refusals)])
 
-    def verdicts(self, tol: float) -> list[list[Verdict]]:
-        """The :func:`band_verdict` of every row and function."""
-        return [[band_verdict(margin, abs(margin), scale, tol) for margin, scale in zip(*row)]
-                for row in zip(self.margin.tolist(), self.scale.tolist())]
+    def verdicts(self, tol: float) -> np.ndarray:
+        """The :func:`~hlawka.linalg.band_verdicts` code of every row and
+        function, a ``(T, F)`` array."""
+        margin = self.margin
+        return band_verdicts(margin, np.abs(margin), self.scale, tol)
 
-    def result(self, t: int, tol: float = DEFAULT_SCALAR_TOL) -> ScalarCheckResult:
-        """Row ``t`` under the first function."""
-        lhs, rhs, scale = (float(side[t, 0]) for side in (self.lhs, self.rhs, self.scale))
-        return ScalarCheckResult(lhs=lhs, rhs=rhs, margin=lhs - rhs, scale=scale, tolerance=tol)
+    def results(self, tol: float = DEFAULT_SCALAR_TOL) -> ScalarCheckResults:
+        """Every row under the first function."""
+        return ScalarCheckResults(self.lhs[:, 0], self.rhs[:, 0], self.scale[:, 0], tol)
 
 
 def _margins(lhs_terms: np.ndarray, rhs_terms: np.ndarray, overflow=False,
@@ -423,7 +454,7 @@ def _one(suite: str, data, f: ConvexFunction | None = None, **levels) -> ScalarC
         raise InputError("expected a list of equal-length real vectors")
     margins = _search_margin(suite, arr[np.newaxis], (f,), **levels)
     margins.refuse_first()
-    return margins.result(0)
+    return margins.results()[0]
 
 
 # ---------------------------------------------------------------------------
@@ -578,11 +609,11 @@ def search_from(suite: str, fn: ConvexFunction | None, tol: float, starts: np.nd
     points = _lockstep(suite, fn, starts) if descend else starts
     block = _search_margin(suite, points, (fn,))
     block.refuse_first()
-    hits = [t for t, (verdict,) in enumerate(block.verdicts(tol)) if verdict is Verdict.FAILS]
-    if not hits:
+    hits = np.flatnonzero(block.verdicts(tol)[:, 0] == Verdict.FAILS.code)
+    if not len(hits):
         return []
     # Fresh evaluation of the exact values we are about to report.
     inputs = points[hits].tolist()
-    confirmed = _search_margin(suite, np.array(inputs), (fn,))
-    return [(t, values, result) for i, (t, values) in enumerate(zip(hits, inputs))
-            if not (result := confirmed.result(i, tol)).holds]
+    results = _search_margin(suite, np.array(inputs), (fn,)).results(tol)
+    return [(int(hits[i]), inputs[i], results[i])
+            for i in np.flatnonzero(results.code == Verdict.FAILS.code).tolist()]

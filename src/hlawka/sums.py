@@ -63,7 +63,6 @@ from .linalg import (
     DEFAULT_MAX_TENSOR_DIM,
     HermitianStack,
     _entries,
-    _kron,
     _same_shape,
     _single_or_all,
     check_tensor_budget,
@@ -409,6 +408,12 @@ def _word_sum(inputs: np.ndarray, plan: _WordPlan, p: int) -> np.ndarray:
     # Each row sums its terms left to right over i ascending, and the
     # merged row its sources in plan order, so the bits are fixed: the
     # same as one row at a time, for any number of trials.
+    # A table is stored with its newest letter as the most significant
+    # tensor factor, A_{w_k} (x) ... (x) A_{w_1}, the perfect shuffle of the
+    # standard layout: then each product's innermost loop runs over the
+    # rows of T_k, not over the dim entries of a row of A_i, and every entry
+    # is the same product of the same two factors.  One digit-reversal
+    # copy at the end gives the standard layout.
     _, count, dim, _ = inputs.shape
     if not plan.steps:
         return np.zeros((count, dim ** p, dim ** p), dtype=np.complex128)
@@ -430,28 +435,53 @@ def _word_sum(inputs: np.ndarray, plan: _WordPlan, p: int) -> np.ndarray:
                     x = table[a[part]]
                     x += table[b[part]]
                     if t == 0:
-                        _kron_into(rows, x, inputs[i[part]])
+                        _lead_into(rows, x, inputs[i[part]])
                     else:
-                        rows += _kron(x, inputs[i[part]])
+                        rows += _lead(x, inputs[i[part]])
         for a, merged in zip(inputs, step.merged):
             if merged is not None:
                 first, by_weight = merged
                 if first:
-                    _kron_into(out[step.size - 1], _weighted_sum(table, by_weight), a)
+                    _lead_into(out[step.size - 1], _weighted_sum(table, by_weight), a)
                 else:
-                    out[step.size - 1] += _kron(_weighted_sum(table, by_weight), a)
+                    out[step.size - 1] += _lead(_weighted_sum(table, by_weight), a)
         table = out
     total = table[0]
     if plan.den != 1:
         total /= plan.den
+    return _digit_reversed(total, dim, p)
+
+
+def _lead(t: np.ndarray, a: np.ndarray) -> np.ndarray:
+    # a (x) t as the stored layout holds it, each entry the product t * a:
+    # numpy's SIMD complex multiply is not commutative bit for bit, so the
+    # table stays the first operand, as in _kron(t, a).
+    n, m = t.shape[-1], a.shape[-1]
+    prod = t[..., None, :, None, :] * a[..., :, None, :, None]
+    return prod.reshape(*t.shape[:-2], n * m, n * m)
+
+
+def _lead_into(out: np.ndarray, t: np.ndarray, a: np.ndarray) -> None:
+    # _lead(t, a), its products written straight into a contiguous out.
+    n, m = t.shape[-1], a.shape[-1]
+    np.multiply(t[..., None, :, None, :], a[..., :, None, :, None],
+                out=out.reshape(*out.shape[:-2], m, n, m, n))
+
+
+def _digit_reversed(total: np.ndarray, dim: int, p: int) -> np.ndarray:
+    # The standard layout of a (count, dim^p, dim^p) stored table, in its
+    # own memory: both indices' p base-dim digits reversed, an exact copy.
+    # The entries are copied aside and read back, so the memory the caller
+    # gets is the table's and the copy's goes back to the allocator, as the
+    # build left it before (a fresh output would make the eigensolve after
+    # a large build fault in new pages).  The order is the identity at p 1,
+    # and at dim 1, where p may exceed numpy's axis limit.
+    if p == 1 or dim == 1:
+        return total
+    digits = [total.shape[0], *[dim] * (2 * p)]
+    order = [0, *range(p, 0, -1), *range(2 * p, p, -1)]
+    total.reshape(digits)[...] = total.copy().reshape(digits).transpose(order)
     return total
-
-
-def _kron_into(out: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
-    # _kron(a, b), its products written straight into a contiguous out.
-    n, m = a.shape[-1], b.shape[-1]
-    np.multiply(a[..., :, None, :, None], b[..., None, :, None, :],
-                out=out.reshape(*out.shape[:-2], n, m, n, m))
 
 
 def _weighted_sum(table: np.ndarray, groups) -> np.ndarray:

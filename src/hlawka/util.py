@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 
 import numpy as np
 
@@ -33,13 +34,35 @@ def derive_seed(master_seed: int, index: int) -> int:
     return splitmix64((master_seed + (index + 1) * _SPLITMIX_GAMMA) & _MASK64)
 
 
-def array_digest(arr: np.ndarray) -> str:
-    """SHA-256 hex digest of an array's shape and C-order complex bytes."""
-    a = np.ascontiguousarray(arr, dtype=np.complex128)
-    h = hashlib.sha256()
-    h.update(str(a.shape).encode())
-    h.update(a.tobytes())
-    return h.hexdigest()
+def derive_seeds(master_seeds, indices) -> np.ndarray:
+    """:func:`derive_seed` over arrays: a uint64 array, the seed of each
+    master seed and index broadcast together, each as the scalar form gives
+    it.  The arguments must be in range (masters in ``[0, 2**64)``, indices
+    in ``[0, 2**64 - 1)``); unsigned array arithmetic wraps modulo 2**64
+    exactly as the masks of the scalar form do."""
+    z = np.asarray(master_seeds, dtype=np.uint64)
+    i = np.asarray(indices, dtype=np.uint64)
+    gamma = np.uint64(_SPLITMIX_GAMMA)
+    with np.errstate(over="ignore"):
+        z = z + (i + np.uint64(1)) * gamma + gamma
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        return z ^ (z >> np.uint64(31))
+
+
+def array_digests(stack: np.ndarray) -> tuple[str, ...]:
+    """The SHA-256 hex digest of every array of a stack: of its shape, as
+    ``str`` prints it, then of its C-order complex bytes."""
+    a = np.ascontiguousarray(stack, dtype=np.complex128)
+    head = hashlib.sha256(str(a.shape[1:]).encode())
+    size = a.itemsize * math.prod(a.shape[1:])
+    raw = memoryview(a.reshape(-1).view(np.uint8))
+    digests = []
+    for lo in range(0, len(raw), size):
+        h = head.copy()
+        h.update(raw[lo:lo + size])
+        digests.append(h.hexdigest())
+    return tuple(digests)
 
 
 def json_complex(pair, what: str) -> complex:

@@ -1,6 +1,7 @@
 """Batched trial engine: stacked calls and chunked suites against the
 per-trial oracle, bit for bit."""
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -39,7 +40,15 @@ from hlawka.matfunc import (
     scalar_inequality_check,
 )
 from hlawka.report import TrialReport
-from hlawka.scalar import row_bytes
+import hlawka.scalar as scalar
+from hlawka.scalar import (
+    ScalarCheckResult,
+    SUITES,
+    ScalarCheckResults,
+    convex_catalog,
+    row_bytes,
+    sample_inputs,
+)
 from hlawka.symgroup import (
     CharacterSpec,
     GroupSpec,
@@ -268,6 +277,120 @@ class TestScalarAgainstOracle:
     def test_one_trial(self):
         cfg = scalar_cfg(family="alternating", n=4, dim=3, char="perm", trials=1, seed=9)
         assert_same_report(run_scalar_verify(cfg)[0], oracle_scalar(cfg))
+
+
+def sign_of(digest: str) -> int:
+    """-1, 0 or +1, keyed by a trial's input digest, so by its seed."""
+    return int(digest[:8], 16) % 3 - 1
+
+
+def flip_sides(lhs: np.ndarray, rhs: np.ndarray, signs) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's sides swapped where its sign is -1, both its rhs where it
+    is 0 (an exact zero margin), as they are where it is +1."""
+    s = np.reshape(signs, (-1, *[1] * (lhs.ndim - 1)))
+    return np.where(s == 1, lhs, rhs), np.where(s == -1, lhs, rhs)
+
+
+def flipped_build(original):
+    """The build with each trial's difference times the sign of its first input."""
+    def build(family, mats, *args, **kwargs):
+        out = original(family, mats, *args, **kwargs)
+        signs = np.array([sign_of(d) for d in mats[0].digests], dtype=np.float64)
+        return type(out)._wrap_exact(out._arr * signs[:, None, None])
+    return build
+
+
+def flipped_check(original):
+    """The check with each trial's sides flipped by the sign of its first input."""
+    def check(family, mats, *args, **kwargs):
+        res = original(family, mats, *args, **kwargs)
+        many = isinstance(res, ScalarCheckResults)
+        rows = res if many else ScalarCheckResults(
+            *(np.array([getattr(res, side)]) for side in ("lhs", "rhs", "scale")), res.tolerance)
+        lhs, rhs = flip_sides(rows.lhs, rows.rhs, [sign_of(d) for d in mats[0].digests])
+        out = ScalarCheckResults(lhs, rhs, rows.scale, rows.tolerance)
+        return out if many else out[0]
+    return check
+
+
+def flipped_search_margin(original):
+    """The evaluator with each row's sides flipped by the sign of its data."""
+    def evaluate(suite, data, *args, **kwargs):
+        margins = original(suite, data, *args, **kwargs)
+        lhs, rhs = flip_sides(margins.lhs, margins.rhs,
+                              [sign_of(harness._data_digest(row)) for row in data])
+        return dataclasses.replace(margins, lhs=lhs, rhs=rhs)
+    return evaluate
+
+
+def oracle_convex(cfg: RunConfig) -> TrialReport:
+    """A convex suite under every catalog function, one seeded input at a
+    time through a block of one: a trial's worst outcome is its first
+    lowest margin, as ``min`` picks it."""
+    fns = list(convex_catalog())
+    margins, violations, equality = [], [], 0
+    for t in range(cfg.trials):
+        trial_seed = derive_seed(cfg.seed, t)
+        data = sample_inputs(cfg.family, np.random.default_rng(trial_seed), cfg.n, cfg.dim)
+        block = scalar._search_margin(cfg.family, data[np.newaxis], fns)
+        outcomes = [(fn.kind, float(block.lhs[0, j]) - float(block.rhs[0, j]),
+                     ScalarCheckResult(float(block.lhs[0, j]), float(block.rhs[0, j]),
+                                       float(block.lhs[0, j]) - float(block.rhs[0, j]),
+                                       float(block.scale[0, j]), cfg.tol).verdict)
+                    for j, fn in enumerate(fns)]
+        equality += all(verdict is Verdict.EQUALITY for _, _, verdict in outcomes)
+        kind, margin, verdict = min(outcomes, key=lambda outcome: outcome[1])
+        margins.append(margin)
+        if verdict is Verdict.FAILS:
+            violations.append({"inputsDigest": harness._data_digest(data), "margin": margin,
+                               "seed": trial_seed, "inputs": data.tolist(), "fn": kind})
+    return TrialReport(family=cfg.family, params={"n": cfg.n, "fn": "all"},
+                       trials=cfg.trials, seed=cfg.seed, tolerance_used=cfg.tol,
+                       min_margin=min(margins) if margins else None, equality_cases=equality,
+                       violations=violations, interpretation_flags=SUITES[cfg.family].notes(cfg.n))
+
+
+class TestMixedVerdictChunks:
+    # Each trial's verdict is flipped by a sign keyed by its inputs (so by
+    # its seed), through the harness and the oracle alike: chunks then mix
+    # FAILS with HOLDS and EQUALITY rows, and the reports must agree on
+    # the order of the violations, equalityCases and minMargin.
+    def assert_mixed(self, report: TrialReport, chunks: int) -> None:
+        assert chunks > 1
+        assert 0 < len(report.violations) < report.trials
+        assert 0 < report.equality_cases < report.trials - len(report.violations)
+
+    def test_verify(self, monkeypatch):
+        cfg = verify_cfg(family="hlawka3", p=3, dim=2, trials=500, seed=11)
+        flipped = flipped_build(build_difference)
+        monkeypatch.setattr(harness, "build_difference", flipped)
+        sizes = count_chunks(monkeypatch)
+        report, code = run_verify(cfg)
+        self.assert_mixed(report, len(sizes))
+        assert code == 1
+        monkeypatch.setitem(globals(), "build_difference", flipped)
+        assert_same_report(report, oracle_verify(cfg))
+
+    def test_matrix_route(self, monkeypatch):
+        cfg = scalar_cfg(family="alternating", n=4, dim=4, char="det", trials=400, seed=12)
+        flipped = flipped_check(scalar_inequality_check)
+        monkeypatch.setattr(harness, "scalar_inequality_check", flipped)
+        sizes = count_chunks(monkeypatch)
+        report, code = run_scalar_verify(cfg)
+        self.assert_mixed(report, len(sizes))
+        assert code == 1
+        monkeypatch.setitem(globals(), "scalar_inequality_check", flipped)
+        assert_same_report(report, oracle_scalar(cfg))
+
+    def test_convex_route(self, monkeypatch):
+        cfg = RunConfig(family="popoviciu", fn="all", trials=300, seed=13, tol=1e-12)
+        chunk = harness.CHUNK_BYTES // row_bytes("popoviciu", 3, 1, len(convex_catalog()))
+        assert cfg.trials > 2 * chunk
+        monkeypatch.setattr(scalar, "_search_margin", flipped_search_margin(scalar._search_margin))
+        report, code = run_scalar_verify(cfg)
+        self.assert_mixed(report, math.ceil(cfg.trials / chunk))
+        assert {v["fn"] for v in report.violations} != {report.violations[0]["fn"]}
+        assert_same_report(report, oracle_convex(dataclasses.replace(cfg, n=3)))
 
 
 class TestCliChunking:

@@ -174,6 +174,59 @@ class TestDeterminism:
         assert outs[0] == outs[1]
 
 
+#: SHA-256 of each report with ``runtimeMs`` set to 0, at seeds 0 and 7:
+#: the benchmark's many-small commands at reduced trial counts and its
+#: dense-power command.  Recorded under numpy 2.4.6 with one BLAS thread (the
+#: p 10 eigensolve rounds differently on two) on x86-64 with AVX-512: a
+#: change that moves one bit of these reports fails here.
+REPORT_PINS = {
+    "verify --family hlawka3 --dim 2 --p 3 --trials 200": (
+        "bb3e5a8dd6a9fad7117c2c7cf2de62826d6446517bf089b911e9537d20b34490",
+        "0dd5ee5cbabe33be9fe8eb93a536f78cfae365db830c15fef520e4c822e78c0f"),
+    "verify --family alternating --n 5 --dim 2 --p 5 --trials 20": (
+        "58765cb0b1674489b2134b7da363f8fe9e43dfe7532f6c53ea083c2d03bfc80e",
+        "0fab04d305b814e33e266104fb4a97188fe3a652d929bf25e93f45c8f2d252e9"),
+    "scalar-verify --family alternating --char det --n 4 --dim 4 --trials 100": (
+        "3ca8eb801d9ede03d351d8792c1efc322a55518b9b2edd309461c321196b299f",
+        "b157e6d94934f6574f93c80713d5631ae82f44517efdcdc1806d15cffd803f6b"),
+    "verify --family hlawka3 --dim 2 --p 10 --trials 1": (
+        "cc23240001038ca8e676fbb4b4449321096bf3b973b158a72c49804c16fc3000",
+        "0927ce8ded71d664ed8df6f2be95cdbd0c885d8b51837103fcc56f5d98938e32"),
+}
+
+#: Runs every pinned command at seeds 0 and 7 in one child process and
+#: prints one JSON list of ``[command, seed, exit code, digest]``.
+PIN_SCRIPT = """
+import contextlib, hashlib, io, json, re, sys, tempfile
+from pathlib import Path
+from hlawka.cli import main
+rows = []
+with tempfile.TemporaryDirectory() as tmp:
+    out = Path(tmp) / "r.json"
+    for command in json.loads(sys.argv[1]):
+        for seed in (0, 7):
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main([*command.split(), "--seed", str(seed), "--out", str(out)])
+            text = re.sub(r'"runtimeMs": \\d+', '"runtimeMs": 0', out.read_text())
+            rows.append([command, seed, code, hashlib.sha256(text.encode()).hexdigest()])
+print(json.dumps(rows))
+"""
+
+
+class TestPinnedReports:
+    @pytest.mark.skipif(np.__version__ != "2.4.6", reason="pins recorded under numpy 2.4.6")
+    def test_reports_keep_their_pinned_bytes(self):
+        src = str(Path(hlawka.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src,
+               **dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")}
+        proc = subprocess.run([sys.executable, "-c", PIN_SCRIPT, json.dumps(list(REPORT_PINS))],
+                              env=env, capture_output=True, text=True, timeout=120, check=True)
+        got = {(command, seed): (code, digest)
+               for command, seed, code, digest in json.loads(proc.stdout)}
+        assert got == {(command, seed): (0, pins[i]) for command, pins in REPORT_PINS.items()
+                       for i, seed in enumerate((0, 7))}
+
+
 class TestFormatParity:
     def test_csv_and_json_numeric_content_match(self, tmp_path):
         jpath, cpath = tmp_path / "r.json", tmp_path / "r.csv"

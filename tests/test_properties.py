@@ -8,7 +8,7 @@ from conftest import pd_tuple
 
 from hlawka.linalg import HermitianMatrix, parse_matrix, dump_matrix
 from hlawka.sums import build_difference
-from hlawka.util import derive_seed
+from hlawka.util import derive_seed, derive_seeds
 
 finite_doubles = st.floats(allow_nan=False, allow_infinity=False, width=64)
 
@@ -85,3 +85,24 @@ def test_derive_seed_independent_of_other_draws():
     a = [derive_seed(7, i) for i in range(10)]
     b = [derive_seed(7, i) for i in reversed(range(10))]
     assert a == list(reversed(b))
+
+
+MASK64 = 2**64 - 1
+masters = st.one_of(st.sampled_from([0, MASK64]), st.integers(0, MASK64))
+indices = st.one_of(st.sampled_from([0, 2**40 - 1]), st.integers(0, 2**40 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(master=masters, index=indices, more=st.lists(indices, max_size=6))
+def test_derive_seeds_is_derive_seed_over_arrays(master, index, more):
+    # Both edges of the 64-bit range wrap: uint64 arrays wrap mod 2**64 as
+    # the scalar form's masks do, and numpy scalar arithmetic, which warns
+    # on wraparound, is kept under errstate.
+    got = derive_seeds(master, np.array([index, *more]))
+    assert got.dtype == np.uint64
+    assert got.tolist() == [derive_seed(master, i) for i in (index, *more)]
+    assert int(derive_seeds(master, index)) == derive_seed(master, index)
+    grid = derive_seeds(np.array([master, MASK64 - master], dtype=np.uint64)[:, None],
+                        np.array([index, 0]))
+    assert grid.tolist() == [[derive_seed(m, i) for i in (index, 0)]
+                             for m in (master, MASK64 - master)]

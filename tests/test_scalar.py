@@ -826,7 +826,7 @@ class TestBlockEqualsRows:
         with pytest.raises(InputError, match="points must be finite"):
             _search_margin("popoviciu", rows[[0, 2, 1]], (ABS,)).refuse_first()
         for t in (0, 3):
-            assert got.result(t).margin == oracle_evaluate("popoviciu", rows[t], ABS)[2]
+            assert got.results()[t].margin == oracle_evaluate("popoviciu", rows[t], ABS)[2]
 
 
 class TestLockstepDescents:

@@ -14,7 +14,7 @@ from conftest import input_scale, pd_tuple, stack_of
 
 from hlawka.errors import BudgetError, InputError
 from hlawka import sums
-from hlawka.linalg import HermitianMatrix, Verdict, psd_certificate
+from hlawka.linalg import HermitianMatrix, PdBatchConfig, Verdict, _kron, psd_certificate, random_pd
 from hlawka.sums import FAMILIES, build_difference, symmetric_tensor_sum
 from hlawka.util import derive_seed
 
@@ -312,6 +312,92 @@ class TestSharedProperties:
         mats = [rank1, rank1, HermitianMatrix.identity(2)]
         cert = psd_certificate(build_difference("hlawka3", mats, 3))
         assert cert.ok
+
+
+def standard_word_sum(inputs: np.ndarray, plan: sums._WordPlan, p: int) -> np.ndarray:
+    """The support-set DP with every table in the standard layout, the
+    oldest letter the most significant tensor factor: ``T (x) A_i`` formed
+    as ``np.kron`` orders its products, the same sums in the same order."""
+    _, count, dim, _ = inputs.shape
+    if not plan.steps:
+        return np.zeros((count, dim ** p, dim ** p), dtype=np.complex128)
+
+    def kron_into(out, a, b):
+        n, m = a.shape[-1], b.shape[-1]
+        np.multiply(a[..., :, None, :, None], b[..., None, :, None, :],
+                    out=out.reshape(*out.shape[:-2], n, m, n, m))
+
+    table = np.full((2, count, 1, 1), sums._ABSENT)
+    table[0] = 1
+    for k, step in enumerate(plan.steps):
+        wide = table.shape[-1] * dim
+        absent = k + 1 < len(plan.steps) and plan.steps[k + 1].absent
+        out = np.empty((step.size + absent, count, wide, wide), dtype=np.complex128)
+        if absent:
+            out[-1] = sums._ABSENT
+        for lo, hi, slots in step.classes:
+            for t, (i, a, b) in enumerate(slots):
+                x = table[a] + table[b]
+                if t == 0:
+                    kron_into(out[lo:hi], x, inputs[i])
+                else:
+                    out[lo:hi] += _kron(x, inputs[i])
+        for a, merged in zip(inputs, step.merged):
+            if merged is not None:
+                first, by_weight = merged
+                if first:
+                    kron_into(out[step.size - 1], sums._weighted_sum(table, by_weight), a)
+                else:
+                    out[step.size - 1] += _kron(sums._weighted_sum(table, by_weight), a)
+        table = out
+    total = table[0]
+    if plan.den != 1:
+        total /= plan.den
+    return total
+
+
+#: One table per operator family, and S_2 of symmetric_tensor_sum: (name,
+#: entry, n, levels).
+LAYOUT_TABLES = [
+    *((name, FAMILIES[name], n, levels) for name, n, levels in (
+        ("hlawka3", 3, {}), ("supermod", 3, {}), ("superadd", 3, {}), ("alternating", 4, {}),
+        ("pop-pairs", 4, {}), ("pop-subsets", 4, {"m": 3}),
+        ("pop-levels", 4, {"k": 1, "ell": 2, "m": 3}))),
+    ("symmetric_tensor_sum", sums._TENSOR_SUM, 3, {"k": 2}),
+]
+
+
+class TestStorageLayout:
+    # The DP stores each table with the newest letter as the most
+    # significant factor and reverses the digits once at the end.  The
+    # trap: numpy's SIMD complex multiply is not commutative bit for bit
+    # (u * v and v * u can differ in the last bit), so the stored layout
+    # must keep the table as the first operand of every product, as the
+    # standard layout's T (x) A_i does.
+    @pytest.mark.parametrize("count", [1, 7])
+    @pytest.mark.parametrize("dim, p", [(dim, p) for dim in (1, 2, 3) for p in range(1, 7)
+                                        if dim ** p <= 800])
+    @pytest.mark.parametrize("name, spec, n, levels", LAYOUT_TABLES,
+                             ids=[table[0] for table in LAYOUT_TABLES])
+    def test_bits_match_the_standard_layout(self, name, spec, n, levels, dim, p, count):
+        seeds = tuple(derive_seed(60 + p, i) for i in range(n * count))
+        samples = random_pd(PdBatchConfig(dim, seeds))
+        parts = [samples[i * count:(i + 1) * count] for i in range(n)]
+        got = sums._build(name, spec, parts, p, 4096, levels.get("k"), levels.get("ell"),
+                          levels.get("m")).array
+        inputs = sums._canonical_arrays(parts, keep_first_fixed=spec.supermod)
+        plan = sums._plan(name, spec, n, p, levels.get("k"), levels.get("ell"), levels.get("m"))
+        want = standard_word_sum(inputs, plan, p)
+        assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
+
+    def test_a_stored_product_has_the_standard_products_bits(self):
+        # Entry for entry, a (x) t as stored is t (x) a of the standard
+        # layout with its two digits swapped, the table the first operand.
+        rng = np.random.default_rng(3)
+        t, a = (rng.standard_normal((2, 4, 4)) + 1j * rng.standard_normal((2, 4, 4))
+                for _ in range(2))
+        standard = _kron(t, a).reshape(2, 4, 4, 4, 4).transpose(0, 2, 1, 4, 3)
+        assert sums._lead(t, a).tobytes() == np.ascontiguousarray(standard).tobytes()
 
 
 def exact_subset_route(family: str, mats: list[np.ndarray], p: int, **levels) -> np.ndarray:
