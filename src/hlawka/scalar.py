@@ -131,33 +131,27 @@ class ScalarCheckResult:
 
 @dataclass(frozen=True, eq=False)
 class ScalarCheckResults(ResultStack):
-    """The results of a stack of trials: ``lhs``, ``rhs`` and ``scale`` of
-    every trial and one ``tolerance``; item t is trial t's
+    """The results of a stack of trials: ``lhs``, ``rhs``, ``margin`` and
+    ``scale`` of every trial and one ``tolerance``; item t is trial t's
     :class:`ScalarCheckResult`."""
 
     lhs: np.ndarray
     rhs: np.ndarray
+    margin: np.ndarray
     scale: np.ndarray
     tolerance: float
 
     @property
-    def margin(self) -> np.ndarray:
-        with np.errstate(all="ignore"):  # inf - inf, as float arithmetic gives
-            return self.lhs - self.rhs
-
-    @property
     def code(self) -> np.ndarray:
         """The verdict code (:attr:`~hlawka.linalg.Verdict.code`) of every trial."""
-        margin = self.margin
-        return band_verdicts(margin, np.abs(margin), self.scale, self.tolerance)
+        return band_verdicts(self.margin, np.abs(self.margin), self.scale, self.tolerance)
 
     def __len__(self) -> int:
         return len(self.lhs)
 
     def __getitem__(self, t) -> ScalarCheckResult:
-        lhs, rhs = float(self.lhs[t]), float(self.rhs[t])
-        return ScalarCheckResult(lhs=lhs, rhs=rhs, margin=lhs - rhs, scale=float(self.scale[t]),
-                                 tolerance=self.tolerance)
+        return ScalarCheckResult(*(float(side[t]) for side in (
+            self.lhs, self.rhs, self.margin, self.scale)), tolerance=self.tolerance)
 
 
 _OVERFLOW = "overflow: a term or a side of the inequality exceeds double precision"
@@ -214,7 +208,8 @@ class Margins:
 
     def results(self, tol: float = DEFAULT_SCALAR_TOL) -> ScalarCheckResults:
         """Every row under the first function."""
-        return ScalarCheckResults(self.lhs[:, 0], self.rhs[:, 0], self.scale[:, 0], tol)
+        return ScalarCheckResults(self.lhs[:, 0], self.rhs[:, 0], self.margin[:, 0],
+                                  self.scale[:, 0], tol)
 
 
 def _margins(lhs_terms: np.ndarray, rhs_terms: np.ndarray, overflow=False,

@@ -410,9 +410,9 @@ def _word_sum(inputs: np.ndarray, plan: _WordPlan, p: int) -> np.ndarray:
     # same as one row at a time, for any number of trials.
     # A table is stored with its newest letter as the most significant
     # tensor factor, A_{w_k} (x) ... (x) A_{w_1}, the perfect shuffle of the
-    # standard layout: then each product's innermost loop runs over the
-    # rows of T_k, not over the dim entries of a row of A_i, and every entry
-    # is the same product of the same two factors.  One digit-reversal
+    # standard layout: then each product's innermost loop runs along a row
+    # of T_k (dim^k entries), not along a row of A_i (dim entries), and every
+    # entry is the same product of the same two factors.  One digit-reversal
     # copy at the end gives the standard layout.
     _, count, dim, _ = inputs.shape
     if not plan.steps:

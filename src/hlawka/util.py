@@ -40,14 +40,13 @@ def derive_seeds(master_seeds, indices) -> np.ndarray:
     it.  The arguments must be in range (masters in ``[0, 2**64)``, indices
     in ``[0, 2**64 - 1)``); unsigned array arithmetic wraps modulo 2**64
     exactly as the masks of the scalar form do."""
-    z = np.asarray(master_seeds, dtype=np.uint64)
-    i = np.asarray(indices, dtype=np.uint64)
-    gamma = np.uint64(_SPLITMIX_GAMMA)
+    z = np.asarray(indices, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        z = z + (i + np.uint64(1)) * gamma + gamma
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        return z ^ (z >> np.uint64(31))
+        # master + (index + 1) * gamma, plus splitmix64's own gamma.
+        z = (z + 2) * _SPLITMIX_GAMMA + np.asarray(master_seeds, dtype=np.uint64)
+        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+        return z ^ (z >> 31)
 
 
 def array_digests(stack: np.ndarray) -> tuple[str, ...]:

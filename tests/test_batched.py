@@ -305,10 +305,11 @@ def flipped_check(original):
     def check(family, mats, *args, **kwargs):
         res = original(family, mats, *args, **kwargs)
         many = isinstance(res, ScalarCheckResults)
-        rows = res if many else ScalarCheckResults(
-            *(np.array([getattr(res, side)]) for side in ("lhs", "rhs", "scale")), res.tolerance)
+        rows = res if many else ScalarCheckResults(*(
+            np.array([getattr(res, side)]) for side in ("lhs", "rhs", "margin", "scale")),
+            res.tolerance)
         lhs, rhs = flip_sides(rows.lhs, rows.rhs, [sign_of(d) for d in mats[0].digests])
-        out = ScalarCheckResults(lhs, rhs, rows.scale, rows.tolerance)
+        out = ScalarCheckResults(lhs, rhs, lhs - rhs, rows.scale, rows.tolerance)
         return out if many else out[0]
     return check
 
