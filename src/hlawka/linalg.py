@@ -441,10 +441,19 @@ def random_pd(cfg: PdBatchConfig) -> HermitianStack:
     diag = np.diagonal(r, axis1=-2, axis2=-1).copy()
     diag[diag == 0] = 1.0
     q = q * (diag / np.abs(diag)).conj()[:, None, :]
-    lam = np.geomspace(1.0, cfg.condition_target, d)
-    h = (q * lam) @ q.conj().swapaxes(-1, -2)
+    h = (q * _spectrum(d, cfg.condition_target)) @ q.conj().swapaxes(-1, -2)
     h = (h + h.conj().swapaxes(-1, -2)) / 2.0
     return HermitianStack._wrap_exact(h)
+
+
+@functools.lru_cache(maxsize=64)
+def _spectrum(dim: int, condition_target: float) -> np.ndarray:
+    """The eigenvalues of every sample of :func:`random_pd`: the
+    log-uniform grid on ``[1, condition_target]``, read-only, formed once
+    per setting rather than once per stack."""
+    lam = np.geomspace(1.0, condition_target, dim)
+    lam.flags.writeable = False
+    return lam
 
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx) for one 64-bit

@@ -334,11 +334,11 @@ def oracle_convex(cfg: RunConfig) -> TrialReport:
         trial_seed = derive_seed(cfg.seed, t)
         data = sample_inputs(cfg.family, np.random.default_rng(trial_seed), cfg.n, cfg.dim)
         block = scalar._search_margin(cfg.family, data[np.newaxis], fns)
-        outcomes = [(fn.kind, float(block.lhs[0, j]) - float(block.rhs[0, j]),
-                     ScalarCheckResult(float(block.lhs[0, j]), float(block.rhs[0, j]),
-                                       float(block.lhs[0, j]) - float(block.rhs[0, j]),
-                                       float(block.scale[0, j]), cfg.tol).verdict)
-                    for j, fn in enumerate(fns)]
+        outcomes = []
+        for fn, lhs, rhs, scale in zip(fns, *(side[0].tolist() for side in (
+                block.lhs, block.rhs, block.scale))):
+            result = ScalarCheckResult(lhs, rhs, lhs - rhs, scale, cfg.tol)
+            outcomes.append((fn.kind, result.margin, result.verdict))
         equality += all(verdict is Verdict.EQUALITY for _, _, verdict in outcomes)
         kind, margin, verdict = min(outcomes, key=lambda outcome: outcome[1])
         margins.append(margin)
