@@ -265,7 +265,6 @@ def _sampled_chunks(cfg: RunConfig, trial_bytes: int):
         yield seeds, inputs, [inputs[i * count:(i + 1) * count] for i in range(cfg.n)]
 
 
-@dataclass(frozen=True)
 class _Chunk:
     """The record of one chunk of trials, in trial order.
 
@@ -277,10 +276,11 @@ class _Chunk:
     trial's worst outcome FAILS.
     """
 
-    margin: np.ndarray
-    code: np.ndarray
-    entry: Callable[[int, str | None, float], dict]
-    kinds: tuple = (None,)
+    __slots__ = ("margin", "code", "entry", "kinds")
+
+    def __init__(self, margin: np.ndarray, code: np.ndarray,
+                 entry: Callable[[int, str | None, float], dict], kinds: tuple = (None,)) -> None:
+        self.margin, self.code, self.entry, self.kinds = margin, code, entry, kinds
 
 
 def _matrix_trials(cfg: RunConfig, trial_bytes: int, check, margin_key: str):

@@ -208,10 +208,14 @@ class LoewnerCertificate:
         return self.verdict is not Verdict.FAILS
 
 
+# The result stacks are plain classes: a frozen dataclass costs about a
+# millisecond of import time, which every CLI run pays.
 class ResultStack(Sequence):
     """The results of a stack, one per matrix or trial, held as arrays:
     item i is the single result of entry i, and the whole compares equal to
     any sequence of the same results."""
+
+    __slots__ = ()
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Sequence) and list(self) == list(other)
@@ -219,17 +223,18 @@ class ResultStack(Sequence):
     __hash__ = None
 
 
-@dataclass(frozen=True, eq=False)
 class LoewnerCertificates(ResultStack):
     """The certificates of a stack: ``min_eigenvalue`` and ``scale`` of
     every matrix, one ``tolerance``, and the verdict ``code`` of every
     matrix (:attr:`Verdict.code`); item i is matrix i's
     :class:`LoewnerCertificate`."""
 
-    min_eigenvalue: np.ndarray
-    scale: np.ndarray
-    tolerance: float
-    code: np.ndarray
+    __slots__ = ("min_eigenvalue", "scale", "tolerance", "code")
+
+    def __init__(self, min_eigenvalue: np.ndarray, scale: np.ndarray, tolerance: float,
+                 code: np.ndarray) -> None:
+        self.min_eigenvalue, self.scale, self.tolerance, self.code = (
+            min_eigenvalue, scale, tolerance, code)
 
     def __len__(self) -> int:
         return len(self.code)

@@ -129,17 +129,17 @@ class ScalarCheckResult:
         return self.verdict is not Verdict.FAILS
 
 
-@dataclass(frozen=True, eq=False)
 class ScalarCheckResults(ResultStack):
     """The results of a stack of trials: ``lhs``, ``rhs``, ``margin`` and
     ``scale`` of every trial and one ``tolerance``; item t is trial t's
     :class:`ScalarCheckResult`."""
 
-    lhs: np.ndarray
-    rhs: np.ndarray
-    margin: np.ndarray
-    scale: np.ndarray
-    tolerance: float
+    __slots__ = ("lhs", "rhs", "margin", "scale", "tolerance")
+
+    def __init__(self, lhs: np.ndarray, rhs: np.ndarray, margin: np.ndarray,
+                 scale: np.ndarray, tolerance: float) -> None:
+        self.lhs, self.rhs, self.margin, self.scale, self.tolerance = (
+            lhs, rhs, margin, scale, tolerance)
 
     @property
     def code(self) -> np.ndarray:
