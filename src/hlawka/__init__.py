@@ -23,7 +23,6 @@ from .linalg import (
     HermitianMatrix,
     HermitianStack,
     LoewnerCertificate,
-    PdBatchConfig,
     Verdict,
     hermitian_eigenvalues,
     kron,

@@ -16,17 +16,18 @@ and a completed search exits 0.  Every run starts with one settings pass,
 route reads and the value each takes when unset.
 
 Per-trial seeds derive from (master seed, trial index), so how trials are
-grouped cannot change any reported number; a chunk derives its trial seeds
-and its input seeds as uint64 arrays (:func:`~hlawka.util.derive_seeds`).
-Every route runs its trials in
-chunks stacked on a leading axis, each bit for bit the per-trial result:
-the two operator suites take one sampling call, one build and one
-certification (or one scalar check) per chunk, and the convex/norm suites
-and the search one block evaluation per chunk (the search's descents one
-per round).  A chunk holds as many trials as fit ``CHUNK_BYTES`` in the
-arrays a trial holds at once (the build's working set on ``verify``,
-:func:`~hlawka.scalar.row_bytes` on ``scalar-verify``), and at least one.
-Reports are assembled in trial order.
+grouped cannot change any reported number.  One chunker, :func:`_chunks`,
+splits the trials of every route and derives each chunk's trial seeds as
+one uint64 array (:func:`~hlawka.util.derive_seeds`); a chunk holds as
+many trials as fit ``CHUNK_BYTES`` in the arrays a trial holds at once
+(the build's working set on ``verify``, :func:`~hlawka.scalar.row_bytes`
+elsewhere), and at least one.  Every route runs its chunks stacked on a
+leading axis, each bit for bit the per-trial result: the two operator
+suites take one sampling call (input i of a trial seeded from the trial
+seed and i), one build and one certification (or one scalar check) per
+chunk, and the convex/norm suites and the search one block evaluation per
+chunk (one generator per trial draws its inputs; the search's descents
+one per round).  Reports are assembled in trial order.
 """
 
 from __future__ import annotations
@@ -46,9 +47,9 @@ from .linalg import (
     DEFAULT_LOEWNER_TOL,
     DEFAULT_MAX_TENSOR_DIM,
     HermitianStack,
-    PdBatchConfig,
     Verdict,
     _generators,
+    check_condition_target,
     check_tensor_budget,
     min_eigenvalue,
     psd_certificate,
@@ -58,6 +59,7 @@ from .matfunc import DEFAULT_SCALAR_MATRIX_TOL, parse_character_selector, scalar
 from .report import TrialReport
 from . import scalar
 from .scalar import (
+    CONVEX_KINDS,
     CONVEX_NORM_SUITES,
     DEFAULT_SCALAR_TOL,
     KNOWN_HLAWKA_POP_COUNTEREXAMPLE,
@@ -85,7 +87,7 @@ from .scalar import (
     radu_check,
     vasc_check,
 )
-from .sums import CHUNK_BYTES, FAMILIES, build_difference, working_set
+from .sums import CHUNK_BYTES, FAMILIES, build_difference, check_trial_bytes, working_set
 from .symgroup import check_symmetric_degree
 from .util import derive_seed, derive_seeds
 
@@ -160,8 +162,9 @@ def _settings(cfg: RunConfig, route: str) -> tuple[RunConfig, list[str]]:
     vectors that do not split into n rows (they set ``dim``), an ``n`` or
     ``dim`` set to another value than the given points or the known input
     give, and last, as budget errors, a tensor over ``max_tensor_dim``, a
-    build whose working set exceeds
-    :data:`~hlawka.sums.MAX_WORKING_SET_BYTES` and a group over the guard.
+    trial whose working set (the build's on ``verify``, :func:`_row_bytes`
+    elsewhere) exceeds :data:`~hlawka.sums.MAX_WORKING_SET_BYTES` and a
+    group over the guard.
     """
     families, tol, row = _READS[route]
     if cfg.family not in families:
@@ -191,7 +194,7 @@ def _settings(cfg: RunConfig, route: str) -> tuple[RunConfig, list[str]]:
     if not (math.isfinite(cfg.tol) and cfg.tol >= 0):
         raise InputError(f"tol must be finite and >= 0, got {cfg.tol}")
     if cfg.condition_target is not None:
-        PdBatchConfig(cfg.dim, (), cfg.condition_target)  # the sampler's check of the target
+        check_condition_target(cfg.condition_target)
     if cfg.strategy is not None and cfg.strategy not in SEARCH_STRATEGIES:
         raise InputError(f"unknown strategy {cfg.strategy!r}")
     if cfg.fn is not None and (cfg.fn != "all" or route == "counterexample"):
@@ -233,6 +236,8 @@ def _settings(cfg: RunConfig, route: str) -> tuple[RunConfig, list[str]]:
         check_tensor_budget(cfg.dim, cfg.p, cfg.max_tensor_dim)
     if route == "verify":
         working_set(cfg.family, cfg.n, cfg.p, cfg.dim, k=cfg.k, ell=cfg.ell, m=cfg.m)
+    else:
+        check_trial_bytes(_row_bytes(cfg.family, cfg))
     if cfg.char is not None:
         check_symmetric_degree(cfg.dim)
     return cfg, names
@@ -249,20 +254,22 @@ def _data_digest(data: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(data, dtype=np.float64).tobytes()).hexdigest()
 
 
-def _sampled_chunks(cfg: RunConfig, trial_bytes: int):
-    """Yield ``(trial seeds, all inputs, inputs by position)`` per chunk,
-    the seeds a uint64 array.
-
-    Input ``i`` of trial ``t`` is sampled from ``derive_seed(seed_t, i)``;
-    position ``i`` of every trial of the chunk forms one stack.
-    """
+def _chunks(cfg: RunConfig, trial_bytes: int):
+    """The one chunker: yield ``(first trial, trial seeds)`` per chunk of
+    ``cfg.trials`` trials, the seeds of trials t derived from (seed, t) as
+    a uint64 array, as many as fit ``CHUNK_BYTES`` at ``trial_bytes`` a
+    trial and at least one."""
     size = max(1, CHUNK_BYTES // max(1, trial_bytes))
     for lo in range(0, cfg.trials, size):
-        seeds = derive_seeds(cfg.seed, np.arange(lo, min(cfg.trials, lo + size)))
-        count = len(seeds)
-        inputs = random_pd(PdBatchConfig(cfg.dim, derive_seeds(
-            seeds, np.arange(cfg.n)[:, np.newaxis]).ravel(), cfg.condition_target))
-        yield seeds, inputs, [inputs[i * count:(i + 1) * count] for i in range(cfg.n)]
+        yield lo, derive_seeds(cfg.seed, np.arange(lo, min(cfg.trials, lo + size)))
+
+
+def _row_bytes(suite: str, cfg: RunConfig) -> int:
+    """:func:`~hlawka.scalar.row_bytes` of one trial of ``suite`` under the
+    resolved ``cfg``: of the whole catalog under ``fn`` "all", else of one
+    function."""
+    functions = len(CONVEX_KINDS) if cfg.fn == "all" else 1
+    return row_bytes(suite, cfg.n, cfg.dim, functions, cfg.k, cfg.ell, cfg.m)
 
 
 class _Chunk:
@@ -288,9 +295,14 @@ def _matrix_trials(cfg: RunConfig, trial_bytes: int, check, margin_key: str):
 
     ``trial_bytes`` is about what a trial holds at once, and ``check(inputs,
     parts)`` gives the margin and the verdict code of every trial of a
-    chunk, two arrays.
+    chunk, two arrays.  Input i of trial t is sampled from
+    ``derive_seed(seed_t, i)``, and ``parts[i]`` stacks every trial's.
     """
-    for seeds, inputs, parts in _sampled_chunks(cfg, trial_bytes):
+    for _, seeds in _chunks(cfg, trial_bytes):
+        count = len(seeds)
+        inputs = random_pd(cfg.dim, derive_seeds(seeds, np.arange(cfg.n)[:, np.newaxis]).ravel(),
+                           cfg.condition_target)
+        parts = [inputs[i * count:(i + 1) * count] for i in range(cfg.n)]
         margin, code = check(inputs, parts)
         yield _Chunk(margin[:, np.newaxis], code[:, np.newaxis],
                      lambda t, kind, worst, seeds=seeds, parts=parts: {
@@ -374,31 +386,25 @@ def run_scalar_verify(cfg: RunConfig) -> tuple[TrialReport, int]:
                                           k=cfg.k, ell=cfg.ell, m=cfg.m)
         return results.margin, results.code
 
-    trial_bytes = row_bytes(cfg.family, cfg.n, cfg.dim, 1, cfg.k, cfg.ell, cfg.m)
-    return _run(report, cfg, _matrix_trials(cfg, trial_bytes, check, "margin"))
+    return _run(report, cfg, _matrix_trials(cfg, _row_bytes(cfg.family, cfg), check, "margin"))
 
 
-def _input_chunks(suite: str, cfg: RunConfig, functions: int):
-    """Yield ``(first trial, inputs)`` per chunk of trials, the inputs one
-    ``(T, n)`` or ``(T, n, dim)`` block: ``cfg.points`` as a block of one,
-    else trial t's ``sample_inputs`` drawn from the seed derived from
-    (seed, t), trial 0 being the known refuting input under
-    ``include_known``.  A chunk holds as many trials as the evaluation of
-    ``functions`` convex functions fits in ``CHUNK_BYTES``
-    (:func:`~hlawka.scalar.row_bytes`), and at least one.
+def _input_chunks(suite: str, cfg: RunConfig):
+    """Yield ``(first trial, inputs)`` per chunk of :func:`_chunks`, the
+    inputs one ``(T, n)`` or ``(T, n, dim)`` block: ``cfg.points`` as a
+    block of one, else trial t's ``sample_inputs`` drawn from the generator
+    of its trial seed, trial 0 being the known refuting input under
+    ``include_known``.
     """
-    shape = sample_shape(suite, cfg.n, cfg.dim)
     if cfg.points is not None:
-        yield 0, np.asarray(cfg.points, dtype=np.float64).reshape(1, *shape)
+        yield 0, np.asarray(cfg.points, dtype=np.float64).reshape(
+            1, *sample_shape(suite, cfg.n, cfg.dim))
         return
-    size = max(1, CHUNK_BYTES // row_bytes(suite, cfg.n, cfg.dim, functions,
-                                           cfg.k, cfg.ell, cfg.m))
-    for lo in range(0, cfg.trials, size):
-        trials = np.arange(lo, min(cfg.trials, lo + size))
+    for lo, seeds in _chunks(cfg, _row_bytes(suite, cfg)):
         yield lo, np.array([
             np.asarray(KNOWN_HLAWKA_POP_COUNTEREXAMPLE) if t == 0 and cfg.include_known
             else sample_inputs(suite, rng, cfg.n, cfg.dim, cfg.center, cfg.radius)
-            for t, rng in zip(trials.tolist(), _generators(derive_seeds(cfg.seed, trials)))])
+            for t, rng in enumerate(_generators(seeds), lo)])
 
 
 def _run_convex_norm(cfg: RunConfig, names: list[str]) -> tuple[TrialReport, int]:
@@ -410,7 +416,7 @@ def _run_convex_norm(cfg: RunConfig, names: list[str]) -> tuple[TrialReport, int
     kinds = tuple(fn.kind if fn else None for fn in fns)
 
     def records():
-        for lo, block in _input_chunks(cfg.family, cfg, len(fns)):
+        for lo, block in _input_chunks(cfg.family, cfg):
             # Looked up on the module, so a wrapper bound there sees every block.
             margins = scalar._search_margin(cfg.family, block, fns, k=cfg.k, ell=cfg.ell,
                                             m=cfg.m)
@@ -441,7 +447,7 @@ def counterexample_search(suite: str, cfg: RunConfig, fn: ConvexFunction | None,
     cfg, _ = _settings(cfg, "counterexample")
     descend = cfg.strategy == "coordinate-descent"
     found = []
-    for lo, starts in _input_chunks(suite, cfg, 1):
+    for lo, starts in _input_chunks(suite, cfg):
         for row, inputs, result in search_from(suite, fn, tol, starts, descend):
             found.append({"inputsDigest": _data_digest(np.asarray(inputs)),
                           "margin": result.margin, "seed": derive_seed(cfg.seed, lo + row),

@@ -19,7 +19,6 @@ precision (complex128).
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
 import os
@@ -245,29 +244,6 @@ class LoewnerCertificates(ResultStack):
                                   verdict=VERDICTS[self.code[i]])
 
 
-@dataclass(frozen=True)
-class PdBatchConfig:
-    """Parameters of a stack of positive definite samples: one per seed,
-    otherwise shared.  :func:`random_pd` gives a :class:`HermitianStack`.
-    The seeds are integers in ``[0, 2**64)``, or a one-dimensional uint64
-    array, which holds nothing else."""
-
-    dim: int
-    seeds: tuple[int, ...] | np.ndarray
-    condition_target: float = DEFAULT_CONDITION_TARGET
-
-    def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise InputError("dim must be a positive integer")
-        seeds = self.seeds
-        if not (isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64 and seeds.ndim == 1
-                or all(isinstance(seed, (int, np.integer)) and 0 <= seed < 2**64
-                       for seed in seeds)):
-            raise InputError("seed must be a 64-bit unsigned integer")
-        if not (math.isfinite(self.condition_target) and self.condition_target >= 1.0):
-            raise InputError("condition_target must be finite and >= 1")
-
-
 def _as_array(mat) -> np.ndarray:
     if isinstance(mat, HermitianStack):
         if len(mat) != 1:
@@ -293,6 +269,12 @@ def check_tensor_budget(dim: int, power: int, max_dim: int = DEFAULT_MAX_TENSOR_
             "raise the limit explicitly if this is intended"
         )
     return out
+
+
+def check_condition_target(condition_target: float) -> None:
+    """Refuse a condition target of :func:`random_pd` that is not finite and >= 1."""
+    if not (math.isfinite(condition_target) and condition_target >= 1.0):
+        raise InputError("condition_target must be finite and >= 1")
 
 
 def kron(a, b, max_dim: int = DEFAULT_MAX_TENSOR_DIM) -> np.ndarray:
@@ -423,30 +405,39 @@ def loewner_geq(a: HermitianMatrix, b: HermitianMatrix, tol: float = DEFAULT_LOE
     return psd_certificate(a - b, tol)
 
 
-def random_pd(cfg: PdBatchConfig) -> HermitianStack:
-    """Seeded Hermitian positive definite samples, one per seed, as a
-    :class:`HermitianStack`: ``random_pd(cfg)[k]`` is sample k.
+def random_pd(dim: int, seeds,
+              condition_target: float = DEFAULT_CONDITION_TARGET) -> HermitianStack:
+    """Seeded Hermitian positive definite samples of size ``dim``, one per
+    seed, as a :class:`HermitianStack`: ``random_pd(dim, seeds)[k]`` is
+    sample k.  The seeds are integers in ``[0, 2**64)`` or a
+    one-dimensional uint64 array, which holds nothing else.
 
     Built as ``Q diag(lam) Q*`` where Q comes from the QR factorization of
     a seeded complex Gaussian matrix (columns rephased so R has a positive
     real diagonal, which makes Q canonical) and ``lam`` is the log-uniform
-    grid on ``[1, condition_target]``.  Identical configs give
+    grid on ``[1, condition_target]``.  Identical arguments give
     bit-identical output on the same platform.
 
     Stream contract: sample k draws exactly the stream of the generator
     :func:`_generators` gives for ``seeds[k]``, the real parts of its
     Gaussian matrix then the imaginary parts.
     """
-    d = cfg.dim
-    draws = np.empty((len(cfg.seeds), 2, d, d))
-    for rng, out in zip(_generators(cfg.seeds), draws):
+    if dim < 1:
+        raise InputError("dim must be a positive integer")
+    check_condition_target(condition_target)
+    if not (isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64 and seeds.ndim == 1):
+        if not all(isinstance(seed, (int, np.integer)) and 0 <= seed < 2**64 for seed in seeds):
+            raise InputError("seed must be a 64-bit unsigned integer")
+        seeds = np.array(seeds, dtype=np.uint64)
+    draws = np.empty((len(seeds), 2, dim, dim))
+    for rng, out in zip(_generators(seeds), draws):
         rng.standard_normal(out=out)
     z = draws[:, 0] + 1j * draws[:, 1]
     q, r = np.linalg.qr(z)
     diag = np.diagonal(r, axis1=-2, axis2=-1).copy()
     diag[diag == 0] = 1.0
     q = q * (diag / np.abs(diag)).conj()[:, None, :]
-    h = (q * _spectrum(d, cfg.condition_target)) @ q.conj().swapaxes(-1, -2)
+    h = (q * _spectrum(dim, condition_target)) @ q.conj().swapaxes(-1, -2)
     h = (h + h.conj().swapaxes(-1, -2)) / 2.0
     return HermitianStack._wrap_exact(h)
 
@@ -510,20 +501,14 @@ def _seed_states(seeds) -> np.ndarray:
 _SEED_BLOCK = 512
 
 
-def _generators(seeds):
-    """One generator per seed of ``seeds`` (integers in ``[0, 2**64)``, or a
-    uint64 array), the only place the package builds one: each draws
-    exactly the stream of ``Generator(PCG64(SeedSequence(seed)))``.  The
-    seeds are read lazily, ``_SEED_BLOCK`` at a time (an array in slices),
-    and each block is hashed by one :func:`_seed_states` call."""
+def _generators(seeds: np.ndarray):
+    """One generator per seed of the uint64 array ``seeds``, the only place
+    the package builds one: each draws exactly the stream of
+    ``Generator(PCG64(SeedSequence(seed)))``.  The seeds are hashed
+    ``_SEED_BLOCK`` at a time, one :func:`_seed_states` call a block."""
     preset = _preset_state_type()
-    if isinstance(seeds, np.ndarray):
-        blocks = (seeds[lo:lo + _SEED_BLOCK] for lo in range(0, len(seeds), _SEED_BLOCK))
-    else:
-        seeds = iter(seeds)
-        blocks = iter(lambda: list(itertools.islice(seeds, _SEED_BLOCK)), [])
-    for block in blocks:
-        for state in _seed_states(block):
+    for lo in range(0, len(seeds), _SEED_BLOCK):
+        for state in _seed_states(seeds[lo:lo + _SEED_BLOCK]):
             yield np.random.Generator(np.random.PCG64(preset(state)))
 
 

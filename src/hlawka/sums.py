@@ -396,10 +396,16 @@ def working_set(family: str, n: int, p: int, dim: int, *, k=None, ell=None, m=No
     :class:`BudgetError` if their bytes exceed :data:`MAX_WORKING_SET_BYTES`."""
     plan = _plan(family, operator_family(family), n, p, k, ell, m)
     entries = max(dim ** (2 * p), plan.working_set(dim))
-    if 16 * entries > MAX_WORKING_SET_BYTES:
-        raise BudgetError(f"working set of one trial: {16 * entries} bytes exceeds budget "
-                          f"{MAX_WORKING_SET_BYTES}")
+    check_trial_bytes(16 * entries)
     return entries
+
+
+def check_trial_bytes(nbytes: int) -> None:
+    """Raise :class:`BudgetError` if one trial holding ``nbytes`` at once
+    exceeds :data:`MAX_WORKING_SET_BYTES`."""
+    if nbytes > MAX_WORKING_SET_BYTES:
+        raise BudgetError(f"working set of one trial: {nbytes} bytes exceeds budget "
+                          f"{MAX_WORKING_SET_BYTES}")
 
 
 def _word_sum(inputs: np.ndarray, plan: _WordPlan, p: int) -> np.ndarray:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hlawka.linalg import HermitianMatrix, HermitianStack, PdBatchConfig, random_pd
+from hlawka.linalg import HermitianMatrix, HermitianStack, random_pd
 from hlawka.util import derive_seed
 
 #: Seeds at the edges of the 64-bit range and of numpy's one-word and
@@ -12,7 +12,7 @@ EDGE_SEEDS = (0, 1, 2, 2**32 - 1, 2**32, 2**63, 2**64 - 1)
 def pd_tuple(seed: int, count: int, dim: int, condition_target: float = 10.0):
     """Seeded PD tuple matching the harness's sampling scheme."""
     return [
-        random_pd(PdBatchConfig(dim=dim, seeds=(derive_seed(seed, i),), condition_target=condition_target))[0]
+        random_pd(dim, (derive_seed(seed, i),), condition_target)[0]
         for i in range(count)
     ]
 

@@ -25,7 +25,6 @@ from hlawka.linalg import (
     DEFAULT_MAX_TENSOR_DIM,
     HermitianStack,
     _kron_power,
-    PdBatchConfig,
     Verdict,
     min_eigenvalue,
     kron,
@@ -149,9 +148,9 @@ def count_chunks(monkeypatch) -> list:
     sizes = []
     original = harness.random_pd
 
-    def counting(cfg):
-        sizes.append(len(cfg.seeds))
-        return original(cfg)
+    def counting(dim, seeds, condition_target):
+        sizes.append(len(seeds))
+        return original(dim, seeds, condition_target)
 
     monkeypatch.setattr(harness, "random_pd", counting)
     return sizes
@@ -452,20 +451,20 @@ class TestCliChunking:
 class TestStackedCalls:
     def test_random_pd_stack_matches_single_samples(self):
         seeds = tuple(derive_seed(11, i) for i in range(6))
-        stack = random_pd(PdBatchConfig(dim=3, seeds=seeds, condition_target=50.0))
+        stack = random_pd(3, seeds, 50.0)
         assert (len(stack), stack.dim, stack.array.shape) == (6, 3, (6, 3, 3))
         for i, seed in enumerate(seeds):
-            single = random_pd(PdBatchConfig(dim=3, seeds=(seed,), condition_target=50.0))[0]
+            single = random_pd(3, (seed,), 50.0)[0]
             assert stack[i].array.tobytes() == single.array.tobytes()
             assert stack.digests[i] == single.digest
 
     def test_batch_config_validates_like_the_single_config(self):
         with pytest.raises(InputError):
-            PdBatchConfig(dim=0, seeds=(1,))
+            random_pd(0, (1,))
         with pytest.raises(InputError):
-            PdBatchConfig(dim=2, seeds=(1, -1))
+            random_pd(2, (1, -1))
         with pytest.raises(InputError):
-            PdBatchConfig(dim=2, seeds=(1,), condition_target=0.5)
+            random_pd(2, (1,), 0.5)
 
     def test_certificates_and_eigenvalues_per_matrix(self):
         mats = pd_tuple(4, 5, 3)
@@ -531,17 +530,16 @@ class TestStackedCalls:
         assert str(tensor.value) == str(scalar.value) == message
 
 
-def one_qr_sample(cfg: PdBatchConfig) -> np.ndarray:
+def one_qr_sample(d: int, seed: int, condition_target: float) -> np.ndarray:
     """A log-uniform sample by the one-matrix-at-a-time formula: its own
-    QR, spectrum and products, for the one seed of ``cfg``."""
-    rng = np.random.default_rng(cfg.seeds[0])
-    d = cfg.dim
+    QR, spectrum and products, for one seed."""
+    rng = np.random.default_rng(seed)
     z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     q, r = np.linalg.qr(z)
     diag = np.diagonal(r).copy()
     diag[diag == 0] = 1.0
     q = q * (diag / np.abs(diag)).conj()
-    h = (q * np.geomspace(1.0, cfg.condition_target, d)) @ q.conj().T
+    h = (q * np.geomspace(1.0, condition_target, d)) @ q.conj().T
     return (h + h.conj().T) / 2.0
 
 
@@ -694,11 +692,10 @@ class TestKernelsAgainstNumpyFormulas:
     @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 8])
     def test_random_pd_matches_one_qr_per_matrix(self, dim):
         seeds = EDGE_SEEDS + tuple(derive_seed(dim, i) for i in range(5))
-        stack = random_pd(PdBatchConfig(dim=dim, seeds=seeds, condition_target=100.0))
+        stack = random_pd(dim, seeds, 100.0)
         for i, seed in enumerate(seeds):
-            cfg = PdBatchConfig(dim=dim, seeds=(seed,), condition_target=100.0)
-            expected = one_qr_sample(cfg).tobytes()
-            assert random_pd(cfg)[0].array.tobytes() == expected
+            expected = one_qr_sample(dim, seed, 100.0).tobytes()
+            assert random_pd(dim, (seed,), 100.0)[0].array.tobytes() == expected
             assert stack[i].array.tobytes() == expected
 
     @pytest.mark.parametrize("dim, power", [(1, 5), (2, 1), (2, 4), (3, 3), (4, 2)])

@@ -29,7 +29,7 @@ from hlawka.harness import (
     run_scalar_verify,
     run_verify,
 )
-from hlawka.linalg import PdBatchConfig, random_pd, save_matrix
+from hlawka.linalg import random_pd, save_matrix
 from hlawka.scalar import (
     CONVEX_KINDS,
     CONVEX_NORM_SUITES,
@@ -642,7 +642,7 @@ class TestImmanantCommand:
         assert capsys.readouterr().out.strip() == "2"
 
     def test_seventeen_digit_round_trip(self, tmp_path, capsys):
-        h = random_pd(PdBatchConfig(dim=3, seeds=(123,)))[0]
+        h = random_pd(3, (123,))[0]
         path = tmp_path / "m.json"
         save_matrix(path, h)
         assert main(["immanant", str(path), "det"]) == 0
@@ -857,6 +857,52 @@ class TestRefusedInACappedChild:
         assert (done.returncode, done.stdout) == (3, "")
         assert re.fullmatch(r"budget exceeded: working set of one trial: \d+ bytes exceeds "
                             r"budget 2147483648\n", done.stderr)
+
+    @pytest.mark.parametrize("command", [
+        "scalar-verify --family norm-hlawka --dim 2000000000 --trials 1",
+        "counterexample --family freudenthal --n 4 --dim 2000000000 --trials 1",
+    ])
+    def test_unbounded_vector_row_exits_three_before_any_sample(self, command):
+        # Inputs of 44.7 and 59.6 GiB: numpy's _ArrayMemoryError escaped
+        # cli.main with a traceback and the run exited 1.
+        done = run_capped(command)
+        assert (done.returncode, done.stdout) == (3, "")
+        assert re.fullmatch(r"budget exceeded: working set of one trial: \d+ bytes exceeds "
+                            r"budget 2147483648\n", done.stderr)
+
+
+class TestRowBudget:
+    #: A line of each route sized by scalar.row_bytes, with its bytes a trial.
+    LINES = [
+        ("scalar-verify --family hlawka3 --char det", ("hlawka3", 3, 3, 1)),
+        ("scalar-verify --family norm-hlawka --dim 4", ("norm-hlawka", 3, 4, 1)),
+        ("scalar-verify --family popoviciu", ("popoviciu", 3, None, len(CONVEX_KINDS))),
+        ("counterexample --family freudenthal --n 4", ("freudenthal", 4, 2, 1)),
+    ]
+
+    @pytest.mark.parametrize("line, row", LINES, ids=[line for line, _ in LINES])
+    @pytest.mark.parametrize("spare, code", [(0, 0), (-1, 3)])
+    def test_the_budget_is_inclusive(self, line, row, spare, code, tmp_path, monkeypatch,
+                                     capsys):
+        # The settings pass compares a trial's row bytes with the budget
+        # even at --trials 0; one byte less is refused before any sample.
+        held = scalar.row_bytes(*row)
+        monkeypatch.setattr(sums, "MAX_WORKING_SET_BYTES", held + spare)
+        for trials in ("0", "2"):
+            out = tmp_path / f"r{trials}.json"
+            assert main([*line.split(), "--trials", trials, "--out", str(out)]) == code
+            assert out.exists() == (code == 0)
+        if code:
+            assert capsys.readouterr().err == (
+                f"budget exceeded: working set of one trial: {held} bytes exceeds budget "
+                f"{held - 1}\n" * 2)
+
+    def test_a_bounded_vector_row_still_runs(self, tmp_path):
+        for line in ("scalar-verify --family norm-hlawka --dim 1000 --trials 1",
+                     "counterexample --family freudenthal --n 4 --dim 1000 --trials 1"):
+            out = tmp_path / "r.json"
+            assert main([*line.split(), "--out", str(out)]) == 0
+            assert json.loads(out.read_text())["params"]["dim"] == 1000
 
 
 class TestWorkingSetBudget:

@@ -1,7 +1,6 @@
 """Kronecker algebra, eigenvalue certificates, PD sampling, matrix files."""
 
 import ast
-import itertools
 import math
 import subprocess
 import sys
@@ -18,7 +17,6 @@ from hlawka.errors import BudgetError, InputError
 from hlawka.linalg import (
     HermitianMatrix,
     HermitianStack,
-    PdBatchConfig,
     Verdict,
     _generators,
     _seed_states,
@@ -132,8 +130,8 @@ class TestKron:
             assert np.max(np.abs(got - expected)) < 1e-9 * scale
 
     def test_positivity_closure(self):
-        a = random_pd(PdBatchConfig(dim=3, seeds=(11,)))[0]
-        b = random_pd(PdBatchConfig(dim=2, seeds=(12,)))[0]
+        a = random_pd(3, (11,))[0]
+        b = random_pd(2, (12,))[0]
         assert min_eigenvalue(HermitianMatrix(kron(a, b))) > 0
 
 
@@ -230,8 +228,8 @@ class TestLoewner:
             assert (cert.min_eigenvalue >= -band) == (cert.verdict is not Verdict.FAILS)
 
     def test_superadditivity_of_tensor_powers(self):
-        a = random_pd(PdBatchConfig(dim=2, seeds=(101,)))[0]
-        b = random_pd(PdBatchConfig(dim=2, seeds=(102,)))[0]
+        a = random_pd(2, (101,))[0]
+        b = random_pd(2, (102,))[0]
         for p in range(1, 5):
             lhs = tensor_power(a + b, p)
             rhs = tensor_power(a, p) + tensor_power(b, p)
@@ -274,30 +272,43 @@ class TestBandVerdict:
 class TestRandomPd:
     def test_positive_definite(self):
         for seed in range(20):
-            h = random_pd(PdBatchConfig(dim=4, seeds=(seed,)))[0]
+            h = random_pd(4, (seed,))[0]
             assert min_eigenvalue(h) > 0
 
     def test_bit_identical_for_same_seed(self):
-        cfg = PdBatchConfig(dim=5, seeds=(987654321,), condition_target=50.0)
-        a, b = random_pd(cfg), random_pd(cfg)
+        a, b = random_pd(5, (987654321,), 50.0), random_pd(5, (987654321,), 50.0)
         assert a.array.tobytes() == b.array.tobytes()
 
     def test_condition_number_tracks_target(self):
         for seed in (1, 2, 3, 4, 5):
-            h = random_pd(PdBatchConfig(dim=3, seeds=(seed,), condition_target=100.0))[0]
+            h = random_pd(3, (seed,), 100.0)[0]
             eigs = hermitian_eigenvalues(h)
             ratio = eigs[-1] / eigs[0]
             assert 50.0 <= ratio <= 200.0
 
     def test_config_validation(self):
         with pytest.raises(InputError):
-            PdBatchConfig(dim=0, seeds=(1,))
+            random_pd(0, (1,))
         with pytest.raises(InputError):
-            PdBatchConfig(dim=2, seeds=(1,), condition_target=0.5)
+            random_pd(2, (1,), 0.5)
         with pytest.raises(InputError):
-            PdBatchConfig(dim=2, seeds=(-1,))
+            random_pd(2, (-1,))
         with pytest.raises(InputError):
-            PdBatchConfig(dim=2, seeds=(1.0,))
+            random_pd(2, (1.0,))
+        for target in (math.inf, math.nan):
+            with pytest.raises(InputError, match="condition_target"):
+                random_pd(2, (1,), target)
+        with pytest.raises(InputError, match="seed"):
+            random_pd(2, np.array([1.0, 2.0]))
+
+    def test_every_seed_spelling_gives_one_stack(self, monkeypatch):
+        # Past a hash block boundary, with both ends of the seed range.
+        monkeypatch.setattr(linalg, "_SEED_BLOCK", 4)
+        seeds = EDGE_SEEDS + (3, 2**40)
+        assert len(seeds) > linalg._SEED_BLOCK and {0, 2**64 - 1} <= set(seeds)
+        stacks = [random_pd(3, spelled, 20.0).array.tobytes()
+                  for spelled in (seeds, list(seeds), np.array(seeds, dtype=np.uint64))]
+        assert stacks[0] == stacks[1] == stacks[2]
 
     def test_seed_states_match_numpy_seed_sequence(self):
         seeds = EDGE_SEEDS + tuple(derive_seed(2026, i) for i in range(10_000))
@@ -308,19 +319,10 @@ class TestRandomPd:
         monkeypatch.setattr(linalg, "_SEED_BLOCK", 3)
         seeds = EDGE_SEEDS + (3, 2**40, derive_seed(2026, 0))
         assert len(seeds) == 10 and {0, 2**64 - 1} <= set(seeds)
-        for rng, seed in zip(_generators(iter(seeds)), seeds, strict=True):
+        for rng, seed in zip(_generators(np.array(seeds, dtype=np.uint64)), seeds, strict=True):
             oracle = np.random.default_rng(seed)
             assert rng.standard_normal(5).tobytes() == oracle.standard_normal(5).tobytes()
             assert rng.uniform(-10.0, 10.0, 3).tobytes() == oracle.uniform(-10.0, 10.0, 3).tobytes()
-
-    def test_generators_read_their_seeds_lazily(self):
-        def endless():
-            for seed in itertools.count():
-                assert seed < linalg._SEED_BLOCK, "read past the first block"
-                yield seed
-
-        rng = next(_generators(endless()))
-        assert rng.standard_normal() == np.random.default_rng(0).standard_normal()
 
     def test_only_generators_builds_a_generator(self):
         # Every seeded stream of the package goes through one constructor.
@@ -336,6 +338,29 @@ class TestRandomPd:
         assert [hit for hit in hits if not (hit[0] == "linalg.py" and hit[1] in inside)] == []
         assert hits  # the guard sees the one constructor
 
+    def test_only_chunks_splits_the_trials(self):
+        # One chunker sizes every route's chunks and derives its trial seeds:
+        # no other function of the harness loops over cfg.trials or derives
+        # seeds from cfg.seed.
+        src = Path(hlawka.__file__).resolve().parent
+        tree = ast.parse((src / "harness.py").read_text(encoding="utf-8"))
+
+        def parts(node) -> set[str]:
+            return {ast.unparse(part) for part in ast.walk(node)}
+
+        loops, derivations = set(), set()
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for node in ast.walk(func):
+                loop = isinstance(node, (ast.For, ast.comprehension))
+                if loop and "cfg.trials" in parts(node.iter):
+                    loops.add(func.name)
+                if (isinstance(node, ast.Call) and ast.unparse(node.func) == "derive_seeds"
+                        and node.args and ast.unparse(node.args[0]) == "cfg.seed"):
+                    derivations.add(func.name)
+        assert loops == derivations == {"_chunks"}
+
     def test_importing_the_cli_leaves_numpy_random_to_the_first_sample(self):
         # Importing numpy.random takes 12-35 ms on a 2-vCPU host; only sampling needs it.
         script = (
@@ -344,8 +369,8 @@ class TestRandomPd:
             "before = 'numpy.random' in sys.modules\n"
             "import hlawka.cli\n"
             "after_import = 'numpy.random' in sys.modules\n"
-            "from hlawka.linalg import PdBatchConfig, random_pd\n"
-            "random_pd(PdBatchConfig(dim=2, seeds=(1,)))\n"
+            "from hlawka.linalg import random_pd\n"
+            "random_pd(2, (1,))\n"
             "print(before, after_import, 'numpy.random' in sys.modules)\n"
         )
         src = str(Path(hlawka.__file__).resolve().parents[1])
@@ -370,7 +395,7 @@ class TestMatrixFile:
         assert back.tobytes() == arr.tobytes()
 
     def test_hermitian_round_trip(self, tmp_path):
-        h = random_pd(PdBatchConfig(dim=3, seeds=(77,)))[0]
+        h = random_pd(3, (77,))[0]
         path = tmp_path / "h.json"
         save_matrix(path, h)
         back = load_hermitian(path)

@@ -21,7 +21,7 @@ from hlawka.matfunc import (
     permanent_oracle,
     scalar_inequality_check,
 )
-from hlawka.linalg import HermitianMatrix, HermitianStack, PdBatchConfig, random_pd
+from hlawka.linalg import HermitianMatrix, HermitianStack, random_pd
 from hlawka.scalar import suite_terms
 from hlawka.symgroup import CharacterSpec, GroupSpec, enumerate_group, partitions_of
 
@@ -114,7 +114,7 @@ class TestImmanants:
     def test_psd_inputs_give_nonnegative_reals(self):
         for dim in (3, 4):
             for seed in range(25):
-                x = random_pd(PdBatchConfig(dim=dim, seeds=(seed,), condition_target=30.0))[0]
+                x = random_pd(dim, (seed,), 30.0)[0]
                 for lam in partitions_of(dim):
                     value = generalized_matrix_function(
                         x, GroupSpec.full_symmetric(dim), CharacterSpec.from_partition(lam)

@@ -777,8 +777,9 @@ BLOCK_CASES = [
 
 def chunk_size(suite: str, n: int, dim: int, functions: int, **levels) -> int:
     """The trials of one chunk of the harness's convex/norm route."""
-    cfg = RunConfig(family=suite, n=n, dim=dim, trials=10**6, **levels)
-    return len(next(harness._input_chunks(suite, cfg, functions))[1])
+    cfg = RunConfig(family=suite, n=n, dim=dim, trials=10**6, fn="all" if functions > 1 else None,
+                    **levels)
+    return len(next(harness._input_chunks(suite, cfg))[1])
 
 
 def block_rows(suite: str, count: int, n: int, dim: int, rng) -> np.ndarray:

@@ -14,7 +14,7 @@ from conftest import input_scale, pd_tuple, stack_of
 
 from hlawka.errors import BudgetError, InputError
 from hlawka import sums
-from hlawka.linalg import HermitianMatrix, PdBatchConfig, Verdict, _kron, psd_certificate, random_pd
+from hlawka.linalg import HermitianMatrix, Verdict, _kron, psd_certificate, random_pd
 from hlawka.sums import FAMILIES, build_difference, symmetric_tensor_sum
 from hlawka.util import derive_seed
 
@@ -381,7 +381,7 @@ class TestStorageLayout:
                              ids=[table[0] for table in LAYOUT_TABLES])
     def test_bits_match_the_standard_layout(self, name, spec, n, levels, dim, p, count):
         seeds = tuple(derive_seed(60 + p, i) for i in range(n * count))
-        samples = random_pd(PdBatchConfig(dim, seeds))
+        samples = random_pd(dim, seeds)
         parts = [samples[i * count:(i + 1) * count] for i in range(n)]
         got = sums._build(name, spec, parts, p, 4096, levels.get("k"), levels.get("ell"),
                           levels.get("m")).array
