@@ -3,10 +3,10 @@
 Every ``scalar-verify`` family is one :class:`~hlawka.sums.FamilySpec` of
 :data:`~hlawka.scalar.SUITES`, an operator family (also a ``verify``
 suite) or a convex/norm suite, and the entry sets its flags and exit rule.
-Each runner turns its suite into one record per chunk of trials, a
-:class:`_Chunk` of margin and verdict-code arrays, and :func:`_run`, the
-one trial loop, assembles them into a :class:`~hlawka.report.TrialReport`
-plus a process exit code: 0 for success, 1 when a violation is found in a
+Each runner turns each chunk of trials into one
+:class:`~hlawka.linalg.VerdictRecord`, and :func:`_run`, the one trial
+loop, assembles them into a :class:`~hlawka.report.TrialReport` plus a
+process exit code: 0 for success, 1 when a violation is found in a
 family whose inequality is established (or a refutation is confirmed), 2
 for usage errors, 3 for budget refusals (the latter two are raised as
 exceptions and mapped by the CLI).  ``counterexample`` runs on the same
@@ -36,7 +36,6 @@ import hashlib
 import math
 import re
 import time
-from collections.abc import Callable
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -272,47 +271,29 @@ def _row_bytes(suite: str, cfg: RunConfig) -> int:
     return row_bytes(suite, cfg.n, cfg.dim, functions, cfg.k, cfg.ell, cfg.m)
 
 
-class _Chunk:
-    """The record of one chunk of trials, in trial order.
-
-    ``margin`` and ``code`` are ``(T, F)`` arrays: the margin and the
-    verdict code (:attr:`~hlawka.linalg.Verdict.code`) of every trial of
-    the chunk under each evaluated function, whose kinds are ``kinds``
-    (``None`` on a route that names none).  ``entry(t, kind, margin)`` is
-    the report entry of trial t of the chunk, asked for only when that
-    trial's worst outcome FAILS.
-    """
-
-    __slots__ = ("margin", "code", "entry", "kinds")
-
-    def __init__(self, margin: np.ndarray, code: np.ndarray,
-                 entry: Callable[[int, str | None, float], dict], kinds: tuple = (None,)) -> None:
-        self.margin, self.code, self.entry, self.kinds = margin, code, entry, kinds
-
-
 def _matrix_trials(cfg: RunConfig, trial_bytes: int, check, margin_key: str):
-    """One record per chunk of an operator suite.
+    """The ``(record, entry, kinds)`` of each chunk of an operator suite.
 
     ``trial_bytes`` is about what a trial holds at once, and ``check(inputs,
-    parts)`` gives the margin and the verdict code of every trial of a
-    chunk, two arrays.  Input i of trial t is sampled from
-    ``derive_seed(seed_t, i)``, and ``parts[i]`` stacks every trial's.
+    parts)`` gives the record of every trial of a chunk.  Input i of trial
+    t is sampled from ``derive_seed(seed_t, i)``, and ``parts[i]`` stacks
+    every trial's.
     """
     for _, seeds in _chunks(cfg, trial_bytes):
         count = len(seeds)
         inputs = random_pd(cfg.dim, derive_seeds(seeds, np.arange(cfg.n)[:, np.newaxis]).ravel(),
                            cfg.condition_target)
         parts = [inputs[i * count:(i + 1) * count] for i in range(cfg.n)]
-        margin, code = check(inputs, parts)
-        yield _Chunk(margin[:, np.newaxis], code[:, np.newaxis],
-                     lambda t, kind, worst, seeds=seeds, parts=parts: {
-                         "inputsDigest": _tuple_digest(parts, t), margin_key: worst,
-                         "seed": int(seeds[t])})
+        yield check(inputs, parts), lambda t, kind, worst, seeds=seeds, parts=parts: {
+            "inputsDigest": _tuple_digest(parts, t), margin_key: worst,
+            "seed": int(seeds[t])}, (None,)
 
 
 def _run(report: TrialReport, cfg: RunConfig, records) -> tuple[TrialReport, int]:
     """The one trial loop: fill ``report`` of the resolved ``cfg`` from
-    one :class:`_Chunk` record per chunk of trials.
+    one ``(record, entry, kinds)`` per chunk of trials, in trial order:
+    record column j is the function of kind ``kinds[j]`` (``None`` if
+    unnamed), and ``entry(t, kind, margin)`` is trial t's report entry.
 
     A trial's worst outcome is its first lowest margin over the evaluated
     functions, and ``minMargin`` is the first lowest worst margin of the
@@ -326,16 +307,17 @@ def _run(report: TrialReport, cfg: RunConfig, records) -> tuple[TrialReport, int
     """
     spec, n = SUITES[cfg.family], cfg.n
     start = time.perf_counter()
-    for chunk in records:
-        rows = np.arange(len(chunk.margin))
-        worst = chunk.margin.argmin(axis=1)
-        margin, code = chunk.margin[rows, worst], chunk.code[rows, worst]
-        report.equality_cases += int((chunk.code == Verdict.EQUALITY.code).all(axis=1).sum())
+    for record, entry, kinds in records:
+        margins, codes = record.margin, record.code
+        rows = np.arange(len(margins))
+        worst = margins.argmin(axis=1)
+        margin, code = margins[rows, worst], codes[rows, worst]
+        report.equality_cases += int((codes == Verdict.EQUALITY.code).all(axis=1).sum())
         low = margin[margin.argmin()]
         if report.min_margin is None or low < report.min_margin:
             report.min_margin = float(low)
         for t in np.flatnonzero(code == Verdict.FAILS.code).tolist():
-            report.violations.append(chunk.entry(t, chunk.kinds[worst[t]], float(margin[t])))
+            report.violations.append(entry(t, kinds[worst[t]], float(margin[t])))
     report.interpretation_flags[:0] = spec.notes(n)
     report.runtime_ms = int((time.perf_counter() - start) * 1000)
     binding = spec.status in ("proven", "refuted") or n == spec.proven_at
@@ -365,7 +347,7 @@ def run_verify(cfg: RunConfig) -> tuple[TrialReport, int]:
             cfg.family, parts, cfg.p, cfg.max_tensor_dim, k=cfg.k, ell=cfg.ell, m=cfg.m), cfg.tol)
         if not (min_eigenvalue(inputs) > 1e-12).all() and psd_only not in flags:
             flags.append(psd_only)
-        return certs.min_eigenvalue, certs.code
+        return certs
 
     largest = working_set(cfg.family, cfg.n, cfg.p, cfg.dim, k=cfg.k, ell=cfg.ell, m=cfg.m)
     trial_bytes = 16 * max(largest, cfg.n * cfg.dim * cfg.dim)  # complex128 entries
@@ -382,9 +364,8 @@ def run_scalar_verify(cfg: RunConfig) -> tuple[TrialReport, int]:
     report = _report(cfg, names, f"{cfg.family}[{cfg.char}]")
 
     def check(inputs, parts):
-        results = scalar_inequality_check(cfg.family, parts, group, chi, cfg.tol,
-                                          k=cfg.k, ell=cfg.ell, m=cfg.m)
-        return results.margin, results.code
+        return scalar_inequality_check(cfg.family, parts, group, chi, cfg.tol,
+                                       k=cfg.k, ell=cfg.ell, m=cfg.m)
 
     return _run(report, cfg, _matrix_trials(cfg, _row_bytes(cfg.family, cfg), check, "margin"))
 
@@ -418,15 +399,14 @@ def _run_convex_norm(cfg: RunConfig, names: list[str]) -> tuple[TrialReport, int
     def records():
         for lo, block in _input_chunks(cfg.family, cfg):
             # Looked up on the module, so a wrapper bound there sees every block.
-            margins = scalar._search_margin(cfg.family, block, fns, k=cfg.k, ell=cfg.ell,
-                                            m=cfg.m)
-            margins.refuse_first()
-            yield _Chunk(margins.margin, margins.verdicts(cfg.tol),
-                         lambda t, kind, worst, lo=lo, block=block: {
-                             "inputsDigest": _data_digest(block[t]), "margin": worst,
-                             "seed": derive_seed(cfg.seed, lo + t),
-                             "inputs": [float(x) for x in block[t].ravel()],
-                             **({"fn": kind} if kind else {})}, kinds)
+            record = scalar._search_margin(cfg.family, block, fns, cfg.tol, k=cfg.k,
+                                           ell=cfg.ell, m=cfg.m)
+            record.refuse_first()
+            yield record, lambda t, kind, worst, lo=lo, block=block: {
+                "inputsDigest": _data_digest(block[t]), "margin": worst,
+                "seed": derive_seed(cfg.seed, lo + t),
+                "inputs": [float(x) for x in block[t].ravel()],
+                **({"fn": kind} if kind else {})}, kinds
 
     return _run(_report(cfg, names, cfg.family), cfg, records())
 

@@ -207,43 +207,6 @@ class LoewnerCertificate:
         return self.verdict is not Verdict.FAILS
 
 
-# The result stacks are plain classes: a frozen dataclass costs about a
-# millisecond of import time, which every CLI run pays.
-class ResultStack(Sequence):
-    """The results of a stack, one per matrix or trial, held as arrays:
-    item i is the single result of entry i, and the whole compares equal to
-    any sequence of the same results."""
-
-    __slots__ = ()
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Sequence) and list(self) == list(other)
-
-    __hash__ = None
-
-
-class LoewnerCertificates(ResultStack):
-    """The certificates of a stack: ``min_eigenvalue`` and ``scale`` of
-    every matrix, one ``tolerance``, and the verdict ``code`` of every
-    matrix (:attr:`Verdict.code`); item i is matrix i's
-    :class:`LoewnerCertificate`."""
-
-    __slots__ = ("min_eigenvalue", "scale", "tolerance", "code")
-
-    def __init__(self, min_eigenvalue: np.ndarray, scale: np.ndarray, tolerance: float,
-                 code: np.ndarray) -> None:
-        self.min_eigenvalue, self.scale, self.tolerance, self.code = (
-            min_eigenvalue, scale, tolerance, code)
-
-    def __len__(self) -> int:
-        return len(self.code)
-
-    def __getitem__(self, i) -> LoewnerCertificate:
-        return LoewnerCertificate(min_eigenvalue=float(self.min_eigenvalue[i]),
-                                  scale=float(self.scale[i]), tolerance=self.tolerance,
-                                  verdict=VERDICTS[self.code[i]])
-
-
 def _as_array(mat) -> np.ndarray:
     if isinstance(mat, HermitianStack):
         if len(mat) != 1:
@@ -380,6 +343,63 @@ def band_verdict(lo: float, largest: float, scale: float, tol: float) -> Verdict
     return VERDICTS[int(band_verdicts(lo, largest, scale, tol))]
 
 
+# A plain class: a frozen dataclass costs about a millisecond of import
+# time, which every CLI run pays.
+class VerdictRecord(Sequence):
+    """The one record of verdicts: ``margin`` and ``scale`` as ``(T, F)``
+    arrays over rows (matrices or trials) and the functions evaluated (F = 1
+    on the operator routes), one ``tolerance``, the message of each refused
+    row in ``refusals``, and ``code``, their :func:`band_verdicts` codes
+    with ``largest`` the largest absolute difference (``|margin|`` unless
+    given), formed when first read: the lockstep descents read only margins.
+    Its item views, :class:`LoewnerCertificates` and
+    :class:`~hlawka.scalar.ScalarCheckResults`, make item t row t's single
+    result under the first function; a record equals any sequence of them.
+    """
+
+    __slots__ = ("margin", "scale", "tolerance", "refusals", "_largest", "_code")
+
+    def __init__(self, margin: np.ndarray, scale: np.ndarray, tolerance: float,
+                 refusals: dict[int, str] | None = None, largest: np.ndarray | None = None) -> None:
+        self.margin, self.scale, self.tolerance = margin, scale, tolerance
+        self.refusals = refusals or {}
+        self._largest, self._code = largest, None
+
+    @property
+    def code(self) -> np.ndarray:
+        if self._code is None:
+            largest = np.abs(self.margin) if self._largest is None else self._largest
+            self._code = band_verdicts(self.margin, largest, self.scale, self.tolerance)
+        return self._code
+
+    def refuse_first(self) -> None:
+        """Raise the refusal of the first refused row, as rows evaluated one
+        after another would."""
+        if self.refusals:
+            raise InputError(self.refusals[min(self.refusals)])
+
+    def __len__(self) -> int:
+        return len(self.margin)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Sequence) and list(self) == list(other)
+
+    __hash__ = None
+
+
+class LoewnerCertificates(VerdictRecord):
+    """The record of :func:`psd_certificate` on a stack, whose ``margin``
+    is each matrix's smallest eigenvalue; item i is matrix i's
+    :class:`LoewnerCertificate`."""
+
+    __slots__ = ()
+
+    def __getitem__(self, i) -> LoewnerCertificate:
+        return LoewnerCertificate(min_eigenvalue=float(self.margin[i, 0]),
+                                  scale=float(self.scale[i, 0]), tolerance=self.tolerance,
+                                  verdict=VERDICTS[self.code[i, 0]])
+
+
 def psd_certificate(mat: HermitianStack, tol: float = DEFAULT_LOEWNER_TOL):
     """Certify ``mat >= 0`` in the Loewner order: one
     :class:`LoewnerCertificate` for a matrix, the
@@ -394,9 +414,9 @@ def psd_certificate(mat: HermitianStack, tol: float = DEFAULT_LOEWNER_TOL):
     if not np.isfinite(scales).all():
         raise InputError("overflow: the matrix to certify exceeds double precision")
     eigs = np.linalg.eigvalsh(arr)
-    lo = eigs[:, 0]
-    codes = band_verdicts(lo, np.abs(eigs).max(axis=1), scales, tol)
-    return _single_or_all(mat, LoewnerCertificates(lo, scales, tol, codes))
+    return _single_or_all(mat, LoewnerCertificates(
+        eigs[:, :1], scales[:, np.newaxis], tol,
+        largest=np.abs(eigs).max(axis=1, keepdims=True)))
 
 
 def loewner_geq(a: HermitianMatrix, b: HermitianMatrix, tol: float = DEFAULT_LOEWNER_TOL) -> LoewnerCertificate:

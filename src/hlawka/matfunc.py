@@ -345,9 +345,9 @@ def scalar_inequality_check(
         values = generalized_matrix_function(HermitianStack._wrap_exact(sums), group, chi)
         return values.real.reshape(sums.shape[:2])[:, np.newaxis]
 
-    margins = _margins(*_terms(family, data, image, k, ell, m))
-    margins.refuse_first()
-    return _single_or_all(hs[0], margins.results(tol))
+    results = _margins(*_terms(family, data, image, k, ell, m), tol)
+    results.refuse_first()
+    return _single_or_all(hs[0], results)
 
 
 def parse_character_selector(selector: str, dim: int) -> tuple[GroupSpec, CharacterSpec]:

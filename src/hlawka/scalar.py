@@ -21,13 +21,16 @@ generalized matrix functions of :mod:`hlawka.matfunc`.
 
 The evaluator, :func:`_search_margin`, takes a block of inputs, ``(T, n)``
 points or ``(T, n, dim)`` vectors, and evaluates every row under every
-given convex function at once.  The public evaluators are blocks of one,
+given convex function at once, into one
+:class:`~hlawka.linalg.VerdictRecord`, its :class:`ScalarCheckResults`
+view.  The public evaluators are blocks of one, item 0 of the record,
 and the search runs the coordinate descents of a block in lockstep, one
-block per round.  Each row is canonically sorted first, so permuting its
-inputs cannot change a single bit of the result; each subset's sum or
-mean is formed once for every function; and each side is summed with
-``math.fsum``, so algebraically equal expressions agree exactly.  Every
-row gets the bits of the one-input formula :func:`_search_margin` states.
+block per round, reading only margins.  Each row is canonically sorted
+first, so permuting its inputs cannot change a single bit of the result;
+each subset's sum or mean is formed once for every function; and each
+side is summed with ``math.fsum``, so algebraically equal expressions
+agree exactly.  Every row gets the bits of the one-input formula
+:func:`_search_margin` states.
 """
 
 from __future__ import annotations
@@ -35,13 +38,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import groupby
+from itertools import combinations, groupby
 from math import fsum
 
 import numpy as np
 
 from .errors import InputError
-from .linalg import ResultStack, Verdict, band_verdict, band_verdicts
+from .linalg import Verdict, VerdictRecord, band_verdict
 from .sums import FAMILIES, FamilySpec, Level, checked_sides
 from .sums import _alternating, _level, _pop_subsets
 
@@ -129,28 +132,20 @@ class ScalarCheckResult:
         return self.verdict is not Verdict.FAILS
 
 
-class ScalarCheckResults(ResultStack):
-    """The results of a stack of trials: ``lhs``, ``rhs``, ``margin`` and
-    ``scale`` of every trial and one ``tolerance``; item t is trial t's
-    :class:`ScalarCheckResult`."""
+class ScalarCheckResults(VerdictRecord):
+    """The record of a block of trials, which adds each side, ``lhs`` and
+    ``rhs``, as ``(T, F)`` arrays beside the margin; item t is trial t's
+    :class:`ScalarCheckResult` under the first function."""
 
-    __slots__ = ("lhs", "rhs", "margin", "scale", "tolerance")
+    __slots__ = ("lhs", "rhs")
 
     def __init__(self, lhs: np.ndarray, rhs: np.ndarray, margin: np.ndarray,
-                 scale: np.ndarray, tolerance: float) -> None:
-        self.lhs, self.rhs, self.margin, self.scale, self.tolerance = (
-            lhs, rhs, margin, scale, tolerance)
-
-    @property
-    def code(self) -> np.ndarray:
-        """The verdict code (:attr:`~hlawka.linalg.Verdict.code`) of every trial."""
-        return band_verdicts(self.margin, np.abs(self.margin), self.scale, self.tolerance)
-
-    def __len__(self) -> int:
-        return len(self.lhs)
+                 scale: np.ndarray, tolerance: float, refusals: dict[int, str] | None = None) -> None:
+        super().__init__(margin, scale, tolerance, refusals)
+        self.lhs, self.rhs = lhs, rhs
 
     def __getitem__(self, t) -> ScalarCheckResult:
-        return ScalarCheckResult(*(float(side[t]) for side in (
+        return ScalarCheckResult(*(float(side[t, 0]) for side in (
             self.lhs, self.rhs, self.margin, self.scale)), tolerance=self.tolerance)
 
 
@@ -178,55 +173,24 @@ def _fsum_or_nan(terms: list) -> float:
         return math.nan
 
 
-@dataclass(frozen=True)
-class Margins:
-    """A block's evaluation: each side, and the scale ``max(1, sum of the
-    absolute terms)``, as ``(T, F)`` arrays over its rows and functions, and
-    the refusal message of each refused row."""
-
-    lhs: np.ndarray
-    rhs: np.ndarray
-    scale: np.ndarray
-    refusals: dict[int, str]
-
-    @property
-    def margin(self) -> np.ndarray:
-        with np.errstate(all="ignore"):  # inf - inf in a refused row
-            return self.lhs - self.rhs
-
-    def refuse_first(self) -> None:
-        """Raise the refusal of the first refused row, as rows evaluated one
-        after another would."""
-        if self.refusals:
-            raise InputError(self.refusals[min(self.refusals)])
-
-    def verdicts(self, tol: float) -> np.ndarray:
-        """The :func:`~hlawka.linalg.band_verdicts` code of every row and
-        function, a ``(T, F)`` array."""
-        margin = self.margin
-        return band_verdicts(margin, np.abs(margin), self.scale, tol)
-
-    def results(self, tol: float = DEFAULT_SCALAR_TOL) -> ScalarCheckResults:
-        """Every row under the first function."""
-        return ScalarCheckResults(self.lhs[:, 0], self.rhs[:, 0], self.margin[:, 0],
-                                  self.scale[:, 0], tol)
-
-
-def _margins(lhs_terms: np.ndarray, rhs_terms: np.ndarray, overflow=False,
-             refused: dict[int, str] | None = None) -> Margins:
-    """The :class:`Margins` of ``(T, F, L)`` and ``(T, F, R)`` terms, each
-    side an ``fsum`` of its terms in order.  A row is refused with the
-    message ``refused`` gives it, or as an overflow where ``overflow`` marks
-    it or where a side, margin or scale of one of its functions is not
-    finite: a sum ``fsum`` refuses is NaN, and so is ``max(1, NaN)`` here,
-    while a NaN term shows in the margin."""
+def _margins(lhs_terms: np.ndarray, rhs_terms: np.ndarray, overflow, tol: float,
+             refused: dict[int, str] | None = None) -> ScalarCheckResults:
+    """The record of ``(T, F, L)`` and ``(T, F, R)`` terms under ``tol``,
+    each side an ``fsum`` of its terms in order and the scale ``max(1, sum
+    of the absolute terms)``.  A row is refused with the message
+    ``refused`` gives it, or as an overflow where ``overflow`` marks it or
+    where a side, margin or scale of one of its functions is not finite: a
+    sum ``fsum`` refuses is NaN, and so is ``max(1, NaN)`` here, while a NaN
+    term shows in the margin."""
     lhs, rhs, lhs_abs, rhs_abs = _fsums(lhs_terms, rhs_terms, np.abs(lhs_terms),
                                         np.abs(rhs_terms))
-    with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):  # inf - inf in a refused row
+        margin = lhs - rhs
         scale = np.maximum(1.0, lhs_abs + rhs_abs)
-        bad = overflow | ~(np.isfinite(lhs - rhs) & np.isfinite(scale)).all(axis=1)
+        bad = overflow | ~(np.isfinite(margin) & np.isfinite(scale)).all(axis=1)
     overflowed = np.flatnonzero(bad).tolist() if bad.any() else []
-    return Margins(lhs, rhs, scale, {**dict.fromkeys(overflowed, _OVERFLOW), **(refused or {})})
+    return ScalarCheckResults(lhs, rhs, margin, scale, tol,
+                              {**dict.fromkeys(overflowed, _OVERFLOW), **(refused or {})})
 
 
 def _like(family: str, term: str, status: str = "proven", **kwargs) -> FamilySpec:
@@ -322,11 +286,23 @@ def _plan(suite: str, n: int, k=None, ell=None, m=None) -> tuple:
 
 def _canonical(data: np.ndarray) -> np.ndarray:
     """Each row's inputs sorted: points ascending, vectors lexicographically,
-    ties in input order, as Python's ``sorted`` orders them."""
+    ties in input order, as Python's ``sorted`` orders them.
+
+    A vector's place is the count of vectors before it: each pair of a row
+    is compared at the first coordinate where they differ, so the sort
+    holds one ``(T, dim)`` mask at a time, a small part of the row."""
     if data.ndim == 2:
         return np.sort(data, axis=1, kind="stable")
-    order = np.lexsort(np.moveaxis(data[..., ::-1], -1, 0), axis=-1)
-    return np.take_along_axis(data, order[..., np.newaxis], axis=1)
+    rows = np.arange(len(data))
+    place = np.zeros(data.shape[:2], dtype=np.intp)
+    for i, j in combinations(range(data.shape[1]), 2):
+        first = (data[:, i] != data[:, j]).argmax(axis=1)  # 0 where the two are equal
+        j_first = data[rows, j, first] < data[rows, i, first]
+        place[:, i] += j_first
+        place[:, j] += ~j_first
+    out = np.empty_like(data)
+    np.put_along_axis(out, place[..., np.newaxis], data, axis=1)
+    return out
 
 
 def row_bytes(suite: str, n: int, dim: int | None, functions: int, k=None, ell=None,
@@ -344,13 +320,14 @@ def row_bytes(suite: str, n: int, dim: int | None, functions: int, k=None, ell=N
     return 64 * functions * (terms + n) + 16 * terms * width
 
 
-def _search_margin(suite: str, data: np.ndarray, fns=(None,), *, k=None, ell=None,
-                   m=None) -> Margins:
-    """The convex/norm suite on every row of ``data``, ``(T, n)`` points or
-    ``(T, n, dim)`` vectors, under every function of ``fns`` (``(None,)``
-    under the ``norm`` rule, which reads none).  The one evaluator: every
-    trial, search point and public evaluator goes through this name, which
-    the benchmark's tracer times as ``scalar.evaluator``.
+def _search_margin(suite: str, data: np.ndarray, fns=(None,), tol: float = DEFAULT_SCALAR_TOL,
+                   *, k=None, ell=None, m=None) -> ScalarCheckResults:
+    """The record of the convex/norm suite on every row of ``data``,
+    ``(T, n)`` points or ``(T, n, dim)`` vectors, under every function of
+    ``fns`` (``(None,)`` under the ``norm`` rule, which reads none) and
+    ``tol``.  The one evaluator: every trial, search point and public
+    evaluator goes through this name, which the benchmark's tracer times as
+    ``scalar.evaluator``.
 
     Row by row it evaluates the one-input formula on the canonically sorted
     inputs, where a level of weight w and a subset S give one term:
@@ -376,7 +353,7 @@ def _search_margin(suite: str, data: np.ndarray, fns=(None,), *, k=None, ell=Non
         refused = dict.fromkeys(np.flatnonzero(~finite).tolist(), message)
         data = np.where(finite.reshape(-1, *[1] * (data.ndim - 1)), data, 0.0)
     image = partial(_convex_norm_image, SUITES[suite].term, fns)
-    return _margins(*_terms(suite, _canonical(data), image, k, ell, m), refused)
+    return _margins(*_terms(suite, _canonical(data), image, k, ell, m), tol, refused)
 
 
 def _convex_norm_image(term: str, fns, values: np.ndarray) -> np.ndarray:
@@ -447,9 +424,9 @@ def _one(suite: str, data, f: ConvexFunction | None = None, **levels) -> ScalarC
         arr = arr[:, np.newaxis]
     elif arr.ndim != 2:
         raise InputError("expected a list of equal-length real vectors")
-    margins = _search_margin(suite, arr[np.newaxis], (f,), **levels)
-    margins.refuse_first()
-    return margins.results()[0]
+    results = _search_margin(suite, arr[np.newaxis], (f,), **levels)
+    results.refuse_first()
+    return results[0]
 
 
 # ---------------------------------------------------------------------------
@@ -602,13 +579,13 @@ def search_from(suite: str, fn: ConvexFunction | None, tol: float, starts: np.nd
     first one's message first.
     """
     points = _lockstep(suite, fn, starts) if descend else starts
-    block = _search_margin(suite, points, (fn,))
+    block = _search_margin(suite, points, (fn,), tol)
     block.refuse_first()
-    hits = np.flatnonzero(block.verdicts(tol)[:, 0] == Verdict.FAILS.code)
+    hits = np.flatnonzero(block.code[:, 0] == Verdict.FAILS.code)
     if not len(hits):
         return []
     # Fresh evaluation of the exact values we are about to report.
     inputs = points[hits].tolist()
-    results = _search_margin(suite, np.array(inputs), (fn,)).results(tol)
+    results = _search_margin(suite, np.array(inputs), (fn,), tol)
     return [(int(hits[i]), inputs[i], results[i])
-            for i in np.flatnonzero(results.code == Verdict.FAILS.code).tolist()]
+            for i in np.flatnonzero(results.code[:, 0] == Verdict.FAILS.code).tolist()]

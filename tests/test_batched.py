@@ -305,7 +305,7 @@ def flipped_check(original):
         res = original(family, mats, *args, **kwargs)
         many = isinstance(res, ScalarCheckResults)
         rows = res if many else ScalarCheckResults(*(
-            np.array([getattr(res, side)]) for side in ("lhs", "rhs", "margin", "scale")),
+            np.array([[getattr(res, side)]]) for side in ("lhs", "rhs", "margin", "scale")),
             res.tolerance)
         lhs, rhs = flip_sides(rows.lhs, rows.rhs, [sign_of(d) for d in mats[0].digests])
         out = ScalarCheckResults(lhs, rhs, lhs - rhs, rows.scale, rows.tolerance)
@@ -316,10 +316,11 @@ def flipped_check(original):
 def flipped_search_margin(original):
     """The evaluator with each row's sides flipped by the sign of its data."""
     def evaluate(suite, data, *args, **kwargs):
-        margins = original(suite, data, *args, **kwargs)
-        lhs, rhs = flip_sides(margins.lhs, margins.rhs,
+        record = original(suite, data, *args, **kwargs)
+        lhs, rhs = flip_sides(record.lhs, record.rhs,
                               [sign_of(harness._data_digest(row)) for row in data])
-        return dataclasses.replace(margins, lhs=lhs, rhs=rhs)
+        return ScalarCheckResults(lhs, rhs, lhs - rhs, record.scale, record.tolerance,
+                                  record.refusals)
     return evaluate
 
 

@@ -870,6 +870,13 @@ class TestRefusedInACappedChild:
         assert re.fullmatch(r"budget exceeded: working set of one trial: \d+ bytes exceeds "
                             r"budget 2147483648\n", done.stderr)
 
+    def test_a_large_vector_row_within_its_budget_runs(self):
+        # The vectors of a row were sorted by np.lexsort over dim keys,
+        # about 25 times what scalar.row_bytes counts: this line raised
+        # MemoryError under the cap and exited 1 with a traceback.
+        done = run_capped("scalar-verify --family norm-hlawka --dim 1000000 --trials 1")
+        assert (done.returncode, done.stderr) == (0, "")
+
 
 class TestRowBudget:
     #: A line of each route sized by scalar.row_bytes, with its bytes a trial.

@@ -361,6 +361,31 @@ class TestRandomPd:
                     derivations.add(func.name)
         assert loops == derivations == {"_chunks"}
 
+    def test_one_record_judges_every_verdict(self):
+        # Every verdict goes through one record: only its code property and
+        # band_verdict, the one-value form, call band_verdicts, and the record
+        # is the one Sequence of the modules that held four of them.
+        src = Path(hlawka.__file__).resolve().parent
+        callers, sequences = set(), set()
+
+        def visit(node, scope: str, module: str) -> None:
+            for child in ast.iter_child_nodes(node):
+                inner = scope
+                if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                    inner = f"{scope}.{child.name}" if scope else child.name
+                if isinstance(child, ast.ClassDef) and module in ("linalg", "scalar", "harness"):
+                    if any(ast.unparse(base).split(".")[-1] == "Sequence" for base in child.bases):
+                        sequences.add(f"{module}.{child.name}")
+                if (isinstance(child, ast.Call)
+                        and ast.unparse(child.func).split(".")[-1] == "band_verdicts"):
+                    callers.add(f"{module}.{scope}")
+                visit(child, inner, module)
+
+        for path in sorted(src.glob("*.py")):
+            visit(ast.parse(path.read_text(encoding="utf-8")), "", path.stem)
+        assert callers == {"linalg.VerdictRecord.code", "linalg.band_verdict"}
+        assert sequences == {"linalg.VerdictRecord"}
+
     def test_importing_the_cli_leaves_numpy_random_to_the_first_sample(self):
         # Importing numpy.random takes 12-35 ms on a 2-vCPU host; only sampling needs it.
         script = (

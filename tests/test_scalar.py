@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction
 from functools import partial, reduce
 from itertools import combinations, permutations
@@ -12,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hlawka import harness, scalar
+from hlawka import harness, linalg, scalar
+from hlawka.cli import main
 from hlawka.errors import InputError
 from hlawka.harness import RunConfig, counterexample_search, run_counterexample, run_scalar_verify
 from hlawka.linalg import Verdict, band_verdict
@@ -355,6 +357,34 @@ class TestPermutationInvariance:
         base = radu_check(vs, 2).margin
         for perm in permutations(range(4)):
             assert radu_check([vs[i] for i in perm], 2).margin == base
+
+
+#: Coordinates from few values, so that rows repeat vectors, tie in their
+#: leading coordinates and hold both 0.0 and -0.0.
+COORDINATES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, -1e-300, 1e300])
+
+
+class TestCanonicalSort:
+    @settings(max_examples=300, deadline=None)
+    @given(st.tuples(st.integers(1, 3), st.integers(1, 6), st.integers(1, 4)).flatmap(
+        lambda shape: st.lists(COORDINATES, min_size=math.prod(shape),
+                               max_size=math.prod(shape)).map(
+            lambda flat: np.array(flat).reshape(shape))))
+    def test_vectors_come_in_sorted_order_bit_for_bit(self, block):
+        got = _canonical(block)
+        for row, data in zip(got, block):
+            assert row.tobytes() == np.array(sorted(data.tolist())).tobytes()
+
+    def test_sorting_one_vector_row_holds_no_more_than_its_row_bytes(self):
+        # Sorting by np.lexsort over dim keys peaked at 277.6 MB here.
+        data = np.random.default_rng(3).standard_normal((1, 3, 10**5))
+        tracemalloc.start()
+        try:
+            _canonical(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= scalar.row_bytes("norm-hlawka", 3, 10**5, 1)
 
 
 def search(family: str, tol: float = DEFAULT_SCALAR_TOL, **cfg) -> list[dict]:
@@ -827,7 +857,7 @@ class TestBlockEqualsRows:
         with pytest.raises(InputError, match="points must be finite"):
             _search_margin("popoviciu", rows[[0, 2, 1]], (ABS,)).refuse_first()
         for t in (0, 3):
-            assert got.results()[t].margin == oracle_evaluate("popoviciu", rows[t], ABS)[2]
+            assert got[t].margin == oracle_evaluate("popoviciu", rows[t], ABS)[2]
 
 
 class TestLockstepDescents:
@@ -848,6 +878,25 @@ class TestLockstepDescents:
             config = RunConfig(family=suite, strategy=strategy, **cfg)
             assert counterexample_search(suite, config, fn, 1e-12) == oracle_search(
                 suite, config, fn, 1e-12)
+
+    def test_the_descent_computes_no_codes_it_does_not_read(self, tmp_path, monkeypatch):
+        # A record forms its codes when first read, and the lockstep rounds
+        # read only margins: a chunk computes two, those of search_from's
+        # block and of its fresh re-check.
+        def counted(module, name: str) -> list:
+            calls, original = [], getattr(module, name)
+            monkeypatch.setattr(module, name,
+                                lambda *a, **kw: calls.append(1) or original(*a, **kw))
+            return calls
+
+        codes = counted(linalg, "band_verdicts")
+        evaluations = counted(scalar, "_search_margin")
+        chunks = counted(harness, "search_from")
+        out = tmp_path / "r.json"
+        assert main(["counterexample", "--family", "hlawka-pop", "--n", "4", "--strategy",
+                     "coordinate-descent", "--trials", "50", "--out", str(out)]) == 0
+        assert len(evaluations) > 2 * len(chunks) > 0
+        assert len(codes) <= 2 * len(chunks)
 
     def test_descended_points_equal_the_sequential_descents(self):
         rng = np.random.default_rng(5)
