@@ -66,6 +66,7 @@ from .scalar import (
     SEARCH_STRATEGIES,
     SUITES,
     ConvexFunction,
+    check_descent_bytes,
     convex_catalog,
     row_bytes,
     sample_inputs,
@@ -162,8 +163,9 @@ def _settings(cfg: RunConfig, route: str) -> tuple[RunConfig, list[str]]:
     ``dim`` set to another value than the given points or the known input
     give, and last, as budget errors, a tensor over ``max_tensor_dim``, a
     trial whose working set (the build's on ``verify``, :func:`_row_bytes`
-    elsewhere) exceeds :data:`~hlawka.sums.MAX_WORKING_SET_BYTES` and a
-    group over the guard.
+    elsewhere) exceeds :data:`~hlawka.sums.MAX_WORKING_SET_BYTES`, a
+    coordinate descent whose candidates' row bytes exceed
+    :data:`~hlawka.scalar.MAX_DESCENT_BYTES` and a group over the guard.
     """
     families, tol, row = _READS[route]
     if cfg.family not in families:
@@ -236,7 +238,10 @@ def _settings(cfg: RunConfig, route: str) -> tuple[RunConfig, list[str]]:
     if route == "verify":
         working_set(cfg.family, cfg.n, cfg.p, cfg.dim, k=cfg.k, ell=cfg.ell, m=cfg.m)
     else:
-        check_trial_bytes(_row_bytes(cfg.family, cfg))
+        trial_bytes = _row_bytes(cfg.family, cfg)
+        check_trial_bytes(trial_bytes)
+        if cfg.strategy == "coordinate-descent":
+            check_descent_bytes(cfg.family, cfg.n, cfg.dim, trial_bytes)
     if cfg.char is not None:
         check_symmetric_degree(cfg.dim)
     return cfg, names

@@ -28,9 +28,10 @@ and the search runs the coordinate descents of a block in lockstep, one
 block per round, reading only margins.  Each row is canonically sorted
 first, so permuting its inputs cannot change a single bit of the result;
 each subset's sum or mean is formed once for every function; and each
-side is summed with ``math.fsum``, so algebraically equal expressions
-agree exactly.  Every row gets the bits of the one-input formula
-:func:`_search_margin` states.
+side's sum is correctly rounded, ``math.fsum``'s bits, by error-free
+transforms (:func:`_cascade`) with ``fsum`` as the fallback and the oracle,
+so algebraically equal expressions agree exactly.  Every row gets the bits
+of the one-input formula :func:`_search_margin` states.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from math import fsum
 
 import numpy as np
 
-from .errors import InputError
+from .errors import BudgetError, InputError
 from .linalg import Verdict, VerdictRecord, band_verdict
 from .sums import FAMILIES, FamilySpec, Level, checked_sides
 from .sums import _alternating, _level, _pop_subsets
@@ -152,18 +153,39 @@ class ScalarCheckResults(VerdictRecord):
 _OVERFLOW = "overflow: a term or a side of the inequality exceeds double precision"
 
 
+#: A block of fewer rows than this is summed by ``math.fsum`` row by row,
+#: the path every row :func:`_cascade` cannot certify takes: below it the
+#: cascade's fixed cost, about 12 numpy calls a column, exceeds ``fsum``'s
+#: cost a row (the measured break-even, 100 to 250 rows at widths 3 to 15).
+_CASCADE_ROWS = 200
+
+
 def _fsums(*arrays: np.ndarray) -> list[np.ndarray]:
-    """``math.fsum`` along the last axis of each array; NaN where it refuses
-    a sum that overflows, or inf - inf."""
+    """``math.fsum`` along the last axis of each array, bit for bit; NaN
+    where it refuses a sum that overflows, or inf - inf.  A block of at
+    least :data:`_CASCADE_ROWS` rows is summed by :func:`_cascade`, and only
+    the rows it does not certify go to ``fsum``."""
     out = []
     for a in arrays:
-        rows = a.reshape(math.prod(a.shape[:-1]), a.shape[-1]).tolist()
-        try:
-            sums = list(map(fsum, rows))
-        except (OverflowError, ValueError):
-            sums = [_fsum_or_nan(row) for row in rows]
-        out.append(np.array(sums, dtype=np.float64).reshape(a.shape[:-1]))
+        rows = a.reshape(math.prod(a.shape[:-1]), a.shape[-1])
+        if len(rows) < _CASCADE_ROWS:
+            sums = _fsum_rows(rows)
+        else:
+            sums, certified = _cascade(rows)
+            redo = np.flatnonzero(~certified)
+            if len(redo):
+                sums[redo] = _fsum_rows(rows[redo])
+        out.append(sums.reshape(a.shape[:-1]))
     return out
+
+
+def _fsum_rows(rows: np.ndarray) -> np.ndarray:
+    rows = rows.tolist()
+    try:
+        sums = list(map(fsum, rows))
+    except (OverflowError, ValueError):
+        sums = [_fsum_or_nan(row) for row in rows]
+    return np.array(sums, dtype=np.float64)
 
 
 def _fsum_or_nan(terms: list) -> float:
@@ -171,6 +193,67 @@ def _fsum_or_nan(terms: list) -> float:
         return fsum(terms)
     except (OverflowError, ValueError):
         return math.nan
+
+
+def _two_sum(a: np.ndarray, x: np.ndarray, total: np.ndarray, error: np.ndarray,
+             spare: np.ndarray) -> None:
+    """TwoSum, into ``total`` and ``error``: ``total = a + x`` rounded and
+    ``error`` its rounding error, so that ``total + error == a + x`` exactly
+    (short of overflow).  ``spare`` is scratch; none of the three may share
+    memory with ``a`` or ``x``."""
+    np.add(a, x, out=total)
+    np.subtract(total, a, out=spare)    # the part of x in total
+    np.subtract(total, spare, out=error)  # the part of a in total
+    np.subtract(a, error, out=error)
+    np.subtract(x, spare, out=spare)
+    np.add(error, spare, out=error)
+
+
+@np.errstate(all="ignore")  # a row that is not finite is not certified
+def _cascade(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sum of each row of an ``(R, w)`` block, and where it is
+    certified to be the correctly rounded sum, which is ``math.fsum``'s.
+
+    It is Sum2 of Ogita, Rump & Oishi ("Accurate sum and dot product", SIAM
+    J. Sci. Comput. 26, 2005), the TwoSum cascade, run over the columns for
+    every row at once.  TwoSum splits each running sum ``s + x`` into ``s``
+    and its error ``q``, and a second TwoSum folds each ``q`` into ``qs``
+    with a second-order error ``e``; then ``r, d = TwoSum(s, qs)``.  These
+    are error-free, so the exact sum is ``r + d + sum(e)``, and ``r`` is its
+    correctly rounded value, ties included, if every ``e`` is 0 (then
+    ``r = RN(s + qs)`` of the exact sum); or if ``|d| + 2 sum|e|`` is below
+    half the spacing from ``r`` toward zero, the smaller of ``r``'s two
+    neighbour spacings (the factor 2 covers the roundings of ``sum|e|``,
+    summed in floating point).
+
+    A row is not certified where ``r`` is 0, whose sign ``fsum`` decides
+    (it changed in Python 3.12), or where a term is not below ``2**1022 /
+    w`` in magnitude: a NaN or inf, or a row near overflow, where ``fsum``'s
+    own partial sums may overflow, as the cascade's cannot below that."""
+    width = rows.shape[1]
+    limit = 2.0**1022 / width
+    count = len(rows)
+    cols = rows.T.copy()  # contiguous columns, and buffers the cascade may overwrite
+    s, t, q, spare, r = cols[0], np.empty(count), np.empty(count), np.empty(count), np.empty(count)
+    qs = np.zeros(count)
+    if width > 1:
+        _two_sum(s, cols[1], t, qs, spare)
+        s, t = t, s
+    errors = np.empty((max(width - 2, 0), count))
+    for x, e in zip(cols[2:], errors):
+        _two_sum(s, x, t, q, spare)
+        s, t = t, s
+        _two_sum(qs, q, t, e, spare)
+        qs, t = t, qs
+    _two_sum(s, qs, r, q, spare)
+    d = np.abs(q, out=q)
+    bound = np.abs(errors, out=errors).sum(axis=0)
+    certified = bound == 0.0
+    certified |= d + 2.0 * bound < 0.5 * np.abs(r - np.nextafter(r, 0.0))
+    certified &= r != 0.0
+    if not (rows.max() < limit and rows.min() > -limit):
+        certified &= (np.abs(rows) < limit).all(axis=1)
+    return r, certified
 
 
 def _margins(lhs_terms: np.ndarray, rhs_terms: np.ndarray, overflow, tol: float,
@@ -181,9 +264,14 @@ def _margins(lhs_terms: np.ndarray, rhs_terms: np.ndarray, overflow, tol: float,
     ``refused`` gives it, or as an overflow where ``overflow`` marks it or
     where a side, margin or scale of one of its functions is not finite: a
     sum ``fsum`` refuses is NaN, and so is ``max(1, NaN)`` here, while a NaN
-    term shows in the margin."""
-    lhs, rhs, lhs_abs, rhs_abs = _fsums(lhs_terms, rhs_terms, np.abs(lhs_terms),
-                                        np.abs(rhs_terms))
+    term shows in the margin.
+
+    A side whose terms are all ``>= 0`` is its own sum of absolute terms,
+    so it is summed once: a -0.0 term can change only the sign of a zero
+    sum, which ``max(1, ...)`` cannot see, and a NaN term fails the test."""
+    lhs, rhs = _fsums(lhs_terms, rhs_terms)
+    lhs_abs, rhs_abs = (total if (terms >= 0).all() else _fsums(np.abs(terms))[0]
+                        for terms, total in ((lhs_terms, lhs), (rhs_terms, rhs)))
     with np.errstate(all="ignore"):  # inf - inf in a refused row
         margin = lhs - rhs
         scale = np.maximum(1.0, lhs_abs + rhs_abs)
@@ -313,7 +401,12 @@ def row_bytes(suite: str, n: int, dim: int | None, functions: int, k=None, ell=N
     coordinate of a subset sum (1 a point, ``dim`` a vector, ``2 dim^2`` a
     complex matrix).  tracemalloc measures 40 to 90 bytes per term and
     function on the benchmarked convex/norm suites, and 1.1 to 2.1 times
-    this on matrix terms (the stacked inputs and one size's gather)."""
+    this on matrix terms (the stacked inputs and one size's gather).  The
+    sums (:func:`_fsums`) hold, for one side at a time, 16 bytes per term
+    and function and about 50 more per function (the cascade's copy of the
+    terms, its second-order errors and its vectors of one float a row),
+    which the 64 per term and function covers: 0.22 and 0.13 of the row
+    bytes at the peak of a 2000-row ``pcz`` and ``freudenthal`` block."""
     terms = sum(map(len, suite_terms(suite, n, k, ell, m)))
     term = SUITES[suite].term
     width = dim if term == "norm" else 2 * dim * dim if term is None else 1
@@ -337,12 +430,15 @@ def _search_margin(suite: str, data: np.ndarray, fns=(None,), tol: float = DEFAU
     * ``mean``:  ``float(w*|S|) * f(fsum(the points of S) / |S|)``, with the
       exact product ``w*|S|`` rounded once; an overflowing ``fsum`` refuses.
 
-    The block keeps every bit: a singleton is its point and a pair's
-    ``fsum`` is ``a + b``, both exact, and a larger subset keeps one
-    ``fsum`` per row; vector and value sums add left to right; a norm is
-    ``sqrt`` of the ``ddot`` that ``np.linalg.norm`` calls, through a
-    ``(1, d) @ (d, 1)`` matmul; and :meth:`ConvexFunction.over` gives the
-    catalog's bits.  A row with an input that is not finite is refused.
+    Each side is the ``fsum`` of its terms.  The block keeps every bit: a
+    singleton is its point and a pair's ``fsum`` is ``a + b``, both exact,
+    and a larger subset's sum and each side are correctly rounded,
+    ``math.fsum``'s bits, by error-free transforms with ``fsum`` as the
+    fallback and the oracle (:func:`_fsums`); vector and value sums add
+    left to right; a norm is ``sqrt`` of the ``ddot`` that
+    ``np.linalg.norm`` calls, through a ``(1, d) @ (d, 1)`` matmul; and
+    :meth:`ConvexFunction.over` gives the catalog's bits.  A row with an
+    input that is not finite is refused.
     """
     data = np.asarray(data, dtype=np.float64)
     finite = np.isfinite(data).all(axis=tuple(range(1, data.ndim)))
@@ -517,6 +613,29 @@ KNOWN_HLAWKA_POP_COUNTEREXAMPLE = (-10.0, 1.0, 1.0, 9.0)
 SEARCH_FAMILIES = ("freudenthal", "hlawka-pop")
 SEARCH_STRATEGIES = ("random", "coordinate-descent")
 
+#: The step sizes of a coordinate descent, largest first, and the sweeps it
+#: makes at most at each step.
+_DESCENT_STEPS = (4.0, 2.0, 1.0, 0.5, 0.25, 0.125, 0.0625)
+_MAX_SWEEPS = 20
+
+#: The most a coordinate descent from one start may evaluate: its candidate
+#: points times the row bytes of one.  One trial's descent takes about as
+#: long as that product is large: ``counterexample --family freudenthal --n
+#: 4 --strategy coordinate-descent --trials 1`` took 3.4 s at ``--dim 60``,
+#: just within the budget, on a 2-vCPU host, and 51.5 s at ``--dim 200``.
+MAX_DESCENT_BYTES = 2**30
+
+
+def check_descent_bytes(suite: str, n: int, dim: int, row: int) -> None:
+    """Raise :class:`BudgetError` if the candidates of one descent, the start
+    and two per coordinate in each sweep of each step, times ``row`` bytes
+    each exceed :data:`MAX_DESCENT_BYTES`."""
+    coordinates = math.prod(sample_shape(suite, n, dim))
+    candidates = 1 + len(_DESCENT_STEPS) * _MAX_SWEEPS * 2 * coordinates
+    if candidates * row > MAX_DESCENT_BYTES:
+        raise BudgetError(f"coordinate descent of one trial: {candidates} candidates of {row} "
+                          f"bytes = {candidates * row} bytes exceeds budget {MAX_DESCENT_BYTES}")
+
 
 def _coordinate_descent(start: np.ndarray):
     """Greedy per-coordinate minimization of the margin with a shrinking
@@ -525,10 +644,10 @@ def _coordinate_descent(start: np.ndarray):
     margin, and returns the point it ends at."""
     point = start
     best = yield point
-    for step in (4.0, 2.0, 1.0, 0.5, 0.25, 0.125, 0.0625):
+    for step in _DESCENT_STEPS:
         improved = True
         sweeps = 0
-        while improved and sweeps < 20:
+        while improved and sweeps < _MAX_SWEEPS:
             improved = False
             sweeps += 1
             for i in range(point.size):

@@ -870,6 +870,19 @@ class TestRefusedInACappedChild:
         assert re.fullmatch(r"budget exceeded: working set of one trial: \d+ bytes exceeds "
                             r"budget 2147483648\n", done.stderr)
 
+    @pytest.mark.parametrize("command", [
+        "counterexample --family freudenthal --n 4 --dim 200 --strategy coordinate-descent "
+        "--trials 1",
+        "counterexample --family hlawka-pop --n 12 --strategy coordinate-descent --trials 1",
+    ])
+    def test_unbounded_descent_exits_three_before_any_sample(self, command):
+        # One block evaluation per candidate of n * dim coordinates: the
+        # --dim 200 line ran for 51.5 s.
+        done = run_capped(command)
+        assert (done.returncode, done.stdout) == (3, "")
+        assert re.fullmatch(r"budget exceeded: coordinate descent of one trial: \d+ candidates "
+                            r"of \d+ bytes = \d+ bytes exceeds budget 1073741824\n", done.stderr)
+
     def test_a_large_vector_row_within_its_budget_runs(self):
         # The vectors of a row were sorted by np.lexsort over dim keys,
         # about 25 times what scalar.row_bytes counts: this line raised
@@ -910,6 +923,59 @@ class TestRowBudget:
             out = tmp_path / "r.json"
             assert main([*line.split(), "--out", str(out)]) == 0
             assert json.loads(out.read_text())["params"]["dim"] == 1000
+
+
+class TestDescentBudget:
+    #: A descent of each search family, with its suite, n, dim and coordinates.
+    LINES = [
+        ("counterexample --family hlawka-pop --n 4", ("hlawka-pop", 4, None), 4),
+        ("counterexample --family freudenthal --n 4 --dim 2", ("freudenthal", 4, 2), 8),
+    ]
+
+    @pytest.mark.parametrize("line, suite, coordinates", LINES,
+                             ids=[line for line, _, _ in LINES])
+    @pytest.mark.parametrize("spare, code", [(0, 0), (-1, 3)])
+    def test_the_budget_is_inclusive(self, line, suite, coordinates, spare, code, tmp_path,
+                                     monkeypatch, capsys):
+        # The settings pass compares a descent's candidates times their row
+        # bytes with the budget even at --trials 0; one byte less is refused
+        # before any start is drawn.
+        candidates = 1 + 7 * 20 * 2 * coordinates
+        row = scalar.row_bytes(*suite, 1)
+        held = candidates * row
+        monkeypatch.setattr(scalar, "MAX_DESCENT_BYTES", held + spare)
+        for trials in ("0", "2"):
+            out = tmp_path / f"r{trials}.json"
+            argv = [*line.split(), "--strategy", "coordinate-descent", "--trials", trials,
+                    "--out", str(out)]
+            assert main(argv) == code
+            assert out.exists() == (code == 0)
+        if code:
+            assert capsys.readouterr().err == (
+                f"budget exceeded: coordinate descent of one trial: {candidates} candidates of "
+                f"{row} bytes = {held} bytes exceeds budget {held - 1}\n" * 2)
+
+    def test_the_random_strategy_does_not_descend(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(scalar, "MAX_DESCENT_BYTES", 0)
+        out = tmp_path / "r.json"
+        assert main(["counterexample", "--family", "hlawka-pop", "--trials", "2",
+                     "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize("cfg, refused", [
+        (dict(family="hlawka-pop", n=4), False),
+        (dict(family="hlawka-pop", n=11), False),
+        (dict(family="hlawka-pop", n=12), True),
+        (dict(family="freudenthal", n=4, dim=60), False),
+        (dict(family="freudenthal", n=4, dim=61), True),
+    ])
+    def test_the_default_budget(self, cfg, refused):
+        # The benchmark's descent, hlawka-pop --n 4, holds 1.6 MB by this count.
+        config = RunConfig(strategy="coordinate-descent", trials=1, **cfg)
+        if refused:
+            with pytest.raises(BudgetError, match="coordinate descent of one trial"):
+                harness._settings(config, "counterexample")
+        else:
+            harness._settings(config, "counterexample")
 
 
 class TestWorkingSetBudget:

@@ -932,3 +932,145 @@ class TestCatalogBlockBits:
         for f in convex_catalog():
             expected = np.array([f(v) for v in values.tolist()])
             assert f.over(values).tobytes() == expected.tobytes(), f.kind
+
+
+# ---------------------------------------------------------------------------
+# Correctly rounded sums: math.fsum is the oracle
+# ---------------------------------------------------------------------------
+
+
+TINY = np.finfo(float).smallest_subnormal
+
+#: Terms of the sums' oracle: the floats of one binade, [4, 8), whose sums
+#: often fall on a half-ulp tie; subnormals; signed zeros, infinities, NaN,
+#: values whose sums overflow and a tie of 1; and finite floats of every
+#: magnitude.
+SUM_TERMS = st.one_of(
+    st.integers(0, 2**52 - 1).map(lambda k: 4.0 + k * 2.0**-50),
+    st.integers(-2**20, 2**20).map(lambda k: k * TINY),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1e308, -1e308, 1.0, 2.0**-53]),
+    st.floats(width=64, allow_nan=False, allow_infinity=False),
+)
+
+
+def fsum_or_nan(row) -> float:
+    try:
+        return math.fsum(row)
+    except (OverflowError, ValueError):
+        return math.nan
+
+
+@st.composite
+def sum_blocks(draw) -> np.ndarray:
+    """A block of 1 to 20 columns whose row count is on either side of the
+    cascade's smallest block: a few drawn rows, repeated, each copy with
+    its terms in an order of its own."""
+    width = draw(st.integers(1, 20))
+    rows = draw(st.lists(st.lists(SUM_TERMS, min_size=width, max_size=width),
+                         min_size=1, max_size=6))
+    count = draw(st.sampled_from([1, scalar._CASCADE_ROWS - 1, scalar._CASCADE_ROWS,
+                                  2 * scalar._CASCADE_ROWS + 1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.permuted(np.array(rows)[np.arange(count) % len(rows)], axis=1)
+
+
+class TestCorrectlyRoundedSums:
+    @settings(max_examples=300, deadline=None)
+    @given(sum_blocks())
+    def test_every_row_gets_the_bits_of_fsum(self, block):
+        [got] = scalar._fsums(block)
+        assert got.tobytes() == np.array([fsum_or_nan(row) for row in block.tolist()]).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 20).flatmap(lambda w: st.lists(SUM_TERMS, min_size=w, max_size=w)),
+           st.integers(0, 1999))
+    def test_a_row_alone_and_in_a_2000_row_block(self, row, place):
+        block = np.random.default_rng(place).uniform(-10.0, 10.0, (2000, len(row)))
+        block[place] = row
+        alone, within = scalar._fsums(np.array([row]), block)
+        assert alone.tobytes() == within[place:place + 1].tobytes() == np.array(
+            [fsum_or_nan(row)]).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(-1000, 1000), st.integers(1, 20), st.integers(0, 2**32 - 1))
+    def test_sums_just_off_a_half_ulp_tie_get_the_bits_of_fsum(self, exponent, width, seed):
+        # b + h is a tie and t moves the exact sum just off it, so Sum2's
+        # own result, the tie rounded to even, is off by an ulp in about
+        # half the rows: those must not be certified.
+        rng = np.random.default_rng(seed)
+        count = 2 * scalar._CASCADE_ROWS
+        b = np.ldexp(rng.uniform(1.0, 2.0, count), exponent)
+        h = np.spacing(b) / 2
+        t = np.ldexp(h * rng.choice([-1.0, 1.0], count), -rng.integers(1, 60, count))
+        block = np.zeros((count, max(width, 3)))
+        block[:, :3] = np.stack([b, h, t], axis=1)
+        block = rng.permuted(block, axis=1)
+        [got] = scalar._fsums(block)
+        assert got.tobytes() == np.array([math.fsum(row) for row in block.tolist()]).tobytes()
+
+    @pytest.mark.parametrize("count", [1, scalar._CASCADE_ROWS])
+    def test_zero_sums_get_the_running_interpreters_fsum_bits(self, count):
+        # The fsum of -0.0 terms only is 0.0 before Python 3.12 and -0.0
+        # from it on; the cascade leaves every zero sum to fsum.
+        rows = [[-0.0] * width for width in range(1, 6)] + [
+            [0.0, -0.0], [-0.0, 0.0, -0.0], [1.0, -1.0], [-1.0, 1.0, -0.0], [TINY, -TINY],
+            [-2.5, 1.25, 1.25]]
+        for row in rows:
+            [got] = scalar._fsums(np.array([row] * count))
+            assert got.tobytes() == np.full(count, math.fsum(row)).tobytes(), row
+
+    @pytest.mark.parametrize("block", [
+        np.random.default_rng(1).uniform(0.0, 10.0, (2000, 8)),
+        np.random.default_rng(2).standard_normal((2000, 13)),
+        4.0 + np.random.default_rng(3).integers(0, 2**20, (2000, 6)) * 2.0**-50,
+    ], ids=["uniform", "signed", "binade-ties"])
+    def test_the_cascade_certifies_plain_rows(self, block):
+        # Only the rows the cascade does not certify go to fsum one at a time.
+        sums, certified = scalar._cascade(block)
+        assert certified.all()
+        assert sums.tobytes() == np.array([math.fsum(row) for row in block.tolist()]).tobytes()
+
+    @pytest.mark.parametrize("suite, data, fns, levels", [
+        ("pcz", np.random.default_rng(4).uniform(-10.0, 10.0, (2000, 5)), convex_catalog(),
+         {"m": 3}),
+        ("freudenthal", np.random.default_rng(5).standard_normal((2000, 4, 2)), (None,), {}),
+    ], ids=["pcz", "freudenthal"])
+    def test_the_sums_of_a_block_hold_within_its_row_bytes(self, suite, data, fns, levels):
+        image = partial(_convex_norm_image, SUITES[suite].term, fns)
+        lhs, rhs, _ = _terms(suite, _canonical(data), image, **levels)
+        tracemalloc.start()
+        try:
+            scalar._fsums(lhs, rhs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        dim = data.shape[2] if data.ndim == 3 else None
+        assert peak <= len(data) * scalar.row_bytes(suite, data.shape[1], dim, len(fns), **levels)
+
+
+class TestOneSumPerSide:
+    @pytest.mark.parametrize("count", [1, scalar._CASCADE_ROWS])
+    @pytest.mark.parametrize("lhs, rhs", [
+        ([1.0, -2.0, 3.0], [0.5, 0.25]),
+        ([0.5, 0.25], [-1e-300, 4.0, 1e-300]),
+        ([1.0, math.nan, 3.0], [0.5, 0.25]),
+        ([-0.0, -0.0], [-0.0]),
+        ([-0.0, 0.0, -0.0], [2.0, -0.0]),
+    ], ids=["negative-lhs", "negative-rhs", "nan", "negative-zeros", "mixed-zeros"])
+    def test_the_scale_is_one_or_the_sum_of_the_absolute_terms(self, lhs, rhs, count):
+        record = scalar._margins(np.array([[lhs]] * count), np.array([[rhs]] * count), False,
+                                 DEFAULT_SCALAR_TOL)
+        scale = np.maximum(1.0, np.float64(math.fsum(map(abs, lhs))) + math.fsum(map(abs, rhs)))
+        assert record.scale.tobytes() == np.full((count, 1), scale).tobytes()
+
+    def test_two_nonnegative_sides_form_two_sums(self, monkeypatch):
+        summed, original = [], scalar._fsums
+        monkeypatch.setattr(scalar, "_fsums", lambda *arrays: summed.extend(arrays) or original(
+            *arrays))
+        terms = np.abs(np.random.default_rng(6).standard_normal((50, 6, 7)))
+        scalar._margins(terms, terms[..., :3], False, DEFAULT_SCALAR_TOL)
+        assert len(summed) == 2
+        terms[3, 2, 5] = -1.0  # on the left side only
+        summed.clear()
+        scalar._margins(terms, terms[..., :3], False, DEFAULT_SCALAR_TOL)
+        assert len(summed) == 3
