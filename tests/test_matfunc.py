@@ -214,13 +214,17 @@ class TestBlocks:
     def test_a_stack_holds_one_block_at_a_time(self, monkeypatch):
         # 400 determinants of S_4 in blocks of 5 hold about 13 KB at once,
         # the output's 6.4 KB included, where in one block they hold 386 KB;
-        # 800 hold no more, but for the larger output.
+        # 800 hold no more, but for the larger output.  A warm run at the
+        # measured block size caches the group's tables and fills numpy's
+        # cache of small freed buffers, which is kept after a call and would
+        # count once against a cold process, by how much depending on what
+        # ran before.
         group, chi = self.CASES["det"]
         rng = np.random.default_rng(3)
         mats = [random_hermitian(rng, 4) for _ in range(800)]
         stacks = stack_of(mats[:400]), stack_of(mats)
-        generalized_matrix_function(stacks[1], group, chi)  # the group's tables, cached
         monkeypatch.setattr(matfunc, "CHUNK_BYTES", self.five_matrices(group, chi))
+        generalized_matrix_function(stacks[1], group, chi)
         few, many = self.traced_peaks(stacks, group, chi)
         assert few < matfunc.CHUNK_BYTES + 400 * 16  # the blocks' budget and the output
         assert many <= few + 400 * 16
