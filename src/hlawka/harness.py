@@ -258,12 +258,17 @@ def _data_digest(data: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(data, dtype=np.float64).tobytes()).hexdigest()
 
 
+def _chunk_trials(trial_bytes: int) -> int:
+    """The trials of a full chunk: as many as fit ``CHUNK_BYTES`` at
+    ``trial_bytes`` a trial, and at least one."""
+    return max(1, CHUNK_BYTES // max(1, trial_bytes))
+
+
 def _chunks(cfg: RunConfig, trial_bytes: int):
     """The one chunker: yield ``(first trial, trial seeds)`` per chunk of
     ``cfg.trials`` trials, the seeds of trials t derived from (seed, t) as
-    a uint64 array, as many as fit ``CHUNK_BYTES`` at ``trial_bytes`` a
-    trial and at least one."""
-    size = max(1, CHUNK_BYTES // max(1, trial_bytes))
+    a uint64 array, :func:`_chunk_trials` trials a chunk."""
+    size = _chunk_trials(trial_bytes)
     for lo in range(0, cfg.trials, size):
         yield lo, derive_seeds(cfg.seed, np.arange(lo, min(cfg.trials, lo + size)))
 
@@ -424,16 +429,18 @@ def counterexample_search(suite: str, cfg: RunConfig, fn: ConvexFunction | None,
     (seed, t), or under ``include_known`` trial 0 from the known refuting
     input; :func:`~hlawka.scalar.search_from` searches from a chunk of
     starts at once, descending from each in lockstep under the
-    ``coordinate-descent`` strategy, and re-verifies what it reports.  An
+    ``coordinate-descent`` strategy, each round at most a full chunk's
+    trial count of candidates, and re-verifies what it reports.  An
     empty list is a valid outcome.  ``cfg`` goes through the settings pass
     of the search route first, which leaves a resolved config as it is;
     ``fn`` is not read under the ``norm`` term.
     """
     cfg, _ = _settings(cfg, "counterexample")
     descend = cfg.strategy == "coordinate-descent"
+    rows = _chunk_trials(_row_bytes(suite, cfg))
     found = []
     for lo, starts in _input_chunks(suite, cfg):
-        for row, inputs, result in search_from(suite, fn, tol, starts, descend):
+        for row, inputs, result in search_from(suite, fn, tol, starts, descend, rows):
             found.append({"inputsDigest": _data_digest(np.asarray(inputs)),
                           "margin": result.margin, "seed": derive_seed(cfg.seed, lo + row),
                           "trialIndex": lo + row, "inputs": [float(x) for x in np.ravel(inputs)]})

@@ -24,9 +24,10 @@ points or ``(T, n, dim)`` vectors, and evaluates every row under every
 given convex function at once, into one
 :class:`~hlawka.linalg.VerdictRecord`, its :class:`ScalarCheckResults`
 view.  The public evaluators are blocks of one, item 0 of the record,
-and the search runs the coordinate descents of a block in lockstep, one
-block per round, reading only margins.  Each row is canonically sorted
-first, so permuting its inputs cannot change a single bit of the result;
+and the search runs the coordinate descents of a block in lockstep, each
+round one block of the next candidates of every live descent's sweep,
+reading only margins.  Each row is canonically sorted first, so
+permuting its inputs cannot change a single bit of the result;
 each subset's sum or mean is formed once for every function; and each
 side's sum is correctly rounded, ``math.fsum``'s bits, by error-free
 transforms (:func:`_cascade`) with ``fsum`` as the fallback and the oracle,
@@ -621,8 +622,9 @@ _MAX_SWEEPS = 20
 #: The most a coordinate descent from one start may evaluate: its candidate
 #: points times the row bytes of one.  One trial's descent takes about as
 #: long as that product is large: ``counterexample --family freudenthal --n
-#: 4 --strategy coordinate-descent --trials 1`` took 3.4 s at ``--dim 60``,
-#: just within the budget, on a 2-vCPU host, and 51.5 s at ``--dim 200``.
+#: 4 --strategy coordinate-descent --trials 1`` took 0.65 s at ``--dim
+#: 60``, just within the budget, on a 2-vCPU host, and 9.0 s at ``--dim
+#: 200`` with the budget lifted.
 MAX_DESCENT_BYTES = 2**30
 
 
@@ -637,59 +639,77 @@ def check_descent_bytes(suite: str, n: int, dim: int, row: int) -> None:
                           f"bytes = {candidates * row} bytes exceeds budget {MAX_DESCENT_BYTES}")
 
 
-def _coordinate_descent(start: np.ndarray):
-    """Greedy per-coordinate minimization of the margin with a shrinking
-    step schedule, deterministic given the start point.  A generator: it
-    yields each point to evaluate, the start first, is sent that point's
-    margin, and returns the point it ends at."""
-    point = start
-    best = yield point
-    for step in _DESCENT_STEPS:
-        improved = True
-        sweeps = 0
-        while improved and sweeps < _MAX_SWEEPS:
-            improved = False
-            sweeps += 1
-            for i in range(point.size):
-                for delta in (step, -step):
-                    trial = point.copy()
-                    trial.flat[i] += delta
-                    margin = yield trial
-                    if margin < best - 1e-15:
-                        best = margin
-                        point = trial
-                        improved = True
-    return point
+def _lockstep(suite: str, fn: ConvexFunction | None, starts: np.ndarray,
+              rows: int) -> np.ndarray:
+    """The point where the coordinate descent from each start of a block
+    ends, every descent advanced in lockstep, ``rows`` candidates a round
+    at most (at least one a descent).
 
+    A descent greedily minimizes the margin one coordinate at a time under
+    a shrinking step: each sweep tries coordinate i plus, then minus, the
+    step from the current point, moves to a candidate whose margin is below
+    the best by more than 1e-15, and sweeps again at the same step while a
+    sweep moved it, :data:`_MAX_SWEEPS` times at most.  Its state is a row
+    of arrays: point, best margin, step, sweep count, whether the sweep
+    moved it, and the position of its next candidate in the sweep.
 
-def _lockstep(suite: str, fn: ConvexFunction | None, starts: np.ndarray) -> np.ndarray:
-    """The coordinate descent from every start of a block, advanced in
-    lockstep: each round evaluates the next point of every live descent as
-    one block.  A refused point ends its descent there, so evaluating where
-    the descents end refuses as descending from one start after another
-    would."""
-    descents = [_coordinate_descent(start) for start in starts]
-    points = [next(descent) for descent in descents]
-    live = list(range(len(descents)))
-    while live:
-        block = _search_margin(suite, np.array([points[i] for i in live]), (fn,))
-        going = []
-        for row, (i, margin) in enumerate(zip(live, block.margin[:, 0].tolist())):
-            if row in block.refusals:
-                continue
-            try:
-                points[i] = descents[i].send(margin)
-                going.append(i)
-            except StopIteration as end:
-                points[i] = end.value
-        live = going
-    return np.array(points)
+    Each round evaluates, as one block, the next ``max(1, rows // live)``
+    candidates of each live descent's sweep, built from its current point.
+    The first of its rows that is refused or improves decides: a refused
+    candidate ends the descent there, so evaluating where the descents end
+    refuses as descending from one start after another would, and an
+    improving one moves the point, the rows after it being discarded.  A
+    row's margin does not depend on its block, so every descent ends where
+    it would alone."""
+    points = np.array(starts, dtype=np.float64).reshape(len(starts), -1)
+    sweep = 2 * points.shape[1]  # the candidates of a sweep
+    first = _search_margin(suite, starts, (fn,))
+    best = first.margin[:, 0].copy()
+    live = np.ones(len(points), dtype=bool)
+    live[list(first.refusals)] = False
+    step, pos = np.zeros((2, len(points)), dtype=np.intp)
+    sweeps = np.ones(len(points), dtype=np.intp)
+    improved = np.zeros(len(points), dtype=bool)
+    steps = np.array(_DESCENT_STEPS)
+    going = np.flatnonzero(live)
+    while len(going):
+        take = np.minimum(sweep - pos[going], max(1, rows // len(going)))
+        owner = np.repeat(going, take)
+        at = pos[owner] + np.arange(len(owner)) - np.repeat(np.cumsum(take) - take, take)
+        trials = points[owner]
+        delta = steps[step[owner]]
+        trials[np.arange(len(owner)), at // 2] += np.where(at % 2, -delta, delta)
+        block = _search_margin(suite, trials.reshape(-1, *starts.shape[1:]), (fn,))
+        refused = np.zeros(len(owner), dtype=bool)
+        refused[list(block.refusals)] = True
+        hit = np.flatnonzero(refused | (block.margin[:, 0] < best[owner] - 1e-15))
+        hit = hit[np.unique(owner[hit], return_index=True)[1]]  # each descent's first
+        pos[going] += take
+        decided = owner[hit]
+        pos[decided] = at[hit] + 1
+        points[decided] = trials[hit]
+        live[decided[refused[hit]]] = False
+        moved = hit[~refused[hit]]
+        best[owner[moved]] = block.margin[moved, 0]
+        improved[owner[moved]] = True
+        ended = going[live[going] & (pos[going] == sweep)]
+        again = improved[ended] & (sweeps[ended] < _MAX_SWEEPS)
+        sweeps[ended] = np.where(again, sweeps[ended] + 1, 1)
+        step[ended[~again]] += 1
+        live[ended[step[ended] == len(steps)]] = False
+        improved[ended] = False
+        pos[ended] = 0
+        going = np.flatnonzero(live)
+    return points.reshape(starts.shape)
 
 
 def search_from(suite: str, fn: ConvexFunction | None, tol: float, starts: np.ndarray,
-                descend: bool = False) -> list[tuple[int, list, ScalarCheckResult]]:
+                descend: bool = False, rows: int | None = None
+                ) -> list[tuple[int, list, ScalarCheckResult]]:
     """The counterexample search from every start point of a block, after a
-    coordinate descent from each (all in lockstep) when ``descend`` is set.
+    coordinate descent from each when ``descend`` is set, all advanced in
+    lockstep (:func:`_lockstep`), ``rows`` candidates a round at most: by
+    default as many as the starts, the rows of the block's own evaluation.
 
     Returns ``(row, inputs, result)`` for every point that violates, in row
     order: ``inputs`` are the values to report (one list per vector under
@@ -697,7 +717,7 @@ def search_from(suite: str, fn: ConvexFunction | None, tol: float, starts: np.nd
     values, which must fail too.  A refused row refuses the block, the
     first one's message first.
     """
-    points = _lockstep(suite, fn, starts) if descend else starts
+    points = _lockstep(suite, fn, starts, rows or len(starts)) if descend else starts
     block = _search_margin(suite, points, (fn,), tol)
     block.refuse_first()
     hits = np.flatnonzero(block.code[:, 0] == Verdict.FAILS.code)

@@ -175,10 +175,11 @@ class TestDeterminism:
 
 
 #: SHA-256 of each report with ``runtimeMs`` set to 0, at seeds 0 and 7:
-#: the benchmark's many-small commands at reduced trial counts and its
-#: dense-power command.  Recorded under numpy 2.4.6 with one BLAS thread (the
-#: p 10 eigensolve rounds differently on two) on x86-64 with AVX-512: a
-#: change that moves one bit of these reports fails here.
+#: the benchmark's many-small commands at reduced trial counts, its
+#: dense-power command and its three scalar-search commands.  Recorded
+#: under numpy 2.4.6 with one BLAS thread (the p 10 eigensolve rounds
+#: differently on two) on x86-64 with AVX-512: a change that moves one bit
+#: of these reports fails here.
 REPORT_PINS = {
     "verify --family hlawka3 --dim 2 --p 3 --trials 200": (
         "bb3e5a8dd6a9fad7117c2c7cf2de62826d6446517bf089b911e9537d20b34490",
@@ -192,6 +193,15 @@ REPORT_PINS = {
     "verify --family hlawka3 --dim 2 --p 10 --trials 1": (
         "cc23240001038ca8e676fbb4b4449321096bf3b973b158a72c49804c16fc3000",
         "0927ce8ded71d664ed8df6f2be95cdbd0c885d8b51837103fcc56f5d98938e32"),
+    "scalar-verify --family pcz --n 5 --m 3 --trials 1000": (
+        "520a7716450d2c0b814b49b9431668ddded92b1d2420406a3b64350d30d6eae9",
+        "c3c38c4e5c61c8b62eba114fb32346c603569cfbfb26588974bde34677ab85a5"),
+    "counterexample --family freudenthal --n 4 --dim 2 --trials 2000": (
+        "e6b8e3eb2e5409114f8d013bbc5fd64778f9ec5f5a0b5d759fe8f135f7a90189",
+        "a6555dc1bfb3649f1ba72257afa96d4a4c7ef1abc10663293af559150f4995b1"),
+    "counterexample --family hlawka-pop --n 4 --strategy coordinate-descent --trials 50": (
+        "83df4752d475617ca042a908e5c6bf1eac5097f73d1d2034fa6ea9e9572c7e2e",
+        "cd3afca9d623d94a3bad34ffcb3a904c8527f9e24fce8ab0a13bb1ee86799f5a"),
 }
 
 #: Runs every pinned command at seeds 0 and 7 in one child process and

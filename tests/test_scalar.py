@@ -48,6 +48,7 @@ from hlawka.util import derive_seed
 
 ABS = ConvexFunction("abs")
 SQUARE = ConvexFunction("square")
+EXP = ConvexFunction("exp")
 
 
 # ---------------------------------------------------------------------------
@@ -745,26 +746,33 @@ def oracle_evaluate(suite: str, data, f=None, **levels) -> tuple:
     return lhs, rhs, margin, scale
 
 
-def oracle_descent(suite: str, fn, start: np.ndarray) -> np.ndarray:
-    """The coordinate descent from one start, one evaluation after another."""
+def oracle_descent(suite: str, fn, start: np.ndarray, evaluated: list | None = None) -> np.ndarray:
+    """The coordinate descent from one start, one evaluation after another,
+    ended by the first candidate the evaluator refuses; each point it
+    evaluates is appended to ``evaluated``, if given."""
     def margin(point):
+        if evaluated is not None:
+            evaluated.append(point)
         return oracle_evaluate(suite, point, fn)[2]
 
-    point = start.copy()
-    best = margin(point)
-    for step in (4.0, 2.0, 1.0, 0.5, 0.25, 0.125, 0.0625):
-        improved = True
-        sweeps = 0
-        while improved and sweeps < 20:
-            improved = False
-            sweeps += 1
-            for i in range(point.size):
-                for delta in (step, -step):
-                    trial = point.copy()
-                    trial.flat[i] += delta
-                    value = margin(trial)
-                    if value < best - 1e-15:
-                        best, point, improved = value, trial, True
+    point = trial = start.copy()
+    try:
+        best = margin(point)
+        for step in (4.0, 2.0, 1.0, 0.5, 0.25, 0.125, 0.0625):
+            improved = True
+            sweeps = 0
+            while improved and sweeps < 20:
+                improved = False
+                sweeps += 1
+                for i in range(point.size):
+                    for delta in (step, -step):
+                        trial = point.copy()
+                        trial.flat[i] += delta
+                        value = margin(trial)
+                        if value < best - 1e-15:
+                            best, point, improved = value, trial, True
+    except InputError:
+        return trial
     return point
 
 
@@ -898,12 +906,102 @@ class TestLockstepDescents:
         assert len(evaluations) > 2 * len(chunks) > 0
         assert len(codes) <= 2 * len(chunks)
 
-    def test_descended_points_equal_the_sequential_descents(self):
+    # Under exp about 704 one descent is refused at its start, four in
+    # their middle, and two end at a finite point.
+    @pytest.mark.parametrize("fn, center", [(SQUARE, None), (EXP, None), (EXP, (704.0,) * 4)],
+                             ids=["square", "exp", "exp-refused"])
+    @pytest.mark.parametrize("rows", [1, 3, 7, 360])
+    def test_descended_points_equal_the_sequential_descents(self, rows, fn, center):
         rng = np.random.default_rng(5)
-        starts = np.stack([sample_inputs("hlawka-pop", rng, 4, 1) for _ in range(7)])
-        points = _lockstep("hlawka-pop", SQUARE, starts)
+        starts = np.stack([sample_inputs("hlawka-pop", rng, 4, 1, center, 4.0)
+                           for _ in range(7)])
+        points = _lockstep("hlawka-pop", fn, starts, rows)
         for start, point in zip(starts, points):
-            assert point.tobytes() == oracle_descent("hlawka-pop", SQUARE, start).tobytes()
+            assert point.tobytes() == oracle_descent("hlawka-pop", fn, start).tobytes()
+
+    @pytest.mark.parametrize("fn, center", [(ABS, None), (EXP, (704.0,) * 4)],
+                             ids=["abs", "exp-refused"])
+    def test_one_row_a_round_evaluates_the_sequential_candidates(self, fn, center, monkeypatch):
+        # From one start at one row a round, the descent evaluates the
+        # points the sequential descent does, in its order, and none after
+        # a refused one.
+        blocks, evaluate = [], scalar._search_margin
+        monkeypatch.setattr(scalar, "_search_margin",
+                            lambda suite, data, *a, **kw: blocks.append(data.copy())
+                            or evaluate(suite, data, *a, **kw))
+        rng = np.random.default_rng(5)
+        for _ in range(7):
+            start = sample_inputs("hlawka-pop", rng, 4, 1, center, 4.0)
+            expected, blocks[:] = [], []
+            oracle_descent("hlawka-pop", fn, start, expected)
+            _lockstep("hlawka-pop", fn, start[np.newaxis], 1)
+            assert [block.tobytes() for block in blocks] == [p.tobytes() for p in expected]
+
+    @staticmethod
+    def budget_rows(monkeypatch, config: RunConfig, rows: int) -> None:
+        """Set ``CHUNK_BYTES`` so that a chunk of ``config``'s search holds
+        ``rows`` trials, which bounds each round of its descents too."""
+        cfg, _ = harness._settings(config, "counterexample")
+        monkeypatch.setattr(harness, "CHUNK_BYTES", rows * harness._row_bytes(cfg.family, cfg))
+
+    # Budgets of 1, 3 and 7 rows end rounds mid-sweep, and 3 and 7 between
+    # a coordinate's plus and minus candidates.
+    @pytest.mark.parametrize("suite, cfg, kind", [
+        ("hlawka-pop", dict(n=4, trials=9, seed=3), "abs"),
+        ("hlawka-pop", dict(n=5, trials=6, seed=1), "square"),
+        ("hlawka-pop", dict(n=4, trials=6, seed=4), "exp"),
+        ("freudenthal", dict(n=4, dim=2, trials=4, seed=2), None),
+    ], ids=["abs", "square", "exp", "norm"])
+    @pytest.mark.parametrize("rows", [1, 3, 7])
+    def test_round_budgets_keep_the_sequential_finds(self, suite, cfg, kind, rows, monkeypatch):
+        config = RunConfig(family=suite, strategy="coordinate-descent", fn=kind, **cfg)
+        self.budget_rows(monkeypatch, config, rows)
+        fn = kind and ConvexFunction(kind)
+        assert counterexample_search(suite, config, fn, 1e-12) == oracle_search(
+            suite, config, fn, 1e-12)
+
+    # The exp searches of test_mean_rule_overflow_exits_two, refused in the
+    # middle of a descent.
+    @pytest.mark.parametrize("center, radius, trials, seed", [
+        (700.0, 4.0, 8, 1), (702.0, 4.0, 4, 2), (702.0, 6.0, 4, 2)])
+    @pytest.mark.parametrize("rows", [1, 3, 7, None])
+    def test_refused_descents_raise_as_the_sequential_search(self, center, radius, trials, seed,
+                                                             rows, monkeypatch):
+        config = RunConfig(family="hlawka-pop", n=4, strategy="coordinate-descent", fn="exp",
+                           center=(center,) * 4, radius=radius, trials=trials, seed=seed)
+        if rows is not None:
+            self.budget_rows(monkeypatch, config, rows)
+        with pytest.raises(InputError) as expected:
+            oracle_search("hlawka-pop", config, EXP, 1e-12)
+        with pytest.raises(InputError) as got:
+            counterexample_search("hlawka-pop", config, EXP, 1e-12)
+        assert str(got.value) == str(expected.value) == scalar._OVERFLOW
+
+    @pytest.mark.parametrize("rows", [1, 3, 7, None])
+    def test_a_round_holds_at_most_a_chunk_of_rows(self, rows, monkeypatch):
+        config = RunConfig(family="hlawka-pop", n=4, strategy="coordinate-descent", trials=20)
+        if rows is not None:
+            self.budget_rows(monkeypatch, config, rows)
+        cfg, _ = harness._settings(config, "counterexample")
+        limit = harness._chunk_trials(harness._row_bytes("hlawka-pop", cfg))
+        blocks, evaluate = [], scalar._search_margin
+        monkeypatch.setattr(scalar, "_search_margin",
+                            lambda suite, data, *a, **kw: blocks.append(len(data))
+                            or evaluate(suite, data, *a, **kw))
+        counterexample_search("hlawka-pop", config, ABS, 1e-12)
+        assert limit == (rows or 360)
+        assert blocks and max(blocks) <= limit
+
+    def test_the_benchmark_descent_makes_few_evaluations(self, tmp_path, monkeypatch):
+        # One evaluation a candidate of every live descent took 227 at seed
+        # 0; a round of sweep blocks takes most of a sweep at once.
+        calls, evaluate = [], scalar._search_margin
+        monkeypatch.setattr(scalar, "_search_margin",
+                            lambda *a, **kw: calls.append(1) or evaluate(*a, **kw))
+        assert main(["counterexample", "--family", "hlawka-pop", "--n", "4", "--strategy",
+                     "coordinate-descent", "--trials", "50", "--seed", "0",
+                     "--out", str(tmp_path / "r.json")]) == 0
+        assert 2 < len(calls) <= 100
 
     def test_zero_trials_on_both_routes(self):
         for strategy in SEARCH_STRATEGIES:
