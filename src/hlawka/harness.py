@@ -18,10 +18,10 @@ route reads and the value each takes when unset.
 Per-trial seeds derive from (master seed, trial index), so how trials are
 grouped cannot change any reported number.  One chunker, :func:`_chunks`,
 splits the trials of every route and derives each chunk's trial seeds as
-one uint64 array (:func:`~hlawka.util.derive_seeds`); a chunk holds as
-many trials as fit ``CHUNK_BYTES`` in the arrays a trial holds at once
-(the build's working set on ``verify``, :func:`~hlawka.scalar.row_bytes`
-elsewhere), and at least one.  Every route runs its chunks stacked on a
+one uint64 array (:func:`~hlawka.util.derive_seeds`), the seeds every
+route reports; a chunk holds as many trials as fit ``CHUNK_BYTES`` at
+:func:`_trial_bytes` a trial, the count the settings pass refuses over
+budget, and at least one.  Every route runs its chunks stacked on a
 leading axis, each bit for bit the per-trial result: the two operator
 suites take one sampling call (input i of a trial seeded from the trial
 seed and i), one build and one certification (or one scalar check) per
@@ -89,7 +89,7 @@ from .scalar import (
 )
 from .sums import CHUNK_BYTES, FAMILIES, build_difference, check_trial_bytes, working_set
 from .symgroup import check_symmetric_degree
-from .util import derive_seed, derive_seeds
+from .util import derive_seeds
 
 
 @dataclass
@@ -162,9 +162,9 @@ def _settings(cfg: RunConfig, route: str) -> tuple[RunConfig, list[str]]:
     vectors that do not split into n rows (they set ``dim``), an ``n`` or
     ``dim`` set to another value than the given points or the known input
     give, and last, as budget errors, a tensor over ``max_tensor_dim``, a
-    trial whose working set (the build's on ``verify``, :func:`_row_bytes`
-    elsewhere) exceeds :data:`~hlawka.sums.MAX_WORKING_SET_BYTES`, a
-    coordinate descent whose candidates' row bytes exceed
+    trial whose :func:`_trial_bytes` exceed
+    :data:`~hlawka.sums.MAX_WORKING_SET_BYTES`, a coordinate descent whose
+    candidates, that count each, exceed
     :data:`~hlawka.scalar.MAX_DESCENT_BYTES` and a group over the guard.
     """
     families, tol, row = _READS[route]
@@ -235,13 +235,10 @@ def _settings(cfg: RunConfig, route: str) -> tuple[RunConfig, list[str]]:
 
     if cfg.p is not None:
         check_tensor_budget(cfg.dim, cfg.p, cfg.max_tensor_dim)
-    if route == "verify":
-        working_set(cfg.family, cfg.n, cfg.p, cfg.dim, k=cfg.k, ell=cfg.ell, m=cfg.m)
-    else:
-        trial_bytes = _row_bytes(cfg.family, cfg)
-        check_trial_bytes(trial_bytes)
-        if cfg.strategy == "coordinate-descent":
-            check_descent_bytes(cfg.family, cfg.n, cfg.dim, trial_bytes)
+    trial_bytes = _trial_bytes(cfg, route)
+    check_trial_bytes(trial_bytes)
+    if cfg.strategy == "coordinate-descent":
+        check_descent_bytes(cfg.family, cfg.n, cfg.dim, trial_bytes)
     if cfg.char is not None:
         check_symmetric_degree(cfg.dim)
     return cfg, names
@@ -273,22 +270,27 @@ def _chunks(cfg: RunConfig, trial_bytes: int):
         yield lo, derive_seeds(cfg.seed, np.arange(lo, min(cfg.trials, lo + size)))
 
 
-def _row_bytes(suite: str, cfg: RunConfig) -> int:
-    """:func:`~hlawka.scalar.row_bytes` of one trial of ``suite`` under the
-    resolved ``cfg``: of the whole catalog under ``fn`` "all", else of one
-    function."""
+def _trial_bytes(cfg: RunConfig, route: str) -> int:
+    """The one count of the bytes a trial of ``route`` holds at once under
+    the resolved ``cfg``, refused over budget and sizing every chunk and
+    descent round.  On ``verify``, 16 (a complex128 entry) times the larger
+    of the build's working set and the sampler's peak: tracemalloc reads
+    one p 1 trial's sampling, canonical restack and ``min_eigenvalue`` at
+    7.0 to 8.6 times its n dim^2 input entries at dims 20 to 400, all
+    inside :func:`~hlawka.linalg.random_pd`.  Elsewhere the row bytes of
+    the whole catalog under ``fn`` "all", else of one function."""
+    if route == "verify":
+        build = working_set(cfg.family, cfg.n, cfg.p, cfg.dim, k=cfg.k, ell=cfg.ell, m=cfg.m)
+        return 16 * max(build, 9 * cfg.n * cfg.dim * cfg.dim)
     functions = len(CONVEX_KINDS) if cfg.fn == "all" else 1
-    return row_bytes(suite, cfg.n, cfg.dim, functions, cfg.k, cfg.ell, cfg.m)
+    return row_bytes(cfg.family, cfg.n, cfg.dim, functions, cfg.k, cfg.ell, cfg.m)
 
 
 def _matrix_trials(cfg: RunConfig, trial_bytes: int, check, margin_key: str):
-    """The ``(record, entry, kinds)`` of each chunk of an operator suite.
-
-    ``trial_bytes`` is about what a trial holds at once, and ``check(inputs,
-    parts)`` gives the record of every trial of a chunk.  Input i of trial
-    t is sampled from ``derive_seed(seed_t, i)``, and ``parts[i]`` stacks
-    every trial's.
-    """
+    """The ``(record, entry, kinds)`` of each chunk of an operator suite at
+    ``trial_bytes`` a trial: ``check(inputs, parts)`` gives the record of
+    every trial of a chunk, input i of trial t sampled from
+    ``derive_seed(seed_t, i)`` and ``parts[i]`` stacking every trial's."""
     for _, seeds in _chunks(cfg, trial_bytes):
         count = len(seeds)
         inputs = random_pd(cfg.dim, derive_seeds(seeds, np.arange(cfg.n)[:, np.newaxis]).ravel(),
@@ -359,9 +361,8 @@ def run_verify(cfg: RunConfig) -> tuple[TrialReport, int]:
             flags.append(psd_only)
         return certs
 
-    largest = working_set(cfg.family, cfg.n, cfg.p, cfg.dim, k=cfg.k, ell=cfg.ell, m=cfg.m)
-    trial_bytes = 16 * max(largest, cfg.n * cfg.dim * cfg.dim)  # complex128 entries
-    return _run(report, cfg, _matrix_trials(cfg, trial_bytes, certify, "minEigenvalue"))
+    return _run(report, cfg, _matrix_trials(cfg, _trial_bytes(cfg, "verify"), certify,
+                                            "minEigenvalue"))
 
 
 def run_scalar_verify(cfg: RunConfig) -> tuple[TrialReport, int]:
@@ -377,25 +378,22 @@ def run_scalar_verify(cfg: RunConfig) -> tuple[TrialReport, int]:
         return scalar_inequality_check(cfg.family, parts, group, chi, cfg.tol,
                                        k=cfg.k, ell=cfg.ell, m=cfg.m)
 
-    return _run(report, cfg, _matrix_trials(cfg, _row_bytes(cfg.family, cfg), check, "margin"))
+    return _run(report, cfg, _matrix_trials(cfg, _trial_bytes(cfg, "matrix"), check, "margin"))
 
 
-def _input_chunks(suite: str, cfg: RunConfig):
-    """Yield ``(first trial, inputs)`` per chunk of :func:`_chunks`, the
-    inputs one ``(T, n)`` or ``(T, n, dim)`` block: ``cfg.points`` as a
-    block of one, else trial t's ``sample_inputs`` drawn from the generator
-    of its trial seed, trial 0 being the known refuting input under
-    ``include_known``.
-    """
-    if cfg.points is not None:
-        yield 0, np.asarray(cfg.points, dtype=np.float64).reshape(
-            1, *sample_shape(suite, cfg.n, cfg.dim))
-        return
-    for lo, seeds in _chunks(cfg, _row_bytes(suite, cfg)):
-        yield lo, np.array([
-            np.asarray(KNOWN_HLAWKA_POP_COUNTEREXAMPLE) if t == 0 and cfg.include_known
-            else sample_inputs(suite, rng, cfg.n, cfg.dim, cfg.center, cfg.radius)
-            for t, rng in enumerate(_generators(seeds), lo)])
+def _input_chunks(cfg: RunConfig, trial_bytes: int):
+    """Yield ``(first trial, trial seeds, inputs)`` per chunk of
+    :func:`_chunks`, the inputs one ``(T, n)`` or ``(T, n, dim)`` block:
+    ``cfg.points`` as its one trial's, else trial t's ``sample_inputs``
+    drawn from the generator of its trial seed, trial 0 being the known
+    refuting input under ``include_known``."""
+    for lo, seeds in _chunks(cfg, trial_bytes):
+        yield lo, seeds, np.array([
+            cfg.points if cfg.points is not None
+            else KNOWN_HLAWKA_POP_COUNTEREXAMPLE if t == 0 and cfg.include_known
+            else sample_inputs(cfg.family, rng, cfg.n, cfg.dim, cfg.center, cfg.radius)
+            for t, rng in enumerate(_generators(seeds), lo)], dtype=np.float64).reshape(
+                len(seeds), *sample_shape(cfg.family, cfg.n, cfg.dim))
 
 
 def _run_convex_norm(cfg: RunConfig, names: list[str]) -> tuple[TrialReport, int]:
@@ -407,14 +405,14 @@ def _run_convex_norm(cfg: RunConfig, names: list[str]) -> tuple[TrialReport, int
     kinds = tuple(fn.kind if fn else None for fn in fns)
 
     def records():
-        for lo, block in _input_chunks(cfg.family, cfg):
+        for _, seeds, block in _input_chunks(cfg, _trial_bytes(cfg, "convex")):
             # Looked up on the module, so a wrapper bound there sees every block.
             record = scalar._search_margin(cfg.family, block, fns, cfg.tol, k=cfg.k,
                                            ell=cfg.ell, m=cfg.m)
             record.refuse_first()
-            yield record, lambda t, kind, worst, lo=lo, block=block: {
+            yield record, lambda t, kind, worst, seeds=seeds, block=block: {
                 "inputsDigest": _data_digest(block[t]), "margin": worst,
-                "seed": derive_seed(cfg.seed, lo + t),
+                "seed": int(seeds[t]),
                 "inputs": [float(x) for x in block[t].ravel()],
                 **({"fn": kind} if kind else {})}, kinds
 
@@ -425,24 +423,27 @@ def counterexample_search(suite: str, cfg: RunConfig, fn: ConvexFunction | None,
                           tol: float) -> list[dict]:
     """The search's trial loop: the report entry of every confirmed find.
 
-    Trial t starts from ``sample_inputs`` drawn from the seed derived from
-    (seed, t), or under ``include_known`` trial 0 from the known refuting
-    input; :func:`~hlawka.scalar.search_from` searches from a chunk of
-    starts at once, descending from each in lockstep under the
-    ``coordinate-descent`` strategy, each round at most a full chunk's
-    trial count of candidates, and re-verifies what it reports.  An
-    empty list is a valid outcome.  ``cfg`` goes through the settings pass
-    of the search route first, which leaves a resolved config as it is;
-    ``fn`` is not read under the ``norm`` term.
+    Trial t starts from ``sample_inputs`` drawn from its trial seed, or
+    under ``include_known`` trial 0 from the known refuting input;
+    :func:`~hlawka.scalar.search_from` searches from a chunk of starts at
+    once, descending from each in lockstep under the ``coordinate-descent``
+    strategy, each round at most a full chunk's trial count of candidates,
+    and re-verifies what it reports.  An empty list is a valid outcome.
+    ``cfg`` goes through the settings pass of the search route first,
+    which leaves a resolved config as it is; ``suite`` other than its
+    family is refused, and ``fn`` is not read under the ``norm`` term.
     """
+    if suite != cfg.family:
+        raise InputError(f"suite {suite!r} differs from the config's family {cfg.family!r}")
     cfg, _ = _settings(cfg, "counterexample")
     descend = cfg.strategy == "coordinate-descent"
-    rows = _chunk_trials(_row_bytes(suite, cfg))
+    trial_bytes = _trial_bytes(cfg, "counterexample")
+    rows = _chunk_trials(trial_bytes)
     found = []
-    for lo, starts in _input_chunks(suite, cfg):
-        for row, inputs, result in search_from(suite, fn, tol, starts, descend, rows):
+    for lo, seeds, starts in _input_chunks(cfg, trial_bytes):
+        for row, inputs, result in search_from(cfg.family, fn, tol, starts, descend, rows):
             found.append({"inputsDigest": _data_digest(np.asarray(inputs)),
-                          "margin": result.margin, "seed": derive_seed(cfg.seed, lo + row),
+                          "margin": result.margin, "seed": int(seeds[row]),
                           "trialIndex": lo + row, "inputs": [float(x) for x in np.ravel(inputs)]})
     return found
 

@@ -284,9 +284,9 @@ class _Coefficients(Mapping):
 #: tuples; a row or trial over budget runs alone.
 CHUNK_BYTES = 512 * 1024
 
-#: Byte budget of the tables one trial's build holds at once
-#: (:func:`working_set`), refused before the first trial: hlawka3 at p 12
-#: and dim 2 holds 0.75 GiB.
+#: Byte budget of what one trial holds at once by the harness's one count
+#: (on ``verify`` the larger of :func:`working_set` and the sampler's
+#: peak), refused before the first trial: hlawka3 at p 12, dim 2 holds 0.75 GiB.
 MAX_WORKING_SET_BYTES = 2**31
 
 #: Every entry of the absent row that ends a table the next step reads as
@@ -392,12 +392,10 @@ def _plan(name: str, spec: FamilySpec, n: int, p: int, k, ell, m) -> _WordPlan:
 
 def working_set(family: str, n: int, p: int, dim: int, *, k=None, ell=None, m=None) -> int:
     """Entries per trial that :func:`build_difference` holds at once over
-    n inputs of size ``dim``: at least the output's ``dim^(2p)``.  Raises
-    :class:`BudgetError` if their bytes exceed :data:`MAX_WORKING_SET_BYTES`."""
+    n inputs of size ``dim``: at least the output's ``dim^(2p)``.  Refused
+    by the harness, in its count of the whole trial."""
     plan = _plan(family, operator_family(family), n, p, k, ell, m)
-    entries = max(dim ** (2 * p), plan.working_set(dim))
-    check_trial_bytes(16 * entries)
-    return entries
+    return max(dim ** (2 * p), plan.working_set(dim))
 
 
 def check_trial_bytes(nbytes: int) -> None:

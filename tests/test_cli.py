@@ -859,10 +859,18 @@ class TestRefusedInACappedChild:
     @pytest.mark.parametrize("command", [
         "verify --family pop-pairs --n 12 --p 12 --dim 2 --trials 1",
         "verify --family pop-subsets --n 8 --m 6 --p 12 --dim 2 --trials 1",
+        *(f"{line} --trials {trials}" for line in (
+            "verify --family superadd --n 2000 --p 1 --dim 2000",
+            "verify --family hlawka3 --p 1 --dim 4096") for trials in (0, 1)),
     ])
     def test_working_set_budget_exits_three_before_any_table(self, command):
         # 5.48 and 18.9 GiB a trial by sums.working_set, within the tensor
         # budget: numpy's MemoryError escaped cli.main and the run exited 1.
+        # The p 1 lines are exactly 0, so their builds hold dim^2 entries,
+        # and the sampler's peak is refused: counted by the build, they
+        # passed at --trials 0, and at 1 the first died in random_pd with
+        # numpy's _ArrayMemoryError and exit 1 (the second samples 805 MB
+        # of inputs at about 6.4 GB).
         done = run_capped(command)
         assert (done.returncode, done.stdout) == (3, "")
         assert re.fullmatch(r"budget exceeded: working set of one trial: \d+ bytes exceeds "
@@ -990,6 +998,21 @@ class TestDescentBudget:
 
 class TestWorkingSetBudget:
     LINE = "verify --family pop-pairs --n 4 --p 4 --dim 2"
+    #: Exactly 0 at p 1: its build holds dim^2 entries, its sampler 9 n dim^2.
+    INPUTS_LINE = "verify --family superadd --n 4 --p 1 --dim 3"
+
+    @staticmethod
+    def refused_at(line, held, spare, code, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(sums, "MAX_WORKING_SET_BYTES", held + spare)
+        for trials in ("0", "2"):
+            out = tmp_path / f"r{trials}.json"
+            argv = [*line.split(), "--trials", trials, "--out", str(out)]
+            assert main(argv) == code
+            assert out.exists() == (code == 0)
+        if code:
+            assert capsys.readouterr().err == (
+                f"budget exceeded: working set of one trial: {held} bytes exceeds budget "
+                f"{held - 1}\n" * 2)
 
     @pytest.mark.parametrize("spare, code", [(0, 0), (-1, 3)])
     def test_the_budget_is_inclusive(self, spare, code, tmp_path, monkeypatch, capsys):
@@ -997,16 +1020,34 @@ class TestWorkingSetBudget:
         # budget even at --trials 0; one byte less than the working set is
         # refused before any input is sampled.
         held = 16 * sums.working_set("pop-pairs", 4, 4, 2)
-        monkeypatch.setattr(sums, "MAX_WORKING_SET_BYTES", held + spare)
-        for trials in ("0", "2"):
-            out = tmp_path / f"r{trials}.json"
-            argv = [*self.LINE.split(), "--trials", trials, "--out", str(out)]
-            assert main(argv) == code
-            assert out.exists() == (code == 0)
-        if code:
-            assert capsys.readouterr().err == (
-                f"budget exceeded: working set of one trial: {held} bytes exceeds budget "
-                f"{held - 1}\n" * 2)
+        self.refused_at(self.LINE, held, spare, code, tmp_path, monkeypatch, capsys)
+
+    @pytest.mark.parametrize("spare, code", [(0, 0), (-1, 3)])
+    def test_the_budget_is_inclusive_where_the_inputs_outweigh_the_build(
+            self, spare, code, tmp_path, monkeypatch, capsys):
+        # The sampler's peak, not the build's 9 entries, is what is refused.
+        assert sums.working_set("superadd", 4, 1, 3) == 3 * 3
+        held = 16 * 9 * 4 * 3 * 3
+        self.refused_at(self.INPUTS_LINE, held, spare, code, tmp_path, monkeypatch, capsys)
+
+    # One p 1 trial peaks inside random_pd; the last line's build (6.4 MB)
+    # and sampler (11.5 MB) are of similar size.  The largest peak/count
+    # ratio is 0.90, hlawka3 at dim 50.
+    @pytest.mark.parametrize("cfg", [
+        *(dict(family="superadd", n=4, p=1, dim=dim) for dim in (50, 100, 200, 400)),
+        *(dict(family="hlawka3", n=3, p=1, dim=dim) for dim in (50, 400)),
+        dict(family="superadd", n=200, p=2, dim=20),
+    ], ids=lambda cfg: f"{cfg['family']}-n{cfg['n']}-p{cfg['p']}-dim{cfg['dim']}")
+    def test_the_count_bounds_one_trial_peak(self, cfg):
+        config, _ = harness._settings(RunConfig(trials=1, **cfg), "verify")
+        run_verify(config)  # caches and first-call allocations
+        tracemalloc.start()
+        try:
+            run_verify(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= harness._trial_bytes(config, "verify")
 
     def test_the_settings_pass_refuses_it(self):
         # The settings pass refuses it, before the trial loop sizes its

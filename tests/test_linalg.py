@@ -341,14 +341,15 @@ class TestRandomPd:
     def test_only_chunks_splits_the_trials(self):
         # One chunker sizes every route's chunks and derives its trial seeds:
         # no other function of the harness loops over cfg.trials or derives
-        # seeds from cfg.seed.
+        # seeds from cfg.seed, by either derivation, and one count sizes
+        # them: only _trial_bytes counts a build's or a row's bytes.
         src = Path(hlawka.__file__).resolve().parent
         tree = ast.parse((src / "harness.py").read_text(encoding="utf-8"))
 
         def parts(node) -> set[str]:
             return {ast.unparse(part) for part in ast.walk(node)}
 
-        loops, derivations = set(), set()
+        loops, derivations, counts = set(), set(), set()
         for func in ast.walk(tree):
             if not isinstance(func, ast.FunctionDef):
                 continue
@@ -356,10 +357,19 @@ class TestRandomPd:
                 loop = isinstance(node, (ast.For, ast.comprehension))
                 if loop and "cfg.trials" in parts(node.iter):
                     loops.add(func.name)
-                if (isinstance(node, ast.Call) and ast.unparse(node.func) == "derive_seeds"
+                if not isinstance(node, ast.Call):
+                    continue
+                called = ast.unparse(node.func).split(".")[-1]
+                if (called in ("derive_seed", "derive_seeds")
                         and node.args and ast.unparse(node.args[0]) == "cfg.seed"):
                     derivations.add(func.name)
+                if called in ("working_set", "row_bytes"):
+                    counts.add(func.name)
         assert loops == derivations == {"_chunks"}
+        assert counts == {"_trial_bytes"}
+        imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                    for alias in node.names}
+        assert "derive_seeds" in imported and "derive_seed" not in imported
 
     def test_one_record_judges_every_verdict(self):
         # Every verdict goes through one record: only its code property and

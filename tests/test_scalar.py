@@ -416,6 +416,16 @@ class TestCounterexampleSearch:
         report, _ = run_counterexample(cfg)
         assert counterexample_search("freudenthal", cfg, ABS, 1e-12) == report.violations
 
+    @pytest.mark.parametrize("suite, family", [("freudenthal", "hlawka-pop"),
+                                               ("hlawka-pop", "freudenthal")])
+    def test_a_suite_other_than_the_family_is_refused(self, suite, family):
+        # The first raised a bare TypeError from sample_shape; the second
+        # searched hlawka-pop under a config settled for freudenthal.
+        cfg = RunConfig(family=family, n=4, trials=3)
+        with pytest.raises(InputError) as refused:
+            counterexample_search(suite, cfg, ABS, 1e-12)
+        assert str(refused.value) == f"suite {suite!r} differs from the config's family {family!r}"
+
     def test_deterministic_under_seed(self):
         assert search("hlawka-pop", n=4, trials=300, seed=11) == search(
             "hlawka-pop", n=4, trials=300, seed=11)
@@ -817,7 +827,7 @@ def chunk_size(suite: str, n: int, dim: int, functions: int, **levels) -> int:
     """The trials of one chunk of the harness's convex/norm route."""
     cfg = RunConfig(family=suite, n=n, dim=dim, trials=10**6, fn="all" if functions > 1 else None,
                     **levels)
-    return len(next(harness._input_chunks(suite, cfg))[1])
+    return len(next(harness._input_chunks(cfg, harness._trial_bytes(cfg, "convex")))[1])
 
 
 def block_rows(suite: str, count: int, n: int, dim: int, rng) -> np.ndarray:
@@ -942,7 +952,8 @@ class TestLockstepDescents:
         """Set ``CHUNK_BYTES`` so that a chunk of ``config``'s search holds
         ``rows`` trials, which bounds each round of its descents too."""
         cfg, _ = harness._settings(config, "counterexample")
-        monkeypatch.setattr(harness, "CHUNK_BYTES", rows * harness._row_bytes(cfg.family, cfg))
+        monkeypatch.setattr(harness, "CHUNK_BYTES",
+                            rows * harness._trial_bytes(cfg, "counterexample"))
 
     # Budgets of 1, 3 and 7 rows end rounds mid-sweep, and 3 and 7 between
     # a coordinate's plus and minus candidates.
@@ -983,7 +994,7 @@ class TestLockstepDescents:
         if rows is not None:
             self.budget_rows(monkeypatch, config, rows)
         cfg, _ = harness._settings(config, "counterexample")
-        limit = harness._chunk_trials(harness._row_bytes("hlawka-pop", cfg))
+        limit = harness._chunk_trials(harness._trial_bytes(cfg, "counterexample"))
         blocks, evaluate = [], scalar._search_margin
         monkeypatch.setattr(scalar, "_search_margin",
                             lambda suite, data, *a, **kw: blocks.append(len(data))
