@@ -26,7 +26,7 @@ leading axis, each bit for bit the per-trial result: the two operator
 suites take one sampling call (input i of a trial seeded from the trial
 seed and i), one build and one certification (or one scalar check) per
 chunk, and the convex/norm suites and the search one block evaluation per
-chunk (one generator per trial draws its inputs; the search's descents
+chunk (one sampling pass draws the chunk's inputs; the search's descents
 one per round).  Reports are assembled in trial order.
 """
 
@@ -47,12 +47,12 @@ from .linalg import (
     DEFAULT_MAX_TENSOR_DIM,
     HermitianStack,
     Verdict,
-    _generators,
     check_condition_target,
     check_tensor_budget,
     min_eigenvalue,
     psd_certificate,
     random_pd,
+    sample_bytes,
 )
 from .matfunc import DEFAULT_SCALAR_MATRIX_TOL, parse_character_selector, scalar_inequality_check
 from .report import TrialReport
@@ -273,17 +273,28 @@ def _chunks(cfg: RunConfig, trial_bytes: int):
 def _trial_bytes(cfg: RunConfig, route: str) -> int:
     """The one count of the bytes a trial of ``route`` holds at once under
     the resolved ``cfg``, refused over budget and sizing every chunk and
-    descent round.  On ``verify``, 16 (a complex128 entry) times the larger
-    of the build's working set and the sampler's peak: tracemalloc reads
-    one p 1 trial's sampling, canonical restack and ``min_eigenvalue`` at
-    7.0 to 8.6 times its n dim^2 input entries at dims 20 to 400, all
-    inside :func:`~hlawka.linalg.random_pd`.  Elsewhere the row bytes of
-    the whole catalog under ``fn`` "all", else of one function."""
+    descent round: the larger of the route's count and its sampler's peak.
+    The route's count is, on ``verify``, 16 (a complex128 entry) times the
+    build's working set, and elsewhere the row bytes of the whole catalog
+    under ``fn`` "all", else of one function.  The sampler's peak is, on
+    the operator routes, the larger of 16 times 9 n dim^2 and n times
+    :func:`~hlawka.linalg.sample_bytes` of a sample's 2 dim^2 draws, which
+    is larger at dims 1 and 2: tracemalloc reads one p 1 trial's sampling,
+    canonical restack and ``min_eigenvalue`` at 7.0 to 8.6 times its n
+    dim^2 input entries at dims 20 to 400, all inside
+    :func:`~hlawka.linalg.random_pd`, and a full chunk's ``random_pd`` at
+    8.2 to 8.6 times at dims 2 to 6 and 11.6 times at dim 1.  On the
+    convex/norm and search routes it is ``sample_bytes`` of a trial's draws."""
+    if route in ("verify", "matrix"):
+        sampler = cfg.n * max(16 * 9 * cfg.dim**2, sample_bytes(2 * cfg.dim**2))
+    else:
+        sampler = sample_bytes(math.prod(sample_shape(cfg.family, cfg.n, cfg.dim)))
     if route == "verify":
-        build = working_set(cfg.family, cfg.n, cfg.p, cfg.dim, k=cfg.k, ell=cfg.ell, m=cfg.m)
-        return 16 * max(build, 9 * cfg.n * cfg.dim * cfg.dim)
-    functions = len(CONVEX_KINDS) if cfg.fn == "all" else 1
-    return row_bytes(cfg.family, cfg.n, cfg.dim, functions, cfg.k, cfg.ell, cfg.m)
+        held = 16 * working_set(cfg.family, cfg.n, cfg.p, cfg.dim, k=cfg.k, ell=cfg.ell, m=cfg.m)
+    else:
+        functions = len(CONVEX_KINDS) if cfg.fn == "all" else 1
+        held = row_bytes(cfg.family, cfg.n, cfg.dim, functions, cfg.k, cfg.ell, cfg.m)
+    return max(held, sampler)
 
 
 def _matrix_trials(cfg: RunConfig, trial_bytes: int, check, margin_key: str):
@@ -384,16 +395,18 @@ def run_scalar_verify(cfg: RunConfig) -> tuple[TrialReport, int]:
 def _input_chunks(cfg: RunConfig, trial_bytes: int):
     """Yield ``(first trial, trial seeds, inputs)`` per chunk of
     :func:`_chunks`, the inputs one ``(T, n)`` or ``(T, n, dim)`` block:
-    ``cfg.points`` as its one trial's, else trial t's ``sample_inputs``
-    drawn from the generator of its trial seed, trial 0 being the known
-    refuting input under ``include_known``."""
+    ``cfg.points`` as its one trial's, else the ``sample_inputs`` block of
+    the chunk's trial seeds, trial 0's being the known refuting input under
+    ``include_known``."""
     for lo, seeds in _chunks(cfg, trial_bytes):
-        yield lo, seeds, np.array([
-            cfg.points if cfg.points is not None
-            else KNOWN_HLAWKA_POP_COUNTEREXAMPLE if t == 0 and cfg.include_known
-            else sample_inputs(cfg.family, rng, cfg.n, cfg.dim, cfg.center, cfg.radius)
-            for t, rng in enumerate(_generators(seeds), lo)], dtype=np.float64).reshape(
-                len(seeds), *sample_shape(cfg.family, cfg.n, cfg.dim))
+        if cfg.points is not None:
+            block = np.array(cfg.points, dtype=np.float64).reshape(
+                1, *sample_shape(cfg.family, cfg.n, cfg.dim))
+        else:
+            block = sample_inputs(cfg.family, seeds, cfg.n, cfg.dim, cfg.center, cfg.radius)
+            if cfg.include_known and lo == 0:
+                block[0] = KNOWN_HLAWKA_POP_COUNTEREXAMPLE
+        yield lo, seeds, block
 
 
 def _run_convex_norm(cfg: RunConfig, names: list[str]) -> tuple[TrialReport, int]:

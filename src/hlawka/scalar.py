@@ -46,7 +46,7 @@ from math import fsum
 import numpy as np
 
 from .errors import BudgetError, InputError
-from .linalg import Verdict, VerdictRecord, band_verdict
+from .linalg import Verdict, VerdictRecord, _draws, band_verdict
 from .sums import FAMILIES, FamilySpec, Level, checked_sides
 from .sums import _alternating, _level, _pop_subsets
 
@@ -499,17 +499,25 @@ def sample_shape(suite: str, n: int, dim: int, center=None) -> tuple[int, ...]:
     return shape
 
 
-def sample_inputs(suite: str, rng: np.random.Generator, n: int, dim: int,
-                  center=None, radius: float = 2.0) -> np.ndarray:
-    """Seeded inputs of a suite: standard Gaussian vectors under the norm
-    rule, else uniform points in [-10, 10]; with a ``center`` (all
-    coordinates, flat), the center plus uniform offsets in [-radius, radius]."""
+def sample_inputs(suite: str, seeds: np.ndarray, n: int, dim: int, center,
+                  radius) -> np.ndarray:
+    """The seeded inputs of a suite for every seed of the uint64 array
+    ``seeds``, one ``(T, *sample_shape)`` block whose row t holds the first
+    draws of numpy's generator on ``PCG64(SeedSequence(seeds[t]))``, all
+    formed in one :func:`~hlawka.linalg._draws` pass: standard Gaussian
+    vectors under the norm rule, else uniform points in [-10, 10]; with a
+    ``center`` (all coordinates, flat), the center plus uniform offsets in
+    [-``radius``, ``radius``]."""
     shape = sample_shape(suite, n, dim, center)
+    count = math.prod(shape)
     if center is None:
-        return rng.standard_normal(shape) if len(shape) == 2 else rng.uniform(-10.0, 10.0, shape)
-    offsets = rng.uniform(-radius, radius, shape)
-    with np.errstate(over="ignore"):  # inf, which the evaluator refuses
-        return np.asarray(center, dtype=np.float64).reshape(shape) + offsets
+        draws = (_draws(seeds, count, "normal") if len(shape) == 2
+                 else _draws(seeds, count, "uniform", -10.0, 10.0))
+    else:
+        with np.errstate(over="ignore"):  # inf, which the evaluator refuses
+            draws = (np.asarray(center, dtype=np.float64).ravel()
+                     + _draws(seeds, count, "uniform", -radius, radius))
+    return draws.reshape(len(seeds), *shape)
 
 
 def _one(suite: str, data, f: ConvexFunction | None = None, **levels) -> ScalarCheckResult:

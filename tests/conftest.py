@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hlawka.linalg import HermitianMatrix, HermitianStack, random_pd
+from hlawka.scalar import sample_shape
 from hlawka.util import derive_seed
 
 #: Seeds at the edges of the 64-bit range and of numpy's one-word and
@@ -15,6 +16,19 @@ def pd_tuple(seed: int, count: int, dim: int, condition_target: float = 10.0):
         random_pd(dim, (derive_seed(seed, i),), condition_target)[0]
         for i in range(count)
     ]
+
+
+def numpy_inputs(suite: str, rng: np.random.Generator, n: int, dim: int, center=None,
+                 radius=None) -> np.ndarray:
+    """One input of a suite drawn by numpy's generator ``rng`` itself, the
+    oracle of ``scalar.sample_inputs``: standard Gaussian vectors under the
+    norm rule, else uniform points in [-10, 10]; with a ``center``, the
+    center plus uniform offsets in [-radius, radius]."""
+    shape = sample_shape(suite, n, dim, center)
+    if center is not None:
+        return np.asarray(center, dtype=np.float64).reshape(shape) + rng.uniform(-radius, radius,
+                                                                                 shape)
+    return rng.standard_normal(shape) if len(shape) == 2 else rng.uniform(-10.0, 10.0, shape)
 
 
 def stack_of(mats) -> HermitianStack:

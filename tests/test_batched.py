@@ -13,7 +13,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from conftest import EDGE_SEEDS, pd_tuple, random_hermitian, stack_of
+from conftest import EDGE_SEEDS, numpy_inputs, pd_tuple, random_hermitian, stack_of
 
 import hlawka.harness as harness
 import hlawka.matfunc as matfunc
@@ -46,7 +46,6 @@ from hlawka.scalar import (
     ScalarCheckResults,
     convex_catalog,
     row_bytes,
-    sample_inputs,
 )
 from hlawka.symgroup import (
     CharacterSpec,
@@ -244,10 +243,11 @@ class TestScalarAgainstOracle:
 
     @pytest.mark.parametrize("delta", [None, -1, 0, 1])
     def test_trial_counts_around_a_chunk(self, delta, monkeypatch):
-        # alternating over 4 inputs at dim 4: a trial holds 15 subset sums of
-        # 32 real coordinates at 16 bytes each, and 64 bytes per term and input.
-        assert row_bytes("alternating", 4, 4, 1) == 16 * 15 * 32 + 64 * (15 + 4)
-        chunk = harness.CHUNK_BYTES // row_bytes("alternating", 4, 4, 1)
+        # alternating over 4 inputs at dim 4: a trial's row holds 15 subset
+        # sums of 32 real coordinates at 16 bytes each, and 64 bytes per term
+        # and input, below its sampler's 16 * 9 n dim^2 bytes, which size it.
+        assert row_bytes("alternating", 4, 4, 1) == 16 * 15 * 32 + 64 * (15 + 4) < 16 * 9 * 4 * 16
+        chunk = harness.CHUNK_BYTES // (16 * 9 * 4 * 16)
         trials = 0 if delta is None else chunk + delta
         cfg = scalar_cfg(family="alternating", n=4, dim=4, char="det", trials=trials, seed=2)
         sizes = count_chunks(monkeypatch)
@@ -332,7 +332,7 @@ def oracle_convex(cfg: RunConfig) -> TrialReport:
     margins, violations, equality = [], [], 0
     for t in range(cfg.trials):
         trial_seed = derive_seed(cfg.seed, t)
-        data = sample_inputs(cfg.family, np.random.default_rng(trial_seed), cfg.n, cfg.dim)
+        data = numpy_inputs(cfg.family, np.random.default_rng(trial_seed), cfg.n, cfg.dim)
         block = scalar._search_margin(cfg.family, data[np.newaxis], fns)
         outcomes = []
         for fn, lhs, rhs, scale in zip(fns, *(side[0].tolist() for side in (

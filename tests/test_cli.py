@@ -36,13 +36,12 @@ from hlawka.scalar import (
     SEARCH_FAMILIES,
     SEARCH_STRATEGIES,
     ConvexFunction,
-    sample_inputs,
     search_from,
     suite_terms,
 )
 from hlawka.sums import FAMILIES, FamilySpec
 from hlawka.symgroup import save_character_table
-from hlawka.util import derive_seed, format_complex_sig17, format_sig17
+from hlawka.util import derive_seed, derive_seeds, format_complex_sig17, format_sig17
 
 
 def normalized(text: str) -> str:
@@ -362,7 +361,7 @@ class TestScalarVerifyCommand:
         seeds = [derive_seed(0, t) for t in range(200)]
         for v in violations:
             rng = np.random.default_rng(seeds[seeds.index(v["seed"])])
-            assert v["inputs"] == sample_inputs("hlawka-pop", rng, 4, 3).tolist()
+            assert v["inputs"] == rng.uniform(-10.0, 10.0, 4).tolist()
 
     def test_immanant_corollary_suite(self):
         code = main(["scalar-verify", "--family", "alternating", "--n", "4",
@@ -518,8 +517,8 @@ class TestCounterexampleCommand:
         assert violations
         for v in violations:
             assert v["seed"] == derive_seed(2, v["trialIndex"])
-            draw = sample_inputs("freudenthal", np.random.default_rng(v["seed"]), 4, 2)
-            assert v["inputs"] == draw.ravel().tolist()
+            draw = np.random.default_rng(v["seed"]).standard_normal(8)
+            assert v["inputs"] == draw.tolist()
 
     def test_descent_finds_replay_from_their_seed(self, tmp_path):
         # Descending from the random start drawn at a find's seed gives its inputs.
@@ -530,7 +529,7 @@ class TestCounterexampleCommand:
         violations = json.loads(out.read_text())["violations"]
         assert violations
         for v in violations:
-            start = sample_inputs("hlawka-pop", np.random.default_rng(v["seed"]), 4, 2)
+            start = np.random.default_rng(v["seed"]).uniform(-10.0, 10.0, 4)
             [(row, inputs, result)] = search_from("hlawka-pop", ConvexFunction("abs"), 1e-12,
                                                   start[np.newaxis], descend=True)
             assert (row, inputs, result.margin) == (0, v["inputs"], v["margin"])
@@ -910,21 +909,27 @@ class TestRefusedInACappedChild:
 
 
 class TestRowBudget:
-    #: A line of each route sized by scalar.row_bytes, with its bytes a trial.
+    #: A line of each route with the route and the bytes a trial it is
+    #: refused over: its row bytes, or its sampler's where they outweigh
+    #: them, as 16 * 9 n dim^2 does on the det line (its row bytes are 2656).
     LINES = [
-        ("scalar-verify --family hlawka3 --char det", ("hlawka3", 3, 3, 1)),
-        ("scalar-verify --family norm-hlawka --dim 4", ("norm-hlawka", 3, 4, 1)),
-        ("scalar-verify --family popoviciu", ("popoviciu", 3, None, len(CONVEX_KINDS))),
-        ("counterexample --family freudenthal --n 4", ("freudenthal", 4, 2, 1)),
+        ("scalar-verify --family hlawka3 --char det", "matrix", 16 * 9 * 3 * 3 * 3),
+        ("scalar-verify --family norm-hlawka --dim 4", "convex",
+         scalar.row_bytes("norm-hlawka", 3, 4, 1)),
+        ("scalar-verify --family popoviciu", "convex",
+         scalar.row_bytes("popoviciu", 3, None, len(CONVEX_KINDS))),
+        ("counterexample --family freudenthal --n 4", "counterexample",
+         scalar.row_bytes("freudenthal", 4, 2, 1)),
     ]
 
-    @pytest.mark.parametrize("line, row", LINES, ids=[line for line, _ in LINES])
+    @pytest.mark.parametrize("line, route, held", LINES, ids=[line for line, _, _ in LINES])
     @pytest.mark.parametrize("spare, code", [(0, 0), (-1, 3)])
-    def test_the_budget_is_inclusive(self, line, row, spare, code, tmp_path, monkeypatch,
-                                     capsys):
-        # The settings pass compares a trial's row bytes with the budget
-        # even at --trials 0; one byte less is refused before any sample.
-        held = scalar.row_bytes(*row)
+    def test_the_budget_is_inclusive(self, line, route, held, spare, code, tmp_path,
+                                     monkeypatch, capsys):
+        # The settings pass compares a trial's bytes with the budget even at
+        # --trials 0; one byte less is refused before any sample.
+        cfg, _ = harness._settings(_config_from(build_parser().parse_args(line.split())), route)
+        assert harness._trial_bytes(cfg, route) == held
         monkeypatch.setattr(sums, "MAX_WORKING_SET_BYTES", held + spare)
         for trials in ("0", "2"):
             out = tmp_path / f"r{trials}.json"
@@ -994,6 +999,51 @@ class TestDescentBudget:
                 harness._settings(config, "counterexample")
         else:
             harness._settings(config, "counterexample")
+
+
+class TestSamplerBudget:
+    #: Lines of every sampling route: random_pd on the array pass (dims 1
+    #: to 3) and on the generators (dims 4 and 5), and sample_inputs on the
+    #: array pass (2 to 24 draws) and on the generators (33 draws).
+    LINES = [
+        ("scalar-verify --family hlawka3 --char det --dim 1", "matrix"),
+        ("scalar-verify --family hlawka3 --char det --dim 2", "matrix"),
+        ("scalar-verify --family hlawka3 --char det --dim 3", "matrix"),
+        ("scalar-verify --family alternating --char det --n 4 --dim 4", "matrix"),
+        ("scalar-verify --family hlawka3 --char det --dim 5", "matrix"),
+        ("verify --family superadd --n 4 --p 1 --dim 1", "verify"),
+        ("verify --family superadd --n 4 --p 1 --dim 2", "verify"),
+        ("scalar-verify --family jensen --n 2", "convex"),
+        ("scalar-verify --family pcz --n 5 --m 3", "convex"),
+        ("scalar-verify --family norm-hlawka --dim 8", "convex"),
+        ("scalar-verify --family norm-hlawka --dim 11", "convex"),
+        ("counterexample --family freudenthal --n 4 --dim 2", "counterexample"),
+        ("counterexample --family hlawka-pop --center 1,2,3,4 --radius 3", "counterexample"),
+    ]
+
+    @pytest.mark.parametrize("line, route", LINES, ids=[line for line, _ in LINES])
+    def test_a_chunks_sampling_peak_lies_within_its_count(self, line, route):
+        args = build_parser().parse_args([*line.split(), "--trials", "1000000"])
+        cfg, _ = harness._settings(_config_from(args), route)
+        trial_bytes = harness._trial_bytes(cfg, route)
+        _, seeds = next(harness._chunks(cfg, trial_bytes))
+        if route in ("verify", "matrix"):
+            inputs = derive_seeds(seeds, np.arange(cfg.n)[:, np.newaxis]).ravel()
+
+            def sample():
+                return random_pd(cfg.dim, inputs, cfg.condition_target)
+        else:
+            def sample():
+                return scalar.sample_inputs(cfg.family, seeds, cfg.n, cfg.dim, cfg.center,
+                                            cfg.radius)
+        sample()  # caches and first-call allocations
+        tracemalloc.start()
+        try:
+            sample()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= len(seeds) * trial_bytes
 
 
 class TestWorkingSetBudget:

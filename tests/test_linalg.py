@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import EDGE_SEEDS, random_hermitian, stack_of
 
@@ -18,7 +20,9 @@ from hlawka.linalg import (
     HermitianMatrix,
     HermitianStack,
     Verdict,
+    _draws,
     _generators,
+    _raw_draws,
     _seed_states,
     band_verdict,
     dump_matrix,
@@ -397,7 +401,9 @@ class TestRandomPd:
         assert sequences == {"linalg.VerdictRecord"}
 
     def test_importing_the_cli_leaves_numpy_random_to_the_first_sample(self):
-        # Importing numpy.random takes 12-35 ms on a 2-vCPU host; only sampling needs it.
+        # Importing numpy.random takes 12-35 ms on a 2-vCPU host; only a
+        # sample drawn by its generator needs it, here one of 50 draws, past
+        # the array pass's.
         script = (
             "import sys\n"
             "import numpy\n"
@@ -405,7 +411,7 @@ class TestRandomPd:
             "import hlawka.cli\n"
             "after_import = 'numpy.random' in sys.modules\n"
             "from hlawka.linalg import random_pd\n"
-            "random_pd(2, (1,))\n"
+            "random_pd(5, (1,))\n"
             "print(before, after_import, 'numpy.random' in sys.modules)\n"
         )
         src = str(Path(hlawka.__file__).resolve().parents[1])
@@ -416,6 +422,133 @@ class TestRandomPd:
         if out[0] == "True":
             pytest.skip("this numpy imports numpy.random with numpy itself")
         assert out[1:] == ["False", "True"]
+
+
+class TestDraws:
+    """The array pass against numpy's own generator, seed by seed."""
+
+    SEEDS = st.lists(st.sampled_from(EDGE_SEEDS) | st.integers(0, 2**64 - 1),
+                     min_size=1, max_size=12)
+
+    @staticmethod
+    def rows(seeds, draw) -> list[bytes]:
+        return [draw(np.random.default_rng(seed)).tobytes() for seed in seeds]
+
+    @given(seeds=SEEDS, count=st.integers(1, 40))
+    @settings(max_examples=60, deadline=None)
+    def test_raw_and_uniform_draws(self, seeds, count):
+        array = np.array(seeds, dtype=np.uint64)
+        if count <= linalg._ARRAY_DRAWS:
+            raw = _raw_draws(linalg._hashed(array), count)
+            assert [row.tobytes() for row in raw] == [
+                np.random.PCG64(seed).random_raw(count).tobytes() for seed in seeds]
+        draws = _draws(array, count, "uniform", -10.0, 10.0)
+        assert [row.tobytes() for row in draws] == self.rows(
+            seeds, lambda rng: rng.uniform(-10.0, 10.0, count))
+
+    @given(seeds=SEEDS, count=st.integers(1, 40),
+           radius=st.sampled_from([0.0, 0.5, 4.0]) | st.floats(0.0, 1e300))
+    @settings(max_examples=60, deadline=None)
+    def test_centred_offsets(self, seeds, count, radius):
+        draws = _draws(np.array(seeds, dtype=np.uint64), count, "uniform", -radius, radius)
+        assert [row.tobytes() for row in draws] == self.rows(
+            seeds, lambda rng: rng.uniform(-radius, radius, count))
+
+    @given(seeds=SEEDS, count=st.integers(1, 2 * linalg._ARRAY_DRAWS + 1),
+           cut=st.sampled_from([1, 2, 8]))
+    @settings(max_examples=80, deadline=None)
+    def test_standard_normal_with_forced_fallback_rows(self, seeds, count, cut):
+        # Dividing every ki by cut (1 leaves them) sends more draws off the
+        # fast path, so more rows are drawn by their generators, and past
+        # the crossover every row is; the stream stays numpy's.
+        ki, signed_wi = linalg._ziggurat()
+        with pytest.MonkeyPatch.context() as patched:
+            patched.setattr(linalg, "_ziggurat", lambda: (ki // np.uint64(cut), signed_wi))
+            draws = _draws(np.array(seeds, dtype=np.uint64), count, "normal")
+        assert [row.tobytes() for row in draws] == self.rows(
+            seeds, lambda rng: rng.standard_normal(count))
+
+    def test_every_fallback_sample_is_drawn_by_generators(self, monkeypatch):
+        seeds = np.array([derive_seed(11, i) for i in range(400)], dtype=np.uint64)
+        drawn = []
+
+        def recorded(some, states=None):
+            drawn.append(some.tolist())
+            return _generators(some, states)
+
+        monkeypatch.setattr(linalg, "_generators", recorded)
+        ki, _ = linalg._ziggurat()
+        for count in (8, linalg._ARRAY_DRAWS, linalg._ARRAY_DRAWS + 1):
+            drawn.clear()
+            normals = _draws(seeds, count, "normal")
+            if count <= linalg._ARRAY_DRAWS:
+                raw = _raw_draws(linalg._hashed(seeds), count)
+                off = ((raw >> np.uint64(9)) & np.uint64(2**52 - 1) >= ki[raw & np.uint64(511)])
+                expected = seeds[off.any(axis=1)].tolist()
+                assert 0 < len(expected) < len(seeds)
+            else:
+                expected = seeds.tolist()
+            assert drawn == [expected]
+            assert [row.tobytes() for row in normals] == self.rows(
+                seeds.tolist(), lambda rng: rng.standard_normal(count))
+            drawn.clear()
+            _draws(seeds, count, "uniform", -1.0, 1.0)
+            assert drawn == ([] if count <= linalg._ARRAY_DRAWS else [seeds.tolist()])
+
+    def test_the_fast_path_takes_a_magnitude_below_ki(self, monkeypatch):
+        # Raw draws one below each layer's bound give +-rabs * wi; at the
+        # bound they leave the fast path for their generators.
+        ki, signed_wi = linalg._ziggurat()
+        layers = np.flatnonzero(ki).astype(np.uint64)
+        rabs = np.stack([ki[layers] - np.uint64(1), ki[layers]], axis=1).ravel()
+        raw = (rabs << np.uint64(9) | np.repeat(layers, 2))[:, np.newaxis]
+        monkeypatch.setattr(linalg, "_raw_draws", lambda words, count: raw.copy())
+        drawn = []
+        monkeypatch.setattr(linalg, "_generators",
+                            lambda some, states: drawn.append(some.tolist()) or iter(()))
+        seeds = np.arange(len(raw), dtype=np.uint64)
+        out = _draws(seeds, 1, "normal")
+        assert drawn == [seeds[1::2].tolist()]
+        fast = (rabs[0::2] * signed_wi[layers])[:, np.newaxis]
+        assert out[0::2].tobytes() == fast.tobytes()
+
+    def test_tables_re_recorded_through_numpy(self):
+        # A PCG64 state of 0 with increment r makes r the next raw draw, so
+        # each table entry is read back from numpy's own standard_normal: at
+        # rabs = 1 a layer's signed width exactly, and the fast path takes
+        # one raw draw at rabs = ki - 1 and leaves it, taking more, at ki.
+        bits = np.random.PCG64(0)
+        rng = np.random.Generator(bits)
+        ki, signed_wi = linalg._ziggurat()
+
+        def normal(layer, rabs) -> tuple[float, bool]:
+            raw = rabs << 9 | layer
+            bits.state = {"bit_generator": "PCG64", "state": {"state": 0, "inc": raw},
+                          "has_uint32": 0, "uinteger": 0}
+            value = rng.standard_normal()
+            return value, bits.state["state"]["state"] == raw
+
+        assert len(ki) == len(signed_wi) == 512
+        for layer in range(512):
+            bound = int(ki[layer])
+            assert bound < 2**52 and bound == int(ki[layer % 256])
+            value, fast = normal(layer, 1)
+            assert np.float64(value).tobytes() == signed_wi[layer].tobytes()
+            assert signed_wi[layer] == -signed_wi[layer ^ 256]
+            if bound:
+                value, fast = normal(layer, bound - 1)
+                assert fast and value == (bound - 1) * signed_wi[layer]
+            assert not normal(layer, bound)[1]
+
+    def test_jump_constants_match_the_lcg(self):
+        mult, powers = linalg._PCG_MULT, []
+        power, total = mult * mult % 2**128, (1 + mult + mult * mult) % 2**128
+        for _ in range(5):
+            powers.append((power, total))
+            power, total = power * mult % 2**128, (total * mult + 1) % 2**128
+        (p_hi, p_lo), (t_hi, t_lo) = linalg._jumps(5)
+        assert [(int(a) << 64 | int(b), int(c) << 64 | int(d))
+                for a, b, c, d in zip(p_hi, p_lo, t_hi, t_lo)] == powers
 
 
 class TestMatrixFile:

@@ -13,6 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import EDGE_SEEDS, numpy_inputs
+
 from hlawka import harness, linalg, scalar
 from hlawka.cli import main
 from hlawka.errors import InputError
@@ -482,26 +484,31 @@ class TestCounterexampleSearch:
 
 
 class TestSampleInputs:
+    SEEDS = np.array(EDGE_SEEDS, dtype=np.uint64)
+
     def test_shape_follows_the_term_rule(self):
-        rng = np.random.default_rng(0)
-        assert sample_inputs("freudenthal", rng, 4, 3).shape == (4, 3)
-        assert sample_inputs("radu", rng, 5, 2).shape == (5, 2)
-        assert sample_inputs("hlawka-pop", rng, 4, 3).shape == (4,)
-        assert sample_inputs("jensen", rng, 6, 3).shape == (6,)
+        seeds = self.SEEDS[:2]
+        assert sample_inputs("freudenthal", seeds, 4, 3, None, None).shape == (2, 4, 3)
+        assert sample_inputs("radu", seeds, 5, 2, None, None).shape == (2, 5, 2)
+        assert sample_inputs("hlawka-pop", seeds, 4, 3, None, None).shape == (2, 4)
+        assert sample_inputs("jensen", seeds, 6, 3, None, None).shape == (2, 6)
 
     def test_draws(self):
-        draw = sample_inputs("hlawka-pop", np.random.default_rng(3), 4, 2)
-        assert np.array_equal(draw, np.random.default_rng(3).uniform(-10.0, 10.0, 4))
-        draw = sample_inputs("freudenthal", np.random.default_rng(3), 4, 2)
-        assert np.array_equal(draw, np.random.default_rng(3).standard_normal(8).reshape(4, 2))
+        # Row t holds the first draws of numpy's generator of seed t.
+        points = sample_inputs("hlawka-pop", self.SEEDS, 4, 2, None, None)
+        vectors = sample_inputs("freudenthal", self.SEEDS, 4, 2, None, None)
+        for seed, point, vector in zip(EDGE_SEEDS, points, vectors, strict=True):
+            assert point.tobytes() == np.random.default_rng(seed).uniform(-10.0, 10.0, 4).tobytes()
+            assert vector.tobytes() == np.random.default_rng(seed).standard_normal((4, 2)).tobytes()
 
     def test_center_is_flat_and_checked(self):
         center = np.arange(8.0)
-        draw = sample_inputs("freudenthal", np.random.default_rng(1), 4, 2, center, 0.5)
-        offsets = np.random.default_rng(1).uniform(-0.5, 0.5, 8)
-        assert np.array_equal(draw, (center + offsets).reshape(4, 2))
+        draw = sample_inputs("freudenthal", self.SEEDS, 4, 2, center, 0.5)
+        for seed, row in zip(EDGE_SEEDS, draw, strict=True):
+            offsets = np.random.default_rng(seed).uniform(-0.5, 0.5, 8)
+            assert row.tobytes() == (center + offsets).reshape(4, 2).tobytes()
         with pytest.raises(InputError, match="center must have 8 coordinates, got 3"):
-            sample_inputs("freudenthal", np.random.default_rng(1), 4, 2, (1.0, 2.0, 3.0))
+            sample_inputs("freudenthal", self.SEEDS, 4, 2, (1.0, 2.0, 3.0), 0.5)
 
 
 class TestOverflowRefused:
@@ -795,7 +802,7 @@ def oracle_search(suite: str, cfg: RunConfig, fn, tol: float) -> list[dict]:
             start = np.asarray(KNOWN_HLAWKA_POP_COUNTEREXAMPLE)
         else:
             rng = np.random.default_rng(derive_seed(cfg.seed, t))
-            start = sample_inputs(suite, rng, cfg.n, cfg.dim, cfg.center, cfg.radius)
+            start = numpy_inputs(suite, rng, cfg.n, cfg.dim, cfg.center, cfg.radius)
         point = oracle_descent(suite, fn, start) if cfg.strategy == "coordinate-descent" else start
         _, _, margin, scale = oracle_evaluate(suite, point, fn)
         if band_verdict(margin, abs(margin), scale, tol) is Verdict.FAILS:
@@ -835,7 +842,7 @@ def block_rows(suite: str, count: int, n: int, dim: int, rng) -> np.ndarray:
     every third with its first coordinate rounded (ties in the leading key
     only) and every third made nonnegative (the norm rule's equality cases
     at dim 1, where the margin is all rounding)."""
-    block = np.stack([sample_inputs(suite, rng, n, dim) for _ in range(count)])
+    block = np.stack([numpy_inputs(suite, rng, n, dim) for _ in range(count)])
     block[0::3] = np.round(block[0::3])
     if block.ndim == 3:
         block[1::3, :, 0] = np.round(block[1::3, :, 0])
@@ -923,7 +930,7 @@ class TestLockstepDescents:
     @pytest.mark.parametrize("rows", [1, 3, 7, 360])
     def test_descended_points_equal_the_sequential_descents(self, rows, fn, center):
         rng = np.random.default_rng(5)
-        starts = np.stack([sample_inputs("hlawka-pop", rng, 4, 1, center, 4.0)
+        starts = np.stack([numpy_inputs("hlawka-pop", rng, 4, 1, center, 4.0)
                            for _ in range(7)])
         points = _lockstep("hlawka-pop", fn, starts, rows)
         for start, point in zip(starts, points):
@@ -941,7 +948,7 @@ class TestLockstepDescents:
                             or evaluate(suite, data, *a, **kw))
         rng = np.random.default_rng(5)
         for _ in range(7):
-            start = sample_inputs("hlawka-pop", rng, 4, 1, center, 4.0)
+            start = numpy_inputs("hlawka-pop", rng, 4, 1, center, 4.0)
             expected, blocks[:] = [], []
             oracle_descent("hlawka-pop", fn, start, expected)
             _lockstep("hlawka-pop", fn, start[np.newaxis], 1)
