@@ -25,9 +25,11 @@ budget, and at least one.  Every route runs its chunks stacked on a
 leading axis, each bit for bit the per-trial result: the two operator
 suites take one sampling call (input i of a trial seeded from the trial
 seed and i), one build and one certification (or one scalar check) per
-chunk, and the convex/norm suites and the search one block evaluation per
-chunk (one sampling pass draws the chunk's inputs; the search's descents
-one per round).  Reports are assembled in trial order.
+chunk, every chunk of ``verify`` building in the run's one
+:class:`~hlawka.sums.Workspace`, and the convex/norm suites and the search
+one block evaluation per chunk (one sampling pass draws the chunk's
+inputs; the search's descents one per round).  Reports are assembled in
+trial order.
 """
 
 from __future__ import annotations
@@ -87,7 +89,14 @@ from .scalar import (
     radu_check,
     vasc_check,
 )
-from .sums import CHUNK_BYTES, FAMILIES, build_difference, check_trial_bytes, working_set
+from .sums import (
+    CHUNK_BYTES,
+    FAMILIES,
+    Workspace,
+    build_difference,
+    check_trial_bytes,
+    working_set,
+)
 from .symgroup import check_symmetric_degree
 from .util import derive_seeds
 
@@ -363,11 +372,19 @@ def run_verify(cfg: RunConfig) -> tuple[TrialReport, int]:
     flags = report.interpretation_flags
     psd_only = "psd-only-inputs: some inputs were not strictly positive definite"
 
+    # Every chunk builds in one workspace, sized by the first; the last
+    # drops it as soon as its difference is built, so the eigensolve runs
+    # beside the difference alone.
+    workspace, built = Workspace(), 0
+
     def certify(inputs, parts):
-        # Not bound to a name: the chunk's differences are freed before the
-        # next chunk builds its own.
-        certs = psd_certificate(build_difference(
-            cfg.family, parts, cfg.p, cfg.max_tensor_dim, k=cfg.k, ell=cfg.ell, m=cfg.m), cfg.tol)
+        nonlocal workspace, built
+        diff = build_difference(cfg.family, parts, cfg.p, cfg.max_tensor_dim, k=cfg.k,
+                                ell=cfg.ell, m=cfg.m, workspace=workspace)
+        built += len(parts[0])
+        if built == cfg.trials:
+            workspace = None
+        certs = psd_certificate(diff, cfg.tol)
         if not (min_eigenvalue(inputs) > 1e-12).all() and psd_only not in flags:
             flags.append(psd_only)
         return certs

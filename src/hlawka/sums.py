@@ -41,6 +41,9 @@ nonzero coefficient is on the full set, so at p < n no word survives and it
 is exactly zero; strict positivity needs p >= n.  :func:`symmetric_tensor_sum`
 builds S_k the same way, as a private table of one level.
 
+Every array of a build is a view of one :class:`Workspace`, which a run
+passes to each of its builds so that they reuse its pages.
+
 Determinism: inputs are first canonically ordered by content hash (trial
 by trial for stacks), then every sum of the DP runs in one fixed order,
 the same for any number of trials.  Shuffling the input list
@@ -188,21 +191,28 @@ def checked_sides(name: str, spec: FamilySpec, n: int, k=None, ell=None, m=None)
     return spec.sides(**values)
 
 
-def _canonical_arrays(mats, *, keep_first_fixed: bool = False) -> np.ndarray:
-    # Sort each trial's matrices by their own digests (stable, so equal
-    # matrices keep their input order), then gather them in one
-    # contiguous (n, trials, dim, dim) stack, position by position.
-    if not mats:
-        raise InputError("need at least one matrix")
-    hs = _same_shape(mats)
+def _canonical_arrays(hs: list[HermitianStack], *, keep_first_fixed: bool = False,
+                      stack: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
+    # Sort each trial's matrices, carriers of one shape, by their own
+    # digests (stable, so equal matrices keep their input order), then
+    # gather them in one contiguous (n, trials, dim, dim) stack, position
+    # by position: the inputs stacked in the flat buffer ``stack``, then
+    # gathered into the flat buffer ``out`` (new ones when not given).
+    n, count, dim = len(hs), len(hs[0]), hs[0].dim
+    # Position j of trial t takes row picks[j, t] of the inputs stacked.
     first = 1 if keep_first_fixed else 0
-    keys = list(zip(*(h.digests for h in hs)))
-    order = np.array(
-        [list(range(first)) + sorted(range(first, len(hs)), key=k.__getitem__) for k in keys],
-        dtype=np.intp,
-    ).reshape(len(keys), len(hs))
-    stacked = np.stack([_entries(h) for h in hs])
-    return stacked[order.T, np.arange(len(keys))]
+    picks = np.empty((n, count), dtype=np.intp)
+    picks[:first] = 0
+    for t, key in enumerate(zip(*(h.digests for h in hs))):
+        picks[first:, t] = sorted(range(first, n), key=key.__getitem__)
+    picks *= count
+    picks += np.arange(count)
+    size = n * count * dim * dim
+    if out is None:
+        stack, out = np.empty(size, dtype=np.complex128), np.empty(size, dtype=np.complex128)
+    stacked = np.stack([_entries(h) for h in hs], out=stack[:size].reshape(n, count, dim, dim))
+    return np.take(stacked.reshape(n * count, dim, dim), picks.ravel(), axis=0, mode="clip",
+                   out=out[:size].reshape(n * count, dim, dim)).reshape(n, count, dim, dim)
 
 
 def support_coefficients(name: str, n: int, k=None, ell=None, m=None) -> Mapping[int, Fraction]:
@@ -279,20 +289,25 @@ class _Coefficients(Mapping):
 
 
 #: Byte budget of the temporaries held at once: the DP forms its stacked
-#: Kronecker products in blocks of rows this size, and ``harness`` its
-#: chunks of trials.  Big enough to amortize per-call overhead on small
-#: tuples; a row or trial over budget runs alone.
+#: Kronecker products in blocks of rows at most this size (and at most one
+#: difference row of its workspace), and ``harness`` its chunks of trials.
+#: Big enough to amortize per-call overhead on small tuples; a row or trial
+#: over budget runs alone.
 CHUNK_BYTES = 512 * 1024
 
 #: Byte budget of what one trial holds at once by the harness's one count
 #: (on ``verify`` the larger of :func:`working_set` and the sampler's
-#: peak), refused before the first trial: hlawka3 at p 12, dim 2 holds 0.75 GiB.
+#: peak), refused before the first trial: hlawka3 at p 12, dim 2 holds 0.81 GiB.
 MAX_WORKING_SET_BYTES = 2**31
 
 #: Every entry of the absent row that ends a table the next step reads as
 #: a missing source: adding -0 leaves every value, signed zeros included,
 #: as it is.
 _ABSENT = complex(-0.0, -0.0)
+
+#: The index of the difference's buffer among a :class:`Workspace`'s, the
+#: last of :meth:`_WordPlan.buffers`.
+_DIFFERENCE = 6
 
 
 @dataclass(frozen=True)
@@ -333,13 +348,47 @@ class _WordPlan:
     steps: tuple[_Step, ...]
     den: int
     live: tuple[int, ...]
+    n: int
+    p: int
 
     def working_set(self, dim: int) -> int:
-        """Entries per trial held at the widest step: the table of step k,
-        that of step k + 1 and one product."""
-        counts = (*self.live, 1)
-        return max(counts[k] * dim ** (2 * k) + (counts[k + 1] + 1) * dim ** (2 * k + 2)
-                   for k in range(len(self.live))) if self.live else 0
+        """Entries per trial of a build's :class:`Workspace`, the difference
+        included: the sum of :meth:`buffers`."""
+        return sum(self.buffers(dim))
+
+    def tables(self, dim: int) -> tuple[tuple[int, int], ...]:
+        """``(buffer, entries per trial)`` of the table of each step 0..p,
+        the index into :meth:`buffers`: the difference's own buffer holds
+        the table of step p and every table of p's parity no larger, and
+        every other table is in the buffer of its step's parity."""
+        p, sq = self.p, dim * dim
+        rows = [2, *(step.size + (k + 1 < p and self.steps[k + 1].absent)
+                     for k, step in enumerate(self.steps))]
+        return tuple((_DIFFERENCE if k % 2 == p % 2 and size * sq**k <= sq**p else k % 2,
+                      size * sq**k) for k, size in enumerate(rows))
+
+    def buffers(self, dim: int) -> tuple[int, ...]:
+        """Entries per trial of each buffer of a build's :class:`Workspace`,
+        in order: the tables of the even and of the odd steps that
+        :meth:`tables` does not place in the difference's buffer, the
+        product, the gather, the letters, the canonical inputs and the
+        difference.
+
+        A part of a step's rows is at most one difference row wide in
+        products: it gathers at most a row of step p - 1 from the table,
+        and the product buffer takes the part's second gather, a merged
+        row's later weights, the inputs' stack and the digit-reversal copy,
+        each dead before the buffer is next written."""
+        n, p, sq = self.n, self.p, dim * dim
+        if not self.steps:
+            return (0, 0, n * sq, 0, 0, n * sq, sq**p)
+        sizes = [0] * (_DIFFERENCE + 1)
+        for buffer, entries in self.tables(dim):
+            sizes[buffer] = max(sizes[buffer], entries)
+        part = max(min(sq ** (p - 1 - k), max((hi - lo for lo, hi, _ in step.classes), default=0))
+                   for k, step in enumerate(self.steps))
+        sizes[2:_DIFFERENCE] = max(sq**p, n * sq), sq ** (p - 1), part * sq, n * sq
+        return tuple(sizes)
 
 
 def _word_plan(coeff: _Coefficients, n: int, p: int) -> _WordPlan:
@@ -378,11 +427,15 @@ def _word_plan(coeff: _Coefficients, n: int, p: int) -> _WordPlan:
                                               for weight, rows in by_weight.items()))
                         if by_weight else None)
         if not kept and not any(into):
-            return _WordPlan((), coeff.den, ())
+            return _WordPlan((), coeff.den, (), n, p)
         reads_absent = any(absent in (a, b) for v in kept for _, a, b in terms[v])
+        # _word_sum gathers with mode="clip", which clamps an index past the
+        # table instead of raising: every source must be a letter or a row.
+        assert all(index.max() < bound for _, _, slots in classes for slot in slots
+                   for index, bound in zip(slot, (n, absent + reads_absent, absent + reads_absent)))
         steps.append(_Step(len(kept) + any(into), tuple(classes), tuple(into), reads_absent))
         sets, merged = kept, any(into)
-    return _WordPlan(tuple(steps), coeff.den, tuple(live))
+    return _WordPlan(tuple(steps), coeff.den, tuple(live), n, p)
 
 
 @lru_cache(maxsize=64)
@@ -392,10 +445,9 @@ def _plan(name: str, spec: FamilySpec, n: int, p: int, k, ell, m) -> _WordPlan:
 
 def working_set(family: str, n: int, p: int, dim: int, *, k=None, ell=None, m=None) -> int:
     """Entries per trial that :func:`build_difference` holds at once over
-    n inputs of size ``dim``: at least the output's ``dim^(2p)``.  Refused
-    by the harness, in its count of the whole trial."""
-    plan = _plan(family, operator_family(family), n, p, k, ell, m)
-    return max(dim ** (2 * p), plan.working_set(dim))
+    n inputs of size ``dim``: its :class:`Workspace`, the difference
+    included.  Refused by the harness, in its count of the whole trial."""
+    return _plan(family, operator_family(family), n, p, k, ell, m).working_set(dim)
 
 
 def check_trial_bytes(nbytes: int) -> None:
@@ -406,7 +458,45 @@ def check_trial_bytes(nbytes: int) -> None:
                           f"{MAX_WORKING_SET_BYTES}")
 
 
-def _word_sum(inputs: np.ndarray, plan: _WordPlan, p: int) -> np.ndarray:
+class Workspace:
+    """The memory of the word-sum build, to reuse over the builds of a run.
+
+    Pass one workspace to every :func:`build_difference` of a run, as
+    ``workspace=``: its buffers are sized by the first build and reused by
+    every later one that fits them, so those write into pages already
+    faulted in, with every sum in the same order and the same bits.  A
+    build that does not fit grows the buffers it outgrows.  The difference
+    a build returns lives in the workspace until the next build given it
+    overwrites it, so drop each difference before the next build.  A build
+    given no workspace makes one of its own, and its difference is never
+    overwritten.  The difference has a buffer of its own, of exactly its
+    size, so dropping the workspace frees everything else.
+    """
+
+    def __init__(self) -> None:
+        self._held: list[np.ndarray] = []
+
+    def _buffers(self, sizes) -> list[np.ndarray]:
+        # Flat complex buffers of ``sizes`` entries, the difference's of
+        # exactly its size and every other of at least its size: a held
+        # buffer that fits is kept, and one that does not is dropped before
+        # its replacement is made.
+        for j, size in enumerate(sizes):
+            if j == len(self._held):
+                self._held.append(np.empty(0, dtype=np.complex128))
+            held = self._held[j].size
+            if held < size or j == _DIFFERENCE and held != size:
+                self._held[j] = None
+                self._held[j] = np.empty(size, dtype=np.complex128)
+        return self._held
+
+
+def _rows(buffer: np.ndarray, rows: int, count: int, wide: int) -> np.ndarray:
+    # A (rows, count, wide, wide) table at the start of a flat buffer.
+    return buffer[:rows * count * wide * wide].reshape(rows, count, wide, wide)
+
+
+def _word_sum(inputs: np.ndarray, plan: _WordPlan, p: int, buffers) -> np.ndarray:
     # T_k[U] is the sum of A_w over the words w of length k with support
     # exactly U, and T_{k+1}[U] = sum_{i in U} (T_k[U] + T_k[U - i]) (x) A_i.
     # Each row sums its terms left to right over i ascending, and the
@@ -418,101 +508,136 @@ def _word_sum(inputs: np.ndarray, plan: _WordPlan, p: int) -> np.ndarray:
     # of T_k (dim^k entries), not along a row of A_i (dim entries), and every
     # entry is the same product of the same two factors.  One digit-reversal
     # copy at the end gives the standard layout.
+    # Every array is a view of the workspace ``buffers`` that
+    # _WordPlan.buffers sizes, each table in the buffer _WordPlan.tables
+    # names, and every row a step reads is written first in this build.
     _, count, dim, _ = inputs.shape
+    product, gather, letters = buffers[2], buffers[3], buffers[4]
     if not plan.steps:
-        return np.zeros((count, dim ** p, dim ** p), dtype=np.complex128)
-    table = np.full((2, count, 1, 1), _ABSENT)
+        total = _rows(buffers[_DIFFERENCE], 1, count, dim**p)[0]
+        total[...] = 0
+        return total
+    (first, _), *placed = plan.tables(dim)
+    table = _rows(buffers[first], 2, count, 1)
     table[0] = 1
-    for k, step in enumerate(plan.steps):
-        wide = table.shape[-1] * dim
+    table[1] = _ABSENT
+    for k, (step, (buffer, _)) in enumerate(zip(plan.steps, placed)):
+        wide = dim ** (k + 1)
         # The absent row only where the next step reads it.
         absent = k + 1 < len(plan.steps) and plan.steps[k + 1].absent
-        out = np.empty((step.size + absent, count, wide, wide), dtype=np.complex128)
+        out = _rows(buffers[buffer], step.size + absent, count, wide)
         if absent:
             out[-1] = _ABSENT
-        block = max(1, CHUNK_BYTES // out[0].nbytes)
+        block = max(1, min(dim ** (2 * (p - 1 - k)), CHUNK_BYTES // out[0].nbytes))
         for lo, hi, slots in step.classes:
             for start in range(lo, hi, block):
-                part = slice(start - lo, min(hi, start + block) - lo)
-                rows = out[start:min(hi, start + block)]
+                stop = min(hi, start + block)
+                part = slice(start - lo, stop - lo)
+                rows = out[start:stop]
+                # The second gather is read before a product is formed over it.
+                x, y = (_rows(buffer, stop - start, count, wide // dim)
+                        for buffer in (gather, product))
+                z = _rows(letters, stop - start, count, dim)
                 for t, (i, a, b) in enumerate(slots):
-                    x = table[a[part]]
-                    x += table[b[part]]
+                    np.take(table, a[part], axis=0, out=x, mode="clip")
+                    np.take(table, b[part], axis=0, out=y, mode="clip")
+                    np.add(x, y, out=x)
+                    np.take(inputs, i[part], axis=0, out=z, mode="clip")
                     if t == 0:
-                        _lead_into(rows, x, inputs[i[part]])
+                        _lead(x, z, rows)
                     else:
-                        rows += _lead(x, inputs[i[part]])
+                        np.add(rows, _lead(x, z, _rows(product, stop - start, count, wide)),
+                               out=rows)
+        merged_row = out[step.size - 1]
         for a, merged in zip(inputs, step.merged):
             if merged is not None:
                 first, by_weight = merged
+                total = _weighted_sum(table, by_weight, _rows(gather, 1, count, wide // dim)[0],
+                                      _rows(product, 1, count, wide // dim)[0])
                 if first:
-                    _lead_into(out[step.size - 1], _weighted_sum(table, by_weight), a)
+                    _lead(total, a, merged_row)
                 else:
-                    out[step.size - 1] += _lead(_weighted_sum(table, by_weight), a)
+                    np.add(merged_row, _lead(total, a, _rows(product, 1, count, wide)[0]),
+                           out=merged_row)
         table = out
     total = table[0]
     if plan.den != 1:
         total /= plan.den
-    return _digit_reversed(total, dim, p)
+    return _digit_reversed(total, dim, p, product)
 
 
-def _lead(t: np.ndarray, a: np.ndarray) -> np.ndarray:
+def _lead(t: np.ndarray, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     # a (x) t as the stored layout holds it, each entry the product t * a:
     # numpy's SIMD complex multiply is not commutative bit for bit, so the
-    # table stays the first operand, as in _kron(t, a).
+    # table stays the first operand, as in _kron(t, a).  The products are
+    # written into a contiguous ``out`` when given, else into a new array.
     n, m = t.shape[-1], a.shape[-1]
-    prod = t[..., None, :, None, :] * a[..., :, None, :, None]
-    return prod.reshape(*t.shape[:-2], n * m, n * m)
-
-
-def _lead_into(out: np.ndarray, t: np.ndarray, a: np.ndarray) -> None:
-    # _lead(t, a), its products written straight into a contiguous out.
-    n, m = t.shape[-1], a.shape[-1]
+    if out is None:
+        out = np.empty((*np.broadcast_shapes(t.shape[:-2], a.shape[:-2]), n * m, n * m),
+                       dtype=np.result_type(t, a))
     np.multiply(t[..., None, :, None, :], a[..., :, None, :, None],
                 out=out.reshape(*out.shape[:-2], m, n, m, n))
+    return out
 
 
-def _digit_reversed(total: np.ndarray, dim: int, p: int) -> np.ndarray:
+def _digit_reversed(total: np.ndarray, dim: int, p: int, spare: np.ndarray) -> np.ndarray:
     # The standard layout of a (count, dim^p, dim^p) stored table, in its
     # own memory: both indices' p base-dim digits reversed, an exact copy.
-    # The entries are copied aside and read back, so the memory the caller
-    # gets is the table's and the copy's goes back to the allocator, as the
-    # build left it before (a fresh output would make the eigensolve after
-    # a large build fault in new pages).  The order is the identity at p 1,
-    # and at dim 1, where p may exceed numpy's axis limit.
+    # The entries are copied aside into the flat buffer ``spare`` and read
+    # back, so the difference stays where the build wrote it and the copy
+    # takes no memory the workspace does not hold.  The order is the
+    # identity at p 1, and at dim 1, where p may exceed numpy's axis limit.
     if p == 1 or dim == 1:
         return total
     digits = [total.shape[0], *[dim] * (2 * p)]
     order = [0, *range(p, 0, -1), *range(2 * p, p, -1)]
-    total.reshape(digits)[...] = total.copy().reshape(digits).transpose(order)
+    copy = spare[:total.size].reshape(digits)
+    np.copyto(copy, total.reshape(digits))
+    total.reshape(digits)[...] = copy.transpose(order)
     return total
 
 
-def _weighted_sum(table: np.ndarray, groups) -> np.ndarray:
-    # Each weight's rows summed left to right, then weighted, in order.
+def _weighted_sum(table: np.ndarray, groups, into: np.ndarray | None = None,
+                  spare: np.ndarray | None = None) -> np.ndarray:
+    # Each weight's rows summed left to right, then weighted, in order: the
+    # total in ``into``, each later weight's part in ``spare`` (rows of the
+    # table's shape, new ones when not given), or a row of the table itself
+    # when a weight-1 part of one row needs no sum.
+    if into is None:
+        into, spare = np.empty_like(table[0]), np.empty_like(table[0])
     total = None
     for weight, rows in groups:
+        buffer = into if total is None else spare
         part = table[rows[0]]
         if len(rows) > 1:
-            part = part + table[rows[1]]
+            part = np.add(part, table[rows[1]], out=buffer)
             for r in rows[2:]:
-                part += table[r]
+                np.add(part, table[r], out=part)
         if weight != 1:
-            part = weight * part
-        total = part if total is None else total + part
+            part = np.multiply(weight, part, out=buffer)
+        total = part if total is None else np.add(total, part, out=into)
     return total
 
 
-def _build(name: str, spec: FamilySpec, mats, p: int, max_dim: int, k, ell, m) -> HermitianStack:
-    # The word sum of the table entry ``spec`` over the given inputs.
+def _build(name: str, spec: FamilySpec, mats, p: int, max_dim: int, k, ell, m,
+           workspace: Workspace | None = None) -> HermitianStack:
+    # The word sum of the table entry ``spec`` over the given inputs, in
+    # ``workspace`` or in one of its own.
     mats = list(mats)
-    inputs = _canonical_arrays(mats, keep_first_fixed=spec.supermod)
-    check_tensor_budget(inputs.shape[-1], p, max_dim)
-    plan = _plan(name, spec, len(inputs), p, k, ell, m)
+    if not mats:
+        raise InputError("need at least one matrix")
+    hs = _same_shape(mats)
+    n, count, dim = len(hs), len(hs[0]), hs[0].dim
+    check_tensor_budget(dim, p, max_dim)
+    plan = _plan(name, spec, n, p, k, ell, m)
+    buffers = (Workspace() if workspace is None else workspace)._buffers(
+        [count * size for size in plan.buffers(dim)])
+    inputs = _canonical_arrays(hs, keep_first_fixed=spec.supermod, stack=buffers[2],
+                               out=buffers[5])
     # An overflowed input or product gives inf or NaN entries, which the
     # certificate's finiteness check refuses.
     with np.errstate(over="ignore", invalid="ignore"):
-        total = _word_sum(inputs, plan, p)
+        total = _word_sum(inputs, plan, p, buffers)
     return _single_or_all(mats[0], HermitianStack._wrap_exact(total))
 
 
@@ -534,6 +659,7 @@ def build_difference(
     k: int | None = None,
     ell: int | None = None,
     m: int | None = None,
+    workspace: Workspace | None = None,
 ) -> HermitianStack:
     """LHS - RHS of the entry ``FAMILIES[family]`` at Kronecker power ``p``.
 
@@ -549,5 +675,7 @@ def build_difference(
     share one partial sum, extended by ``(x) sum_i A_i``, so ``superadd``
     keeps n + 1 of them.  Refused with :class:`BudgetError` beyond
     ``max_dim`` or a level of more than ``MAX_LEVEL_SUBSETS`` subsets.
+    Built in ``workspace`` when given (see :class:`Workspace`), where the
+    next build given it overwrites the difference.
     """
-    return _build(family, operator_family(family), mats, p, max_dim, k, ell, m)
+    return _build(family, operator_family(family), mats, p, max_dim, k, ell, m, workspace)

@@ -142,6 +142,13 @@ def assert_same_report(batched: TrialReport, oracle: TrialReport) -> None:
     assert normalized(batched.to_json()) == normalized(oracle.to_json())
 
 
+def owner(array: np.ndarray) -> np.ndarray:
+    """The array that owns the memory ``array`` views."""
+    while array.base is not None:
+        array = array.base
+    return array
+
+
 def count_chunks(monkeypatch) -> list:
     """Record the stack size of every sampling call the harness makes."""
     sizes = []
@@ -197,10 +204,12 @@ class TestVerifyAgainstOracle:
 
     @pytest.mark.parametrize("delta", [None, -1, 0, 1])
     def test_trial_counts_around_a_chunk(self, delta, monkeypatch):
-        # hlawka3 at dim 2, p 3: a trial holds 176 entries at the widest
-        # step: three 4x4 pair tables, the 8x8 output and one 8x8 product.
-        assert working_set("hlawka3", 3, 3, 2) == 176
-        chunk = harness.CHUNK_BYTES // (16 * 176)
+        # hlawka3 at dim 2, p 3: a trial's workspace holds 216 entries: the
+        # even steps' tables (three 4x4 pair tables), one 8x8 product, one
+        # 4x4 gather, three 2x2 letters, the three 2x2 inputs and the 8x8
+        # difference, whose buffer also holds the odd steps' tables.
+        assert working_set("hlawka3", 3, 3, 2) == 48 + 64 + 16 + 12 + 12 + 64
+        chunk = harness.CHUNK_BYTES // (16 * 216)
         trials = 0 if delta is None else chunk + delta
         cfg = verify_cfg(family="hlawka3", p=3, dim=2, trials=trials, seed=3)
         sizes = count_chunks(monkeypatch)
@@ -222,6 +231,44 @@ class TestVerifyAgainstOracle:
         assert sizes == [3, 3, 3]
         monkeypatch.undo()
         assert_same_report(report, oracle_verify(cfg))
+
+    @pytest.mark.parametrize("family, n, p, trials", [
+        ("hlawka3", 3, 8, 1), ("hlawka3", 3, 3, 500), ("pop-pairs", 6, 4, 50)])
+    def test_the_last_chunk_certifies_beside_its_difference_alone(
+            self, family, n, p, trials, monkeypatch):
+        # Every chunk but the last certifies with the run's workspace held;
+        # the last drops it once its difference is built, so what is traced
+        # then is that difference's buffer, of exactly its size, the chunk's
+        # inputs, and its digests and those of the chunk before (held by the
+        # trial loop's last report entry).  pop-pairs at n 6, p 4 keeps a
+        # table of step 2 larger than its difference.
+        held, owners = [], []
+        original = harness.psd_certificate
+
+        def certify(diff, tol):
+            held.append(tracemalloc.get_traced_memory()[0])
+            owners.append(owner(diff.array).nbytes == diff.array.nbytes)
+            return original(diff, tol)
+
+        monkeypatch.setattr(harness, "psd_certificate", certify)
+        cfg = RunConfig(family=family, n=n, p=p, dim=2, trials=trials, seed=2)
+        run_verify(cfg)  # caches and first-call allocations
+        held.clear()
+        owners.clear()
+        tracemalloc.start()
+        try:
+            run_verify(cfg)
+        finally:
+            tracemalloc.stop()
+        *chunks, last = held
+        entries = working_set(family, n, p, 2)
+        count = min(trials, max(1, harness.CHUNK_BYTES // (16 * entries)))
+        workspace = 16 * count * entries
+        table = 16 * (trials - count * len(chunks)) * 4**p
+        assert last < table + 192 * 1024 < workspace
+        assert len(chunks) == math.ceil(trials / count) - 1
+        assert all(current > last + (workspace - table) // 2 for current in chunks)
+        assert owners[-1]
 
     def test_psd_only_flag_from_the_stacked_check(self, monkeypatch):
         monkeypatch.setattr(harness, "min_eigenvalue",

@@ -863,10 +863,10 @@ class TestRefusedInACappedChild:
             "verify --family hlawka3 --p 1 --dim 4096") for trials in (0, 1)),
     ])
     def test_working_set_budget_exits_three_before_any_table(self, command):
-        # 5.48 and 18.9 GiB a trial by sums.working_set, within the tensor
+        # 5.98 and 19.4 GiB a trial by sums.working_set, within the tensor
         # budget: numpy's MemoryError escaped cli.main and the run exited 1.
-        # The p 1 lines are exactly 0, so their builds hold dim^2 entries,
-        # and the sampler's peak is refused: counted by the build, they
+        # The p 1 lines are exactly 0, so their builds hold dim^2 zeros
+        # beside the inputs, and the sampler's peak is refused: counted by the build, they
         # passed at --trials 0, and at 1 the first died in random_pd with
         # numpy's _ArrayMemoryError and exit 1 (the second samples 805 MB
         # of inputs at about 6.4 GB).
@@ -1048,7 +1048,8 @@ class TestSamplerBudget:
 
 class TestWorkingSetBudget:
     LINE = "verify --family pop-pairs --n 4 --p 4 --dim 2"
-    #: Exactly 0 at p 1: its build holds dim^2 entries, its sampler 9 n dim^2.
+    #: Exactly 0 at p 1: its build holds the dim^2 zeros and twice the n
+    #: dim^2 inputs, its sampler 9 n dim^2.
     INPUTS_LINE = "verify --family superadd --n 4 --p 1 --dim 3"
 
     @staticmethod
@@ -1075,8 +1076,8 @@ class TestWorkingSetBudget:
     @pytest.mark.parametrize("spare, code", [(0, 0), (-1, 3)])
     def test_the_budget_is_inclusive_where_the_inputs_outweigh_the_build(
             self, spare, code, tmp_path, monkeypatch, capsys):
-        # The sampler's peak, not the build's 9 entries, is what is refused.
-        assert sums.working_set("superadd", 4, 1, 3) == 3 * 3
+        # The sampler's peak, not the build's 81 entries, is what is refused.
+        assert sums.working_set("superadd", 4, 1, 3) == 3 * 3 + 2 * 4 * 3 * 3
         held = 16 * 9 * 4 * 3 * 3
         self.refused_at(self.INPUTS_LINE, held, spare, code, tmp_path, monkeypatch, capsys)
 
@@ -1103,11 +1104,14 @@ class TestWorkingSetBudget:
         # The settings pass refuses it, before the trial loop sizes its
         # chunks by the same working set.
         cfg = RunConfig(family="pop-pairs", n=12, p=12, dim=2, trials=1)
-        with pytest.raises(BudgetError, match="working set of one trial: 5888802816 bytes"):
+        with pytest.raises(BudgetError, match="working set of one trial: 6425678720 bytes"):
             harness._settings(cfg, "verify")
 
     def test_the_default_keeps_the_largest_tensor_of_dim_two(self):
-        assert 16 * sums.working_set("hlawka3", 3, 12, 2) == 3 * 2**28 < sums.MAX_WORKING_SET_BYTES
+        # The output, the table of step 11 and one product of 2^24 entries
+        # each, a gather of 2^22, and 12 letters and 12 inputs.
+        assert (16 * sums.working_set("hlawka3", 3, 12, 2) == 3 * 2**28 + 2**26 + 16 * 24
+                < sums.MAX_WORKING_SET_BYTES)
 
 
 class TestToleranceRefused:

@@ -400,6 +400,122 @@ class TestStorageLayout:
         assert sums._lead(t, a).tobytes() == np.ascontiguousarray(standard).tobytes()
 
 
+def chunk(seed: int, n: int, dim: int, count: int) -> list:
+    """The inputs of a chunk of ``count`` seeded trials, input i of every
+    trial in stack i."""
+    samples = random_pd(dim, tuple(derive_seed(seed, i) for i in range(n * count)))
+    return [samples[i * count:(i + 1) * count] for i in range(n)]
+
+
+def build(name, spec, levels, parts, p, workspace=None):
+    """The word sum of a LAYOUT_TABLES entry, in ``workspace`` or in one of
+    its own."""
+    return sums._build(name, spec, parts, p, 4096, levels.get("k"), levels.get("ell"),
+                       levels.get("m"), workspace)
+
+
+def owner(array: np.ndarray) -> np.ndarray:
+    """The array that owns the memory ``array`` views."""
+    while array.base is not None:
+        array = array.base
+    return array
+
+
+def plan_of(name, spec, n, p, levels):
+    return sums._plan(name, spec, n, p, levels.get("k"), levels.get("ell"), levels.get("m"))
+
+
+class TestWorkspace:
+    # One workspace serves every chunk of a run: a build overwrites what the
+    # one before it left there, and must read none of it.
+    def test_every_reused_build_is_a_fresh_build(self):
+        # A full chunk, a short last chunk, then another power or table: the
+        # buffers shrink and grow, and the absent, merged and table rows
+        # move between builds.
+        workspace = sums.Workspace()
+        for index, (name, spec, n, levels) in enumerate(LAYOUT_TABLES):
+            for p, dim, count in ((4, 2, 9), (4, 2, 2), (2, 3, 5), (5, 2, 1), (4, 1, 4),
+                                  (1, 2, 3)):
+                parts = chunk(100 * index + 10 * p + count, n, dim, count)
+                reused = build(name, spec, levels, parts, p, workspace).array.tobytes()
+                assert reused == build(name, spec, levels, parts, p).array.tobytes(), (name, p)
+
+    @pytest.mark.parametrize("family, n, p, count", [("hlawka3", 3, 3, 151),
+                                                     ("alternating", 5, 5, 8)])
+    def test_a_second_chunk_allocates_no_array(self, family, n, p, count):
+        # The full chunks of the benchmark's two verify lines.  numpy's ufunc
+        # iterator allocates two buffers of bufsize entries for each
+        # broadcast product (256 KiB at the default), and the inputs'
+        # digests are Python strings: both are kept out of the count, which
+        # any table, gather or product of these chunks exceeds.
+        workspace = sums.Workspace()
+        build_difference(family, chunk(1, n, 2, count), p, workspace=workspace)
+        parts = chunk(2, n, 2, count)
+        for part in parts:
+            part.digests
+        bufsize = np.setbufsize(64)
+        tracemalloc.start()
+        try:
+            build_difference(family, parts, p, workspace=workspace)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            np.setbufsize(bufsize)
+        assert peak < 16 * 1024
+
+    def test_the_working_set_counts_what_the_workspace_holds(self):
+        for name, spec, n, levels in LAYOUT_TABLES:
+            for p, dim, count in ((4, 2, 9), (2, 3, 5), (1, 2, 3)):
+                workspace = sums.Workspace()
+                build(name, spec, levels, chunk(7, n, dim, count), p, workspace)
+                held = sum(buffer.nbytes for buffer in workspace._held)
+                assert held == 16 * count * plan_of(name, spec, n, p, levels).working_set(dim)
+
+    def test_a_build_peaks_at_its_working_set(self):
+        # Everything a build holds is in its workspace, so its traced peak
+        # is that count, the iterator buffers and a few kB.
+        bufsize = np.setbufsize(64)
+        try:
+            for name, spec, n, levels in LAYOUT_TABLES:
+                held = 16 * 4 * plan_of(name, spec, n, 5, levels).working_set(2)
+                build(name, spec, levels, chunk(8, n, 2, 4), 5)
+                parts = chunk(9, n, 2, 4)
+                tracemalloc.start()
+                try:
+                    build(name, spec, levels, parts, 5)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert held < peak < held + 16 * 1024
+        finally:
+            np.setbufsize(bufsize)
+
+    @pytest.mark.parametrize("family, n, p", [("hlawka3", 3, 3), ("alternating", 5, 5),
+                                              ("pop-pairs", 6, 4), ("pop-pairs", 4, 4)])
+    def test_a_difference_holds_only_its_own_bytes(self, family, n, p):
+        # pop-pairs keeps a table of step p - 2 larger than the difference:
+        # at n 6, p 4 at dim 2, and at n 4, p 4 at dim 1.  Neither a short
+        # chunk after a full one nor a library build leaves its difference
+        # in a larger buffer once the workspace is dropped.
+        for dim in (1, 2):
+            workspace = sums.Workspace()
+            build_difference(family, chunk(3, n, dim, 9), p, workspace=workspace)
+            short = build_difference(family, chunk(4, n, dim, 2), p, workspace=workspace).array
+            del workspace
+            alone = build_difference(family, chunk(4, n, dim, 2), p).array
+            for diff in (short, alone):
+                assert owner(diff).nbytes == diff.nbytes == 16 * 2 * dim ** (2 * p)
+            assert short.tobytes() == alone.tobytes()
+
+    def test_library_builds_keep_their_differences(self):
+        # Built without a workspace, each difference has memory of its own.
+        first = build_difference("hlawka3", pd_tuple(40, 3, 2), 3)
+        before = first.array.tobytes()
+        second = build_difference("hlawka3", pd_tuple(41, 3, 2), 3)
+        assert first.array.tobytes() == before != second.array.tobytes()
+        assert not np.shares_memory(first.array, second.array)
+
+
 def exact_subset_route(family: str, mats: list[np.ndarray], p: int, **levels) -> np.ndarray:
     """LHS - RHS times the common denominator, from the statement's subset
     powers in integer arithmetic."""
