@@ -19,13 +19,14 @@ Per-trial seeds derive from (master seed, trial index), so how trials are
 grouped cannot change any reported number.  One chunker, :func:`_chunks`,
 splits the trials of every route and derives each chunk's trial seeds as
 one uint64 array (:func:`~hlawka.util.derive_seeds`), the seeds every
-route reports; a chunk holds as many trials as fit ``CHUNK_BYTES`` at
-:func:`_trial_bytes` a trial, the count the settings pass refuses over
-budget, and at least one.  Every route runs its chunks stacked on a
-leading axis, each bit for bit the per-trial result: the two operator
-suites take one sampling call (input i of a trial seeded from the trial
-seed and i), one build and one certification (or one scalar check) per
-chunk, every chunk of ``verify`` building in the run's one
+route reports; a chunk holds as many trials as fit ``CHUNK_BYTES`` (2 MiB)
+at :func:`_trial_bytes` a trial, the count the settings pass refuses over
+budget, and at least one, and within it the kernels work in blocks of
+:data:`~hlawka.sums.BLOCK_BYTES` (512 KiB).  Every route runs its chunks
+stacked on a leading axis, each bit for bit the per-trial result: the two
+operator suites take one sampling call (input i of a trial seeded from the
+trial seed and i), one build and one certification (or one scalar check)
+per chunk, every chunk of ``verify`` building in the run's one
 :class:`~hlawka.sums.Workspace`, and the convex/norm suites and the search
 one block evaluation per chunk (one sampling pass draws the chunk's
 inputs; the search's descents one per round).  Reports are assembled in
@@ -319,6 +320,7 @@ def _matrix_trials(cfg: RunConfig, trial_bytes: int, check, margin_key: str):
         yield check(inputs, parts), lambda t, kind, worst, seeds=seeds, parts=parts: {
             "inputsDigest": _tuple_digest(parts, t), margin_key: worst,
             "seed": int(seeds[t])}, (None,)
+        del inputs, parts  # not held while the next chunk is sampled
 
 
 def _run(report: TrialReport, cfg: RunConfig, records) -> tuple[TrialReport, int]:
@@ -350,6 +352,8 @@ def _run(report: TrialReport, cfg: RunConfig, records) -> tuple[TrialReport, int
             report.min_margin = float(low)
         for t in np.flatnonzero(code == Verdict.FAILS.code).tolist():
             report.violations.append(entry(t, kinds[worst[t]], float(margin[t])))
+        # The chunk's inputs, held by its entry, are not held through the next.
+        del record, entry
     report.interpretation_flags[:0] = spec.notes(n)
     report.runtime_ms = int((time.perf_counter() - start) * 1000)
     binding = spec.status in ("proven", "refuted") or n == spec.proven_at

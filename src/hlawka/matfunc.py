@@ -27,7 +27,7 @@ import numpy as np
 from .errors import BudgetError, InputError
 from .linalg import HermitianStack, _as_array, _entries, _same_shape, _single_or_all
 from .scalar import ScalarCheckResult, ScalarCheckResults, _margins, _terms
-from .sums import CHUNK_BYTES, operator_family
+from .sums import BLOCK_BYTES, operator_family
 from .symgroup import CharacterSpec, GroupSpec, character_values, enumerate_group
 
 #: Ryser evaluation enumerates 2^m column subsets; refuse beyond this.
@@ -75,7 +75,7 @@ def _group_data(group: GroupSpec,
     character with a nonzero imaginary part and float64 otherwise.  A
     padded layout can make W far larger than the support, e.g. S_k acting
     as sigma + sigma on 2k letters, one set of k! x k! slots with k!
-    weights; a W over :data:`~hlawka.sums.CHUNK_BYTES` and over four cells
+    weights; a W over :data:`~hlawka.sums.BLOCK_BYTES` and over four cells
     per element of the support is refused with :class:`BudgetError`
     before it is allocated.
     """
@@ -94,7 +94,7 @@ def _group_data(group: GroupSpec,
     suffix_slot[order] = ranked
     values = chis if chis.imag.any() else chis.real
     shape = sets.max() + 1, prefix_slot.max() + 1, suffix[-1][1].shape[1]
-    size, limit = prod(shape) * values.itemsize, max(CHUNK_BYTES, 4 * values.nbytes)
+    size, limit = prod(shape) * values.itemsize, max(BLOCK_BYTES, 4 * values.nbytes)
     if size > limit:
         raise BudgetError(f"column-set weights of {size} bytes for a support of "
                           f"{len(values)} elements exceed budget {limit}")
@@ -207,7 +207,7 @@ def generalized_matrix_function(x, group: GroupSpec, chi: CharacterSpec):
     ``x`` is one square matrix, Hermitian or not, or a
     :class:`HermitianStack`, which gives a complex array of d(X), one per
     matrix (empty for an empty stack), the stack walked in blocks within
-    :data:`~hlawka.sums.CHUNK_BYTES` (at least one matrix each).  d is the
+    :data:`~hlawka.sums.BLOCK_BYTES` (at least one matrix each).  d is the
     column-set sum of :func:`_group_data`, h = m // 2: per matrix, the
     prefix halves P (X[0, s0] * ... * X[h - 1, s(h-1)]) and suffix halves S
     (X[h, sh] * ... * X[m - 1, s(m-1)]) of the support of chi, laid out by
@@ -232,7 +232,7 @@ def generalized_matrix_function(x, group: GroupSpec, chi: CharacterSpec):
     # 8 and table characters of explicit groups up to degree 10.
     widest = max(flat.size for levels in (prefix, suffix) for _, flat in levels)
     words = 2 * (m * m + 1) + 2 * sets * (prefix_slots + suffix_slots) + 5 * widest
-    block = max(1, (CHUNK_BYTES - 8 * 512) // (8 * words))
+    block = max(1, (BLOCK_BYTES - 8 * 512) // (8 * words))
     flat = arr.reshape(-1, m * m)
     values = np.empty(len(flat), dtype=np.complex128)
     for lo in range(0, len(flat), block):

@@ -191,13 +191,13 @@ def checked_sides(name: str, spec: FamilySpec, n: int, k=None, ell=None, m=None)
     return spec.sides(**values)
 
 
-def _canonical_arrays(hs: list[HermitianStack], *, keep_first_fixed: bool = False,
-                      stack: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
+def _canonical_arrays(hs: list[HermitianStack], stack: np.ndarray, out: np.ndarray, *,
+                      keep_first_fixed: bool = False) -> np.ndarray:
     # Sort each trial's matrices, carriers of one shape, by their own
     # digests (stable, so equal matrices keep their input order), then
     # gather them in one contiguous (n, trials, dim, dim) stack, position
     # by position: the inputs stacked in the flat buffer ``stack``, then
-    # gathered into the flat buffer ``out`` (new ones when not given).
+    # gathered into the flat buffer ``out``.
     n, count, dim = len(hs), len(hs[0]), hs[0].dim
     # Position j of trial t takes row picks[j, t] of the inputs stacked.
     first = 1 if keep_first_fixed else 0
@@ -208,8 +208,6 @@ def _canonical_arrays(hs: list[HermitianStack], *, keep_first_fixed: bool = Fals
     picks *= count
     picks += np.arange(count)
     size = n * count * dim * dim
-    if out is None:
-        stack, out = np.empty(size, dtype=np.complex128), np.empty(size, dtype=np.complex128)
     stacked = np.stack([_entries(h) for h in hs], out=stack[:size].reshape(n, count, dim, dim))
     return np.take(stacked.reshape(n * count, dim, dim), picks.ravel(), axis=0, mode="clip",
                    out=out[:size].reshape(n * count, dim, dim)).reshape(n, count, dim, dim)
@@ -288,12 +286,19 @@ class _Coefficients(Mapping):
         return self._by_size[low]
 
 
-#: Byte budget of the temporaries held at once: the DP forms its stacked
-#: Kronecker products in blocks of rows at most this size (and at most one
-#: difference row of its workspace), and ``harness`` its chunks of trials.
-#: Big enough to amortize per-call overhead on small tuples; a row or trial
+#: Byte budget of a chunk of trials: ``harness`` runs as many trials at
+#: once as fit it at its count of a trial, every route's chunks and the
+#: search's descent rounds.  Big enough to amortize the fixed per-call cost
+#: of sampling, building and certifying a chunk of small tuples; a trial
 #: over budget runs alone.
-CHUNK_BYTES = 512 * 1024
+CHUNK_BYTES = 2 * 1024 * 1024
+
+#: Byte budget of a kernel's block within a chunk: the DP forms its stacked
+#: Kronecker products in blocks of rows at most this size (and at most one
+#: difference row of its workspace), and :mod:`~hlawka.matfunc` walks its
+#: matrices in blocks within it and refuses column-set weights over it (and
+#: over four cells per element).  A row or matrix over budget runs alone.
+BLOCK_BYTES = 512 * 1024
 
 #: Byte budget of what one trial holds at once by the harness's one count
 #: (on ``verify`` the larger of :func:`working_set` and the sampler's
@@ -528,7 +533,7 @@ def _word_sum(inputs: np.ndarray, plan: _WordPlan, p: int, buffers) -> np.ndarra
         out = _rows(buffers[buffer], step.size + absent, count, wide)
         if absent:
             out[-1] = _ABSENT
-        block = max(1, min(dim ** (2 * (p - 1 - k)), CHUNK_BYTES // out[0].nbytes))
+        block = max(1, min(dim ** (2 * (p - 1 - k)), BLOCK_BYTES // out[0].nbytes))
         for lo, hi, slots in step.classes:
             for start in range(lo, hi, block):
                 stop = min(hi, start + block)
@@ -566,15 +571,12 @@ def _word_sum(inputs: np.ndarray, plan: _WordPlan, p: int, buffers) -> np.ndarra
     return _digit_reversed(total, dim, p, product)
 
 
-def _lead(t: np.ndarray, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _lead(t: np.ndarray, a: np.ndarray, out: np.ndarray) -> np.ndarray:
     # a (x) t as the stored layout holds it, each entry the product t * a:
     # numpy's SIMD complex multiply is not commutative bit for bit, so the
     # table stays the first operand, as in _kron(t, a).  The products are
-    # written into a contiguous ``out`` when given, else into a new array.
+    # written into the contiguous ``out``.
     n, m = t.shape[-1], a.shape[-1]
-    if out is None:
-        out = np.empty((*np.broadcast_shapes(t.shape[:-2], a.shape[:-2]), n * m, n * m),
-                       dtype=np.result_type(t, a))
     np.multiply(t[..., None, :, None, :], a[..., :, None, :, None],
                 out=out.reshape(*out.shape[:-2], m, n, m, n))
     return out
@@ -632,8 +634,7 @@ def _build(name: str, spec: FamilySpec, mats, p: int, max_dim: int, k, ell, m,
     plan = _plan(name, spec, n, p, k, ell, m)
     buffers = (Workspace() if workspace is None else workspace)._buffers(
         [count * size for size in plan.buffers(dim)])
-    inputs = _canonical_arrays(hs, keep_first_fixed=spec.supermod, stack=buffers[2],
-                               out=buffers[5])
+    inputs = _canonical_arrays(hs, buffers[2], buffers[5], keep_first_fixed=spec.supermod)
     # An overflowed input or product gives inf or NaN entries, which the
     # certificate's finiteness check refuses.
     with np.errstate(over="ignore", invalid="ignore"):

@@ -179,7 +179,10 @@ VERIFY_CASES = [
 class TestVerifyAgainstOracle:
     @pytest.mark.parametrize("case", VERIFY_CASES, ids=lambda c: c["family"])
     def test_every_family(self, case, monkeypatch):
+        # At a quarter of the default budget every family's 140 trials take
+        # four chunks or more.
         cfg = verify_cfg(dim=2, trials=140, seed=5, **case)
+        monkeypatch.setattr(harness, "CHUNK_BYTES", harness.CHUNK_BYTES // 4)
         sizes = count_chunks(monkeypatch)
         report, _ = run_verify(cfg)
         n = cfg.n
@@ -233,15 +236,15 @@ class TestVerifyAgainstOracle:
         assert_same_report(report, oracle_verify(cfg))
 
     @pytest.mark.parametrize("family, n, p, trials", [
-        ("hlawka3", 3, 8, 1), ("hlawka3", 3, 3, 500), ("pop-pairs", 6, 4, 50)])
+        ("hlawka3", 3, 8, 1), ("hlawka3", 3, 3, 1900), ("pop-pairs", 6, 4, 200)])
     def test_the_last_chunk_certifies_beside_its_difference_alone(
             self, family, n, p, trials, monkeypatch):
         # Every chunk but the last certifies with the run's workspace held;
         # the last drops it once its difference is built, so what is traced
-        # then is that difference's buffer, of exactly its size, the chunk's
-        # inputs, and its digests and those of the chunk before (held by the
-        # trial loop's last report entry).  pop-pairs at n 6, p 4 keeps a
-        # table of step 2 larger than its difference.
+        # then is that difference's buffer, of exactly its size, and the
+        # chunk's inputs and their digests: the trial loop holds no inputs of
+        # the chunk before.  pop-pairs at n 6, p 4 keeps a table of step 2
+        # larger than its difference.
         held, owners = [], []
         original = harness.psd_certificate
 
@@ -409,7 +412,7 @@ class TestMixedVerdictChunks:
         assert 0 < report.equality_cases < report.trials - len(report.violations)
 
     def test_verify(self, monkeypatch):
-        cfg = verify_cfg(family="hlawka3", p=3, dim=2, trials=500, seed=11)
+        cfg = verify_cfg(family="hlawka3", p=3, dim=2, trials=1500, seed=11)
         flipped = flipped_build(build_difference)
         monkeypatch.setattr(harness, "build_difference", flipped)
         sizes = count_chunks(monkeypatch)
@@ -431,7 +434,7 @@ class TestMixedVerdictChunks:
         assert_same_report(report, oracle_scalar(cfg))
 
     def test_convex_route(self, monkeypatch):
-        cfg = RunConfig(family="popoviciu", fn="all", trials=300, seed=13, tol=1e-12)
+        cfg = RunConfig(family="popoviciu", fn="all", trials=1200, seed=13, tol=1e-12)
         chunk = harness.CHUNK_BYTES // row_bytes("popoviciu", 3, 1, len(convex_catalog()))
         assert cfg.trials > 2 * chunk
         monkeypatch.setattr(scalar, "_search_margin", flipped_search_margin(scalar._search_margin))

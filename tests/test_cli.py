@@ -1161,7 +1161,12 @@ class TestHarnessApi:
 
     def test_memory_does_not_grow_with_trials(self):
         # Neither the seeds nor the margins of a run may be held for all its
-        # trials: 2700 more trials held would be about 0.5 MB of either.
+        # trials: 13716 more trials (18 chunks of 762) held would be about
+        # 2.5 MB of either.
+        cfg, _ = harness._settings(RunConfig(family="jensen"), "convex")
+        chunk = harness._chunk_trials(harness._trial_bytes(cfg, "convex"))
+        assert chunk == 762
+
         def peak(trials):
             tracemalloc.start()
             try:
@@ -1171,7 +1176,7 @@ class TestHarnessApi:
                 tracemalloc.stop()
 
         peak(10)
-        assert peak(3000) < peak(300) + 200_000
+        assert peak(20 * chunk) < peak(2 * chunk) + 200_000
 
 
 def subparser(command: str) -> argparse.ArgumentParser:

@@ -179,7 +179,7 @@ class TestBlocks:
         # Blocks of 5 matrices, counted by the half walks, one per half and
         # block: stacks of 4, 5, 6 and 11 run in 1, 1, 2 and 3 blocks.
         group, chi = self.CASES[name]
-        monkeypatch.setattr(matfunc, "CHUNK_BYTES", self.five_matrices(group, chi))
+        monkeypatch.setattr(matfunc, "BLOCK_BYTES", self.five_matrices(group, chi))
         walks = []
 
         def counted(*args):
@@ -223,22 +223,22 @@ class TestBlocks:
         rng = np.random.default_rng(3)
         mats = [random_hermitian(rng, 4) for _ in range(800)]
         stacks = stack_of(mats[:400]), stack_of(mats)
-        monkeypatch.setattr(matfunc, "CHUNK_BYTES", self.five_matrices(group, chi))
+        monkeypatch.setattr(matfunc, "BLOCK_BYTES", self.five_matrices(group, chi))
         generalized_matrix_function(stacks[1], group, chi)
         few, many = self.traced_peaks(stacks, group, chi)
-        assert few < matfunc.CHUNK_BYTES + 400 * 16  # the blocks' budget and the output
+        assert few < matfunc.BLOCK_BYTES + 400 * 16  # the blocks' budget and the output
         assert many <= few + 400 * 16
 
     def test_a_big_group_block_holds_four_matrices(self, monkeypatch):
         # big-group's S_8 matrices under (4,2,1,1) run four to a block at
-        # the default CHUNK_BYTES, and a block holds less than the budget.
+        # the default BLOCK_BYTES, and a block holds less than the budget.
         group, chi = parse_character_selector("partition=4,2,1,1", 8)
         rng = np.random.default_rng(7)
         stack = stack_of([random_hermitian(rng, 8) for _ in range(8)])
         generalized_matrix_function(stack, group, chi)  # the group's tables, cached
-        assert (matfunc.CHUNK_BYTES - 8 * 512) // self.matrix_bytes(group, chi) == 4
+        assert (matfunc.BLOCK_BYTES - 8 * 512) // self.matrix_bytes(group, chi) == 4
         (peak,) = self.traced_peaks([stack], group, chi)
-        assert peak < matfunc.CHUNK_BYTES + 8 * 16
+        assert peak < matfunc.BLOCK_BYTES + 8 * 16
         walks = []
 
         def counted(*args):
@@ -277,14 +277,14 @@ class TestBlocks:
     @pytest.mark.parametrize("k, size", [(6, 4147200), (7, 203212800)])
     def test_a_sparse_weight_table_is_refused_before_it_is_allocated(self, k, size):
         # S_k doubled has k! weights in a k! x k! W: 4.1 MB at k = 6, 203 MB
-        # at k = 7 (13 GB at k = 8), over CHUNK_BYTES and over four float64
+        # at k = 7 (13 GB at k = 8), over BLOCK_BYTES and over four float64
         # words per weight.  The call refuses it having held under 4 MB.
         group = self.doubled(k)
         tracemalloc.start()
         try:
             with pytest.raises(BudgetError, match=f"^column-set weights of {size} bytes "
                                f"for a support of {math.factorial(k)} elements exceed "
-                               f"budget {matfunc.CHUNK_BYTES}$"):
+                               f"budget {matfunc.BLOCK_BYTES}$"):
                 generalized_matrix_function(np.eye(2 * k, dtype=complex), group,
                                             CharacterSpec.trivial())
             peak = tracemalloc.get_traced_memory()[1]

@@ -885,6 +885,104 @@ class TestBlockEqualsRows:
             assert got[t].margin == oracle_evaluate("popoviciu", rows[t], ABS)[2]
 
 
+#: Levels that every SUITES entry accepts, at n 5 or, where it needs 3, n 3.
+TERM_LEVELS = {"pop-subsets": {"m": 3}, "pcz": {"m": 3}, "radu": {"k": 2},
+               "pop-levels": {"k": 1, "ell": 2, "m": 3},
+               "pop-levels-scalar": {"k": 1, "ell": 2, "m": 3}}
+
+
+def gathered_terms(suite: str, data: np.ndarray, image, k=None, ell=None, m=None) -> tuple:
+    """The oracle of :func:`_terms`: each size's members gathered at once,
+    summed left to right into new arrays, and the sizes concatenated."""
+    term = SUITES[suite].term
+    groups, ((li, lc), (ri, rc)) = scalar._plan(suite, data.shape[1], k, ell, m)
+    parts = []
+    for size, subsets in groups:
+        picked = data[:, subsets]
+        if term == "mean" and size > 2:
+            [total] = scalar._fsums(picked)
+        else:
+            total = picked[:, :, 0]
+            for j in range(1, size):
+                total = total + picked[:, :, j]
+        parts.append(total / size if term == "mean" else total)
+    values = np.concatenate(parts, axis=1)
+    images = image(values)
+    overflow = term == "mean" and ~np.isfinite(values).all(axis=1)
+    return images[..., li] * lc, images[..., ri] * rc, overflow
+
+
+class TestTermsInPlace:
+    @staticmethod
+    def inputs(term, count: int, n: int, rng) -> np.ndarray:
+        """``count`` rows of a term rule's inputs: complex 3x3 matrices, 2D
+        vectors or points; row 0 has signed zeros and, with more rows, row 1
+        sums past double precision."""
+        if term is None:
+            data = rng.standard_normal((count, n, 3, 3)) + 1j * rng.standard_normal((count, n, 3, 3))
+        else:
+            data = rng.uniform(-10.0, 10.0, (count, n, 2) if term == "norm" else (count, n))
+        data[0, ::2] = -0.0
+        if count > 1:
+            data[1] = 1e308
+        return data
+
+    @pytest.mark.parametrize("count", [1, 7])
+    @pytest.mark.parametrize("suite", list(SUITES))
+    def test_the_sums_equal_the_gathered_sums(self, suite, count):
+        # Every term rule: operator sums, value sums, means of pairs and of
+        # larger sets (fsum's), and norm sums; one row, whose columns are
+        # contiguous, and several.
+        levels = TERM_LEVELS.get(suite, {})
+        spec = SUITES[suite]
+        n = next(n for n in (5, 3) if spec.valid(n, *map(levels.get, ("k", "ell", "m"))))
+        data = self.inputs(spec.term, count, n, np.random.default_rng(count))
+        seen = []
+        if spec.term is None:
+            def image(values):
+                seen.append(values.copy())
+                return values.real.sum(axis=(-2, -1))[:, np.newaxis]
+        else:
+            fns = (None,) if spec.term == "norm" else convex_catalog()
+
+            def image(values):
+                seen.append(values.copy())
+                return _convex_norm_image(spec.term, fns, values)
+
+        with np.errstate(all="ignore"):
+            got = _terms(suite, data, image, **levels)
+            want = gathered_terms(suite, data, image, **levels)
+        new, old = seen
+        assert (new.shape, new.dtype, new.tobytes()) == (old.shape, old.dtype, old.tobytes())
+        for a, b in zip(got, want):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+    def test_a_det_chunk_peaks_within_its_count(self):
+        # many-small's matrix-route line: a full chunk, its inputs sampled
+        # and its terms, subset sums and determinants formed, holds no more
+        # than its trials times the count of a trial, and 32 KiB for the
+        # report and the small arrays around it.  Gathering every member of
+        # every subset at once held 1.8 times the count.  A second chunk
+        # holds nothing of the first, whose inputs took 0.11 of the count.
+        cfg = RunConfig(family="alternating", char="det", n=4, dim=4, trials=1, seed=4)
+        resolved, _ = harness._settings(cfg, "matrix")
+        count = harness._trial_bytes(resolved, "matrix")
+        chunk = harness._chunk_trials(count)
+
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                run_scalar_verify(dataclasses.replace(cfg, trials=trials))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        run_scalar_verify(dataclasses.replace(cfg, trials=chunk))  # the group's tables, cached
+        one = peak(chunk)
+        assert one <= chunk * count + 32 * 1024
+        assert peak(2 * chunk) <= one + 32 * 1024
+
+
 class TestLockstepDescents:
     @pytest.mark.parametrize("suite, cfg", [
         ("hlawka-pop", dict(n=4, trials=12, seed=3)),
@@ -1007,7 +1105,7 @@ class TestLockstepDescents:
                             lambda suite, data, *a, **kw: blocks.append(len(data))
                             or evaluate(suite, data, *a, **kw))
         counterexample_search("hlawka-pop", config, ABS, 1e-12)
-        assert limit == (rows or 360)
+        assert limit == (rows or 1440)
         assert blocks and max(blocks) <= limit
 
     def test_the_benchmark_descent_makes_few_evaluations(self, tmp_path, monkeypatch):

@@ -301,7 +301,7 @@ class TestSharedProperties:
         for family, p, levels in (("alternating", 5, {}), ("superadd", 4, {}),
                                   ("pop-levels", 4, {"k": 1, "ell": 2, "m": 3})):
             stacked = build_difference(family, mats, p, **levels).array
-            monkeypatch.setattr(sums, "CHUNK_BYTES", 1)
+            monkeypatch.setattr(sums, "BLOCK_BYTES", 1)
             one_row = build_difference(family, mats, p, **levels).array
             monkeypatch.undo()
             assert stacked.tobytes() == one_row.tobytes()
@@ -385,7 +385,10 @@ class TestStorageLayout:
         parts = [samples[i * count:(i + 1) * count] for i in range(n)]
         got = sums._build(name, spec, parts, p, 4096, levels.get("k"), levels.get("ell"),
                           levels.get("m")).array
-        inputs = sums._canonical_arrays(parts, keep_first_fixed=spec.supermod)
+        size = n * count * dim * dim
+        inputs = sums._canonical_arrays(parts, np.empty(size, dtype=np.complex128),
+                                        np.empty(size, dtype=np.complex128),
+                                        keep_first_fixed=spec.supermod)
         plan = sums._plan(name, spec, n, p, levels.get("k"), levels.get("ell"), levels.get("m"))
         want = standard_word_sum(inputs, plan, p)
         assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
@@ -397,7 +400,8 @@ class TestStorageLayout:
         t, a = (rng.standard_normal((2, 4, 4)) + 1j * rng.standard_normal((2, 4, 4))
                 for _ in range(2))
         standard = _kron(t, a).reshape(2, 4, 4, 4, 4).transpose(0, 2, 1, 4, 3)
-        assert sums._lead(t, a).tobytes() == np.ascontiguousarray(standard).tobytes()
+        stored = sums._lead(t, a, np.empty((2, 16, 16), dtype=np.complex128))
+        assert stored.tobytes() == np.ascontiguousarray(standard).tobytes()
 
 
 def chunk(seed: int, n: int, dim: int, count: int) -> list:
