@@ -285,7 +285,9 @@ def _trial_bytes(cfg: RunConfig, route: str) -> int:
     the resolved ``cfg``, refused over budget and sizing every chunk and
     descent round: the larger of the route's count and its sampler's peak.
     The route's count is, on ``verify``, 16 (a complex128 entry) times the
-    build's working set, and elsewhere the row bytes of the whole catalog
+    larger of the build's working set and the certificate's two differences
+    (the difference and LAPACK's copy of it, held once the build's
+    workspace is dropped), and elsewhere the row bytes of the whole catalog
     under ``fn`` "all", else of one function.  The sampler's peak is, on
     the operator routes, the larger of 16 times 9 n dim^2 and n times
     :func:`~hlawka.linalg.sample_bytes` of a sample's 2 dim^2 draws, which
@@ -300,7 +302,8 @@ def _trial_bytes(cfg: RunConfig, route: str) -> int:
     else:
         sampler = sample_bytes(math.prod(sample_shape(cfg.family, cfg.n, cfg.dim)))
     if route == "verify":
-        held = 16 * working_set(cfg.family, cfg.n, cfg.p, cfg.dim, k=cfg.k, ell=cfg.ell, m=cfg.m)
+        held = 16 * max(working_set(cfg.family, cfg.n, cfg.p, cfg.dim, k=cfg.k, ell=cfg.ell,
+                                    m=cfg.m), 2 * cfg.dim ** (2 * cfg.p))
     else:
         functions = len(CONVEX_KINDS) if cfg.fn == "all" else 1
         held = row_bytes(cfg.family, cfg.n, cfg.dim, functions, cfg.k, cfg.ell, cfg.m)

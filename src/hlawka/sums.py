@@ -295,14 +295,16 @@ CHUNK_BYTES = 2 * 1024 * 1024
 
 #: Byte budget of a kernel's block within a chunk: the DP forms its stacked
 #: Kronecker products in blocks of rows at most this size (and at most one
-#: difference row of its workspace), and :mod:`~hlawka.matfunc` walks its
-#: matrices in blocks within it and refuses column-set weights over it (and
-#: over four cells per element).  A row or matrix over budget runs alone.
+#: difference row of its workspace), and a row whose one trial is over it
+#: in pieces of the row before it, each at most this size; :mod:`~hlawka.matfunc`
+#: walks its matrices in blocks within it and refuses column-set weights
+#: over it (and over four cells per element).  A matrix over budget runs alone.
 BLOCK_BYTES = 512 * 1024
 
 #: Byte budget of what one trial holds at once by the harness's one count
-#: (on ``verify`` the larger of :func:`working_set` and the sampler's
-#: peak), refused before the first trial: hlawka3 at p 12, dim 2 holds 0.81 GiB.
+#: (on ``verify`` the largest of :func:`working_set`, the certificate's two
+#: differences and the sampler's peak), refused before the first trial:
+#: hlawka3 at p 12, dim 2 holds 0.501 GiB.
 MAX_WORKING_SET_BYTES = 2**31
 
 #: Every entry of the absent row that ends a table the next step reads as
@@ -379,20 +381,36 @@ class _WordPlan:
         product, the gather, the letters, the canonical inputs and the
         difference.
 
-        A part of a step's rows is at most one difference row wide in
-        products: it gathers at most a row of step p - 1 from the table,
-        and the product buffer takes the part's second gather, a merged
-        row's later weights, the inputs' stack and the digit-reversal copy,
-        each dead before the buffer is next written."""
+        A block of a step's rows is at most one difference row and at
+        most ``BLOCK_BYTES`` wide in products, or one row when that row is
+        wider, and it gathers the rows of the step before it; a row over
+        ``BLOCK_BYTES`` is formed one piece of the row before it at a time,
+        gathered and multiplied by one letter entry in pieces at most
+        ``BLOCK_BYTES``.  The product buffer takes the block's second
+        gather, a merged row's later weights, the inputs' stack and, unless
+        the dead table of step p - 1 holds it, the digit-reversal copy, each
+        dead before the buffer is next written."""
         n, p, sq = self.n, self.p, dim * dim
         if not self.steps:
             return (0, 0, n * sq, 0, 0, n * sq, sq**p)
         sizes = [0] * (_DIFFERENCE + 1)
         for buffer, entries in self.tables(dim):
             sizes[buffer] = max(sizes[buffer], entries)
-        part = max(min(sq ** (p - 1 - k), max((hi - lo for lo, hi, _ in step.classes), default=0))
-                   for k, step in enumerate(self.steps))
-        sizes[2:_DIFFERENCE] = max(sq**p, n * sq), sq ** (p - 1), part * sq, n * sq
+        product = n * sq if sizes[(p - 1) % 2] >= sq**p else max(sq**p, n * sq)
+        gather = letters = 0
+        for k, step in enumerate(self.steps):
+            prior, row = sq**k, sq ** (k + 1)
+            if _pieced(row):
+                piece = min(prior, _fit(1, 1))
+                gather, product = max(gather, piece), max(product, piece)
+                continue
+            rows = min(sq ** (p - 1 - k), _fit(row, 1),
+                       max((hi - lo for lo, hi, _ in step.classes), default=0))
+            merged = any(step.merged)
+            gather = max(gather, rows * prior, merged * prior)
+            product = max(product, rows * row, merged * row)
+            letters = max(letters, rows * sq)
+        sizes[2:_DIFFERENCE] = product, gather, letters, n * sq
         return tuple(sizes)
 
 
@@ -501,17 +519,29 @@ def _rows(buffer: np.ndarray, rows: int, count: int, wide: int) -> np.ndarray:
     return buffer[:rows * count * wide * wide].reshape(rows, count, wide, wide)
 
 
+def _fit(entries: int, count: int) -> int:
+    # How many units of ``entries`` entries of each of ``count`` trials fit
+    # BLOCK_BYTES together, and at least one.
+    return max(1, BLOCK_BYTES // (16 * count * entries))
+
+
+def _pieced(row: int) -> bool:
+    # Whether a row of ``row`` entries of one trial is over BLOCK_BYTES, and
+    # so formed in pieces of the row before it.
+    return 16 * row > BLOCK_BYTES
+
+
 def _word_sum(inputs: np.ndarray, plan: _WordPlan, p: int, buffers) -> np.ndarray:
     # T_k[U] is the sum of A_w over the words w of length k with support
     # exactly U, and T_{k+1}[U] = sum_{i in U} (T_k[U] + T_k[U - i]) (x) A_i.
     # Each row sums its terms left to right over i ascending, and the
     # merged row its sources in plan order, so the bits are fixed: the
     # same as one row at a time, for any number of trials.
-    # A table is stored with its newest letter as the most significant
-    # tensor factor, A_{w_k} (x) ... (x) A_{w_1}, the perfect shuffle of the
-    # standard layout: then each product's innermost loop runs along a row
-    # of T_k (dim^k entries), not along a row of A_i (dim entries), and every
-    # entry is the same product of the same two factors.  One digit-reversal
+    # A table is stored letter-major: the newest letter's (row, column)
+    # entry is the outermost index of a row, then the table row it
+    # multiplies, so each product is a contiguous run of a whole row of
+    # T_k times one entry of A_i, and every entry is the same product of
+    # the same two factors as in the standard layout.  One digit-reversal
     # copy at the end gives the standard layout.
     # Every array is a view of the workspace ``buffers`` that
     # _WordPlan.buffers sizes, each table in the buffer _WordPlan.tables
@@ -533,66 +563,125 @@ def _word_sum(inputs: np.ndarray, plan: _WordPlan, p: int, buffers) -> np.ndarra
         out = _rows(buffers[buffer], step.size + absent, count, wide)
         if absent:
             out[-1] = _ABSENT
-        block = max(1, min(dim ** (2 * (p - 1 - k)), BLOCK_BYTES // out[0].nbytes))
-        for lo, hi, slots in step.classes:
-            for start in range(lo, hi, block):
-                stop = min(hi, start + block)
-                part = slice(start - lo, stop - lo)
-                rows = out[start:stop]
-                # The second gather is read before a product is formed over it.
-                x, y = (_rows(buffer, stop - start, count, wide // dim)
-                        for buffer in (gather, product))
-                z = _rows(letters, stop - start, count, dim)
-                for t, (i, a, b) in enumerate(slots):
-                    np.take(table, a[part], axis=0, out=x, mode="clip")
-                    np.take(table, b[part], axis=0, out=y, mode="clip")
-                    np.add(x, y, out=x)
-                    np.take(inputs, i[part], axis=0, out=z, mode="clip")
-                    if t == 0:
-                        _lead(x, z, rows)
-                    else:
-                        np.add(rows, _lead(x, z, _rows(product, stop - start, count, wide)),
-                               out=rows)
-        merged_row = out[step.size - 1]
-        for a, merged in zip(inputs, step.merged):
-            if merged is not None:
-                first, by_weight = merged
-                total = _weighted_sum(table, by_weight, _rows(gather, 1, count, wide // dim)[0],
-                                      _rows(product, 1, count, wide // dim)[0])
-                if first:
-                    _lead(total, a, merged_row)
-                else:
-                    np.add(merged_row, _lead(total, a, _rows(product, 1, count, wide)[0]),
-                           out=merged_row)
+        if _pieced(wide * wide):
+            _in_pieces(table, inputs, step, out, gather, product)
+        else:
+            block = min(dim ** (2 * (p - 1 - k)), _fit(wide * wide, count))
+            _in_blocks(table, inputs, step, out, block, gather, product, letters)
         table = out
     total = table[0]
     if plan.den != 1:
         total /= plan.den
-    return _digit_reversed(total, dim, p, product)
+    # The dead tables of step p - 1 are the copy's spare when they hold it.
+    spare = buffers[(p - 1) % 2]
+    return _digit_reversed(total, dim, p, spare if spare.size >= total.size else product)
+
+
+def _in_blocks(table: np.ndarray, inputs: np.ndarray, step: _Step, out: np.ndarray,
+               block: int, gather: np.ndarray, product: np.ndarray, letters: np.ndarray) -> None:
+    # The rows of ``step`` into ``out``, ``block`` rows of a class at a
+    # time, from the table ``table`` of the step before: each term gathers
+    # its sources' rows into ``gather`` and ``product`` and its letters
+    # into ``letters``, and forms its products in ``product`` after the
+    # first.
+    count, dim, wide = table.shape[1], inputs.shape[-1], out.shape[-1]
+    for lo, hi, slots in step.classes:
+        for start in range(lo, hi, block):
+            stop = min(hi, start + block)
+            part = slice(start - lo, stop - lo)
+            rows = out[start:stop]
+            # The second gather is read before a product is formed over it.
+            x, y = (_rows(buffer, stop - start, count, wide // dim) for buffer in (gather, product))
+            z = _rows(letters, stop - start, count, dim)
+            for t, (i, a, b) in enumerate(slots):
+                np.take(table, a[part], axis=0, out=x, mode="clip")
+                np.take(table, b[part], axis=0, out=y, mode="clip")
+                np.add(x, y, out=x)
+                np.take(inputs, i[part], axis=0, out=z, mode="clip")
+                if t == 0:
+                    _lead(x, z, rows)
+                else:
+                    np.add(rows, _lead(x, z, _rows(product, stop - start, count, wide)), out=rows)
+    merged_row = out[step.size - 1]
+    for a, merged in zip(inputs, step.merged):
+        if merged is not None:
+            first, by_weight = merged
+            total = _weighted_sum(table, by_weight, _rows(gather, 1, count, wide // dim)[0],
+                                  _rows(product, 1, count, wide // dim)[0])
+            if first:
+                _lead(total, a, merged_row)
+            else:
+                np.add(merged_row, _lead(total, a, _rows(product, 1, count, wide)[0]),
+                       out=merged_row)
+
+
+def _in_pieces(table: np.ndarray, inputs: np.ndarray, step: _Step, out: np.ndarray,
+               gather: np.ndarray, product: np.ndarray) -> None:
+    # The rows of ``step`` into ``out`` for a row over BLOCK_BYTES: one
+    # trial, row and piece (a range of the entries of a row of ``table``,
+    # the step before) at a time.  Each term's x = T_k[a][piece] +
+    # T_k[b][piece] is formed in ``gather``, and then for each letter entry
+    # e the first term sets row[e, piece] to x * A_i[e] and each later one
+    # adds that product, formed in ``product``: the sum of the same
+    # products in the same order as a whole row's.  Every call is over
+    # contiguous entries and a scalar, so numpy allocates no buffer for it.
+    count, prior = table.shape[1], table[0, 0].size
+    source = table.reshape(len(table), count, prior)
+    grid = out.reshape(len(out), count, -1, prior)
+    entries = inputs.reshape(len(inputs), count, -1)
+    size = min(prior, _fit(1, 1))
+    for c in range(count):
+        for start in range(0, prior, size):
+            cols = slice(start, min(prior, start + size))
+            x, y = gather[:cols.stop - start], product[:cols.stop - start]
+            for lo, hi, slots in step.classes:
+                for r in range(lo, hi):
+                    for t, (i, a, b) in enumerate(slots):
+                        np.add(source[a[r - lo], c, cols], source[b[r - lo], c, cols], out=x)
+                        _spread(x, entries[i[r - lo], c], grid[r, c, :, cols], y, t == 0)
+            for a, merged in zip(entries, step.merged):
+                if merged is not None:
+                    first, by_weight = merged
+                    _spread(_weighted_sum(source[:, c, cols], by_weight, x, y), a[c],
+                            grid[step.size - 1, c, :, cols], y, first)
+
+
+def _spread(x: np.ndarray, a: np.ndarray, out: np.ndarray, spare: np.ndarray,
+            first: bool) -> None:
+    # out[e] = x * a[e] for each letter entry e when ``first``, else out[e]
+    # plus that product, formed in ``spare``: the table x the first
+    # operand, as in _lead.
+    for e, entry in enumerate(a):
+        if first:
+            np.multiply(x, entry, out=out[e])
+        else:
+            np.add(out[e], np.multiply(x, entry, out=spare), out=out[e])
 
 
 def _lead(t: np.ndarray, a: np.ndarray, out: np.ndarray) -> np.ndarray:
-    # a (x) t as the stored layout holds it, each entry the product t * a:
-    # numpy's SIMD complex multiply is not commutative bit for bit, so the
-    # table stays the first operand, as in _kron(t, a).  The products are
-    # written into the contiguous ``out``.
+    # a (x) t as the letter-major layout holds it, each entry the product
+    # t * a: numpy's SIMD complex multiply is not commutative bit for bit,
+    # so the table stays the first operand, as in _kron(t, a).  Each entry
+    # of a multiplies a whole row of t, written contiguously into ``out``.
     n, m = t.shape[-1], a.shape[-1]
-    np.multiply(t[..., None, :, None, :], a[..., :, None, :, None],
-                out=out.reshape(*out.shape[:-2], m, n, m, n))
+    np.multiply(t[..., None, None, :, :], a[..., :, :, None, None],
+                out=out.reshape(*out.shape[:-2], m, m, n, n))
     return out
 
 
 def _digit_reversed(total: np.ndarray, dim: int, p: int, spare: np.ndarray) -> np.ndarray:
-    # The standard layout of a (count, dim^p, dim^p) stored table, in its
-    # own memory: both indices' p base-dim digits reversed, an exact copy.
-    # The entries are copied aside into the flat buffer ``spare`` and read
+    # The standard layout of a (count, dim^p, dim^p) letter-major table, in
+    # its own memory: its 2p base-dim digits alternate row and column from
+    # the newest letter, and the standard layout takes the row digits from
+    # the oldest letter, then the column digits, an exact copy.  The
+    # entries are copied aside into the flat buffer ``spare`` and read
     # back, so the difference stays where the build wrote it and the copy
     # takes no memory the workspace does not hold.  The order is the
     # identity at p 1, and at dim 1, where p may exceed numpy's axis limit.
     if p == 1 or dim == 1:
         return total
     digits = [total.shape[0], *[dim] * (2 * p)]
-    order = [0, *range(p, 0, -1), *range(2 * p, p, -1)]
+    order = [0, *range(2 * p - 1, 0, -2), *range(2 * p, 0, -2)]
     copy = spare[:total.size].reshape(digits)
     np.copyto(copy, total.reshape(digits))
     total.reshape(digits)[...] = copy.transpose(order)

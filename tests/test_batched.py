@@ -186,7 +186,10 @@ class TestVerifyAgainstOracle:
         sizes = count_chunks(monkeypatch)
         report, _ = run_verify(cfg)
         n = cfg.n
-        held = working_set(cfg.family, n, cfg.p, 2, k=cfg.k, ell=cfg.ell, m=cfg.m)
+        # The count of a trial: the build's working set, or the
+        # certificate's two differences where larger (alternating's D = 0).
+        held = max(working_set(cfg.family, n, cfg.p, 2, k=cfg.k, ell=cfg.ell, m=cfg.m),
+                   2 * 2 ** (2 * cfg.p))
         chunk = harness.CHUNK_BYTES // (16 * held)
         assert len(sizes) > 1
         assert sizes == [n * min(chunk, 140 - lo) for lo in range(0, 140, chunk)]

@@ -786,15 +786,16 @@ class TestOverflowRefused:
         assert not out.exists()
 
 
-def run_capped(command: str) -> subprocess.CompletedProcess:
-    """``hlawka <command>`` in a child process held to 1 GiB of address space
-    and a few seconds, so that a regression fails the test instead of
-    exhausting the machine."""
+def run_capped(command: str, program: tuple = ("-m", "hlawka.cli")) -> subprocess.CompletedProcess:
+    """``hlawka <command>`` (or the Python ``program`` given the words of
+    ``command``) in a child process held to 1 GiB of address space and a
+    few seconds, so that a regression fails the test instead of exhausting
+    the machine."""
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
 
     src = str(Path(hlawka.__file__).resolve().parents[1])
-    return subprocess.run([sys.executable, "-m", "hlawka.cli", *command.split()],
+    return subprocess.run([sys.executable, *program, *command.split()],
                           env={**os.environ, "PYTHONPATH": src}, preexec_fn=cap,
                           capture_output=True, text=True, timeout=10)
 
@@ -863,7 +864,7 @@ class TestRefusedInACappedChild:
             "verify --family hlawka3 --p 1 --dim 4096") for trials in (0, 1)),
     ])
     def test_working_set_budget_exits_three_before_any_table(self, command):
-        # 5.98 and 19.4 GiB a trial by sums.working_set, within the tensor
+        # 5.67 and 19.0 GiB a trial by sums.working_set, within the tensor
         # budget: numpy's MemoryError escaped cli.main and the run exited 1.
         # The p 1 lines are exactly 0, so their builds hold dim^2 zeros
         # beside the inputs, and the sampler's peak is refused: counted by the build, they
@@ -1046,6 +1047,40 @@ class TestSamplerBudget:
         assert peak <= len(seeds) * trial_bytes
 
 
+class TestResidentSetWithinTheCount:
+    # tracemalloc sees neither LAPACK's work nor the pages the allocator
+    # keeps, so a child's peak resident set is measured against the count:
+    # the rise of ru_maxrss (KiB on Linux) over its baseline after the
+    # import and one small warm-up run, which holds the first calls'
+    # allocations of BLAS and the report.
+    SCRIPT = (
+        "import resource, sys\n"
+        "from hlawka.cli import main\n"
+        "out = sys.argv[1]\n"
+        "main(['verify', '--family', 'hlawka3', '--dim', '2', '--p', '3', '--trials', '1',"
+        " '--out', out])\n"
+        "base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "code = main([*sys.argv[2:], '--out', out])\n"
+        "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - base)\n")
+
+    def test_a_dense_trial_rises_within_its_count(self, tmp_path):
+        # The count, 9.0 MiB, is the build's workspace: the difference and
+        # the table of step 8, 4 MiB each, and two pieces of 512 KiB.  The
+        # certificate holds the difference and LAPACK's copy of it, and
+        # glibc keeps the infinity norm's float64 |x| before it, half a
+        # difference: the slack is that half and 1 MiB.  Measured rise:
+        # 10.2 to 10.3 MiB; the build with a full-row product held 13 MiB.
+        line = "verify --family hlawka3 --dim 2 --p 9 --trials 1"
+        cfg, _ = harness._settings(_config_from(build_parser().parse_args(line.split())),
+                                   "verify")
+        count = harness._trial_bytes(cfg, "verify")
+        assert count == 16 * sums.working_set("hlawka3", 3, 9, 2) == 9 * 2**20 + 16 * 24
+        done = run_capped(f"{tmp_path / 'r.json'} {line}", ("-c", self.SCRIPT))
+        code, rise = map(int, done.stdout.splitlines()[-1].split())
+        assert code == 0
+        assert 1024 * rise <= count + 16 * 4**9 // 2 + 2**20
+
+
 class TestWorkingSetBudget:
     LINE = "verify --family pop-pairs --n 4 --p 4 --dim 2"
     #: Exactly 0 at p 1: its build holds the dim^2 zeros and twice the n
@@ -1104,13 +1139,14 @@ class TestWorkingSetBudget:
         # The settings pass refuses it, before the trial loop sizes its
         # chunks by the same working set.
         cfg = RunConfig(family="pop-pairs", n=12, p=12, dim=2, trials=1)
-        with pytest.raises(BudgetError, match="working set of one trial: 6425678720 bytes"):
+        with pytest.raises(BudgetError, match="working set of one trial: 6091182976 bytes"):
             harness._settings(cfg, "verify")
 
     def test_the_default_keeps_the_largest_tensor_of_dim_two(self):
-        # The output, the table of step 11 and one product of 2^24 entries
-        # each, a gather of 2^22, and 12 letters and 12 inputs.
-        assert (16 * sums.working_set("hlawka3", 3, 12, 2) == 3 * 2**28 + 2**26 + 16 * 24
+        # The output and the table of step 11, 2^24 entries each (the
+        # table the digit reversal's spare), one piece of 2^15 entries in
+        # the gather and in the product, and 12 letters and 12 inputs.
+        assert (16 * sums.working_set("hlawka3", 3, 12, 2) == 2 * 2**28 + 2 * 2**19 + 16 * 24
                 < sums.MAX_WORKING_SET_BYTES)
 
 

@@ -284,7 +284,10 @@ class TestSharedProperties:
     def test_build_peaks_below_five_outputs(self):
         # numpy reports its buffers to tracemalloc.  The subset route
         # peaked at 5.00 outputs here, and per-set products batched into
-        # one stacked product per input at 5.44.
+        # one stacked product per input at 5.44; the word sum held 3.25
+        # outputs in its workspace with a full-row product, and 2.75 with
+        # its last row formed in pieces, which peaks at 3.01 with numpy's
+        # iterator buffers of the earlier steps' products.
         mats = pd_tuple(30, 3, 2)
         build_difference("hlawka3", mats, 8)  # plan cached outside the count
         tracemalloc.start()
@@ -293,18 +296,31 @@ class TestSharedProperties:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 5 * out.array.nbytes
+        assert peak < 3.05 * out.array.nbytes
 
     def test_bits_do_not_depend_on_how_rows_are_stacked(self, monkeypatch):
-        # A 1-byte budget forms every product of the DP one row at a time.
+        # A 1-byte budget forms every row of the DP one entry of the row
+        # before it at a time: a piece never falls to zero entries.
         mats = pd_tuple(34, 5, 2)
         for family, p, levels in (("alternating", 5, {}), ("superadd", 4, {}),
                                   ("pop-levels", 4, {"k": 1, "ell": 2, "m": 3})):
             stacked = build_difference(family, mats, p, **levels).array
             monkeypatch.setattr(sums, "BLOCK_BYTES", 1)
+            assert sums._fit(1, 1) == 1
             one_row = build_difference(family, mats, p, **levels).array
             monkeypatch.undo()
             assert stacked.tobytes() == one_row.tobytes()
+        # 3000 bytes forms in pieces only the rows of steps 3 and 4 at dim 2,
+        # of 4^4 and 4^5 entries, from pieces of 187 entries of the rows
+        # before them: the last piece of step 4 is short.
+        monkeypatch.setattr(sums, "BLOCK_BYTES", 3000)
+        assert [sums._pieced(4 ** (k + 1)) for k in range(5)] == [False] * 3 + [True] * 2
+        assert sums._fit(1, 1) == 187
+        for index, (name, spec, n, levels) in enumerate(LAYOUT_TABLES):
+            for count in (1, 3):
+                parts = chunk(200 + index, n, 2, count)
+                got = build(name, spec, levels, parts, 5).array
+                assert (got.shape, got.tobytes()) == standard_bits(name, spec, n, levels, parts, 5)
 
     def test_psd_inputs_accepted(self):
         # Singular PSD inputs are fine: inequalities are closed under limits.
@@ -368,8 +384,8 @@ LAYOUT_TABLES = [
 
 
 class TestStorageLayout:
-    # The DP stores each table with the newest letter as the most
-    # significant factor and reverses the digits once at the end.  The
+    # The DP stores each table letter-major, the newest letter's (row,
+    # column) entry outermost, and reverses the digits once at the end.  The
     # trap: numpy's SIMD complex multiply is not commutative bit for bit
     # (u * v and v * u can differ in the last bit), so the stored layout
     # must keep the table as the first operand of every product, as the
@@ -383,25 +399,31 @@ class TestStorageLayout:
         seeds = tuple(derive_seed(60 + p, i) for i in range(n * count))
         samples = random_pd(dim, seeds)
         parts = [samples[i * count:(i + 1) * count] for i in range(n)]
-        got = sums._build(name, spec, parts, p, 4096, levels.get("k"), levels.get("ell"),
-                          levels.get("m")).array
-        size = n * count * dim * dim
-        inputs = sums._canonical_arrays(parts, np.empty(size, dtype=np.complex128),
-                                        np.empty(size, dtype=np.complex128),
-                                        keep_first_fixed=spec.supermod)
-        plan = sums._plan(name, spec, n, p, levels.get("k"), levels.get("ell"), levels.get("m"))
-        want = standard_word_sum(inputs, plan, p)
-        assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
+        got = build(name, spec, levels, parts, p).array
+        assert (got.shape, got.tobytes()) == standard_bits(name, spec, n, levels, parts, p)
 
     def test_a_stored_product_has_the_standard_products_bits(self):
-        # Entry for entry, a (x) t as stored is t (x) a of the standard
-        # layout with its two digits swapped, the table the first operand.
+        # Entry for entry, a (x) t as stored letter-major is t (x) a of the
+        # standard layout with a's row and column digits first, the table
+        # the first operand: standard (t_row, a_row, t_col, a_col) is stored
+        # (a_row, a_col, t_row, t_col).
         rng = np.random.default_rng(3)
         t, a = (rng.standard_normal((2, 4, 4)) + 1j * rng.standard_normal((2, 4, 4))
                 for _ in range(2))
-        standard = _kron(t, a).reshape(2, 4, 4, 4, 4).transpose(0, 2, 1, 4, 3)
+        standard = _kron(t, a).reshape(2, 4, 4, 4, 4).transpose(0, 2, 4, 1, 3)
         stored = sums._lead(t, a, np.empty((2, 16, 16), dtype=np.complex128))
         assert stored.tobytes() == np.ascontiguousarray(standard).tobytes()
+
+
+def standard_bits(name, spec, n, levels, parts, p) -> tuple:
+    """The shape and bytes of :func:`standard_word_sum` of a LAYOUT_TABLES
+    entry over the stacked inputs ``parts``."""
+    size = n * len(parts[0]) * parts[0].dim ** 2
+    inputs = sums._canonical_arrays(parts, np.empty(size, dtype=np.complex128),
+                                    np.empty(size, dtype=np.complex128),
+                                    keep_first_fixed=spec.supermod)
+    want = standard_word_sum(inputs, plan_of(name, spec, n, p, levels), p)
+    return want.shape, want.tobytes()
 
 
 def chunk(seed: int, n: int, dim: int, count: int) -> list:
@@ -493,6 +515,33 @@ class TestWorkspace:
                 assert held < peak < held + 16 * 1024
         finally:
             np.setbufsize(bufsize)
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_a_pieced_build_peaks_at_its_working_set(self, count):
+        # At the default budget hlawka3 at dim 2, p 8 forms its last row, of
+        # 4^8 entries, in pieces of the row before it: the gather and the
+        # product hold 2^14 and 2^15 entries a trial, not 4^7 and 4^8.  Its
+        # workspace is the count, and its traced peak is that count, the
+        # iterator buffers of the earlier steps and a few kB.
+        plan = plan_of("hlawka3", FAMILIES["hlawka3"], 3, 8, {})
+        assert [sums._pieced(4 ** (k + 1)) for k in range(8)] == [False] * 7 + [True]
+        assert plan.buffers(2)[2:4] == (2**15, 2**14)
+        held = 16 * count * plan.working_set(2)
+        build_difference("hlawka3", chunk(10, 3, 2, count), 8)
+        parts = chunk(11, 3, 2, count)
+        for part in parts:
+            part.digests
+        workspace = sums.Workspace()
+        bufsize = np.setbufsize(64)
+        tracemalloc.start()
+        try:
+            build_difference("hlawka3", parts, 8, workspace=workspace)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            np.setbufsize(bufsize)
+        assert sum(buffer.nbytes for buffer in workspace._held) == held
+        assert held < peak < held + 16 * 1024
 
     @pytest.mark.parametrize("family, n, p", [("hlawka3", 3, 3), ("alternating", 5, 5),
                                               ("pop-pairs", 6, 4), ("pop-pairs", 4, 4)])
